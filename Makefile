@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-serve bench-active bench-diff bench-figures e2e gateway chaos soak coverage
+.PHONY: check build test race vet bench bench-serve bench-active bench-diff bench-e2e bench-figures e2e gateway chaos soak coverage
 
 check: build vet test race
 
@@ -77,7 +77,7 @@ e2e:
 gateway:
 	./scripts/e2e_gateway.sh
 
-# Chaos/soak run against an in-process daemon with fault injection AND
+# Chaos/soak run against one bare in-process daemon with fault injection AND
 # the prediction cache armed: deterministic seed-derived schedule with a
 # duplicate-heavy hot-row class, every 200 bit-compared to offline
 # scoring, cache accounting checked post-drain, and a generation-
@@ -87,12 +87,18 @@ gateway:
 chaos:
 	$(GO) run ./cmd/perfpredload -seed 7 -duration 30s -cache-entries 2048 -report chaos-report.json
 
-# Gateway soak: the chaos run driven through the replicated topology —
-# three daemons behind the cache-affine gateway, fault plans armed,
-# one replica killed and restarted mid-schedule. The nightly workflow
-# runs this for 5 minutes per seed; locally 60s is a solid smoke.
+# Gateway soak: the same chaos run over three daemons behind the
+# cache-affine gateway, fault plans armed, one replica killed and
+# restarted mid-schedule, ending with the same epilogue across every
+# replica. The nightly workflow runs this for 5 minutes per seed;
+# locally 60s is a solid smoke.
 soak:
-	$(GO) run ./cmd/perfpredload -seed 7 -duration 60s -gateway-replicas 3 -replica-kill -cache-entries 2048 -report soak-report.json
+	$(GO) run ./cmd/perfpredload -seed 7 -duration 60s -replicas 3 -replica-kill -cache-entries 2048 -report soak-report.json
+
+# End-to-end benchmark (bench/, its own module): every BENCHMARK.json
+# workload — sampled DSE and the served prediction path — at seed 1.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1 --seconds 10
 
 # Coverage summary for the core and serving packages (same profile the
 # CI coverage job uploads as an artifact).

@@ -1,21 +1,21 @@
 // Command perfpredload is the chaos/soak driver for the serving stack:
-// it trains a small fixture zoo, boots an in-process daemon with the
-// fault-injection layer armed, replays a deterministic seed-derived
+// it trains a small fixture zoo, boots an in-process serving tier with
+// the fault-injection layer armed, replays a deterministic seed-derived
 // request schedule against it, and verifies the serving invariants
 // (one terminal response per request, bit-exact 200s, exact client
-// error codes, monotone registry generations, consistent counters).
+// error codes, monotone per-replica generations, consistent counters).
 //
-// With -gateway-replicas N (N >= 2) the run instead drives the
-// replicated topology: N in-process daemons behind a cache-affine
-// gateway, with per-replica cache/generation invariants and rendezvous
-// affinity checks. -replica-kill additionally crashes one replica
-// mid-schedule and restarts it, asserting the gateway ejects, retries
-// around, and readmits it without losing a request.
+// The tier is -replicas daemons: one bare daemon by default, or with
+// -replicas N (N >= 2) N daemons behind a cache-affine gateway, which
+// adds the rendezvous affinity and gateway report checks. -replica-kill
+// additionally crashes one replica mid-schedule and restarts it,
+// asserting the gateway ejects, retries around, and readmits it without
+// losing a request.
 //
 // Usage:
 //
 //	perfpredload -seed 7 -duration 30s -report chaos-report.json
-//	perfpredload -seed 7 -duration 5m -gateway-replicas 3 -replica-kill -cache-entries 2048
+//	perfpredload -seed 7 -duration 5m -replicas 3 -replica-kill -cache-entries 2048
 //
 // The process exits 1 if any invariant is violated; the printed seed
 // reproduces the run exactly.
@@ -39,23 +39,23 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "daemon per-request deadline (0 = default)")
 		faults   = flag.Bool("faults", true, "arm the chaos fault plans")
 		cache    = flag.Int("cache-entries", 0, "arm the daemon's prediction cache with this capacity (0 = off); adds the generation-boundary epilogue")
-		replicas = flag.Int("gateway-replicas", 0, "drive this many daemons behind a cache-affine gateway instead of one bare daemon (0 = off, otherwise >= 2)")
-		kill     = flag.Bool("replica-kill", false, "crash one gateway replica mid-schedule and restart it (requires -gateway-replicas)")
+		replicas = flag.Int("replicas", 1, "serving daemons; 0 or 1 is one bare daemon, >= 2 puts a cache-affine gateway in front")
+		kill     = flag.Bool("replica-kill", false, "crash one replica mid-schedule and restart it (requires -replicas >= 2)")
 		report   = flag.String("report", "", "write the invariant report JSON to this path")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 
 	cfg := loadtest.Config{
-		Seed:            *seed,
-		Duration:        *duration,
-		Requests:        *requests,
-		Workers:         *workers,
-		RequestTimeout:  *timeout,
-		Faults:          *faults,
-		CacheEntries:    *cache,
-		GatewayReplicas: *replicas,
-		ReplicaKill:     *kill,
+		Seed:           *seed,
+		Duration:       *duration,
+		Requests:       *requests,
+		Workers:        *workers,
+		RequestTimeout: *timeout,
+		Faults:         *faults,
+		CacheEntries:   *cache,
+		Replicas:       *replicas,
+		ReplicaKill:    *kill,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
@@ -75,28 +75,19 @@ func main() {
 		}
 	}
 
-	if rep.Gateway != nil {
-		fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  reloads %d/%d ok  bit-compared %d\n",
-			rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
-			rep.Reloads.OK, rep.Reloads.Attempted, rep.BitCompared)
-		fmt.Printf("gateway %d replicas  kills %d  restarts %d  hedges %d (%d won)  retries %d  ejects %d  readmits %d  gw-faults %d  affinity %d keys spread<=%d\n",
-			rep.GatewayReplicas, rep.ReplicaKills, rep.ReplicaRestarts,
-			rep.Gateway.Hedges, rep.Gateway.HedgeWins, rep.Gateway.Retries,
-			rep.Gateway.Ejects, rep.Gateway.Readmits, rep.Gateway.FaultsInjected,
-			rep.AffinityKeys, rep.AffinityMaxSpread)
-		for _, sr := range rep.ServeReplicas {
-			fmt.Printf("  replica %s  requests %d  predictions %d  shed %d  faults %d  cache hits %d / lookups %d\n",
-				sr.Addr, sr.Requests, sr.Predictions, sr.Shed, sr.FaultsInjected, sr.Cache.Hits, sr.Cache.Lookups)
-		}
-	} else {
-		fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  shed %d  reloads %d/%d ok  faults %d  bit-compared %d\n",
-			rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
-			rep.Serve.Shed, rep.Reloads.OK, rep.Reloads.Attempted, rep.Serve.FaultsInjected, rep.BitCompared)
-		if rep.CacheEntries > 0 {
-			cs := rep.Serve.Cache
-			fmt.Printf("cache %d entries  lookups %d  hits %d  misses %d  coalesced %d  evictions %d  invalidations %d  epilogue %+v\n",
-				rep.CacheEntries, cs.Lookups, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.Invalidations, rep.Epilogue)
-		}
+	fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  reloads %d/%d ok  bit-compared %d  epilogue %+v\n",
+		rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
+		rep.Reloads.OK, rep.Reloads.Attempted, rep.BitCompared, rep.Epilogue)
+	for _, sr := range rep.Replicas {
+		cs := sr.Cache
+		fmt.Printf("  replica %s  generation %d  requests %d  predictions %d  shed %d  faults %d  cache lookups %d  hits %d  coalesced %d  evictions %d  invalidations %d\n",
+			sr.Addr, sr.Generation, sr.Requests, sr.Predictions, sr.Shed, sr.FaultsInjected,
+			cs.Lookups, cs.Hits, cs.Coalesced, cs.Evictions, cs.Invalidations)
+	}
+	if gw := rep.Gateway; gw != nil {
+		fmt.Printf("  gateway  kills %d  restarts %d  hedges %d (%d won)  retries %d  shed %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",
+			rep.ReplicaKills, rep.ReplicaRestarts, gw.Hedges, gw.HedgeWins, gw.Retries, gw.Shed,
+			gw.Ejects, gw.Readmits, gw.FaultsInjected, rep.AffinityKeys, rep.AffinityMaxSpread)
 	}
 	if !rep.OK() {
 		fmt.Printf("FAIL: %d invariant violations (reproduce with -seed %d):\n", len(rep.Violations), rep.Seed)

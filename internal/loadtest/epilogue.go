@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"path/filepath"
 	"time"
@@ -38,66 +39,75 @@ type EpilogueStats struct {
 	ReloadsOK      int `json:"reloads_ok"`
 }
 
+// epilogue is the evidence of the generation-boundary epilogue, judged
+// by checkEpilogue.
+type epilogue struct {
+	EpilogueStats
+	old, new  []float64 // hot-row goldens of the served and the retrained artifact
+	pre, post []float64 // hot-row predictions served before and after the reload; NaN = never answered 200
+	failed    string    // the step that never succeeded, when the epilogue stopped short
+}
+
 // runEpilogue drives the generation-boundary proof of a cache-armed
-// run. The schedule has drained but the daemon — and any armed fault
+// run. The schedule has drained but the tier — and any armed fault
 // injector — is still live:
 //
-//  1. probe the schedule's hot rows and bit-compare against the old
-//     goldens (the cache is warm, so these are near-certain hits);
+//  1. probe the schedule's hot rows (the caches are warm, so these are
+//     near-certain hits);
 //  2. retrain one model on different data, overwrite its artifact in
-//     place, and reload until an attempt lands;
-//  3. probe the same hot rows again and bit-compare against goldens
-//     scored from the NEW artifact. A cache hit crossing the generation
-//     boundary would serve the old model's bits and fail here.
-//
-// Violations land in h.epiViolations and are folded into the report.
+//     place, and reload every replica until an attempt lands on each;
+//  3. probe the same hot rows again, for comparison against goldens
+//     scored from the NEW artifact.
 func (h *harness) runEpilogue() {
-	epi := &EpilogueStats{}
-	h.epi = epi
-	hot := hotPoolSize
-	if hot > len(h.fx.rows) {
-		hot = len(h.fx.rows)
+	e := &epilogue{}
+	h.led.epi = e
+	hot := min(hotPoolSize, len(h.fx.rows))
+	e.old = h.fx.golden[epilogueModel][:hot]
+	e.pre = h.probeHot(e, hot)
+	if e.new, e.failed = h.retrain(hot); e.failed != "" {
+		return
 	}
-
-	oldGolden := h.fx.golden[epilogueModel]
-	for idx := 0; idx < hot; idx++ {
-		got, ok := h.epilogueRequest(epi, idx)
-		if !ok {
-			h.epiViolations = append(h.epiViolations,
-				fmt.Sprintf("epilogue pre-reload: hot row %d never answered 200 in %d attempts", idx, epilogueAttempts))
-			continue
-		}
-		epi.Probes++
-		if got != oldGolden[idx] {
-			h.epiViolations = append(h.epiViolations,
-				fmt.Sprintf("epilogue pre-reload: hot row %d predicted %v, offline golden %v", idx, got, oldGolden[idx]))
+	// Reload until one attempt lands on each replica — the reload fault
+	// rejects every third attempt and artifact faults can tear others.
+	for _, r := range h.top.reps {
+		for try := 0; ; try++ {
+			if try == epilogueAttempts {
+				e.failed = fmt.Sprintf("replica %s: no reload succeeded in %d attempts", r.addr, epilogueAttempts)
+				return
+			}
+			e.ReloadAttempts++
+			if _, err := r.srv.Reload(); err == nil {
+				e.ReloadsOK++
+				h.ack(r.addr)
+				break
+			}
+			time.Sleep(epilogueBackoff)
 		}
 	}
+	e.post = h.probeHot(e, hot)
+}
 
-	// Retrain on a different dataset and seed so even a deterministic
-	// trainer would produce a different artifact, and swap it in place.
+// retrain retrains the epilogue model on a different dataset and seed,
+// so even a deterministic trainer produces a different artifact, swaps
+// it in place, and scores the hot rows from the artifact actually on
+// disk. It returns those goldens, or the step that failed.
+func (h *harness) retrain(hot int) ([]float64, string) {
 	train, err := synthDataset(128, h.cfg.Seed+777)
 	if err != nil {
-		h.epiViolations = append(h.epiViolations, fmt.Sprintf("epilogue: retrain dataset: %v", err))
-		return
+		return nil, fmt.Sprintf("retrain dataset: %v", err)
 	}
 	p, err := core.Train(context.Background(), fixtureModels()[epilogueModel], train,
 		core.TrainConfig{Seed: h.cfg.Seed + 77, Workers: 2, EpochScale: 0.2})
 	if err != nil {
-		h.epiViolations = append(h.epiViolations, fmt.Sprintf("epilogue: retraining %s: %v", epilogueModel, err))
-		return
+		return nil, fmt.Sprintf("retraining %s: %v", epilogueModel, err)
 	}
 	path := filepath.Join(h.fx.dir, epilogueModel+".json")
 	if err := savePredictor(path, p); err != nil {
-		h.epiViolations = append(h.epiViolations, fmt.Sprintf("epilogue: saving retrained artifact: %v", err))
-		return
+		return nil, fmt.Sprintf("saving retrained artifact: %v", err)
 	}
-
-	// Score the new goldens from the artifact actually on disk. The
-	// artifact-load fault point fires on this path too, so retry.
-	var newGolden []float64
+	// The artifact-load fault point fires on this path too, so retry.
 	wctx := engine.NewWorkerContext(context.Background())
-	for try := 0; try < epilogueAttempts && newGolden == nil; try++ {
+	for try := 0; try < epilogueAttempts; try++ {
 		loaded, err := core.LoadPredictorFile(path)
 		if err != nil {
 			time.Sleep(epilogueBackoff)
@@ -105,81 +115,36 @@ func (h *harness) runEpilogue() {
 		}
 		out := make([]float64, hot)
 		if err := loaded.PredictRowsInto(wctx, out, h.fx.rows[:hot]); err != nil {
-			h.epiViolations = append(h.epiViolations, fmt.Sprintf("epilogue: scoring new goldens: %v", err))
-			return
+			return nil, fmt.Sprintf("scoring new goldens: %v", err)
 		}
-		newGolden = out
+		return out, ""
 	}
-	if newGolden == nil {
-		h.epiViolations = append(h.epiViolations,
-			fmt.Sprintf("epilogue: retrained artifact never loaded in %d attempts", epilogueAttempts))
-		return
-	}
-	moved := false
-	for i := range newGolden {
-		if newGolden[i] != oldGolden[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		h.epiViolations = append(h.epiViolations,
-			"epilogue has no teeth: retrained artifact predicts identically on every hot row")
-		return
-	}
+	return nil, fmt.Sprintf("retrained artifact never loaded in %d attempts", epilogueAttempts)
+}
 
-	// Reload until one attempt lands — the reload fault rejects every
-	// third attempt and artifact faults can tear others.
-	reloaded := false
-	for try := 0; try < epilogueAttempts && !reloaded; try++ {
-		epi.ReloadAttempts++
-		if _, err := h.srv.Reload(); err == nil {
-			epi.ReloadsOK++
-			reloaded = true
-			break
-		}
-		time.Sleep(epilogueBackoff)
+// probeHot probes each hot row once through the front.
+func (h *harness) probeHot(e *epilogue, hot int) []float64 {
+	got := make([]float64, hot)
+	for idx := range got {
+		got[idx] = h.epilogueRequest(&e.EpilogueStats, idx)
 	}
-	if !reloaded {
-		h.epiViolations = append(h.epiViolations,
-			fmt.Sprintf("epilogue: no reload succeeded in %d attempts", epilogueAttempts))
-		return
-	}
-
-	for idx := 0; idx < hot; idx++ {
-		got, ok := h.epilogueRequest(epi, idx)
-		if !ok {
-			h.epiViolations = append(h.epiViolations,
-				fmt.Sprintf("epilogue post-reload: hot row %d never answered 200 in %d attempts", idx, epilogueAttempts))
-			continue
-		}
-		epi.Probes++
-		if got == newGolden[idx] {
-			continue
-		}
-		if got == oldGolden[idx] {
-			h.epiViolations = append(h.epiViolations,
-				fmt.Sprintf("cache hit crossed the generation boundary: hot row %d served the pre-reload model's bits (%v) after a successful reload", idx, got))
-		} else {
-			h.epiViolations = append(h.epiViolations,
-				fmt.Sprintf("epilogue post-reload: hot row %d predicted %v, new-artifact golden %v", idx, got, newGolden[idx]))
-		}
-	}
+	return got
 }
 
 // epilogueRequest posts one hot row until it draws a 200 (faults are
 // still armed, so shed / stalled / injected-error outcomes retry within
-// the attempt budget) and returns its single prediction.
-func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) (float64, bool) {
+// the attempt budget) and returns its single prediction, or NaN when it
+// never drew one.
+func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) float64 {
 	body, err := json.Marshal(&serve.PredictRequest{
 		Model: epilogueModel,
 		Row:   wireRow(h.schema, h.fx.rows[idx]),
 	})
 	if err != nil {
-		return 0, false
+		return math.NaN()
 	}
 	for try := 0; try < epilogueAttempts; try++ {
-		resp, err := h.client.Post(h.base+"/v1/predict", "application/json", bytes.NewReader(body))
+		resp, err := h.client.Post(h.top.baseURL+"/v1/predict", "application/json", bytes.NewReader(body))
 		if err != nil {
 			time.Sleep(epilogueBackoff)
 			continue
@@ -200,7 +165,8 @@ func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) (float64, bool) {
 			time.Sleep(epilogueBackoff)
 			continue
 		}
-		return pr.Predictions[0], true
+		epi.Probes++
+		return pr.Predictions[0]
 	}
-	return 0, false
+	return math.NaN()
 }

@@ -1,10 +1,11 @@
 // Package loadtest is the chaos/soak harness for the serving stack: it
 // replays a deterministic, seed-derived request schedule (mixed models,
 // malformed payloads, client deadlines, concurrent reloads) against an
-// in-process daemon — optionally with the faultinject layer armed so
-// batch flushes stall past request deadlines, admissions fail, and
-// reloads tear — and checks the serving invariants that must hold under
-// any interleaving:
+// in-process serving tier of N replicas — one bare daemon at N=1, a
+// gateway in front of them at N≥2 — optionally with the faultinject
+// layer armed so batch flushes stall past request deadlines, admissions
+// fail, and reloads tear, and checks the serving invariants that must
+// hold under any interleaving:
 //
 //   - every scheduled request gets exactly one terminal response; the
 //     batcher never drops work without shedding it as a 429;
@@ -13,10 +14,11 @@
 //     float64 exactly, so "bit-match" means ==, not a tolerance);
 //   - malformed payloads map to their exact client-error codes no
 //     matter the load — never a 5xx, never a queue slot;
-//   - the registry generation only moves forward and the model set is
-//     never partial, even while reloads race requests and each other;
-//   - the shed counter equals the number of 429s observed on the wire,
-//     and the final ServeReport is internally consistent.
+//   - each replica's registry generation only moves forward and its
+//     model set is never partial, even while reloads race requests and
+//     each other;
+//   - the tier's shed counters equal the 429s observed on the wire, and
+//     every final report is internally consistent.
 //
 // Everything stochastic — request times, burst placement, payload
 // classes, fault firing — derives from Config.Seed, so any failure
@@ -30,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -39,7 +40,6 @@ import (
 	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 	"perfpred/internal/gateway"
-	"perfpred/internal/obs"
 	"perfpred/internal/serve"
 )
 
@@ -66,28 +66,24 @@ type Config struct {
 	// with faults armed (so injected flush stalls expire queued
 	// requests), 2s otherwise.
 	RequestTimeout time.Duration
-	// CacheEntries arms the daemon's sharded prediction cache with the
+	// CacheEntries arms every replica's sharded prediction cache with the
 	// given capacity (0 leaves it off — the production default). A
 	// cache-armed run additionally checks the cache accounting
-	// invariants (hits + misses == lookups, coalesced ≤ misses, a
-	// duplicate-heavy schedule must actually hit) and finishes with a
-	// generation-boundary epilogue: retrain one model, swap its
-	// artifact, reload, and re-probe the hot rows against goldens scored
-	// from the new artifact — a cache hit crossing the reload boundary
-	// cannot survive it. (Gateway-mode runs skip the epilogue — it
-	// drives Server.Reload directly, which has no equivalent through the
-	// front tier — but keep all cache accounting checks per replica.)
+	// invariants per replica (hits + misses == lookups, coalesced ≤
+	// misses, a duplicate-heavy schedule must actually hit) and finishes
+	// with a generation-boundary epilogue: retrain one model, swap its
+	// artifact, reload every replica, and re-probe the hot rows against
+	// goldens scored from the new artifact — a cache hit crossing the
+	// reload boundary cannot survive it.
 	CacheEntries int
-	// GatewayReplicas, when ≥ 2, runs the replicated topology instead of
-	// a single daemon: that many in-process replicas behind an
-	// internal/gateway front tier, with the schedule replayed against
-	// the gateway. Adds the gateway invariants: responses still bit-match
-	// offline scoring, hot single-row requests land on exactly one
-	// replica (cache affinity), per-replica generations track each
-	// replica's own successful reloads, and the shed/hedge/retry
+	// Replicas is the number of in-process daemons. 0 or 1 runs one bare
+	// daemon the client talks to directly; ≥ 2 puts an internal/gateway
+	// front tier before them and adds the gateway invariants: hot
+	// single-row requests land on exactly one replica (cache affinity),
+	// the gateway's own report is consistent, and its shed/hedge/retry
 	// accounting reconciles with what clients observed on the wire.
-	GatewayReplicas int
-	// ReplicaKill (gateway mode only) kills one seed-chosen replica's
+	Replicas int
+	// ReplicaKill (≥ 2 replicas) kills one seed-chosen replica's
 	// listener at ~35% of the horizon and restarts it at ~65%, verifying
 	// no request is lost across the crash: the gateway must eject the
 	// replica, retry its in-flight work on survivors, and readmit it
@@ -151,7 +147,7 @@ var (
 // race rows already probed — the cache must absorb the stall without
 // changing a single bit. (Forced *errors* at that point take the
 // fail-open bypass and are pinned by the serve tests instead.)
-// Gateway-mode chaos additionally arms the front-tier points with
+// A gateway-fronted tier additionally arms the front-tier points with
 // client-invisible faults: routing latency jitter and suppressed
 // hedges. (Forced routing errors and probe-driven ejection are pinned
 // by the gateway unit tests; in chaos runs real ejection comes from the
@@ -160,18 +156,14 @@ func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Poin
 	// Artifact-read faults must start beyond the initial catalog loads
 	// (3 fixture models per daemon) so every daemon boots; with N
 	// replicas sharing one injector that floor scales to 3N.
-	artifactEvery := uint64(7)
-	if replicas > 0 {
-		artifactEvery = uint64(3*replicas) + 4
-	}
 	plans := map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush:  {Every: 4, Latency: requestTimeout + requestTimeout/2},
 		faultinject.ServeAdmit:       {Prob: 0.04, Err: errInjectedAdmit},
 		faultinject.ServeReload:      {Every: 3, Err: errInjectedReload},
-		faultinject.CoreArtifactLoad: {Every: artifactEvery, Err: errInjectedArtifact},
+		faultinject.CoreArtifactLoad: {Every: uint64(3*replicas) + 4, Err: errInjectedArtifact},
 		faultinject.ServeCacheLookup: {Every: 6, Latency: 3 * time.Millisecond},
 	}
-	if replicas > 0 {
+	if replicas >= 2 {
 		plans[faultinject.GatewayRoute] = faultinject.Plan{Every: 31, Latency: time.Millisecond}
 		plans[faultinject.GatewayHedge] = faultinject.Plan{Every: 3, Err: errInjectedHedge}
 	}
@@ -185,33 +177,22 @@ type outcome struct {
 	timedOut bool
 	err      string
 	preds    []float64 // parsed predictions for 200s
-	gen      int64     // reload events: resulting generation
-	replica  string    // gateway mode: X-Perfpred-Replica of the winner
-	route    string    // gateway mode: X-Perfpred-Route of the winner
+	replica  string    // gateway-fronted: X-Perfpred-Replica of the winner
+	route    string    // gateway-fronted: X-Perfpred-Route of the winner
 }
 
-// harness is one run's live state. Exactly one of srv (single-daemon
-// mode) and gw (gateway mode) is non-nil.
+// harness is one run's live state.
 type harness struct {
 	cfg    Config
 	fx     *fixture
 	schema *dataset.Schema
-	srv    *serve.Server
-	gw     *gatewayRig
-	base   string
+	top    *topology
 	client *http.Client
 	sched  *Schedule
 	outs   []outcome
 
-	mu                sync.Mutex
-	gens              []int64
-	gwGens            map[string][]int64 // gateway mode: generations per replica
-	catalogViolations []string
-
-	// epi and epiViolations record the cache generation-boundary
-	// epilogue (nil / empty when CacheEntries == 0).
-	epi           *EpilogueStats
-	epiViolations []string
+	mu  sync.Mutex // guards led.catalogs and led.acks; led.epi is the main goroutine's
+	led ledger
 }
 
 // Run executes one chaos/soak run and returns its invariant report.
@@ -220,12 +201,13 @@ type harness struct {
 // callers can persist the full evidence before failing.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.GatewayReplicas == 1 {
-		return nil, errors.New("loadtest: gateway mode needs at least 2 replicas")
+	if cfg.Replicas < 0 {
+		return nil, fmt.Errorf("loadtest: negative replica count %d", cfg.Replicas)
 	}
-	if cfg.ReplicaKill && cfg.GatewayReplicas < 2 {
-		return nil, errors.New("loadtest: ReplicaKill requires gateway mode (GatewayReplicas ≥ 2)")
+	if cfg.ReplicaKill && cfg.Replicas < 2 {
+		return nil, errors.New("loadtest: ReplicaKill needs at least 2 replicas")
 	}
+	n := max(cfg.Replicas, 1)
 	start := time.Now()
 
 	dir, err := os.MkdirTemp("", "perfpredload-*")
@@ -246,70 +228,47 @@ func Run(cfg Config) (*Report, error) {
 
 	sched := BuildSchedule(cfg.Seed, cfg.Requests, cfg.Duration, fx.models, len(fx.rows))
 
-	// Arm faults before constructing the daemon(s) and gateway: batcher,
+	// Arm faults before constructing the replicas and gateway: batcher,
 	// server and gateway snapshot the active injector (and its clock) at
 	// construction.
 	var inj *faultinject.Injector
 	if cfg.Faults {
-		inj = faultinject.New(cfg.Seed, chaosPlans(cfg.RequestTimeout, cfg.GatewayReplicas),
+		inj = faultinject.New(cfg.Seed, chaosPlans(cfg.RequestTimeout, n),
 			faultinject.WithClockSkew(300*time.Millisecond, 500*time.Microsecond))
 		restore := faultinject.Activate(inj)
 		defer restore()
 	}
 
+	top, err := startTopology(cfg, dir, n)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ReplicaKill {
+		top.scheduleKill(cfg.Seed, cfg.Duration)
+	}
 	h := &harness{
 		cfg:    cfg,
 		fx:     fx,
 		schema: schema,
+		top:    top,
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        cfg.Workers * 2,
 			MaxIdleConnsPerHost: cfg.Workers * 2,
 		}},
-		sched:  sched,
-		outs:   make([]outcome, len(sched.Events)),
-		gwGens: map[string][]int64{},
+		sched: sched,
+		outs:  make([]outcome, len(sched.Events)),
+		led:   ledger{catalogs: map[string][]catalog{}, acks: map[string]int{}},
 	}
 
-	if cfg.GatewayReplicas > 0 {
-		return h.runGatewayMode(dir, inj, start)
-	}
-
-	srv, err := serve.New(serve.Config{
-		ModelsDir:      dir,
-		RequestTimeout: cfg.RequestTimeout,
-		Batcher: serve.BatcherConfig{
-			QueueDepth: 8,
-			MaxBatch:   8,
-			MaxWait:    200 * time.Microsecond,
-			Workers:    2,
-		},
-		CacheEntries: cfg.CacheEntries,
-		Metrics:      obs.NewRegistry(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadtest: starting daemon: %w", err)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv.SetAddr(ln.Addr().String())
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	h.srv = srv
-	h.base = "http://" + ln.Addr().String()
-
-	cfg.logf("replaying %d events over %v against %s", len(sched.Events), cfg.Duration, h.base)
+	cfg.logf("replaying %d events over %v against %s (%d replicas, kill=%v)",
+		len(sched.Events), cfg.Duration, top.baseURL, n, cfg.ReplicaKill)
 	pollDone := make(chan struct{})
 	go h.pollCatalog(pollDone)
 	h.replay()
 	close(pollDone)
 
 	// Cache-armed runs end with the generation-boundary epilogue while
-	// the daemon (and the fault injector) is still live: probe warm hot
+	// the tier (and the fault injector) is still live: probe warm hot
 	// rows, retrain-swap-reload one model, probe again against the new
 	// artifact's goldens.
 	if cfg.CacheEntries > 0 {
@@ -317,51 +276,12 @@ func Run(cfg Config) (*Report, error) {
 		h.runEpilogue()
 	}
 
-	// Graceful shutdown: stop accepting, then drain the batcher — every
-	// admitted request must have been answered by the time Close returns.
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return nil, fmt.Errorf("loadtest: daemon shutdown: %w", err)
+	// Drain the whole tier; reports are snapshotted after the drain so
+	// every counter has settled.
+	if err := top.teardown(); err != nil {
+		return nil, fmt.Errorf("loadtest: teardown: %w", err)
 	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return nil, fmt.Errorf("loadtest: daemon serve: %w", err)
-	}
-	srv.Close()
-
-	rep := h.buildReport(srv.Report(), inj, time.Since(start))
-	cfg.logf("run complete: %d violations", len(rep.Violations))
-	return rep, nil
-}
-
-// runGatewayMode replays the schedule against the replicated topology:
-// GatewayReplicas in-process daemons behind an internal/gateway front
-// tier, optionally with the kill/restart choreography running.
-func (h *harness) runGatewayMode(dir string, inj *faultinject.Injector, start time.Time) (*Report, error) {
-	cfg := h.cfg
-	rig, err := startGatewayRig(cfg, dir, cfg.GatewayReplicas)
-	if err != nil {
-		return nil, err
-	}
-	h.gw = rig
-	h.base = rig.baseURL
-	if cfg.ReplicaKill {
-		rig.scheduleKill(cfg.Seed, cfg.Duration)
-	}
-
-	cfg.logf("replaying %d events over %v against gateway %s (%d replicas, kill=%v)",
-		len(h.sched.Events), cfg.Duration, h.base, cfg.GatewayReplicas, cfg.ReplicaKill)
-	pollDone := make(chan struct{})
-	go h.pollCatalog(pollDone)
-	h.replay()
-	close(pollDone)
-
-	// Drain the whole tier (gateway first, then replicas); reports are
-	// snapshotted after the drain so every counter has settled.
-	if err := rig.teardown(); err != nil {
-		return nil, fmt.Errorf("loadtest: gateway teardown: %w", err)
-	}
-	rep := h.buildReport(nil, inj, time.Since(start))
+	rep := h.report(inj, time.Since(start))
 	cfg.logf("run complete: %d violations", len(rep.Violations))
 	return rep, nil
 }
@@ -392,60 +312,56 @@ func (h *harness) replay() {
 	wg.Wait()
 }
 
-// runReload executes one reload event — via the admin endpoint or the
-// direct Server.Reload path the SIGHUP handler uses. In gateway mode
-// every reload goes through the gateway's fan-out endpoint (there is no
-// direct path to a replica's Server), and the per-replica outcomes feed
-// the generation bookkeeping.
+// runReload executes one reload event. AdminHTTP posts to the front's
+// /admin/reload — a bare replica's own endpoint or the gateway's
+// fan-out; otherwise every replica's Server.Reload is called directly,
+// the path a SIGHUP to each daemon takes. Either way each replica's
+// successful reloads land in the acknowledgement census the generation
+// check judges by.
 func (h *harness) runReload(ev Event) outcome {
-	out := outcome{ev: ev}
-	if h.gw != nil {
-		resp, err := h.client.Post(h.base+"/admin/reload", "application/json", nil)
-		if err != nil {
-			out.err = err.Error()
-			return out
-		}
-		defer resp.Body.Close()
-		out.status = resp.StatusCode
-		var fan gateway.ReloadFanout
-		if err := json.NewDecoder(resp.Body).Decode(&fan); err != nil {
-			out.err = "decoding reload fan-out: " + err.Error()
-			out.status = 0
-			return out
-		}
-		h.gw.noteReload(&fan)
-		return out
-	}
+	out := outcome{ev: ev, status: http.StatusOK}
 	if !ev.AdminHTTP {
-		gen, err := h.srv.Reload()
-		out.gen = gen
-		if err != nil {
-			out.status = http.StatusInternalServerError
-			out.err = err.Error()
-		} else {
-			out.status = http.StatusOK
+		for _, r := range h.top.reps {
+			if _, err := r.srv.Reload(); err != nil {
+				out.status, out.err = http.StatusInternalServerError, err.Error()
+			} else {
+				h.ack(r.addr)
+			}
 		}
 		return out
 	}
-	resp, err := h.client.Post(h.base+"/admin/reload", "application/json", nil)
+	resp, err := h.client.Post(h.top.baseURL+"/admin/reload", "application/json", nil)
 	if err != nil {
-		out.err = err.Error()
-		return out
+		return outcome{ev: ev, err: err.Error()}
 	}
 	defer resp.Body.Close()
 	out.status = resp.StatusCode
-	if resp.StatusCode == http.StatusOK {
-		var rr serve.ReloadResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			out.err = "decoding reload response: " + err.Error()
-			out.status = 0
-			return out
+	var body struct {
+		gateway.ReloadFanout
+		serve.ReloadResponse
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return outcome{ev: ev, err: "decoding reload response: " + err.Error()}
+	}
+	// A gateway answers with per-replica results; a bare replica's
+	// ReloadResponse acknowledges for itself, the tier's only replica.
+	acks := body.Replicas
+	if body.Generation > 0 {
+		acks = []gateway.ReloadResult{{Addr: h.top.reps[0].addr}}
+	}
+	for _, a := range acks {
+		if a.Error == "" {
+			h.ack(a.Addr)
 		}
-		out.gen = rr.Generation
-	} else {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	}
 	return out
+}
+
+// ack records one acknowledged reload of the replica at addr.
+func (h *harness) ack(addr string) {
+	h.mu.Lock()
+	h.led.acks[addr]++
+	h.mu.Unlock()
 }
 
 // runPredict executes one predict event and parses its terminal result.
@@ -462,7 +378,7 @@ func (h *harness) runPredict(ev Event) outcome {
 		ctx, cancel = context.WithTimeout(ctx, ev.Timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/predict", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.top.baseURL+"/v1/predict", bytes.NewReader(body))
 	if err != nil {
 		out.err = err.Error()
 		return out
@@ -524,10 +440,10 @@ func (h *harness) requestBody(ev Event) *serve.PredictRequest {
 	return req
 }
 
-// pollCatalog samples /v1/models until done closes, recording the
-// generation sequence and checking the model set is never partial — a
-// torn catalog (some models missing mid-reload) is an invariant
-// violation no matter when it is observed.
+// pollCatalog samples /v1/models until done closes, recording each
+// answering replica's generation and model set for the checker — a torn
+// catalog (some models missing mid-reload) or a generation moving
+// backwards is a violation no matter when it is observed.
 func (h *harness) pollCatalog(done <-chan struct{}) {
 	t := time.NewTicker(10 * time.Millisecond)
 	defer t.Stop()
@@ -537,17 +453,19 @@ func (h *harness) pollCatalog(done <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		resp, err := h.client.Get(h.base + "/v1/models")
+		resp, err := h.client.Get(h.top.baseURL + "/v1/models")
 		if err != nil {
 			continue // transient during shutdown races; replay gating prevents real loss
 		}
 		if resp.StatusCode != http.StatusOK {
-			// Gateway mode: a 502 while a killed replica is being ejected
-			// is transport weather, not catalog state.
+			// A 502 while a killed replica is being ejected is transport
+			// weather, not catalog state.
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
 			continue
 		}
+		// Replicas reload independently, so observations are kept per
+		// answering replica (the gateway names it; a bare replica is "").
 		replica := resp.Header.Get(gateway.HeaderReplica)
 		var mr serve.ModelsResponse
 		err = json.NewDecoder(resp.Body).Decode(&mr)
@@ -555,34 +473,12 @@ func (h *harness) pollCatalog(done <-chan struct{}) {
 		if err != nil {
 			continue
 		}
-		names := make([]string, len(mr.Models))
+		c := catalog{gen: mr.Generation, models: make([]string, len(mr.Models))}
 		for i, m := range mr.Models {
-			names[i] = m.Name
+			c.models[i] = m.Name
 		}
 		h.mu.Lock()
-		if h.gw != nil {
-			// Generations are per replica: replicas reload independently,
-			// so monotonicity only holds within one replica's sequence.
-			h.gwGens[replica] = append(h.gwGens[replica], mr.Generation)
-		} else {
-			h.gens = append(h.gens, mr.Generation)
-		}
-		if !equalStrings(names, h.fx.models) {
-			h.catalogViolations = append(h.catalogViolations,
-				fmt.Sprintf("catalog at generation %d served %v, want %v", mr.Generation, names, h.fx.models))
-		}
+		h.led.catalogs[replica] = append(h.led.catalogs[replica], c)
 		h.mu.Unlock()
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

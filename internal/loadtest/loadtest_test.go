@@ -46,9 +46,10 @@ func TestChaosScenarioSeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	failReport(t, rep)
+	sr := rep.Replicas[0]
 
 	// The run must have exercised each chaos class, not just survived.
-	if rep.Serve.Shed == 0 {
+	if sr.Shed == 0 {
 		t.Error("chaos run shed nothing: bursts never overflowed the admission queue")
 	}
 	if rep.StatusCounts["504"] == 0 {
@@ -60,7 +61,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	if rep.Reloads.OK == 0 {
 		t.Error("chaos run had no successful reloads")
 	}
-	if rep.Serve.FaultsInjected == 0 {
+	if sr.FaultsInjected == 0 {
 		t.Error("no faults fired on the serving path")
 	}
 	if rep.BitCompared == 0 {
@@ -69,7 +70,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	if rep.BitMismatches != 0 {
 		t.Errorf("%d of %d predictions diverged from offline scoring", rep.BitMismatches, rep.BitCompared)
 	}
-	if rep.Serve.Cache.Hits == 0 {
+	if sr.Cache.Hits == 0 {
 		t.Error("cache-armed chaos run recorded no hits: the duplicate class never landed")
 	}
 	if fs := rep.FaultStats[faultinject.ServeCacheLookup.String()]; fs.Fires == 0 {
@@ -95,8 +96,9 @@ func TestCleanRunNoFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	failReport(t, rep)
-	if rep.Serve.FaultsInjected != 0 {
-		t.Errorf("faults disabled but %d fired", rep.Serve.FaultsInjected)
+	sr := rep.Replicas[0]
+	if sr.FaultsInjected != 0 {
+		t.Errorf("faults disabled but %d fired", sr.FaultsInjected)
 	}
 	if n := rep.StatusCounts["500"]; n != 0 {
 		t.Errorf("clean run produced %d server errors", n)
@@ -104,7 +106,7 @@ func TestCleanRunNoFaults(t *testing.T) {
 	if rep.BitCompared == 0 || rep.BitMismatches != 0 {
 		t.Errorf("bit comparison: %d compared, %d mismatched", rep.BitCompared, rep.BitMismatches)
 	}
-	if rep.Serve.Cache.Hits == 0 {
+	if sr.Cache.Hits == 0 {
 		t.Error("cache-armed clean run recorded no hits")
 	}
 }
@@ -233,19 +235,19 @@ func TestGoldenScoringZeroAlloc(t *testing.T) {
 // per-replica generation/shed/cache accounting that reconciles.
 func TestGatewayCleanRun(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:            11,
-		Duration:        900 * time.Millisecond,
-		Faults:          false,
-		CacheEntries:    2048,
-		GatewayReplicas: 2,
-		Logf:            logf(t),
+		Seed:         11,
+		Duration:     900 * time.Millisecond,
+		Faults:       false,
+		CacheEntries: 2048,
+		Replicas:     2,
+		Logf:         logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	failReport(t, rep)
-	if rep.Gateway == nil || len(rep.ServeReplicas) != 2 {
-		t.Fatalf("gateway-mode report incomplete: gateway=%v replicas=%d", rep.Gateway != nil, len(rep.ServeReplicas))
+	if rep.Gateway == nil || len(rep.Replicas) != 2 {
+		t.Fatalf("fronted-tier report incomplete: gateway=%v replicas=%d", rep.Gateway != nil, len(rep.Replicas))
 	}
 	if rep.Gateway.FaultsInjected != 0 {
 		t.Errorf("faults disabled but %d gateway faults fired", rep.Gateway.FaultsInjected)
@@ -258,7 +260,7 @@ func TestGatewayCleanRun(t *testing.T) {
 			rep.AffinityKeys, rep.AffinityMaxSpread)
 	}
 	var hits int64
-	for _, sr := range rep.ServeReplicas {
+	for _, sr := range rep.Replicas {
 		hits += sr.Cache.Hits
 	}
 	if hits == 0 {
@@ -271,16 +273,17 @@ func TestGatewayCleanRun(t *testing.T) {
 // serving fault plans armed AND one replica killed mid-schedule and
 // restarted — no request may be lost, every 200 stays bit-identical to
 // offline scoring, the gateway must eject and readmit the crashed
-// replica, and affinity may spread to at most two replicas per key.
+// replica, affinity may spread to at most two replicas per key, and the
+// generation-boundary epilogue must complete across every replica.
 func TestGatewayChaosKillRestart(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:            7,
-		Duration:        1500 * time.Millisecond,
-		Faults:          true,
-		CacheEntries:    2048,
-		GatewayReplicas: 3,
-		ReplicaKill:     true,
-		Logf:            logf(t),
+		Seed:         7,
+		Duration:     1500 * time.Millisecond,
+		Faults:       true,
+		CacheEntries: 2048,
+		Replicas:     3,
+		ReplicaKill:  true,
+		Logf:         logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,14 +329,21 @@ func TestGatewayChaosKillRestart(t *testing.T) {
 	if rep.AffinityMaxSpread > 2 {
 		t.Errorf("affinity spread %d exceeds the kill allowance of 2", rep.AffinityMaxSpread)
 	}
+	if rep.Epilogue == nil || rep.Epilogue.ReloadsOK != len(rep.Replicas) {
+		t.Errorf("generation-boundary epilogue did not reload every replica: %+v", rep.Epilogue)
+	}
 }
 
-// TestGatewayConfigValidation pins the gateway-mode config contract.
-func TestGatewayConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Seed: 1, GatewayReplicas: 1}); err == nil {
-		t.Error("Run accepted a single-replica gateway")
+// TestReplicaConfigValidation pins the replica-count contract: 0 or 1
+// is a bare daemon, ≥ 2 a fronted tier; a negative count, or a kill
+// without a survivor to fail over to, is rejected before any work.
+func TestReplicaConfigValidation(t *testing.T) {
+	if _, err := Run(Config{Seed: 1, Replicas: -1}); err == nil {
+		t.Error("Run accepted a negative replica count")
 	}
-	if _, err := Run(Config{Seed: 1, ReplicaKill: true}); err == nil {
-		t.Error("Run accepted ReplicaKill without gateway mode")
+	for _, n := range []int{0, 1} {
+		if _, err := Run(Config{Seed: 1, Replicas: n, ReplicaKill: true}); err == nil {
+			t.Errorf("Run accepted ReplicaKill with %d replicas", n)
+		}
 	}
 }

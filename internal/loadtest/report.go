@@ -3,7 +3,9 @@ package loadtest
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 )
 
 // ReportVersion is the chaos report schema version.
-const ReportVersion = 1
+const ReportVersion = 2
 
 // ReloadStats summarizes the run's reload events.
 type ReloadStats struct {
@@ -51,8 +53,9 @@ type Report struct {
 	BitMismatches int `json:"bit_mismatches"`
 
 	// GenerationFirst/Last bracket the registry generations the catalog
-	// poller observed; GenerationRegressions counts observations where
-	// the generation moved backwards (must be 0).
+	// poller observed across replicas; GenerationRegressions counts
+	// observations where one replica's generation moved backwards (must
+	// be 0).
 	GenerationFirst       int64 `json:"generation_first"`
 	GenerationLast        int64 `json:"generation_last"`
 	GenerationRegressions int   `json:"generation_regressions"`
@@ -61,26 +64,20 @@ type Report struct {
 	// when faults are disabled).
 	FaultStats map[string]faultinject.PointStats `json:"fault_stats,omitempty"`
 
-	// Serve is the daemon's own final report (nil in gateway mode — see
-	// ServeReplicas).
-	Serve *obs.ServeReport `json:"serve,omitempty"`
-
-	// Gateway-mode fields (GatewayReplicas > 0 in the run config).
-	// GatewayReplicas is the replica count behind the front tier.
-	GatewayReplicas int `json:"gateway_replicas,omitempty"`
+	// Replicas are the per-replica final serve reports, in configuration
+	// order (one for a bare daemon).
+	Replicas []*obs.ServeReport `json:"replicas"`
+	// Gateway is the front tier's final report (nil for a bare daemon).
+	Gateway *obs.GatewayReport `json:"gateway,omitempty"`
 	// ReplicaKills / ReplicaRestarts count the kill choreography's
 	// completed crashes and rebinds.
 	ReplicaKills    int `json:"replica_kills,omitempty"`
 	ReplicaRestarts int `json:"replica_restarts,omitempty"`
-	// Gateway is the front tier's final report.
-	Gateway *obs.GatewayReport `json:"gateway,omitempty"`
-	// ServeReplicas are the per-replica final serve reports, in
-	// configuration order.
-	ServeReplicas []*obs.ServeReport `json:"serve_replicas,omitempty"`
 	// AffinityKeys counts distinct (model, row) keys observed on
-	// primary-routed single-row 200s; AffinityMaxSpread is the largest
-	// number of distinct replicas any one key landed on (1 = perfect
-	// cache affinity; 2 is allowed only across a kill/restart).
+	// primary-routed single-row 200s through the gateway;
+	// AffinityMaxSpread is the largest number of distinct replicas any
+	// one key landed on (1 = perfect cache affinity; 2 is allowed only
+	// across a kill/restart).
 	AffinityKeys      int `json:"affinity_keys,omitempty"`
 	AffinityMaxSpread int `json:"affinity_max_spread,omitempty"`
 
@@ -122,154 +119,179 @@ func (v *violations) addf(format string, args ...any) {
 	v.list = append(v.list, fmt.Sprintf(format, args...))
 }
 
-// buildReport folds the run's outcomes into a Report and checks every
-// invariant.
-func (h *harness) buildReport(sr *obs.ServeReport, inj *faultinject.Injector, elapsed time.Duration) *Report {
+// ledger is the evidence a run gathers besides its outcomes and final
+// reports.
+type ledger struct {
+	// catalogs are the poller's /v1/models observations per answering
+	// replica, in observation order.
+	catalogs map[string][]catalog
+	// acks counts the reloads each replica (by address) acknowledged,
+	// epilogue reloads included.
+	acks map[string]int
+	// epi is the generation-boundary epilogue's evidence (nil when the
+	// run had none).
+	epi *epilogue
+}
+
+// catalog is one observed /v1/models answer.
+type catalog struct {
+	gen    int64
+	models []string
+}
+
+// report snapshots the drained tier's final reports and checks the run.
+func (h *harness) report(inj *faultinject.Injector, elapsed time.Duration) *Report {
 	rep := &Report{
-		Version:      ReportVersion,
-		Seed:         h.cfg.Seed,
-		Faults:       h.cfg.Faults,
-		CacheEntries: h.cfg.CacheEntries,
-		Epilogue:     h.epi,
-		ScheduleHash: h.sched.Hash(),
-		Events:       len(h.sched.Events),
-		DurationSecs: elapsed.Seconds(),
-		StatusCounts: map[string]int{},
-		Serve:        sr,
+		Version:         ReportVersion,
+		Seed:            h.cfg.Seed,
+		Faults:          h.cfg.Faults,
+		CacheEntries:    h.cfg.CacheEntries,
+		ScheduleHash:    h.sched.Hash(),
+		Events:          len(h.sched.Events),
+		DurationSecs:    elapsed.Seconds(),
+		ReplicaKills:    h.top.kills,
+		ReplicaRestarts: h.top.restarts,
 	}
 	if inj != nil {
 		rep.FaultStats = inj.Stats()
 	}
-	var v violations
+	for _, sr := range h.top.reps {
+		rep.Replicas = append(rep.Replicas, sr.srv.Report())
+	}
+	if h.top.gw != nil {
+		rep.Gateway = h.top.gw.Report()
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.led.epi != nil {
+		rep.Epilogue = &h.led.epi.EpilogueStats
+	}
+	check(h.cfg, h.fx, h.outs, &h.led, rep)
+	return rep
+}
 
-	predictRows200 := 0
-	admitted := 0
-	for i := range h.outs {
-		out := &h.outs[i]
+// check judges one run at any replica count: outs are the schedule's
+// outcomes, rep carries the final reports (Replicas, plus Gateway and
+// the kill counts when a gateway fronts them) and led the side
+// evidence. It fills rep's derived counts and Violations. It reads
+// nothing live, so it can be driven offline with synthetic evidence.
+//
+// Every tier-wide check treats a missing gateway as one whose shed,
+// hedge, retry, error and fault counters are zero; only the gateway
+// report's own validity, the kill choreography and cache affinity are
+// checked for a fronted tier alone.
+func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
+	var v violations
+	rep.StatusCounts = map[string]int{}
+	rows200, admitted := 0, 0
+	for i := range outs {
+		out := &outs[i]
 		if out.ev.Reload {
-			h.checkReload(rep, &v, out)
+			checkReload(cfg, rep, &v, out)
 			continue
 		}
 		rep.Requests++
-		h.checkPredict(rep, &v, out, &predictRows200, &admitted)
+		checkPredict(cfg, fx, rep, &v, out, &rows200, &admitted)
 	}
 
-	// Catalog invariants from the poller. In gateway mode each replica
-	// reloads independently, so monotonicity is judged per replica
-	// sequence (as split by the response's replica header), never across
-	// the interleaved stream.
-	h.mu.Lock()
-	gens, torn := h.gens, h.catalogViolations
-	gwGens := h.gwGens
-	h.mu.Unlock()
-	if h.gw != nil {
-		var first, last int64 = -1, -1
-		for addr, seq := range gwGens {
-			if len(seq) == 0 {
-				continue
+	// Catalogs, per replica: replicas reload independently, so
+	// monotonicity only holds within one replica's sequence.
+	for name, seq := range led.catalogs {
+		for i, c := range seq {
+			if !slices.Equal(c.models, fx.models) {
+				v.addf("replica %q catalog at generation %d served %v, want %v", name, c.gen, c.models, fx.models)
 			}
-			if first < 0 {
-				first, last = seq[0], seq[len(seq)-1]
-			}
-			for i := 1; i < len(seq); i++ {
-				if seq[i] < seq[i-1] {
-					rep.GenerationRegressions++
-					v.addf("replica %s generation moved backwards: %d then %d", addr, seq[i-1], seq[i])
-				}
-			}
-		}
-		if first >= 0 {
-			rep.GenerationFirst, rep.GenerationLast = first, last
-		}
-	} else if len(gens) > 0 {
-		rep.GenerationFirst, rep.GenerationLast = gens[0], gens[len(gens)-1]
-		for i := 1; i < len(gens); i++ {
-			if gens[i] < gens[i-1] {
+			if i > 0 && c.gen < seq[i-1].gen {
 				rep.GenerationRegressions++
+				v.addf("replica %q generation moved backwards: %d then %d", name, seq[i-1].gen, c.gen)
 			}
 		}
-		if rep.GenerationRegressions > 0 {
-			v.addf("registry generation moved backwards %d time(s)", rep.GenerationRegressions)
+		if first := seq[0].gen; rep.GenerationFirst == 0 || first < rep.GenerationFirst {
+			rep.GenerationFirst = first
 		}
+		rep.GenerationLast = max(rep.GenerationLast, seq[len(seq)-1].gen)
 	}
-	for _, t := range torn {
-		v.addf("%s", t)
-	}
-	for _, s := range h.epiViolations {
-		v.addf("%s", s)
+	observed429 := int64(rep.StatusCounts["429"])
+	if led.epi != nil {
+		checkEpilogue(led.epi, &v)
+		// Epilogue probes observe (and retry) their own 429s.
+		observed429 += int64(led.epi.Observed429s)
 	}
 
-	if h.gw != nil {
-		h.checkGatewayMode(rep, &v, predictRows200)
-		if v.dropped > 0 {
-			v.list = append(v.list, fmt.Sprintf("... and %d more violations", v.dropped))
+	gw := rep.Gateway
+	if gw == nil {
+		gw = &obs.GatewayReport{}
+	}
+	shed, faults := gw.Shed, gw.FaultsInjected
+	var served, requests, lookups, hits int64
+	for i, sr := range rep.Replicas {
+		if err := sr.Validate(); err != nil {
+			v.addf("replica %d final serve report invalid: %v", i, err)
 		}
-		rep.Violations = v.list
-		if rep.Violations == nil {
-			rep.Violations = []string{}
+		// A replica's generation is 1 (initial load) plus the reloads it
+		// acknowledged itself — a killed replica misses the fan-outs
+		// broadcast while it was down.
+		if want := 1 + int64(led.acks[sr.Addr]); sr.Generation != want {
+			v.addf("replica %d (%s) generation %d, want %d (1 + its %d acknowledged reloads)",
+				i, sr.Addr, sr.Generation, want, led.acks[sr.Addr])
 		}
-		return rep
-	}
-
-	// ServeReport consistency.
-	if err := sr.Validate(); err != nil {
-		v.addf("final serve report invalid: %v", err)
-	}
-	wantGen := 1 + int64(rep.Reloads.OK)
-	if h.epi != nil {
-		wantGen += int64(h.epi.ReloadsOK)
-	}
-	if sr.Generation != wantGen {
-		v.addf("final generation %d, want %d (1 + successful reloads)", sr.Generation, wantGen)
-	}
-	// Every shed is a 429 on the wire — but a client that abandoned its
-	// request at its own deadline never reads the 429 it was sent, so
-	// the counter may exceed observed 429s by at most those timeouts.
-	// Epilogue probes observe (and retry) their own 429s.
-	got := int64(rep.StatusCounts["429"])
-	if h.epi != nil {
-		got += int64(h.epi.Observed429s)
-	}
-	if sr.Shed < got {
-		v.addf("shed counter %d but %d requests saw 429 — shed without telling the client", sr.Shed, got)
-	} else if sr.Shed > got+int64(rep.ClientTimeouts) {
-		v.addf("shed counter %d exceeds %d observed 429s + %d client timeouts — requests dropped without a 429",
-			sr.Shed, got, rep.ClientTimeouts)
-	}
-	// Every row returned in a 200 was either scored by the batcher
-	// (predictions), served from the cache (hits), or rode a leader's
-	// scoring of the same row (coalesced). With the cache off the last
-	// two terms are zero and this collapses to the original bound.
-	if served := sr.Predictions + sr.Cache.Hits + sr.Cache.Coalesced; served < int64(predictRows200) {
-		v.addf("predictions(%d)+cache hits(%d)+coalesced(%d) = %d < %d rows returned in 200s",
-			sr.Predictions, sr.Cache.Hits, sr.Cache.Coalesced, served, predictRows200)
-	}
-	if sr.Requests < int64(admitted) {
-		v.addf("requests counter %d < %d requests that reached the batcher", sr.Requests, admitted)
-	}
-	if !h.cfg.Faults && sr.FaultsInjected != 0 {
-		v.addf("faults disabled but %d faults fired", sr.FaultsInjected)
-	}
-
-	// Cache accounting. Post-drain, every lookup has resolved as exactly
-	// one hit or miss and coalesced waits are a sub-count of misses; a
-	// duplicate-heavy schedule against an armed cache must actually hit.
-	// With the cache off, its counters must never move at all.
-	cs := sr.Cache
-	if h.cfg.CacheEntries > 0 {
+		shed += sr.Shed
+		faults += sr.FaultsInjected
+		// Every row returned in a 200 was scored by a batcher
+		// (predictions), served from a cache (hits), or rode a leader's
+		// scoring of the same row (coalesced).
+		served += sr.Predictions + sr.Cache.Hits + sr.Cache.Coalesced
+		requests += sr.Requests
+		// Post-drain, every lookup has resolved as exactly one hit or
+		// miss and coalesced waits are a sub-count of misses. With the
+		// cache off, its counters must never move at all.
+		cs := sr.Cache
+		lookups += cs.Lookups
+		hits += cs.Hits
+		if cfg.CacheEntries == 0 {
+			if cs != (obs.CacheStats{}) {
+				v.addf("replica %d cache disabled but its counters moved: %+v", i, cs)
+			}
+			continue
+		}
 		if cs.Hits+cs.Misses != cs.Lookups {
-			v.addf("cache hits(%d)+misses(%d) != lookups(%d)", cs.Hits, cs.Misses, cs.Lookups)
+			v.addf("replica %d cache hits(%d)+misses(%d) != lookups(%d)", i, cs.Hits, cs.Misses, cs.Lookups)
 		}
 		if cs.Coalesced > cs.Misses {
-			v.addf("cache coalesced %d exceeds misses %d", cs.Coalesced, cs.Misses)
+			v.addf("replica %d cache coalesced %d exceeds misses %d", i, cs.Coalesced, cs.Misses)
 		}
-		if cs.Lookups == 0 {
-			v.addf("cache armed (%d entries) but no lookup ever reached it", h.cfg.CacheEntries)
-		} else if cs.Hits == 0 {
-			v.addf("duplicate-heavy schedule recorded zero cache hits over %d lookups", cs.Lookups)
+	}
+	if !cfg.Faults && faults != 0 {
+		v.addf("faults disabled but %d faults fired", faults)
+	}
+	// Every wire-observed 429 was counted by a replica's batcher or the
+	// gateway's in-flight cap. The converse allows slack for clients that
+	// abandoned their request at its own deadline (the 429 was sent but
+	// never read) and for losing hedge/retry attempts (their 429 lost the
+	// first-response race).
+	if shed < observed429 {
+		v.addf("tier shed %d but %d requests saw 429 — shed without telling the client", shed, observed429)
+	} else if slack := observed429 + int64(rep.ClientTimeouts) + gw.Hedges + gw.Retries; shed > slack {
+		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d hedges + %d retries — requests dropped without a 429",
+			shed, observed429, rep.ClientTimeouts, gw.Hedges, gw.Retries)
+	}
+	if served < int64(rows200) {
+		v.addf("replicas served %d rows but clients saw %d rows in 200s", served, rows200)
+	}
+	// Every admitted-class answer reached a replica, except the ones the
+	// gateway produced itself (its sheds and errors).
+	if reached := int64(admitted) - gw.Shed - gw.Errors; requests < reached {
+		v.addf("replica requests %d < %d answers that must have reached a replica", requests, reached)
+	}
+	if cfg.CacheEntries > 0 {
+		if lookups == 0 {
+			v.addf("caches armed (%d entries) but no lookup ever reached them", cfg.CacheEntries)
+		} else if hits == 0 {
+			v.addf("duplicate-heavy schedule recorded zero cache hits over %d lookups", lookups)
 		}
-	} else if cs != (obs.CacheStats{}) {
-		v.addf("cache disabled but its counters moved: %+v", cs)
+	}
+	if rep.Gateway != nil {
+		checkGateway(cfg, outs, rep, &v)
 	}
 
 	if v.dropped > 0 {
@@ -279,20 +301,19 @@ func (h *harness) buildReport(sr *obs.ServeReport, inj *faultinject.Injector, el
 	if rep.Violations == nil {
 		rep.Violations = []string{}
 	}
-	return rep
 }
 
 // checkReload folds one reload outcome.
-func (h *harness) checkReload(rep *Report, v *violations, out *outcome) {
+func checkReload(cfg Config, rep *Report, v *violations, out *outcome) {
 	rep.Reloads.Attempted++
 	switch {
 	case out.status == 200:
 		rep.Reloads.OK++
 	case out.status == 500:
 		rep.Reloads.Failed++
-		// Gateway kill runs legitimately fail fan-outs while the killed
-		// replica is down; otherwise a failed reload needs armed faults.
-		if !h.cfg.Faults && !(h.gw != nil && h.cfg.ReplicaKill) {
+		// Kill runs legitimately fail fan-outs while the killed replica
+		// is down; otherwise a failed reload needs armed faults.
+		if !cfg.Faults && !cfg.ReplicaKill {
 			v.addf("reload %d failed without faults armed: %s", out.ev.Seq, out.err)
 		}
 	default:
@@ -302,7 +323,7 @@ func (h *harness) checkReload(rep *Report, v *violations, out *outcome) {
 
 // checkPredict folds one predict outcome, verifying its terminal class
 // against the payload contract and bit-comparing 200s to the goldens.
-func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200, admitted *int) {
+func checkPredict(cfg Config, fx *fixture, rep *Report, v *violations, out *outcome, rows200, admitted *int) {
 	ev := out.ev
 	if out.status == 0 {
 		if out.timedOut && ev.Timeout > 0 {
@@ -330,7 +351,7 @@ func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200
 	case 429, 503, 504:
 		return
 	case 500:
-		if !h.cfg.Faults {
+		if !cfg.Faults {
 			v.addf("request %d: 500 without faults armed", ev.Seq)
 		}
 		return
@@ -340,7 +361,7 @@ func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200
 	}
 
 	// 200: every prediction must bit-match offline scoring.
-	golden := h.fx.golden[ev.Model]
+	golden := fx.golden[ev.Model]
 	if len(out.preds) != len(ev.RowIdxs) {
 		v.addf("request %d: 200 carried %d predictions for %d rows", ev.Seq, len(out.preds), len(ev.RowIdxs))
 		return
@@ -369,105 +390,54 @@ func expectedStatus(p PayloadKind) (status int, exact bool) {
 	return 0, false
 }
 
-// checkGatewayMode folds the replicated-topology invariants: a valid
-// gateway report, per-replica serve-report consistency (each replica's
-// generation tracks its own successful reloads), tier-wide shed
-// reconciliation against wire-observed 429s, cache accounting per
-// replica, the kill/restart choreography's health transitions, and
-// cache affinity — hot single-row requests landing on exactly one
-// replica (two across a kill).
-func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 int) {
-	rig := h.gw
-	gw := rig.gw.Report()
-	rep.GatewayReplicas = h.cfg.GatewayReplicas
-	rep.Gateway = gw
-	rig.mu.Lock()
-	rep.ReplicaKills, rep.ReplicaRestarts = rig.kills, rig.restarts
-	reloadOK := make(map[string]int, len(rig.reloadOK))
-	for addr, n := range rig.reloadOK {
-		reloadOK[addr] = n
+// checkEpilogue judges the generation-boundary evidence: every hot row
+// matches the served artifact's goldens before the reload and the
+// retrained artifact's after it. A cache hit crossing the boundary
+// would serve the old model's bits and fail here.
+func checkEpilogue(e *epilogue, v *violations) {
+	for i, got := range e.pre {
+		if math.IsNaN(got) {
+			v.addf("epilogue pre-reload: hot row %d never answered 200 in %d attempts", i, epilogueAttempts)
+		} else if got != e.old[i] {
+			v.addf("epilogue pre-reload: hot row %d predicted %v, offline golden %v", i, got, e.old[i])
+		}
 	}
-	rig.mu.Unlock()
+	if e.failed != "" {
+		v.addf("epilogue: %s", e.failed)
+		return
+	}
+	if slices.Equal(e.old, e.new) {
+		v.addf("epilogue has no teeth: retrained artifact predicts identically on every hot row")
+		return
+	}
+	for i, got := range e.post {
+		switch {
+		case got == e.new[i]:
+		case math.IsNaN(got):
+			v.addf("epilogue post-reload: hot row %d never answered 200 in %d attempts", i, epilogueAttempts)
+		case got == e.old[i]:
+			v.addf("cache hit crossed the generation boundary: hot row %d served the pre-reload model's bits (%v) after a successful reload", i, got)
+		default:
+			v.addf("epilogue post-reload: hot row %d predicted %v, new-artifact golden %v", i, got, e.new[i])
+		}
+	}
+}
 
+// checkGateway folds the invariants only a fronted tier has: a valid
+// gateway report, the kill/restart choreography's health transitions,
+// and cache affinity — hot single-row requests landing on exactly one
+// replica (two across a kill).
+func checkGateway(cfg Config, outs []outcome, rep *Report, v *violations) {
+	gw := rep.Gateway
 	if err := gw.Validate(); err != nil {
 		v.addf("final gateway report invalid: %v", err)
-	}
-	if !h.cfg.Faults && gw.FaultsInjected != 0 {
-		v.addf("faults disabled but %d gateway faults fired", gw.FaultsInjected)
-	}
-
-	var shedTotal, served, requests, faults int64
-	var lookups, hits, misses int64
-	for i, sr := range rig.reps {
-		r := sr.srv.Report()
-		rep.ServeReplicas = append(rep.ServeReplicas, r)
-		if err := r.Validate(); err != nil {
-			v.addf("replica %s final serve report invalid: %v", sr.addr, err)
-		}
-		// Each replica's generation is 1 (initial load) plus the reloads
-		// that replica itself acknowledged through the fan-out — a killed
-		// replica simply misses the reloads broadcast while it was down.
-		if want := 1 + int64(reloadOK[sr.addr]); r.Generation != want {
-			v.addf("replica %d (%s) generation %d, want %d (1 + its %d acknowledged reloads)",
-				i, sr.addr, r.Generation, want, reloadOK[sr.addr])
-		}
-		shedTotal += r.Shed
-		served += r.Predictions + r.Cache.Hits + r.Cache.Coalesced
-		requests += r.Requests
-		faults += r.FaultsInjected
-		lookups += r.Cache.Lookups
-		hits += r.Cache.Hits
-		misses += r.Cache.Misses
-		if h.cfg.CacheEntries > 0 {
-			if r.Cache.Hits+r.Cache.Misses != r.Cache.Lookups {
-				v.addf("replica %s cache hits(%d)+misses(%d) != lookups(%d)",
-					sr.addr, r.Cache.Hits, r.Cache.Misses, r.Cache.Lookups)
-			}
-			if r.Cache.Coalesced > r.Cache.Misses {
-				v.addf("replica %s cache coalesced %d exceeds misses %d", sr.addr, r.Cache.Coalesced, r.Cache.Misses)
-			}
-		} else if r.Cache != (obs.CacheStats{}) {
-			v.addf("replica %s cache disabled but its counters moved: %+v", sr.addr, r.Cache)
-		}
-	}
-	if !h.cfg.Faults && faults != 0 {
-		v.addf("faults disabled but %d replica faults fired", faults)
-	}
-
-	// Shed reconciliation across the tier. Every wire-observed 429 was
-	// counted by a replica's batcher or the gateway's in-flight cap; the
-	// converse allows slack for abandoned clients (the 429 was sent but
-	// never read) and losing hedge/retry attempts (their 429 lost the
-	// first-response race).
-	shedTotal += gw.Shed
-	observed := int64(rep.StatusCounts["429"])
-	if shedTotal < observed {
-		v.addf("tier shed %d but %d requests saw 429 — shed without telling the client", shedTotal, observed)
-	} else if slack := observed + int64(rep.ClientTimeouts) + gw.Hedges + gw.Retries; shedTotal > slack {
-		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d hedges + %d retries",
-			shedTotal, observed, rep.ClientTimeouts, gw.Hedges, gw.Retries)
-	}
-	// Every row in a client-observed 200 was scored (or cache-served) by
-	// some replica; hedges/retries only add extra scoring, so ≥ holds.
-	if served < int64(predictRows200) {
-		v.addf("replicas served %d rows but clients saw %d rows in 200s", served, predictRows200)
-	}
-	if requests < int64(rep.StatusCounts["200"]) {
-		v.addf("replica requests %d < %d client-observed 200s", requests, rep.StatusCounts["200"])
-	}
-	if h.cfg.CacheEntries > 0 {
-		if lookups == 0 {
-			v.addf("caches armed (%d entries each) but no lookup ever reached them", h.cfg.CacheEntries)
-		} else if hits == 0 {
-			v.addf("duplicate-heavy schedule recorded zero cache hits across %d replica lookups", lookups)
-		}
 	}
 
 	// Kill choreography: the crash and rebind must both have happened,
 	// and the gateway must have seen them (eject on the crash, readmit
 	// after the rebind). Without a kill the clean topology must never
 	// eject anyone (chaos plans deliberately exclude probe faults).
-	if h.cfg.ReplicaKill {
+	if cfg.ReplicaKill {
 		if rep.ReplicaKills != 1 || rep.ReplicaRestarts != 1 {
 			v.addf("kill choreography incomplete: %d kills, %d restarts (want 1 and 1)",
 				rep.ReplicaKills, rep.ReplicaRestarts)
@@ -487,8 +457,8 @@ func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 in
 	// kill/restart (the key's rendezvous fallback). Hedge and retry
 	// winners are excluded: they land elsewhere by design.
 	spread := map[string]map[string]bool{}
-	for i := range h.outs {
-		out := &h.outs[i]
+	for i := range outs {
+		out := &outs[i]
 		ev := out.ev
 		if ev.Reload || out.status != 200 || !ev.Single || ev.Payload != PayloadOK {
 			continue
@@ -503,7 +473,7 @@ func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 in
 		spread[key][out.replica] = true
 	}
 	allowed := 1
-	if h.cfg.ReplicaKill {
+	if cfg.ReplicaKill {
 		allowed = 2
 	}
 	rep.AffinityKeys = len(spread)

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"time"
 )
 
@@ -223,47 +220,5 @@ func (r *GatewayReport) Validate() error {
 	return nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *GatewayReport) WriteJSON(w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteFile writes the report to path as indented JSON.
-func (r *GatewayReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: writing gateway report: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadGatewayReport parses and validates a gateway report.
-func ReadGatewayReport(r io.Reader) (*GatewayReport, error) {
-	var rep GatewayReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding gateway report: %w", err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// ReadGatewayReportFile reads a gateway report from a JSON file.
-func ReadGatewayReportFile(path string) (*GatewayReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading gateway report: %w", err)
-	}
-	defer f.Close()
-	return ReadGatewayReport(f)
-}
+func (r *GatewayReport) WriteFile(path string) error { return writeFile(path, r) }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -43,9 +44,14 @@ func TestGatewayReportRoundTrip(t *testing.T) {
 	if err := r.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	back, err := ReadGatewayReportFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("ReadGatewayReportFile: %v", err)
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := readJSON[GatewayReport](f)
+	if err != nil {
+		t.Fatalf("readJSON: %v", err)
 	}
 	if back.Requests != r.Requests || back.Ejects != r.Ejects ||
 		len(back.Replicas) != len(r.Replicas) || back.Replicas[1].ProbeFailures != 3 {
@@ -86,10 +92,10 @@ func TestGatewayReportValidateRejects(t *testing.T) {
 // TestGatewayReportReadRejectsCorrupt checks the reader refuses both
 // non-JSON and structurally invalid payloads.
 func TestGatewayReportReadRejectsCorrupt(t *testing.T) {
-	if _, err := ReadGatewayReport(bytes.NewReader([]byte("not json"))); err == nil {
+	if _, err := readJSON[GatewayReport](bytes.NewReader([]byte("not json"))); err == nil {
 		t.Error("reader accepted non-JSON")
 	}
-	if _, err := ReadGatewayReport(bytes.NewReader([]byte(`{"version":1,"replicas":[]}`))); err == nil {
+	if _, err := readJSON[GatewayReport](bytes.NewReader([]byte(`{"version":1,"replicas":[]}`))); err == nil {
 		t.Error("reader accepted a report with no replicas")
 	}
 }

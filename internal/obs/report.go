@@ -217,40 +217,13 @@ func (r *RunReport) FindModel(kind string) *ModelResult {
 }
 
 // WriteJSON writes the report as indented JSON.
-func (r *RunReport) WriteJSON(w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *RunReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteFile writes the report to path as indented JSON.
-func (r *RunReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: writing report: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *RunReport) WriteFile(path string) error { return writeFile(path, r) }
 
 // ReadReport parses and validates a report.
-func ReadReport(r io.Reader) (*RunReport, error) {
-	var rep RunReport
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding report: %w", err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
+func ReadReport(r io.Reader) (*RunReport, error) { return readJSON[RunReport](r) }
 
 // ReadReportFile reads a report from a JSON file.
 func ReadReportFile(path string) (*RunReport, error) {
@@ -260,4 +233,46 @@ func ReadReportFile(path string) (*RunReport, error) {
 	}
 	defer f.Close()
 	return ReadReport(f)
+}
+
+// validator is every report type: RunReport, ServeReport, GatewayReport.
+type validator interface{ Validate() error }
+
+// writeJSON is the one report encoder: it validates first, so no report
+// is ever persisted in a state its reader would reject.
+func writeJSON(w io.Writer, rep validator) error {
+	if err := rep.Validate(); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
+
+// writeFile writes rep to path through writeJSON.
+func writeFile(path string, rep validator) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("obs: writing report: %w", err)
+	}
+	if err := writeJSON(f, rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readJSON is the one report decoder: decode, then validate.
+func readJSON[T any, P interface {
+	*T
+	validator
+}](r io.Reader) (*T, error) {
+	var rep T
+	if err := json.NewDecoder(r).Decode(&rep); err != nil {
+		return nil, fmt.Errorf("obs: decoding report: %w", err)
+	}
+	if err := P(&rep).Validate(); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }

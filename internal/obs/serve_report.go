@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 )
 
@@ -232,47 +230,8 @@ func (r *ServeReport) Validate() error {
 	return nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *ServeReport) WriteJSON(w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteFile writes the report to path as indented JSON.
-func (r *ServeReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: writing serve report: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *ServeReport) WriteFile(path string) error { return writeFile(path, r) }
 
 // ReadServeReport parses and validates a serve report.
-func ReadServeReport(r io.Reader) (*ServeReport, error) {
-	var rep ServeReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding serve report: %w", err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// ReadServeReportFile reads a serve report from a JSON file.
-func ReadServeReportFile(path string) (*ServeReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading serve report: %w", err)
-	}
-	defer f.Close()
-	return ReadServeReport(f)
-}
+func ReadServeReport(r io.Reader) (*ServeReport, error) { return readJSON[ServeReport](r) }

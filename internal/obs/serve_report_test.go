@@ -51,7 +51,7 @@ func TestBuildServeReport(t *testing.T) {
 
 	// Round trip through JSON.
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := writeJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadServeReport(&buf)

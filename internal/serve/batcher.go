@@ -67,8 +67,9 @@ type BatcherConfig struct {
 	MaxBatch int
 	// MaxWait is how long an idle batch worker lingers for more requests
 	// after picking up the first one, trading that bounded latency for
-	// bigger kernel batches. 0 coalesces only already-queued requests.
-	// Default 500µs.
+	// bigger kernel batches. The zero value (kept by withDefaults)
+	// coalesces only already-queued requests; perfpredd's -batch-wait
+	// flag defaults to 500µs.
 	MaxWait time.Duration
 	// Workers is the number of batch-executor goroutines, each owning
 	// engine worker-local scratch. Default GOMAXPROCS.
