@@ -77,15 +77,14 @@ e2e:
 gateway:
 	./scripts/e2e_gateway.sh
 
-# Chaos/soak run against one bare in-process daemon with fault injection AND
-# the prediction cache armed: deterministic seed-derived schedule with a
-# duplicate-heavy hot-row class, every 200 bit-compared to offline
-# scoring, cache accounting checked post-drain, and a generation-
-# boundary epilogue proving no cache hit survives a reload. Invariant
-# report written to chaos-report.json; any failure reproduces from the
-# printed seed.
+# Chaos/soak run against one bare in-process daemon with fault injection
+# armed: deterministic seed-derived schedule with a duplicate-heavy
+# hot-row class, every 200 bit-compared to offline scoring, cache
+# accounting checked post-drain, and a generation-boundary epilogue
+# proving no cache hit survives a reload. Invariant report written to
+# chaos-report.json; any failure reproduces from the printed seed.
 chaos:
-	$(GO) run ./cmd/perfpredload -seed 7 -duration 30s -cache-entries 2048 -report chaos-report.json
+	$(GO) run ./cmd/perfpredload -seed 7 -duration 30s -report chaos-report.json
 
 # Gateway soak: the same chaos run over three daemons behind the
 # cache-affine gateway, fault plans armed, one replica killed and
@@ -93,7 +92,7 @@ chaos:
 # replica. The nightly workflow runs this for 5 minutes per seed;
 # locally 60s is a solid smoke.
 soak:
-	$(GO) run ./cmd/perfpredload -seed 7 -duration 60s -replicas 3 -replica-kill -cache-entries 2048 -report soak-report.json
+	$(GO) run ./cmd/perfpredload -seed 7 -duration 60s -replicas 3 -replica-kill -report soak-report.json
 
 # End-to-end benchmark (bench/, its own module): every BENCHMARK.json
 # workload — sampled DSE and the served prediction path — at seed 1.

@@ -46,7 +46,7 @@ func main() {
 	batchWait := flag.Duration("batch-wait", 500*time.Microsecond, "max time a gathered batch waits for more rows")
 	workers := flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
 	timeout := flag.Duration("request-timeout", 5*time.Second, "per-request prediction deadline")
-	cacheEntries := flag.Int("cache-entries", 0, "sharded prediction-cache capacity in entries (0 disables the cache)")
+	cacheEntries := flag.Int("cache-entries", serve.DefaultCacheEntries, "prediction-cache capacity in entries")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
 	report := flag.String("report", "", "write a final ServeReport JSON here on shutdown")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")

@@ -15,7 +15,7 @@
 // Usage:
 //
 //	perfpredload -seed 7 -duration 30s -report chaos-report.json
-//	perfpredload -seed 7 -duration 5m -replicas 3 -replica-kill -cache-entries 2048
+//	perfpredload -seed 7 -duration 5m -replicas 3 -replica-kill
 //
 // The process exits 1 if any invariant is violated; the printed seed
 // reproduces the run exactly.
@@ -38,7 +38,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "max concurrent in-flight client requests (0 = default)")
 		timeout  = flag.Duration("timeout", 0, "daemon per-request deadline (0 = default)")
 		faults   = flag.Bool("faults", true, "arm the chaos fault plans")
-		cache    = flag.Int("cache-entries", 0, "arm the daemon's prediction cache with this capacity (0 = off); adds the generation-boundary epilogue")
 		replicas = flag.Int("replicas", 1, "serving daemons; 0 or 1 is one bare daemon, >= 2 puts a cache-affine gateway in front")
 		kill     = flag.Bool("replica-kill", false, "crash one replica mid-schedule and restart it (requires -replicas >= 2)")
 		report   = flag.String("report", "", "write the invariant report JSON to this path")
@@ -53,7 +52,6 @@ func main() {
 		Workers:        *workers,
 		RequestTimeout: *timeout,
 		Faults:         *faults,
-		CacheEntries:   *cache,
 		Replicas:       *replicas,
 		ReplicaKill:    *kill,
 	}

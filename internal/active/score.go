@@ -43,9 +43,6 @@ const (
 // and the committed BENCH_10.json allocs/op gate.
 type Scorer struct {
 	members []Member
-	// maxWidth is the widest member encoding, sizing the shared encode
-	// buffer once per worker.
-	maxWidth int
 }
 
 // NewScorer builds a scorer over the committee. Every member must carry
@@ -59,12 +56,8 @@ func NewScorer(members []Member) (*Scorer, error) {
 		if m.Model == nil || m.Enc == nil {
 			return nil, fmt.Errorf("active: committee member %q lacks a model or encoder", m.Name)
 		}
-		w := m.Enc.NumColumns()
-		if got := m.Model.NumInputs(); got != w {
+		if got, w := m.Model.NumInputs(), m.Enc.NumColumns(); got != w {
 			return nil, fmt.Errorf("active: member %q expects %d inputs but its encoder produces %d columns", m.Name, got, w)
-		}
-		if w > s.maxWidth {
-			s.maxWidth = w
 		}
 	}
 	return s, nil
@@ -75,13 +68,12 @@ func NewScorer(members []Member) (*Scorer, error) {
 type scoreScratchKey struct{}
 
 // scoreScratch holds one worker's reusable scoring buffers: the encode
-// matrix of the current chunk (one flat allocation, re-sliced per
-// member width), per-member prediction and spread outputs, per-row
-// accumulators, and each family's prediction scratch keyed by its
-// artifact tag (so mixed-family committees stay zero-alloc).
+// matrix of the current chunk (re-filled per member), per-member
+// prediction and spread outputs, per-row accumulators, and each
+// family's prediction scratch keyed by its artifact tag (so
+// mixed-family committees stay zero-alloc).
 type scoreScratch struct {
-	flat   []float64
-	rows   [][]float64
+	enc    dataset.RowBuffer
 	preds  []float64
 	spread []float64
 	sum    []float64
@@ -102,15 +94,9 @@ func (sc *scoreScratch) scratchFor(fam model.Family) model.Scratch {
 	return s
 }
 
-// ensure sizes the scratch for an n-row chunk at the scorer's maximum
-// member width. Growth-only, so a warmed worker never reallocates.
-func (sc *scoreScratch) ensure(n, maxWidth int) {
-	if cap(sc.flat) < n*maxWidth {
-		sc.flat = make([]float64, n*maxWidth)
-	}
-	if cap(sc.rows) < n {
-		sc.rows = make([][]float64, n)
-	}
+// ensure sizes the scratch's per-row outputs for an n-row chunk.
+// Growth-only, so a warmed worker never reallocates.
+func (sc *scoreScratch) ensure(n int) {
 	if cap(sc.preds) < n {
 		sc.preds = make([]float64, n)
 		sc.spread = make([]float64, n)
@@ -131,19 +117,15 @@ func scoreScratchFrom(ctx context.Context) *scoreScratch {
 func (s *Scorer) ScoreChunk(ctx context.Context, pool *dataset.Dataset, lo, hi int, mean, vari []float64) error {
 	n := hi - lo
 	sc := scoreScratchFrom(ctx)
-	sc.ensure(n, s.maxWidth)
+	sc.ensure(n)
 	sum, sum2, within := sc.sum[:n], sc.sum2[:n], sc.within[:n]
 	for i := range sum {
 		sum[i], sum2[i], within[i] = 0, 0, 0
 	}
 	for _, m := range s.members {
-		width := m.Enc.NumColumns()
-		rows := sc.rows[:n]
-		for i := 0; i < n; i++ {
-			rows[i] = sc.flat[i*width : (i+1)*width]
-			if err := m.Enc.EncodeRowInto(rows[i], pool.Row(lo+i)); err != nil {
-				return fmt.Errorf("active: encoding pool row %d for %q: %w", lo+i, m.Name, err)
-			}
+		rows, err := m.Enc.EncodeRows(&sc.enc, pool.Rows(lo, hi))
+		if err != nil {
+			return fmt.Errorf("active: encoding the pool chunk at row %d for %q: %w", lo, m.Name, err)
 		}
 		preds := sc.preds[:n]
 		// The target transform is affine, so an interval of model-space

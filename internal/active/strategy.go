@@ -211,17 +211,16 @@ func acquireDiversity(ctx context.Context, r *Round, k int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("active: fitting diversity encoder: %w", err)
 	}
-	n, w := r.Pool.Len(), enc.NumColumns()
+	n := r.Pool.Len()
 	encode := func(d *dataset.Dataset) ([][]float64, []uint64, error) {
-		flat := make([]float64, d.Len()*w)
-		rows := make([][]float64, d.Len())
-		hashes := make([]uint64, d.Len())
-		for i := range rows {
-			rows[i] = flat[i*w : (i+1)*w]
-			if err := enc.EncodeRowInto(rows[i], d.Row(i)); err != nil {
-				return nil, nil, err
-			}
-			hashes[i] = predcache.HashRow(rows[i])
+		var buf dataset.RowBuffer
+		rows, err := enc.EncodeRows(&buf, d.Rows(0, d.Len()))
+		if err != nil {
+			return nil, nil, err
+		}
+		hashes := make([]uint64, len(rows))
+		for i, x := range rows {
+			hashes[i] = predcache.HashRow(x)
 		}
 		return rows, hashes, nil
 	}

@@ -129,14 +129,13 @@ const (
 type predictScratchKey struct{}
 
 // predictScratch holds one worker's reusable buffers for chunked
-// prediction: the encoded input rows of the current chunk (backed by one
-// flat allocation) and each family's prediction scratch, keyed by the
-// family's artifact tag. Inside a pool the buffers live as long as the
-// worker, so every chunk and every fold evaluation the worker scores
-// reuses them — even when the worker serves a mix of families.
+// prediction: the encoded input rows of the current chunk and each
+// family's prediction scratch, keyed by the family's artifact tag. Inside
+// a pool the buffers live as long as the worker, so every chunk and every
+// fold evaluation the worker scores reuses them — even when the worker
+// serves a mix of families.
 type predictScratch struct {
-	rows [][]float64
-	flat []float64
+	buf  dataset.RowBuffer
 	fams map[string]model.Scratch
 }
 
@@ -159,34 +158,6 @@ func predictScratchFrom(ctx context.Context) *predictScratch {
 	return engine.WorkerLocal(ctx, predictScratchKey{}, func() any { return new(predictScratch) }).(*predictScratch)
 }
 
-// encodeInto encodes n raw records (fetched by index through row) into
-// the scratch's reused buffers — one flat allocation backing all encoded
-// rows — and returns the encoded matrix.
-func (p *Predictor) encodeInto(ps *predictScratch, n int, row func(i int) []dataset.Value) ([][]float64, error) {
-	width := p.enc.NumColumns()
-	if cap(ps.flat) < n*width {
-		ps.flat = make([]float64, n*width)
-	}
-	flat := ps.flat[:n*width]
-	if cap(ps.rows) < n {
-		ps.rows = make([][]float64, n)
-	}
-	rows := ps.rows[:n]
-	for i := 0; i < n; i++ {
-		rows[i] = flat[i*width : (i+1)*width]
-		if err := p.enc.EncodeRowInto(rows[i], row(i)); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// encodeChunk encodes rows [lo,hi) into the scratch's reused buffers and
-// returns the encoded matrix.
-func (p *Predictor) encodeChunk(ps *predictScratch, d *dataset.Dataset, lo, hi int) ([][]float64, error) {
-	return p.encodeInto(ps, hi-lo, func(i int) []dataset.Value { return d.Row(lo + i) })
-}
-
 // scoreEncoded runs the family's batched kernel over encoded rows,
 // writing raw-unit predictions into out (len(out) == len(rows)).
 func (p *Predictor) scoreEncoded(ps *predictScratch, out []float64, rows [][]float64) {
@@ -196,47 +167,48 @@ func (p *Predictor) scoreEncoded(ps *predictScratch, out []float64, rows [][]flo
 	}
 }
 
-// CheckRows validates raw request rows against the predictor before any
-// batch admission: every row's width must match the fitted schema, every
-// category must be encodable, and the predictor's model/encoder widths
-// must agree (NumInputs vs encoded columns — guaranteed for artifacts
-// that passed Validate, re-checked here so a mismatch can never reach a
-// kernel). A nil return guarantees PredictRowsInto on the same rows
-// cannot fail with a row error, so serving front ends can map every
-// CheckRows failure to a client error and everything after admission to
-// a server error.
+// CheckRows encodes raw rows with the predictor's encoder and discards
+// the result: a nil return means PredictRowsInto on the same rows cannot
+// fail with a row error.
 func (p *Predictor) CheckRows(rows [][]dataset.Value) error {
-	if got, want := p.model.NumInputs(), p.enc.NumColumns(); got != want {
-		return fmt.Errorf("core: predictor %v expects %d inputs but its encoder produces %d columns", p.kind, got, want)
-	}
-	for i, row := range rows {
-		if err := p.enc.ValidateRow(row); err != nil {
-			return fmt.Errorf("core: row %d: %w", i, err)
-		}
-	}
-	return nil
+	var buf dataset.RowBuffer
+	_, err := p.enc.EncodeRows(&buf, rows)
+	return err
 }
 
 // PredictRowsInto scores a batch of raw records into out, which must
-// have len(rows) elements. It is the serving path's kernel entry: rows
-// are encoded into worker-local flat buffers (engine.WorkerLocal — give
-// long-lived callers a context from engine.NewWorkerContext) and
-// streamed through the family's batched kernel, so steady-state calls
-// allocate nothing and produce predictions bit-identical to Predict on
-// each row.
+// have len(rows) elements: the rows are encoded into worker-local
+// buffers and scored by PredictEncodedInto, so steady-state calls on a
+// worker context allocate nothing and produce predictions bit-identical
+// to Predict on each row.
 func (p *Predictor) PredictRowsInto(ctx context.Context, out []float64, rows [][]dataset.Value) error {
+	enc, err := p.enc.EncodeRows(&predictScratchFrom(ctx).buf, rows)
+	if err != nil {
+		return err
+	}
+	return p.PredictEncodedInto(ctx, out, enc)
+}
+
+// PredictEncodedInto scores rows already encoded by the predictor's
+// encoder into out, which must have len(rows) elements. It is the serving
+// batcher's kernel entry: the family's batched kernel runs on
+// worker-local scratch (engine.WorkerLocal — give long-lived callers a
+// context from engine.NewWorkerContext), so steady-state calls allocate
+// nothing.
+func (p *Predictor) PredictEncodedInto(ctx context.Context, out []float64, rows [][]float64) error {
 	if len(out) != len(rows) {
-		return fmt.Errorf("core: PredictRowsInto out has %d slots for %d rows", len(out), len(rows))
+		return fmt.Errorf("core: out has %d slots for %d rows", len(out), len(rows))
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ps := predictScratchFrom(ctx)
-	enc, err := p.encodeInto(ps, len(rows), func(i int) []dataset.Value { return rows[i] })
-	if err != nil {
-		return err
+	// A row of the wrong width must never reach a kernel.
+	for i, x := range rows {
+		if len(x) != p.enc.NumColumns() {
+			return fmt.Errorf("core: encoded row %d has %d columns, %v takes %d", i, len(x), p.kind, p.enc.NumColumns())
+		}
 	}
-	p.scoreEncoded(ps, out, enc)
+	p.scoreEncoded(predictScratchFrom(ctx), out, rows)
 	return nil
 }
 
@@ -258,7 +230,7 @@ func (p *Predictor) PredictDataset(ctx context.Context, d *dataset.Dataset) ([]f
 		}
 		start := time.Now()
 		ps := predictScratchFrom(ctx)
-		rows, err := p.encodeChunk(ps, d, lo, hi)
+		rows, err := p.enc.EncodeRows(&ps.buf, d.Rows(lo, hi))
 		if err != nil {
 			return err
 		}

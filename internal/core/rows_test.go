@@ -12,56 +12,68 @@ import (
 	"perfpred/internal/tree"
 )
 
-// TestPredictRowsIntoMatchesPredict pins the serving batch entry to the
-// per-row scalar path: for one kind of every registered family,
-// PredictRowsInto over a slice of raw rows must be bit-identical to
-// Predict called row by row.
+// TestPredictRowsIntoMatchesPredict pins the serving batch entries to
+// the per-row scalar path: for one kind of every registered family,
+// PredictRowsInto over raw rows and PredictEncodedInto over the same
+// rows encoded must both be bit-identical to Predict called row by row.
 func TestPredictRowsIntoMatchesPredict(t *testing.T) {
 	d := synthSpace(t, 96, 5)
+	ctx := context.Background()
 	for _, kind := range []ModelKind{LRE, NNS, tree.KindTreeB} {
-		p, err := Train(context.Background(), kind, d, quickCfg())
+		p, err := Train(ctx, kind, d, quickCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := make([][]dataset.Value, d.Len())
-		for i := range rows {
-			rows[i] = d.Row(i)
-		}
-		out := make([]float64, len(rows))
-		if err := p.PredictRowsInto(context.Background(), out, rows); err != nil {
+		rows := d.Rows(0, d.Len())
+		var buf dataset.RowBuffer
+		enc, err := p.Encoder().EncodeRows(&buf, rows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i, row := range rows {
-			want, err := p.Predict(row)
-			if err != nil {
+		entries := map[string]func(out []float64) error{
+			"PredictRowsInto":    func(out []float64) error { return p.PredictRowsInto(ctx, out, rows) },
+			"PredictEncodedInto": func(out []float64) error { return p.PredictEncodedInto(ctx, out, enc) },
+		}
+		for name, predict := range entries {
+			out := make([]float64, len(rows))
+			if err := predict(out); err != nil {
 				t.Fatal(err)
 			}
-			if out[i] != want {
-				t.Fatalf("%v row %d: PredictRowsInto = %v, Predict = %v (not bit-identical)", kind, i, out[i], want)
+			for i, row := range rows {
+				want, err := p.Predict(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[i] != want {
+					t.Fatalf("%v row %d: %s = %v, Predict = %v (not bit-identical)", kind, i, name, out[i], want)
+				}
+			}
+			// A length mismatch is rejected, not sliced around.
+			if err := predict(make([]float64, 1)); err == nil {
+				t.Fatalf("%v: %s accepted an out/rows length mismatch", kind, name)
 			}
 		}
-		// Length mismatch and bad rows are rejected, not sliced around.
-		if err := p.PredictRowsInto(context.Background(), make([]float64, 1), rows); err == nil {
-			t.Fatalf("%v: out/rows length mismatch accepted", kind)
-		}
+		// Bad rows are rejected before any kernel runs.
 		bad := [][]dataset.Value{{dataset.Num(1)}}
-		if err := p.PredictRowsInto(context.Background(), make([]float64, 1), bad); err == nil {
+		if err := p.PredictRowsInto(ctx, make([]float64, 1), bad); err == nil {
 			t.Fatalf("%v: short row accepted", kind)
+		}
+		if err := p.PredictEncodedInto(ctx, make([]float64, 1), [][]float64{{1}}); err == nil {
+			t.Fatalf("%v: narrow encoded row accepted", kind)
 		}
 	}
 }
 
-// TestPredictRowsIntoZeroAlloc pins the serving hot path: with a
-// worker-local context, steady-state batch scoring allocates nothing —
-// for the neural family (whose scratch carries forward buffers) and for
-// the tree family (which needs none), sharing one worker context the way
-// a mixed-model serving worker does.
+// TestPredictRowsIntoZeroAlloc pins the serving hot paths: with a
+// worker-local context, steady-state batch scoring of raw rows
+// (PredictRowsInto) and of encoded rows (PredictEncodedInto, the
+// batcher's entry) allocates nothing — for the neural family (whose
+// scratch carries forward buffers) and for the tree family (which needs
+// none), sharing one worker context the way a mixed-model serving
+// worker does.
 func TestPredictRowsIntoZeroAlloc(t *testing.T) {
 	d := synthSpace(t, 64, 7)
-	rows := make([][]dataset.Value, d.Len())
-	for i := range rows {
-		rows[i] = d.Row(i)
-	}
+	rows := d.Rows(0, d.Len())
 	out := make([]float64, len(rows))
 	ctx := engine.NewWorkerContext(context.Background())
 	for _, kind := range []ModelKind{NNS, tree.KindTreeB} {
@@ -69,17 +81,28 @@ func TestPredictRowsIntoZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm the worker-local scratch, then demand zero allocations.
-		if err := p.PredictRowsInto(ctx, out, rows); err != nil {
+		var buf dataset.RowBuffer
+		enc, err := p.Encoder().EncodeRows(&buf, rows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := p.PredictRowsInto(ctx, out, rows); err != nil {
+		entries := map[string]func() error{
+			"PredictRowsInto":    func() error { return p.PredictRowsInto(ctx, out, rows) },
+			"PredictEncodedInto": func() error { return p.PredictEncodedInto(ctx, out, enc) },
+		}
+		for name, predict := range entries {
+			// Warm the worker-local scratch, then demand zero allocations.
+			if err := predict(); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%v: PredictRowsInto allocates %v allocs/op in steady state, want 0", kind, allocs)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := predict(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v: %s allocates %v allocs/op in steady state, want 0", kind, name, allocs)
+			}
 		}
 	}
 }

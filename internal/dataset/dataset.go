@@ -181,6 +181,9 @@ func (d *Dataset) Append(row []Value, target float64) error {
 // Row returns the i-th record (not a copy; treat as read-only).
 func (d *Dataset) Row(i int) []Value { return d.rows[i] }
 
+// Rows returns records [lo,hi) (not copies; treat as read-only).
+func (d *Dataset) Rows(lo, hi int) [][]Value { return d.rows[lo:hi:hi] }
+
 // Target returns the i-th record's target value.
 func (d *Dataset) Target(i int) float64 { return d.targets[i] }
 

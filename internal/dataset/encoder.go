@@ -227,28 +227,35 @@ func (e *Encoder) EncodeRow(row []Value) ([]float64, error) {
 	return x, nil
 }
 
-// ValidateRow checks one raw record against the fitted encoder without
-// encoding it: row arity against the schema and, for numeric-coded
-// categorical columns, that every category has a numeric mapping. A nil
-// return guarantees EncodeRowInto on the same row cannot fail, which is
-// what lets a serving front end reject bad rows with client errors
-// before they are admitted to the batch queue.
-func (e *Encoder) ValidateRow(row []Value) error {
-	if len(row) != len(e.schema.Fields) {
-		return fmt.Errorf("dataset: row has %d values, schema has %d fields", len(row), len(e.schema.Fields))
+// RowBuffer is reusable storage for an encoded batch: every encoded row
+// is a view into one flat backing array. Both grow only when a larger
+// batch arrives, so steady-state encoding into a reused buffer
+// allocates nothing.
+type RowBuffer struct {
+	flat []float64
+	rows [][]float64
+}
+
+// EncodeRows encodes a batch of raw records into buf and returns the
+// encoded matrix, valid until buf is next used. Each record goes through
+// EncodeRowInto, so the batch is accepted exactly when every record is;
+// an error names the first failing row.
+func (e *Encoder) EncodeRows(buf *RowBuffer, rows [][]Value) ([][]float64, error) {
+	n, width := len(rows), len(e.cols)
+	if cap(buf.flat) < n*width {
+		buf.flat = make([]float64, n*width)
 	}
-	for _, c := range e.cols {
-		if c.oneHot {
-			continue
-		}
-		f := e.schema.Fields[c.field]
-		if f.Kind == Categorical {
-			if _, ok := f.NumericLevels[row[c.field].Label()]; !ok {
-				return fmt.Errorf("dataset: field %q: category %q has no numeric mapping", f.Name, row[c.field].Label())
-			}
+	if cap(buf.rows) < n {
+		buf.rows = make([][]float64, n)
+	}
+	out := buf.rows[:n]
+	for i, row := range rows {
+		out[i] = buf.flat[i*width : (i+1)*width : (i+1)*width]
+		if err := e.EncodeRowInto(out[i], row); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // EncodeRowInto encodes one raw record into dst, which must hold

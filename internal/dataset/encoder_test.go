@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +167,38 @@ func TestEncodeRowUnmappedCategoryLRIsError(t *testing.T) {
 	_, err = e.EncodeRow([]Value{Num(2000), FlagVal(false), Cat("perfect"), Cat("scsi"), Num(12)})
 	if err == nil {
 		t.Fatal("LR encoding of unmapped category: want error")
+	}
+}
+
+// TestEncodeRowsMatchesEncodeRow pins the batch encoder to the per-row
+// one: every encoded row equals EncodeRow's, a failing record is named
+// by its batch position, and a warmed buffer encodes without allocating.
+func TestEncodeRowsMatchesEncodeRow(t *testing.T) {
+	d := encData(t)
+	e, err := FitEncoder(d, ForLR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf RowBuffer
+	rows, err := e.EncodeRows(&buf, d.Rows(0, d.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range rows {
+		want, err := e.EncodeRow(d.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(x, want) {
+			t.Fatalf("row %d: EncodeRows %v, EncodeRow %v", i, x, want)
+		}
+	}
+	bad := [][]Value{d.Row(0), {Num(2000), FlagVal(false), Cat("perfect"), Cat("scsi"), Num(12)}}
+	if _, err := e.EncodeRows(&buf, bad); err == nil || !strings.Contains(err.Error(), "row 1:") {
+		t.Fatalf("unmapped category in batch row 1: err = %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.EncodeRows(&buf, d.Rows(0, d.Len())) }); allocs != 0 {
+		t.Fatalf("warmed EncodeRows allocates %v/op, want 0", allocs)
 	}
 }
 

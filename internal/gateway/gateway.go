@@ -39,7 +39,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -49,6 +48,7 @@ import (
 
 	"perfpred/internal/faultinject"
 	"perfpred/internal/obs"
+	"perfpred/internal/serve"
 )
 
 // Config configures a gateway.
@@ -297,9 +297,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, _ *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best-effort: client may have gone
+	serve.EncodeJSON(w, v) //nolint:errcheck // best-effort: client may have gone
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

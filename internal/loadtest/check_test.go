@@ -30,7 +30,7 @@ func (e *evidence) catalogKey(i int) string {
 	return replicaAddr(i)
 }
 
-// cleanEvidence is a synthetic cache-armed, fault-free run over n
+// cleanEvidence is a synthetic fault-free run over n
 // replicas (a gateway in front when n ≥ 2) that holds every invariant:
 // one admin reload every replica acknowledged, two bit-exact 200s, both
 // malformed-payload classes answered exactly, one shed, one client
@@ -48,7 +48,7 @@ func cleanEvidence(n int) *evidence {
 		return outcome{ev: ev, status: 200, preds: preds, replica: front, route: gateway.RoutePrimary}
 	}
 	e := &evidence{
-		cfg: Config{Seed: 1, CacheEntries: 64, Replicas: n},
+		cfg: Config{Seed: 1, Replicas: n},
 		fx:  fx,
 		outs: []outcome{
 			{ev: Event{Seq: 0, Reload: true, AdminHTTP: true}, status: 200},
@@ -114,7 +114,6 @@ func TestCheckCatchesEveryViolationClass(t *testing.T) {
 		{"shed above 429s plus slack", false, func(e *evidence) { e.rep.Replicas[0].Shed = 3 }, "requests dropped without a 429"},
 		{"served rows below rows in 200s", false, func(e *evidence) { e.rep.Replicas[0].Predictions = 0 }, "clients saw 3 rows in 200s"},
 		{"cache hits + misses != lookups", false, func(e *evidence) { e.rep.Replicas[0].Cache.Lookups++ }, "!= lookups(5)"},
-		{"cache counters moving with the cache off", false, func(e *evidence) { e.cfg.CacheEntries = 0 }, "cache disabled but its counters moved"},
 		{"faults firing with faults off", false, func(e *evidence) {
 			e.rep.Replicas[len(e.rep.Replicas)-1].FaultsInjected = 1
 		}, "faults disabled but 1 faults fired"},

@@ -28,8 +28,7 @@ const (
 	epilogueBackoff  = 5 * time.Millisecond
 )
 
-// EpilogueStats records the generation-boundary epilogue of a
-// cache-armed run, with the counts the run-wide invariants need to stay
+// EpilogueStats records a run's generation-boundary epilogue, with the counts the run-wide invariants need to stay
 // balanced (epilogue reload successes advance the registry generation;
 // epilogue 429s explain shed-counter movement after the schedule).
 type EpilogueStats struct {
@@ -48,8 +47,7 @@ type epilogue struct {
 	failed    string    // the step that never succeeded, when the epilogue stopped short
 }
 
-// runEpilogue drives the generation-boundary proof of a cache-armed
-// run. The schedule has drained but the tier — and any armed fault
+// runEpilogue drives a run's generation-boundary proof. The schedule has drained but the tier — and any armed fault
 // injector — is still live:
 //
 //  1. probe the schedule's hot rows (the caches are warm, so these are

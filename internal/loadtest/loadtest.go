@@ -18,7 +18,13 @@
 //     model set is never partial, even while reloads race requests and
 //     each other;
 //   - the tier's shed counters equal the 429s observed on the wire, and
-//     every final report is internally consistent.
+//     every final report is internally consistent;
+//   - each replica's prediction cache balances (hits + misses ==
+//     lookups, coalesced ≤ misses) and actually hits on the schedule's
+//     duplicate-heavy class, and after the run a generation-boundary
+//     epilogue — retrain one model, swap its artifact, reload every
+//     replica, re-probe the hot rows against the new artifact's goldens
+//     — proves no cache hit crosses a reload.
 //
 // Everything stochastic — request times, burst placement, payload
 // classes, fault firing — derives from Config.Seed, so any failure
@@ -66,16 +72,6 @@ type Config struct {
 	// with faults armed (so injected flush stalls expire queued
 	// requests), 2s otherwise.
 	RequestTimeout time.Duration
-	// CacheEntries arms every replica's sharded prediction cache with the
-	// given capacity (0 leaves it off — the production default). A
-	// cache-armed run additionally checks the cache accounting
-	// invariants per replica (hits + misses == lookups, coalesced ≤
-	// misses, a duplicate-heavy schedule must actually hit) and finishes
-	// with a generation-boundary epilogue: retrain one model, swap its
-	// artifact, reload every replica, and re-probe the hot rows against
-	// goldens scored from the new artifact — a cache hit crossing the
-	// reload boundary cannot survive it.
-	CacheEntries int
 	// Replicas is the number of in-process daemons. 0 or 1 runs one bare
 	// daemon the client talks to directly; ≥ 2 puts an internal/gateway
 	// front tier before them and adds the gateway invariants: hot
@@ -267,14 +263,12 @@ func Run(cfg Config) (*Report, error) {
 	h.replay()
 	close(pollDone)
 
-	// Cache-armed runs end with the generation-boundary epilogue while
-	// the tier (and the fault injector) is still live: probe warm hot
-	// rows, retrain-swap-reload one model, probe again against the new
+	// The generation-boundary epilogue runs while the tier (and the
+	// fault injector) is still live: probe warm hot rows,
+	// retrain-swap-reload one model, probe again against the new
 	// artifact's goldens.
-	if cfg.CacheEntries > 0 {
-		cfg.logf("running generation-boundary epilogue")
-		h.runEpilogue()
-	}
+	cfg.logf("running generation-boundary epilogue")
+	h.runEpilogue()
 
 	// Drain the whole tier; reports are snapshotted after the drain so
 	// every counter has settled.

@@ -29,18 +29,17 @@ func failReport(t *testing.T, rep *Report) {
 }
 
 // TestChaosScenarioSeeded is the acceptance scenario: a seeded chaos
-// run with faults AND the prediction cache armed must actually trigger
-// shedding, failed (and successful) reloads, deadline expiries, cache
-// hits and stalled cache lookups — and still hold every serving
-// invariant, with every 200 bit-matching offline scoring and the
-// generation-boundary epilogue proving no hit survives a reload.
+// run with faults armed must actually trigger shedding, failed (and
+// successful) reloads, deadline expiries, cache hits and stalled cache
+// lookups — and still hold every serving invariant, with every 200
+// bit-matching offline scoring and the generation-boundary epilogue
+// proving no hit survives a reload.
 func TestChaosScenarioSeeded(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:         7,
-		Duration:     1200 * time.Millisecond,
-		Faults:       true,
-		CacheEntries: 2048,
-		Logf:         logf(t),
+		Seed:     7,
+		Duration: 1200 * time.Millisecond,
+		Faults:   true,
+		Logf:     logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 		t.Errorf("%d of %d predictions diverged from offline scoring", rep.BitMismatches, rep.BitCompared)
 	}
 	if sr.Cache.Hits == 0 {
-		t.Error("cache-armed chaos run recorded no hits: the duplicate class never landed")
+		t.Error("chaos run recorded no cache hits: the duplicate class never landed")
 	}
 	if fs := rep.FaultStats[faultinject.ServeCacheLookup.String()]; fs.Fires == 0 {
 		t.Error("cache-lookup latency fault never fired")
@@ -81,16 +80,15 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	}
 }
 
-// TestCleanRunNoFaults replays a schedule against an unfaulted daemon
-// with the cache armed: no 500s, no injected faults, and still
-// bit-exact responses — with real cache hits behind them.
+// TestCleanRunNoFaults replays a schedule against an unfaulted daemon:
+// no 500s, no injected faults, and still bit-exact responses — with
+// real cache hits behind them.
 func TestCleanRunNoFaults(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:         11,
-		Duration:     800 * time.Millisecond,
-		Faults:       false,
-		CacheEntries: 2048,
-		Logf:         logf(t),
+		Seed:     11,
+		Duration: 800 * time.Millisecond,
+		Faults:   false,
+		Logf:     logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func TestCleanRunNoFaults(t *testing.T) {
 		t.Errorf("bit comparison: %d compared, %d mismatched", rep.BitCompared, rep.BitMismatches)
 	}
 	if sr.Cache.Hits == 0 {
-		t.Error("cache-armed clean run recorded no hits")
+		t.Error("clean run recorded no cache hits")
 	}
 }
 
@@ -230,17 +228,16 @@ func TestGoldenScoringZeroAlloc(t *testing.T) {
 }
 
 // TestGatewayCleanRun replays a schedule through the gateway over two
-// clean replicas with caches armed: bit-exact responses, perfect cache
-// affinity (every hot key on exactly one replica), zero ejections, and
-// per-replica generation/shed/cache accounting that reconciles.
+// clean replicas: bit-exact responses, perfect cache affinity (every hot
+// key on exactly one replica), zero ejections, and per-replica
+// generation/shed/cache accounting that reconciles.
 func TestGatewayCleanRun(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:         11,
-		Duration:     900 * time.Millisecond,
-		Faults:       false,
-		CacheEntries: 2048,
-		Replicas:     2,
-		Logf:         logf(t),
+		Seed:     11,
+		Duration: 900 * time.Millisecond,
+		Faults:   false,
+		Replicas: 2,
+		Logf:     logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +261,7 @@ func TestGatewayCleanRun(t *testing.T) {
 		hits += sr.Cache.Hits
 	}
 	if hits == 0 {
-		t.Error("cache-armed gateway run recorded no replica cache hits")
+		t.Error("gateway run recorded no replica cache hits")
 	}
 }
 
@@ -277,13 +274,12 @@ func TestGatewayCleanRun(t *testing.T) {
 // generation-boundary epilogue must complete across every replica.
 func TestGatewayChaosKillRestart(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:         7,
-		Duration:     1500 * time.Millisecond,
-		Faults:       true,
-		CacheEntries: 2048,
-		Replicas:     3,
-		ReplicaKill:  true,
-		Logf:         logf(t),
+		Seed:        7,
+		Duration:    1500 * time.Millisecond,
+		Faults:      true,
+		Replicas:    3,
+		ReplicaKill: true,
+		Logf:        logf(t),
 	})
 	if err != nil {
 		t.Fatal(err)

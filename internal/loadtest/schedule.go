@@ -28,7 +28,7 @@ const (
 	PayloadUnknownModel
 	// PayloadUnknownCategory sends a category with no numeric mapping to
 	// a numeric-coded (LR) model — must be a 400 *before* admission
-	// (the pre-enqueue CheckRows path), never a scoring failure.
+	// (the handler's encode step), never a scoring failure.
 	PayloadUnknownCategory
 )
 

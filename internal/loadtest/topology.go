@@ -131,8 +131,7 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 				MaxWait:    200 * time.Microsecond,
 				Workers:    2,
 			},
-			CacheEntries: cfg.CacheEntries,
-			Metrics:      obs.NewRegistry(),
+			Metrics: obs.NewRegistry(),
 		})
 		if err != nil {
 			return fail(fmt.Errorf("loadtest: starting replica %d: %w", i, err))

@@ -24,8 +24,10 @@ const (
 	// MetricServeShed counts requests rejected with 429 because the
 	// admission queue was full.
 	MetricServeShed = "serve.shed"
-	// MetricServeErrors counts requests that failed after admission
-	// (validation, encoding, deadline).
+	// MetricServeErrors counts admitted requests that failed on the
+	// server side: a scoring failure, a deadline that expired in the
+	// queue, or a non-finite prediction. Client errors (400, 404) are
+	// rejected before admission and never counted.
 	MetricServeErrors = "serve.errors"
 	// MetricServeReloads counts successful registry reloads.
 	MetricServeReloads = "serve.reloads"
@@ -40,17 +42,16 @@ const (
 	MetricServeQueueWait = "serve.queue_wait_seconds"
 	// MetricServeLatency observes end-to-end /v1/predict handler seconds.
 	MetricServeLatency = "serve.latency_seconds"
-	// MetricServeKernel observes seconds inside the encode+predict
-	// kernel per batch.
+	// MetricServeKernel observes seconds inside the predict kernel per
+	// batch.
 	MetricServeKernel = "serve.kernel_seconds"
 	// MetricServeQueueDepth gauges the admission-queue depth sampled at
 	// each batch start.
 	MetricServeQueueDepth = "serve.queue_depth"
 )
 
-// Canonical prediction-cache metric names. The predcache layer records
-// into these entries when the daemon runs with -cache-entries > 0; all
-// stay 0 with the cache disabled.
+// Canonical prediction-cache metric names. The predcache layer behind
+// every serving daemon records into these entries.
 const (
 	// MetricCacheLookups counts row lookups against the prediction
 	// cache. Every lookup is classified as exactly one hit or miss, so
@@ -124,8 +125,7 @@ type ServeReport struct {
 	// disabled).
 	FaultsInjected int64 `json:"faults_injected"`
 
-	// Cache carries the prediction-cache counters (all zero when the
-	// daemon runs without -cache-entries).
+	// Cache carries the prediction-cache counters.
 	Cache CacheStats `json:"cache"`
 
 	// BatchSize, QueueWaitSeconds, LatencySeconds and KernelSeconds

@@ -273,18 +273,20 @@ func (c *Cache) Abandon(f *Flight) {
 	f.sh.mu.Unlock()
 }
 
-// Invalidate drops every entry whose generation differs from keepGen
-// and returns how many were dropped. The serving daemon calls it after
-// each successful reload; since generation is part of the key, stale
-// entries were already unreachable — invalidation reclaims their memory
-// promptly instead of waiting for LRU pressure.
+// Invalidate drops every entry of a generation older than keepGen and
+// returns how many were dropped. The serving daemon calls it after each
+// successful reload; since generation is part of the key, stale entries
+// were already unreachable — invalidation reclaims their memory
+// promptly instead of waiting for LRU pressure. Newer generations are
+// kept: concurrent reloads may invalidate out of order, and a late call
+// for an older generation must not drop the live one.
 func (c *Cache) Invalidate(keepGen int64) int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for key, f := range sh.m {
-			if key.Gen != keepGen {
+			if key.Gen < keepGen {
 				sh.removeLocked(f)
 				n++
 			}

@@ -221,6 +221,15 @@ func TestInvalidateDropsOldGenerations(t *testing.T) {
 		}
 		c.Abandon(f)
 	}
+
+	// Two concurrent reloads can invalidate out of order: Invalidate(2)
+	// arriving after Invalidate(3) must keep the live generation 3.
+	if n := c.Invalidate(2); n != 0 {
+		t.Fatalf("late Invalidate(2) dropped %d, want 0", n)
+	}
+	if val, _, outcome := c.Lookup(key("m", 3, row), row); outcome != Hit || val != 3 {
+		t.Fatalf("gen-3 lookup after a late Invalidate(2): %v %v, want a hit", val, outcome)
+	}
 }
 
 // TestFillAfterInvalidate pins the reload-during-fill race: an entry

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"perfpred/internal/dataset"
 	"perfpred/internal/engine"
 	"perfpred/internal/faultinject"
 )
@@ -92,17 +91,17 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	return c
 }
 
-// scoreFunc scores rows of one model into out (len(out) == total rows).
-// The production implementation is Predictor.PredictRowsInto; tests
-// inject stubs to pin shed and drain behaviour.
-type scoreFunc func(ctx context.Context, m *Model, rows [][]dataset.Value, out []float64) error
+// scoreFunc scores encoded rows of one model into out (len(out) == total
+// rows). The production implementation is Predictor.PredictEncodedInto;
+// tests inject stubs to pin shed and drain behaviour.
+type scoreFunc func(ctx context.Context, m *Model, rows [][]float64, out []float64) error
 
 // request is one admitted prediction (single row or a whole batch body —
 // either way it occupies one queue slot).
 type request struct {
 	ctx       context.Context
 	m         *Model
-	rows      [][]dataset.Value
+	rows      [][]float64
 	out       []float64
 	done      chan error
 	submitted time.Time
@@ -110,10 +109,10 @@ type request struct {
 
 // Batcher funnels predictions through a bounded admission queue into
 // coalescing batch workers. Each worker goroutine owns an engine
-// worker-local context, so the encode buffers and neural scratch behind
-// PredictRowsInto are allocated once per worker and reused for every
-// batch it ever executes — the serving path stays on the PR-3
-// zero-allocation kernels in steady state.
+// worker-local context, so the kernel scratch behind PredictEncodedInto
+// is allocated once per worker and reused for every batch it ever
+// executes — the serving path stays on the zero-allocation kernels in
+// steady state.
 type Batcher struct {
 	cfg      BatcherConfig
 	score    scoreFunc
@@ -151,11 +150,13 @@ func newBatcher(cfg BatcherConfig, met *metrics, score scoreFunc) *Batcher {
 	return b
 }
 
-// Predict admits rows for one model and blocks until the batch worker
-// delivers the predictions, the request's context expires, or the
-// request is shed. Admission is non-blocking: a full queue returns
-// ErrOverloaded immediately. The returned slice is owned by the caller.
-func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]dataset.Value) ([]float64, error) {
+// Predict admits rows, encoded by m's encoder, and blocks until the
+// batch worker delivers the predictions, the request's context expires,
+// or the request is shed. Admission is non-blocking: a full queue
+// returns ErrOverloaded immediately. The returned slice is owned by the
+// caller. After an error the request may still be queued, and its worker
+// will read rows, so the caller must not reuse them.
+func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]float64) ([]float64, error) {
 	if b.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -212,15 +213,14 @@ type workerScratch struct {
 	batch []*request
 	group []*request
 	live  []*request
-	rows  [][]dataset.Value
+	rows  [][]float64
 	out   []float64
 }
 
 func (b *Batcher) worker() {
 	defer b.wg.Done()
 	// One worker-local store per goroutine for the batcher's lifetime:
-	// every PredictRowsInto this worker runs reuses the same encode
-	// buffers and neural scratch.
+	// every batch this worker scores reuses the same kernel scratch.
 	wctx := engine.NewWorkerContext(context.Background())
 	ws := &workerScratch{}
 	for {

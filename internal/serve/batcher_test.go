@@ -42,9 +42,9 @@ func TestBatcherGoldenEquivalence(t *testing.T) {
 		"nns": goldenPredictions(t, models["nns"].Pred, d),
 		"lre": goldenPredictions(t, models["lre"].Pred, d),
 	}
-	rows := make([][]dataset.Value, d.Len())
-	for i := range rows {
-		rows[i] = d.Row(i)
+	encoded := map[string][][]float64{
+		"nns": encodeRows(t, models["nns"], d.Rows(0, d.Len())),
+		"lre": encodeRows(t, models["lre"], d.Rows(0, d.Len())),
 	}
 
 	b := newBatcher(BatcherConfig{QueueDepth: 1024, MaxBatch: 16, MaxWait: 200 * time.Microsecond, Workers: 4},
@@ -63,7 +63,7 @@ func TestBatcherGoldenEquivalence(t *testing.T) {
 			if g%2 == 1 {
 				name = "lre"
 			}
-			m, want := models[name], golden[name]
+			m, want, rows := models[name], golden[name], encoded[name]
 			for i := range rows {
 				// Deadline mix: half the goroutines run with a generous
 				// per-request deadline, half with none.
@@ -112,7 +112,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	score := func(_ context.Context, _ *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(_ context.Context, _ *Model, rows [][]float64, out []float64) error {
 		once.Do(func() { entered <- struct{}{} })
 		<-release
 		for i := range out {
@@ -123,7 +123,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 	met := newMetrics(nil)
 	b := newBatcher(BatcherConfig{QueueDepth: 2, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
-	row := [][]dataset.Value{{dataset.Num(1)}}
+	row := [][]float64{{1}}
 
 	type res struct {
 		out []float64
@@ -178,7 +178,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 // request before returning, and later requests get ErrDraining.
 func TestBatcherDrain(t *testing.T) {
 	release := make(chan struct{})
-	score := func(_ context.Context, _ *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(_ context.Context, _ *Model, rows [][]float64, out []float64) error {
 		<-release
 		for i := range out {
 			out[i] = 7
@@ -188,7 +188,7 @@ func TestBatcherDrain(t *testing.T) {
 	met := newMetrics(nil)
 	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
-	row := [][]dataset.Value{{dataset.Num(1)}}
+	row := [][]float64{{1}}
 
 	const n = 5
 	results := make(chan error, n)
@@ -243,7 +243,7 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 	var once sync.Once
 	var scored int
 	var mu sync.Mutex
-	score := func(_ context.Context, _ *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(_ context.Context, _ *Model, rows [][]float64, out []float64) error {
 		once.Do(func() { entered <- struct{}{} })
 		<-release
 		mu.Lock()
@@ -257,7 +257,7 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 	met := newMetrics(nil)
 	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
-	row := [][]dataset.Value{{dataset.Num(1)}}
+	row := [][]float64{{1}}
 
 	// Occupy the worker, then queue a request with a tiny deadline.
 	go b.Predict(context.Background(), m, row) //nolint:errcheck // released below

@@ -2,95 +2,64 @@ package serve
 
 import (
 	"context"
-	"sync"
 
 	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 	"perfpred/internal/predcache"
 )
 
-// cachedPredictor sits between the HTTP handler and the micro-batcher
-// when the daemon runs with CacheEntries > 0. Per request it encodes
-// each row to its canonical form, probes the cache under the request's
-// (model, generation) key, sends only the rows that must be scored to
-// the batcher (leading their flights), and fills results back so
-// concurrent identical rows ride one batcher slot.
+// DefaultCacheEntries is the prediction cache's capacity when
+// Config.CacheEntries is not positive.
+const DefaultCacheEntries = 2048
+
+// rowScratch is one /v1/predict request's pooled working set: the
+// encoded rows — both the cache keys and the batcher's payload — the
+// predictions, and the cache's assembly lists. A request whose scoring
+// failed may have left a batch queued that still reads its rows, so its
+// scratch goes to the GC, not back to the pool.
+type rowScratch struct {
+	enc      dataset.RowBuffer
+	out      []float64
+	leadIdx  []int               // row positions this request must score
+	leadFl   []*predcache.Flight // flights led, parallel to leadIdx
+	leadRows [][]float64         // rows for the batcher, parallel to leadIdx
+	waitIdx  []int               // row positions coalesced on other flights
+	waitFl   []*predcache.Flight // flights waited on, parallel to waitIdx
+	fbIdx    []int               // row positions needing fallback scoring
+	fbRows   [][]float64         // rows for fallback, parallel to fbIdx
+}
+
+// predictInto scores rows, encoded by m's encoder, for m resolved at
+// generation gen into out (len(out) == len(rows)), serving what it can
+// from the cache. Each row is probed under its (model, generation, row
+// hash) key; only the rows this request leads go to the batcher, and
+// concurrent identical rows ride their flights, so they share one
+// batcher slot. ws supplies the assembly lists; after an error it must
+// be dropped (see rowScratch).
 //
 // Correctness stance: the cache must be invisible except in latency.
 // Hits return values the batcher produced for a float64-equal row under
 // the same artifact generation; any failure (batcher error, injected
-// fault, abandoned flight) falls back to scoring through the batcher
-// exactly as the uncached path would.
-type cachedPredictor struct {
-	cache *predcache.Cache
-	bat   *Batcher
-	met   *metrics
-	fi    *faultinject.Injector
-	// scratch pools per-request assembly buffers so the all-hits path —
-	// the steady state for duplicate-heavy traffic — allocates nothing.
-	scratch sync.Pool
-}
-
-// cacheScratch is one request's reusable assembly state.
-type cacheScratch struct {
-	enc      []float64           // canonical-encoding buffer, one row at a time
-	leadIdx  []int               // row positions this request must score
-	leadFl   []*predcache.Flight // flights led, parallel to leadIdx
-	leadRows [][]dataset.Value   // rows for the batcher, parallel to leadIdx
-	waitIdx  []int               // row positions coalesced on other flights
-	waitFl   []*predcache.Flight // flights waited on, parallel to waitIdx
-	fbIdx    []int               // row positions needing fallback scoring
-	fbRows   [][]dataset.Value   // rows for fallback, parallel to fbIdx
-}
-
-func newCachedPredictor(entries int, bat *Batcher, met *metrics, fi *faultinject.Injector) *cachedPredictor {
-	cp := &cachedPredictor{
-		cache: predcache.New(predcache.Config{
-			MaxEntries: entries,
-			Metrics:    predcache.NewMetrics(met.reg),
-		}),
-		bat: bat,
-		met: met,
-		fi:  fi,
-	}
-	cp.scratch.New = func() any { return &cacheScratch{} }
-	return cp
-}
-
-// predictInto scores rows for m (resolved at generation gen) into out,
-// serving what it can from the cache. len(out) == len(rows); rows must
-// already have passed CheckRows, so encoding cannot fail.
-func (cp *cachedPredictor) predictInto(ctx context.Context, m *Model, gen int64, rows [][]dataset.Value, out []float64) error {
+// fault, abandoned flight) falls back to scoring through the batcher.
+func (s *Server) predictInto(ctx context.Context, ws *rowScratch, m *Model, gen int64, rows [][]float64, out []float64) error {
 	// Cache-lookup fault point: a forced error bypasses the cache for
 	// this request (the fail-open path — answers must not change);
 	// latency-only faults delay the probe, widening the window for
 	// eviction and reload races while the rows are in flight.
-	if fired, err := cp.fi.Hit(ctx, faultinject.ServeCacheLookup); fired {
-		cp.met.faults.Inc()
+	if fired, err := s.fi.Hit(ctx, faultinject.ServeCacheLookup); fired {
+		s.met.faults.Inc()
 		if err != nil {
-			return cp.direct(ctx, m, rows, out)
+			res, err := s.bat.Predict(ctx, m, rows)
+			copy(out, res)
+			return err
 		}
 	}
 
-	ws := cp.scratch.Get().(*cacheScratch)
-	defer cp.scratch.Put(ws)
-	enc := m.Pred.Encoder()
-	if n := enc.NumColumns(); cap(ws.enc) < n {
-		ws.enc = make([]float64, n)
-	}
-	buf := ws.enc[:enc.NumColumns()]
 	leadIdx, leadFl, leadRows := ws.leadIdx[:0], ws.leadFl[:0], ws.leadRows[:0]
 	waitIdx, waitFl := ws.waitIdx[:0], ws.waitFl[:0]
-
 	for i, row := range rows {
-		if err := enc.EncodeRowInto(buf, row); err != nil {
-			// CheckRows precedes admission, so this is unreachable for
-			// served requests; fail closed to the uncached path anyway.
-			cp.putScratch(ws, leadIdx, leadFl, leadRows, waitIdx, waitFl)
-			return cp.direct(ctx, m, rows, out)
-		}
-		key := predcache.Key{Model: m.Name, Gen: gen, Hash: predcache.HashRow(buf)}
-		val, fl, outcome := cp.cache.Lookup(key, buf)
+		key := predcache.Key{Model: m.Name, Gen: gen, Hash: predcache.HashRow(row)}
+		val, fl, outcome := s.cache.Lookup(key, row)
 		switch outcome {
 		case predcache.Hit:
 			out[i] = val
@@ -103,38 +72,34 @@ func (cp *cachedPredictor) predictInto(ctx context.Context, m *Model, gen int64,
 			waitFl = append(waitFl, fl)
 		}
 	}
+	ws.leadIdx, ws.leadFl, ws.leadRows = leadIdx, leadFl, leadRows
+	ws.waitIdx, ws.waitFl = waitIdx, waitFl
 
 	// Score led rows first — before waiting on anything — so a request
 	// that both leads and coalesces the same row (duplicates within one
 	// batch body) resolves its own flights before blocking on them, and
 	// no two requests can ever wait on each other's unscored leads.
 	if len(leadIdx) > 0 {
-		res, err := cp.bat.Predict(ctx, m, leadRows)
+		res, err := s.bat.Predict(ctx, m, leadRows)
 		if err != nil {
 			for _, fl := range leadFl {
-				cp.cache.Abandon(fl)
+				s.cache.Abandon(fl)
 			}
-			// Predict can return (deadline, shed mid-queue) while the
-			// enqueued batch still holds leadRows for a later flush; the
-			// slice must go to the GC, not back into the pool.
-			cp.putScratch(ws, leadIdx, leadFl, nil, waitIdx, waitFl)
 			return err
 		}
 		for j, fl := range leadFl {
 			out[leadIdx[j]] = res[j]
-			cp.cache.Fill(fl, res[j])
+			s.cache.Fill(fl, res[j])
 		}
 	}
 
 	// Collect coalesced rows; a flight abandoned by its leader falls back
-	// to one direct batcher call for exactly those rows.
+	// to one batcher call for exactly those rows.
 	fbIdx, fbRows := ws.fbIdx[:0], ws.fbRows[:0]
-	var waitErr error
 	for j, fl := range waitFl {
 		val, ok, err := fl.Wait(ctx)
 		if err != nil {
-			waitErr = err
-			break
+			return err
 		}
 		if ok {
 			out[waitIdx[j]] = val
@@ -143,50 +108,18 @@ func (cp *cachedPredictor) predictInto(ctx context.Context, m *Model, gen int64,
 			fbRows = append(fbRows, rows[waitIdx[j]])
 		}
 	}
-	if waitErr == nil && len(fbIdx) > 0 {
-		res, err := cp.bat.Predict(ctx, m, fbRows)
+	ws.fbIdx, ws.fbRows = fbIdx, fbRows
+	if len(fbIdx) > 0 {
+		res, err := s.bat.Predict(ctx, m, fbRows)
 		if err != nil {
-			waitErr = err
-			// As with a failed lead scoring: the batch may still read
-			// fbRows after this request unwinds, so drop the slice.
-			fbRows = nil
-		} else {
-			for j, i := range fbIdx {
-				out[i] = res[j]
-			}
+			return err
+		}
+		for j, i := range fbIdx {
+			out[i] = res[j]
 		}
 	}
-	cp.putScratch(ws, leadIdx, leadFl, leadRows, waitIdx, waitFl)
-	for i := range fbRows {
-		fbRows[i] = nil
-	}
-	ws.fbIdx, ws.fbRows = fbIdx[:0], fbRows[:0]
-	return waitErr
-}
-
-// putScratch stores the (possibly regrown) slices back on the scratch
-// and clears flight pointers so pooled scratch never pins dead entries.
-func (cp *cachedPredictor) putScratch(ws *cacheScratch, leadIdx []int, leadFl []*predcache.Flight, leadRows [][]dataset.Value, waitIdx []int, waitFl []*predcache.Flight) {
-	for i := range leadFl {
-		leadFl[i] = nil
-	}
-	for i := range waitFl {
-		waitFl[i] = nil
-	}
-	for i := range leadRows {
-		leadRows[i] = nil
-	}
-	ws.leadIdx, ws.leadFl, ws.leadRows = leadIdx[:0], leadFl[:0], leadRows[:0]
-	ws.waitIdx, ws.waitFl = waitIdx[:0], waitFl[:0]
-}
-
-// direct scores every row through the batcher, cache untouched — the
-// fail-open path for injected cache faults.
-func (cp *cachedPredictor) direct(ctx context.Context, m *Model, rows [][]dataset.Value, out []float64) error {
-	res, err := cp.bat.Predict(ctx, m, rows)
-	if err != nil {
-		return err
-	}
-	copy(out, res)
+	// A pooled scratch must not pin resolved flights.
+	clear(leadFl)
+	clear(waitFl)
 	return nil
 }

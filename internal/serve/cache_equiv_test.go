@@ -2,21 +2,24 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
 
 	"perfpred/internal/core"
+	"perfpred/internal/faultinject"
 	"perfpred/internal/obs"
 )
 
 // TestCacheOnOffBitEquivalence is the property test behind the cache's
 // "invisible except in latency" claim: two in-process daemons over the
-// same artifacts — one cache-armed, one not — replay an identical
-// seeded, 8-goroutine, duplicate-heavy, mixed-model schedule, and every
-// 200 must carry exactly equal float64 predictions from both daemons
-// AND equal the offline PredictRowsInto golden. Halfway through, one
+// same artifacts — one serving through its cache, one whose every
+// request takes the cache's fail-open bypass straight to the batcher —
+// replay an identical seeded, 8-goroutine, duplicate-heavy, mixed-model
+// schedule, and every 200 must carry exactly equal float64 predictions
+// from both daemons AND equal the offline golden. Halfway through, one
 // artifact is retrained in place and both daemons reload: post-reload
 // answers must be the new model's bits, so any stale cache hit across
 // the generation boundary fails the golden comparison.
@@ -33,19 +36,22 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	saveModel(t, dir, "lre", trainModel(t, core.LRE, d))
 	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
 
-	mk := func(entries int) *Server {
-		s, err := New(Config{
-			ModelsDir:    dir,
-			Batcher:      BatcherConfig{Workers: 2, MaxWait: 0, QueueDepth: 4096},
-			CacheEntries: entries,
-		})
+	mk := func() *Server {
+		s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, MaxWait: 0, QueueDepth: 4096}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
 		return s
 	}
-	cached, plain := mk(2048), mk(0)
+	cached := mk()
+	// The bypass daemon snapshots an injector whose cache-lookup fault
+	// fires on every request.
+	restore := faultinject.Activate(faultinject.New(seed, map[faultinject.Point]faultinject.Plan{
+		faultinject.ServeCacheLookup: {Every: 1, Err: errors.New("cache bypassed")},
+	}))
+	bypass := mk()
+	restore()
 
 	models := []string{"lre", "nns"}
 	// goldens[phase][model][row index] — offline references computed from
@@ -102,9 +108,9 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 						body = map[string]any{"model": model, "rows": rows}
 					}
 					wc := postPredict(t, cached.Handler(), body)
-					wp := postPredict(t, plain.Handler(), body)
+					wp := postPredict(t, bypass.Handler(), body)
 					if wc.Code != http.StatusOK || wp.Code != http.StatusOK {
-						t.Errorf("phase %d g%d req %d: cached=%d plain=%d (%s | %s)",
+						t.Errorf("phase %d g%d req %d: cached=%d bypass=%d (%s | %s)",
 							phase, g, i, wc.Code, wp.Code, wc.Body, wp.Body)
 						return
 					}
@@ -114,7 +120,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 						return
 					}
 					if err := json.Unmarshal(wp.Body.Bytes(), &rp); err != nil {
-						t.Errorf("plain body: %v", err)
+						t.Errorf("bypass body: %v", err)
 						return
 					}
 					if len(rc.Predictions) != len(idxs) || len(rp.Predictions) != len(idxs) {
@@ -128,7 +134,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 							return
 						}
 						if rp.Predictions[j] != want {
-							t.Errorf("phase %d %s row %d: plain %v != golden %v", phase, model, idx, rp.Predictions[j], want)
+							t.Errorf("phase %d %s row %d: bypass %v != golden %v", phase, model, idx, rp.Predictions[j], want)
 							return
 						}
 					}
@@ -153,7 +159,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	if _, err := cached.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.Reload(); err != nil {
+	if _, err := bypass.Reload(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,12 +178,12 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	if inv := snap.Counters[obs.MetricCacheInvalidations]; inv < 1 {
 		t.Fatalf("invalidations = %d, want ≥ 1 after reload", inv)
 	}
-	// The plain daemon's cache counters must not have moved at all:
-	// default-off means the cache code is fully out of the path.
-	psnap := plain.MetricsRegistry().Snapshot()
+	// The bypass daemon's cache counters must not have moved at all, or
+	// its answers do not stand for the batcher alone.
+	psnap := bypass.MetricsRegistry().Snapshot()
 	for _, name := range []string{obs.MetricCacheLookups, obs.MetricCacheHits, obs.MetricCacheMisses} {
 		if v := psnap.Counters[name]; v != 0 {
-			t.Fatalf("cache-off daemon counter %s = %d, want 0", name, v)
+			t.Fatalf("bypass daemon counter %s = %d, want 0", name, v)
 		}
 	}
 }

@@ -14,23 +14,19 @@ import (
 	"perfpred/internal/obs"
 )
 
-// newCachedTestServer is newTestServer with the prediction cache armed.
-func newCachedTestServer(t testing.TB, entries int) (*Server, *dataset.Dataset, string) {
-	t.Helper()
-	d := synthDataset(t, 64, 6)
-	dir := t.TempDir()
-	saveModel(t, dir, "lre", trainModel(t, core.LRE, d))
-	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
-	s, err := New(Config{
-		ModelsDir:    dir,
-		Batcher:      BatcherConfig{Workers: 2, MaxWait: 0},
-		CacheEntries: entries,
-	})
-	if err != nil {
-		t.Fatal(err)
+// cachedPredict runs raw rows through the handler's path after resolve
+// — encode into ws, then the cache — for m at generation gen. The
+// returned predictions live in ws until its next use.
+func cachedPredict(s *Server, ws *rowScratch, m *Model, gen int64, raw ...[]dataset.Value) ([]float64, error) {
+	if cap(ws.out) < len(raw) {
+		ws.out = make([]float64, len(raw))
 	}
-	t.Cleanup(s.Close)
-	return s, d, dir
+	out := ws.out[:len(raw)]
+	rows, err := m.Pred.Encoder().EncodeRows(&ws.enc, raw)
+	if err == nil {
+		err = s.predictInto(context.Background(), ws, m, gen, rows, out)
+	}
+	return out, err
 }
 
 // trainModelSeed trains like trainModel but with a caller-chosen seed,
@@ -49,7 +45,7 @@ func trainModelSeed(t testing.TB, kind core.ModelKind, d *dataset.Dataset, seed 
 // misses and scores, every repeat hits, and all of them must be exactly
 // the offline value.
 func TestCachedServingBitIdentical(t *testing.T) {
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	m, _ := s.Registry().Get("nns")
 	for i := 0; i < 8; i++ {
 		want, err := m.Pred.Predict(d.Row(i))
@@ -57,8 +53,8 @@ func TestCachedServingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			out := make([]float64, 1)
-			if err := s.cache.predictInto(context.Background(), m, s.reg.Generation(), [][]dataset.Value{d.Row(i)}, out); err != nil {
+			out, err := cachedPredict(s, &rowScratch{}, m, s.reg.Generation(), d.Row(i))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if out[0] != want {
@@ -81,20 +77,19 @@ func TestCachedServingBitIdentical(t *testing.T) {
 // part fresh, part duplicate-within-the-batch, and requires every
 // position to match offline scoring — the partial-hit fill path.
 func TestCacheMixedHitMissBatch(t *testing.T) {
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	m, _ := s.Registry().Get("lre")
 	gen := s.reg.Generation()
 
 	// Warm row 0 into the cache.
-	warm := make([]float64, 1)
-	if err := s.cache.predictInto(context.Background(), m, gen, [][]dataset.Value{d.Row(0)}, warm); err != nil {
+	if _, err := cachedPredict(s, &rowScratch{}, m, gen, d.Row(0)); err != nil {
 		t.Fatal(err)
 	}
 
 	// hit, fresh, duplicate-of-fresh, hit, another fresh
 	rows := [][]dataset.Value{d.Row(0), d.Row(1), d.Row(1), d.Row(0), d.Row(2)}
-	out := make([]float64, len(rows))
-	if err := s.cache.predictInto(context.Background(), m, gen, rows, out); err != nil {
+	out, err := cachedPredict(s, &rowScratch{}, m, gen, rows...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range rows {
@@ -117,7 +112,7 @@ func TestCacheMixedHitMissBatch(t *testing.T) {
 // and requires the daemon to serve the NEW model's value — a cached
 // value from the previous generation must be unreachable.
 func TestCacheInvalidationOnReload(t *testing.T) {
-	s, d, dir := newCachedTestServer(t, 256)
+	s, d, dir := newTestServer(t)
 	h := s.Handler()
 	body := map[string]any{"model": "nns", "row": rowJSON(d, 0)}
 
@@ -170,7 +165,7 @@ func TestCacheInvalidationOnReload(t *testing.T) {
 // goroutines request the same row and pins that the kernel scored that
 // row exactly once — the singleflight contract.
 func TestCachedPredictCoalesces(t *testing.T) {
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	m, _ := s.Registry().Get("lre")
 	gen := s.reg.Generation()
 
@@ -181,7 +176,7 @@ func TestCachedPredictCoalesces(t *testing.T) {
 	var mu sync.Mutex
 	scoredRows := 0
 	entered := make(chan struct{}, 64)
-	score := func(ctx context.Context, sm *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(ctx context.Context, sm *Model, rows [][]float64, out []float64) error {
 		mu.Lock()
 		scoredRows += len(rows)
 		mu.Unlock()
@@ -191,7 +186,6 @@ func TestCachedPredictCoalesces(t *testing.T) {
 	}
 	s.bat = newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 64, MaxWait: 0, Workers: 1}, s.met, score)
 	defer s.bat.Close()
-	s.cache.bat = s.bat
 
 	want, err := m.Pred.Predict(d.Row(3))
 	if err != nil {
@@ -205,9 +199,8 @@ func TestCachedPredictCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out := make([]float64, 1)
-			errs[g] = s.cache.predictInto(context.Background(), m, gen, [][]dataset.Value{d.Row(3)}, out)
-			results[g] = out[0]
+			out, err := cachedPredict(s, &rowScratch{}, m, gen, d.Row(3))
+			results[g], errs[g] = out[0], err
 		}(g)
 	}
 	<-entered // the single leader reached the scorer
@@ -240,7 +233,7 @@ func TestCachedPredictCoalesces(t *testing.T) {
 // waiters fall back to scoring for themselves instead of inheriting the
 // failure or a bogus value.
 func TestCacheAbandonFallsBack(t *testing.T) {
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	m, _ := s.Registry().Get("lre")
 	gen := s.reg.Generation()
 
@@ -250,7 +243,7 @@ func TestCacheAbandonFallsBack(t *testing.T) {
 	failed := false
 	entered := make(chan struct{}, 64)
 	release := make(chan struct{})
-	score := func(ctx context.Context, sm *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(ctx context.Context, sm *Model, rows [][]float64, out []float64) error {
 		mu.Lock()
 		first := !failed
 		failed = true
@@ -264,7 +257,6 @@ func TestCacheAbandonFallsBack(t *testing.T) {
 	}
 	s.bat = newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 1, MaxWait: 0, Workers: 1}, s.met, score)
 	defer s.bat.Close()
-	s.cache.bat = s.bat
 
 	want, err := m.Pred.Predict(d.Row(5))
 	if err != nil {
@@ -276,8 +268,8 @@ func TestCacheAbandonFallsBack(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		out := make([]float64, 1)
-		leaderErr <- s.cache.predictInto(context.Background(), m, gen, [][]dataset.Value{d.Row(5)}, out)
+		_, err := cachedPredict(s, &rowScratch{}, m, gen, d.Row(5))
+		leaderErr <- err
 	}()
 	<-entered // leader is inside the failing scorer
 
@@ -286,8 +278,8 @@ func TestCacheAbandonFallsBack(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		out := make([]float64, 1)
-		waiterErr = s.cache.predictInto(context.Background(), m, gen, [][]dataset.Value{d.Row(5)}, out)
+		var out []float64
+		out, waiterErr = cachedPredict(s, &rowScratch{}, m, gen, d.Row(5))
 		waiterVal = out[0]
 	}()
 	time.Sleep(20 * time.Millisecond) // waiter coalesces onto the flight
@@ -319,7 +311,7 @@ func TestCacheFaultBypassFailOpen(t *testing.T) {
 	restore := faultinject.Activate(inj)
 	defer restore()
 
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	h := s.Handler()
 	m, _ := s.Registry().Get("nns")
 	want, err := m.Pred.Predict(d.Row(0))
@@ -351,23 +343,20 @@ func TestCacheFaultBypassFailOpen(t *testing.T) {
 	}
 }
 
-// TestCachedPredictHitZeroAlloc pins the all-hits request path at zero
-// allocations, same discipline as the kernel and batcher pins: the
-// cache exists to be cheaper than scoring, so a hit must not pay the
-// allocator.
+// TestCachedPredictHitZeroAlloc pins the all-hits request path —
+// encode into the pooled scratch, then the cache — at zero allocations,
+// same discipline as the kernel and batcher pins: the cache exists to be
+// cheaper than scoring, so a hit must not pay the allocator.
 func TestCachedPredictHitZeroAlloc(t *testing.T) {
-	s, d, _ := newCachedTestServer(t, 256)
+	s, d, _ := newTestServer(t)
 	m, _ := s.Registry().Get("lre")
-	gen := s.reg.Generation()
-	rows := [][]dataset.Value{d.Row(0), d.Row(1)}
-	out := make([]float64, len(rows))
-	ctx := context.Background()
+	gen, ws, rows := s.reg.Generation(), &rowScratch{}, [][]dataset.Value{d.Row(0), d.Row(1)}
 	// Warm both rows to resolved entries.
-	if err := s.cache.predictInto(ctx, m, gen, rows, out); err != nil {
+	if _, err := cachedPredict(s, ws, m, gen, rows...); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := s.cache.predictInto(ctx, m, gen, rows, out); err != nil {
+		if _, err := cachedPredict(s, ws, m, gen, rows...); err != nil {
 			panic(err)
 		}
 	})
@@ -383,44 +372,48 @@ func mustDecode(t testing.TB, b []byte, v any) {
 	}
 }
 
-// BenchmarkCachedPredict measures the duplicate-heavy serving path with
-// the cache armed: every iteration is a resolved hit. Compare against
-// BenchmarkUncachedPredict (same rows through the micro-batcher) in
-// BENCH_8.json — the committed snapshot pins the ≥5× latency win that
-// justifies the cache.
+// BenchmarkCachedPredict measures the duplicate-heavy serving path after
+// resolve: every iteration encodes the row and is a resolved cache hit.
+// Compare against BenchmarkUncachedPredict (the same encode, then the
+// micro-batcher) in BENCH_8.json — the committed snapshot pins the ≥5×
+// latency win that justifies the cache.
 func BenchmarkCachedPredict(b *testing.B) {
-	s, d, _ := newCachedTestServer(b, 256)
+	s, d, _ := newTestServer(b)
 	m, _ := s.Registry().Get("nns")
-	gen := s.reg.Generation()
-	rows := [][]dataset.Value{d.Row(0)}
-	out := make([]float64, 1)
-	ctx := context.Background()
-	if err := s.cache.predictInto(ctx, m, gen, rows, out); err != nil {
+	gen, ws, row := s.reg.Generation(), &rowScratch{}, d.Row(0)
+	if _, err := cachedPredict(s, ws, m, gen, row); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.cache.predictInto(ctx, m, gen, rows, out); err != nil {
+		if _, err := cachedPredict(s, ws, m, gen, row); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkUncachedPredict is the identical workload through the plain
-// micro-batcher — the baseline the cache must beat.
+// micro-batcher, bypassing the cache — the baseline the cache must beat.
 func BenchmarkUncachedPredict(b *testing.B) {
-	s, d, _ := newCachedTestServer(b, 256)
+	s, d, _ := newTestServer(b)
 	m, _ := s.Registry().Get("nns")
-	rows := [][]dataset.Value{d.Row(0)}
-	ctx := context.Background()
-	if _, err := s.bat.Predict(ctx, m, rows); err != nil {
+	raw := [][]dataset.Value{d.Row(0)}
+	var buf dataset.RowBuffer
+	run := func() error {
+		rows, err := m.Pred.Encoder().EncodeRows(&buf, raw)
+		if err == nil {
+			_, err = s.bat.Predict(context.Background(), m, rows)
+		}
+		return err
+	}
+	if err := run(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.bat.Predict(ctx, m, rows); err != nil {
+		if err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,13 +13,16 @@ import (
 	"perfpred/internal/faultinject"
 )
 
-// rawRows collects a dataset's records as request rows.
-func rawRows(d *dataset.Dataset) [][]dataset.Value {
-	rows := make([][]dataset.Value, d.Len())
-	for i := range rows {
-		rows[i] = d.Row(i)
+// encodeRows encodes raw rows with m's encoder, as the handler does
+// before admission.
+func encodeRows(t testing.TB, m *Model, rows [][]dataset.Value) [][]float64 {
+	t.Helper()
+	var buf dataset.RowBuffer
+	enc, err := m.Pred.Encoder().EncodeRows(&buf, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rows
+	return enc
 }
 
 // TestBatcherSoakUnderInjectedFlushLatency is a short deterministic
@@ -38,6 +41,7 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 	// Train, save, and reload each artifact; golden-score every dataset
 	// row offline before any fault injector exists.
 	models := map[string]*Model{}
+	encoded := map[string][][]float64{}
 	golden := map[string][]float64{}
 	for _, name := range names {
 		saveModel(t, dir, name, trainModel(t, kinds[name], d))
@@ -46,8 +50,9 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		models[name] = m
+		encoded[name] = encodeRows(t, m, d.Rows(0, d.Len()))
 		out := make([]float64, d.Len())
-		if err := m.Pred.PredictRowsInto(context.Background(), out, rawRows(d)); err != nil {
+		if err := m.Pred.PredictRowsInto(context.Background(), out, d.Rows(0, d.Len())); err != nil {
 			t.Fatal(err)
 		}
 		golden[name] = out
@@ -79,10 +84,10 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 				name := names[r.Intn(len(names))]
 				n := 1 + r.Intn(maxRowsPerSubmit)
 				idxs := make([]int, n)
-				rows := make([][]dataset.Value, n)
+				rows := make([][]float64, n)
 				for j := 0; j < n; j++ {
 					idxs[j] = r.Intn(d.Len())
-					rows[j] = d.Row(idxs[j])
+					rows[j] = encoded[name][idxs[j]]
 				}
 				out, err := b.Predict(context.Background(), models[name], rows)
 				if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"perfpred/internal/dataset"
 )
@@ -75,19 +74,5 @@ func ScoreRequest(ctx context.Context, m *Model, req *PredictRequest) (*PredictR
 	if err := m.Pred.PredictRowsInto(ctx, out, rows); err != nil {
 		return nil, err
 	}
-	for i, y := range out {
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			return nil, fmt.Errorf("serve: row %d produced a non-finite prediction", i)
-		}
-	}
-	resp := &PredictResponse{
-		Model:       req.Model,
-		Kind:        m.Pred.Kind().String(),
-		N:           len(out),
-		Predictions: out,
-	}
-	if req.Single() {
-		resp.Prediction = &out[0]
-	}
-	return resp, nil
+	return newPredictResponse(req, m, out)
 }

@@ -8,13 +8,16 @@ import (
 	"perfpred/internal/dataset"
 )
 
-// FuzzDecodePredictRequest hardens the /v1/predict decoder against
-// hostile bodies: whatever the bytes, decode+resolve must never panic,
-// and anything they accept must satisfy the invariants the batcher and
-// kernel rely on — non-empty row set, schema arity, finite numerics,
-// correctly typed values. Seeds cover the malformed-JSON, NaN/Inf and
-// wrong-arity corners; the committed corpus under testdata/fuzz replays
-// past findings in CI's fuzz-regression step.
+// FuzzDecodePredictRequest hardens the /v1/predict front half against
+// hostile bodies: whatever the bytes, decode, resolve and encode must
+// never panic, and anything they accept must satisfy the invariants the
+// cache, batcher and kernel rely on — non-empty row set, schema arity,
+// finite numerics, correctly typed values, and exactly NumColumns
+// encoded cells per row. The encoder is fitted for linear regression
+// with a numerically mapped categorical, the one column encoding can
+// reject. Seeds cover the malformed-JSON, NaN/Inf, wrong-arity and
+// unmapped-category corners; the committed corpus under testdata/fuzz
+// replays past findings in CI's fuzz-regression step.
 func FuzzDecodePredictRequest(f *testing.F) {
 	seeds := []string{
 		`{"model":"m","row":[32,true,"weak"]}`,
@@ -32,6 +35,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		`{"model":"m","row":[[32],true,"weak"]}`,
 		`[1,2,3]`,
 		``,
+		`{"model":"m","row":[32,true,"alien"]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -39,8 +43,19 @@ func FuzzDecodePredictRequest(f *testing.F) {
 	schema, err := dataset.NewSchema("cycles",
 		dataset.Field{Name: "size", Kind: dataset.Numeric},
 		dataset.Field{Name: "fast", Kind: dataset.Flag},
-		dataset.Field{Name: "pred", Kind: dataset.Categorical},
+		dataset.Field{Name: "pred", Kind: dataset.Categorical, NumericLevels: map[string]float64{"weak": 1, "strong": 2}},
 	)
+	if err != nil {
+		f.Fatal(err)
+	}
+	train := dataset.New(schema)
+	for i, pred := range []string{"weak", "strong", "weak"} {
+		row := []dataset.Value{dataset.Num(float64(16 * (i + 1))), dataset.FlagVal(i == 1), dataset.Cat(pred)}
+		if err := train.Append(row, float64(100-i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	enc, err := dataset.FitEncoder(train, dataset.ForLR)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -79,6 +94,19 @@ func FuzzDecodePredictRequest(f *testing.F) {
 						t.Fatalf("field %q resolved to non-finite %v", f.Name, x)
 					}
 				}
+			}
+		}
+		var buf dataset.RowBuffer
+		encoded, err := enc.EncodeRows(&buf, rows)
+		if err != nil {
+			return
+		}
+		if len(encoded) != len(rows) {
+			t.Fatalf("encoded %d rows of %d", len(encoded), len(rows))
+		}
+		for i, x := range encoded {
+			if len(x) != enc.NumColumns() {
+				t.Fatalf("row %d encoded to %d cells, encoder has %d columns", i, len(x), enc.NumColumns())
 			}
 		}
 	})

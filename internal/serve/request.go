@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"perfpred/internal/dataset"
 )
@@ -104,6 +105,29 @@ type PredictResponse struct {
 	// Predictions lists one prediction per request row, in order, in
 	// original target units.
 	Predictions []float64 `json:"predictions"`
+}
+
+// newPredictResponse assembles the response to req from its predictions
+// — the one builder the daemon and ScoreRequest share. A non-finite
+// prediction has no JSON encoding and fails the whole request. It is a
+// server error: an overflowing row is one cause, but an artifact with
+// NaN weights gives the same symptom.
+func newPredictResponse(req *PredictRequest, m *Model, out []float64) (*PredictResponse, error) {
+	for i, y := range out {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return nil, fmt.Errorf("serve: row %d produced a non-finite prediction", i)
+		}
+	}
+	resp := &PredictResponse{
+		Model:       req.Model,
+		Kind:        m.Pred.Kind().String(),
+		N:           len(out),
+		Predictions: out,
+	}
+	if req.Single() {
+		resp.Prediction = &out[0]
+	}
+	return resp, nil
 }
 
 // FieldInfo describes one schema field in a ModelInfo.

@@ -11,10 +11,10 @@
 //     whole catalog atomically on reload (SIGHUP or POST /admin/reload),
 //     so lookups never observe a half-loaded state and a failed reload
 //     keeps the previous catalog serving.
-//   - [Batcher]: a micro-batcher that funnels every prediction through a
+//   - [Batcher]: a micro-batcher that funnels every scored row through a
 //     bounded admission queue. Worker goroutines coalesce concurrent
-//     requests into one flat core.Predictor.PredictRowsInto kernel call
-//     on engine worker-local scratch (the PR-3 zero-allocation batch
+//     requests into one flat core.Predictor.PredictEncodedInto kernel
+//     call on engine worker-local scratch (the zero-allocation batch
 //     path), shed load with [ErrOverloaded] when the queue is full, and
 //     drain the queue completely on shutdown.
 //   - [Server]: the HTTP surface — POST /v1/predict (single row or
@@ -23,9 +23,18 @@
 //     /debug/vars expvar, /debug/pprof) fed by the serve.* counters and
 //     histograms named in the obs package.
 //
-// Batching never changes answers: the batched kernel is bit-identical to
-// per-row Predict, so any coalescing of concurrent requests returns
-// exactly the predictions a sequential client would have seen.
+// A /v1/predict request takes one path: decode the body, resolve the
+// model and the rows against its schema, encode each row exactly once,
+// probe the prediction cache (internal/predcache) with the encoded rows,
+// and send only the rows it cannot answer through the batcher to the
+// kernel. A decode, resolve or encode failure is a 400 that never takes
+// a queue slot.
+//
+// Neither batching nor caching changes answers: the batched kernel is
+// bit-identical to per-row Predict, and a cache hit returns the bits the
+// kernel produced for an equal encoded row under the same artifact
+// generation, so a client sees exactly the predictions a sequential
+// offline scorer would produce.
 package serve
 
 import (

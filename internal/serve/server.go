@@ -2,19 +2,18 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 	"perfpred/internal/obs"
+	"perfpred/internal/predcache"
 )
 
 // Config configures a serving daemon.
@@ -27,12 +26,8 @@ type Config struct {
 	// admitted prediction (propagated through the batcher via the
 	// request context). 0 means 5s.
 	RequestTimeout time.Duration
-	// CacheEntries bounds the prediction cache; 0 (the default)
-	// disables caching entirely, preserving the uncached serving path
-	// byte for byte. The cache is bit-safe by construction — entries
-	// verify row equality and are keyed by artifact generation — but it
-	// is opt-in because it trades memory for latency and its win is
-	// workload-dependent (it needs duplicate design points to pay off).
+	// CacheEntries bounds the prediction cache every request goes
+	// through; 0 or less means DefaultCacheEntries.
 	CacheEntries int
 	// Metrics is the registry to record into; nil creates a private one.
 	Metrics *obs.Registry
@@ -44,7 +39,8 @@ type Server struct {
 	reg     *Registry
 	met     *metrics
 	bat     *Batcher
-	cache   *cachedPredictor // nil unless cfg.CacheEntries > 0
+	cache   *predcache.Cache
+	scratch sync.Pool // *rowScratch
 	mux     *http.ServeMux
 	started time.Time
 	addr    atomic.Value // string; bound listen address, set by the daemon
@@ -61,6 +57,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = DefaultCacheEntries
+	}
 	reg, err := OpenRegistry(cfg.ModelsDir)
 	if err != nil {
 		return nil, err
@@ -75,9 +74,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.started = s.clock.Now()
 	s.bat = newBatcher(cfg.Batcher, s.met, scoreModel)
-	if cfg.CacheEntries > 0 {
-		s.cache = newCachedPredictor(cfg.CacheEntries, s.bat, s.met, fi)
-	}
+	s.cache = predcache.New(predcache.Config{
+		MaxEntries: cfg.CacheEntries,
+		Metrics:    predcache.NewMetrics(s.met.reg),
+	})
+	s.scratch.New = func() any { return new(rowScratch) }
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
@@ -95,8 +96,8 @@ func New(cfg Config) (*Server, error) {
 
 // scoreModel is the production scoreFunc: the shared zero-allocation
 // batch kernel entry.
-func scoreModel(ctx context.Context, m *Model, rows [][]dataset.Value, out []float64) error {
-	return m.Pred.PredictRowsInto(ctx, out, rows)
+func scoreModel(ctx context.Context, m *Model, rows [][]float64, out []float64) error {
+	return m.Pred.PredictEncodedInto(ctx, out, rows)
 }
 
 // Handler returns the daemon's HTTP surface.
@@ -136,9 +137,7 @@ func (s *Server) Reload() (int64, error) {
 		// Entries keyed by older generations are already unreachable (the
 		// generation is part of the cache key); dropping them now reclaims
 		// their memory instead of waiting on LRU pressure.
-		if s.cache != nil {
-			s.cache.cache.Invalidate(gen)
-		}
+		s.cache.Invalidate(gen)
 	}
 	return gen, err
 }
@@ -172,18 +171,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown model %q (see /v1/models)", req.Model))
 		return
 	}
-	rows, err := req.Resolve(m.Pred.Encoder().Schema())
+	raw, err := req.Resolve(m.Pred.Encoder().Schema())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Full request validation happens before the batcher ever sees the
-	// request: CheckRows covers everything the encode stage could reject
-	// (row width vs the model's fitted schema and input width, unmapped
-	// categories for numeric-coded models), so a bad row is a 400 here
-	// instead of occupying a queue slot and surfacing later as a scoring
-	// failure.
-	if err := m.Pred.CheckRows(rows); err != nil {
+	// Each row is encoded exactly once, here, before admission: an encode
+	// error (an unmapped category on a numeric-coded model) is a 400 that
+	// never occupies a queue slot, and the encoded rows are both the cache
+	// keys and the batcher's payload.
+	ws := s.scratch.Get().(*rowScratch)
+	rows, err := m.Pred.Encoder().EncodeRows(&ws.enc, raw)
+	if err != nil {
+		s.scratch.Put(ws)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -191,41 +191,29 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Inc()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	var out []float64
-	if s.cache != nil {
-		out = make([]float64, len(rows))
-		err = s.cache.predictInto(ctx, m, gen, rows, out)
-	} else {
-		out, err = s.bat.Predict(ctx, m, rows)
+	if cap(ws.out) < len(rows) {
+		ws.out = make([]float64, len(rows))
 	}
-	if err != nil {
+	out := ws.out[:len(rows)]
+	if err := s.predictInto(ctx, ws, m, gen, rows, out); err != nil {
+		// ws stays out of the pool: a queued batch may still read its rows.
 		s.writePredictError(w, err)
 		return
 	}
-	for i, y := range out {
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("serve: row %d produced a non-finite prediction", i))
-			return
-		}
+	if resp, err := newPredictResponse(req, m, out); err != nil {
+		s.met.errors.Inc()
+		writeError(w, http.StatusInternalServerError, err)
+	} else {
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp := PredictResponse{
-		Model:       req.Model,
-		Kind:        m.Pred.Kind().String(),
-		N:           len(out),
-		Predictions: out,
-	}
-	if req.Single() {
-		resp.Prediction = &out[0]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.scratch.Put(ws)
 }
 
 // writePredictError maps batcher/scoring failures onto HTTP statuses:
 // shed → 429 with Retry-After, drain → 503, deadline → 504. Anything
 // else is a genuine server-side failure (client-caused errors are all
-// rejected with 400s before admission by CheckRows) and reports 500 —
-// injected batch-flush faults in chaos runs land here.
+// rejected with 400s before admission by the encode step) and reports
+// 500 — injected batch-flush faults in chaos runs land here.
 func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -274,9 +262,7 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best-effort: client may have gone
+	EncodeJSON(w, v) //nolint:errcheck // best-effort: client may have gone
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

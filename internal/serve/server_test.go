@@ -20,7 +20,7 @@ import (
 
 // newTestServer trains two models into a fresh directory and builds a
 // Server over them.
-func newTestServer(t *testing.T) (*Server, *dataset.Dataset, string) {
+func newTestServer(t testing.TB) (*Server, *dataset.Dataset, string) {
 	t.Helper()
 	d := synthDataset(t, 64, 6)
 	dir := t.TempDir()
@@ -268,7 +268,8 @@ func TestServerReportEndpoint(t *testing.T) {
 
 // TestServerShedMapsTo429 wires a blocking scorer behind the HTTP
 // surface and pins the load-shedding contract: 429, Retry-After header,
-// JSON error body.
+// JSON error body. Each request carries a distinct row: identical rows
+// would coalesce on the cache's flight instead of filling the queue.
 func TestServerShedMapsTo429(t *testing.T) {
 	s, d, _ := newTestServer(t)
 	h := s.Handler()
@@ -277,7 +278,7 @@ func TestServerShedMapsTo429(t *testing.T) {
 	s.bat.Close()
 	release := make(chan struct{})
 	entered := make(chan struct{}, 64)
-	score := func(_ context.Context, _ *Model, rows [][]dataset.Value, out []float64) error {
+	score := func(_ context.Context, _ *Model, rows [][]float64, out []float64) error {
 		entered <- struct{}{}
 		<-release
 		for i := range out {
@@ -288,12 +289,16 @@ func TestServerShedMapsTo429(t *testing.T) {
 	s.bat = newBatcher(BatcherConfig{QueueDepth: 1, MaxBatch: 1, MaxWait: 0, Workers: 1}, s.met, score)
 	defer func() { close(release); s.bat.Close() }()
 
-	body := map[string]any{"model": "nns", "row": rowJSON(d, 0)}
+	body := func(size float64) map[string]any {
+		row := rowJSON(d, 0)
+		row[0] = size
+		return map[string]any{"model": "nns", "row": row}
+	}
 	done := make(chan *httptest.ResponseRecorder, 2)
 	// One request occupies the worker, one fills the queue.
-	go func() { done <- postPredict(t, h, body) }()
+	go func() { done <- postPredict(t, h, body(16)) }()
 	<-entered
-	go func() { done <- postPredict(t, h, body) }()
+	go func() { done <- postPredict(t, h, body(32)) }()
 	deadline := time.After(5 * time.Second)
 	for len(s.bat.queue) < 1 {
 		select {
@@ -306,7 +311,7 @@ func TestServerShedMapsTo429(t *testing.T) {
 
 	// The next request is shed. The queue (capacity 1) is full at shed
 	// time, so the derived Retry-After is pinned at the saturation value.
-	w := postPredict(t, h, body)
+	w := postPredict(t, h, body(48))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded predict: %d %s", w.Code, w.Body)
 	}
@@ -331,7 +336,7 @@ func TestServerHealthz(t *testing.T) {
 // TestServerPreEnqueueValidation pins the client-error/server-error
 // boundary: rows that cannot be scored against a *known* model — wrong
 // width for the fitted schema, categories with no numeric mapping — are
-// rejected with 400 by CheckRows before admission. The serve.requests
+// rejected with 400 by the encode step before admission. The serve.requests
 // counter only moves after validation, so an unchanged counter proves
 // the bad request never occupied a queue slot or reached a kernel.
 func TestServerPreEnqueueValidation(t *testing.T) {
@@ -381,6 +386,31 @@ func TestServerPreEnqueueValidation(t *testing.T) {
 	w := postPredict(t, h, map[string]any{"model": "nns", "row": alien})
 	if w.Code != http.StatusOK {
 		t.Fatalf("unseen category on one-hot model = %d, want 200 (%s)", w.Code, w.Body)
+	}
+}
+
+// TestServerNonFinitePredictionCounted pins the one client-triggerable
+// server error: a finite but huge row overflows the linear model to a
+// non-finite prediction. It stays a 500 (an artifact with NaN weights
+// gives the same symptom, which is not the client's fault), and unlike
+// a client error it is admitted, so serve.errors records it.
+func TestServerNonFinitePredictionCounted(t *testing.T) {
+	s, d, _ := newTestServer(t)
+	row := rowJSON(d, 0)
+	row[0], row[1] = 1e308, 1e308
+	w := postPredict(t, s.Handler(), map[string]any{"model": "lre", "row": row})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("code = %d, want 500 (%s)", w.Code, w.Body)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "non-finite") {
+		t.Fatalf("error body: %s (%v)", w.Body, err)
+	}
+	if got := s.met.requests.Value(); got != 1 {
+		t.Errorf("requests counter = %d, want 1", got)
+	}
+	if got := s.met.errors.Value(); got != 1 {
+		t.Errorf("errors counter = %d, want 1: the 500 went unrecorded", got)
 	}
 }
 
