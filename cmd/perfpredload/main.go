@@ -78,9 +78,9 @@ func main() {
 		rep.Reloads.OK, rep.Reloads.Attempted, rep.BitCompared, rep.Epilogue)
 	for _, sr := range rep.Replicas {
 		cs := sr.Cache
-		fmt.Printf("  replica %s  generation %d  requests %d  predictions %d  shed %d  faults %d  cache lookups %d  hits %d  coalesced %d  evictions %d  invalidations %d\n",
+		fmt.Printf("  replica %s  generation %d  requests %d  predictions %d  shed %d  faults %d  cache lookups %d  hits %d  evictions %d  invalidations %d\n",
 			sr.Addr, sr.Generation, sr.Requests, sr.Predictions, sr.Shed, sr.FaultsInjected,
-			cs.Lookups, cs.Hits, cs.Coalesced, cs.Evictions, cs.Invalidations)
+			cs.Lookups, cs.Hits, cs.Evictions, cs.Invalidations)
 	}
 	if gw := rep.Gateway; gw != nil {
 		fmt.Printf("  gateway  kills %d  restarts %d  hedges %d (%d won)  retries %d  shed %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",

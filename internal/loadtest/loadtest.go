@@ -20,7 +20,7 @@
 //   - the tier's shed counters equal the 429s observed on the wire, and
 //     every final report is internally consistent;
 //   - each replica's prediction cache balances (hits + misses ==
-//     lookups, coalesced ≤ misses) and actually hits on the schedule's
+//     lookups) and actually hits on the schedule's
 //     duplicate-heavy class, and after the run a generation-boundary
 //     epilogue — retrain one model, swap its artifact, reload every
 //     replica, re-probe the hot rows against the new artifact's goldens

@@ -235,20 +235,16 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 		shed += sr.Shed
 		faults += sr.FaultsInjected
 		// Every row returned in a 200 was scored by a batcher
-		// (predictions), served from a cache (hits), or rode a leader's
-		// scoring of the same row (coalesced).
-		served += sr.Predictions + sr.Cache.Hits + sr.Cache.Coalesced
+		// (predictions) or served from a cache (hits).
+		served += sr.Predictions + sr.Cache.Hits
 		requests += sr.Requests
 		// Post-drain, every lookup has resolved as exactly one hit or
-		// miss and coalesced waits are a sub-count of misses.
+		// miss.
 		cs := sr.Cache
 		lookups += cs.Lookups
 		hits += cs.Hits
 		if cs.Hits+cs.Misses != cs.Lookups {
 			v.addf("replica %d cache hits(%d)+misses(%d) != lookups(%d)", i, cs.Hits, cs.Misses, cs.Lookups)
-		}
-		if cs.Coalesced > cs.Misses {
-			v.addf("replica %d cache coalesced %d exceeds misses %d", i, cs.Coalesced, cs.Misses)
 		}
 	}
 	if !cfg.Faults && faults != 0 {

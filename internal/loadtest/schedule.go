@@ -74,7 +74,7 @@ type Event struct {
 	// Hot marks a duplicate-class request: its rows are drawn only from
 	// the small hot prefix of the eval set, so identical design points
 	// recur constantly across concurrent requests — the traffic shape
-	// that makes a prediction cache coalesce and hit, and that a chaos
+	// that makes a prediction cache hit, and that a chaos
 	// run needs to prove those hits stay bit-safe under reload races.
 	Hot bool
 	// Payload is the request's malformation class.

@@ -60,13 +60,9 @@ const (
 	// MetricCacheHits counts lookups answered from a resolved entry
 	// (bit-identical to scoring, no kernel work).
 	MetricCacheHits = "cache.hits"
-	// MetricCacheMisses counts lookups that had to be scored — either
-	// leading a new flight or coalescing onto a pending one.
+	// MetricCacheMisses counts lookups the cache could not answer; each
+	// miss is scored through the batcher.
 	MetricCacheMisses = "cache.misses"
-	// MetricCacheCoalesced counts the subset of misses that rode another
-	// request's in-flight scoring instead of occupying a batcher slot
-	// (coalesced ≤ misses).
-	MetricCacheCoalesced = "cache.coalesced"
 	// MetricCacheEvictions counts entries dropped for capacity (LRU) or
 	// displaced by a hash-colliding row.
 	MetricCacheEvictions = "cache.evictions"
@@ -146,9 +142,11 @@ type ServeReport struct {
 // increments, so that identity is asserted by the chaos harness on the
 // final post-drain report, not by Validate.
 type CacheStats struct {
-	Lookups       int64 `json:"lookups"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
+	Lookups int64 `json:"lookups"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	// Coalesced is always 0: the cache does not coalesce concurrent
+	// misses. The field stays for readers that still report it.
 	Coalesced     int64 `json:"coalesced"`
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
@@ -177,7 +175,6 @@ func BuildServeReport(meta ServeMeta, reg *Registry) *ServeReport {
 			Lookups:       snap.Counters[MetricCacheLookups],
 			Hits:          snap.Counters[MetricCacheHits],
 			Misses:        snap.Counters[MetricCacheMisses],
-			Coalesced:     snap.Counters[MetricCacheCoalesced],
 			Evictions:     snap.Counters[MetricCacheEvictions],
 			Invalidations: snap.Counters[MetricCacheInvalidations],
 		}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"perfpred/internal/core"
 	"perfpred/internal/dataset"
@@ -86,6 +84,8 @@ func TestCacheMixedHitMissBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := s.MetricsRegistry().Snapshot()
+
 	// hit, fresh, duplicate-of-fresh, hit, another fresh
 	rows := [][]dataset.Value{d.Row(0), d.Row(1), d.Row(1), d.Row(0), d.Row(2)}
 	out, err := cachedPredict(s, &rowScratch{}, m, gen, rows...)
@@ -101,10 +101,12 @@ func TestCacheMixedHitMissBatch(t *testing.T) {
 			t.Fatalf("position %d: %v != offline %v", i, out[i], want)
 		}
 	}
-	snap := s.MetricsRegistry().Snapshot()
-	// Positions 0 and 3 hit; 1 leads; 2 coalesces on 1's flight; 4 leads.
-	if hits, coal := snap.Counters[obs.MetricCacheHits], snap.Counters[obs.MetricCacheCoalesced]; hits != 2 || coal != 1 {
-		t.Fatalf("hits=%d coalesced=%d, want 2, 1", hits, coal)
+	// Positions 0 and 3 hit; 1, 2 and 4 miss, and each miss is scored.
+	after := s.MetricsRegistry().Snapshot()
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	hits, misses, preds := delta(obs.MetricCacheHits), delta(obs.MetricCacheMisses), delta(obs.MetricServePredictions)
+	if hits != 2 || misses != 3 || preds != 3 {
+		t.Fatalf("hits=%d misses=%d predictions=%d, want 2, 3, 3", hits, misses, preds)
 	}
 }
 
@@ -158,146 +160,6 @@ func TestCacheInvalidationOnReload(t *testing.T) {
 	snap := s.MetricsRegistry().Snapshot()
 	if inv := snap.Counters[obs.MetricCacheInvalidations]; inv < 1 {
 		t.Fatalf("invalidations = %d, want ≥ 1", inv)
-	}
-}
-
-// TestCachedPredictCoalesces holds the batcher's scorer open while N
-// goroutines request the same row and pins that the kernel scored that
-// row exactly once — the singleflight contract.
-func TestCachedPredictCoalesces(t *testing.T) {
-	s, d, _ := newTestServer(t)
-	m, _ := s.Registry().Get("lre")
-	gen := s.reg.Generation()
-
-	// Swap in a scorer that counts kernel row-scorings and blocks until
-	// released, so all goroutines pile onto one pending flight.
-	s.bat.Close()
-	release := make(chan struct{})
-	var mu sync.Mutex
-	scoredRows := 0
-	entered := make(chan struct{}, 64)
-	score := func(ctx context.Context, sm *Model, rows [][]float64, out []float64) error {
-		mu.Lock()
-		scoredRows += len(rows)
-		mu.Unlock()
-		entered <- struct{}{}
-		<-release
-		return scoreModel(ctx, sm, rows, out)
-	}
-	s.bat = newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 64, MaxWait: 0, Workers: 1}, s.met, score)
-	defer s.bat.Close()
-
-	want, err := m.Pred.Predict(d.Row(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	var wg sync.WaitGroup
-	results := make([]float64, goroutines)
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out, err := cachedPredict(s, &rowScratch{}, m, gen, d.Row(3))
-			results[g], errs[g] = out[0], err
-		}(g)
-	}
-	<-entered // the single leader reached the scorer
-	// Give followers time to coalesce onto the pending flight, then let
-	// the leader finish.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
-		}
-		if results[g] != want {
-			t.Fatalf("goroutine %d: %v != offline %v", g, results[g], want)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if scoredRows != 1 {
-		t.Fatalf("kernel scored %d rows for one identical row, want 1", scoredRows)
-	}
-	snap := s.MetricsRegistry().Snapshot()
-	if coal := snap.Counters[obs.MetricCacheCoalesced]; coal != goroutines-1 {
-		t.Fatalf("coalesced = %d, want %d", coal, goroutines-1)
-	}
-}
-
-// TestCacheAbandonFallsBack fails the leader's scoring once and checks
-// waiters fall back to scoring for themselves instead of inheriting the
-// failure or a bogus value.
-func TestCacheAbandonFallsBack(t *testing.T) {
-	s, d, _ := newTestServer(t)
-	m, _ := s.Registry().Get("lre")
-	gen := s.reg.Generation()
-
-	s.bat.Close()
-	boom := errors.New("injected scorer failure")
-	var mu sync.Mutex
-	failed := false
-	entered := make(chan struct{}, 64)
-	release := make(chan struct{})
-	score := func(ctx context.Context, sm *Model, rows [][]float64, out []float64) error {
-		mu.Lock()
-		first := !failed
-		failed = true
-		mu.Unlock()
-		if first {
-			entered <- struct{}{}
-			<-release
-			return boom
-		}
-		return scoreModel(ctx, sm, rows, out)
-	}
-	s.bat = newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 1, MaxWait: 0, Workers: 1}, s.met, score)
-	defer s.bat.Close()
-
-	want, err := m.Pred.Predict(d.Row(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	leaderErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := cachedPredict(s, &rowScratch{}, m, gen, d.Row(5))
-		leaderErr <- err
-	}()
-	<-entered // leader is inside the failing scorer
-
-	waiterDone := make(chan struct{})
-	var waiterVal float64
-	var waiterErr error
-	go func() {
-		defer close(waiterDone)
-		var out []float64
-		out, waiterErr = cachedPredict(s, &rowScratch{}, m, gen, d.Row(5))
-		waiterVal = out[0]
-	}()
-	time.Sleep(20 * time.Millisecond) // waiter coalesces onto the flight
-	close(release)                    // leader's scoring now fails
-	wg.Wait()
-	if err := <-leaderErr; !errors.Is(err, boom) {
-		t.Fatalf("leader error = %v, want injected failure", err)
-	}
-	select {
-	case <-waiterDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never resolved after leader abandoned")
-	}
-	if waiterErr != nil {
-		t.Fatalf("waiter error: %v", waiterErr)
-	}
-	if waiterVal != want {
-		t.Fatalf("waiter fallback value %v != offline %v", waiterVal, want)
 	}
 }
 

@@ -268,8 +268,8 @@ func TestServerReportEndpoint(t *testing.T) {
 
 // TestServerShedMapsTo429 wires a blocking scorer behind the HTTP
 // surface and pins the load-shedding contract: 429, Retry-After header,
-// JSON error body. Each request carries a distinct row: identical rows
-// would coalesce on the cache's flight instead of filling the queue.
+// JSON error body. Each request carries a distinct row, so none can be
+// answered from the cache instead of filling the queue.
 func TestServerShedMapsTo429(t *testing.T) {
 	s, d, _ := newTestServer(t)
 	h := s.Handler()

@@ -152,7 +152,7 @@ assert r["version"] == 1
 assert r["models"] == ["pd-lre", "pd-tree"] and r["generation"] == 2
 # Every served row was scored by the batcher or answered by the cache
 # (the single row repeats batch row 0, so it is a hit).
-served = r["predictions"] + r["cache"]["hits"] + r["cache"]["coalesced"]
+served = r["predictions"] + r["cache"]["hits"]
 assert r["requests"] >= 3 and served >= 9, r
 assert r["cache"]["hits"] >= 1, r["cache"]
 assert r["shed"] == 0 and r["errors"] == 0 and r["reloads"] == 1
