@@ -32,12 +32,14 @@ bench:
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_6.json < bench.out.tmp
 	@rm -f bench.out.tmp
 
-# Serving-cache benchmarks → BENCH_8.json: cached (hot-row, 0 allocs)
-# vs uncached single-row prediction through the full serving path. No
-# baseline file — the uncached bench in the same snapshot IS the
-# baseline the cache's latency win is judged against.
+# Serving benchmarks → BENCH_8.json: cached (hot-row, 0 allocs) vs
+# uncached single-row prediction through the full serving path, and the
+# metrics histogram's Observe (serial and parallel, 0 allocs) that serve
+# and gateway call on every request. No baseline file — the uncached
+# bench in the same snapshot IS the baseline the cache's latency win is
+# judged against.
 bench-serve:
-	$(GO) test -run xxx -bench 'CachedPredict|UncachedPredict' -benchmem -count=2 ./internal/serve > bench.out.tmp
+	$(GO) test -run xxx -bench 'CachedPredict|UncachedPredict|HistogramObserve' -benchmem -count=2 ./internal/serve ./internal/obs > bench.out.tmp
 	$(GO) run ./cmd/benchjson -o BENCH_8.json < bench.out.tmp
 	@rm -f bench.out.tmp
 
@@ -54,12 +56,12 @@ bench-active:
 # Perf-regression gate: re-run the serving-cache and acquisition
 # benchmarks and diff them against the committed BENCH_8.json /
 # BENCH_10.json. ns/op gets a 4x tolerance (CI hardware varies);
-# allocs/op gets none, so the cached-predict and score-chunk paths'
-# 0 allocs/op are exact pins. An intended regression is waived by
+# allocs/op gets none, so the cached-predict, histogram-observe and
+# score-chunk paths' 0 allocs/op are exact pins. An intended regression is waived by
 # regenerating the baseline (`make bench-serve` / `make bench-active`)
 # and committing it.
 bench-diff:
-	$(GO) test -run xxx -bench 'CachedPredict|UncachedPredict' -benchmem -count=2 ./internal/serve > bench.out.tmp
+	$(GO) test -run xxx -bench 'CachedPredict|UncachedPredict|HistogramObserve' -benchmem -count=2 ./internal/serve ./internal/obs > bench.out.tmp
 	$(GO) run ./cmd/benchdiff -baseline BENCH_8.json < bench.out.tmp
 	@rm -f bench.out.tmp
 	$(GO) test -run xxx -bench 'Acquire|ScoreChunk' -benchmem -count=2 ./internal/active > bench.out.tmp

@@ -3,7 +3,7 @@
 // to the baseline JSON (as written by cmd/benchjson), and exits 1 on
 // regression:
 //
-//	go test -run xxx -bench 'CachedPredict|UncachedPredict' -benchmem -count=2 ./internal/serve \
+//	go test -run xxx -bench 'CachedPredict|UncachedPredict|HistogramObserve' -benchmem -count=2 ./internal/serve ./internal/obs \
 //	    | go run ./cmd/benchdiff -baseline BENCH_8.json
 //
 // Three rules, chosen so the gate is meaningful on noisy shared CI

@@ -7,7 +7,7 @@
 //	GET  /v1/models    list loaded models (kind, family tag, schema) and the catalog generation
 //	GET  /v1/report    live ServeReport snapshot
 //	POST /admin/reload atomically reload the model directory
-//	GET  /metrics      obs metrics snapshot (plus /debug/vars, /debug/pprof)
+//	GET  /metrics      obs metrics, Prometheus text (plus /debug/vars, /debug/pprof)
 //	GET  /healthz      liveness probe
 //
 // SIGHUP reloads the model directory in place (a failed reload keeps

@@ -15,7 +15,7 @@
 //	GET  /v1/report    proxy to a healthy replica (that replica's ServeReport)
 //	POST /admin/reload fan the reload out to every replica
 //	GET  /gw/report    live GatewayReport snapshot
-//	GET  /metrics      gateway metrics (plus /debug/vars, /debug/pprof)
+//	GET  /metrics      gateway metrics, Prometheus text (plus /debug/vars, /debug/pprof)
 //	GET  /healthz      gateway liveness (503 when no replica is healthy)
 //
 // SIGTERM/SIGINT drain gracefully, mirroring the daemon's contract: the

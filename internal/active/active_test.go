@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"perfpred/internal/dataset"
@@ -739,12 +740,12 @@ func TestScoreAllEmitsKernelEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events int64
-	var samples int64
+	// The hook runs on the engine's workers.
+	var events, samples atomic.Int64
 	hook := func(e engine.Event) {
 		if e.Kind == engine.KernelTime && e.Label == "active score" {
-			events++
-			samples += e.Samples
+			events.Add(1)
+			samples.Add(e.Samples)
 		}
 	}
 	n := pool.Len()
@@ -752,7 +753,7 @@ func TestScoreAllEmitsKernelEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events == 0 || samples != int64(n) {
-		t.Fatalf("kernel events %d covering %d samples, want >0 covering %d", events, samples, n)
+	if events.Load() == 0 || samples.Load() != int64(n) {
+		t.Fatalf("kernel events %d covering %d samples, want >0 covering %d", events.Load(), samples.Load(), n)
 	}
 }

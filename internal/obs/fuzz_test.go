@@ -52,7 +52,11 @@ func FuzzMetricsSnapshotJSON(f *testing.F) {
 	reg := NewRegistry()
 	reg.Counter("engine.tasks.done").Add(3)
 	reg.Histogram("engine.task_seconds").Observe(0.5)
-	f.Add(reg.String())
+	seed, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(seed))
 	f.Add(`{"counters":{"a":1},"histograms":{"h":{"count":2,"sum":3,"p50":1.5}}}`)
 	f.Add(`{"gauges":{"g":-0.5}}`)
 	f.Add(`[]`)

@@ -150,7 +150,7 @@ func BuildGatewayReport(meta GatewayMeta, reg *Registry) *GatewayReport {
 // Validate checks structural invariants: supported version, at least one
 // replica, non-negative counters, internally consistent sub-counts
 // (hedge wins ≤ hedges, transition counts match the per-replica census)
-// and finite histogram numbers.
+// and finite, ordered histogram summaries.
 func (r *GatewayReport) Validate() error {
 	if r == nil {
 		return errors.New("obs: nil gateway report")
@@ -208,13 +208,8 @@ func (r *GatewayReport) Validate() error {
 	for name, h := range map[string]HistogramStats{
 		"latency_seconds": r.LatencySeconds, "upstream_seconds": r.UpstreamSeconds,
 	} {
-		for _, v := range []float64{h.Sum, h.Min, h.Max, h.Mean, h.P50, h.P95, h.P99} {
-			if !isFinite(v) {
-				return fmt.Errorf("obs: gateway report histogram %s has non-finite value", name)
-			}
-		}
-		if h.Count < 0 {
-			return fmt.Errorf("obs: gateway report histogram %s has negative count", name)
+		if err := h.validate(); err != nil {
+			return fmt.Errorf("obs: gateway report histogram %s %w", name, err)
 		}
 	}
 	return nil

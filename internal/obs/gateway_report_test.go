@@ -75,6 +75,8 @@ func TestGatewayReportValidateRejects(t *testing.T) {
 		},
 		"census disagrees with totals": func(r *GatewayReport) { r.Ejects += 5 },
 		"negative uptime":              func(r *GatewayReport) { r.UptimeSeconds = -1 },
+		"p99 above max":                func(r *GatewayReport) { r.LatencySeconds.P99 = r.LatencySeconds.Max * 2 },
+		"p50 above p95":                func(r *GatewayReport) { r.UpstreamSeconds.P50 = r.UpstreamSeconds.P95 * 1.5 },
 	}
 	for name, corrupt := range cases {
 		r := sampleGatewayReport()

@@ -1,11 +1,17 @@
 package obs
 
 import (
+	"bufio"
 	"expvar"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -37,9 +43,9 @@ func PublishExpvar(reg *Registry) {
 }
 
 // MetricsHandler returns an http.Handler serving the observability
-// surface rooted at /debug: expvar on /debug/vars (including the
-// registry, published as "perfpred"), pprof on /debug/pprof/, and the
-// registry alone as compact JSON on /metrics.
+// surface: the registry in Prometheus text format on /metrics, expvar on
+// /debug/vars (including the registry as JSON, published as "perfpred")
+// and pprof on /debug/pprof/.
 func MetricsHandler(reg *Registry) http.Handler {
 	PublishExpvar(reg)
 	mux := http.NewServeMux()
@@ -50,10 +56,67 @@ func MetricsHandler(reg *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, reg.String())
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		reg.WritePrometheus(w) //nolint:errcheck // the client went away
 	})
 	return mux
+}
+
+// WritePrometheus renders a snapshot of the registry in the Prometheus
+// text exposition format, version 0.0.4: each counter as a counter, each
+// gauge as a gauge, and each histogram as a summary with quantile 0.5,
+// 0.95 and 0.99 samples plus _sum and _count. A metric's exposed name is
+// "perfpred_" + its registry name with every character outside
+// [a-zA-Z0-9_:] replaced by '_' (so "serve.latency_seconds" becomes
+// perfpred_serve_latency_seconds). Families are sorted by name within
+// each kind.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	snap := r.Snapshot()
+	bw := bufio.NewWriter(w)
+	for _, k := range sortedKeys(snap.Counters) {
+		name := promName(k)
+		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", name, name, snap.Counters[k])
+	}
+	for _, k := range sortedKeys(snap.Gauges) {
+		name := promName(k)
+		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(snap.Gauges[k]))
+	}
+	for _, k := range sortedKeys(snap.Histograms) {
+		h, name := snap.Histograms[k], promName(k)
+		qs := [3]float64{h.P50, h.P95, h.P99}
+		if h.Count == 0 {
+			qs = [3]float64{math.NaN(), math.NaN(), math.NaN()}
+		}
+		fmt.Fprintf(bw, "# TYPE %s summary\n", name)
+		for i, q := range [3]string{"0.5", "0.95", "0.99"} {
+			fmt.Fprintf(bw, "%s{quantile=\"%s\"} %s\n", name, q, promFloat(qs[i]))
+		}
+		fmt.Fprintf(bw, "%s_sum %s\n%s_count %d\n", name, promFloat(h.Sum), name, h.Count)
+	}
+	return bw.Flush()
+}
+
+// promName maps a registry name to a valid Prometheus metric name.
+func promName(name string) string {
+	return "perfpred_" + strings.Map(func(c rune) rune {
+		if c == '_' || c == ':' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+			return c
+		}
+		return '_'
+	}, name)
+}
+
+// promFloat formats a sample value; NaN and ±Inf come out as the
+// exposition format spells them (NaN, +Inf, -Inf).
+func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // StartMetricsServer listens on addr (e.g. "localhost:6060") and serves

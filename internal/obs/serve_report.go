@@ -188,7 +188,8 @@ func BuildServeReport(meta ServeMeta, reg *Registry) *ServeReport {
 }
 
 // Validate checks structural invariants: supported version, non-negative
-// counters, and finite numbers everywhere (JSON cannot carry NaN/Inf).
+// counters, finite numbers everywhere (JSON cannot carry NaN/Inf) and
+// ordered histogram quantiles.
 func (r *ServeReport) Validate() error {
 	if r == nil {
 		return errors.New("obs: nil serve report")
@@ -215,13 +216,8 @@ func (r *ServeReport) Validate() error {
 		"batch_size": r.BatchSize, "queue_wait_seconds": r.QueueWaitSeconds,
 		"latency_seconds": r.LatencySeconds, "kernel_seconds": r.KernelSeconds,
 	} {
-		for _, v := range []float64{h.Sum, h.Min, h.Max, h.Mean, h.P50, h.P95, h.P99} {
-			if !isFinite(v) {
-				return fmt.Errorf("obs: serve report histogram %s has non-finite value", name)
-			}
-		}
-		if h.Count < 0 {
-			return fmt.Errorf("obs: serve report histogram %s has negative count", name)
+		if err := h.validate(); err != nil {
+			return fmt.Errorf("obs: serve report histogram %s %w", name, err)
 		}
 	}
 	return nil

@@ -77,6 +77,24 @@ func TestServeReportValidateRejects(t *testing.T) {
 	if err := rep.Validate(); err == nil {
 		t.Fatal("negative counter accepted")
 	}
+	reg := NewRegistry()
+	for _, v := range []float64{0.001, 0.002, 0.003, 0.05} {
+		reg.Histogram(MetricServeLatency).Observe(v)
+	}
+	for name, corrupt := range map[string]func(*HistogramStats){
+		"p50 below min": func(h *HistogramStats) { h.P50 = h.Min / 2 },
+		"p95 below p50": func(h *HistogramStats) { h.P95 = h.P50 / 2 },
+		"p99 above max": func(h *HistogramStats) { h.P99 = h.Max * 2 },
+	} {
+		rep = BuildServeReport(ServeMeta{}, reg)
+		if err := rep.Validate(); err != nil {
+			t.Fatalf("live report invalid: %v", err)
+		}
+		corrupt(&rep.LatencySeconds)
+		if err := rep.Validate(); err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Errorf("%s accepted: %v", name, err)
+		}
+	}
 	if _, err := ReadServeReport(strings.NewReader("{nope")); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}

@@ -19,9 +19,9 @@
 //     drain the queue completely on shutdown.
 //   - [Server]: the HTTP surface — POST /v1/predict (single row or
 //     batch), GET /v1/models, GET /v1/report, POST /admin/reload,
-//     GET /healthz — plus the obs metrics endpoints (/metrics JSON,
-//     /debug/vars expvar, /debug/pprof) fed by the serve.* counters and
-//     histograms named in the obs package.
+//     GET /healthz — plus the obs metrics endpoints (/metrics in
+//     Prometheus text, /debug/vars expvar, /debug/pprof) fed by the
+//     serve.* counters and histograms named in the obs package.
 //
 // A /v1/predict request takes one path: decode the body, resolve the
 // model and the rows against its schema, encode each row exactly once,

@@ -197,15 +197,18 @@ func TestServerModelsAndMetrics(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/metrics: %d", w.Code)
 	}
-	var snap obs.MetricsSnapshot
-	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("/metrics not JSON: %v\n%s", err, w.Body)
+	if ct := w.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4" {
+		t.Fatalf("/metrics Content-Type %q", ct)
 	}
-	if snap.Counters[obs.MetricServeRequests] != 1 || snap.Counters[obs.MetricServePredictions] != 1 {
-		t.Fatalf("/metrics counters: %+v", snap.Counters)
-	}
-	if snap.Histograms[obs.MetricServeLatency].Count < 1 {
-		t.Fatalf("/metrics latency histogram empty: %+v", snap.Histograms)
+	// The latency histogram is observed as the handler returns, so the
+	// request just served is counted by now.
+	for _, line := range []string{
+		"perfpred_serve_requests 1", "perfpred_serve_predictions 1",
+		"# TYPE perfpred_serve_latency_seconds summary", "perfpred_serve_latency_seconds_count 1",
+	} {
+		if !strings.Contains(w.Body.String(), "\n"+line+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", line, w.Body)
+		}
 	}
 }
 

@@ -123,14 +123,21 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/predict" --data-
 [ "$code" = "400" ] || { echo "malformed request returned $code, want 400" >&2; exit 1; }
 
 say "/metrics counts the traffic"
-curl -sfS "$base/metrics" | python3 -c '
-import json, sys
-m = json.load(sys.stdin)
-c = m["counters"]
-assert c["serve.requests"] >= 2, c
-assert c["serve.predictions"] >= 5, c
-assert c["serve.shed"] == 0, c
-print("serve.requests=%d serve.predictions=%d" % (c["serve.requests"], c["serve.predictions"]))
+curl -sfS -D metrics.hdr "$base/metrics" | python3 -c '
+import sys
+hdr = open("metrics.hdr").read().lower()
+assert "content-type: text/plain; version=0.0.4" in hdr, hdr
+c = {}
+for line in sys.stdin:
+    if line.startswith("#"):
+        continue
+    name, value = line.split()
+    c[name] = float(value)
+assert c["perfpred_serve_requests"] >= 2, c
+assert c["perfpred_serve_predictions"] >= 5, c
+assert c["perfpred_serve_shed"] == 0, c
+assert c["perfpred_serve_latency_seconds_count"] >= 2, c
+print("serve.requests=%d serve.predictions=%d" % (c["perfpred_serve_requests"], c["perfpred_serve_predictions"]))
 '
 
 say "/admin/reload bumps the generation atomically"
