@@ -41,12 +41,13 @@ func main() {
 	log.SetPrefix("perfpredd: ")
 	addr := flag.String("addr", "localhost:8091", "listen address (port 0 picks a free port; see -addr-file)")
 	models := flag.String("models", "models", "directory of *.json predictor artifacts")
-	queue := flag.Int("queue", 256, "admission queue depth; a full queue sheds with 429")
-	maxBatch := flag.Int("max-batch", 64, "max rows coalesced into one kernel batch")
-	batchWait := flag.Duration("batch-wait", 500*time.Microsecond, "max time a gathered batch waits for more rows")
-	workers := flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
-	timeout := flag.Duration("request-timeout", 5*time.Second, "per-request prediction deadline")
-	cacheEntries := flag.Int("cache-entries", serve.DefaultCacheEntries, "prediction-cache capacity in entries")
+	d := serve.DefaultConfig()
+	queue := flag.Int("queue", d.Batcher.QueueDepth, "admission queue depth; a full queue sheds with 429")
+	maxBatch := flag.Int("max-batch", d.Batcher.MaxBatch, "max rows coalesced into one kernel batch")
+	batchWait := flag.Duration("batch-wait", d.Batcher.MaxWait, "max time a gathered batch waits for more rows")
+	workers := flag.Int("workers", d.Batcher.Workers, "batch worker goroutines (0 = GOMAXPROCS)")
+	timeout := flag.Duration("request-timeout", d.RequestTimeout, "per-request prediction deadline")
+	cacheEntries := flag.Int("cache-entries", d.CacheEntries, "prediction-cache capacity in entries")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
 	report := flag.String("report", "", "write a final ServeReport JSON here on shutdown")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")

@@ -5,10 +5,9 @@
 // the request's (model, rows) content — the same row hash the replicas'
 // prediction caches key on — so identical design points always land on
 // the same replica and its cache stays hot. Replicas are actively
-// health-checked and ejected/readmitted; transport failures relaunch
-// the attempt on the next replica in rendezvous order, and an optional
-// hedge delay races a second replica against a slow primary (first
-// response wins, loser cancelled).
+// health-checked and ejected/readmitted; a transport failure retries
+// the request on the next healthy replica in rendezvous order, while any
+// HTTP response, whatever its status, is relayed as the answer.
 //
 //	POST /v1/predict   route one prediction (response relayed byte-for-byte)
 //	GET  /v1/models    proxy to a healthy replica
@@ -50,13 +49,13 @@ func main() {
 	log.SetPrefix("perfpredgw: ")
 	addr := flag.String("addr", "localhost:8090", "listen address (port 0 picks a free port; see -addr-file)")
 	replicas := flag.String("replicas", "", "comma-separated perfpredd replica addresses (required)")
-	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "health-probe spacing to a healthy replica")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe deadline")
-	failThreshold := flag.Int("fail-threshold", 2, "consecutive failures that eject a replica")
-	readmitThreshold := flag.Int("readmit-threshold", 2, "consecutive probe successes that readmit a replica")
-	maxInFlight := flag.Int("max-in-flight", 256, "per-replica in-flight cap at the gateway (backstop; excess sheds 429)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "race a second replica after this long (0 disables hedging)")
-	timeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline per proxied request")
+	d := gateway.DefaultConfig()
+	probeInterval := flag.Duration("probe-interval", d.ProbeInterval, "health-probe spacing to a healthy replica")
+	probeTimeout := flag.Duration("probe-timeout", d.ProbeTimeout, "per-probe deadline")
+	failThreshold := flag.Int("fail-threshold", d.FailThreshold, "consecutive failures that eject a replica")
+	readmitThreshold := flag.Int("readmit-threshold", d.ReadmitThreshold, "consecutive probe successes that readmit a replica")
+	maxInFlight := flag.Int("max-in-flight", d.MaxInFlight, "per-replica in-flight cap at the gateway (backstop; excess sheds 429)")
+	timeout := flag.Duration("request-timeout", d.RequestTimeout, "end-to-end deadline per proxied request")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
 	report := flag.String("report", "", "write a final GatewayReport JSON here on shutdown")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
@@ -78,7 +77,6 @@ func main() {
 		FailThreshold:    *failThreshold,
 		ReadmitThreshold: *readmitThreshold,
 		MaxInFlight:      *maxInFlight,
-		HedgeDelay:       *hedgeDelay,
 		RequestTimeout:   *timeout,
 	}
 	if err := run(cfg, *addr, *addrFile, *report, *drainTimeout); err != nil {

@@ -83,8 +83,8 @@ func main() {
 			cs.Lookups, cs.Hits, cs.Evictions, cs.Invalidations)
 	}
 	if gw := rep.Gateway; gw != nil {
-		fmt.Printf("  gateway  kills %d  restarts %d  hedges %d (%d won)  retries %d  shed %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",
-			rep.ReplicaKills, rep.ReplicaRestarts, gw.Hedges, gw.HedgeWins, gw.Retries, gw.Shed,
+		fmt.Printf("  gateway  kills %d  restarts %d  retries %d  shed %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",
+			rep.ReplicaKills, rep.ReplicaRestarts, gw.Retries, gw.Shed,
 			gw.Ejects, gw.Readmits, gw.FaultsInjected, rep.AffinityKeys, rep.AffinityMaxSpread)
 	}
 	if !rep.OK() {

@@ -65,10 +65,6 @@ const (
 	// replica is selected: latency delays routing, a forced error answers
 	// the request 503 without consuming any replica capacity.
 	GatewayRoute
-	// GatewayHedge fires when the gateway is about to launch a hedged
-	// second attempt: latency delays the hedge's launch, a forced error
-	// suppresses the hedge entirely (the primary attempt keeps running).
-	GatewayHedge
 	// GatewayHealthProbe fires at the top of each active health probe: a
 	// forced error fails the probe as if the replica were unreachable,
 	// driving ejection without the replica ever misbehaving.
@@ -101,8 +97,6 @@ func (p Point) String() string {
 		return "serve.cache_lookup"
 	case GatewayRoute:
 		return "gateway.route"
-	case GatewayHedge:
-		return "gateway.hedge"
 	case GatewayHealthProbe:
 		return "gateway.health_probe"
 	case ActiveAcquireRound:

@@ -167,7 +167,6 @@ func TestPointNamesStable(t *testing.T) {
 		ServeReload:        "serve.reload",
 		ServeCacheLookup:   "serve.cache_lookup",
 		GatewayRoute:       "gateway.route",
-		GatewayHedge:       "gateway.hedge",
 		GatewayHealthProbe: "gateway.health_probe",
 		ActiveAcquireRound: "active.acquire_round",
 	}

@@ -20,12 +20,13 @@
 //     with deterministic doubling backoff between probes to a down
 //     replica). Timing is read through the faultinject clock so chaos
 //     runs observe reproducible timestamps.
-//   - Hedged retries: on idempotent predict calls, if the primary
-//     replica has not answered within HedgeDelay the gateway launches
-//     one hedged attempt on the next-best replica; the first response
-//     wins and the loser's context is cancelled. Transport failures
-//     (a killed replica) relaunch on the next replica in rendezvous
-//     order, so a replica crash mid-request loses nothing.
+//   - Synchronous retry down the rendezvous order: each predict runs
+//     in its handler goroutine. The first healthy replica is the
+//     primary; a transport failure (a killed replica) strikes it and
+//     retries on the next healthy replica in order, so a replica crash
+//     mid-request loses nothing. Every call to a replica goes through
+//     one helper, which never strikes a replica for a failure the
+//     caller caused by leaving or running out of time.
 //   - Bounded in-flight: each replica carries a gateway-side in-flight
 //     cap as an overload backstop; replica-side sheds (429 with a
 //     queue-pressure Retry-After) pass through to the client untouched.
@@ -74,9 +75,8 @@ type Config struct {
 	// cap is a backstop — the replica's own admission queue is the
 	// primary shedding point. Default 256.
 	MaxInFlight int
-	// HedgeDelay is how long the primary attempt may run before one
-	// hedged attempt launches on the next-best replica. 0 disables
-	// hedging.
+	// Deprecated: must be zero; kept only so bench/'s config literal
+	// compiles. New rejects any other value.
 	HedgeDelay time.Duration
 	// RequestTimeout caps one proxied predict end to end (all attempts
 	// included). Default 15s.
@@ -88,27 +88,42 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// DefaultConfig returns the gateway's defaults: the values New fills
+// into zero fields, and perfpredgw's flag defaults. MaxProbeBackoff is
+// left zero because its default follows ProbeInterval.
+func DefaultConfig() Config {
+	return Config{
+		ProbeInterval:    250 * time.Millisecond,
+		ProbeTimeout:     time.Second,
+		FailThreshold:    2,
+		ReadmitThreshold: 2,
+		MaxInFlight:      256,
+		RequestTimeout:   15 * time.Second,
+	}
+}
+
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
+		c.ProbeInterval = d.ProbeInterval
 	}
 	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
+		c.ProbeTimeout = d.ProbeTimeout
 	}
 	if c.MaxProbeBackoff <= 0 {
 		c.MaxProbeBackoff = 8 * c.ProbeInterval
 	}
 	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
+		c.FailThreshold = d.FailThreshold
 	}
 	if c.ReadmitThreshold <= 0 {
-		c.ReadmitThreshold = 2
+		c.ReadmitThreshold = d.ReadmitThreshold
 	}
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
+		c.MaxInFlight = d.MaxInFlight
 	}
 	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 15 * time.Second
+		c.RequestTimeout = d.RequestTimeout
 	}
 	return c
 }
@@ -118,8 +133,6 @@ func (c Config) withDefaults() Config {
 type metrics struct {
 	reg        *obs.Registry
 	requests   *obs.Counter
-	hedges     *obs.Counter
-	hedgeWins  *obs.Counter
 	retries    *obs.Counter
 	shed       *obs.Counter
 	errors     *obs.Counter
@@ -139,8 +152,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
 		reg:        reg,
 		requests:   reg.Counter(obs.MetricGatewayRequests),
-		hedges:     reg.Counter(obs.MetricGatewayHedges),
-		hedgeWins:  reg.Counter(obs.MetricGatewayHedgeWins),
 		retries:    reg.Counter(obs.MetricGatewayRetries),
 		shed:       reg.Counter(obs.MetricGatewayShed),
 		errors:     reg.Counter(obs.MetricGatewayErrors),
@@ -182,6 +193,9 @@ func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("gateway: no replicas configured")
+	}
+	if cfg.HedgeDelay != 0 {
+		return nil, fmt.Errorf("gateway: HedgeDelay %v: hedging was removed; leave it zero", cfg.HedgeDelay)
 	}
 	seen := map[string]bool{}
 	for _, addr := range cfg.Replicas {
@@ -343,17 +357,12 @@ func (g *Gateway) probe(rep *replica) {
 }
 
 func (g *Gateway) probeOnce(ctx context.Context, rep *replica) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/healthz", nil)
+	res, err := g.send(ctx, rep, http.MethodGet, "/healthz", nil, "")
 	if err != nil {
 		return err
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return err
-	}
-	drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gateway: %s /healthz answered %d", rep.addr, resp.StatusCode)
+	if res.status != http.StatusOK {
+		return fmt.Errorf("gateway: %s /healthz answered %d", rep.addr, res.status)
 	}
 	return nil
 }

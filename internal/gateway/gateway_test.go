@@ -290,44 +290,6 @@ func TestRetryOnDeadReplica(t *testing.T) {
 	}
 }
 
-// TestHedgeFirstResponseWins stalls the primary long enough that the
-// hedge answers first, and checks the hedge's response wins.
-func TestHedgeFirstResponseWins(t *testing.T) {
-	r1, r2 := newFakeReplica(t), newFakeReplica(t)
-	g := newTestGateway(t, Config{
-		ProbeInterval: time.Hour,
-		HedgeDelay:    20 * time.Millisecond,
-	}, r1, r2)
-
-	// Stall both, then un-stall whichever is NOT the owner so the hedge
-	// target answers instantly while the primary sleeps.
-	body := predictBody("m", 5, 5)
-	owner := doPredict(t, g, body).Header().Get(HeaderReplica)
-	for _, f := range []*fakeReplica{r1, r2} {
-		if f.addr() == owner {
-			f.set(func(x *fakeReplica) { x.stall = 400 * time.Millisecond })
-		}
-	}
-	start := time.Now()
-	rec := doPredict(t, g, body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged predict: status %d: %s", rec.Code, rec.Body)
-	}
-	if route := rec.Header().Get(HeaderRoute); route != RouteHedge {
-		t.Fatalf("route %q, want hedge", route)
-	}
-	if rep := rec.Header().Get(HeaderReplica); rep == owner {
-		t.Fatalf("winning replica %s is the stalled primary", rep)
-	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedge did not cut tail latency: took %v", elapsed)
-	}
-	snap := g.MetricsRegistry().Snapshot()
-	if snap.Counters[obs.MetricGatewayHedges] == 0 || snap.Counters[obs.MetricGatewayHedgeWins] == 0 {
-		t.Fatalf("hedge counters did not move: %+v", snap.Counters)
-	}
-}
-
 // TestEjectAndReadmit drives the health-state machine end to end with
 // active probes: a failing replica is ejected (and takes no traffic),
 // then readmitted once probes succeed again.
@@ -497,9 +459,9 @@ func TestAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestGatewayFaultPoints exercises the three injected gateway faults:
-// a route fault answers 503 without touching a replica, a hedge fault
-// suppresses the hedge, and a probe fault ejects a healthy replica.
+// TestGatewayFaultPoints exercises the two injected gateway faults: a
+// route fault answers 503 without touching a replica, and a probe fault
+// ejects a healthy replica.
 func TestGatewayFaultPoints(t *testing.T) {
 	t.Run("route", func(t *testing.T) {
 		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
@@ -517,26 +479,6 @@ func TestGatewayFaultPoints(t *testing.T) {
 		}
 		if g.MetricsRegistry().Snapshot().Counters[obs.MetricGatewayFaults] == 0 {
 			t.Fatal("fault counter did not move")
-		}
-	})
-	t.Run("hedge suppressed", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
-			faultinject.GatewayHedge: {Every: 1, Err: context.DeadlineExceeded},
-		}))
-		defer restore()
-		r1, r2 := newFakeReplica(t), newFakeReplica(t)
-		r1.set(func(f *fakeReplica) { f.stall = 80 * time.Millisecond })
-		r2.set(func(f *fakeReplica) { f.stall = 80 * time.Millisecond })
-		g := newTestGateway(t, Config{ProbeInterval: time.Hour, HedgeDelay: 10 * time.Millisecond}, r1, r2)
-		rec := doPredict(t, g, predictBody("m", 1))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("predict got %d", rec.Code)
-		}
-		if rec.Header().Get(HeaderRoute) != RoutePrimary {
-			t.Fatal("suppressed hedge still won")
-		}
-		if r1.predicts.Load()+r2.predicts.Load() != 1 {
-			t.Fatal("suppressed hedge still launched an attempt")
 		}
 	})
 	t.Run("probe fault ejects", func(t *testing.T) {
@@ -617,4 +559,82 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: []string{""}}); err == nil {
 		t.Error("New accepted an empty replica address")
 	}
+	if _, err := New(Config{Replicas: []string{"a:1"}, HedgeDelay: time.Millisecond}); err == nil {
+		t.Error("New accepted a non-zero HedgeDelay")
+	}
+}
+
+// assertNoStrikes fails unless every replica is still healthy with no
+// transport errors on record.
+func assertNoStrikes(t *testing.T, g *Gateway) {
+	t.Helper()
+	for _, rr := range g.Report().Replicas {
+		if !rr.Healthy || rr.TransportErrors != 0 {
+			t.Errorf("replica %s: healthy=%v transport errors=%d, want healthy with 0",
+				rr.Addr, rr.Healthy, rr.TransportErrors)
+		}
+	}
+}
+
+// TestAbandonedAdminCallsDoNotStrike pins that a reload fan-out or a
+// /v1/models proxy whose client has already gone never counts against
+// the replicas: the failure is the caller's own cancelled context, so
+// predicts afterwards must still find every replica healthy.
+func TestAbandonedAdminCallsDoNotStrike(t *testing.T) {
+	for _, tc := range []struct{ name, method, path string }{
+		{"reload", http.MethodPost, "/admin/reload"},
+		{"models", http.MethodGet, "/v1/models"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r1, r2 := newFakeReplica(t), newFakeReplica(t)
+			g := newTestGateway(t, Config{ProbeInterval: time.Hour, FailThreshold: 2}, r1, r2)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			for i := 0; i < 2; i++ {
+				req := httptest.NewRequest(tc.method, tc.path, nil).WithContext(ctx)
+				g.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			}
+			assertNoStrikes(t, g)
+			if rec := doPredict(t, g, predictBody("m", 1)); rec.Code != http.StatusOK {
+				t.Fatalf("predict after abandoned %s calls got %d: %s", tc.path, rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
+// TestAbandonedPredictNeverStrikes pins that a predict which ends
+// because its client left, or because RequestTimeout expired, answers
+// 504 and leaves the stalled replica healthy even at FailThreshold 1.
+func TestAbandonedPredictNeverStrikes(t *testing.T) {
+	t.Run("client cancels", func(t *testing.T) {
+		r1 := newFakeReplica(t)
+		r1.set(func(f *fakeReplica) { f.stall = 10 * time.Second })
+		g := newTestGateway(t, Config{ProbeInterval: time.Hour, FailThreshold: 1}, r1)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			for r1.predicts.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(predictBody("m", 1))).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("abandoned predict got %d, want 504", rec.Code)
+		}
+		assertNoStrikes(t, g)
+	})
+	t.Run("request timeout", func(t *testing.T) {
+		r1 := newFakeReplica(t)
+		r1.set(func(f *fakeReplica) { f.stall = 10 * time.Second })
+		g := newTestGateway(t, Config{
+			ProbeInterval: time.Hour, FailThreshold: 1, RequestTimeout: 50 * time.Millisecond,
+		}, r1)
+		if rec := doPredict(t, g, predictBody("m", 1)); rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("timed-out predict got %d, want 504", rec.Code)
+		}
+		assertNoStrikes(t, g)
+	})
 }

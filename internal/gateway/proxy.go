@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"perfpred/internal/faultinject"
 	"perfpred/internal/serve"
@@ -16,39 +15,32 @@ import (
 
 // Response headers the gateway stamps on proxied predictions. The chaos
 // harness reads them to verify cache affinity (hot rows landing on one
-// replica) and to account hedge/retry traffic separately.
+// replica) and to account retry traffic separately.
 const (
 	// HeaderReplica carries the upstream replica address that produced
 	// the response.
 	HeaderReplica = "X-Perfpred-Replica"
-	// HeaderRoute carries how the winning attempt was launched:
-	// "primary", "hedge" or "retry".
+	// HeaderRoute carries how the answering attempt was routed:
+	// "primary" or "retry".
 	HeaderRoute = "X-Perfpred-Route"
 )
 
 // Route values for HeaderRoute.
 const (
 	RoutePrimary = "primary"
-	RouteHedge   = "hedge"
 	RouteRetry   = "retry"
 )
 
-// upstream is one attempt's terminal outcome: either an HTTP response
-// (any status — replica 4xx/5xx pass through) or a transport error.
-type upstream struct {
-	rep      *replica
-	route    string
-	status   int
-	header   http.Header
-	body     []byte
-	err      error
-	canceled bool // err stems from the attempt's own context
+// reply is one replica's complete HTTP response, whatever its status.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
 }
 
-// handlePredict proxies one prediction through the replica tier:
-// route by rendezvous key, dispatch to the best healthy replica, hedge
-// on tail latency, retry on transport failure, and relay the winning
-// response byte-for-byte.
+// handlePredict proxies one prediction through the replica tier: route
+// by rendezvous key, dispatch down that order, and relay the answering
+// replica's response byte-for-byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := g.clock.Now()
 	// Register in-flight before re-checking the drain flag: Close sets
@@ -91,197 +83,119 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	} else {
 		order = g.spreadOrder()
 	}
-	res := g.dispatch(ctx, order, body, r.Header.Get("Content-Type"))
-	g.writeUpstream(w, res)
-}
-
-// dispatch runs the attempt loop for one request: launch the primary on
-// the best healthy replica, arm one hedge, relaunch on transport
-// failure, and return the first HTTP response (whatever its status).
-func (g *Gateway) dispatch(ctx context.Context, order []*replica, body []byte, contentType string) *upstream {
-	tried := make([]bool, len(g.reps))
-	// Buffered to the replica count so a late loser's send never blocks
-	// after dispatch has returned.
-	results := make(chan *upstream, len(g.reps))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-
-	// launch starts one attempt on the best healthy untried replica with
-	// a free in-flight slot; it reports false when no such replica exists.
-	launch := func(route string) bool {
-		for _, rep := range order {
-			if tried[rep.idx] || !rep.isHealthy() {
-				continue
-			}
-			if !rep.acquire(g.cfg.MaxInFlight) {
-				continue
-			}
-			tried[rep.idx] = true
-			actx, acancel := context.WithCancel(ctx)
-			cancels = append(cancels, acancel)
-			go g.attempt(actx, rep, route, body, contentType, results)
-			return true
-		}
-		return false
-	}
-
-	// Primary selection distinguishes "nobody healthy" (503: the tier is
-	// down) from "the routed replica is saturated" (429: back off). The
-	// gateway does not spill a saturated key onto other replicas — that
-	// would shred cache affinity exactly when the tier is busiest; the
-	// replica's own admission queue is the primary shed point and its
-	// 429s pass through long before the gateway cap bites.
-	primary := -1
-	for _, rep := range order {
-		if rep.isHealthy() {
-			primary = rep.idx
-			break
-		}
-	}
-	if primary < 0 {
-		g.met.errors.Inc()
-		return &upstream{status: http.StatusServiceUnavailable,
-			err: errors.New("no healthy replicas")}
-	}
-	if !g.reps[primary].acquire(g.cfg.MaxInFlight) {
-		g.met.shed.Inc()
-		return &upstream{status: http.StatusTooManyRequests,
-			err: errors.New("all routable replicas at in-flight capacity")}
-	}
-	tried[primary] = true
-	pctx, pcancel := context.WithCancel(ctx)
-	cancels = append(cancels, pcancel)
-	go g.attempt(pctx, g.reps[primary], RoutePrimary, body, contentType, results)
-
-	var hedgeC <-chan time.Time
-	if g.cfg.HedgeDelay > 0 && len(g.reps) > 1 {
-		t := time.NewTimer(g.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	outstanding := 1
-	for {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.err == nil {
-				// First HTTP response wins; cancel any other attempt (the
-				// deferred cancels) and relay.
-				if res.route == RouteHedge {
-					g.met.hedgeWins.Inc()
-				}
-				g.noteTransportOK(res.rep)
-				return res
-			}
-			if res.canceled || ctx.Err() != nil {
-				// The request context died (client gone or deadline); the
-				// failure says nothing about the replica.
-				return &upstream{err: ctx.Err(), canceled: true}
-			}
-			g.noteTransportError(res.rep)
-			if launch(RouteRetry) {
-				g.met.retries.Inc()
-				outstanding++
-			}
-			if outstanding == 0 {
-				g.met.errors.Inc()
-				return &upstream{status: http.StatusBadGateway,
-					err: fmt.Errorf("every routable replica failed (last: %v)", res.err)}
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			// Hedge fault point: latency delays the hedge's launch, a
-			// forced error suppresses it (the primary keeps running).
-			if fired, ferr := g.fi.Hit(ctx, faultinject.GatewayHedge); fired {
-				g.met.faults.Inc()
-				if ferr != nil {
-					continue
-				}
-			}
-			if launch(RouteHedge) {
-				g.met.hedges.Inc()
-				outstanding++
-			}
-		case <-ctx.Done():
-			return &upstream{err: ctx.Err(), canceled: true}
-		}
-	}
-}
-
-// attempt runs one upstream predict call and reports its outcome. The
-// response body is read in full here so the winner can be relayed
-// byte-for-byte and a mid-body connection tear still surfaces as a
-// retryable transport error, never as a truncated client response.
-func (g *Gateway) attempt(ctx context.Context, rep *replica, route string, body []byte, contentType string, out chan<- *upstream) {
-	defer rep.release()
-	rep.requests.Add(1)
-	start := g.clock.Now()
-	defer func() {
-		g.met.upstream.Observe(max(g.clock.Since(start).Seconds(), 0))
-	}()
-
-	fail := func(err error) {
-		out <- &upstream{rep: rep, route: route, err: err, canceled: ctx.Err() != nil}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		fail(err)
-		return
-	}
+	contentType := r.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
 	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := g.client.Do(req)
-	if err != nil {
-		fail(err)
-		return
-	}
-	rb, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fail(err)
-		return
-	}
-	out <- &upstream{rep: rep, route: route, status: resp.StatusCode, header: resp.Header, body: rb}
+	g.dispatch(ctx, w, order, body, contentType)
 }
 
-// writeUpstream relays a dispatch outcome to the client.
-func (g *Gateway) writeUpstream(w http.ResponseWriter, res *upstream) {
-	if res.err != nil && res.rep == nil && res.status == 0 {
-		// Request context died before any replica answered.
-		status := http.StatusGatewayTimeout
-		err := res.err
+// dispatch walks order synchronously and answers w. The first healthy
+// replica is the primary. A transport failure retries on the next
+// healthy replica with a free in-flight slot; the first HTTP response,
+// whatever its status, is relayed.
+//
+// A primary at its in-flight cap sheds 429 rather than spilling onto
+// other replicas: spilling would shred cache affinity exactly when the
+// tier is busiest, and the replica's own admission queue is the primary
+// shed point, whose 429s pass through long before the gateway cap bites.
+func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*replica, body []byte, contentType string) {
+	route := RoutePrimary
+	var lastErr error
+	for _, rep := range order {
+		if !rep.isHealthy() {
+			continue
+		}
+		if !rep.acquire(g.cfg.MaxInFlight) {
+			if route == RoutePrimary {
+				g.met.shed.Inc()
+				w.Header().Set("Retry-After", "1")
+				writeError(w, http.StatusTooManyRequests, errors.New("routed replica at in-flight capacity"))
+				return
+			}
+			continue
+		}
+		if route == RouteRetry {
+			g.met.retries.Inc()
+		}
+		rep.requests.Add(1)
+		start := g.clock.Now()
+		res, err := g.call(ctx, rep, http.MethodPost, "/v1/predict", body, contentType)
+		g.met.upstream.Observe(max(g.clock.Since(start).Seconds(), 0))
+		rep.release()
 		if err == nil {
-			err = errors.New("request cancelled")
+			w.Header().Set(HeaderRoute, route)
+			relay(w, rep, res)
+			return
 		}
-		g.met.errors.Inc()
-		writeError(w, status, err)
+		if ctx.Err() != nil {
+			// The client left or the deadline passed; call has not
+			// struck the replica.
+			g.met.errors.Inc()
+			writeError(w, http.StatusGatewayTimeout, ctx.Err())
+			return
+		}
+		lastErr = err
+		route = RouteRetry
+	}
+	g.met.errors.Inc()
+	if lastErr == nil {
+		writeError(w, http.StatusServiceUnavailable, errors.New("no healthy replicas"))
 		return
 	}
-	if res.rep == nil {
-		// Gateway-originated terminal status (503/429/502).
-		if res.status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, res.status, res.err)
-		return
+	writeError(w, http.StatusBadGateway, fmt.Errorf("every routable replica failed (last: %v)", lastErr))
+}
+
+// send makes one request to rep and reads the whole response body, so a
+// connection torn mid-body surfaces as an error, never as a truncated
+// relay. It touches no health state; probes use it directly.
+func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, body []byte, contentType string) (*reply, error) {
+	req, err := http.NewRequestWithContext(ctx, method, rep.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	// Replica response: relay byte-for-byte, preserving the headers that
-	// carry contract (content type, replica Retry-After backpressure).
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return &reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
+}
+
+// call is send on the request path, and the one place a request feeds
+// rep's health machine: any HTTP response resets its failure streak,
+// and a transport failure strikes it — unless ctx was already done,
+// because an abandoned client or an expired deadline says nothing about
+// the replica. Every predict, proxy and reload call goes through here.
+func (g *Gateway) call(ctx context.Context, rep *replica, method, path string, body []byte, contentType string) (*reply, error) {
+	res, err := g.send(ctx, rep, method, path, body, contentType)
+	switch {
+	case err == nil:
+		g.noteTransportOK(rep)
+	case ctx.Err() == nil:
+		g.noteTransportError(rep)
+	}
+	return res, err
+}
+
+// relay writes a replica's response to the client byte-for-byte,
+// preserving the headers that carry contract (content type, replica
+// Retry-After backpressure).
+func relay(w http.ResponseWriter, rep *replica, res *reply) {
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	if ra := res.header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.Header().Set(HeaderReplica, res.rep.addr)
-	w.Header().Set(HeaderRoute, res.route)
+	w.Header().Set(HeaderReplica, rep.addr)
 	w.WriteHeader(res.status)
 	w.Write(res.body) //nolint:errcheck // best-effort: client may have gone
 }
@@ -291,40 +205,18 @@ func (g *Gateway) writeUpstream(w http.ResponseWriter, res *upstream) {
 func (g *Gateway) proxyAny(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
-	var lastErr error
+	lastErr := errors.New("no healthy replicas")
 	for _, rep := range g.spreadOrder() {
 		if !rep.isHealthy() {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+r.URL.Path, nil)
+		res, err := g.call(ctx, rep, http.MethodGet, r.URL.Path, nil, "")
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.noteTransportError(rep)
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			g.noteTransportError(rep)
-			lastErr = err
-			continue
-		}
-		g.noteTransportOK(rep)
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.Header().Set(HeaderReplica, rep.addr)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body) //nolint:errcheck // best-effort
+		relay(w, rep, res)
 		return
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy replicas")
 	}
 	writeError(w, http.StatusBadGateway, fmt.Errorf("proxying %s: %w", r.URL.Path, lastErr))
 }
@@ -373,45 +265,26 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) reloadOne(ctx context.Context, rep *replica) ReloadResult {
-	res := ReloadResult{Addr: rep.addr}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/admin/reload", nil)
+	out := ReloadResult{Addr: rep.addr}
+	res, err := g.call(ctx, rep, http.MethodPost, "/admin/reload", nil, "")
 	if err != nil {
-		res.Error = err.Error()
-		return res
+		out.Error = err.Error()
+		return out
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.noteTransportError(rep)
-		res.Error = err.Error()
-		return res
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		g.noteTransportError(rep)
-		res.Error = err.Error()
-		return res
-	}
-	g.noteTransportOK(rep)
-	if resp.StatusCode != http.StatusOK {
+	if res.status != http.StatusOK {
 		var e serve.ErrorResponse
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			res.Error = e.Error
+		if json.Unmarshal(res.body, &e) == nil && e.Error != "" {
+			out.Error = e.Error
 		} else {
-			res.Error = fmt.Sprintf("reload answered %d", resp.StatusCode)
+			out.Error = fmt.Sprintf("reload answered %d", res.status)
 		}
-		return res
+		return out
 	}
 	var rr serve.ReloadResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		res.Error = fmt.Sprintf("parsing reload response: %v", err)
-		return res
+	if err := json.Unmarshal(res.body, &rr); err != nil {
+		out.Error = fmt.Sprintf("parsing reload response: %v", err)
+		return out
 	}
-	res.Generation = rr.Generation
-	return res
-}
-
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // connection reuse only
-	resp.Body.Close()
+	out.Generation = rr.Generation
+	return out
 }

@@ -135,9 +135,8 @@ func (g *Gateway) recordProbe(rep *replica, ok bool) {
 }
 
 // noteTransportError feeds a request-path transport failure (connection
-// refused, reset, torn body) into rep's state machine. Callers must NOT
-// invoke it for attempts whose own context was cancelled — a hedge
-// loser or an abandoned client says nothing about replica health.
+// refused, reset, torn body) into rep's state machine. Only call invokes
+// it, and never for a failure whose context was already done.
 func (g *Gateway) noteTransportError(rep *replica) {
 	rep.transportErrs.Add(1)
 	rep.mu.Lock()

@@ -82,9 +82,8 @@ func projectCell(v any) float64 {
 //   - ejecting a replica only moves the keys it owned (each falls back
 //     to its own second choice), leaving every other key's cache-warm
 //     home untouched — the property plain mod-N hashing lacks;
-//   - the ranking doubles as the hedge/retry fallback order: position
-//     k+1 is exactly where the key's cache entries migrate while
-//     position k is down.
+//   - the ranking doubles as the retry order: position k+1 is exactly
+//     where the key's cache entries migrate while position k is down.
 func (g *Gateway) order(key uint64) []*replica {
 	type scored struct {
 		rep   *replica

@@ -76,7 +76,7 @@ type Config struct {
 	// daemon the client talks to directly; ≥ 2 puts an internal/gateway
 	// front tier before them and adds the gateway invariants: hot
 	// single-row requests land on exactly one replica (cache affinity),
-	// the gateway's own report is consistent, and its shed/hedge/retry
+	// the gateway's own report is consistent, and its shed/retry
 	// accounting reconciles with what clients observed on the wire.
 	Replicas int
 	// ReplicaKill (≥ 2 replicas) kills one seed-chosen replica's
@@ -125,7 +125,6 @@ var (
 	errInjectedAdmit    = errors.New("loadtest: injected admission fault")
 	errInjectedReload   = errors.New("loadtest: injected reload fault")
 	errInjectedArtifact = errors.New("loadtest: injected artifact-read fault")
-	errInjectedHedge    = errors.New("loadtest: injected hedge suppression")
 )
 
 // chaosPlans are the fault plans a Faults run arms. Deterministic Every
@@ -143,11 +142,11 @@ var (
 // race rows already probed — the cache must absorb the stall without
 // changing a single bit. (Forced *errors* at that point take the
 // fail-open bypass and are pinned by the serve tests instead.)
-// A gateway-fronted tier additionally arms the front-tier points with
-// client-invisible faults: routing latency jitter and suppressed
-// hedges. (Forced routing errors and probe-driven ejection are pinned
-// by the gateway unit tests; in chaos runs real ejection comes from the
-// kill/restart choreography, so the affinity invariant stays sharp.)
+// A gateway-fronted tier additionally arms routing latency jitter, a
+// client-invisible front-tier fault. (Forced routing errors and
+// probe-driven ejection are pinned by the gateway unit tests; in chaos
+// runs real ejection comes from the kill/restart choreography, so the
+// affinity invariant stays sharp.)
 func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Point]faultinject.Plan {
 	// Artifact-read faults must start beyond the initial catalog loads
 	// (3 fixture models per daemon) so every daemon boots; with N
@@ -161,7 +160,6 @@ func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Poin
 	}
 	if replicas >= 2 {
 		plans[faultinject.GatewayRoute] = faultinject.Plan{Every: 31, Latency: time.Millisecond}
-		plans[faultinject.GatewayHedge] = faultinject.Plan{Every: 3, Err: errInjectedHedge}
 	}
 	return plans
 }
@@ -173,8 +171,8 @@ type outcome struct {
 	timedOut bool
 	err      string
 	preds    []float64 // parsed predictions for 200s
-	replica  string    // gateway-fronted: X-Perfpred-Replica of the winner
-	route    string    // gateway-fronted: X-Perfpred-Route of the winner
+	replica  string    // gateway-fronted: X-Perfpred-Replica of the answer
+	route    string    // gateway-fronted: X-Perfpred-Route of the answer
 }
 
 // harness is one run's live state.

@@ -291,8 +291,8 @@ func TestGatewayChaosKillRestart(t *testing.T) {
 	if rep.Gateway.Ejects == 0 || rep.Gateway.Readmits == 0 {
 		t.Errorf("health machine never cycled: %d ejects, %d readmits", rep.Gateway.Ejects, rep.Gateway.Readmits)
 	}
-	t.Logf("gateway counters: requests=%d hedges=%d hedgeWins=%d retries=%d shed=%d errors=%d ejects=%d readmits=%d",
-		rep.Gateway.Requests, rep.Gateway.Hedges, rep.Gateway.HedgeWins, rep.Gateway.Retries,
+	t.Logf("gateway counters: requests=%d retries=%d shed=%d errors=%d ejects=%d readmits=%d",
+		rep.Gateway.Requests, rep.Gateway.Retries,
 		rep.Gateway.Shed, rep.Gateway.Errors, rep.Gateway.Ejects, rep.Gateway.Readmits)
 	for _, rr := range rep.Gateway.Replicas {
 		t.Logf("  replica %s: healthy=%v requests=%d transportErrs=%d ejects=%d readmits=%d probes=%d probeFails=%d",

@@ -174,7 +174,7 @@ func (h *harness) report(inj *faultinject.Injector, elapsed time.Duration) *Repo
 // nothing live, so it can be driven offline with synthetic evidence.
 //
 // Every tier-wide check treats a missing gateway as one whose shed,
-// hedge, retry, error and fault counters are zero; only the gateway
+// retry, error and fault counters are zero; only the gateway
 // report's own validity, the kill choreography and cache affinity are
 // checked for a fronted tier alone.
 func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
@@ -253,13 +253,13 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 	// Every wire-observed 429 was counted by a replica's batcher or the
 	// gateway's in-flight cap. The converse allows slack for clients that
 	// abandoned their request at its own deadline (the 429 was sent but
-	// never read) and for losing hedge/retry attempts (their 429 lost the
-	// first-response race).
+	// never read) and for retried attempts (a replica may count a shed
+	// whose 429 never reached the gateway before the connection broke).
 	if shed < observed429 {
 		v.addf("tier shed %d but %d requests saw 429 — shed without telling the client", shed, observed429)
-	} else if slack := observed429 + int64(rep.ClientTimeouts) + gw.Hedges + gw.Retries; shed > slack {
-		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d hedges + %d retries — requests dropped without a 429",
-			shed, observed429, rep.ClientTimeouts, gw.Hedges, gw.Retries)
+	} else if slack := observed429 + int64(rep.ClientTimeouts) + gw.Retries; shed > slack {
+		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d retries — requests dropped without a 429",
+			shed, observed429, rep.ClientTimeouts, gw.Retries)
 	}
 	if served < int64(rows200) {
 		v.addf("replicas served %d rows but clients saw %d rows in 200s", served, rows200)
@@ -438,8 +438,8 @@ func checkGateway(cfg Config, outs []outcome, rep *Report, v *violations) {
 
 	// Cache affinity: all primary-routed single-row 200s of one
 	// (model, row) key must come from one replica — two across a
-	// kill/restart (the key's rendezvous fallback). Hedge and retry
-	// winners are excluded: they land elsewhere by design.
+	// kill/restart (the key's rendezvous fallback). Retried answers are
+	// excluded: they land elsewhere by design.
 	spread := map[string]map[string]bool{}
 	for i := range outs {
 		out := &outs[i]

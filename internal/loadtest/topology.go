@@ -159,7 +159,6 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 		ReadmitThreshold: 2,
 		MaxProbeBackoff:  100 * time.Millisecond,
 		MaxInFlight:      2 * cfg.Workers,
-		HedgeDelay:       10 * time.Millisecond,
 		RequestTimeout:   5 * time.Second,
 		Metrics:          obs.NewRegistry(),
 	})

@@ -15,17 +15,11 @@ const (
 	// MetricGatewayRequests counts /v1/predict requests the gateway
 	// accepted for routing (shed and drained requests included).
 	MetricGatewayRequests = "gateway.requests"
-	// MetricGatewayHedges counts hedged second attempts launched for
-	// tail latency.
-	MetricGatewayHedges = "gateway.hedges"
-	// MetricGatewayHedgeWins counts requests whose terminal response came
-	// from the hedge attempt rather than the primary.
-	MetricGatewayHedgeWins = "gateway.hedge_wins"
-	// MetricGatewayRetries counts attempts relaunched on another replica
+	// MetricGatewayRetries counts attempts retried on the next replica
 	// after a transport failure (a killed or unreachable replica).
 	MetricGatewayRetries = "gateway.retries"
 	// MetricGatewayShed counts requests the gateway rejected with its own
-	// 429 because every routable replica was at its in-flight cap.
+	// 429 because the routed replica was at its in-flight cap.
 	// (Replica-side sheds pass through and are counted by the replica.)
 	MetricGatewayShed = "gateway.shed"
 	// MetricGatewayErrors counts gateway-originated terminal errors: no
@@ -42,17 +36,17 @@ const (
 	// error, non-200, or an injected gateway.health_probe fault).
 	MetricGatewayProbeFailures = "gateway.probe_failures"
 	// MetricGatewayFaults counts injected faults that fired on the
-	// gateway path (route, hedge, health probe) — 0 outside chaos runs.
+	// gateway path (route, health probe) — 0 outside chaos runs.
 	MetricGatewayFaults = "gateway.faults_injected"
 	// MetricGatewayLatency observes end-to-end gateway predict seconds.
 	MetricGatewayLatency = "gateway.latency_seconds"
 	// MetricGatewayUpstream observes per-attempt upstream seconds
-	// (primary, hedge and retry attempts each observe once).
+	// (primary and retry attempts each observe once).
 	MetricGatewayUpstream = "gateway.upstream_seconds"
 )
 
 // GatewayReportVersion is the current GatewayReport schema version.
-const GatewayReportVersion = 1
+const GatewayReportVersion = 2
 
 // ReplicaReport is one replica's lifetime as the gateway saw it.
 type ReplicaReport struct {
@@ -85,7 +79,7 @@ type GatewayMeta struct {
 
 // GatewayReport is the machine-readable record of one gateway lifetime —
 // the front-tier analogue of ServeReport: which replicas it fronted and
-// their health history, how much traffic it routed, how often it hedged,
+// their health history, how much traffic it routed, how often it
 // retried, shed and erred, and how fast. The gateway exposes it live on
 // /gw/report and cmd/perfpredgw writes it at SIGTERM drain behind
 // -report.
@@ -101,14 +95,12 @@ type GatewayReport struct {
 
 	// Requests through Errors are the lifetime counters (see the
 	// MetricGateway* names).
-	Requests  int64 `json:"requests"`
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedge_wins"`
-	Retries   int64 `json:"retries"`
-	Shed      int64 `json:"shed"`
-	Errors    int64 `json:"errors"`
-	Ejects    int64 `json:"ejects"`
-	Readmits  int64 `json:"readmits"`
+	Requests int64 `json:"requests"`
+	Retries  int64 `json:"retries"`
+	Shed     int64 `json:"shed"`
+	Errors   int64 `json:"errors"`
+	Ejects   int64 `json:"ejects"`
+	Readmits int64 `json:"readmits"`
 	// FaultsInjected counts injected gateway-path faults (0 outside
 	// chaos runs).
 	FaultsInjected int64 `json:"faults_injected"`
@@ -132,8 +124,6 @@ func BuildGatewayReport(meta GatewayMeta, reg *Registry) *GatewayReport {
 	if reg != nil {
 		snap := reg.Snapshot()
 		r.Requests = snap.Counters[MetricGatewayRequests]
-		r.Hedges = snap.Counters[MetricGatewayHedges]
-		r.HedgeWins = snap.Counters[MetricGatewayHedgeWins]
 		r.Retries = snap.Counters[MetricGatewayRetries]
 		r.Shed = snap.Counters[MetricGatewayShed]
 		r.Errors = snap.Counters[MetricGatewayErrors]
@@ -148,8 +138,8 @@ func BuildGatewayReport(meta GatewayMeta, reg *Registry) *GatewayReport {
 }
 
 // Validate checks structural invariants: supported version, at least one
-// replica, non-negative counters, internally consistent sub-counts
-// (hedge wins ≤ hedges, transition counts match the per-replica census)
+// replica, non-negative counters, transition counts that match the
+// per-replica census
 // and finite, ordered histogram summaries.
 func (r *GatewayReport) Validate() error {
 	if r == nil {
@@ -162,16 +152,12 @@ func (r *GatewayReport) Validate() error {
 		return errors.New("obs: gateway report has no replicas")
 	}
 	for name, v := range map[string]int64{
-		"requests": r.Requests, "hedges": r.Hedges, "hedge_wins": r.HedgeWins,
-		"retries": r.Retries, "shed": r.Shed, "errors": r.Errors,
+		"requests": r.Requests, "retries": r.Retries, "shed": r.Shed, "errors": r.Errors,
 		"ejects": r.Ejects, "readmits": r.Readmits, "faults_injected": r.FaultsInjected,
 	} {
 		if v < 0 {
 			return fmt.Errorf("obs: gateway report %s is negative", name)
 		}
-	}
-	if r.HedgeWins > r.Hedges {
-		return fmt.Errorf("obs: gateway report hedge_wins %d exceeds hedges %d", r.HedgeWins, r.Hedges)
 	}
 	var ejects, readmits int64
 	for i, rep := range r.Replicas {

@@ -11,8 +11,6 @@ import (
 func sampleGatewayReport() *GatewayReport {
 	reg := NewRegistry()
 	reg.Counter(MetricGatewayRequests).Add(100)
-	reg.Counter(MetricGatewayHedges).Add(8)
-	reg.Counter(MetricGatewayHedgeWins).Add(3)
 	reg.Counter(MetricGatewayRetries).Add(2)
 	reg.Counter(MetricGatewayShed).Add(1)
 	reg.Counter(MetricGatewayEjects).Add(1)
@@ -37,7 +35,7 @@ func TestGatewayReportRoundTrip(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if r.Requests != 100 || r.Hedges != 8 || r.HedgeWins != 3 || r.Shed != 1 {
+	if r.Requests != 100 || r.Retries != 2 || r.Shed != 1 {
 		t.Fatalf("counters not read from registry: %+v", r)
 	}
 	path := filepath.Join(t.TempDir(), "gw.json")
@@ -62,11 +60,10 @@ func TestGatewayReportRoundTrip(t *testing.T) {
 // TestGatewayReportValidateRejects drives each structural invariant.
 func TestGatewayReportValidateRejects(t *testing.T) {
 	cases := map[string]func(*GatewayReport){
-		"wrong version":            func(r *GatewayReport) { r.Version = 99 },
-		"no replicas":              func(r *GatewayReport) { r.Replicas = nil },
-		"negative counter":         func(r *GatewayReport) { r.Requests = -1 },
-		"hedge wins exceed hedges": func(r *GatewayReport) { r.HedgeWins = r.Hedges + 1 },
-		"replica without address":  func(r *GatewayReport) { r.Replicas[0].Addr = "" },
+		"wrong version":           func(r *GatewayReport) { r.Version = 99 },
+		"no replicas":             func(r *GatewayReport) { r.Replicas = nil },
+		"negative counter":        func(r *GatewayReport) { r.Requests = -1 },
+		"replica without address": func(r *GatewayReport) { r.Replicas[0].Addr = "" },
 		"probe failures exceed probes": func(r *GatewayReport) {
 			r.Replicas[0].ProbeFailures = r.Replicas[0].Probes + 1
 		},

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +67,7 @@ type BatcherConfig struct {
 	// after picking up the first one, trading that bounded latency for
 	// bigger kernel batches. The zero value (kept by withDefaults)
 	// coalesces only already-queued requests; perfpredd's -batch-wait
-	// flag defaults to 500µs.
+	// flag defaults to DefaultConfig's 500µs.
 	MaxWait time.Duration
 	// Workers is the number of batch-executor goroutines, each owning
 	// engine worker-local scratch. Default GOMAXPROCS.
@@ -76,17 +75,18 @@ type BatcherConfig struct {
 }
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
+	d := DefaultConfig().Batcher
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
+		c.QueueDepth = d.QueueDepth
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
+		c.MaxBatch = d.MaxBatch
 	}
 	if c.MaxWait < 0 {
 		c.MaxWait = 0
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = d.Workers
 	}
 	return c
 }

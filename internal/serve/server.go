@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,13 +25,29 @@ type Config struct {
 	Batcher BatcherConfig
 	// RequestTimeout is the per-request deadline applied to every
 	// admitted prediction (propagated through the batcher via the
-	// request context). 0 means 5s.
+	// request context). 0 means DefaultConfig's 5s.
 	RequestTimeout time.Duration
 	// CacheEntries bounds the prediction cache every request goes
 	// through; 0 or less means DefaultCacheEntries.
 	CacheEntries int
 	// Metrics is the registry to record into; nil creates a private one.
 	Metrics *obs.Registry
+}
+
+// DefaultConfig returns perfpredd's defaults (ModelsDir aside). New
+// fills zero fields from the same values, except Batcher.MaxWait, whose
+// zero value (no linger) stays as given.
+func DefaultConfig() Config {
+	return Config{
+		Batcher: BatcherConfig{
+			QueueDepth: 256,
+			MaxBatch:   64,
+			MaxWait:    500 * time.Microsecond,
+			Workers:    runtime.GOMAXPROCS(0),
+		},
+		RequestTimeout: 5 * time.Second,
+		CacheEntries:   DefaultCacheEntries,
+	}
 }
 
 // Server is the serving daemon: registry + micro-batcher + HTTP surface.
@@ -55,7 +72,7 @@ type Server struct {
 // Close to drain.
 func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
+		cfg.RequestTimeout = DefaultConfig().RequestTimeout
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = DefaultCacheEntries

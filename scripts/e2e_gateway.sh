@@ -63,7 +63,7 @@ echo "replicas at $a1 (pid $d1pid) and $a2 (pid $d2pid)"
 say "start perfpredgw fronting both"
 ./perfpredgw -replicas "$a1,$a2" -addr 127.0.0.1:0 -addr-file gwaddr \
   -report gw-report.json -probe-interval 100ms -fail-threshold 2 \
-  -readmit-threshold 2 -hedge-delay 250ms &
+  -readmit-threshold 2 &
 gwpid=$!
 pids+=("$gwpid")
 for _ in $(seq 1 100); do
@@ -168,7 +168,8 @@ wait "$spid"
 python3 - <<EOF
 import json
 gw = json.load(open("gw-report.json"))
-assert gw["version"] == 1 and len(gw["replicas"]) == 2, gw
+assert gw["version"] == 2 and len(gw["replicas"]) == 2, gw
+assert "hedges" not in gw and "hedge_wins" not in gw, gw
 assert gw["requests"] >= 14, gw
 assert gw["ejects"] >= 1, gw
 healthy = [r for r in gw["replicas"] if r["healthy"]]
