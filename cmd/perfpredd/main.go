@@ -44,7 +44,6 @@ func main() {
 	d := serve.DefaultConfig()
 	queue := flag.Int("queue", d.Batcher.QueueDepth, "admission queue depth; a full queue sheds with 429")
 	maxBatch := flag.Int("max-batch", d.Batcher.MaxBatch, "max rows coalesced into one kernel batch")
-	batchWait := flag.Duration("batch-wait", d.Batcher.MaxWait, "max time a gathered batch waits for more rows")
 	workers := flag.Int("workers", d.Batcher.Workers, "batch worker goroutines (0 = GOMAXPROCS)")
 	timeout := flag.Duration("request-timeout", d.RequestTimeout, "per-request prediction deadline")
 	cacheEntries := flag.Int("cache-entries", d.CacheEntries, "prediction-cache capacity in entries")
@@ -58,7 +57,6 @@ func main() {
 		Batcher: serve.BatcherConfig{
 			QueueDepth: *queue,
 			MaxBatch:   *maxBatch,
-			MaxWait:    *batchWait,
 			Workers:    *workers,
 		},
 		RequestTimeout: *timeout,

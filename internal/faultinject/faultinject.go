@@ -49,8 +49,8 @@ const (
 	ServeAdmit
 	// ServeBatchFlush fires in the batch worker just before the coalesced
 	// kernel call: latency slows flushes (building queue pressure until
-	// the admission queue sheds), a forced error fails the combined batch
-	// and exercises the per-request rescore path.
+	// the admission queue sheds), a forced error fails every request in
+	// the model group being flushed.
 	ServeBatchFlush
 	// ServeReload fires at the top of Server.Reload: a forced error fails
 	// the reload, which must leave the previous catalog serving.

@@ -28,8 +28,8 @@
 //     one helper, which never strikes a replica for a failure the
 //     caller caused by leaving or running out of time.
 //   - Bounded in-flight: each replica carries a gateway-side in-flight
-//     cap as an overload backstop; replica-side sheds (429 with a
-//     queue-pressure Retry-After) pass through to the client untouched.
+//     cap as an overload backstop; replica-side sheds (429 with the
+//     replica's Retry-After) pass through to the client untouched.
 //
 // The gateway never re-encodes a prediction: request bodies are
 // forwarded byte-for-byte and responses are relayed byte-for-byte, so

@@ -128,7 +128,6 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 			Batcher: serve.BatcherConfig{
 				QueueDepth: 8,
 				MaxBatch:   8,
-				MaxWait:    200 * time.Microsecond,
 				Workers:    2,
 			},
 			Metrics: obs.NewRegistry(),

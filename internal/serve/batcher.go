@@ -11,46 +11,10 @@ import (
 	"perfpred/internal/faultinject"
 )
 
-// ErrOverloaded is returned (and mapped to 429 + Retry-After) when the
-// admission queue is full: the daemon sheds the request instead of
-// letting latency grow without bound. Shed errors are actually
-// *OverloadedError values carrying a queue-pressure-derived Retry-After;
-// errors.Is(err, ErrOverloaded) matches them.
+// ErrOverloaded is returned (and mapped to 429 + Retry-After: 5) when
+// the admission queue is full: the daemon sheds the request instead of
+// letting latency grow without bound.
 var ErrOverloaded = errors.New("serve: admission queue full")
-
-// OverloadedError is the concrete shed error: ErrOverloaded plus the
-// Retry-After the HTTP layer should advertise, derived from how full
-// the admission queue was at the moment of shedding.
-type OverloadedError struct {
-	// RetryAfter is the suggested client back-off in whole seconds,
-	// between 1 (queue momentarily full but draining) and 5 (sustained
-	// saturation).
-	RetryAfter int
-}
-
-func (e *OverloadedError) Error() string { return ErrOverloaded.Error() }
-
-// Is makes errors.Is(err, ErrOverloaded) match, so every existing
-// caller and test keeps working against the sentinel.
-func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
-
-// retryAfterSeconds maps observed queue pressure onto a client back-off:
-// 1s at an empty-to-quarter-full queue up to 5s at or beyond capacity,
-// in linear steps. Shedding happens when the enqueue attempt finds the
-// channel full, but the observed length can lag concurrent dequeues —
-// hence pressure, not a constant.
-func retryAfterSeconds(queued, capacity int) int {
-	if capacity <= 0 {
-		return 1
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	if queued > capacity {
-		queued = capacity
-	}
-	return 1 + 4*queued/capacity
-}
 
 // ErrDraining is returned (and mapped to 503) for requests arriving
 // after shutdown began.
@@ -63,11 +27,7 @@ type BatcherConfig struct {
 	QueueDepth int
 	// MaxBatch caps the rows coalesced into one kernel call. Default 64.
 	MaxBatch int
-	// MaxWait is how long an idle batch worker lingers for more requests
-	// after picking up the first one, trading that bounded latency for
-	// bigger kernel batches. The zero value (kept by withDefaults)
-	// coalesces only already-queued requests; perfpredd's -batch-wait
-	// flag defaults to DefaultConfig's 500µs.
+	// Deprecated: ignored; the batcher never lingers.
 	MaxWait time.Duration
 	// Workers is the number of batch-executor goroutines, each owning
 	// engine worker-local scratch. Default GOMAXPROCS.
@@ -81,9 +41,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = d.MaxBatch
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
 	}
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
@@ -184,7 +141,7 @@ func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]float64) ([]fl
 	case b.queue <- req:
 	default:
 		b.met.shed.Inc()
-		return nil, &OverloadedError{RetryAfter: retryAfterSeconds(len(b.queue), cap(b.queue))}
+		return nil, ErrOverloaded
 	}
 	select {
 	case err := <-req.done:
@@ -240,14 +197,13 @@ func (b *Batcher) worker() {
 	}
 }
 
-// runBatch coalesces queued requests behind first (up to MaxBatch total
-// rows, lingering MaxWait for stragglers), then executes them grouped by
-// model.
+// runBatch takes first plus whatever is already queued behind it (up to
+// MaxBatch total rows, never waiting for more) and executes them grouped
+// by model.
 func (b *Batcher) runBatch(wctx context.Context, ws *workerScratch, first *request) {
 	b.met.queueDepth.Set(float64(len(b.queue)))
 	batch := append(ws.batch[:0], first)
 	total := len(first.rows)
-	var timer *time.Timer
 gather:
 	for total < b.cfg.MaxBatch {
 		select {
@@ -255,25 +211,8 @@ gather:
 			batch = append(batch, req)
 			total += len(req.rows)
 		default:
-			if b.cfg.MaxWait <= 0 || b.draining.Load() {
-				break gather
-			}
-			if timer == nil {
-				timer = time.NewTimer(b.cfg.MaxWait)
-			}
-			select {
-			case req := <-b.queue:
-				batch = append(batch, req)
-				total += len(req.rows)
-			case <-timer.C:
-				break gather
-			case <-b.stop:
-				break gather
-			}
+			break gather
 		}
-	}
-	if timer != nil {
-		timer.Stop()
 	}
 	ws.batch = batch
 
@@ -299,9 +238,10 @@ gather:
 }
 
 // scoreGroup flattens one model's requests into a single kernel call and
-// fans the results back out. If the combined batch fails and held more
-// than one request, each request is rescored alone so one bad row only
-// fails its own request.
+// fans the results back out. If the call fails, every live request in
+// the group gets the error: the kernel cannot reject a row here (each was
+// encoded by m's own encoder, out is sized to the rows, and the worker
+// context never ends), so the only failure is an injected flush fault.
 func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, group []*request) {
 	now := b.clock.Now()
 	live := ws.live[:0]
@@ -330,8 +270,7 @@ func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, 
 
 	// Flush fault point: injected latency slows the kernel flush (queue
 	// pressure builds until admission sheds), a forced error fails the
-	// combined batch — which, for multi-request batches, exercises the
-	// per-request rescore path below.
+	// whole group.
 	kstart := b.clock.Now()
 	var err error
 	if fired, ferr := b.fi.Hit(wctx, faultinject.ServeBatchFlush); fired {
@@ -345,12 +284,6 @@ func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, 
 	b.met.batches.Inc()
 	b.met.batchSize.Observe(float64(len(rows)))
 
-	if err != nil && len(live) > 1 {
-		for _, req := range live {
-			b.finish(req, b.score(wctx, req.m, req.rows, req.out))
-		}
-		return
-	}
 	off := 0
 	for _, req := range live {
 		if err == nil {

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"perfpred/internal/core"
 	"perfpred/internal/dataset"
+	"perfpred/internal/faultinject"
 )
 
 // goldenPredictions scores every row sequentially through the scalar
@@ -26,6 +28,24 @@ func goldenPredictions(t *testing.T, p *core.Predictor, d *dataset.Dataset) []fl
 	return want
 }
 
+// goldenModels trains an "nns" and an "lre" model on d and returns, by
+// name, each model, its sequential goldens for every row of d, and those
+// rows encoded as the handler would encode them.
+func goldenModels(t *testing.T, d *dataset.Dataset) (map[string]*Model, map[string][]float64, map[string][][]float64) {
+	t.Helper()
+	models := map[string]*Model{
+		"nns": {Name: "nns", Pred: trainModel(t, core.NNS, d)},
+		"lre": {Name: "lre", Pred: trainModel(t, core.LRE, d)},
+	}
+	golden := map[string][]float64{}
+	encoded := map[string][][]float64{}
+	for name, m := range models {
+		golden[name] = goldenPredictions(t, m.Pred, d)
+		encoded[name] = encodeRows(t, m, d.Rows(0, d.Len()))
+	}
+	return models, golden, encoded
+}
+
 // TestBatcherGoldenEquivalence is the serving analogue of the kernel
 // equivalence harness in neural/reference_test.go: N goroutines with a
 // mix of per-request deadlines hammer the micro-batcher with single-row
@@ -33,21 +53,8 @@ func goldenPredictions(t *testing.T, p *core.Predictor, d *dataset.Dataset) []fl
 // must be bit-identical to the sequential scalar path — coalescing,
 // grouping and scheduling must never change an answer.
 func TestBatcherGoldenEquivalence(t *testing.T) {
-	d := synthDataset(t, 96, 4)
-	models := map[string]*Model{
-		"nns": {Name: "nns", Pred: trainModel(t, core.NNS, d)},
-		"lre": {Name: "lre", Pred: trainModel(t, core.LRE, d)},
-	}
-	golden := map[string][]float64{
-		"nns": goldenPredictions(t, models["nns"].Pred, d),
-		"lre": goldenPredictions(t, models["lre"].Pred, d),
-	}
-	encoded := map[string][][]float64{
-		"nns": encodeRows(t, models["nns"], d.Rows(0, d.Len())),
-		"lre": encodeRows(t, models["lre"], d.Rows(0, d.Len())),
-	}
-
-	b := newBatcher(BatcherConfig{QueueDepth: 1024, MaxBatch: 16, MaxWait: 200 * time.Microsecond, Workers: 4},
+	models, golden, encoded := goldenModels(t, synthDataset(t, 96, 4))
+	b := newBatcher(BatcherConfig{QueueDepth: 1024, MaxBatch: 16, Workers: 4},
 		newMetrics(nil), scoreModel)
 	defer b.Close()
 
@@ -121,7 +128,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 		return nil
 	}
 	met := newMetrics(nil)
-	b := newBatcher(BatcherConfig{QueueDepth: 2, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
+	b := newBatcher(BatcherConfig{QueueDepth: 2, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
 
@@ -186,7 +193,7 @@ func TestBatcherDrain(t *testing.T) {
 		return nil
 	}
 	met := newMetrics(nil)
-	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
+	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
 
@@ -255,7 +262,7 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 		return nil
 	}
 	met := newMetrics(nil)
-	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, MaxWait: 0, Workers: 1}, met, score)
+	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
 
@@ -278,5 +285,220 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 	}
 	if met.errors.Value() != 1 {
 		t.Fatalf("errors counter = %d, want 1", met.errors.Value())
+	}
+}
+
+// kernelCall records one scorer invocation: which model, how many rows.
+type kernelCall struct {
+	model string
+	rows  int
+}
+
+// heldBatcher is a one-worker batcher whose first kernel call blocks
+// until free is called. A test parks the worker on a holder request,
+// queues more behind it and frees it: the worker's next gather then
+// takes everything queued, with no timing involved.
+type heldBatcher struct {
+	*Batcher
+	entered  chan struct{}
+	release  chan struct{}
+	freeOnce sync.Once
+	mu       sync.Mutex
+	calls    []kernelCall
+}
+
+// newHeldBatcher starts a held batcher that t's cleanup frees and
+// closes, so a failed test never leaves the worker parked.
+func newHeldBatcher(t *testing.T, cfg BatcherConfig, met *metrics) *heldBatcher {
+	h := &heldBatcher{entered: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	cfg.Workers = 1
+	h.Batcher = newBatcher(cfg, met, func(ctx context.Context, m *Model, rows [][]float64, out []float64) error {
+		once.Do(func() {
+			close(h.entered)
+			<-h.release
+		})
+		h.mu.Lock()
+		h.calls = append(h.calls, kernelCall{m.Name, len(rows)})
+		h.mu.Unlock()
+		return scoreModel(ctx, m, rows, out)
+	})
+	t.Cleanup(func() {
+		h.free()
+		h.Close()
+	})
+	return h
+}
+
+// free releases the parked worker; later calls do nothing.
+func (h *heldBatcher) free() { h.freeOnce.Do(func() { close(h.release) }) }
+
+// waitQueued blocks until at least n requests wait in the queue.
+func (h *heldBatcher) waitQueued(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for len(h.queue) < n {
+		select {
+		case <-deadline:
+			t.Fatalf("queue holds %d requests, want %d", len(h.queue), n)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+func (h *heldBatcher) kernelCalls() []kernelCall {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.calls)
+}
+
+// submission is one queued request of a held-batcher test and its
+// eventual answer.
+type submission struct {
+	name string
+	idx  []int // dataset rows
+	done chan error
+	out  []float64
+}
+
+// submit sends rows idx of model name through h in the background. With
+// queued > 0 it waits until the queue holds that many requests, so the
+// test fixes the arrival order.
+func submit(t *testing.T, h *heldBatcher, models map[string]*Model, encoded map[string][][]float64, name string, idx []int, queued int) *submission {
+	t.Helper()
+	s := &submission{name: name, idx: idx, done: make(chan error, 1)}
+	rows := make([][]float64, len(idx))
+	for i, j := range idx {
+		rows[i] = encoded[name][j]
+	}
+	go func() {
+		out, err := h.Predict(context.Background(), models[name], rows)
+		s.out = out
+		s.done <- err
+	}()
+	if queued > 0 {
+		h.waitQueued(t, queued)
+	}
+	return s
+}
+
+// TestBatcherCoalescesQueuedRequests pins the batch policy without any
+// timing: a worker that frees up takes every request already queued (up
+// to MaxBatch rows) in one gather and makes one kernel call per model
+// group, while a MaxBatch-row body is scored on its own.
+func TestBatcherCoalescesQueuedRequests(t *testing.T) {
+	models, golden, encoded := goldenModels(t, synthDataset(t, 32, 4))
+	const maxBatch = 16
+	check := func(t *testing.T, subs []*submission) {
+		t.Helper()
+		for _, s := range subs {
+			if err := <-s.done; err != nil {
+				t.Fatalf("%s rows %v: %v", s.name, s.idx, err)
+			}
+			for i, j := range s.idx {
+				if s.out[i] != golden[s.name][j] {
+					t.Errorf("%s row %d: coalesced %v != sequential %v", s.name, j, s.out[i], golden[s.name][j])
+				}
+			}
+		}
+	}
+
+	t.Run("one gather", func(t *testing.T) {
+		met := newMetrics(nil)
+		h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: maxBatch}, met)
+		subs := []*submission{submit(t, h, models, encoded, "nns", []int{0}, 0)}
+		<-h.entered
+		// Interleave the two models so the per-model partition matters.
+		for i, q := range []struct {
+			name string
+			idx  []int
+		}{
+			{"nns", []int{1}}, {"lre", []int{2, 3}}, {"nns", []int{4, 5, 6}}, {"lre", []int{7}}, {"nns", []int{8}},
+		} {
+			subs = append(subs, submit(t, h, models, encoded, q.name, q.idx, i+1))
+		}
+		h.free()
+		check(t, subs)
+
+		want := []kernelCall{{"nns", 1}, {"nns", 5}, {"lre", 3}}
+		if got := h.kernelCalls(); !slices.Equal(got, want) {
+			t.Fatalf("kernel calls %v, want %v", got, want)
+		}
+		// serve.batch_size holds one sample per group: {1, 5, 3}.
+		bs := met.batchSize.Snapshot()
+		if bs.Count != 3 || bs.Sum != 9 || bs.Min != 1 || bs.Max != 5 {
+			t.Fatalf("serve.batch_size %+v, want samples 1, 5, 3", bs)
+		}
+		if got := met.batches.Value(); got != 3 {
+			t.Fatalf("serve.batches = %d, want 3", got)
+		}
+	})
+
+	t.Run("full body alone", func(t *testing.T) {
+		met := newMetrics(nil)
+		h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: maxBatch}, met)
+		body := make([]int, maxBatch)
+		for i := range body {
+			body[i] = i
+		}
+		subs := []*submission{submit(t, h, models, encoded, "nns", []int{0}, 0)}
+		<-h.entered
+		subs = append(subs,
+			submit(t, h, models, encoded, "nns", body, 1),
+			submit(t, h, models, encoded, "nns", []int{20}, 2))
+		h.free()
+		check(t, subs)
+
+		want := []kernelCall{{"nns", 1}, {"nns", maxBatch}, {"nns", 1}}
+		if got := h.kernelCalls(); !slices.Equal(got, want) {
+			t.Fatalf("kernel calls %v, want %v", got, want)
+		}
+	})
+}
+
+// TestBatcherFlushErrorFailsWholeGroup pins group failure: an injected
+// serve.batch_flush error fails every request of the gathered group with
+// that error, and nothing is rescored.
+func TestBatcherFlushErrorFailsWholeGroup(t *testing.T) {
+	models, golden, encoded := goldenModels(t, synthDataset(t, 32, 4))
+	met := newMetrics(nil)
+	h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: 64}, met)
+	holder := submit(t, h, models, encoded, "nns", []int{0}, 0)
+	<-h.entered
+	// Arm the fault only now, while the worker is parked past the
+	// holder's flush hook: every later read of fi (the queued requests'
+	// admission, the worker's next flush) is ordered after this write.
+	errFlush := errors.New("injected flush failure")
+	inj := faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		faultinject.ServeBatchFlush: {Every: 1, Err: errFlush},
+	})
+	h.fi = inj
+	group := []*submission{
+		submit(t, h, models, encoded, "nns", []int{1}, 1),
+		submit(t, h, models, encoded, "nns", []int{2, 3}, 2),
+		submit(t, h, models, encoded, "nns", []int{4}, 3),
+	}
+	h.free()
+
+	if err := <-holder.done; err != nil || holder.out[0] != golden["nns"][0] {
+		t.Fatalf("holder: out %v err %v", holder.out, err)
+	}
+	for _, s := range group {
+		if err := <-s.done; !errors.Is(err, errFlush) {
+			t.Fatalf("rows %v: err %v, want the injected flush error", s.idx, err)
+		}
+	}
+	if got, want := h.kernelCalls(), []kernelCall{{"nns", 1}}; !slices.Equal(got, want) {
+		t.Fatalf("kernel calls %v, want %v: the failed group was rescored", got, want)
+	}
+	if got := met.errors.Value(); got != 3 {
+		t.Fatalf("serve.errors = %d, want 3", got)
+	}
+	if got := met.predictions.Value(); got != 1 {
+		t.Fatalf("serve.predictions = %d, want 1", got)
+	}
+	if st := inj.Stats()["serve.batch_flush"]; st.Fires != 1 || met.faults.Value() != 1 {
+		t.Fatalf("flush fires %d, serve.faults %d, want 1 each", st.Fires, met.faults.Value())
 	}
 }

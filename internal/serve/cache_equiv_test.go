@@ -37,7 +37,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
 
 	mk := func() *Server {
-		s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, MaxWait: 0, QueueDepth: 4096}})
+		s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, QueueDepth: 4096}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 	defer restore()
 
 	met := newMetrics(nil)
-	b := newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2}, met, scoreModel)
+	b := newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 8, Workers: 2}, met, scoreModel)
 	defer b.Close()
 
 	const (

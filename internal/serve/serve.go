@@ -12,11 +12,13 @@
 //     so lookups never observe a half-loaded state and a failed reload
 //     keeps the previous catalog serving.
 //   - [Batcher]: a micro-batcher that funnels every scored row through a
-//     bounded admission queue. Worker goroutines coalesce concurrent
-//     requests into one flat core.Predictor.PredictEncodedInto kernel
-//     call on engine worker-local scratch (the zero-allocation batch
-//     path), shed load with [ErrOverloaded] when the queue is full, and
-//     drain the queue completely on shutdown.
+//     bounded admission queue. A free worker goroutine takes the next
+//     request plus whatever is already queued behind it (never waiting
+//     for more) and makes one flat core.Predictor.PredictEncodedInto
+//     kernel call per model on engine worker-local scratch (the
+//     zero-allocation batch path). Admission sheds load with
+//     [ErrOverloaded] when the queue is full, and Close drains the queue
+//     completely.
 //   - [Server]: the HTTP surface — POST /v1/predict (single row or
 //     batch), GET /v1/models, GET /v1/report, POST /admin/reload,
 //     GET /healthz — plus the obs metrics endpoints (/metrics in

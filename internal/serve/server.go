@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,14 +34,12 @@ type Config struct {
 }
 
 // DefaultConfig returns perfpredd's defaults (ModelsDir aside). New
-// fills zero fields from the same values, except Batcher.MaxWait, whose
-// zero value (no linger) stays as given.
+// fills zero fields from the same values.
 func DefaultConfig() Config {
 	return Config{
 		Batcher: BatcherConfig{
 			QueueDepth: 256,
 			MaxBatch:   64,
-			MaxWait:    500 * time.Microsecond,
 			Workers:    runtime.GOMAXPROCS(0),
 		},
 		RequestTimeout: 5 * time.Second,
@@ -227,22 +224,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // writePredictError maps batcher/scoring failures onto HTTP statuses:
-// shed → 429 with Retry-After, drain → 503, deadline → 504. Anything
+// shed → 429 with Retry-After: 5, drain → 503, deadline → 504. Anything
 // else is a genuine server-side failure (client-caused errors are all
 // rejected with 400s before admission by the encode step) and reports
 // 500 — injected batch-flush faults in chaos runs land here.
 func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		// Retry-After scales with the queue pressure observed at shed
-		// time (see retryAfterSeconds); plain ErrOverloaded (tests,
-		// non-batcher callers) falls back to the minimum back-off.
-		retry := 1
-		var oe *OverloadedError
-		if errors.As(err, &oe) {
-			retry = oe.RetryAfter
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		// A shed means the queue was full, so the back-off is constant.
+		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"perfpred/internal/core"
 	"perfpred/internal/dataset"
+	"perfpred/internal/faultinject"
 	"perfpred/internal/obs"
 )
 
@@ -26,7 +28,7 @@ func newTestServer(t testing.TB) (*Server, *dataset.Dataset, string) {
 	dir := t.TempDir()
 	saveModel(t, dir, "lre", trainModel(t, core.LRE, d))
 	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
-	s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, MaxWait: 0}})
+	s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestServerShedMapsTo429(t *testing.T) {
 		}
 		return nil
 	}
-	s.bat = newBatcher(BatcherConfig{QueueDepth: 1, MaxBatch: 1, MaxWait: 0, Workers: 1}, s.met, score)
+	s.bat = newBatcher(BatcherConfig{QueueDepth: 1, MaxBatch: 1, Workers: 1}, s.met, score)
 	defer func() { close(release); s.bat.Close() }()
 
 	body := func(size float64) map[string]any {
@@ -312,8 +314,8 @@ func TestServerShedMapsTo429(t *testing.T) {
 		}
 	}
 
-	// The next request is shed. The queue (capacity 1) is full at shed
-	// time, so the derived Retry-After is pinned at the saturation value.
+	// The next request is shed: the queue (capacity 1) is full, and a
+	// shed always advertises the constant 5 s back-off.
 	w := postPredict(t, h, body(48))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded predict: %d %s", w.Code, w.Body)
@@ -324,6 +326,58 @@ func TestServerShedMapsTo429(t *testing.T) {
 	var e ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "queue full") {
 		t.Fatalf("shed body: %s (%v)", w.Body, err)
+	}
+}
+
+// TestServerFlushErrorMapsTo500 pins the HTTP face of a failed group:
+// an injected serve.batch_flush error turns every request gathered into
+// that group into a 500 carrying the error, each counted once in
+// serve.errors, while the request scored before the fault is a 200.
+func TestServerFlushErrorMapsTo500(t *testing.T) {
+	s, d, _ := newTestServer(t)
+	h := s.Handler()
+
+	s.bat.Close()
+	hb := newHeldBatcher(t, BatcherConfig{QueueDepth: 8, MaxBatch: 64}, s.met)
+	s.bat = hb.Batcher
+	body := func(size float64) map[string]any {
+		row := rowJSON(d, 0)
+		row[0] = size
+		return map[string]any{"model": "nns", "row": row}
+	}
+	done := make(chan *httptest.ResponseRecorder, 4)
+	go func() { done <- postPredict(t, h, body(16)) }()
+	<-hb.entered
+	// Arm the fault while the worker is parked past the held request's
+	// flush hook, before any later request reads it.
+	hb.fi = faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		faultinject.ServeBatchFlush: {Every: 1, Err: errors.New("injected flush failure")},
+	})
+	for i := 1; i <= 3; i++ {
+		go func() { done <- postPredict(t, h, body(16*float64(i+1))) }()
+		hb.waitQueued(t, i)
+	}
+	hb.free()
+
+	codes := map[int]int{}
+	for range 4 {
+		w := <-done
+		codes[w.Code]++
+		if w.Code == http.StatusInternalServerError {
+			var e ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error != "injected flush failure" {
+				t.Fatalf("500 body: %s (%v)", w.Body, err)
+			}
+		}
+	}
+	if codes[http.StatusOK] != 1 || codes[http.StatusInternalServerError] != 3 {
+		t.Fatalf("status counts %v, want one 200 and three 500s", codes)
+	}
+	if got := s.met.errors.Value(); got != 3 {
+		t.Fatalf("serve.errors = %d, want 3", got)
+	}
+	if got := s.met.requests.Value(); got != 4 {
+		t.Fatalf("serve.requests = %d, want 4", got)
 	}
 }
 
@@ -417,38 +471,9 @@ func TestServerNonFinitePredictionCounted(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSeconds pins the queue-pressure → Retry-After mapping:
-// 1s for a quiet queue rising linearly to 5s at saturation, clamped on
-// both sides, with degenerate capacities falling back to the minimum.
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		queued, capacity, want int
-	}{
-		{0, 256, 1},
-		{63, 256, 1},
-		{64, 256, 2},
-		{128, 256, 3},
-		{192, 256, 4},
-		{255, 256, 4},
-		{256, 256, 5},
-		{300, 256, 5}, // over-reported depth clamps to capacity
-		{-3, 256, 1},  // racy negative observation clamps to zero
-		{1, 1, 5},
-		{0, 1, 1},
-		{0, 0, 1}, // degenerate capacity
-		{5, -1, 1},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.queued, tc.capacity); got != tc.want {
-			t.Errorf("retryAfterSeconds(%d, %d) = %d, want %d", tc.queued, tc.capacity, got, tc.want)
-		}
-	}
-}
-
 // TestWritePredictErrorRetryAfterHeader pins the exact Retry-After the
-// HTTP layer emits for shed errors: the value carried by the batcher's
-// OverloadedError, and the minimum back-off for a bare ErrOverloaded
-// (which errors.Is still matches via OverloadedError.Is).
+// HTTP layer emits for shed errors: a shed means the queue was full, so
+// ErrOverloaded, bare or wrapped, is always a 429 with a 5 s back-off.
 func TestWritePredictErrorRetryAfterHeader(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -456,11 +481,8 @@ func TestWritePredictErrorRetryAfterHeader(t *testing.T) {
 		want  string
 		wants int
 	}{
-		{"bare sentinel", ErrOverloaded, "1", http.StatusTooManyRequests},
-		{"quiet queue", &OverloadedError{RetryAfter: 1}, "1", http.StatusTooManyRequests},
-		{"half full", &OverloadedError{RetryAfter: 3}, "3", http.StatusTooManyRequests},
-		{"saturated", &OverloadedError{RetryAfter: 5}, "5", http.StatusTooManyRequests},
-		{"wrapped", fmt.Errorf("admit: %w", &OverloadedError{RetryAfter: 4}), "4", http.StatusTooManyRequests},
+		{"bare sentinel", ErrOverloaded, "5", http.StatusTooManyRequests},
+		{"wrapped", fmt.Errorf("admit: %w", ErrOverloaded), "5", http.StatusTooManyRequests},
 	}
 	s := &Server{}
 	for _, tc := range cases {
