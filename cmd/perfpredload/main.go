@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		seed     = flag.Int64("seed", 7, "seed deriving the schedule, fixture models and fault decisions")
+		seed     = flag.Int64("seed", 7, "seed deriving the schedule and fixture models")
 		duration = flag.Duration("duration", 30*time.Second, "schedule horizon")
 		requests = flag.Int("requests", 0, "predict requests to schedule (0 = scale with duration)")
 		workers  = flag.Int("workers", 0, "max concurrent in-flight client requests (0 = default)")

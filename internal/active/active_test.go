@@ -715,7 +715,7 @@ func TestRunCancellation(t *testing.T) {
 // the round and aborts the loop with the round in the error chain.
 func TestRunFaultInjection(t *testing.T) {
 	boom := errors.New("injected")
-	restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+	restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ActiveAcquireRound: {Every: 2, Err: boom},
 	}))
 	defer restore()

@@ -424,7 +424,7 @@ func TestRunFaultInjectionHooks(t *testing.T) {
 	errBoom := errors.New("injected")
 
 	t.Run("task start", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 			faultinject.EngineTaskStart: {Every: 1, Err: errBoom},
 		}))
 		defer restore()
@@ -442,7 +442,7 @@ func TestRunFaultInjectionHooks(t *testing.T) {
 	})
 
 	t.Run("task done", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 			faultinject.EngineTaskDone: {Every: 1, Err: errBoom},
 		}))
 		defer restore()
@@ -460,7 +460,7 @@ func TestRunFaultInjectionHooks(t *testing.T) {
 	})
 
 	t.Run("task error wins over done fault", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 			faultinject.EngineTaskDone: {Every: 1, Err: errBoom},
 		}))
 		defer restore()

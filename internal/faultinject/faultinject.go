@@ -1,24 +1,23 @@
-// Package faultinject is a deterministic, seed-driven fault-injection
-// layer for the serving stack's failure paths: injected latency, forced
-// errors, context-cancellation-shaped failures and clock skew, fired at
-// explicit hook points compiled into internal/engine (task dispatch and
-// completion), internal/core (artifact load) and internal/serve
-// (admission, batch flush, registry reload).
+// Package faultinject is the fault-injection layer for the serving
+// stack's failure paths: injected latency, forced errors and
+// context-cancellation-shaped failures, fired at explicit hook points
+// compiled into internal/engine (task dispatch and completion),
+// internal/core (artifact load), internal/serve (admission, batch flush,
+// registry reload, cache lookup), internal/gateway (routing, health
+// probes) and internal/active (acquisition rounds).
 //
 // The layer is compiled in always but costs nothing by default: the
-// process-global injector starts as [Disabled], whose Hit is a single
-// branch on a per-point enabled flag — no allocations, no locks, no
-// atomics — so production hot paths (the zero-allocation kernel and
-// batcher paths) are unchanged until a chaos harness calls [Activate].
+// process-global injector starts disabled, and a disabled Hit is a single
+// branch on the point's plan — no allocations, no locks, no atomics — so
+// production hot paths (the zero-allocation kernel and batcher paths) are
+// unchanged until a chaos harness calls [Activate].
 //
-// Determinism: every fire decision at a point is a pure function of the
-// injector seed, the point, and that point's call index, computed with a
-// splitmix64-style mixer. Re-running the same call sequence against the
-// same seed reproduces the same decisions; a chaos failure is reproduced
-// by re-running the harness with the seed it prints. (Under concurrency
-// the per-point decision *sequence* is fixed, while which caller draws
-// which index depends on goroutine interleaving — the harness therefore
-// asserts class invariants, never per-caller fault attribution.)
+// A plan fires on a fixed cadence: every Every-th call at its point, so
+// each configured fault class is guaranteed to fire and a sequential
+// call sequence fires on the same call indices every run. (Under
+// concurrency which caller draws which index depends on goroutine
+// interleaving — the harness therefore asserts class invariants, never
+// per-caller fault attribution.)
 package faultinject
 
 import (
@@ -106,89 +105,49 @@ func (p Point) String() string {
 	}
 }
 
-// Points lists every hook point, in declaration order.
-func Points() []Point {
-	out := make([]Point, numPoints)
-	for i := range out {
-		out[i] = Point(i)
-	}
-	return out
-}
-
-// Plan configures the faults one hook point fires. A fired call first
+// Plan configures the faults one hook point fires: the Every-th,
+// 2·Every-th, … call fires; Every == 0 never fires. A fired call first
 // sleeps Latency (if any), then returns Err (which may be nil for a
 // latency-only fault). To exercise cancellation handling at a point, set
 // Err to context.Canceled or context.DeadlineExceeded — callers see
 // exactly what a cancelled context would have produced.
 type Plan struct {
-	// Prob is the probability in [0,1] that a call fires, decided
-	// deterministically from the injector seed and the call index.
-	Prob float64
-	// Every, when non-zero, overrides Prob: every Every-th call fires
-	// (counting from the Every-th), a strictly periodic schedule.
+	// Every is the firing cadence: every Every-th call fires.
 	Every uint64
 	// Latency is slept on each fired call before Err is returned.
 	Latency time.Duration
 	// Err is returned by fired calls; nil makes the fault latency-only.
 	Err error
-	// Limit, when non-zero, caps the total number of fires at the point.
-	Limit uint64
 }
 
-// pointState is one hook point's compiled plan plus its call/fire
-// counters. Counters are atomics so concurrent hook sites never lock.
+// pointState is one hook point's plan plus its call/fire counters.
+// Counters are atomics so concurrent hook sites never lock.
 type pointState struct {
-	enabled bool
-	plan    Plan
-	seed    uint64
-	calls   atomic.Uint64
-	fires   atomic.Uint64
+	plan  Plan
+	calls atomic.Uint64
+	fires atomic.Uint64
 }
 
 // Injector decides, per hook point, whether and how to perturb
-// execution. The zero-configuration injector ([Disabled]) never fires.
+// execution. An injector with no plans never fires.
 type Injector struct {
-	seed   int64
-	clock  Clock
 	points [numPoints]pointState
 }
 
-// Option customizes an Injector beyond its per-point plans.
-type Option func(*Injector)
-
-// WithClockSkew replaces the injector's clock with one skewed by a fixed
-// offset plus a deterministic per-reading wobble in [-jitter, +jitter],
-// so time-based bookkeeping (queue waits, latency histograms) is
-// exercised against a misbehaving clock.
-func WithClockSkew(offset, jitter time.Duration) Option {
-	return func(in *Injector) {
-		in.clock = &skewClock{offset: offset, jitter: jitter, seed: mix(uint64(in.seed), uint64(numPoints)+1)}
-	}
-}
-
-// New builds an injector whose plans fire deterministically under seed.
-func New(seed int64, plans map[Point]Plan, opts ...Option) *Injector {
-	in := &Injector{seed: seed, clock: realClock{}}
+// New builds an injector firing the given per-point plans.
+func New(plans map[Point]Plan) *Injector {
+	in := &Injector{}
 	for p, plan := range plans {
 		if p >= numPoints {
 			panic(fmt.Sprintf("faultinject: unknown point %d", p))
 		}
-		st := &in.points[p]
-		st.enabled = plan.Prob > 0 || plan.Every > 0
-		st.plan = plan
-		st.seed = mix(uint64(seed), uint64(p)+1)
-	}
-	for _, o := range opts {
-		o(in)
+		in.points[p].plan = plan
 	}
 	return in
 }
 
 // disabled is the package's permanent no-op singleton.
-var disabled = &Injector{clock: realClock{}}
-
-// Disabled returns the no-op injector: every Hit is a single branch.
-func Disabled() *Injector { return disabled }
+var disabled = &Injector{}
 
 // active is the process-global injector consulted by the compiled-in
 // hook points. An atomic pointer keeps reads lock-free on hot paths.
@@ -202,10 +161,10 @@ func init() { active.Store(disabled) }
 func Active() *Injector { return active.Load() }
 
 // Activate installs in as the process-global injector and returns a
-// function restoring the previous one. A nil in activates Disabled().
+// function restoring the previous one. A nil in disables injection.
 // Intended for chaos harnesses and tests; activate before constructing
-// the components under test so construction-time snapshots (batch
-// worker clocks) observe it.
+// the components under test, which snapshot the injector at
+// construction.
 func Activate(in *Injector) (restore func()) {
 	if in == nil {
 		in = disabled
@@ -214,49 +173,22 @@ func Activate(in *Injector) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Seed returns the seed the injector's decisions derive from.
-func (in *Injector) Seed() int64 { return in.seed }
-
-// Enabled reports whether any hook point has a live plan.
-func (in *Injector) Enabled() bool {
-	for i := range in.points {
-		if in.points[i].enabled {
-			return true
-		}
-	}
-	return false
-}
-
 // Hit evaluates one hook point. When the point's plan decides this call
 // fires, Hit sleeps the plan's latency (abandoning the sleep early, and
 // returning the context's error, if ctx is cancelled first) and returns
 // the plan's forced error; fired reports whether any fault was applied,
-// so call sites can count latency-only faults too. On the disabled
-// injector this is one branch: no allocation, no atomic, no lock.
+// so call sites can count latency-only faults too. At a point without a
+// plan (every point of the disabled injector) this is one branch: no
+// allocation, no atomic, no lock.
 func (in *Injector) Hit(ctx context.Context, p Point) (fired bool, err error) {
 	st := &in.points[p]
-	if !st.enabled {
+	if st.plan.Every == 0 {
 		return false, nil
 	}
-	n := st.calls.Add(1)
-	if st.plan.Every > 0 {
-		if n%st.plan.Every != 0 {
-			return false, nil
-		}
-	} else if unit(mix(st.seed, n)) >= st.plan.Prob {
+	if st.calls.Add(1)%st.plan.Every != 0 {
 		return false, nil
 	}
-	if st.plan.Limit > 0 {
-		// Reserve a fire slot; back out when over the cap. Fires may be
-		// attributed to different call indices across concurrent runs, but
-		// the total never exceeds Limit.
-		if st.fires.Add(1) > st.plan.Limit {
-			st.fires.Add(^uint64(0))
-			return false, nil
-		}
-	} else {
-		st.fires.Add(1)
-	}
+	st.fires.Add(1)
 	if d := st.plan.Latency; d > 0 {
 		if err := sleep(ctx, d); err != nil {
 			return true, err
@@ -290,35 +222,16 @@ type PointStats struct {
 	Fires uint64 `json:"fires"`
 }
 
-// Stats snapshots per-point call and fire counts for every enabled
-// point, keyed by the point's String name.
+// Stats snapshots per-point call and fire counts for every point with
+// a plan, keyed by the point's String name.
 func (in *Injector) Stats() map[string]PointStats {
 	out := make(map[string]PointStats)
 	for i := range in.points {
 		st := &in.points[i]
-		if !st.enabled {
+		if st.plan.Every == 0 {
 			continue
 		}
 		out[Point(i).String()] = PointStats{Calls: st.calls.Load(), Fires: st.fires.Load()}
 	}
 	return out
-}
-
-// Clock returns the injector's clock: real time by default, skewed when
-// built WithClockSkew. Long-lived components snapshot this at
-// construction so their time reads flow through the injector.
-func (in *Injector) Clock() Clock { return in.clock }
-
-// mix is a splitmix64-style finalizer: a high-quality stateless hash of
-// (seed, n) used for per-call fire decisions and clock wobble.
-func mix(seed, n uint64) uint64 {
-	z := seed + n*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// unit maps a hash to a uniform float64 in [0, 1).
-func unit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
 }

@@ -18,8 +18,7 @@
 //     (healthy → ejected after FailThreshold consecutive failures,
 //     readmitted after ReadmitThreshold consecutive probe successes,
 //     with deterministic doubling backoff between probes to a down
-//     replica). Timing is read through the faultinject clock so chaos
-//     runs observe reproducible timestamps.
+//     replica).
 //   - Synchronous retry down the rendezvous order: each predict runs
 //     in its handler goroutine. The first healthy replica is the
 //     primary; a transport failure (a killed replica) strikes it and
@@ -179,10 +178,9 @@ type Gateway struct {
 	stop     chan struct{}  // closes the probe loops
 	probeWG  sync.WaitGroup
 	rr       atomic.Uint64 // round-robin cursor for non-affine proxying
-	// fi and clock come from the fault injector active at construction
-	// (the no-op singleton in production — see internal/serve.Batcher).
-	fi    *faultinject.Injector
-	clock faultinject.Clock
+	// fi is the fault injector active at construction (the no-op
+	// singleton in production — see internal/serve.Batcher).
+	fi *faultinject.Injector
 }
 
 // New builds a gateway over cfg.Replicas and starts one health-probe
@@ -207,15 +205,13 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		seen[addr] = true
 	}
-	fi := faultinject.Active()
 	g := &Gateway{
-		cfg:   cfg,
-		met:   newMetrics(cfg.Metrics),
-		stop:  make(chan struct{}),
-		fi:    fi,
-		clock: fi.Clock(),
+		cfg:     cfg,
+		met:     newMetrics(cfg.Metrics),
+		started: time.Now(),
+		stop:    make(chan struct{}),
+		fi:      faultinject.Active(),
 	}
-	g.started = g.clock.Now()
 	tr := cfg.Transport
 	if tr == nil {
 		tr = &http.Transport{
@@ -276,7 +272,7 @@ func (g *Gateway) Report() *obs.GatewayReport {
 	return obs.BuildGatewayReport(obs.GatewayMeta{
 		Addr:     addr,
 		Replicas: reps,
-		Uptime:   max(g.clock.Since(g.started), 0), // a skewed chaos clock may run backwards
+		Uptime:   time.Since(g.started),
 	}, g.met.reg)
 }
 

@@ -464,7 +464,7 @@ func TestAllReplicasDown(t *testing.T) {
 // ejects a healthy replica.
 func TestGatewayFaultPoints(t *testing.T) {
 	t.Run("route", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 			faultinject.GatewayRoute: {Every: 1, Err: context.DeadlineExceeded},
 		}))
 		defer restore()
@@ -482,7 +482,7 @@ func TestGatewayFaultPoints(t *testing.T) {
 		}
 	})
 	t.Run("probe fault ejects", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 			faultinject.GatewayHealthProbe: {Every: 1, Err: context.DeadlineExceeded},
 		}))
 		defer restore()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"perfpred/internal/faultinject"
 	"perfpred/internal/serve"
@@ -42,7 +43,7 @@ type reply struct {
 // by rendezvous key, dispatch down that order, and relay the answering
 // replica's response byte-for-byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := g.clock.Now()
+	start := time.Now()
 	// Register in-flight before re-checking the drain flag: Close sets
 	// the flag and then waits, so a request that passes the check here is
 	// either counted (and drained) or refused.
@@ -54,7 +55,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	g.met.requests.Inc()
 	defer func() {
-		g.met.latency.Observe(max(g.clock.Since(start).Seconds(), 0))
+		g.met.latency.Observe(time.Since(start).Seconds())
 	}()
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
@@ -119,9 +120,9 @@ func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*
 			g.met.retries.Inc()
 		}
 		rep.requests.Add(1)
-		start := g.clock.Now()
+		start := time.Now()
 		res, err := g.call(ctx, rep, http.MethodPost, "/v1/predict", body, contentType)
-		g.met.upstream.Observe(max(g.clock.Since(start).Seconds(), 0))
+		g.met.upstream.Observe(time.Since(start).Seconds())
 		rep.release()
 		if err == nil {
 			w.Header().Set(HeaderRoute, route)

@@ -32,11 +32,10 @@ type replica struct {
 	requests      atomic.Int64
 	transportErrs atomic.Int64
 
-	mu sync.Mutex
-	// healthy mirrors healthyA; healthyA gives the request path a
-	// lock-free read, mu serializes transitions.
-	healthy    bool
-	healthyA   atomic.Bool
+	// healthy is read lock-free by the request path; it is written only
+	// under mu, which serializes state transitions.
+	healthy    atomic.Bool
+	mu         sync.Mutex
 	fails      int // consecutive failures while healthy
 	okays      int // consecutive probe successes while ejected
 	backoff    time.Duration
@@ -48,17 +47,16 @@ type replica struct {
 
 func newReplica(idx int, addr string) *replica {
 	r := &replica{
-		idx:     idx,
-		addr:    addr,
-		base:    "http://" + addr,
-		id:      predcache.HashString(addr),
-		healthy: true,
+		idx:  idx,
+		addr: addr,
+		base: "http://" + addr,
+		id:   predcache.HashString(addr),
 	}
-	r.healthyA.Store(true)
+	r.healthy.Store(true)
 	return r
 }
 
-func (r *replica) isHealthy() bool { return r.healthyA.Load() }
+func (r *replica) isHealthy() bool { return r.healthy.Load() }
 
 // acquire takes one in-flight slot, failing when the replica is at cap.
 func (r *replica) acquire(maxInFlight int) bool {
@@ -77,7 +75,7 @@ func (r *replica) release() { r.inflight.Add(-1) }
 func (r *replica) probeDelay(interval time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.healthy || r.backoff <= 0 {
+	if r.healthy.Load() || r.backoff <= 0 {
 		return interval
 	}
 	return r.backoff
@@ -88,7 +86,7 @@ func (r *replica) report() obs.ReplicaReport {
 	defer r.mu.Unlock()
 	return obs.ReplicaReport{
 		Addr:            r.addr,
-		Healthy:         r.healthy,
+		Healthy:         r.healthy.Load(),
 		Requests:        r.requests.Load(),
 		TransportErrors: r.transportErrs.Load(),
 		Ejects:          r.ejects,
@@ -110,7 +108,7 @@ func (g *Gateway) recordProbe(rep *replica, ok bool) {
 	if !ok {
 		rep.probeFails++
 	}
-	if rep.healthy {
+	if rep.healthy.Load() {
 		if ok {
 			rep.fails = 0
 			return
@@ -141,7 +139,7 @@ func (g *Gateway) noteTransportError(rep *replica) {
 	rep.transportErrs.Add(1)
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if !rep.healthy {
+	if !rep.healthy.Load() {
 		return
 	}
 	rep.fails++
@@ -154,7 +152,7 @@ func (g *Gateway) noteTransportError(rep *replica) {
 // whatever its status — proves transport to the replica works.
 func (g *Gateway) noteTransportOK(rep *replica) {
 	rep.mu.Lock()
-	if rep.healthy {
+	if rep.healthy.Load() {
 		rep.fails = 0
 	}
 	rep.mu.Unlock()
@@ -162,8 +160,7 @@ func (g *Gateway) noteTransportOK(rep *replica) {
 
 // ejectLocked transitions rep healthy → ejected. rep.mu must be held.
 func (g *Gateway) ejectLocked(rep *replica) {
-	rep.healthy = false
-	rep.healthyA.Store(false)
+	rep.healthy.Store(false)
 	rep.fails = 0
 	rep.okays = 0
 	rep.backoff = g.cfg.ProbeInterval
@@ -173,8 +170,7 @@ func (g *Gateway) ejectLocked(rep *replica) {
 
 // readmitLocked transitions rep ejected → healthy. rep.mu must be held.
 func (g *Gateway) readmitLocked(rep *replica) {
-	rep.healthy = true
-	rep.healthyA.Store(true)
+	rep.healthy.Store(true)
 	rep.fails = 0
 	rep.okays = 0
 	rep.backoff = 0

@@ -136,7 +136,7 @@ func (h *harness) probeHot(e *epilogue, hot int) []float64 {
 func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) float64 {
 	body, err := json.Marshal(&serve.PredictRequest{
 		Model: epilogueModel,
-		Row:   wireRow(h.schema, h.fx.rows[idx]),
+		Row:   serve.WireRow(h.fx.rows[idx]),
 	})
 	if err != nil {
 		return math.NaN()

@@ -27,8 +27,9 @@
 //     — proves no cache hit crosses a reload.
 //
 // Everything stochastic — request times, burst placement, payload
-// classes, fault firing — derives from Config.Seed, so any failure
-// reproduces from the single seed printed in the report.
+// classes — derives from Config.Seed, and faults fire on fixed
+// per-point cadences, so any failure reproduces from the single seed
+// printed in the report.
 package loadtest
 
 import (
@@ -43,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 	"perfpred/internal/gateway"
 	"perfpred/internal/serve"
@@ -51,8 +51,8 @@ import (
 
 // Config sizes one chaos run.
 type Config struct {
-	// Seed derives the schedule, the fixture models, and (when Faults is
-	// set) every fault-injection decision. Same seed, same run.
+	// Seed derives the schedule and the fixture models. Same seed, same
+	// schedule; faults fire on fixed per-point cadences.
 	Seed int64
 	// Duration is the schedule horizon. Default 2s.
 	Duration time.Duration
@@ -65,7 +65,7 @@ type Config struct {
 	Workers int
 	// Faults arms the chaos fault plans (stalled batch flushes past the
 	// request deadline, forced admission errors, failing reloads and
-	// artifact loads, a skewed serving clock). When false the same
+	// artifact loads, stalled cache lookups). When false the same
 	// schedule replays against a clean daemon.
 	Faults bool
 	// RequestTimeout is the daemon's per-request deadline. Default 60ms
@@ -127,15 +127,15 @@ var (
 	errInjectedArtifact = errors.New("loadtest: injected artifact-read fault")
 )
 
-// chaosPlans are the fault plans a Faults run arms. Deterministic Every
-// cadences (not probabilities) guarantee each fault class actually
-// fires within a short run: every 4th batch flush stalls past the
-// request deadline (expiring whatever is queued behind it), admissions
-// sporadically fail outright, every 3rd reload attempt is rejected at
-// the reload point and every 7th artifact read fails (tearing reloads
-// mid-catalog — which the registry must absorb without serving a torn
-// state). The artifact cadence starts beyond the initial three loads so
-// daemon startup always succeeds.
+// chaosPlans are the fault plans a Faults run arms. Fixed Every
+// cadences guarantee each fault class actually fires within a short
+// run: every 4th batch flush stalls past the request deadline (expiring
+// whatever is queued behind it), every 25th admission fails outright,
+// every 3rd reload attempt is rejected at the reload point and every
+// 7th artifact read fails (tearing reloads mid-catalog — which the
+// registry must absorb without serving a torn state). The artifact
+// cadence starts beyond the initial three loads so daemon startup
+// always succeeds.
 //
 // The cache-lookup plan is latency-only: every 6th lookup stalls for a
 // few batch lifetimes, widening the window for evictions and reloads to
@@ -153,7 +153,7 @@ func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Poin
 	// replicas sharing one injector that floor scales to 3N.
 	plans := map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush:  {Every: 4, Latency: requestTimeout + requestTimeout/2},
-		faultinject.ServeAdmit:       {Prob: 0.04, Err: errInjectedAdmit},
+		faultinject.ServeAdmit:       {Every: 25, Err: errInjectedAdmit},
 		faultinject.ServeReload:      {Every: 3, Err: errInjectedReload},
 		faultinject.CoreArtifactLoad: {Every: uint64(3*replicas) + 4, Err: errInjectedArtifact},
 		faultinject.ServeCacheLookup: {Every: 6, Latency: 3 * time.Millisecond},
@@ -179,7 +179,6 @@ type outcome struct {
 type harness struct {
 	cfg    Config
 	fx     *fixture
-	schema *dataset.Schema
 	top    *topology
 	client *http.Client
 	sched  *Schedule
@@ -215,20 +214,14 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	schema, err := synthSchema()
-	if err != nil {
-		return nil, err
-	}
 
 	sched := BuildSchedule(cfg.Seed, cfg.Requests, cfg.Duration, fx.models, len(fx.rows))
 
 	// Arm faults before constructing the replicas and gateway: batcher,
-	// server and gateway snapshot the active injector (and its clock) at
-	// construction.
+	// server and gateway snapshot the active injector at construction.
 	var inj *faultinject.Injector
 	if cfg.Faults {
-		inj = faultinject.New(cfg.Seed, chaosPlans(cfg.RequestTimeout, n),
-			faultinject.WithClockSkew(300*time.Millisecond, 500*time.Microsecond))
+		inj = faultinject.New(chaosPlans(cfg.RequestTimeout, n))
 		restore := faultinject.Activate(inj)
 		defer restore()
 	}
@@ -241,10 +234,9 @@ func Run(cfg Config) (*Report, error) {
 		top.scheduleKill(cfg.Seed, cfg.Duration)
 	}
 	h := &harness{
-		cfg:    cfg,
-		fx:     fx,
-		schema: schema,
-		top:    top,
+		cfg: cfg,
+		fx:  fx,
+		top: top,
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        cfg.Workers * 2,
 			MaxIdleConnsPerHost: cfg.Workers * 2,
@@ -413,7 +405,7 @@ func (h *harness) runPredict(ev Event) outcome {
 func (h *harness) requestBody(ev Event) *serve.PredictRequest {
 	rows := make([][]any, len(ev.RowIdxs))
 	for i, idx := range ev.RowIdxs {
-		rows[i] = wireRow(h.schema, h.fx.rows[idx])
+		rows[i] = serve.WireRow(h.fx.rows[idx])
 	}
 	switch ev.Payload {
 	case PayloadBadWidth:

@@ -159,21 +159,3 @@ func savePredictor(path string, p *core.Predictor) error {
 	}
 	return f.Close()
 }
-
-// wireRow converts one raw record into the JSON value row the predict
-// API accepts: numbers for numerics, booleans for flags, strings for
-// categoricals, in schema field order.
-func wireRow(s *dataset.Schema, row []dataset.Value) []any {
-	out := make([]any, len(row))
-	for i, f := range s.Fields {
-		switch f.Kind {
-		case dataset.Numeric:
-			out[i] = row[i].Float()
-		case dataset.Flag:
-			out[i] = row[i].Bool()
-		default:
-			out[i] = row[i].Label()
-		}
-	}
-	return out
-}

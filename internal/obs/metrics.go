@@ -12,7 +12,9 @@
 // plain hook consumer (attach it with Recorder.Hook, tee it with
 // engine.Tee next to a progress renderer); the registry it maintains can
 // be published over HTTP with [StartMetricsServer] (Prometheus text on
-// /metrics, expvar JSON on /debug/vars, pprof).
+// /metrics, the expvar globals plus that registry as JSON on
+// /debug/vars, pprof). Each handler serves the registry it was built
+// over, so several servers in one process keep their metrics apart.
 package obs
 
 import (
@@ -219,8 +221,9 @@ func (h *Histogram) Snapshot() HistogramStats {
 
 // Registry is a named collection of metrics. Metric accessors are
 // get-or-create and safe for concurrent use, so instrumentation sites
-// never need registration ceremony. PublishExpvar exposes its snapshot
-// as JSON on /debug/vars; WritePrometheus renders it for /metrics.
+// never need registration ceremony. [MetricsHandler] serves its
+// snapshot as JSON on /debug/vars; WritePrometheus renders it for
+// /metrics.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -12,44 +13,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-// published is the process-wide registry pointer behind the "perfpred"
-// expvar. expvar names cannot be unpublished, so the var is registered
-// once and indirects through this pointer; re-publishing (tests, repeated
-// servers) just swaps the pointer.
-var (
-	published   atomic.Pointer[Registry]
-	publishOnce sync.Once
-)
-
-// PublishExpvar exposes the registry's snapshot as the process-global
-// expvar "perfpred" (visible on every /debug/vars endpoint). Calling it
-// again replaces the published registry; it never panics on duplicate
-// registration.
-func PublishExpvar(reg *Registry) {
-	published.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("perfpred", expvar.Func(func() any {
-			r := published.Load()
-			if r == nil {
-				return MetricsSnapshot{}
-			}
-			return r.Snapshot()
-		}))
-	})
-}
 
 // MetricsHandler returns an http.Handler serving the observability
-// surface: the registry in Prometheus text format on /metrics, expvar on
-// /debug/vars (including the registry as JSON, published as "perfpred")
-// and pprof on /debug/pprof/.
+// surface: the registry in Prometheus text format on /metrics, the
+// process's expvar globals plus this registry as JSON (under
+// "perfpred") on /debug/vars, and pprof on /debug/pprof/. Each handler
+// serves its own registry, so several servers in one process never show
+// each other's metrics.
 func MetricsHandler(reg *Registry) http.Handler {
-	PublishExpvar(reg)
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		writeVars(w, reg)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -60,6 +36,24 @@ func MetricsHandler(reg *Registry) http.Handler {
 		reg.WritePrometheus(w) //nolint:errcheck // the client went away
 	})
 	return mux
+}
+
+// writeVars writes the expvar JSON document: every published expvar
+// global, then reg's snapshot under "perfpred".
+func writeVars(w http.ResponseWriter, reg *Registry) {
+	snap, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\n")
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(bw, "%q: %s,\n", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(bw, "%q: %s\n}\n", "perfpred", snap)
+	bw.Flush() //nolint:errcheck // the client went away
 }
 
 // WritePrometheus renders a snapshot of the registry in the Prometheus

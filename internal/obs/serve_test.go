@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -55,16 +58,37 @@ func TestMetricsServer(t *testing.T) {
 	}
 }
 
-// TestPublishExpvarIdempotent re-publishes a second registry: the expvar
-// must repoint, never panic on duplicate registration.
-func TestPublishExpvarIdempotent(t *testing.T) {
+// TestMetricsHandlerServesOwnRegistry builds two handlers in one
+// process: each /debug/vars must show its own registry under "perfpred"
+// next to the expvar globals, whichever handler was built last.
+func TestMetricsHandlerServesOwnRegistry(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("x").Add(1)
-	b.Counter("x").Add(2)
-	PublishExpvar(a)
-	PublishExpvar(b)
-	if got := published.Load(); got != b {
-		t.Error("PublishExpvar did not repoint to the newest registry")
+	a.Counter("only.a").Add(1)
+	b.Counter("only.b").Add(2)
+	ha, hb := MetricsHandler(a), MetricsHandler(b)
+	for _, tc := range []struct {
+		h    http.Handler
+		want map[string]int64
+	}{{ha, map[string]int64{"only.a": 1}}, {hb, map[string]int64{"only.b": 2}}} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		var vars map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+			t.Fatalf("/debug/vars is not JSON: %v\n%.300s", err, rec.Body.String())
+		}
+		if _, ok := vars["memstats"]; !ok {
+			t.Errorf("/debug/vars missing the expvar globals:\n%.300s", rec.Body.String())
+		}
+		var snap MetricsSnapshot
+		if err := json.Unmarshal(vars["perfpred"], &snap); err != nil {
+			t.Fatalf("perfpred var: %v", err)
+		}
+		if !reflect.DeepEqual(snap.Counters, tc.want) {
+			t.Errorf("perfpred counters = %v, want %v", snap.Counters, tc.want)
+		}
 	}
 }
 

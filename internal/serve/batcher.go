@@ -78,27 +78,24 @@ type Batcher struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	draining atomic.Bool
-	// fi and clock are snapshotted from the process-global fault
-	// injector at construction: the production no-op makes every hook a
-	// single branch and clock a plain time.Now, so the hot path gains no
-	// allocations or locks. Chaos harnesses activate an injector before
-	// building the daemon to arm them.
-	fi    *faultinject.Injector
-	clock faultinject.Clock
+	// fi is snapshotted from the process-global fault injector at
+	// construction: the production no-op makes every hook a single
+	// branch, so the hot path gains no allocations or locks. Chaos
+	// harnesses activate an injector before building the daemon to arm
+	// it.
+	fi *faultinject.Injector
 }
 
 // newBatcher starts cfg.Workers batch executors.
 func newBatcher(cfg BatcherConfig, met *metrics, score scoreFunc) *Batcher {
 	cfg = cfg.withDefaults()
-	fi := faultinject.Active()
 	b := &Batcher{
 		cfg:   cfg,
 		score: score,
 		met:   met,
 		queue: make(chan *request, cfg.QueueDepth),
 		stop:  make(chan struct{}),
-		fi:    fi,
-		clock: fi.Clock(),
+		fi:    faultinject.Active(),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		b.wg.Add(1)
@@ -135,7 +132,7 @@ func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]float64) ([]fl
 		rows:      rows,
 		out:       make([]float64, len(rows)),
 		done:      make(chan error, 1),
-		submitted: b.clock.Now(),
+		submitted: time.Now(),
 	}
 	select {
 	case b.queue <- req:
@@ -243,7 +240,7 @@ gather:
 // encoded by m's own encoder, out is sized to the rows, and the worker
 // context never ends), so the only failure is an injected flush fault.
 func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, group []*request) {
-	now := b.clock.Now()
+	now := time.Now()
 	live := ws.live[:0]
 	rows := ws.rows[:0]
 	for _, req := range group {
@@ -271,7 +268,7 @@ func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, 
 	// Flush fault point: injected latency slows the kernel flush (queue
 	// pressure builds until admission sheds), a forced error fails the
 	// whole group.
-	kstart := b.clock.Now()
+	kstart := time.Now()
 	var err error
 	if fired, ferr := b.fi.Hit(wctx, faultinject.ServeBatchFlush); fired {
 		b.met.faults.Inc()
@@ -280,7 +277,7 @@ func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, 
 	if err == nil {
 		err = b.score(wctx, m, rows, out)
 	}
-	b.met.kernel.Observe(b.clock.Since(kstart).Seconds())
+	b.met.kernel.Observe(time.Since(kstart).Seconds())
 	b.met.batches.Inc()
 	b.met.batchSize.Observe(float64(len(rows)))
 

@@ -470,7 +470,7 @@ func TestBatcherFlushErrorFailsWholeGroup(t *testing.T) {
 	// holder's flush hook: every later read of fi (the queued requests'
 	// admission, the worker's next flush) is ordered after this write.
 	errFlush := errors.New("injected flush failure")
-	inj := faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+	inj := faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush: {Every: 1, Err: errFlush},
 	})
 	h.fi = inj

@@ -47,7 +47,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	cached := mk()
 	// The bypass daemon snapshots an injector whose cache-lookup fault
 	// fires on every request.
-	restore := faultinject.Activate(faultinject.New(seed, map[faultinject.Point]faultinject.Plan{
+	restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeCacheLookup: {Every: 1, Err: errors.New("cache bypassed")},
 	}))
 	bypass := mk()

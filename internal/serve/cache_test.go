@@ -167,7 +167,7 @@ func TestCacheInvalidationOnReload(t *testing.T) {
 // with an always-fire error and checks requests still succeed with
 // bit-identical answers — the cache fails open to the direct path.
 func TestCacheFaultBypassFailOpen(t *testing.T) {
-	inj := faultinject.New(11, map[faultinject.Point]faultinject.Plan{
+	inj := faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeCacheLookup: {Every: 1, Err: errors.New("injected cache fault")},
 	})
 	restore := faultinject.Activate(inj)

@@ -58,7 +58,7 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 		golden[name] = out
 	}
 
-	inj := faultinject.New(13, map[faultinject.Point]faultinject.Plan{
+	inj := faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush: {Every: 3, Latency: 1500 * time.Microsecond},
 	})
 	restore := faultinject.Activate(inj)

@@ -17,17 +17,22 @@ func EncodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// valueToAny renders one dataset cell in the wire format RowFromAny
-// accepts back.
-func valueToAny(v dataset.Value) any {
-	switch v.Kind() {
-	case dataset.Numeric:
-		return v.Float()
-	case dataset.Flag:
-		return v.Bool()
-	default:
-		return v.Label()
+// WireRow renders one dataset row in the wire format RowFromAny accepts
+// back: numbers for numerics, booleans for flags, strings for
+// categoricals, in field order.
+func WireRow(row []dataset.Value) []any {
+	out := make([]any, len(row))
+	for i, v := range row {
+		switch v.Kind() {
+		case dataset.Numeric:
+			out[i] = v.Float()
+		case dataset.Flag:
+			out[i] = v.Bool()
+		default:
+			out[i] = v.Label()
+		}
 	}
+	return out
 }
 
 // RequestFromDataset builds the wire-format predict request for the
@@ -47,12 +52,7 @@ func RequestFromDataset(model string, d *dataset.Dataset, n int) (*PredictReques
 	}
 	rows := make([][]any, n)
 	for i := 0; i < n; i++ {
-		src := d.Row(i)
-		row := make([]any, len(src))
-		for j, v := range src {
-			row[j] = valueToAny(v)
-		}
-		rows[i] = row
+		rows[i] = WireRow(d.Row(i))
 	}
 	if n == 1 {
 		return &PredictRequest{Model: model, Row: rows[0]}, nil

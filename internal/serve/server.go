@@ -58,10 +58,9 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	addr    atomic.Value // string; bound listen address, set by the daemon
-	// fi and clock come from the fault injector active at construction
-	// (the no-op singleton in production — see Batcher).
-	fi    *faultinject.Injector
-	clock faultinject.Clock
+	// fi is the fault injector active at construction (the no-op
+	// singleton in production — see Batcher).
+	fi *faultinject.Injector
 }
 
 // New loads the model directory and starts the batch workers. The
@@ -78,15 +77,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi := faultinject.Active()
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		met:   newMetrics(cfg.Metrics),
-		fi:    fi,
-		clock: fi.Clock(),
+		cfg:     cfg,
+		reg:     reg,
+		met:     newMetrics(cfg.Metrics),
+		started: time.Now(),
+		fi:      faultinject.Active(),
 	}
-	s.started = s.clock.Now()
 	s.bat = newBatcher(cfg.Batcher, s.met, scoreModel)
 	s.cache = predcache.New(predcache.Config{
 		MaxEntries: cfg.CacheEntries,
@@ -164,13 +161,13 @@ func (s *Server) Report() *obs.ServeReport {
 		ModelsDir:  s.reg.Dir(),
 		Models:     s.reg.Names(),
 		Generation: s.reg.Generation(),
-		Uptime:     max(s.clock.Since(s.started), 0), // a skewed chaos clock may run backwards
+		Uptime:     time.Since(s.started),
 	}, s.met.reg)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := s.clock.Now()
-	defer func() { s.met.latency.Observe(s.clock.Since(start).Seconds()) }()
+	start := time.Now()
+	defer func() { s.met.latency.Observe(time.Since(start).Seconds()) }()
 
 	req, err := DecodePredictRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {

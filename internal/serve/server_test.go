@@ -350,7 +350,7 @@ func TestServerFlushErrorMapsTo500(t *testing.T) {
 	<-hb.entered
 	// Arm the fault while the worker is parked past the held request's
 	// flush hook, before any later request reads it.
-	hb.fi = faultinject.New(1, map[faultinject.Point]faultinject.Plan{
+	hb.fi = faultinject.New(map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush: {Every: 1, Err: errors.New("injected flush failure")},
 	})
 	for i := 1; i <= 3; i++ {
