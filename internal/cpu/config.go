@@ -9,7 +9,10 @@
 // behaviour depends only on the memory configuration and branch behaviour
 // only on the predictor, so an Evaluator memoizes those expensive substrate
 // simulations and full design-space sweeps reuse them across the thousands
-// of core configurations that share them.
+// of core configurations that share them. The memory pass is itself
+// staged: each L1 and each TLB runs over the trace once, and the levels
+// beyond the L1s run per cache stack over the recorded L1-miss stream
+// (trace reduction, as in Mattson et al. 1970).
 package cpu
 
 import (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"perfpred/internal/bpred"
 	"perfpred/internal/mem"
@@ -62,16 +63,102 @@ type branchMetrics struct {
 	branches    uint64
 }
 
-// Evaluator simulates many configurations against one trace, memoizing the
-// expensive substrate passes (memory hierarchy, branch predictor) that are
-// shared between configurations. It is safe for concurrent use.
+// missKind says what an L1 pass hands to the levels behind the L1s.
+type missKind uint8
+
+const (
+	fetchMiss missKind = iota
+	loadMiss
+	storeMiss
+	// prefetchFill is a next-line prefetch whose line the L1D did not
+	// already hold: it installs into the L2 without counting an access.
+	prefetchFill
+)
+
+// l1Event is one access an L1 pass sends on to the L2.
+type l1Event struct {
+	addr uint64
+	idx  uint32 // instruction index in the trace
+	kind missKind
+}
+
+// l1Pass is one L1 cache's behaviour on the trace: its demand counters
+// and, in program order, every event it sends on to the L2.
+type l1Pass struct {
+	accesses, misses, prefetches uint64
+	events                       []l1Event
+}
+
+// tlbPass is one TLB's page-walk cost over its address stream.
+type tlbPass struct {
+	cycles float64
+	misses uint64
+}
+
+// l1dKey identifies an L1D pass: the cache geometry and the prefetcher.
+type l1dKey struct {
+	geom     mem.CacheConfig
+	prefetch bool
+}
+
+// predictorKey identifies a branch-predictor pass.
+type predictorKey struct {
+	kind    bpred.Kind
+	entries int
+}
+
+// memo computes each key's value exactly once, even when several
+// goroutines ask for the same key at the same time: the later callers
+// wait on the entry's sync.Once instead of simulating it again.
+type memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
+	runs    atomic.Int64 // computations started, for tests to check against len(entries)
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	val  V
+	err  error
+}
+
+func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	ent, ok := m.entries[key]
+	if !ok {
+		if m.entries == nil {
+			m.entries = map[K]*memoEntry[V]{}
+		}
+		ent = &memoEntry[V]{}
+		m.entries[key] = ent
+	}
+	m.mu.Unlock()
+	ent.once.Do(func() {
+		m.runs.Add(1)
+		ent.val, ent.err = compute()
+	})
+	return ent.val, ent.err
+}
+
+// Evaluator simulates many configurations against one trace. It
+// simulates each substrate fact once and shares it between the
+// configurations that need it: one pass per L1I geometry, per L1D
+// geometry and prefetcher, per ITLB and per DTLB over the full trace;
+// one pass per cache stack (the hierarchy without its TLBs) over the
+// merged, much shorter L1-miss stream; and one pass per branch predictor.
+// Every memory metric is a sum of small integers, exact in float64, so
+// the staged sums equal a direct walk of the whole hierarchy bit for bit.
+// It is safe for concurrent use.
 type Evaluator struct {
 	tr *trace.Trace
 	tm traceMetrics
 
-	mu    sync.Mutex
-	mems  map[string]*memMetrics
-	preds map[string]*branchMetrics
+	l1i    memo[mem.CacheConfig, *l1Pass] // keyed by geometry: the hit latency cancels
+	l1d    memo[l1dKey, *l1Pass]
+	itlb   memo[mem.TLBConfig, *tlbPass]
+	dtlb   memo[mem.TLBConfig, *tlbPass]
+	stacks memo[mem.HierarchyConfig, *memMetrics] // keyed with the TLBs zeroed
+	preds  memo[predictorKey, *branchMetrics]
 }
 
 // NewEvaluator prepares an evaluator for the trace.
@@ -79,11 +166,10 @@ func NewEvaluator(tr *trace.Trace) (*Evaluator, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, errors.New("cpu: empty trace")
 	}
-	e := &Evaluator{
-		tr:    tr,
-		mems:  map[string]*memMetrics{},
-		preds: map[string]*branchMetrics{},
+	if int64(tr.Len()) > math.MaxUint32 {
+		return nil, fmt.Errorf("cpu: trace of %d instructions is too long", tr.Len())
 	}
+	e := &Evaluator{tr: tr}
 	e.tm = traceMetrics{
 		n:       tr.Len(),
 		mix:     tr.Mix(),
@@ -97,99 +183,181 @@ func NewEvaluator(tr *trace.Trace) (*Evaluator, error) {
 	return e, nil
 }
 
-// memKey identifies a memory hierarchy configuration.
-func memKey(c mem.HierarchyConfig) string {
-	return fmt.Sprintf("%dx%dx%d|%dx%dx%d|%dx%dx%d|%dx%dx%d|%d/%d|%d|pf=%v",
-		c.L1I.SizeKB, c.L1I.LineBytes, c.L1I.Assoc,
-		c.L1D.SizeKB, c.L1D.LineBytes, c.L1D.Assoc,
-		c.L2.SizeKB, c.L2.LineBytes, c.L2.Assoc,
-		c.L3.SizeKB, c.L3.LineBytes, c.L3.Assoc,
-		c.ITLB.CoverageKB, c.DTLB.CoverageKB, c.MemLatencyCyc,
-		c.NextLinePrefetch)
-}
-
-func predKey(kind bpred.Kind, entries int) string {
-	return fmt.Sprintf("%s/%d", kind, entries)
-}
-
-// memPass runs (or reuses) the hierarchy simulation for a config.
-func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
-	key := memKey(cfg)
-	e.mu.Lock()
-	if m, ok := e.mems[key]; ok {
-		e.mu.Unlock()
-		return m, nil
+// memPass assembles the memory metrics of a hierarchy from its cache
+// stack and its two TLBs.
+func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (memMetrics, error) {
+	stack := cfg
+	stack.ITLB, stack.DTLB = mem.TLBConfig{}, mem.TLBConfig{}
+	sm, err := e.stacks.get(stack, func() (*memMetrics, error) { return e.stackPass(cfg) })
+	if err != nil {
+		return memMetrics{}, err
 	}
-	e.mu.Unlock()
+	it, err := e.tlbPass(&e.itlb, cfg.ITLB, false)
+	if err != nil {
+		return memMetrics{}, err
+	}
+	dt, err := e.tlbPass(&e.dtlb, cfg.DTLB, true)
+	if err != nil {
+		return memMetrics{}, err
+	}
+	m := *sm
+	m.tlbCycles = it.cycles + dt.cycles
+	m.stats.ITLBMisses, m.stats.DTLBMisses = it.misses, dt.misses
+	return m, nil
+}
 
-	h, err := mem.NewHierarchy(cfg)
+// stackPass merges the L1I and L1D event streams in program order and
+// runs the L2, L3 and memory over the merged stream. The TLBs never touch
+// the caches, so every TLB variant of a cache stack shares this pass.
+func (e *Evaluator) stackPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
+	ip, err := e.l1iPass(cfg.L1I)
+	if err != nil {
+		return nil, err
+	}
+	dp, err := e.l1dPass(cfg.L1D, cfg.NextLinePrefetch)
+	if err != nil {
+		return nil, err
+	}
+	b, err := mem.NewBacking(cfg)
 	if err != nil {
 		return nil, err
 	}
 	m := &memMetrics{}
-	l1iHit := cfg.L1I.LatencyCycles
-	l1dHit := cfg.L1D.LatencyCycles
-	for i := range e.tr.Instrs {
-		ins := &e.tr.Instrs[i]
-		tlb, cache, _ := h.AccessInstParts(ins.PC)
-		m.tlbCycles += float64(tlb)
-		m.instCacheExtra += float64(cache - l1iHit)
-		switch ins.Class {
-		case trace.Load:
-			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
-			m.tlbCycles += float64(tlb)
-			if toMem {
-				m.loadMemExtra += float64(cache - l1dHit)
-			} else {
-				m.loadChipExtra += float64(cache - l1dHit)
-			}
-		case trace.Store:
-			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
-			m.tlbCycles += float64(tlb)
-			if toMem {
-				m.storeMemExtra += float64(cache - l1dHit)
-			} else {
-				m.storeChipExtra += float64(cache - l1dHit)
-			}
+	iev, dev := ip.events, dp.events
+	for len(iev) > 0 || len(dev) > 0 {
+		var ev l1Event
+		// Within one instruction the fetch precedes the data access.
+		if len(dev) == 0 || len(iev) > 0 && iev[0].idx <= dev[0].idx {
+			ev, iev = iev[0], iev[1:]
+		} else {
+			ev, dev = dev[0], dev[1:]
+		}
+		if ev.kind == prefetchFill {
+			b.Prefetch(ev.addr)
+			continue
+		}
+		lat, toMem := b.Access(ev.addr)
+		switch {
+		case ev.kind == fetchMiss:
+			m.instCacheExtra += float64(lat)
+		case ev.kind == loadMiss && toMem:
+			m.loadMemExtra += float64(lat)
+		case ev.kind == loadMiss:
+			m.loadChipExtra += float64(lat)
+		case toMem:
+			m.storeMemExtra += float64(lat)
+		default:
+			m.storeChipExtra += float64(lat)
 		}
 	}
-	m.stats = h.Stats()
-
-	e.mu.Lock()
-	e.mems[key] = m
-	e.mu.Unlock()
+	m.stats = b.Stats()
+	m.stats.L1IAccesses, m.stats.L1IMisses = ip.accesses, ip.misses
+	m.stats.L1DAccesses, m.stats.L1DMisses = dp.accesses, dp.misses
+	m.stats.Prefetches = dp.prefetches
 	return m, nil
+}
+
+// l1iPass runs (or reuses) the L1I over every fetch, recording its misses.
+func (e *Evaluator) l1iPass(c mem.CacheConfig) (*l1Pass, error) {
+	geom := c
+	geom.LatencyCycles = 0
+	return e.l1i.get(geom, func() (*l1Pass, error) {
+		cache, err := mem.NewCache(c)
+		if err != nil {
+			return nil, err
+		}
+		p := &l1Pass{}
+		for i := range e.tr.Instrs {
+			if pc := e.tr.Instrs[i].PC; !cache.Access(pc) {
+				p.events = append(p.events, l1Event{addr: pc, idx: uint32(i), kind: fetchMiss})
+			}
+		}
+		p.accesses, p.misses = cache.Accesses(), cache.Misses()
+		return p, nil
+	})
+}
+
+// l1dPass runs (or reuses) the L1D over every load and store, recording
+// its misses and, with the next-line prefetcher on, each prefetch fill
+// right after the demand miss that issued it.
+func (e *Evaluator) l1dPass(c mem.CacheConfig, prefetch bool) (*l1Pass, error) {
+	geom := c
+	geom.LatencyCycles = 0
+	return e.l1d.get(l1dKey{geom, prefetch}, func() (*l1Pass, error) {
+		cache, err := mem.NewCache(c)
+		if err != nil {
+			return nil, err
+		}
+		p := &l1Pass{}
+		for i := range e.tr.Instrs {
+			ins := &e.tr.Instrs[i]
+			kind := loadMiss
+			switch ins.Class {
+			case trace.Load:
+			case trace.Store:
+				kind = storeMiss
+			default:
+				continue
+			}
+			if cache.Access(ins.Addr) {
+				continue
+			}
+			p.events = append(p.events, l1Event{addr: ins.Addr, idx: uint32(i), kind: kind})
+			if next := ins.Addr + uint64(c.LineBytes); prefetch && !cache.Install(next) {
+				p.events = append(p.events, l1Event{addr: next, idx: uint32(i), kind: prefetchFill})
+				p.prefetches++
+			}
+		}
+		p.accesses, p.misses = cache.Accesses(), cache.Misses()
+		return p, nil
+	})
+}
+
+// tlbPass runs (or reuses) one TLB over the fetch stream, or over the
+// load and store stream when data is set.
+func (e *Evaluator) tlbPass(m *memo[mem.TLBConfig, *tlbPass], c mem.TLBConfig, data bool) (*tlbPass, error) {
+	return m.get(c, func() (*tlbPass, error) {
+		t, err := mem.NewTLB(c)
+		if err != nil {
+			return nil, err
+		}
+		p := &tlbPass{}
+		for i := range e.tr.Instrs {
+			ins := &e.tr.Instrs[i]
+			addr := ins.PC
+			if data {
+				if ins.Class != trace.Load && ins.Class != trace.Store {
+					continue
+				}
+				addr = ins.Addr
+			}
+			p.cycles += float64(t.Access(addr))
+		}
+		p.misses = t.Misses()
+		return p, nil
+	})
 }
 
 // predPass runs (or reuses) one predictor over the trace's branch stream.
 func (e *Evaluator) predPass(kind bpred.Kind, entries int) (*branchMetrics, error) {
-	key := predKey(kind, entries)
-	e.mu.Lock()
-	if b, ok := e.preds[key]; ok {
-		e.mu.Unlock()
+	return e.preds.get(predictorKey{kind, entries}, func() (*branchMetrics, error) {
+		p, err := bpred.New(kind, entries)
+		if err != nil {
+			return nil, err
+		}
+		b := &branchMetrics{}
+		for i := range e.tr.Instrs {
+			ins := &e.tr.Instrs[i]
+			if ins.Class != trace.Branch {
+				continue
+			}
+			b.branches++
+			if p.Observe(ins.PC, ins.Taken) {
+				b.mispredicts++
+			}
+		}
 		return b, nil
-	}
-	e.mu.Unlock()
-
-	p, err := bpred.New(kind, entries)
-	if err != nil {
-		return nil, err
-	}
-	b := &branchMetrics{}
-	for i := range e.tr.Instrs {
-		ins := &e.tr.Instrs[i]
-		if ins.Class != trace.Branch {
-			continue
-		}
-		b.branches++
-		if p.Observe(ins.PC, ins.Taken) {
-			b.mispredicts++
-		}
-	}
-	e.mu.Lock()
-	e.preds[key] = b
-	e.mu.Unlock()
-	return b, nil
+	})
 }
 
 // Simulate evaluates one configuration.
@@ -205,7 +373,7 @@ func (e *Evaluator) Simulate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := combine(cfg, &e.tm, e.tr.Profile(), mm, bm)
+	res := combine(cfg, &e.tm, e.tr.Profile(), &mm, bm)
 	return res, nil
 }
 

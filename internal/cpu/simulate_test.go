@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"perfpred/internal/bpred"
@@ -307,5 +308,148 @@ func TestEvaluatorDistinguishesPrefetcherConfigs(t *testing.T) {
 	}
 	if rn.MemStats.Prefetches == 0 {
 		t.Fatal("prefetch stats missing")
+	}
+}
+
+// oracleMem is the direct walk the staged Evaluator must reproduce bit
+// for bit: every fetch, load and store through one mem.Hierarchy.
+func oracleMem(cfg mem.HierarchyConfig, tr *trace.Trace) (*memMetrics, error) {
+	h, err := mem.NewHierarchy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := &memMetrics{}
+	l1iHit := cfg.L1I.LatencyCycles
+	l1dHit := cfg.L1D.LatencyCycles
+	for i := range tr.Instrs {
+		ins := &tr.Instrs[i]
+		tlb, cache, _ := h.AccessInstParts(ins.PC)
+		m.tlbCycles += float64(tlb)
+		m.instCacheExtra += float64(cache - l1iHit)
+		switch ins.Class {
+		case trace.Load:
+			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
+			m.tlbCycles += float64(tlb)
+			if toMem {
+				m.loadMemExtra += float64(cache - l1dHit)
+			} else {
+				m.loadChipExtra += float64(cache - l1dHit)
+			}
+		case trace.Store:
+			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
+			m.tlbCycles += float64(tlb)
+			if toMem {
+				m.storeMemExtra += float64(cache - l1dHit)
+			} else {
+				m.storeChipExtra += float64(cache - l1dHit)
+			}
+		}
+	}
+	m.stats = h.Stats()
+	return m, nil
+}
+
+// oracleSimulate simulates cfg on e's trace with the direct memory walk;
+// only the branch pass comes from e.
+func oracleSimulate(e *Evaluator, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	mm, err := oracleMem(cfg.Mem, e.tr)
+	if err != nil {
+		return nil, err
+	}
+	bm, err := e.predPass(cfg.BPred, cfg.BPredEntries)
+	if err != nil {
+		return nil, err
+	}
+	return combine(cfg, &e.tm, e.tr.Profile(), mm, bm), nil
+}
+
+// simulateBoth runs cfg through the staged evaluator e and the oracle,
+// failing the test unless the two results are identical.
+func simulateBoth(t *testing.T, e *Evaluator, cfg Config) *Result {
+	t.Helper()
+	got, err := e.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleSimulate(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
+		t.Fatalf("staged result differs from the direct walk:\n got %+v\nwant %+v", *got, *want)
+	}
+	return got
+}
+
+func TestEvaluatorKeysSeparateLatencies(t *testing.T) {
+	// Regression test for the memo keys: two configs with the same
+	// geometry but one different latency must not share a pass whose sums
+	// depend on that latency.
+	base := baseConfig()
+	base.Mem.L3 = mem.CacheConfig{SizeKB: 8192, LineBytes: 256, Assoc: 8}
+	DefaultLatencies(&base)
+	variants := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"L2", func(c *Config) { c.Mem.L2.LatencyCycles = 20 }},
+		{"L3", func(c *Config) { c.Mem.L3.LatencyCycles = 60 }},
+		{"MemLatencyCyc", func(c *Config) { c.Mem.MemLatencyCyc = 300 }},
+		{"MemLatencyBusy", func(c *Config) { c.Mem.MemLatencyBusy = 10 }},
+		{"ITLB penalty", func(c *Config) { c.Mem.ITLB.MissPenaltyCycles = 60 }},
+		{"DTLB penalty", func(c *Config) { c.Mem.DTLB.MissPenaltyCycles = 60 }},
+	}
+	tr := genTrace(t, "mcf", 30000)
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			e, err := NewEvaluator(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := base
+			v.mutate(&other)
+			rb := simulateBoth(t, e, base)
+			ro := simulateBoth(t, e, other)
+			if rb.Cycles == ro.Cycles {
+				t.Fatalf("changing the %s latency left cycles at %v", v.name, rb.Cycles)
+			}
+		})
+	}
+	t.Run("L1 hit", func(t *testing.T) {
+		// The L1 hit latency cancels out of every beyond-hit sum, so the
+		// pair must agree; each must still match the direct walk.
+		e, err := NewEvaluator(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := base
+		other.Mem.L1I.LatencyCycles, other.Mem.L1D.LatencyCycles = 3, 3
+		if rb, ro := simulateBoth(t, e, base), simulateBoth(t, e, other); *rb != *ro {
+			t.Fatalf("the L1 hit latency changed the result: %+v vs %+v", *rb, *ro)
+		}
+	})
+}
+
+func TestEvaluatorSharesCacheStackAcrossTLBs(t *testing.T) {
+	e, err := NewEvaluator(genTrace(t, "mcf", 30000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := baseConfig()
+	large := baseConfig()
+	large.Mem.ITLB.CoverageKB, large.Mem.DTLB.CoverageKB = 1024, 2048
+	rs := simulateBoth(t, e, small)
+	rl := simulateBoth(t, e, large)
+	if n := len(e.stacks.entries); n != 1 {
+		t.Fatalf("configs differing only in their TLBs made %d cache-stack entries, want 1", n)
+	}
+	if n, m := len(e.itlb.entries), len(e.dtlb.entries); n != 2 || m != 2 {
+		t.Fatalf("ITLB/DTLB entries = %d/%d, want 2/2", n, m)
+	}
+	if rs.TLBCycles == rl.TLBCycles {
+		t.Fatalf("different TLBs gave the same TLB cycles %v", rs.TLBCycles)
 	}
 }
