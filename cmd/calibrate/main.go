@@ -21,6 +21,7 @@ import (
 
 	"perfpred/internal/cpu"
 	"perfpred/internal/engine"
+	"perfpred/internal/experiments"
 	"perfpred/internal/space"
 	"perfpred/internal/stat"
 	"perfpred/internal/trace"
@@ -53,10 +54,7 @@ func main() {
 	}
 	fmt.Printf("sampling %d of %d configurations\n\n", len(cfgs), len(all))
 
-	paperTargets := map[string][2]float64{
-		"applu": {1.62, 0.16}, "equake": {1.73, 0.19}, "gcc": {5.27, 0.33},
-		"mesa": {2.22, 0.19}, "mcf": {6.38, 0.71},
-	}
+	paperTargets := experiments.PaperMicroStats()
 
 	for _, p := range profs {
 		length := *n
@@ -82,7 +80,7 @@ func main() {
 		nv := stat.NormalizedVariance(cycles)
 		target := paperTargets[p.Name]
 		fmt.Printf("=== %s (n=%d)  range %.2f (paper %.2f)  nvar %.3f (paper %.2f)\n",
-			p.Name, length, rng, target[0], nv, target[1])
+			p.Name, length, rng, target.Range, nv, target.NormVar)
 
 		// Fastest and slowest sampled configurations with breakdowns.
 		fastest, slowest := 0, 0

@@ -1,6 +1,7 @@
 // Command chronoprobe runs the chronological 2005→2006 experiment for
 // every family across all nine models and prints the error table — the
-// calibration tool for the paper's Figures 7–8 and Table 2 shapes.
+// calibration tool for the paper's Figures 7–8 and Table 2 shapes. It
+// prints experiments.RunTable2 next to experiments.PaperTable2.
 package main
 
 import (
@@ -12,7 +13,7 @@ import (
 	"text/tabwriter"
 
 	"perfpred/internal/core"
-	"perfpred/internal/specdata"
+	"perfpred/internal/experiments"
 )
 
 func main() {
@@ -22,44 +23,28 @@ func main() {
 	scale := flag.Float64("epochs", 1.0, "neural epoch scale")
 	flag.Parse()
 
+	kinds := core.FigureModels()
+	t2, err := experiments.RunTable2(context.Background(), kinds, experiments.Config{
+		Seed: *seed, EpochScale: *scale,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	header := "family\t"
-	for _, k := range core.FigureModels() {
+	for _, k := range kinds {
 		header += k.String() + "\t"
 	}
-	header += "best\tpaper"
-	fmt.Fprintln(w, header)
-
-	paperBest := map[string]string{
-		"Xeon": "2.1 LR-E", "Pentium 4": "1.5 LR-E", "Pentium D": "2.2 LR-E",
-		"Opteron": "2.1 LR-B/S", "Opteron 2": "3.1 LR-B/S",
-		"Opteron 4": "3.2 LR-B/S", "Opteron 8": "3.5 LR-B/S",
-	}
-
-	for _, f := range specdata.Families() {
-		recs, err := specdata.Generate(f, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		train, err := specdata.BuildDataset(recs, 2005)
-		if err != nil {
-			log.Fatal(err)
-		}
-		future, err := specdata.BuildDataset(recs, 2006)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := core.RunChronological(context.Background(), train, future, core.FigureModels(), core.TrainConfig{
-			Seed: *seed, EpochScale: *scale,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		line := f.Name + "\t"
-		for _, rep := range res.Reports {
+	fmt.Fprintln(w, header+"best\tpaper")
+	paper := experiments.PaperTable2()
+	for _, s := range t2.Studies {
+		line := s.Family + "\t"
+		for _, rep := range s.Reports {
 			line += fmt.Sprintf("%.1f±%.1f\t", rep.TrueMAPE, rep.StdAPE)
 		}
-		line += fmt.Sprintf("%.1f %s\t%s", res.BestTrueMAPE, res.Best, paperBest[f.Name])
+		p := paper[s.Family]
+		line += fmt.Sprintf("%.1f %s\t%.1f %s", s.BestTrue, s.Best, p.Err, p.Method)
 		fmt.Fprintln(w, line)
 	}
 	if err := w.Flush(); err != nil {

@@ -4,10 +4,13 @@
 // It routes POST /v1/predict across -replicas by rendezvous hashing on
 // the request's (model, rows) content — the same row hash the replicas'
 // prediction caches key on — so identical design points always land on
-// the same replica and its cache stays hot. Replicas are actively
-// health-checked and ejected/readmitted; a transport failure retries
-// the request on the next healthy replica in rendezvous order, while any
-// HTTP response, whatever its status, is relayed as the answer.
+// the same replica and its cache stays hot. Every replica, healthy or
+// ejected, is probed once per -probe-interval and ejected/readmitted on
+// the results; a transport failure retries the request on the next
+// healthy replica in rendezvous order, while any HTTP response, whatever
+// its status, is relayed as the answer. The gateway sheds nothing
+// itself: each replica's admission queue is the tier's only shed point,
+// and its 429s pass through untouched.
 //
 //	POST /v1/predict   route one prediction (response relayed byte-for-byte)
 //	GET  /v1/models    proxy to a healthy replica
@@ -50,11 +53,10 @@ func main() {
 	addr := flag.String("addr", "localhost:8090", "listen address (port 0 picks a free port; see -addr-file)")
 	replicas := flag.String("replicas", "", "comma-separated perfpredd replica addresses (required)")
 	d := gateway.DefaultConfig()
-	probeInterval := flag.Duration("probe-interval", d.ProbeInterval, "health-probe spacing to a healthy replica")
+	probeInterval := flag.Duration("probe-interval", d.ProbeInterval, "health-probe spacing to every replica, healthy or ejected")
 	probeTimeout := flag.Duration("probe-timeout", d.ProbeTimeout, "per-probe deadline")
 	failThreshold := flag.Int("fail-threshold", d.FailThreshold, "consecutive failures that eject a replica")
 	readmitThreshold := flag.Int("readmit-threshold", d.ReadmitThreshold, "consecutive probe successes that readmit a replica")
-	maxInFlight := flag.Int("max-in-flight", d.MaxInFlight, "per-replica in-flight cap at the gateway (backstop; excess sheds 429)")
 	timeout := flag.Duration("request-timeout", d.RequestTimeout, "end-to-end deadline per proxied request")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
 	report := flag.String("report", "", "write a final GatewayReport JSON here on shutdown")
@@ -76,7 +78,6 @@ func main() {
 		ProbeTimeout:     *probeTimeout,
 		FailThreshold:    *failThreshold,
 		ReadmitThreshold: *readmitThreshold,
-		MaxInFlight:      *maxInFlight,
 		RequestTimeout:   *timeout,
 	}
 	if err := run(cfg, *addr, *addrFile, *report, *drainTimeout); err != nil {

@@ -34,9 +34,6 @@ func main() {
 	var (
 		seed     = flag.Int64("seed", 7, "seed deriving the schedule and fixture models")
 		duration = flag.Duration("duration", 30*time.Second, "schedule horizon")
-		requests = flag.Int("requests", 0, "predict requests to schedule (0 = scale with duration)")
-		workers  = flag.Int("workers", 0, "max concurrent in-flight client requests (0 = default)")
-		timeout  = flag.Duration("timeout", 0, "daemon per-request deadline (0 = default)")
 		faults   = flag.Bool("faults", true, "arm the chaos fault plans")
 		replicas = flag.Int("replicas", 1, "serving daemons; 0 or 1 is one bare daemon, >= 2 puts a cache-affine gateway in front")
 		kill     = flag.Bool("replica-kill", false, "crash one replica mid-schedule and restart it (requires -replicas >= 2)")
@@ -46,14 +43,11 @@ func main() {
 	flag.Parse()
 
 	cfg := loadtest.Config{
-		Seed:           *seed,
-		Duration:       *duration,
-		Requests:       *requests,
-		Workers:        *workers,
-		RequestTimeout: *timeout,
-		Faults:         *faults,
-		Replicas:       *replicas,
-		ReplicaKill:    *kill,
+		Seed:        *seed,
+		Duration:    *duration,
+		Faults:      *faults,
+		Replicas:    *replicas,
+		ReplicaKill: *kill,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
@@ -83,8 +77,8 @@ func main() {
 			cs.Lookups, cs.Hits, cs.Evictions, cs.Invalidations)
 	}
 	if gw := rep.Gateway; gw != nil {
-		fmt.Printf("  gateway  kills %d  restarts %d  retries %d  shed %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",
-			rep.ReplicaKills, rep.ReplicaRestarts, gw.Retries, gw.Shed,
+		fmt.Printf("  gateway  kills %d  restarts %d  retries %d  ejects %d  readmits %d  faults %d  affinity %d keys spread<=%d\n",
+			rep.ReplicaKills, rep.ReplicaRestarts, gw.Retries,
 			gw.Ejects, gw.Readmits, gw.FaultsInjected, rep.AffinityKeys, rep.AffinityMaxSpread)
 	}
 	if !rep.OK() {

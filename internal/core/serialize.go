@@ -12,30 +12,17 @@ import (
 	"perfpred/internal/model"
 )
 
-// predictorState is the artifact wire format. Version 2 carries one
-// opaque model payload plus the versioned family tag that identifies its
-// codec; version 1 artifacts (decoded for backward compatibility, never
-// written) identified the family implicitly by which of the lr/nn
-// payloads was present.
+// predictorState is the artifact wire format: one opaque model payload
+// plus the versioned family tag that identifies its codec.
 type predictorState struct {
 	Version int             `json:"version"`
 	Kind    ModelKind       `json:"kind"`
 	Family  string          `json:"family,omitempty"`
 	Encoder json.RawMessage `json:"encoder"`
 	Model   json.RawMessage `json:"model,omitempty"`
-	// LR and NN are the version-1 payload slots, retained for decode only.
-	LR json.RawMessage `json:"lr,omitempty"`
-	NN json.RawMessage `json:"nn,omitempty"`
 }
 
 const predictorVersion = 2
-
-// Version-1 artifacts carried no family tag; which payload slot was
-// populated implied the codec. These are the tags those slots map to.
-const (
-	legacyLRTag = "linreg/v1"
-	legacyNNTag = "neural/v1"
-)
 
 // MarshalJSON serializes the trained predictor — model payload, family
 // tag, and the fitted input encoder — so a surrogate can be stored and
@@ -59,9 +46,8 @@ func (p *Predictor) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalPredictor restores a predictor serialized by MarshalJSON. It
-// decodes both the current version-2 format and legacy version-1
-// artifacts, and rejects artifacts whose payload slots are inconsistent
-// (both set, none set, or a payload that contradicts the declared kind).
+// rejects any version but the current one, an artifact without a model
+// payload, and one whose family tag contradicts the declared kind.
 func UnmarshalPredictor(data []byte) (*Predictor, error) {
 	var st predictorState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -71,45 +57,20 @@ func UnmarshalPredictor(data []byte) (*Predictor, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: predictor has unknown model kind %v", st.Kind)
 	}
-	var payload json.RawMessage
-	switch st.Version {
-	case 1:
-		// Legacy format: the populated slot implies the family.
-		switch {
-		case st.LR != nil && st.NN != nil:
-			return nil, fmt.Errorf("core: predictor carries both LR and NN payloads")
-		case st.LR != nil:
-			if fam.Tag != legacyLRTag {
-				return nil, fmt.Errorf("core: %v predictor with an LR payload", st.Kind)
-			}
-			payload = st.LR
-		case st.NN != nil:
-			if fam.Tag != legacyNNTag {
-				return nil, fmt.Errorf("core: %v predictor with an NN payload", st.Kind)
-			}
-			payload = st.NN
-		default:
-			return nil, fmt.Errorf("core: predictor has no model payload")
-		}
-	case predictorVersion:
-		if st.LR != nil || st.NN != nil {
-			return nil, fmt.Errorf("core: version %d predictor carries legacy payload slots", st.Version)
-		}
-		if st.Model == nil {
-			return nil, fmt.Errorf("core: predictor has no model payload")
-		}
-		if st.Family != fam.Tag {
-			return nil, fmt.Errorf("core: predictor family %q does not match %v (family %q)", st.Family, st.Kind, fam.Tag)
-		}
-		payload = st.Model
-	default:
+	if st.Version != predictorVersion {
 		return nil, fmt.Errorf("core: unsupported predictor version %d", st.Version)
+	}
+	if st.Model == nil {
+		return nil, fmt.Errorf("core: predictor has no model payload")
+	}
+	if st.Family != fam.Tag {
+		return nil, fmt.Errorf("core: predictor family %q does not match %v (family %q)", st.Family, st.Kind, fam.Tag)
 	}
 	enc, err := dataset.UnmarshalEncoder(st.Encoder)
 	if err != nil {
 		return nil, err
 	}
-	m, err := fam.Unmarshal(payload)
+	m, err := fam.Unmarshal(st.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -94,70 +94,6 @@ func TestPredictorLoadRejectsPayloadMismatch(t *testing.T) {
 	if _, err := UnmarshalPredictor(empty); err == nil {
 		t.Fatal("missing payload: want error")
 	}
-	// A v2 artifact smuggling a legacy slot next to its payload is
-	// ambiguous and rejected.
-	both := mutate(func(m map[string]json.RawMessage) { m["lr"] = m["model"] })
-	if _, err := UnmarshalPredictor(both); err == nil {
-		t.Fatal("v2 artifact with legacy slot: want error")
-	}
-}
-
-// TestPredictorLoadV1Compat pins the backward-compat decode path: a
-// version-1 artifact (payload in the lr/nn slot, no family tag) still
-// loads and predicts identically, and its slot/kind consistency rules
-// still hold.
-func TestPredictorLoadV1Compat(t *testing.T) {
-	train := synthSpace(t, 80, 25)
-	for _, tc := range []struct {
-		kind ModelKind
-		slot string
-	}{{LRE, "lr"}, {NNS, "nn"}} {
-		p, err := Train(context.Background(), tc.kind, train, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st map[string]json.RawMessage
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		// Rewrite the v2 artifact as its v1 equivalent.
-		st["version"] = json.RawMessage("1")
-		st[tc.slot] = st["model"]
-		delete(st, "model")
-		delete(st, "family")
-		v1, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalPredictor(v1)
-		if err != nil {
-			t.Fatalf("%v: v1 artifact rejected: %v", tc.kind, err)
-		}
-		want, err := p.Predict(train.Row(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Predict(train.Row(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%v: v1-loaded predictor predicts %v, original %v", tc.kind, got, want)
-		}
-		// Both legacy slots at once is ambiguous and rejected.
-		st["lr"], st["nn"] = st[tc.slot], st[tc.slot]
-		dual, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := UnmarshalPredictor(dual); err == nil {
-			t.Fatalf("%v: v1 artifact with both payloads accepted", tc.kind)
-		}
-	}
 }
 
 func TestLoadedPredictorImportancesWork(t *testing.T) {
@@ -184,7 +120,7 @@ func TestLoadedPredictorImportancesWork(t *testing.T) {
 }
 
 // TestPredictorDecodeErrorStrings pins the exact error message each
-// malformed artifact shape decodes to, across both wire versions. These
+// malformed artifact shape decodes to. These
 // strings are part of the operational surface — registry reload
 // failures and predict-CLI errors quote them verbatim — so changing one
 // is a breaking change this table makes deliberate.
@@ -214,49 +150,20 @@ func TestPredictorDecodeErrorStrings(t *testing.T) {
 		}
 		return out
 	}
-	// toV1 rewrites the v2 artifact as version 1 with the payload in
-	// slot (or in no slot when slot is empty).
-	toV1 := func(m map[string]json.RawMessage, slots ...string) {
-		m["version"] = json.RawMessage("1")
-		for _, s := range slots {
-			m[s] = m["model"]
-		}
-		delete(m, "model")
-		delete(m, "family")
-	}
-
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{
-			"v1 with both legacy slots",
-			artifact(func(m map[string]json.RawMessage) { toV1(m, "lr", "nn") }),
-			"core: predictor carries both LR and NN payloads",
-		},
-		{
-			"v1 neural kind with LR slot",
+			"v1 artifact",
 			artifact(func(m map[string]json.RawMessage) {
-				toV1(m, "lr")
-				m["kind"] = json.RawMessage("9") // NNS
+				m["version"] = json.RawMessage("1")
+				m["lr"] = m["model"]
+				delete(m, "model")
+				delete(m, "family")
 			}),
-			"core: NN-S predictor with an LR payload",
-		},
-		{
-			"v1 linreg kind with NN slot",
-			artifact(func(m map[string]json.RawMessage) { toV1(m, "nn") }),
-			"core: LR-E predictor with an NN payload",
-		},
-		{
-			"v1 with neither slot",
-			artifact(func(m map[string]json.RawMessage) { toV1(m) }),
-			"core: predictor has no model payload",
-		},
-		{
-			"v2 smuggling a legacy slot",
-			artifact(func(m map[string]json.RawMessage) { m["lr"] = m["model"] }),
-			"core: version 2 predictor carries legacy payload slots",
+			"core: unsupported predictor version 1",
 		},
 		{
 			"v2 without a payload",

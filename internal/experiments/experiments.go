@@ -398,13 +398,25 @@ type CalibrationRow struct {
 	PaperVar   float64
 }
 
-// RunMicroCalibration reproduces the §4.1 simulation statistics (range and
-// variance of cycles across the design space) for the figured benchmarks.
-func RunMicroCalibration(ctx context.Context, cfg Config) ([]CalibrationRow, error) {
-	paper := map[string][2]float64{
+// PaperMicroStat is the paper's §4.1 cycle range and normalized variance
+// for one benchmark across the design space.
+type PaperMicroStat struct {
+	Range, NormVar float64
+}
+
+// PaperMicroStats returns the published §4.1 statistics of the figured
+// benchmarks.
+func PaperMicroStats() map[string]PaperMicroStat {
+	return map[string]PaperMicroStat{
 		"applu": {1.62, 0.16}, "equake": {1.73, 0.19}, "gcc": {5.27, 0.33},
 		"mesa": {2.22, 0.19}, "mcf": {6.38, 0.71},
 	}
+}
+
+// RunMicroCalibration reproduces the §4.1 simulation statistics (range and
+// variance of cycles across the design space) for the figured benchmarks.
+func RunMicroCalibration(ctx context.Context, cfg Config) ([]CalibrationRow, error) {
+	paper := PaperMicroStats()
 	var rows []CalibrationRow
 	for _, prof := range trace.FiguredProfiles() {
 		_, _, cycles, err := groundTruth(ctx, prof.Name, cfg)
@@ -419,7 +431,7 @@ func RunMicroCalibration(ctx context.Context, cfg Config) ([]CalibrationRow, err
 		rows = append(rows, CalibrationRow{
 			Name: prof.Name, Points: len(cycles),
 			Range: rng, NormVar: stat.NormalizedVariance(cycles),
-			PaperRange: p[0], PaperVar: p[1],
+			PaperRange: p.Range, PaperVar: p.NormVar,
 		})
 	}
 	return rows, nil

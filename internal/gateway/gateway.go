@@ -13,12 +13,11 @@
 //     replica's prediction cache stays hot. Rendezvous scoring means a
 //     replica ejection only moves the keys it owned; every other key
 //     keeps its cache-warm home.
-//   - Health-checked replicas: active /healthz probes plus passive
+//   - Health-checked replicas: active /healthz probes, one every
+//     ProbeInterval whatever the replica's state, plus passive
 //     transport-failure signals drive a per-replica state machine
 //     (healthy → ejected after FailThreshold consecutive failures,
-//     readmitted after ReadmitThreshold consecutive probe successes,
-//     with deterministic doubling backoff between probes to a down
-//     replica).
+//     readmitted after ReadmitThreshold consecutive probe successes).
 //   - Synchronous retry down the rendezvous order: each predict runs
 //     in its handler goroutine. The first healthy replica is the
 //     primary; a transport failure (a killed replica) strikes it and
@@ -26,9 +25,9 @@
 //     mid-request loses nothing. Every call to a replica goes through
 //     one helper, which never strikes a replica for a failure the
 //     caller caused by leaving or running out of time.
-//   - Bounded in-flight: each replica carries a gateway-side in-flight
-//     cap as an overload backstop; replica-side sheds (429 with the
-//     replica's Retry-After) pass through to the client untouched.
+//   - One shed point: each replica's admission queue. Its 429s (with
+//     the replica's Retry-After) pass through to the client untouched;
+//     the gateway adds no cap of its own.
 //
 // The gateway never re-encodes a prediction: request bodies are
 // forwarded byte-for-byte and responses are relayed byte-for-byte, so
@@ -55,24 +54,19 @@ import (
 type Config struct {
 	// Replicas are the upstream perfpredd addresses (host:port).
 	Replicas []string
-	// ProbeInterval spaces active health probes to a healthy replica;
-	// it is also the initial backoff to an ejected one. Default 250ms.
+	// ProbeInterval spaces active health probes to every replica,
+	// healthy or ejected. Default 250ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request. Default 1s.
 	ProbeTimeout time.Duration
-	// MaxProbeBackoff caps the doubling probe backoff to an ejected
-	// replica. Default 8×ProbeInterval.
-	MaxProbeBackoff time.Duration
 	// FailThreshold ejects a replica after this many consecutive
 	// failures (probe or transport). Default 2.
 	FailThreshold int
 	// ReadmitThreshold readmits an ejected replica after this many
 	// consecutive probe successes. Default 2.
 	ReadmitThreshold int
-	// MaxInFlight caps concurrent requests per replica at the gateway; a
-	// request whose routed replica is at the cap is shed with 429. The
-	// cap is a backstop — the replica's own admission queue is the
-	// primary shedding point. Default 256.
+	// Deprecated: ignored; kept only so bench/'s config literal
+	// compiles. Each replica's admission queue is the only shed point.
 	MaxInFlight int
 	// Deprecated: must be zero; kept only so bench/'s config literal
 	// compiles. New rejects any other value.
@@ -83,20 +77,22 @@ type Config struct {
 	// Transport overrides the upstream HTTP transport (tests inject
 	// failure shapes); nil uses a pooled default.
 	Transport http.RoundTripper
-	// Metrics is the registry to record into; nil creates a private one.
-	Metrics *obs.Registry
 }
 
+// Idle-connection pool of the default upstream transport.
+const (
+	maxIdleConnsPerReplica = 256
+	maxIdleConns           = 1024
+)
+
 // DefaultConfig returns the gateway's defaults: the values New fills
-// into zero fields, and perfpredgw's flag defaults. MaxProbeBackoff is
-// left zero because its default follows ProbeInterval.
+// into zero fields, and perfpredgw's flag defaults.
 func DefaultConfig() Config {
 	return Config{
 		ProbeInterval:    250 * time.Millisecond,
 		ProbeTimeout:     time.Second,
 		FailThreshold:    2,
 		ReadmitThreshold: 2,
-		MaxInFlight:      256,
 		RequestTimeout:   15 * time.Second,
 	}
 }
@@ -109,17 +105,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = d.ProbeTimeout
 	}
-	if c.MaxProbeBackoff <= 0 {
-		c.MaxProbeBackoff = 8 * c.ProbeInterval
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = d.FailThreshold
 	}
 	if c.ReadmitThreshold <= 0 {
 		c.ReadmitThreshold = d.ReadmitThreshold
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = d.MaxInFlight
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = d.RequestTimeout
@@ -133,7 +123,6 @@ type metrics struct {
 	reg        *obs.Registry
 	requests   *obs.Counter
 	retries    *obs.Counter
-	shed       *obs.Counter
 	errors     *obs.Counter
 	ejects     *obs.Counter
 	readmits   *obs.Counter
@@ -144,15 +133,12 @@ type metrics struct {
 	upstream   *obs.Histogram
 }
 
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+func newMetrics() *metrics {
+	reg := obs.NewRegistry()
 	return &metrics{
 		reg:        reg,
 		requests:   reg.Counter(obs.MetricGatewayRequests),
 		retries:    reg.Counter(obs.MetricGatewayRetries),
-		shed:       reg.Counter(obs.MetricGatewayShed),
 		errors:     reg.Counter(obs.MetricGatewayErrors),
 		ejects:     reg.Counter(obs.MetricGatewayEjects),
 		readmits:   reg.Counter(obs.MetricGatewayReadmits),
@@ -207,7 +193,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
-		met:     newMetrics(cfg.Metrics),
+		met:     newMetrics(),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		fi:      faultinject.Active(),
@@ -215,8 +201,8 @@ func New(cfg Config) (*Gateway, error) {
 	tr := cfg.Transport
 	if tr == nil {
 		tr = &http.Transport{
-			MaxIdleConns:        4 * cfg.MaxInFlight,
-			MaxIdleConnsPerHost: cfg.MaxInFlight,
+			MaxIdleConns:        maxIdleConns,
+			MaxIdleConnsPerHost: maxIdleConnsPerReplica,
 		}
 	}
 	g.client = &http.Client{Transport: tr}
@@ -315,17 +301,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// probeLoop actively health-checks one replica until Close. The delay
-// sequence is deterministic: ProbeInterval while healthy, then
-// ProbeInterval·2ᵏ (capped at MaxProbeBackoff) for the k-th consecutive
-// probe to an ejected replica, resetting on readmission.
+// probeLoop actively health-checks one replica every ProbeInterval,
+// healthy or ejected, until Close.
 func (g *Gateway) probeLoop(rep *replica) {
 	defer g.probeWG.Done()
+	t := time.NewTicker(g.cfg.ProbeInterval)
+	defer t.Stop()
 	for {
-		t := time.NewTimer(rep.probeDelay(g.cfg.ProbeInterval))
 		select {
 		case <-g.stop:
-			t.Stop()
 			return
 		case <-t.C:
 		}

@@ -299,7 +299,6 @@ func TestEjectAndReadmit(t *testing.T) {
 		ProbeInterval:    5 * time.Millisecond,
 		FailThreshold:    2,
 		ReadmitThreshold: 2,
-		MaxProbeBackoff:  10 * time.Millisecond,
 	}, r1, r2)
 
 	r1.set(func(f *fakeReplica) { f.healthy = false })
@@ -342,41 +341,31 @@ func TestEjectAndReadmit(t *testing.T) {
 	}
 }
 
-// TestGatewayShedsAtCap fills the single replica's in-flight budget
-// with stalled requests and checks the overflow request sheds 429 with
-// Retry-After at the gateway.
-func TestGatewayShedsAtCap(t *testing.T) {
+// TestEjectedReplicaProbedOnCadence pins the single probe cadence: a
+// replica that keeps failing /healthz after its ejection is still
+// probed every ProbeInterval, so a restarted replica is readmitted
+// within ReadmitThreshold intervals. The 300ms window holds about 60
+// probes; the floor of 27 leaves slack for the race detector and still
+// fails any backoff that doubles toward 8×ProbeInterval (about 9).
+func TestEjectedReplicaProbedOnCadence(t *testing.T) {
 	r1 := newFakeReplica(t)
-	r1.set(func(f *fakeReplica) { f.stall = 300 * time.Millisecond })
-	g := newTestGateway(t, Config{ProbeInterval: time.Hour, MaxInFlight: 2}, r1)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			doPredict(t, g, predictBody("m", 1))
-		}()
-	}
-	// Wait until both stalled requests occupy their slots.
-	deadline := time.Now().Add(2 * time.Second)
-	for g.reps[0].inflight.Load() < 2 {
+	r1.set(func(f *fakeReplica) { f.healthy = false })
+	g := newTestGateway(t, Config{ProbeInterval: 5 * time.Millisecond, FailThreshold: 2}, r1)
+	deadline := time.Now().Add(5 * time.Second)
+	for g.reps[0].isHealthy() {
 		if time.Now().After(deadline) {
-			t.Fatal("stalled requests never occupied the in-flight slots")
+			t.Fatal("replica was never ejected")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rec := doPredict(t, g, predictBody("m", 1))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("overflow request got %d, want 429", rec.Code)
+	before := g.Report().Replicas[0].ProbeFailures
+	time.Sleep(300 * time.Millisecond)
+	after := g.Report().Replicas[0]
+	if after.Healthy {
+		t.Fatal("a replica failing every probe was readmitted")
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("gateway shed carries no Retry-After")
-	}
-	wg.Wait()
-	snap := g.MetricsRegistry().Snapshot()
-	if snap.Counters[obs.MetricGatewayShed] == 0 {
-		t.Fatal("shed counter did not move")
+	if got := after.ProbeFailures - before; got < 27 {
+		t.Fatalf("ejected replica failed %d probes in 300ms at a 5ms interval, want >= 27", got)
 	}
 }
 
@@ -415,9 +404,9 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		done <- doPredict(t, g, predictBody("m", 1)).Code
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for g.reps[0].inflight.Load() == 0 {
+	for r1.predicts.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("in-flight request never started")
+			t.Fatal("in-flight request never reached the replica")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -488,7 +477,7 @@ func TestGatewayFaultPoints(t *testing.T) {
 		defer restore()
 		r1 := newFakeReplica(t)
 		g := newTestGateway(t, Config{
-			ProbeInterval: 2 * time.Millisecond, FailThreshold: 2, MaxProbeBackoff: 5 * time.Millisecond,
+			ProbeInterval: 2 * time.Millisecond, FailThreshold: 2,
 		}, r1)
 		deadline := time.Now().Add(5 * time.Second)
 		for g.reps[0].isHealthy() {

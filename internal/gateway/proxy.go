@@ -67,7 +67,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// Routing fault point: latency delays replica selection, a forced
-	// error answers 503 before any replica capacity is consumed.
+	// error answers 503 before any replica is called.
 	if fired, ferr := g.fi.Hit(ctx, faultinject.GatewayRoute); fired {
 		g.met.faults.Inc()
 		if ferr != nil {
@@ -93,27 +93,14 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // dispatch walks order synchronously and answers w. The first healthy
 // replica is the primary. A transport failure retries on the next
-// healthy replica with a free in-flight slot; the first HTTP response,
-// whatever its status, is relayed.
-//
-// A primary at its in-flight cap sheds 429 rather than spilling onto
-// other replicas: spilling would shred cache affinity exactly when the
-// tier is busiest, and the replica's own admission queue is the primary
-// shed point, whose 429s pass through long before the gateway cap bites.
+// healthy replica; the first HTTP response, whatever its status, is
+// relayed — a replica's 429 included, since its admission queue is the
+// tier's only shed point.
 func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*replica, body []byte, contentType string) {
 	route := RoutePrimary
 	var lastErr error
 	for _, rep := range order {
 		if !rep.isHealthy() {
-			continue
-		}
-		if !rep.acquire(g.cfg.MaxInFlight) {
-			if route == RoutePrimary {
-				g.met.shed.Inc()
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, errors.New("routed replica at in-flight capacity"))
-				return
-			}
 			continue
 		}
 		if route == RouteRetry {
@@ -123,7 +110,6 @@ func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*
 		start := time.Now()
 		res, err := g.call(ctx, rep, http.MethodPost, "/v1/predict", body, contentType)
 		g.met.upstream.Observe(time.Since(start).Seconds())
-		rep.release()
 		if err == nil {
 			w.Header().Set(HeaderRoute, route)
 			relay(w, rep, res)

@@ -3,20 +3,19 @@ package gateway
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"perfpred/internal/obs"
 	"perfpred/internal/predcache"
 )
 
 // replica is one upstream perfpredd as the gateway tracks it: a
-// rendezvous identity, an in-flight gauge, and a health-state machine
-// fed by both active probes and passive transport signals.
+// rendezvous identity and a health-state machine fed by both active
+// probes and passive transport signals.
 //
 // The state machine has two states. A healthy replica is ejected after
 // FailThreshold consecutive failures (probe failures and request
 // transport errors both count; any success resets the streak). An
-// ejected replica takes no traffic and is probed with doubling backoff;
+// ejected replica takes no traffic and is probed on the same cadence;
 // ReadmitThreshold consecutive probe successes readmit it. Only probes
 // can readmit — a replica never re-enters rotation on hope.
 type replica struct {
@@ -28,7 +27,6 @@ type replica struct {
 	// stable across gateway restarts with the same address set.
 	id uint64
 
-	inflight      atomic.Int64
 	requests      atomic.Int64
 	transportErrs atomic.Int64
 
@@ -38,7 +36,6 @@ type replica struct {
 	mu         sync.Mutex
 	fails      int // consecutive failures while healthy
 	okays      int // consecutive probe successes while ejected
-	backoff    time.Duration
 	ejects     int64
 	readmits   int64
 	probes     int64
@@ -57,29 +54,6 @@ func newReplica(idx int, addr string) *replica {
 }
 
 func (r *replica) isHealthy() bool { return r.healthy.Load() }
-
-// acquire takes one in-flight slot, failing when the replica is at cap.
-func (r *replica) acquire(maxInFlight int) bool {
-	if r.inflight.Add(1) > int64(maxInFlight) {
-		r.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (r *replica) release() { r.inflight.Add(-1) }
-
-// probeDelay returns how long the probe loop should wait before the
-// next probe: the base interval while healthy, the current backoff
-// while ejected.
-func (r *replica) probeDelay(interval time.Duration) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.healthy.Load() || r.backoff <= 0 {
-		return interval
-	}
-	return r.backoff
-}
 
 func (r *replica) report() obs.ReplicaReport {
 	r.mu.Lock()
@@ -119,8 +93,8 @@ func (g *Gateway) recordProbe(rep *replica, ok bool) {
 		}
 		return
 	}
-	// Ejected: successes accumulate toward readmission, failures reset
-	// the streak and double the probe backoff.
+	// Ejected: successes accumulate toward readmission, a failure resets
+	// the streak.
 	if ok {
 		rep.okays++
 		if rep.okays >= g.cfg.ReadmitThreshold {
@@ -129,7 +103,6 @@ func (g *Gateway) recordProbe(rep *replica, ok bool) {
 		return
 	}
 	rep.okays = 0
-	rep.backoff = min(2*rep.backoff, g.cfg.MaxProbeBackoff)
 }
 
 // noteTransportError feeds a request-path transport failure (connection
@@ -163,7 +136,6 @@ func (g *Gateway) ejectLocked(rep *replica) {
 	rep.healthy.Store(false)
 	rep.fails = 0
 	rep.okays = 0
-	rep.backoff = g.cfg.ProbeInterval
 	rep.ejects++
 	g.met.ejects.Inc()
 }
@@ -173,7 +145,6 @@ func (g *Gateway) readmitLocked(rep *replica) {
 	rep.healthy.Store(true)
 	rep.fails = 0
 	rep.okays = 0
-	rep.backoff = 0
 	rep.readmits++
 	g.met.readmits.Inc()
 }

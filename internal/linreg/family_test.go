@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"perfpred/internal/model"
+	"perfpred/internal/model/modeltest"
 )
 
 // TestFamilyConformance runs the registry conformance suite over every
@@ -11,6 +12,6 @@ import (
 func TestFamilyConformance(t *testing.T) {
 	for _, k := range []model.Kind{model.LRE, model.LRS, model.LRB, model.LRF} {
 		k := k
-		t.Run(k.String(), func(t *testing.T) { model.TestFamily(t, k) })
+		t.Run(k.String(), func(t *testing.T) { modeltest.TestFamily(t, k) })
 	}
 }

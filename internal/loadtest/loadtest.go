@@ -59,25 +59,17 @@ type Config struct {
 	// Requests is the number of predict requests to schedule. Default
 	// scales with Duration (~150/s, minimum 200).
 	Requests int
-	// Workers bounds concurrent in-flight client requests. It must
-	// exceed the schedule's burst size for bursts to actually overflow
-	// the admission queue. Default 64.
-	Workers int
 	// Faults arms the chaos fault plans (stalled batch flushes past the
 	// request deadline, forced admission errors, failing reloads and
 	// artifact loads, stalled cache lookups). When false the same
 	// schedule replays against a clean daemon.
 	Faults bool
-	// RequestTimeout is the daemon's per-request deadline. Default 60ms
-	// with faults armed (so injected flush stalls expire queued
-	// requests), 2s otherwise.
-	RequestTimeout time.Duration
 	// Replicas is the number of in-process daemons. 0 or 1 runs one bare
 	// daemon the client talks to directly; ≥ 2 puts an internal/gateway
 	// front tier before them and adds the gateway invariants: hot
 	// single-row requests land on exactly one replica (cache affinity),
-	// the gateway's own report is consistent, and its shed/retry
-	// accounting reconciles with what clients observed on the wire.
+	// the gateway's own report is consistent, and its retry accounting
+	// reconciles with what clients observed on the wire.
 	Replicas int
 	// ReplicaKill (≥ 2 replicas) kills one seed-chosen replica's
 	// listener at ~35% of the horizon and restarts it at ~65%, verifying
@@ -100,17 +92,21 @@ func (c Config) withDefaults() Config {
 			c.Requests = 200
 		}
 	}
-	if c.Workers <= 0 {
-		c.Workers = 64
-	}
-	if c.RequestTimeout <= 0 {
-		if c.Faults {
-			c.RequestTimeout = 60 * time.Millisecond
-		} else {
-			c.RequestTimeout = 2 * time.Second
-		}
-	}
 	return c
+}
+
+// clientWorkers bounds concurrent in-flight client requests. It exceeds
+// the schedule's burst size, so bursts actually overflow the admission
+// queue.
+const clientWorkers = 64
+
+// requestTimeout is the daemon's per-request deadline: 60ms with faults
+// armed, so injected flush stalls expire queued requests, 2s otherwise.
+func (c Config) requestTimeout() time.Duration {
+	if c.Faults {
+		return 60 * time.Millisecond
+	}
+	return 2 * time.Second
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -221,7 +217,7 @@ func Run(cfg Config) (*Report, error) {
 	// server and gateway snapshot the active injector at construction.
 	var inj *faultinject.Injector
 	if cfg.Faults {
-		inj = faultinject.New(chaosPlans(cfg.RequestTimeout, n))
+		inj = faultinject.New(chaosPlans(cfg.requestTimeout(), n))
 		restore := faultinject.Activate(inj)
 		defer restore()
 	}
@@ -238,8 +234,8 @@ func Run(cfg Config) (*Report, error) {
 		fx:  fx,
 		top: top,
 		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        cfg.Workers * 2,
-			MaxIdleConnsPerHost: cfg.Workers * 2,
+			MaxIdleConns:        2 * clientWorkers,
+			MaxIdleConnsPerHost: 2 * clientWorkers,
 		}},
 		sched: sched,
 		outs:  make([]outcome, len(sched.Events)),
@@ -271,10 +267,10 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // replay dispatches every scheduled event at its offset, bounded by
-// cfg.Workers concurrent in-flight calls, and waits for all outcomes.
+// clientWorkers concurrent in-flight calls, and waits for all outcomes.
 func (h *harness) replay() {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, h.cfg.Workers)
+	sem := make(chan struct{}, clientWorkers)
 	start := time.Now()
 	for i := range h.sched.Events {
 		ev := h.sched.Events[i]

@@ -173,8 +173,8 @@ func (h *harness) report(inj *faultinject.Injector, elapsed time.Duration) *Repo
 // evidence. It fills rep's derived counts and Violations. It reads
 // nothing live, so it can be driven offline with synthetic evidence.
 //
-// Every tier-wide check treats a missing gateway as one whose shed,
-// retry, error and fault counters are zero; only the gateway
+// Every tier-wide check treats a missing gateway as one whose retry,
+// error and fault counters are zero; only the gateway
 // report's own validity, the kill choreography and cache affinity are
 // checked for a fronted tier alone.
 func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
@@ -219,8 +219,8 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 	if gw == nil {
 		gw = &obs.GatewayReport{}
 	}
-	shed, faults := gw.Shed, gw.FaultsInjected
-	var served, requests, lookups, hits int64
+	faults := gw.FaultsInjected
+	var shed, served, requests, lookups, hits int64
 	for i, sr := range rep.Replicas {
 		if err := sr.Validate(); err != nil {
 			v.addf("replica %d final serve report invalid: %v", i, err)
@@ -250,8 +250,8 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 	if !cfg.Faults && faults != 0 {
 		v.addf("faults disabled but %d faults fired", faults)
 	}
-	// Every wire-observed 429 was counted by a replica's batcher or the
-	// gateway's in-flight cap. The converse allows slack for clients that
+	// Every wire-observed 429 was counted by a replica's batcher, the
+	// tier's only shed point. The converse allows slack for clients that
 	// abandoned their request at its own deadline (the 429 was sent but
 	// never read) and for retried attempts (a replica may count a shed
 	// whose 429 never reached the gateway before the connection broke).
@@ -265,8 +265,8 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 		v.addf("replicas served %d rows but clients saw %d rows in 200s", served, rows200)
 	}
 	// Every admitted-class answer reached a replica, except the ones the
-	// gateway produced itself (its sheds and errors).
-	if reached := int64(admitted) - gw.Shed - gw.Errors; requests < reached {
+	// gateway produced itself (its errors).
+	if reached := int64(admitted) - gw.Errors; requests < reached {
 		v.addf("replica requests %d < %d answers that must have reached a replica", requests, reached)
 	}
 	if lookups == 0 {

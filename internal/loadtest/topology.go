@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"perfpred/internal/gateway"
-	"perfpred/internal/obs"
 	"perfpred/internal/serve"
 )
 
@@ -124,13 +123,12 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 	for i := range addrs {
 		srv, err := serve.New(serve.Config{
 			ModelsDir:      dir,
-			RequestTimeout: cfg.RequestTimeout,
+			RequestTimeout: cfg.requestTimeout(),
 			Batcher: serve.BatcherConfig{
 				QueueDepth: 8,
 				MaxBatch:   8,
 				Workers:    2,
 			},
-			Metrics: obs.NewRegistry(),
 		})
 		if err != nil {
 			return fail(fmt.Errorf("loadtest: starting replica %d: %w", i, err))
@@ -156,10 +154,7 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 		ProbeTimeout:     250 * time.Millisecond,
 		FailThreshold:    2,
 		ReadmitThreshold: 2,
-		MaxProbeBackoff:  100 * time.Millisecond,
-		MaxInFlight:      2 * cfg.Workers,
 		RequestTimeout:   5 * time.Second,
-		Metrics:          obs.NewRegistry(),
 	})
 	if err != nil {
 		return fail(err)

@@ -13,15 +13,11 @@ import (
 // keeps via the MetricServe* names.
 const (
 	// MetricGatewayRequests counts /v1/predict requests the gateway
-	// accepted for routing (shed and drained requests included).
+	// accepted for routing (drained requests included).
 	MetricGatewayRequests = "gateway.requests"
 	// MetricGatewayRetries counts attempts retried on the next replica
 	// after a transport failure (a killed or unreachable replica).
 	MetricGatewayRetries = "gateway.retries"
-	// MetricGatewayShed counts requests the gateway rejected with its own
-	// 429 because the routed replica was at its in-flight cap.
-	// (Replica-side sheds pass through and are counted by the replica.)
-	MetricGatewayShed = "gateway.shed"
 	// MetricGatewayErrors counts gateway-originated terminal errors: no
 	// healthy replica (503), every attempt failed in transport (502),
 	// or the request deadline expired with no response in hand (504).
@@ -46,7 +42,7 @@ const (
 )
 
 // GatewayReportVersion is the current GatewayReport schema version.
-const GatewayReportVersion = 2
+const GatewayReportVersion = 3
 
 // ReplicaReport is one replica's lifetime as the gateway saw it.
 type ReplicaReport struct {
@@ -80,7 +76,9 @@ type GatewayMeta struct {
 // GatewayReport is the machine-readable record of one gateway lifetime —
 // the front-tier analogue of ServeReport: which replicas it fronted and
 // their health history, how much traffic it routed, how often it
-// retried, shed and erred, and how fast. The gateway exposes it live on
+// retried and erred, and how fast. It counts no sheds: a replica's
+// admission queue is the tier's only shed point, and its 429s pass
+// through. The gateway exposes it live on
 // /gw/report and cmd/perfpredgw writes it at SIGTERM drain behind
 // -report.
 type GatewayReport struct {
@@ -97,7 +95,6 @@ type GatewayReport struct {
 	// MetricGateway* names).
 	Requests int64 `json:"requests"`
 	Retries  int64 `json:"retries"`
-	Shed     int64 `json:"shed"`
 	Errors   int64 `json:"errors"`
 	Ejects   int64 `json:"ejects"`
 	Readmits int64 `json:"readmits"`
@@ -125,7 +122,6 @@ func BuildGatewayReport(meta GatewayMeta, reg *Registry) *GatewayReport {
 		snap := reg.Snapshot()
 		r.Requests = snap.Counters[MetricGatewayRequests]
 		r.Retries = snap.Counters[MetricGatewayRetries]
-		r.Shed = snap.Counters[MetricGatewayShed]
 		r.Errors = snap.Counters[MetricGatewayErrors]
 		r.Ejects = snap.Counters[MetricGatewayEjects]
 		r.Readmits = snap.Counters[MetricGatewayReadmits]
@@ -152,7 +148,7 @@ func (r *GatewayReport) Validate() error {
 		return errors.New("obs: gateway report has no replicas")
 	}
 	for name, v := range map[string]int64{
-		"requests": r.Requests, "retries": r.Retries, "shed": r.Shed, "errors": r.Errors,
+		"requests": r.Requests, "retries": r.Retries, "errors": r.Errors,
 		"ejects": r.Ejects, "readmits": r.Readmits, "faults_injected": r.FaultsInjected,
 	} {
 		if v < 0 {

@@ -12,7 +12,7 @@ func sampleGatewayReport() *GatewayReport {
 	reg := NewRegistry()
 	reg.Counter(MetricGatewayRequests).Add(100)
 	reg.Counter(MetricGatewayRetries).Add(2)
-	reg.Counter(MetricGatewayShed).Add(1)
+	reg.Counter(MetricGatewayErrors).Add(1)
 	reg.Counter(MetricGatewayEjects).Add(1)
 	reg.Counter(MetricGatewayReadmits).Add(1)
 	reg.Histogram(MetricGatewayLatency).Observe(0.004)
@@ -35,7 +35,7 @@ func TestGatewayReportRoundTrip(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if r.Requests != 100 || r.Retries != 2 || r.Shed != 1 {
+	if r.Requests != 100 || r.Retries != 2 || r.Errors != 1 {
 		t.Fatalf("counters not read from registry: %+v", r)
 	}
 	path := filepath.Join(t.TempDir(), "gw.json")

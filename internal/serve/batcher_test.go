@@ -55,7 +55,7 @@ func goldenModels(t *testing.T, d *dataset.Dataset) (map[string]*Model, map[stri
 func TestBatcherGoldenEquivalence(t *testing.T) {
 	models, golden, encoded := goldenModels(t, synthDataset(t, 96, 4))
 	b := newBatcher(BatcherConfig{QueueDepth: 1024, MaxBatch: 16, Workers: 4},
-		newMetrics(nil), scoreModel)
+		newMetrics(), scoreModel)
 	defer b.Close()
 
 	const goroutines = 8
@@ -127,7 +127,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 		}
 		return nil
 	}
-	met := newMetrics(nil)
+	met := newMetrics()
 	b := newBatcher(BatcherConfig{QueueDepth: 2, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
@@ -192,7 +192,7 @@ func TestBatcherDrain(t *testing.T) {
 		}
 		return nil
 	}
-	met := newMetrics(nil)
+	met := newMetrics()
 	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
@@ -261,7 +261,7 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 		}
 		return nil
 	}
-	met := newMetrics(nil)
+	met := newMetrics()
 	b := newBatcher(BatcherConfig{QueueDepth: 16, MaxBatch: 1, Workers: 1}, met, score)
 	m := &Model{Name: "stub"}
 	row := [][]float64{{1}}
@@ -405,7 +405,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 	}
 
 	t.Run("one gather", func(t *testing.T) {
-		met := newMetrics(nil)
+		met := newMetrics()
 		h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: maxBatch}, met)
 		subs := []*submission{submit(t, h, models, encoded, "nns", []int{0}, 0)}
 		<-h.entered
@@ -436,7 +436,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 	})
 
 	t.Run("full body alone", func(t *testing.T) {
-		met := newMetrics(nil)
+		met := newMetrics()
 		h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: maxBatch}, met)
 		body := make([]int, maxBatch)
 		for i := range body {
@@ -462,7 +462,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 // that error, and nothing is rescored.
 func TestBatcherFlushErrorFailsWholeGroup(t *testing.T) {
 	models, golden, encoded := goldenModels(t, synthDataset(t, 32, 4))
-	met := newMetrics(nil)
+	met := newMetrics()
 	h := newHeldBatcher(t, BatcherConfig{QueueDepth: 64, MaxBatch: 64}, met)
 	holder := submit(t, h, models, encoded, "nns", []int{0}, 0)
 	<-h.entered

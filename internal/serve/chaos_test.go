@@ -64,7 +64,7 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 	restore := faultinject.Activate(inj)
 	defer restore()
 
-	met := newMetrics(nil)
+	met := newMetrics()
 	b := newBatcher(BatcherConfig{QueueDepth: 64, MaxBatch: 8, Workers: 2}, met, scoreModel)
 	defer b.Close()
 

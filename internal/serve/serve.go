@@ -63,10 +63,8 @@ type metrics struct {
 	queueDepth  *obs.Gauge
 }
 
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+func newMetrics() *metrics {
+	reg := obs.NewRegistry()
 	return &metrics{
 		reg:         reg,
 		requests:    reg.Counter(obs.MetricServeRequests),

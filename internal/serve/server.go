@@ -29,8 +29,6 @@ type Config struct {
 	// CacheEntries bounds the prediction cache every request goes
 	// through; 0 or less means DefaultCacheEntries.
 	CacheEntries int
-	// Metrics is the registry to record into; nil creates a private one.
-	Metrics *obs.Registry
 }
 
 // DefaultConfig returns perfpredd's defaults (ModelsDir aside). New
@@ -80,7 +78,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		met:     newMetrics(cfg.Metrics),
+		met:     newMetrics(),
 		started: time.Now(),
 		fi:      faultinject.Active(),
 	}

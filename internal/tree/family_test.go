@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perfpred/internal/model"
+	"perfpred/internal/model/modeltest"
 )
 
 // TestFamilyConformance holds TREE-B to the same registry contract as
@@ -12,7 +13,7 @@ import (
 // cancellation, bit-identical persistence, and allocation-free batch
 // prediction.
 func TestFamilyConformance(t *testing.T) {
-	model.TestFamily(t, KindTreeB)
+	modeltest.TestFamily(t, KindTreeB)
 }
 
 func TestFamilyEpochScaleSizesEnsemble(t *testing.T) {

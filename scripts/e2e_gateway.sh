@@ -168,8 +168,8 @@ wait "$spid"
 python3 - <<EOF
 import json
 gw = json.load(open("gw-report.json"))
-assert gw["version"] == 2 and len(gw["replicas"]) == 2, gw
-assert "hedges" not in gw and "hedge_wins" not in gw, gw
+assert gw["version"] == 3 and len(gw["replicas"]) == 2, gw
+assert "hedges" not in gw and "hedge_wins" not in gw and "shed" not in gw, gw
 assert gw["requests"] >= 14, gw
 assert gw["ejects"] >= 1, gw
 healthy = [r for r in gw["replicas"] if r["healthy"]]
