@@ -203,20 +203,18 @@ func scoreRequestJSON(modelPath, reqPath string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(reqPath)
+	body, err := os.ReadFile(reqPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	req, err := serve.DecodePredictRequest(f)
+	req, err := serve.ScanPredict(body)
 	if err != nil {
 		return err
 	}
-	if req.Model != m.Name {
+	if string(req.Model) != m.Name {
 		log.Printf("note: request names model %q, scoring with %q", req.Model, m.Name)
-		req.Model = m.Name
 	}
-	resp, err := serve.ScoreRequest(context.Background(), m, req)
+	resp, err := serve.ScoreRequest(context.Background(), m, &req)
 	if err != nil {
 		return err
 	}

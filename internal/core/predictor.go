@@ -169,7 +169,8 @@ func (p *Predictor) scoreEncoded(ps *predictScratch, out []float64, rows [][]flo
 
 // CheckRows encodes raw rows with the predictor's encoder and discards
 // the result: a nil return means PredictRowsInto on the same rows cannot
-// fail with a row error.
+// fail with a row error. Only the benchmark's resolve rung calls it; the
+// serving path encodes each row once, straight into pooled scratch.
 func (p *Predictor) CheckRows(rows [][]dataset.Value) error {
 	var buf dataset.RowBuffer
 	_, err := p.enc.EncodeRows(&buf, rows)

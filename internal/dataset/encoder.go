@@ -212,6 +212,25 @@ func (e *Encoder) Omitted() map[string]string {
 	return out
 }
 
+// Labels returns every categorical label the encoder tells apart — its
+// one-hot categories and the numeric levels of the schema's categorical
+// fields — each mapped to itself. A request decoder interns labels
+// through it, so a known label costs no allocation.
+func (e *Encoder) Labels() map[string]string {
+	out := map[string]string{}
+	for _, f := range e.schema.Fields {
+		for l := range f.NumericLevels {
+			out[l] = l
+		}
+	}
+	for _, c := range e.cols {
+		if c.oneHot {
+			out[c.category] = c.category
+		}
+	}
+	return out
+}
+
 // SourceField returns the schema field name an encoded column derives from.
 // One-hot columns of the same categorical field share a source field.
 func (e *Encoder) SourceField(col int) string {

@@ -18,7 +18,8 @@ const MaxCategoryLen = 256
 // Non-finite numbers (NaN, ±Inf — including overflowing json.Number
 // literals like 1e999) and type mismatches are rejected with an error
 // naming the offending field, so serving decoders can surface precise
-// 400s. It is the request-row validation behind the /v1/predict decoder.
+// 400s. It is the row validation behind serve.PredictRequest.Resolve,
+// the oracle the serving scanner is fuzzed against.
 func (s *Schema) RowFromAny(vals []any) ([]Value, error) {
 	if len(vals) != len(s.Fields) {
 		return nil, fmt.Errorf("dataset: row has %d values, schema has %d fields", len(vals), len(s.Fields))

@@ -142,6 +142,19 @@ func TestRoutingKeyFraming(t *testing.T) {
 	}
 }
 
+// TestRoutingKeyZeroAlloc pins the gateway's per-request parse at zero
+// allocations on gcc bodies of one and 64 rows.
+func TestRoutingKeyZeroAlloc(t *testing.T) {
+	for _, body := range gccBodies(t) {
+		if _, ok := routingKey(body); !ok {
+			t.Fatalf("routingKey rejected %s", body)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { routingKey(body) }); allocs != 0 {
+			t.Errorf("%d-byte body: routingKey allocates %.1f/op, want 0", len(body), allocs)
+		}
+	}
+}
+
 // TestRendezvousStability pins the two rendezvous properties routing
 // relies on: determinism (same key, same order) and minimal disruption
 // (removing one replica only moves the keys it owned).
@@ -369,26 +382,46 @@ func TestEjectedReplicaProbedOnCadence(t *testing.T) {
 	}
 }
 
-// TestMalformedBodyForwards pins that a body the gateway cannot key
-// still reaches a replica (which owns the authoritative 4xx) instead of
-// being answered by the gateway.
-func TestMalformedBodyForwards(t *testing.T) {
+// TestMalformedBodyAnsweredAtEdge pins where client errors are
+// classified: a body that fails the replicas' pass 1 is answered by the
+// gateway with the status and bytes a replica gives it, without a
+// replica hop and without counting as a gateway error, while an error
+// that needs a schema (here an unknown model) is still the replica's.
+func TestMalformedBodyAnsweredAtEdge(t *testing.T) {
+	rep := httptest.NewServer(newGCCReplica(t).Handler())
+	t.Cleanup(rep.Close)
 	r1 := newFakeReplica(t)
-	r1.set(func(f *fakeReplica) {
-		f.status = http.StatusBadRequest
-		f.body = `{"error":"serve: predict request has no model"}`
-	})
 	g := newTestGateway(t, Config{ProbeInterval: time.Hour}, r1)
 
-	rec := doPredict(t, g, `{"rows":[[1]]}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want replica's 400", rec.Code)
+	for _, body := range []string{
+		`{"rows":[[1]]}`,
+		`{"model":"m","row":[`,
+		`{"model":"m","row":[1]}]`,
+		`{"model":"m","row":[1],"extra":1}`,
+		`{"model":"m","rows":[]}`,
+	} {
+		res, err := http.Post(rep.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := doPredict(t, g, body)
+		if rec.Code != http.StatusBadRequest || res.StatusCode != http.StatusBadRequest || rec.Body.String() != string(want) {
+			t.Errorf("body %s: gateway answered %d %q, replica %d %q", body, rec.Code, rec.Body, res.StatusCode, want)
+		}
 	}
-	if got := rec.Body.String(); got != `{"error":"serve: predict request has no model"}` {
-		t.Fatalf("replica error not relayed: %q", got)
+	if n := r1.predicts.Load(); n != 0 {
+		t.Fatalf("%d malformed bodies reached the replica", n)
 	}
-	if r1.predicts.Load() != 1 {
-		t.Fatal("malformed body never reached the replica")
+	if n := g.MetricsRegistry().Snapshot().Counters[obs.MetricGatewayErrors]; n != 0 {
+		t.Fatalf("client errors counted %d gateway errors", n)
+	}
+	if rec := doPredict(t, g, predictBody("nope", 1)); rec.Code != http.StatusOK || r1.predicts.Load() != 1 {
+		t.Fatalf("a well-formed body was not forwarded: %d, %d predicts", rec.Code, r1.predicts.Load())
 	}
 }
 

@@ -39,8 +39,9 @@ type reply struct {
 	body   []byte
 }
 
-// handlePredict proxies one prediction through the replica tier: route
-// by rendezvous key, dispatch down that order, and relay the answering
+// handlePredict proxies one prediction through the replica tier: answer
+// a structurally malformed body 400 itself, otherwise route by
+// rendezvous key, dispatch down that order, and relay the answering
 // replica's response byte-for-byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -63,6 +64,16 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
 	}
+	// A client error is classified once, here: a body that fails the
+	// replicas' own pass 1 gets the 400 a replica would give it, without
+	// a replica hop and outside every gateway error metric. Errors that
+	// need a schema stay the replica's.
+	key, keyed := routingKey(body)
+	if !keyed {
+		_, err := serve.ScanPredict(body) // only to name the error
+		serve.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 
@@ -77,18 +88,11 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	key, keyed := routingKey(body)
-	var order []*replica
-	if keyed {
-		order = g.order(key)
-	} else {
-		order = g.spreadOrder()
-	}
 	contentType := r.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
 	}
-	g.dispatch(ctx, w, order, body, contentType)
+	g.dispatch(ctx, w, g.order(key), body, contentType)
 }
 
 // dispatch walks order synchronously and answers w. The first healthy

@@ -3,8 +3,8 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"sort"
+	"strconv"
 
 	"perfpred/internal/predcache"
 	"perfpred/internal/serve"
@@ -20,23 +20,21 @@ import (
 // The projection reuses the predcache primitives end to end: each row's
 // cells become float64s fed through predcache.HashRow (the cache's own
 // row hash), and the model name plus per-row hashes fold together with
-// predcache.Combine. A body that fails strict decoding gets no key
-// (ok=false); the gateway routes it round-robin and lets the replica
-// produce the authoritative 4xx.
+// predcache.Combine. The body is read by the replicas' own pass 1,
+// serve.ScanPredict; a body that fails it gets no key (ok=false) and is
+// answered 400 at the gateway.
 func routingKey(body []byte) (key uint64, ok bool) {
-	req, err := serve.DecodePredictRequest(bytes.NewReader(body))
+	req, err := serve.ScanPredict(body)
 	if err != nil {
 		return 0, false
 	}
-	rows := req.Rows
-	if req.Row != nil {
-		rows = [][]any{req.Row}
-	}
-	key = predcache.HashString(req.Model)
-	cells := make([]float64, 0, 16)
-	for _, row := range rows {
-		cells = cells[:0]
-		for _, cell := range row {
+	key = predcache.HashString(string(req.Model))
+	var buf [32]float64 // wider rows grow onto the heap
+	rows := req.Rows()
+	for _, row, ok := rows.Next(); ok; _, row, ok = rows.Next() {
+		cells := buf[:0]
+		it := serve.Values(row)
+		for _, cell, ok := it.Next(); ok; _, cell, ok = it.Next() {
 			cells = append(cells, projectCell(cell))
 		}
 		key = predcache.Combine(key, predcache.HashRow(cells))
@@ -44,32 +42,82 @@ func routingKey(body []byte) (key uint64, ok bool) {
 	return key, true
 }
 
-// projectCell maps one wire cell onto a float64 for routing. The
-// mapping only has to be deterministic and value-sensitive — replicas
-// re-validate every cell against the model schema, so a lossy
-// projection costs at worst a cache-affinity miss, never correctness.
-func projectCell(v any) float64 {
-	switch c := v.(type) {
-	case json.Number:
-		// Prefer the numeric value so "2" and "2.0" (equal after schema
-		// resolution, therefore one cache row) route identically.
-		if f, err := c.Float64(); err == nil {
-			return f
-		}
-		return float64(predcache.HashString(string(c)))
-	case string:
-		return float64(predcache.HashString(c))
-	case bool:
-		if c {
-			return 1
-		}
+// projectCell maps one wire cell, a JSON value span, onto a float64 for
+// routing. The mapping only has to be deterministic and value-sensitive
+// — replicas re-validate every cell against the model schema, so a lossy
+// projection costs at worst a cache-affinity miss, never correctness. It
+// is the projection the gateway has always keyed with, so no key moves
+// replica: numbers by value, strings, null and unparseable numbers by
+// the hash of their decoded text.
+func projectCell(c []byte) float64 {
+	switch c[0] {
+	case '"':
+		var sbuf [64]byte
+		return float64(predcache.HashString(string(serve.Unquote(sbuf[:0], c))))
+	case 't':
+		return 1
+	case 'f':
 		return 0
-	case float64: // a non-UseNumber decoder upstream
-		return c
-	case nil:
+	case 'n':
 		return float64(predcache.HashString("<null>"))
-	default:
-		return float64(predcache.HashString(fmt.Sprint(c)))
+	case '[', '{':
+		return projectNested(c)
+	}
+	// Prefer the numeric value so "2" and "2.0" (equal after schema
+	// resolution, therefore one cache row) route identically.
+	if f, err := strconv.ParseFloat(string(c), 64); err == nil {
+		return f
+	}
+	return float64(predcache.HashString(string(c)))
+}
+
+// projectNested keys an array or object cell, which every replica
+// rejects, by the hash of what fmt.Sprint prints for its encoding/json
+// decoding — the text the gateway has always hashed for one.
+func projectNested(c []byte) float64 {
+	dec := json.NewDecoder(bytes.NewReader(c))
+	dec.UseNumber()
+	var v any
+	_ = dec.Decode(&v) // cannot fail: ScanPredict validated the cell
+	return float64(predcache.HashString(string(appendSprint(nil, v))))
+}
+
+// appendSprint appends fmt.Sprint's rendering of a decoded JSON value:
+// "[a b]" for arrays, "map[k:v]" in key order for objects, "<nil>" for
+// null, and the text of strings, numbers and booleans.
+func appendSprint(dst []byte, v any) []byte {
+	switch v := v.(type) {
+	case []any:
+		dst = append(dst, '[')
+		for i, e := range v {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = appendSprint(dst, e)
+		}
+		return append(dst, ']')
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		dst = append(dst, "map["...)
+		for i, k := range keys {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = appendSprint(append(append(dst, k...), ':'), v[k])
+		}
+		return append(dst, ']')
+	case nil:
+		return append(dst, "<nil>"...)
+	case string:
+		return append(dst, v...)
+	case json.Number:
+		return append(dst, v...)
+	default: // encoding/json decodes nothing else but a bool
+		return strconv.AppendBool(dst, v.(bool))
 	}
 }
 
@@ -106,9 +154,9 @@ func (g *Gateway) order(key uint64) []*replica {
 	return out
 }
 
-// spreadOrder is the non-affine fallback ranking for requests without a
-// routing key (malformed bodies, admin proxying): round-robin rotation
-// of the replica list, so broken traffic cannot pile onto one replica.
+// spreadOrder is the non-affine ranking for read-only proxying:
+// round-robin rotation of the replica list, so no replica takes all of
+// it.
 func (g *Gateway) spreadOrder() []*replica {
 	start := int(g.rr.Add(1)-1) % len(g.reps)
 	out := make([]*replica, 0, len(g.reps))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 
 	"perfpred/internal/dataset"
@@ -12,12 +13,15 @@ import (
 // Config.CacheEntries is not positive.
 const DefaultCacheEntries = 2048
 
-// rowScratch is one /v1/predict request's pooled working set: the
-// encoded rows — both the cache keys and the batcher's payload — the
-// predictions, and the list of cache misses. A request whose scoring
-// failed may have left a batch queued that still reads its rows, so its
-// scratch goes to the GC, not back to the pool.
+// rowScratch is one /v1/predict request's pooled working set: the body,
+// the resolved cell values, the encoded rows — both the cache keys and
+// the batcher's payload — the predictions, and the list of cache misses.
+// A request whose scoring failed may have left a batch queued that still
+// reads its rows, so its scratch goes to the GC, not back to the pool.
 type rowScratch struct {
+	body     bytes.Buffer
+	vals     []dataset.Value   // flat cell values, viewed row by row as rows
+	rows     [][]dataset.Value // views into vals, parallel to the request's rows
 	enc      dataset.RowBuffer
 	out      []float64
 	hashes   []uint64    // row hashes, parallel to the request's rows

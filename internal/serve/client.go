@@ -17,9 +17,9 @@ func EncodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// WireRow renders one dataset row in the wire format RowFromAny accepts
-// back: numbers for numerics, booleans for flags, strings for
-// categoricals, in field order.
+// WireRow renders one dataset row in the predict wire format: numbers
+// for numerics, booleans for flags, strings for categoricals, in field
+// order.
 func WireRow(row []dataset.Value) []any {
 	out := make([]any, len(row))
 	for i, v := range row {
@@ -60,19 +60,22 @@ func RequestFromDataset(model string, d *dataset.Dataset, n int) (*PredictReques
 	return &PredictRequest{Model: model, Rows: rows}, nil
 }
 
-// ScoreRequest resolves and scores a wire-format request directly
-// against a loaded model — the offline path the predict CLI shares with
-// the daemon: identical decoding, identical validation, identical batch
-// kernel (PredictRowsInto), so a request file scored locally and the
-// same body POSTed to /v1/predict return bit-identical predictions.
-func ScoreRequest(ctx context.Context, m *Model, req *PredictRequest) (*PredictResponse, error) {
-	rows, err := req.Resolve(m.Pred.Encoder().Schema())
+// ScoreRequest scores a scanned request directly against a loaded
+// model — the offline path the predict CLI shares with the daemon: the
+// same two-pass scanner, the same validation and encoding, the same
+// kernel entry (PredictEncodedInto), so a request file
+// scored locally and the same body POSTed to /v1/predict return
+// bit-identical predictions. The response names m whatever model the
+// request named.
+func ScoreRequest(ctx context.Context, m *Model, req *ScannedRequest) (*PredictResponse, error) {
+	var ws rowScratch
+	rows, err := req.encodeRows(&ws, m.Pred.Encoder(), m.labels)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(rows))
-	if err := m.Pred.PredictRowsInto(ctx, out, rows); err != nil {
+	if err := m.Pred.PredictEncodedInto(ctx, out, rows); err != nil {
 		return nil, err
 	}
-	return newPredictResponse(req, m, out)
+	return newPredictResponse(req.Single, m, out)
 }

@@ -3,21 +3,23 @@ package serve
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"perfpred/internal/dataset"
 )
 
-// FuzzDecodePredictRequest hardens the /v1/predict front half against
-// hostile bodies: whatever the bytes, decode, resolve and encode must
-// never panic, and anything they accept must satisfy the invariants the
-// cache, batcher and kernel rely on — non-empty row set, schema arity,
-// finite numerics, correctly typed values, and exactly NumColumns
-// encoded cells per row. The encoder is fitted for linear regression
-// with a numerically mapped categorical, the one column encoding can
-// reject. Seeds cover the malformed-JSON, NaN/Inf, wrong-arity and
-// unmapped-category corners; the committed corpus under testdata/fuzz
-// replays past findings in CI's fuzz-regression step.
+// FuzzDecodePredictRequest holds the serving decoder — ScanPredict, then
+// pass 2 into pooled scratch and EncodeRows — to its oracle,
+// DecodePredictRequest → Resolve → EncodeRows. On every input the two
+// must land in the same one of three outcomes: rejected before model
+// lookup, rejected against the schema (with the same error text), or
+// accepted with the same encoded float64 bits. Both encodings of the
+// categorical are under test: LR's numeric mapping, the one column
+// encoding can reject, and NN's one-hot. Seeds cover the malformed-JSON,
+// NaN/Inf, arity, unmapped-category, trailing-delimiter, case-folded and
+// duplicate-key, and escape corners; the committed corpus under
+// testdata/fuzz replays past findings in CI's fuzz-regression step.
 func FuzzDecodePredictRequest(f *testing.F) {
 	seeds := []string{
 		`{"model":"m","row":[32,true,"weak"]}`,
@@ -36,6 +38,18 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		`[1,2,3]`,
 		``,
 		`{"model":"m","row":[32,true,"alien"]}`,
+		`{"model":"m","row":[1]}]`,
+		`{"model":"m","row":[1]}}}}`,
+		`{"MODEL":"m","rowſ":[[32,true,"weak"]]}`,
+		`{"model":"m","row":[32,true,"weak"],"row":null,"rows":[[-0,false,"strong"]]}`,
+		`{"mod\u0065l":"m","row":[32,true,"we\u0061k"]}`,
+		`{"model":"m","rows":[null,[32,true,"weak"]]}`,
+		`{"model":"m","model":null,"row":[0.5e-3,false,"\ud800strong"]}`,
+	}
+	// encoding/json's nesting limit is 10,000: the object and the row
+	// array count, so the first body is as deep as it allows.
+	for _, d := range []int{maxNestingDepth - 2, maxNestingDepth - 1} {
+		seeds = append(seeds, `{"model":"m","row":[`+strings.Repeat("[", d)+strings.Repeat("]", d)+`]}`)
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -55,58 +69,55 @@ func FuzzDecodePredictRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	enc, err := dataset.FitEncoder(train, dataset.ForLR)
-	if err != nil {
-		f.Fatal(err)
+	var encs []*dataset.Encoder
+	for _, mode := range []dataset.Mode{dataset.ForLR, dataset.ForNN} {
+		enc, err := dataset.FitEncoder(train, mode)
+		if err != nil {
+			f.Fatal(err)
+		}
+		encs = append(encs, enc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodePredictRequest(bytes.NewReader(data))
-		if err != nil {
+		req, oerr := DecodePredictRequest(bytes.NewReader(data))
+		q, serr := ScanPredict(data)
+		if (oerr == nil) != (serr == nil) {
+			t.Fatalf("pass 1 disagrees: oracle %v, scanner %v", oerr, serr)
+		}
+		if oerr != nil {
 			return
 		}
-		if req.Model == "" {
-			t.Fatal("decoder accepted a request without a model")
+		n := len(req.Rows)
+		if req.Single() {
+			n = 1
 		}
-		if (req.Row == nil) == (req.Rows == nil) {
-			t.Fatal("decoder accepted a request without exactly one of row/rows")
+		if string(q.Model) != req.Model || q.Single != req.Single() || q.N != n {
+			t.Fatalf("scanner read model %q single=%v n=%d, oracle %q single=%v n=%d",
+				q.Model, q.Single, q.N, req.Model, req.Single(), n)
 		}
-		rows, err := req.Resolve(schema)
-		if err != nil {
-			return
-		}
-		if len(rows) == 0 || len(rows) > MaxRowsPerRequest {
-			t.Fatalf("resolve produced %d rows", len(rows))
-		}
-		if req.Single() != (len(rows) == 1 && req.Row != nil) {
-			t.Fatalf("Single()=%v with %d rows", req.Single(), len(rows))
-		}
-		for _, row := range rows {
-			if len(row) != len(schema.Fields) {
-				t.Fatalf("resolved row has %d values for %d fields", len(row), len(schema.Fields))
+		for _, enc := range encs {
+			var want [][]float64
+			var buf dataset.RowBuffer
+			raw, werr := req.Resolve(schema)
+			if werr == nil {
+				want, werr = enc.EncodeRows(&buf, raw)
 			}
-			for j, f := range schema.Fields {
-				v := row[j]
-				if v.Kind() != f.Kind {
-					t.Fatalf("field %q resolved to kind %v", f.Name, v.Kind())
+			var ws rowScratch
+			got, gerr := q.encodeRows(&ws, enc, enc.Labels())
+			if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+				t.Fatalf("%v encoder: oracle %v, scanner %v", enc.Mode(), werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			for i := range want {
+				if len(got[i]) != enc.NumColumns() {
+					t.Fatalf("row %d encoded to %d cells, encoder has %d columns", i, len(got[i]), enc.NumColumns())
 				}
-				if f.Kind == dataset.Numeric {
-					if x := v.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
-						t.Fatalf("field %q resolved to non-finite %v", f.Name, x)
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("%v encoder: row %d cell %d: scanner %v, oracle %v", enc.Mode(), i, j, got[i][j], want[i][j])
 					}
 				}
-			}
-		}
-		var buf dataset.RowBuffer
-		encoded, err := enc.EncodeRows(&buf, rows)
-		if err != nil {
-			return
-		}
-		if len(encoded) != len(rows) {
-			t.Fatalf("encoded %d rows of %d", len(encoded), len(rows))
-		}
-		for i, x := range encoded {
-			if len(x) != enc.NumColumns() {
-				t.Fatalf("row %d encoded to %d cells, encoder has %d columns", i, len(x), enc.NumColumns())
 			}
 		}
 	})

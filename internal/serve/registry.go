@@ -24,6 +24,9 @@ type Model struct {
 	Pred *core.Predictor
 	// LoadedAt is when this artifact was (re)loaded.
 	LoadedAt time.Time
+	// labels interns the categorical labels Pred's encoder knows (see
+	// dataset.Encoder.Labels) for the request decoder.
+	labels map[string]string
 }
 
 // LoadModelFile loads and validates one serialized predictor file as a
@@ -39,7 +42,7 @@ func LoadModelFile(path string) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: model file %s has an empty name", path)
 	}
-	return &Model{Name: name, Path: path, Pred: p, LoadedAt: time.Now()}, nil
+	return &Model{Name: name, Path: path, Pred: p, LoadedAt: time.Now(), labels: p.Encoder().Labels()}, nil
 }
 
 // catalog is one immutable registry state. Readers resolve models

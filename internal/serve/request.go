@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,12 +21,14 @@ const (
 	MaxRowsPerRequest = 4096
 )
 
-// PredictRequest is the /v1/predict body — the batch JSON schema shared
-// verbatim by the daemon and the predict CLI. Exactly one of Row
-// (single point) or Rows (batch) must be set. Feature values are listed
-// in schema field order: numbers for numeric fields, booleans for flags,
-// strings for categoricals — the same column convention as the CSVs
-// written by specgen / Dataset.WriteCSV, minus the target column.
+// PredictRequest is the /v1/predict body as a client builds it — the
+// batch JSON schema shared verbatim by the daemon and the predict CLI.
+// Exactly one of Row (single point) or Rows (batch) must be set. Feature
+// values are listed in schema field order: numbers for numeric fields,
+// booleans for flags, strings for categoricals — the same column
+// convention as the CSVs written by specgen / Dataset.WriteCSV, minus the
+// target column. The serving path never decodes into it: replicas, the
+// gateway and ScoreRequest read bodies with ScanPredict.
 type PredictRequest struct {
 	// Model names the registry model to score against.
 	Model string `json:"model"`
@@ -35,23 +38,36 @@ type PredictRequest struct {
 	Rows [][]any `json:"rows,omitempty"`
 }
 
-// DecodePredictRequest strictly decodes a request body: unknown fields
-// are rejected, numbers are kept as json.Number so overflowing literals
-// (1e999) surface as validation errors instead of silently becoming
-// ±Inf, and trailing garbage after the JSON value is an error. It
-// performs the structural checks that need no schema (model name
-// present, exactly one of row/rows, row-count bounds); per-field
-// validation happens in [PredictRequest.Resolve] once the model — and
-// therefore the schema — is known.
+// DecodePredictRequest strictly decodes a request body with
+// encoding/json: unknown fields are rejected, numbers are kept as
+// json.Number so overflowing literals (1e999) surface as validation
+// errors instead of silently becoming ±Inf, and anything but whitespace
+// after the JSON value is an error. It performs the structural checks
+// that need no schema (model name present, exactly one of row/rows,
+// row-count bounds); per-field validation happens in
+// [PredictRequest.Resolve] once the schema is known.
+//
+// It is not the serving path. With Resolve it is the oracle the
+// differential fuzz targets hold ScanPredict and the gateway's routing
+// key to, and the decode rung the benchmark times.
 func DecodePredictRequest(r io.Reader) (*PredictRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r, MaxRequestBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading predict request: %w", err)
+	}
+	if len(body) > MaxRequestBytes {
+		return nil, fmt.Errorf("serve: predict request exceeds %d bytes", MaxRequestBytes)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.UseNumber()
 	dec.DisallowUnknownFields()
 	var req PredictRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("serve: decoding predict request: %w", err)
 	}
-	if dec.More() {
+	// Decoder.More reports false before a closing delimiter, so it would
+	// let `{...}]` through: every byte past the value must be whitespace.
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\n\r")) != 0 {
 		return nil, errors.New("serve: predict request has trailing data after the JSON body")
 	}
 	if req.Model == "" {
@@ -76,7 +92,9 @@ func (q *PredictRequest) Single() bool { return q.Row != nil }
 
 // Resolve validates the request's feature values against a model's
 // schema and converts them into record rows. Every error is a client
-// error: wrong arity, wrong types, non-finite numbers.
+// error: wrong arity, wrong types, non-finite numbers. Like
+// DecodePredictRequest it serves the differential fuzz and the
+// benchmark's resolve rung, not the serving path.
 func (q *PredictRequest) Resolve(s *dataset.Schema) ([][]dataset.Value, error) {
 	raw := q.Rows
 	if q.Row != nil {
@@ -107,24 +125,24 @@ type PredictResponse struct {
 	Predictions []float64 `json:"predictions"`
 }
 
-// newPredictResponse assembles the response to req from its predictions
-// — the one builder the daemon and ScoreRequest share. A non-finite
-// prediction has no JSON encoding and fails the whole request. It is a
-// server error: an overflowing row is one cause, but an artifact with
-// NaN weights gives the same symptom.
-func newPredictResponse(req *PredictRequest, m *Model, out []float64) (*PredictResponse, error) {
+// newPredictResponse assembles the response to a request in the single
+// or batch form from m's predictions — the one builder the daemon and
+// ScoreRequest share. A non-finite prediction has no JSON encoding and
+// fails the whole request. It is a server error: an overflowing row is
+// one cause, but an artifact with NaN weights gives the same symptom.
+func newPredictResponse(single bool, m *Model, out []float64) (*PredictResponse, error) {
 	for i, y := range out {
 		if math.IsNaN(y) || math.IsInf(y, 0) {
 			return nil, fmt.Errorf("serve: row %d produced a non-finite prediction", i)
 		}
 	}
 	resp := &PredictResponse{
-		Model:       req.Model,
+		Model:       m.Name,
 		Kind:        m.Pred.Kind().String(),
 		N:           len(out),
 		Predictions: out,
 	}
-	if req.Single() {
+	if single {
 		resp.Prediction = &out[0]
 	}
 	return resp, nil

@@ -167,33 +167,30 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.met.latency.Observe(time.Since(start).Seconds()) }()
 
-	req, err := DecodePredictRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	ws := s.scratch.Get().(*rowScratch)
+	req, err := ws.scan(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		s.scratch.Put(ws)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Resolve model and catalog generation from one atomic catalog load:
 	// the cache keys entries by (model, generation), and resolving them
 	// separately could straddle a reload.
-	m, gen, ok := s.reg.Resolve(req.Model)
+	m, gen, ok := s.reg.Resolve(string(req.Model))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown model %q (see /v1/models)", req.Model))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown model %q (see /v1/models)", req.Model))
+		s.scratch.Put(ws)
 		return
 	}
-	raw, err := req.Resolve(m.Pred.Encoder().Schema())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Each row is encoded exactly once, here, before admission: an encode
-	// error (an unmapped category on a numeric-coded model) is a 400 that
-	// never occupies a queue slot, and the encoded rows are both the cache
-	// keys and the batcher's payload.
-	ws := s.scratch.Get().(*rowScratch)
-	rows, err := m.Pred.Encoder().EncodeRows(&ws.enc, raw)
+	// Each row is resolved and encoded exactly once, here, before
+	// admission: a bad cell or an unmapped category is a 400 that never
+	// occupies a queue slot, and the encoded rows are both the cache keys
+	// and the batcher's payload.
+	rows, err := req.encodeRows(ws, m.Pred.Encoder(), m.labels)
 	if err != nil {
 		s.scratch.Put(ws)
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -209,9 +206,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writePredictError(w, err)
 		return
 	}
-	if resp, err := newPredictResponse(req, m, out); err != nil {
+	if resp, err := newPredictResponse(req.Single, m, out); err != nil {
 		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	} else {
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -228,13 +225,13 @@ func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrOverloaded):
 		// A shed means the queue was full, so the back-off is constant.
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request deadline exceeded"))
+		WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request deadline exceeded"))
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -254,7 +251,7 @@ func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	gen, err := s.Reload()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError,
+		WriteError(w, http.StatusInternalServerError,
 			fmt.Errorf("serve: reload failed, previous catalog still serving: %w", err))
 		return
 	}
@@ -267,7 +264,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	EncodeJSON(w, v) //nolint:errcheck // best-effort: client may have gone
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError answers status with the JSON error envelope, the package's
+// "serve: " prefix stripped from the message. The gateway answers a body
+// that fails ScanPredict through it, so its 400 is byte-identical to the
+// replica's.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	msg := strings.TrimPrefix(err.Error(), "serve: ")
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
