@@ -46,10 +46,12 @@ bench-serve:
 # Active-learning acquisition benchmarks → BENCH_10.json: the chunked
 # pool-scoring hot path (which must report 0 allocs/op — the scratch is
 # worker-local and growth-only) and one end-to-end batch acquisition per
-# registered strategy over a 2048-point pool. No external baseline; the
-# committed snapshot is the regression reference bench-diff judges by.
+# registered strategy over a 2048-point pool, at GOMAXPROCS=1 (the
+# strategies' allocation counts depend on the CPU count). No external
+# baseline; the committed snapshot is the regression reference bench-diff
+# judges by.
 bench-active:
-	$(GO) test -run xxx -bench 'Acquire|ScoreChunk' -benchmem -count=2 ./internal/active > bench.out.tmp
+	$(GO) test -run xxx -bench 'Acquire|ScoreChunk' -benchmem -count=2 -cpu 1 ./internal/active > bench.out.tmp
 	$(GO) run ./cmd/benchjson -o BENCH_10.json < bench.out.tmp
 	@rm -f bench.out.tmp
 
@@ -57,14 +59,16 @@ bench-active:
 # benchmarks and diff them against the committed BENCH_8.json /
 # BENCH_10.json. ns/op gets a 4x tolerance (CI hardware varies);
 # allocs/op gets none, so the cached-predict, histogram-observe and
-# score-chunk paths' 0 allocs/op are exact pins. An intended regression is waived by
+# score-chunk paths' 0 allocs/op are exact pins; the acquisition half
+# runs at -cpu 1, the CPU count BENCH_10.json was recorded at. An
+# intended regression is waived by
 # regenerating the baseline (`make bench-serve` / `make bench-active`)
 # and committing it.
 bench-diff:
 	$(GO) test -run xxx -bench 'CachedPredict|UncachedPredict|HistogramObserve' -benchmem -count=2 ./internal/serve ./internal/obs > bench.out.tmp
 	$(GO) run ./cmd/benchdiff -baseline BENCH_8.json < bench.out.tmp
 	@rm -f bench.out.tmp
-	$(GO) test -run xxx -bench 'Acquire|ScoreChunk' -benchmem -count=2 ./internal/active > bench.out.tmp
+	$(GO) test -run xxx -bench 'Acquire|ScoreChunk' -benchmem -count=2 -cpu 1 ./internal/active > bench.out.tmp
 	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json < bench.out.tmp
 	@rm -f bench.out.tmp
 

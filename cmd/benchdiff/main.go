@@ -12,16 +12,17 @@
 //   - Every benchmark in the baseline must appear in the fresh run; a
 //     missing benchmark is a failure (a silently deleted or renamed
 //     benchmark would otherwise retire its own regression gate).
-//   - ns/op may not exceed baseline * -tolerance (default 4x: CI
-//     hardware differs from the machine that wrote the baseline, so
-//     only order-of-magnitude regressions are actionable).
+//   - ns/op may not exceed baseline * tolerance (4x: CI hardware
+//     differs from the machine that wrote the baseline, so only
+//     order-of-magnitude regressions are actionable).
 //   - allocs/op is deterministic, not timing noise, so it gets no
 //     tolerance: any increase fails, and a baseline of 0 allocs/op is
 //     an exact pin — the hot path stayed allocation-free.
 //
 // An intended regression is waived by regenerating the baseline
-// (`make bench-serve`) and committing the new snapshot alongside the
-// change that explains it.
+// (`make bench-serve` for BENCH_8.json, `make bench-active` for
+// BENCH_10.json) and committing the new snapshot alongside the change
+// that explains it.
 package main
 
 import (
@@ -33,9 +34,11 @@ import (
 	"perfpred/internal/benchfmt"
 )
 
+// tolerance is the max allowed fresh/baseline ns per op ratio.
+const tolerance = 4.0
+
 func main() {
 	baselinePath := flag.String("baseline", "", "committed snapshot JSON to gate against (required)")
-	tolerance := flag.Float64("tolerance", 4.0, "max allowed fresh/baseline ns per op ratio")
 	flag.Parse()
 	if *baselinePath == "" {
 		fatal(fmt.Errorf("-baseline is required"))
@@ -52,7 +55,7 @@ func main() {
 		fatal(fmt.Errorf("no benchmark lines found on stdin"))
 	}
 
-	lines, failures := compare(base, fresh, *tolerance)
+	lines, failures := compare(base, fresh)
 	for _, l := range lines {
 		fmt.Println(l)
 	}
@@ -61,17 +64,17 @@ func main() {
 		for _, f := range failures {
 			fmt.Println("  - " + f)
 		}
-		fmt.Println("\nIf this regression is intended, regenerate and commit the baseline" +
-			" (`make bench-serve` for BENCH_8.json) in the same change that explains it.")
+		fmt.Printf("\nIf this regression is intended, regenerate and commit %s"+
+			" in the same change that explains it.\n", *baselinePath)
 		os.Exit(1)
 	}
 	fmt.Printf("\nPASS: %d benchmark(s) within tolerance %.1fx of %s\n",
-		len(base.Benchmarks), *tolerance, *baselinePath)
+		len(base.Benchmarks), tolerance, *baselinePath)
 }
 
 // compare applies the three gate rules and returns the per-benchmark
 // report lines plus the failure list (empty = gate passes).
-func compare(base, fresh *benchfmt.Snapshot, tolerance float64) (lines, failures []string) {
+func compare(base, fresh *benchfmt.Snapshot) (lines, failures []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)

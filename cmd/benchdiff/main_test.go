@@ -30,7 +30,7 @@ func TestCompareWithinTolerance(t *testing.T) {
 BenchmarkCachedPredict-8     100	 320 ns/op	   0 B/op	 0 allocs/op
 BenchmarkUncachedPredict-8   100	4100 ns/op	 374 B/op	 4 allocs/op
 `)
-	lines, failures := compare(baseline(), fresh, 4.0)
+	lines, failures := compare(baseline(), fresh)
 	if len(failures) != 0 {
 		t.Fatalf("in-tolerance run failed the gate: %v", failures)
 	}
@@ -47,7 +47,7 @@ func TestCompareCatchesSyntheticRegression(t *testing.T) {
 BenchmarkCachedPredict-8     100	 900 ns/op	  48 B/op	 2 allocs/op
 BenchmarkUncachedPredict-8   100	2100 ns/op	 374 B/op	 4 allocs/op
 `)
-	_, failures := compare(baseline(), fresh, 4.0)
+	_, failures := compare(baseline(), fresh)
 	if len(failures) != 2 {
 		t.Fatalf("want 2 failures (ns/op tolerance + zero-alloc pin), got %v", failures)
 	}
@@ -64,7 +64,7 @@ func TestCompareAllocGrowthNoTolerance(t *testing.T) {
 BenchmarkCachedPredict-8     100	 170 ns/op	   0 B/op	 0 allocs/op
 BenchmarkUncachedPredict-8   100	2100 ns/op	 400 B/op	 5 allocs/op
 `)
-	_, failures := compare(baseline(), fresh, 4.0)
+	_, failures := compare(baseline(), fresh)
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocs/op grew 4 -> 5") {
 		t.Fatalf("want exactly the alloc-growth failure, got %v", failures)
 	}
@@ -76,7 +76,7 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	fresh := snapshot(t, `
 BenchmarkCachedPredict-8     100	 170 ns/op	   0 B/op	 0 allocs/op
 `)
-	_, failures := compare(baseline(), fresh, 4.0)
+	_, failures := compare(baseline(), fresh)
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing from the fresh run") {
 		t.Fatalf("want exactly the missing-benchmark failure, got %v", failures)
 	}
@@ -91,7 +91,7 @@ BenchmarkCachedPredict-8     100	 170 ns/op	   0 B/op	 0 allocs/op
 BenchmarkUncachedPredict-8   100	2100 ns/op	 374 B/op	 4 allocs/op
 BenchmarkBrandNew-8          100	9999 ns/op	 999 B/op	99 allocs/op
 `)
-	lines, failures := compare(baseline(), fresh, 4.0)
+	lines, failures := compare(baseline(), fresh)
 	if len(failures) != 0 {
 		t.Fatalf("extra fresh benchmark failed the gate: %v", failures)
 	}

@@ -68,9 +68,8 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// replicas' own pass 1 gets the 400 a replica would give it, without
 	// a replica hop and outside every gateway error metric. Errors that
 	// need a schema stay the replica's.
-	key, keyed := routingKey(body)
-	if !keyed {
-		_, err := serve.ScanPredict(body) // only to name the error
+	key, err := routingKey(body)
+	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}

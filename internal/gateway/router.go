@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"bytes"
-	"encoding/json"
 	"sort"
 	"strconv"
 
@@ -21,14 +19,14 @@ import (
 // cells become float64s fed through predcache.HashRow (the cache's own
 // row hash), and the model name plus per-row hashes fold together with
 // predcache.Combine. The body is read by the replicas' own pass 1,
-// serve.ScanPredict; a body that fails it gets no key (ok=false) and is
-// answered 400 at the gateway.
-func routingKey(body []byte) (key uint64, ok bool) {
+// serve.ScanPredict; a body that fails it gets no key, and its error is
+// the 400 the gateway answers with.
+func routingKey(body []byte) (uint64, error) {
 	req, err := serve.ScanPredict(body)
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
-	key = predcache.HashString(string(req.Model))
+	key := predcache.HashString(string(req.Model))
 	var buf [32]float64 // wider rows grow onto the heap
 	rows := req.Rows()
 	for _, row, ok := rows.Next(); ok; _, row, ok = rows.Next() {
@@ -39,16 +37,17 @@ func routingKey(body []byte) (key uint64, ok bool) {
 		}
 		key = predcache.Combine(key, predcache.HashRow(cells))
 	}
-	return key, true
+	return key, nil
 }
 
 // projectCell maps one wire cell, a JSON value span, onto a float64 for
 // routing. The mapping only has to be deterministic and value-sensitive
 // — replicas re-validate every cell against the model schema, so a lossy
-// projection costs at worst a cache-affinity miss, never correctness. It
-// is the projection the gateway has always keyed with, so no key moves
-// replica: numbers by value, strings, null and unparseable numbers by
-// the hash of their decoded text.
+// projection costs at worst a cache-affinity miss, never correctness:
+// numbers by value; strings, null and unparseable numbers by the hash of
+// their decoded text (a string with an escape allocates to decode); and
+// every array or object cell, which every replica rejects, by one
+// constant.
 func projectCell(c []byte) float64 {
 	switch c[0] {
 	case '"':
@@ -61,7 +60,7 @@ func projectCell(c []byte) float64 {
 	case 'n':
 		return float64(predcache.HashString("<null>"))
 	case '[', '{':
-		return projectNested(c)
+		return float64(predcache.HashString("<nested>"))
 	}
 	// Prefer the numeric value so "2" and "2.0" (equal after schema
 	// resolution, therefore one cache row) route identically.
@@ -69,56 +68,6 @@ func projectCell(c []byte) float64 {
 		return f
 	}
 	return float64(predcache.HashString(string(c)))
-}
-
-// projectNested keys an array or object cell, which every replica
-// rejects, by the hash of what fmt.Sprint prints for its encoding/json
-// decoding — the text the gateway has always hashed for one.
-func projectNested(c []byte) float64 {
-	dec := json.NewDecoder(bytes.NewReader(c))
-	dec.UseNumber()
-	var v any
-	_ = dec.Decode(&v) // cannot fail: ScanPredict validated the cell
-	return float64(predcache.HashString(string(appendSprint(nil, v))))
-}
-
-// appendSprint appends fmt.Sprint's rendering of a decoded JSON value:
-// "[a b]" for arrays, "map[k:v]" in key order for objects, "<nil>" for
-// null, and the text of strings, numbers and booleans.
-func appendSprint(dst []byte, v any) []byte {
-	switch v := v.(type) {
-	case []any:
-		dst = append(dst, '[')
-		for i, e := range v {
-			if i > 0 {
-				dst = append(dst, ' ')
-			}
-			dst = appendSprint(dst, e)
-		}
-		return append(dst, ']')
-	case map[string]any:
-		keys := make([]string, 0, len(v))
-		for k := range v {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		dst = append(dst, "map["...)
-		for i, k := range keys {
-			if i > 0 {
-				dst = append(dst, ' ')
-			}
-			dst = appendSprint(append(append(dst, k...), ':'), v[k])
-		}
-		return append(dst, ']')
-	case nil:
-		return append(dst, "<nil>"...)
-	case string:
-		return append(dst, v...)
-	case json.Number:
-		return append(dst, v...)
-	default: // encoding/json decodes nothing else but a bool
-		return strconv.AppendBool(dst, v.(bool))
-	}
 }
 
 // order ranks every replica by rendezvous (highest-random-weight) score

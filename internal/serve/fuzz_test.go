@@ -9,6 +9,10 @@ import (
 	"perfpred/internal/dataset"
 )
 
+// maxNestingDepth is encoding/json's nesting limit; a body nested deeper
+// is a syntax error on both sides of the differential fuzz.
+const maxNestingDepth = 10000
+
 // FuzzDecodePredictRequest holds the serving decoder — ScanPredict, then
 // pass 2 into pooled scratch and EncodeRows — to its oracle,
 // DecodePredictRequest → Resolve → EncodeRows. On every input the two

@@ -2,20 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"perfpred/internal/dataset"
 )
-
-// maxNestingDepth is encoding/json's nesting limit; a body nested deeper
-// is a syntax error on both sides of the differential fuzz.
-const maxNestingDepth = 10000
 
 // ScannedRequest is pass 1's view of a /v1/predict body: everything the
 // strict contract can check without a schema. Its byte slices alias the
@@ -32,29 +28,27 @@ type ScannedRequest struct {
 }
 
 // ScanPredict is pass 1 of the /v1/predict decoder, run by the replica
-// and the gateway alike. It validates the whole body as one JSON value,
-// with encoding/json's nesting limit and nothing but whitespace after
-// it, and then applies the strict contract that needs no schema: an
+// and the gateway alike. It validates the whole body as one JSON value
+// with json.Valid, so the grammar and nesting limit are encoding/json's
+// and nothing but whitespace may follow the value, and then applies the
+// strict contract that needs no schema: an
 // object whose keys match model, row and rows as encoding/json matches
 // them (case-folded, last duplicate wins, unknown keys rejected), a
 // non-empty model string, exactly one of row and rows set (null counts
 // as unset), an array per row, and 1..MaxRowsPerRequest rows. Cell
 // values are left for pass 2, so an overflowing literal such as 1e999
-// passes here. Only a model name that needs unescaping, or a rejected
-// body, allocates.
+// passes here. Only a key or model name that needs unescaping, or a
+// rejected body, allocates.
 func ScanPredict(body []byte) (ScannedRequest, error) {
 	var q ScannedRequest
 	if len(body) > MaxRequestBytes {
 		return q, fmt.Errorf("serve: predict request exceeds %d bytes", MaxRequestBytes)
 	}
+	if !json.Valid(body) {
+		return q, rejectBody(body)
+	}
 	start := skipSpace(body, 0)
-	end, err := scanValue(body, start, 0)
-	if err != nil {
-		return q, fmt.Errorf("serve: decoding predict request: %w", err)
-	}
-	if skipSpace(body, end) != len(body) {
-		return q, errors.New("serve: predict request has trailing data after the JSON body")
-	}
+	end := valueEnd(body, start)
 	if body[start] != '{' {
 		return q, fmt.Errorf("serve: decoding predict request: want a JSON object, got %s", kindOf(body[start:end]))
 	}
@@ -129,6 +123,16 @@ func ScanPredict(body []byte) (ScannedRequest, error) {
 	return q, nil
 }
 
+// rejectBody names why json.Valid refused body: junk after one valid
+// value is trailing data, and any other failure is encoding/json's own
+// error.
+func rejectBody(body []byte) error {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(new(json.RawMessage)); err != nil {
+		return fmt.Errorf("serve: decoding predict request: %w", err)
+	}
+	return errors.New("serve: predict request has trailing data after the JSON body")
+}
+
 // scan reads a /v1/predict body into ws and runs pass 1 over it; the
 // result aliases ws.body.
 func (ws *rowScratch) scan(r io.Reader) (ScannedRequest, error) {
@@ -154,7 +158,7 @@ func (q *ScannedRequest) Rows() Cursor {
 // enc.EncodeRows into ws.enc. It accepts and rejects exactly what
 // PredictRequest.Resolve followed by EncodeRows does, with the same
 // error text, and on a warm ws allocates nothing unless a label is
-// missing from labels.
+// missing from labels or needs unescaping (see Unquote).
 func (q *ScannedRequest) encodeRows(ws *rowScratch, enc *dataset.Encoder, labels map[string]string) ([][]float64, error) {
 	fields := enc.Schema().Fields
 	width := len(fields)
@@ -335,238 +339,17 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// scanValue validates the JSON value at b[i], inside depth enclosing
-// containers, and returns the offset just past it.
-func scanValue(b []byte, i, depth int) (int, error) {
-	if i >= len(b) {
-		return i, errors.New("unexpected end of JSON input")
-	}
-	switch c := b[i]; {
-	case c == '"':
-		return scanString(b, i)
-	case c == '[' || c == '{':
-		return scanContainer(b, i, depth+1)
-	case c == '-' || '0' <= c && c <= '9':
-		return scanNumber(b, i)
-	case c == 't':
-		return scanLiteral(b, i, "true")
-	case c == 'f':
-		return scanLiteral(b, i, "false")
-	case c == 'n':
-		return scanLiteral(b, i, "null")
-	}
-	return i, badChar(b, i, "looking for beginning of value")
-}
-
-func scanContainer(b []byte, i, depth int) (int, error) {
-	if depth > maxNestingDepth {
-		return i, fmt.Errorf("exceeded max depth at offset %d", i)
-	}
-	obj, closer := b[i] == '{', byte(']')
-	if obj {
-		closer = '}'
-	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == closer {
-		return i + 1, nil
-	}
-	for {
-		var err error
-		if obj {
-			if i >= len(b) || b[i] != '"' {
-				return i, badChar(b, i, "looking for beginning of object key string")
-			}
-			if i, err = scanString(b, i); err != nil {
-				return i, err
-			}
-			if i = skipSpace(b, i); i >= len(b) || b[i] != ':' {
-				return i, badChar(b, i, "after object key")
-			}
-			i = skipSpace(b, i+1)
-		}
-		if i, err = scanValue(b, i, depth); err != nil {
-			return i, err
-		}
-		switch i = skipSpace(b, i); {
-		case i < len(b) && b[i] == ',':
-			i = skipSpace(b, i+1)
-		case i < len(b) && b[i] == closer:
-			return i + 1, nil
-		default:
-			return i, badChar(b, i, "after array element or object value")
-		}
-	}
-}
-
-func scanString(b []byte, i int) (int, error) {
-	for i++; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1, nil
-		case c < 0x20:
-			return i, badChar(b, i, "in string literal")
-		case c == '\\':
-			if i++; i >= len(b) {
-				break
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) {
-					return len(b), errors.New("unexpected end of JSON input")
-				}
-				for _, h := range b[i+1 : i+5] {
-					if unhex(h) < 0 {
-						return i, badChar(b, i, "in \\u hexadecimal character escape")
-					}
-				}
-				i += 4
-			default:
-				return i, badChar(b, i, "in string escape code")
-			}
-		}
-	}
-	return len(b), errors.New("unexpected end of JSON input")
-}
-
-func scanNumber(b []byte, i int) (int, error) {
-	digits := func(i int) int {
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	if b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(i)
-	default:
-		return i, badChar(b, i, "in numeric literal")
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(i + 1)
-		if j == i+1 {
-			return j, badChar(b, j, "after decimal point in numeric literal")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(i)
-		if j == i {
-			return j, badChar(b, j, "in exponent of numeric literal")
-		}
-		i = j
-	}
-	return i, nil
-}
-
-func scanLiteral(b []byte, i int, lit string) (int, error) {
-	for k := 0; k < len(lit); k++ {
-		if i+k >= len(b) || b[i+k] != lit[k] {
-			return i + k, badChar(b, i+k, "in literal "+lit)
-		}
-	}
-	return i + len(lit), nil
-}
-
-func badChar(b []byte, i int, where string) error {
-	if i >= len(b) {
-		return errors.New("unexpected end of JSON input")
-	}
-	return fmt.Errorf("invalid character %q %s at offset %d", b[i], where, i)
-}
-
-func unhex(c byte) rune {
-	switch {
-	case '0' <= c && c <= '9':
-		return rune(c - '0')
-	case 'a' <= c && c <= 'f':
-		return rune(c - 'a' + 10)
-	case 'A' <= c && c <= 'F':
-		return rune(c - 'A' + 10)
-	}
-	return -1
-}
-
 // Unquote returns the value of a JSON string literal that ScanPredict
-// validated, decoded exactly as encoding/json decodes it: escapes
-// resolved, invalid UTF-8 and unpaired surrogates replaced by U+FFFD.
-// When s holds no escape and is valid UTF-8 the result is s's own bytes;
-// otherwise the value is appended to buf.
+// validated, decoded by encoding/json: escapes resolved, invalid UTF-8
+// and unpaired surrogates replaced by U+FFFD. When s holds no escape and
+// is valid UTF-8 the result is s's own bytes; otherwise json.Unmarshal
+// decodes it, which allocates, and the value is appended to buf.
 func Unquote(buf, s []byte) []byte {
-	s = s[1 : len(s)-1]
-	r := 0
-	for r < len(s) && s[r] != '\\' {
-		if s[r] < utf8.RuneSelf {
-			r++
-			continue
-		}
-		c, size := utf8.DecodeRune(s[r:])
-		if c == utf8.RuneError && size == 1 {
-			break
-		}
-		r += size
+	inner := s[1 : len(s)-1]
+	if bytes.IndexByte(inner, '\\') < 0 && utf8.Valid(inner) {
+		return inner
 	}
-	if r == len(s) {
-		return s
-	}
-	out := append(buf, s[:r]...)
-	for r < len(s) {
-		c := s[r]
-		switch {
-		case c == '\\':
-			r++
-			switch e := s[r]; e {
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				u := hex4(s[r+1:])
-				r += 5
-				if utf16.IsSurrogate(u) {
-					if r+6 <= len(s) && s[r] == '\\' && s[r+1] == 'u' {
-						if pair := utf16.DecodeRune(u, hex4(s[r+2:])); pair != utf8.RuneError {
-							out = utf8.AppendRune(out, pair)
-							r += 6
-							continue
-						}
-					}
-					u = utf8.RuneError
-				}
-				out = utf8.AppendRune(out, u)
-				continue
-			default: // '"', '\\', '/'
-				out = append(out, e)
-			}
-			r++
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			r++
-		default:
-			u, size := utf8.DecodeRune(s[r:])
-			out = utf8.AppendRune(out, u)
-			r += size
-		}
-	}
-	return out
-}
-
-// hex4 decodes the four validated hex digits at the start of b.
-func hex4(b []byte) rune {
-	return unhex(b[0])<<12 | unhex(b[1])<<8 | unhex(b[2])<<4 | unhex(b[3])
+	var v string
+	_ = json.Unmarshal(s, &v) // cannot fail: ScanPredict validated s
+	return append(buf, v...)
 }

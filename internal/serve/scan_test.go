@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"perfpred/internal/core"
@@ -34,7 +37,9 @@ func gccBodies(t testing.TB, model string) [][]byte {
 // TestScanEncodeZeroAlloc pins the replica's decode path — ScanPredict,
 // pass 2 into warm scratch and EncodeRows — at zero allocations on gcc
 // bodies, for an LR model (numeric-mapped categorical) and an NN model
-// (one-hot categorical).
+// (one-hot categorical). Under -race the path still runs but the count
+// is not asserted: sync.Pool drops puts there, so json.Valid's pooled
+// scanner allocates by design.
 func TestScanEncodeZeroAlloc(t *testing.T) {
 	cfgs := space.Enumerate()
 	var sample []space.MicroConfig
@@ -66,9 +71,30 @@ func TestScanEncodeZeroAlloc(t *testing.T) {
 				}
 			}
 			run()
+			if raceEnabled {
+				continue
+			}
 			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 				t.Errorf("%s, %d-byte body: scan and encode allocate %.1f/op, want 0", m.Name, len(body), allocs)
 			}
+		}
+	}
+}
+
+// TestScanPredictRejects pins pass 1's error for a body json.Valid
+// refuses: encoding/json's own error, wrapped, or trailing data after a
+// valid value.
+func TestScanPredictRejects(t *testing.T) {
+	if _, err := ScanPredict([]byte(`{"model":"m","row":[1,`)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated body: got %v, want encoding/json's %v wrapped", err, io.ErrUnexpectedEOF)
+	}
+	var syntax *json.SyntaxError
+	if _, err := ScanPredict([]byte(`{"model":"m","row":[1,x]}`)); !errors.As(err, &syntax) {
+		t.Errorf("bad literal: got %v, want a wrapped *json.SyntaxError", err)
+	}
+	for _, body := range []string{`{"model":"m","row":[1]} junk`, `{"model":"m","row":[1]}]`} {
+		if _, err := ScanPredict([]byte(body)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("%s: got %v, want trailing data", body, err)
 		}
 	}
 }

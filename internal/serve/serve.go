@@ -25,13 +25,15 @@
 //     Prometheus text, /debug/vars expvar, /debug/pprof) fed by the
 //     serve.* counters and histograms named in the obs package.
 //
-// A /v1/predict request takes one path, with no per-cell allocation:
+// A /v1/predict request takes one path, with no per-cell allocation
+// unless a string cell needs unescaping:
 // read the body into pooled scratch, scan it ([ScanPredict], pass 1:
-// validate the JSON and find the model and the row spans), resolve the
-// model, walk the cells into the scratch's flat values against the
-// model's schema (pass 2), encode each row exactly once, probe the
-// prediction cache (internal/predcache) with the encoded rows, and send
-// only the rows it cannot answer through the batcher to the kernel. A
+// validate the JSON with json.Valid and find the model and the row
+// spans), resolve the model, walk the cells into the scratch's flat
+// values against the model's schema (pass 2), encode each row exactly
+// once, probe the prediction cache (internal/predcache) with the encoded
+// rows, and send only the rows it cannot answer through the batcher to
+// the kernel. A
 // scan, resolve or encode failure is a 400 that never takes a queue
 // slot; the gateway runs the same pass 1 to route, and answers a body
 // that fails it with the same 400.
