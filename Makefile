@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-serve bench-active bench-diff bench-e2e bench-figures e2e gateway chaos soak coverage
+.PHONY: check build test race vet bench-vet bench bench-serve bench-active bench-diff bench-e2e bench-figures e2e gateway chaos soak coverage
 
-check: build vet test race
+check: build vet test race bench-vet
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark under bench/ is its own module, so the root build never
+# compiles it; vetting it here catches a change to an internal API it
+# uses before the benchmark run does.
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 # Model kernel benchmarks (neural + tree) → BENCH_6.json: the committed
 # perf snapshot. Joined against BENCH_baseline.json (pre-PR-3 kernels,

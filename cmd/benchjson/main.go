@@ -1,10 +1,12 @@
 // Command benchjson converts `go test -bench` text output into a stable
 // JSON snapshot, optionally joining a baseline snapshot to compute
 // speedups. It is the tooling behind `make bench`, which regenerates
-// BENCH_3.json so the repo carries a perf trajectory across PRs:
+// BENCH_6.json (the neural and tree kernels; BENCH_3.json is the
+// neural-only snapshot it replaced) so the repo carries a perf
+// trajectory across PRs:
 //
-//	go test -run xxx -bench 'Train|PredictAll' -benchmem -count=2 ./internal/neural \
-//	    | go run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_3.json
+//	go test -run xxx -bench 'Train|PredictAll' -benchmem -count=2 ./internal/neural ./internal/tree \
+//	    | go run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_6.json
 //
 // Repeated runs of the same benchmark (-count=N) are averaged. The output
 // maps benchmark names (with the Benchmark prefix and any -GOMAXPROCS

@@ -200,7 +200,6 @@ func main() {
 		// run identification and execution statistics (the per-study model
 		// errors are printed in full by each study's text writer).
 		exec := rec.Execution()
-		metrics := rec.Metrics()
 		rep := &obs.RunReport{
 			Version:    obs.ReportVersion,
 			Command:    "experiments",
@@ -210,7 +209,6 @@ func main() {
 			EpochScale: *epochs,
 			WallClock:  obs.WallClock{TotalSeconds: time.Since(start).Seconds()},
 			Execution:  &exec,
-			Metrics:    &metrics,
 		}
 		if err := rep.WriteFile(*report); err != nil {
 			log.Fatal(err)

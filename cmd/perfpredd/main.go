@@ -5,7 +5,7 @@
 //
 //	POST /v1/predict   score one row or a batch (micro-batched)
 //	GET  /v1/models    list loaded models (kind, family tag, schema) and the catalog generation
-//	GET  /v1/report    live ServeReport snapshot
+//	GET  /v1/report    live serve.Report snapshot
 //	POST /admin/reload atomically reload the model directory
 //	GET  /metrics      obs metrics, Prometheus text (plus /debug/vars, /debug/pprof)
 //	GET  /healthz      liveness probe
@@ -13,7 +13,7 @@
 // SIGHUP reloads the model directory in place (a failed reload keeps
 // the previous catalog serving). SIGTERM/SIGINT drain gracefully: the
 // listener stops accepting, in-flight and queued requests are answered,
-// then a final ServeReport is written to -report if set.
+// then a final serve.Report is written to -report if set.
 //
 //	predict -train -family "Pentium D" -model LR-E -out models/pd-lre.json
 //	perfpredd -models models -addr localhost:8091
@@ -48,7 +48,7 @@ func main() {
 	timeout := flag.Duration("request-timeout", d.RequestTimeout, "per-request prediction deadline")
 	cacheEntries := flag.Int("cache-entries", d.CacheEntries, "prediction-cache capacity in entries")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
-	report := flag.String("report", "", "write a final ServeReport JSON here on shutdown")
+	report := flag.String("report", "", "write a final serve report JSON here on shutdown")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	flag.Parse()
 

@@ -14,15 +14,15 @@
 //
 //	POST /v1/predict   route one prediction (response relayed byte-for-byte)
 //	GET  /v1/models    proxy to a healthy replica
-//	GET  /v1/report    proxy to a healthy replica (that replica's ServeReport)
+//	GET  /v1/report    proxy to a healthy replica (that replica's serve.Report)
 //	POST /admin/reload fan the reload out to every replica
-//	GET  /gw/report    live GatewayReport snapshot
+//	GET  /gw/report    live gateway.Report snapshot
 //	GET  /metrics      gateway metrics, Prometheus text (plus /debug/vars, /debug/pprof)
 //	GET  /healthz      gateway liveness (503 when no replica is healthy)
 //
 // SIGTERM/SIGINT drain gracefully, mirroring the daemon's contract: the
 // listener stops accepting, in-flight requests are answered, probes
-// stop, then a final GatewayReport is written to -report if set.
+// stop, then a final gateway.Report is written to -report if set.
 //
 //	perfpredd -models models -addr localhost:8091 &
 //	perfpredd -models models -addr localhost:8092 &
@@ -59,7 +59,7 @@ func main() {
 	readmitThreshold := flag.Int("readmit-threshold", d.ReadmitThreshold, "consecutive probe successes that readmit a replica")
 	timeout := flag.Duration("request-timeout", d.RequestTimeout, "end-to-end deadline per proxied request")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight HTTP requests on shutdown")
-	report := flag.String("report", "", "write a final GatewayReport JSON here on shutdown")
+	report := flag.String("report", "", "write a final gateway report JSON here on shutdown")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	flag.Parse()
 

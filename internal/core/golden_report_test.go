@@ -39,14 +39,13 @@ func goldenDSERun(t *testing.T, workers int) (*obs.RunReport, *obs.Recorder) {
 }
 
 // normalizeReport strips everything a re-run legitimately changes —
-// wall-clock timing, execution durations, metric histograms, and the
-// worker count — leaving only the statistical content the fixture pins.
+// wall-clock timing, execution statistics, and the worker count —
+// leaving only the statistical content the fixture pins.
 func normalizeReport(rep *obs.RunReport) *obs.RunReport {
 	n := *rep
 	n.Workers = 0
 	n.WallClock = obs.WallClock{}
 	n.Execution = nil
-	n.Metrics = nil
 	return &n
 }
 

@@ -38,8 +38,6 @@ func (m ReportMeta) newReport(rec *obs.Recorder) *obs.RunReport {
 	if rec != nil {
 		exec := rec.Execution()
 		rep.Execution = &exec
-		metrics := rec.Metrics()
-		rep.Metrics = &metrics
 	}
 	return rep
 }

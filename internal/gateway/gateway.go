@@ -117,39 +117,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics bundles the registry entries the gateway records into,
-// resolved once at startup (the same pattern internal/serve uses).
-type metrics struct {
-	reg        *obs.Registry
-	requests   *obs.Counter
-	retries    *obs.Counter
-	errors     *obs.Counter
-	ejects     *obs.Counter
-	readmits   *obs.Counter
-	probes     *obs.Counter
-	probeFails *obs.Counter
-	faults     *obs.Counter
-	latency    *obs.Histogram
-	upstream   *obs.Histogram
-}
-
-func newMetrics() *metrics {
-	reg := obs.NewRegistry()
-	return &metrics{
-		reg:        reg,
-		requests:   reg.Counter(obs.MetricGatewayRequests),
-		retries:    reg.Counter(obs.MetricGatewayRetries),
-		errors:     reg.Counter(obs.MetricGatewayErrors),
-		ejects:     reg.Counter(obs.MetricGatewayEjects),
-		readmits:   reg.Counter(obs.MetricGatewayReadmits),
-		probes:     reg.Counter(obs.MetricGatewayProbes),
-		probeFails: reg.Counter(obs.MetricGatewayProbeFailures),
-		faults:     reg.Counter(obs.MetricGatewayFaults),
-		latency:    reg.Histogram(obs.MetricGatewayLatency),
-		upstream:   reg.Histogram(obs.MetricGatewayUpstream),
-	}
-}
-
 // Gateway fronts a set of serving replicas.
 type Gateway struct {
 	cfg      Config
@@ -229,9 +196,6 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP surface.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// MetricsRegistry exposes the registry backing /metrics.
-func (g *Gateway) MetricsRegistry() *obs.Registry { return g.met.reg }
-
 // SetAddr records the bound listen address for reports.
 func (g *Gateway) SetAddr(addr string) { g.addr.Store(addr) }
 
@@ -246,20 +210,6 @@ func (g *Gateway) Close() {
 	close(g.stop)
 	g.inflight.Wait()
 	g.probeWG.Wait()
-}
-
-// Report snapshots the gateway's lifetime into a GatewayReport.
-func (g *Gateway) Report() *obs.GatewayReport {
-	addr, _ := g.addr.Load().(string)
-	reps := make([]obs.ReplicaReport, len(g.reps))
-	for i, rep := range g.reps {
-		reps[i] = rep.report()
-	}
-	return obs.BuildGatewayReport(obs.GatewayMeta{
-		Addr:     addr,
-		Replicas: reps,
-		Uptime:   time.Since(g.started),
-	}, g.met.reg)
 }
 
 // healthyCount counts replicas currently routable.

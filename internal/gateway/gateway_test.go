@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"perfpred/internal/faultinject"
-	"perfpred/internal/obs"
 )
 
 // fakeReplica is a scriptable upstream standing in for perfpredd: it
@@ -309,8 +308,7 @@ func TestRetryOnDeadReplica(t *testing.T) {
 	if got := rec.Header().Get(HeaderReplica); got == owner {
 		t.Fatalf("retry landed on the dead replica %s", got)
 	}
-	snap := g.MetricsRegistry().Snapshot()
-	if snap.Counters[obs.MetricGatewayRetries] == 0 {
+	if g.Report().Retries == 0 {
 		t.Fatal("retry counter did not move")
 	}
 }
@@ -429,7 +427,7 @@ func TestMalformedBodyAnsweredAtEdge(t *testing.T) {
 	if n := r1.predicts.Load(); n != 0 {
 		t.Fatalf("%d malformed bodies reached the replica", n)
 	}
-	if n := g.MetricsRegistry().Snapshot().Counters[obs.MetricGatewayErrors]; n != 0 {
+	if n := g.Report().Errors; n != 0 {
 		t.Fatalf("client errors counted %d gateway errors", n)
 	}
 	if rec := doPredict(t, g, predictBody("nope", 1)); rec.Code != http.StatusOK || r1.predicts.Load() != 1 {
@@ -511,7 +509,7 @@ func TestGatewayFaultPoints(t *testing.T) {
 		if r1.predicts.Load() != 0 {
 			t.Fatal("route fault still consumed replica capacity")
 		}
-		if g.MetricsRegistry().Snapshot().Counters[obs.MetricGatewayFaults] == 0 {
+		if g.Report().FaultsInjected == 0 {
 			t.Fatal("fault counter did not move")
 		}
 	})

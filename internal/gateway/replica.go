@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"perfpred/internal/obs"
 	"perfpred/internal/predcache"
 )
 
@@ -55,10 +54,10 @@ func newReplica(idx int, addr string) *replica {
 
 func (r *replica) isHealthy() bool { return r.healthy.Load() }
 
-func (r *replica) report() obs.ReplicaReport {
+func (r *replica) report() ReplicaReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return obs.ReplicaReport{
+	return ReplicaReport{
 		Addr:            r.addr,
 		Healthy:         r.healthy.Load(),
 		Requests:        r.requests.Load(),

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"perfpred/internal/gateway"
-	"perfpred/internal/obs"
+	"perfpred/internal/serve"
 )
 
 // evidence is everything check judges, built synthetically.
@@ -67,8 +67,8 @@ func cleanEvidence(n int) *evidence {
 		rep: &Report{},
 	}
 	for i := 0; i < n; i++ {
-		e.rep.Replicas = append(e.rep.Replicas, &obs.ServeReport{
-			Version: obs.ServeReportVersion, Addr: replicaAddr(i), Generation: 3,
+		e.rep.Replicas = append(e.rep.Replicas, &serve.Report{
+			Version: serve.ReportVersion, Addr: replicaAddr(i), Generation: 3,
 		})
 		e.led.acks[replicaAddr(i)] = 2 // the admin reload and the epilogue's
 	}
@@ -77,11 +77,11 @@ func cleanEvidence(n int) *evidence {
 	}
 	r0 := e.rep.Replicas[0]
 	r0.Requests, r0.Predictions, r0.Shed = 5, 1, 1
-	r0.Cache = obs.CacheStats{Lookups: 4, Hits: 2, Misses: 2}
+	r0.Cache.Lookups, r0.Cache.Hits, r0.Cache.Misses = 4, 2, 2
 	if n >= 2 {
-		gw := &obs.GatewayReport{Version: obs.GatewayReportVersion}
+		gw := &gateway.Report{Version: gateway.ReportVersion}
 		for i := 0; i < n; i++ {
-			gw.Replicas = append(gw.Replicas, obs.ReplicaReport{Addr: replicaAddr(i), Healthy: true})
+			gw.Replicas = append(gw.Replicas, gateway.ReplicaReport{Addr: replicaAddr(i), Healthy: true})
 		}
 		e.rep.Gateway = gw
 	}

@@ -11,7 +11,7 @@ import (
 
 	"perfpred/internal/faultinject"
 	"perfpred/internal/gateway"
-	"perfpred/internal/obs"
+	"perfpred/internal/serve"
 )
 
 // ReportVersion is the chaos report schema version.
@@ -65,9 +65,9 @@ type Report struct {
 
 	// Replicas are the per-replica final serve reports, in configuration
 	// order (one for a bare daemon).
-	Replicas []*obs.ServeReport `json:"replicas"`
+	Replicas []*serve.Report `json:"replicas"`
 	// Gateway is the front tier's final report (nil for a bare daemon).
-	Gateway *obs.GatewayReport `json:"gateway,omitempty"`
+	Gateway *gateway.Report `json:"gateway,omitempty"`
 	// ReplicaKills / ReplicaRestarts count the kill choreography's
 	// completed crashes and rebinds.
 	ReplicaKills    int `json:"replica_kills,omitempty"`
@@ -217,7 +217,7 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 
 	gw := rep.Gateway
 	if gw == nil {
-		gw = &obs.GatewayReport{}
+		gw = &gateway.Report{}
 	}
 	faults := gw.FaultsInjected
 	var shed, served, requests, lookups, hits int64

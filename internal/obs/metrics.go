@@ -15,6 +15,12 @@
 // /metrics, the expvar globals plus that registry as JSON on
 // /debug/vars, pprof). Each handler serves the registry it was built
 // over, so several servers in one process keep their metrics apart.
+//
+// The package is tier-agnostic: each serving tier (internal/serve with
+// internal/predcache, internal/gateway) registers its own metrics in a
+// Registry and builds its own report from the handles it holds, which
+// the one report codec here ([WriteJSON], [WriteFile], [ReadJSON])
+// validates and persists.
 package obs
 
 import (
@@ -157,11 +163,13 @@ type HistogramStats struct {
 	P99   float64 `json:"p99"`
 }
 
-// validate checks a summary's invariants: finite numbers (JSON cannot
+// Validate checks a summary's invariants: finite numbers (JSON cannot
 // carry NaN/Inf), a non-negative count and, once there are samples,
 // Min ≤ P50 ≤ P95 ≤ P99 ≤ Max — which estimated quantiles keep because
-// each is clamped to the exact [Min, Max].
-func (h HistogramStats) validate() error {
+// each is clamped to the exact [Min, Max]. The error reads as a
+// predicate ("is out of order: ...") for the caller to prefix with the
+// histogram's name.
+func (h HistogramStats) Validate() error {
 	for _, v := range []float64{h.Sum, h.Min, h.Max, h.Mean, h.P50, h.P95, h.P99} {
 		if !isFinite(v) {
 			return errors.New("has non-finite value")

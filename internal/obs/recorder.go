@@ -310,11 +310,3 @@ func (r *Recorder) Execution() ExecutionStats {
 	}
 	return stats
 }
-
-// Metrics snapshots the recorder's raw metrics registry.
-func (r *Recorder) Metrics() MetricsSnapshot {
-	if r == nil {
-		return MetricsSnapshot{}
-	}
-	return r.reg.Snapshot()
-}

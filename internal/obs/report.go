@@ -112,7 +112,7 @@ type WallClock struct {
 // RunReport is the machine-readable record of one experiment run: what
 // was run (command, target, seeds, workers), what came out (per-model
 // errors, the selection decision), and how it executed (wall-clock
-// breakdown, engine statistics, raw metrics). It is the payload behind
+// breakdown, engine statistics). It is the payload behind
 // the cmds' -report flags and the fixture format of the statistical
 // regression tests.
 type RunReport struct {
@@ -160,8 +160,6 @@ type RunReport struct {
 	// Execution is the engine-level statistics aggregated by a Recorder,
 	// when one was attached.
 	Execution *ExecutionStats `json:"execution,omitempty"`
-	// Metrics is the raw metrics snapshot, when a Recorder was attached.
-	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
 }
 
 // Validate checks structural invariants: supported version, a command,
@@ -217,13 +215,13 @@ func (r *RunReport) FindModel(kind string) *ModelResult {
 }
 
 // WriteJSON writes the report as indented JSON.
-func (r *RunReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+func (r *RunReport) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }
 
 // WriteFile writes the report to path as indented JSON.
-func (r *RunReport) WriteFile(path string) error { return writeFile(path, r) }
+func (r *RunReport) WriteFile(path string) error { return WriteFile(path, r) }
 
 // ReadReport parses and validates a report.
-func ReadReport(r io.Reader) (*RunReport, error) { return readJSON[RunReport](r) }
+func ReadReport(r io.Reader) (*RunReport, error) { return ReadJSON[RunReport](r) }
 
 // ReadReportFile reads a report from a JSON file.
 func ReadReportFile(path string) (*RunReport, error) {
@@ -235,12 +233,13 @@ func ReadReportFile(path string) (*RunReport, error) {
 	return ReadReport(f)
 }
 
-// validator is every report type: RunReport, ServeReport, GatewayReport.
+// validator is every report type: RunReport here, and the serving
+// tiers' reports in internal/serve and internal/gateway.
 type validator interface{ Validate() error }
 
-// writeJSON is the one report encoder: it validates first, so no report
+// WriteJSON is the one report encoder: it validates first, so no report
 // is ever persisted in a state its reader would reject.
-func writeJSON(w io.Writer, rep validator) error {
+func WriteJSON(w io.Writer, rep validator) error {
 	if err := rep.Validate(); err != nil {
 		return err
 	}
@@ -249,21 +248,21 @@ func writeJSON(w io.Writer, rep validator) error {
 	return enc.Encode(rep)
 }
 
-// writeFile writes rep to path through writeJSON.
-func writeFile(path string, rep validator) error {
+// WriteFile writes rep to path through WriteJSON.
+func WriteFile(path string, rep validator) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("obs: writing report: %w", err)
 	}
-	if err := writeJSON(f, rep); err != nil {
+	if err := WriteJSON(f, rep); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// readJSON is the one report decoder: decode, then validate.
-func readJSON[T any, P interface {
+// ReadJSON is the one report decoder: decode, then validate.
+func ReadJSON[T any, P interface {
 	*T
 	validator
 }](r io.Reader) (*T, error) {

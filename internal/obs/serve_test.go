@@ -153,12 +153,12 @@ func checkExposition(t *testing.T, text string) map[string]float64 {
 
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(MetricServeRequests).Add(3)
+	reg.Counter("serve.requests").Add(3)
 	reg.Counter("odd name-with/chars").Inc()
-	reg.Gauge(MetricServeQueueDepth).Set(-1.5)
+	reg.Gauge("serve.queue_depth").Set(-1.5)
 	reg.Gauge("inf").Set(math.Inf(1))
 	for _, v := range []float64{0.001, 0.002, 0.004} {
-		reg.Histogram(MetricServeLatency).Observe(v)
+		reg.Histogram("serve.latency_seconds").Observe(v)
 	}
 	reg.Histogram("empty.seconds")
 	var buf bytes.Buffer
@@ -166,7 +166,7 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := checkExposition(t, buf.String())
-	h := reg.Histogram(MetricServeLatency).Snapshot()
+	h := reg.Histogram("serve.latency_seconds").Snapshot()
 	for key, want := range map[string]float64{
 		"perfpred_serve_requests":                         3,
 		"perfpred_odd_name_with_chars":                    1,

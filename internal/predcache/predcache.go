@@ -23,6 +23,11 @@
 // land on one entry. Shard-local mutexes bound contention; a hit takes
 // one shard lock, does one map probe plus a row compare, and allocates
 // nothing.
+//
+// A cache registers its own cache.* counters (lookups, hits, misses,
+// evictions, invalidations) in the obs registry it is built over, so
+// the serving daemon's /metrics shows them live, and [Cache.Stats]
+// reads the same counters back for the daemon's report.
 package predcache
 
 import (
@@ -35,42 +40,6 @@ import (
 
 // shardCount is the number of lock shards.
 const shardCount = 16
-
-// Config sizes a Cache.
-type Config struct {
-	// MaxEntries bounds the entries held across all shards.
-	MaxEntries int
-	// Metrics receives the cache's counters; nil records into a private
-	// registry (counted but unobservable — tests and tools that only
-	// need behaviour).
-	Metrics *Metrics
-}
-
-// Metrics bundles the obs counters the cache records into. Names are
-// the obs.MetricCache* constants so live /metrics and the final
-// ServeReport read the same entries.
-type Metrics struct {
-	Lookups       *obs.Counter
-	Hits          *obs.Counter
-	Misses        *obs.Counter
-	Evictions     *obs.Counter
-	Invalidations *obs.Counter
-}
-
-// NewMetrics resolves the cache counters in reg (nil creates a private
-// registry).
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Metrics{
-		Lookups:       reg.Counter(obs.MetricCacheLookups),
-		Hits:          reg.Counter(obs.MetricCacheHits),
-		Misses:        reg.Counter(obs.MetricCacheMisses),
-		Evictions:     reg.Counter(obs.MetricCacheEvictions),
-		Invalidations: reg.Counter(obs.MetricCacheInvalidations),
-	}
-}
 
 // Key identifies one cached prediction: a registry model name, the
 // registry catalog generation that model was resolved from, and the
@@ -106,33 +75,68 @@ type Cache struct {
 	// floor is the highest keepGen passed to Invalidate; Put drops
 	// entries of older generations.
 	floor atomic.Int64
-	met   *Metrics
+	// The cache.* counters. Each Get is one lookup and exactly one hit
+	// (answered from an entry, no kernel work) or miss (the caller
+	// scores it). Evictions are entries dropped for capacity (LRU) or
+	// replaced by a hash-colliding row; invalidations are entries
+	// dropped because a reload superseded their artifact generation.
+	lookups, hits, misses, evictions, invalidations *obs.Counter
 }
 
-// New builds a cache. MaxEntries must be positive.
-func New(cfg Config) *Cache {
-	if cfg.MaxEntries <= 0 {
-		panic("predcache: MaxEntries must be positive")
+// New builds a cache bounded to maxEntries (which must be positive)
+// that registers its cache.* counters in reg; a nil reg keeps them in a
+// private registry, readable only through Stats.
+func New(maxEntries int, reg *obs.Registry) *Cache {
+	if maxEntries <= 0 {
+		panic("predcache: maxEntries must be positive")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics(nil)
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	c := &Cache{met: cfg.Metrics}
+	c := &Cache{
+		lookups:       reg.Counter("cache.lookups"),
+		hits:          reg.Counter("cache.hits"),
+		misses:        reg.Counter("cache.misses"),
+		evictions:     reg.Counter("cache.evictions"),
+		invalidations: reg.Counter("cache.invalidations"),
+	}
 	for i := range c.shards {
 		c.shards[i] = shard{
 			m:   make(map[Key]*list.Element),
 			lru: list.New(),
-			cap: (cfg.MaxEntries + shardCount - 1) / shardCount,
+			cap: (maxEntries + shardCount - 1) / shardCount,
 		}
 	}
 	return c
+}
+
+// Stats is a snapshot of a cache's lifetime counters. A live snapshot
+// can catch a lookup between its counter increments, so Hits + Misses
+// == Lookups holds only once the cache is quiescent.
+type Stats struct {
+	Lookups       int64 `json:"lookups"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+}
+
+// Stats snapshots the cache's counters.
+func (c *Cache) Stats() Stats {
+	return Stats{
+		Lookups:       c.lookups.Value(),
+		Hits:          c.hits.Value(),
+		Misses:        c.misses.Value(),
+		Evictions:     c.evictions.Value(),
+		Invalidations: c.invalidations.Value(),
+	}
 }
 
 // Get returns the value stored for key when the entry's row is
 // float64-equal to row — bit-identical to what scoring the row would
 // produce. Anything else, a hash collision included, is a miss.
 func (c *Cache) Get(key Key, row []float64) (float64, bool) {
-	c.met.Lookups.Inc()
+	c.lookups.Inc()
 	sh := &c.shards[key.Hash%shardCount]
 	sh.mu.Lock()
 	if el, ok := sh.m[key]; ok {
@@ -140,12 +144,12 @@ func (c *Cache) Get(key Key, row []float64) (float64, bool) {
 			sh.lru.MoveToFront(el)
 			val := e.val
 			sh.mu.Unlock()
-			c.met.Hits.Inc()
+			c.hits.Inc()
 			return val, true
 		}
 	}
 	sh.mu.Unlock()
-	c.met.Misses.Inc()
+	c.misses.Inc()
 	return 0, false
 }
 
@@ -179,7 +183,7 @@ func (c *Cache) Put(key Key, row []float64, val float64) {
 	}
 	sh.mu.Unlock()
 	if evicted > 0 {
-		c.met.Evictions.Add(int64(evicted))
+		c.evictions.Add(int64(evicted))
 	}
 }
 
@@ -213,7 +217,7 @@ func (c *Cache) Invalidate(keepGen int64) int {
 		sh.mu.Unlock()
 	}
 	if n > 0 {
-		c.met.Invalidations.Add(int64(n))
+		c.invalidations.Add(int64(n))
 	}
 	return n
 }

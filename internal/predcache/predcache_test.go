@@ -7,18 +7,12 @@ import (
 	"testing"
 )
 
-func testCache(t *testing.T, entries int) (*Cache, *Metrics) {
-	t.Helper()
-	met := NewMetrics(nil)
-	return New(Config{MaxEntries: entries, Metrics: met}), met
-}
-
 func key(model string, gen int64, row []float64) Key {
 	return Key{Model: model, Gen: gen, Hash: HashRow(row)}
 }
 
 func TestLookupMissFillHit(t *testing.T) {
-	c, met := testCache(t, 64)
+	c := New(64, nil)
 	row := []float64{1, 2.5, 0, 1}
 	k := key("m", 1, row)
 
@@ -29,15 +23,15 @@ func TestLookupMissFillHit(t *testing.T) {
 	if val, ok := c.Get(k, row); !ok || val != 42.5 {
 		t.Fatalf("second Get: %v %v, want a hit on 42.5", val, ok)
 	}
-	if met.Lookups.Value() != 2 || met.Hits.Value() != 1 || met.Misses.Value() != 1 {
-		t.Fatalf("counters: lookups=%d hits=%d misses=%d", met.Lookups.Value(), met.Hits.Value(), met.Misses.Value())
+	if st := c.Stats(); st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("counters: %+v, want 2 lookups, 1 hit, 1 miss", st)
 	}
 	// A Put of an equal row only refreshes the entry: one entry, no
 	// eviction, and the stored value stands.
 	c.Put(k, []float64{1, 2.5, 0, 1}, 99)
-	if val, ok := c.Get(k, row); !ok || val != 42.5 || c.Len() != 1 || met.Evictions.Value() != 0 {
+	if val, ok := c.Get(k, row); !ok || val != 42.5 || c.Len() != 1 || c.Stats().Evictions != 0 {
 		t.Fatalf("after equal Put: %v %v len=%d evictions=%d, want a hit on 42.5, 1 entry, 0 evictions",
-			val, ok, c.Len(), met.Evictions.Value())
+			val, ok, c.Len(), c.Stats().Evictions)
 	}
 }
 
@@ -45,7 +39,7 @@ func TestLookupMissFillHit(t *testing.T) {
 // reuse safe: the caller may overwrite its row buffer immediately after
 // Put returns.
 func TestLookupCopiesRow(t *testing.T) {
-	c, _ := testCache(t, 64)
+	c := New(64, nil)
 	buf := []float64{1, 2}
 	k := key("m", 1, buf)
 	c.Put(k, buf, 7)
@@ -58,8 +52,7 @@ func TestLookupCopiesRow(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// Forge hashes that all land in shard 0, so eviction order is
 	// deterministic; each shard holds 3 entries.
-	met := NewMetrics(nil)
-	c := New(Config{MaxEntries: 3 * shardCount, Metrics: met})
+	c := New(3*shardCount, nil)
 	rows := [][]float64{{1}, {2}, {3}, {4}}
 	keyOf := func(i int) Key { return Key{Model: "m", Gen: 1, Hash: uint64(i) * shardCount} }
 
@@ -75,8 +68,8 @@ func TestLRUEviction(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("Len after eviction: %d", c.Len())
 	}
-	if met.Evictions.Value() != 1 {
-		t.Fatalf("evictions = %d, want 1", met.Evictions.Value())
+	if n := c.Stats().Evictions; n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
 	for _, i := range []int{0, 2, 3} {
 		if val, ok := c.Get(keyOf(i), rows[i]); !ok || val != float64(i) {
@@ -89,7 +82,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestInvalidateDropsOldGenerations(t *testing.T) {
-	c, met := testCache(t, 64)
+	c := New(64, nil)
 	row := []float64{1, 2}
 	for gen := int64(1); gen <= 3; gen++ {
 		c.Put(key("m", gen, row), row, float64(gen))
@@ -97,8 +90,8 @@ func TestInvalidateDropsOldGenerations(t *testing.T) {
 	if n := c.Invalidate(3); n != 2 {
 		t.Fatalf("Invalidate dropped %d, want 2", n)
 	}
-	if met.Invalidations.Value() != 2 {
-		t.Fatalf("invalidations = %d", met.Invalidations.Value())
+	if n := c.Stats().Invalidations; n != 2 {
+		t.Fatalf("invalidations = %d", n)
 	}
 	// Generation 3 survives; 1 and 2 are gone.
 	if val, ok := c.Get(key("m", 3, row), row); !ok || val != 3 {
@@ -124,7 +117,7 @@ func TestInvalidateDropsOldGenerations(t *testing.T) {
 // scored under a generation that a reload has since invalidated must
 // not re-enter the index when its Put lands late.
 func TestFillAfterInvalidate(t *testing.T) {
-	c, _ := testCache(t, 64)
+	c := New(64, nil)
 	row := []float64{7}
 	k := key("m", 1, row)
 	if _, ok := c.Get(k, row); ok {
@@ -146,7 +139,7 @@ func TestFillAfterInvalidate(t *testing.T) {
 // under one Key (simulating a full 64-bit hash collision) and verifies
 // the stored value is never served for the other row.
 func TestHashCollisionNeverServesWrongValue(t *testing.T) {
-	c, met := testCache(t, 64)
+	c := New(64, nil)
 	rowA, rowB := []float64{1, 2}, []float64{3, 4}
 	k := Key{Model: "m", Gen: 1, Hash: 12345} // same forged hash for both
 	c.Put(k, rowA, 111)
@@ -156,8 +149,8 @@ func TestHashCollisionNeverServesWrongValue(t *testing.T) {
 	}
 	// Storing rowB displaces the collider.
 	c.Put(k, rowB, 222)
-	if met.Evictions.Value() != 1 || c.Len() != 1 {
-		t.Fatalf("evictions = %d, Len = %d, want 1, 1 (displaced collider)", met.Evictions.Value(), c.Len())
+	if n := c.Stats().Evictions; n != 1 || c.Len() != 1 {
+		t.Fatalf("evictions = %d, Len = %d, want 1, 1 (displaced collider)", n, c.Len())
 	}
 	if val, ok := c.Get(k, rowB); !ok || val != 222 {
 		t.Fatalf("rowB after Put: %v %v, want a hit on 222", val, ok)
@@ -171,7 +164,7 @@ func TestHashCollisionNeverServesWrongValue(t *testing.T) {
 // that misses stores the same value, they all land on one entry, and
 // the counters still balance.
 func TestConcurrentSingleflight(t *testing.T) {
-	c, met := testCache(t, 1024)
+	c := New(1024, nil)
 	row := []float64{1, 2, 3}
 	k := key("m", 1, row)
 	const goroutines = 32
@@ -197,8 +190,8 @@ func TestConcurrentSingleflight(t *testing.T) {
 	if val, ok := c.Get(k, row); !ok || val != 77 {
 		t.Fatalf("final Get: %v %v, want a hit on 77", val, ok)
 	}
-	if got := met.Hits.Value() + met.Misses.Value(); got != met.Lookups.Value() {
-		t.Fatalf("hits+misses=%d != lookups=%d", got, met.Lookups.Value())
+	if st := c.Stats(); st.Hits+st.Misses != st.Lookups {
+		t.Fatalf("hits+misses=%d != lookups=%d", st.Hits+st.Misses, st.Lookups)
 	}
 }
 
@@ -207,7 +200,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 // allocations, so a hit must cost a shard lock and a compare, nothing
 // else.
 func TestLookupHitZeroAlloc(t *testing.T) {
-	c, _ := testCache(t, 64)
+	c := New(64, nil)
 	row := []float64{1, 2, 3, 4, 5, 6}
 	c.Put(key("m", 1, row), row, 3.5)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -255,7 +248,7 @@ func TestHashRowProperties(t *testing.T) {
 }
 
 func TestNewRoundsShardsAndSplitsCapacity(t *testing.T) {
-	c := New(Config{MaxEntries: 100})
+	c := New(100, nil)
 	for i := range c.shards {
 		if c.shards[i].cap != (100+shardCount-1)/shardCount {
 			t.Fatalf("shard %d cap = %d, want ceil(100/%d)", i, c.shards[i].cap, shardCount)
@@ -271,8 +264,8 @@ func TestNewRoundsShardsAndSplitsCapacity(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with MaxEntries 0 did not panic")
+			t.Fatal("New with maxEntries 0 did not panic")
 		}
 	}()
-	New(Config{})
+	New(0, nil)
 }

@@ -10,7 +10,6 @@ import (
 
 	"perfpred/internal/core"
 	"perfpred/internal/faultinject"
-	"perfpred/internal/obs"
 )
 
 // TestCacheOnOffBitEquivalence is the property test behind the cache's
@@ -167,23 +166,20 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 
 	// The cache must have actually been in play for the comparison to
 	// mean anything, and its accounting must balance.
-	snap := cached.MetricsRegistry().Snapshot()
-	hits, misses, lookups := snap.Counters[obs.MetricCacheHits], snap.Counters[obs.MetricCacheMisses], snap.Counters[obs.MetricCacheLookups]
+	cs := cached.Report().Cache
+	hits, misses, lookups := cs.Hits, cs.Misses, cs.Lookups
 	if hits == 0 {
 		t.Fatal("cached daemon recorded zero hits over a duplicate-heavy schedule")
 	}
 	if hits+misses != lookups {
 		t.Fatalf("hits(%d)+misses(%d) != lookups(%d)", hits, misses, lookups)
 	}
-	if inv := snap.Counters[obs.MetricCacheInvalidations]; inv < 1 {
+	if inv := cs.Invalidations; inv < 1 {
 		t.Fatalf("invalidations = %d, want ≥ 1 after reload", inv)
 	}
 	// The bypass daemon's cache counters must not have moved at all, or
 	// its answers do not stand for the batcher alone.
-	psnap := bypass.MetricsRegistry().Snapshot()
-	for _, name := range []string{obs.MetricCacheLookups, obs.MetricCacheHits, obs.MetricCacheMisses} {
-		if v := psnap.Counters[name]; v != 0 {
-			t.Fatalf("bypass daemon counter %s = %d, want 0", name, v)
-		}
+	if bs := bypass.Report().Cache; bs.Lookups != 0 || bs.Hits != 0 || bs.Misses != 0 {
+		t.Fatalf("bypass daemon cache counters %+v, want 0 lookups, hits and misses", bs)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"perfpred/internal/core"
 	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
-	"perfpred/internal/obs"
 )
 
 // cachedPredict runs raw rows through the handler's path after resolve
@@ -60,14 +59,14 @@ func TestCachedServingBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	snap := s.MetricsRegistry().Snapshot()
+	cs := s.Report().Cache
 	// At least the 2 repeats of each row hit; the synthetic dataset may
 	// also contain duplicate design points, which hit on first sight.
-	if hits := snap.Counters[obs.MetricCacheHits]; hits < 16 {
-		t.Fatalf("hits = %d, want ≥ 16 (2 repeats × 8 rows)", hits)
+	if cs.Hits < 16 {
+		t.Fatalf("hits = %d, want ≥ 16 (2 repeats × 8 rows)", cs.Hits)
 	}
-	if lookups, hm := snap.Counters[obs.MetricCacheLookups], snap.Counters[obs.MetricCacheHits]+snap.Counters[obs.MetricCacheMisses]; lookups != hm {
-		t.Fatalf("lookups=%d != hits+misses=%d", lookups, hm)
+	if cs.Lookups != cs.Hits+cs.Misses {
+		t.Fatalf("lookups=%d != hits+misses=%d", cs.Lookups, cs.Hits+cs.Misses)
 	}
 }
 
@@ -84,7 +83,7 @@ func TestCacheMixedHitMissBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := s.MetricsRegistry().Snapshot()
+	before := s.Report()
 
 	// hit, fresh, duplicate-of-fresh, hit, another fresh
 	rows := [][]dataset.Value{d.Row(0), d.Row(1), d.Row(1), d.Row(0), d.Row(2)}
@@ -102,9 +101,8 @@ func TestCacheMixedHitMissBatch(t *testing.T) {
 		}
 	}
 	// Positions 0 and 3 hit; 1, 2 and 4 miss, and each miss is scored.
-	after := s.MetricsRegistry().Snapshot()
-	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
-	hits, misses, preds := delta(obs.MetricCacheHits), delta(obs.MetricCacheMisses), delta(obs.MetricServePredictions)
+	after := s.Report()
+	hits, misses, preds := after.Cache.Hits-before.Cache.Hits, after.Cache.Misses-before.Cache.Misses, after.Predictions-before.Predictions
 	if hits != 2 || misses != 3 || preds != 3 {
 		t.Fatalf("hits=%d misses=%d predictions=%d, want 2, 3, 3", hits, misses, preds)
 	}
@@ -157,8 +155,7 @@ func TestCacheInvalidationOnReload(t *testing.T) {
 	if *after.Prediction != want {
 		t.Fatalf("post-reload served %v, want retrained %v (stale cache?)", *after.Prediction, want)
 	}
-	snap := s.MetricsRegistry().Snapshot()
-	if inv := snap.Counters[obs.MetricCacheInvalidations]; inv < 1 {
+	if inv := s.Report().Cache.Invalidations; inv < 1 {
 		t.Fatalf("invalidations = %d, want ≥ 1", inv)
 	}
 }
@@ -191,13 +188,13 @@ func TestCacheFaultBypassFailOpen(t *testing.T) {
 			t.Fatalf("bypassed predict %d: %v != offline %v", i, *resp.Prediction, want)
 		}
 	}
-	snap := s.MetricsRegistry().Snapshot()
+	rep := s.Report()
 	// Every request bypassed: the cache saw no lookups, and each bypass
 	// counted as an injected serve fault.
-	if lookups := snap.Counters[obs.MetricCacheLookups]; lookups != 0 {
+	if lookups := rep.Cache.Lookups; lookups != 0 {
 		t.Fatalf("lookups = %d, want 0 (all requests bypassed)", lookups)
 	}
-	if faults := snap.Counters[obs.MetricServeFaults]; faults < 3 {
+	if faults := rep.FaultsInjected; faults < 3 {
 		t.Fatalf("faults_injected = %d, want ≥ 3", faults)
 	}
 	if st := inj.Stats()[faultinject.ServeCacheLookup.String()]; st.Fires < 3 {

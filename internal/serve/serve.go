@@ -22,8 +22,10 @@
 //   - [Server]: the HTTP surface — POST /v1/predict (single row or
 //     batch), GET /v1/models, GET /v1/report, POST /admin/reload,
 //     GET /healthz — plus the obs metrics endpoints (/metrics in
-//     Prometheus text, /debug/vars expvar, /debug/pprof) fed by the
-//     serve.* counters and histograms named in the obs package.
+//     Prometheus text, /debug/vars expvar, /debug/pprof) over the
+//     serve.* metrics this package registers and the cache.* counters
+//     internal/predcache registers. [Server.Report] reads the same
+//     handles into a [Report], so /v1/report and /metrics agree.
 //
 // A /v1/predict request takes one path, with no per-cell allocation
 // unless a string cell needs unescaping:
@@ -44,46 +46,3 @@
 // generation, so a client sees exactly the predictions a sequential
 // offline scorer would produce.
 package serve
-
-import (
-	"perfpred/internal/obs"
-)
-
-// metrics bundles the registry entries the serving path records into,
-// resolved once at startup so hot-path increments never take the
-// registry lock. Names are the obs.MetricServe* constants, which
-// BuildServeReport reads back out.
-type metrics struct {
-	reg         *obs.Registry
-	requests    *obs.Counter
-	predictions *obs.Counter
-	batches     *obs.Counter
-	shed        *obs.Counter
-	errors      *obs.Counter
-	reloads     *obs.Counter
-	faults      *obs.Counter
-	batchSize   *obs.Histogram
-	queueWait   *obs.Histogram
-	latency     *obs.Histogram
-	kernel      *obs.Histogram
-	queueDepth  *obs.Gauge
-}
-
-func newMetrics() *metrics {
-	reg := obs.NewRegistry()
-	return &metrics{
-		reg:         reg,
-		requests:    reg.Counter(obs.MetricServeRequests),
-		predictions: reg.Counter(obs.MetricServePredictions),
-		batches:     reg.Counter(obs.MetricServeBatches),
-		shed:        reg.Counter(obs.MetricServeShed),
-		errors:      reg.Counter(obs.MetricServeErrors),
-		reloads:     reg.Counter(obs.MetricServeReloads),
-		faults:      reg.Counter(obs.MetricServeFaults),
-		batchSize:   reg.Histogram(obs.MetricServeBatchSize),
-		queueWait:   reg.Histogram(obs.MetricServeQueueWait),
-		latency:     reg.Histogram(obs.MetricServeLatency),
-		kernel:      reg.Histogram(obs.MetricServeKernel),
-		queueDepth:  reg.Gauge(obs.MetricServeQueueDepth),
-	}
-}

@@ -83,10 +83,7 @@ func New(cfg Config) (*Server, error) {
 		fi:      faultinject.Active(),
 	}
 	s.bat = newBatcher(cfg.Batcher, s.met, scoreModel)
-	s.cache = predcache.New(predcache.Config{
-		MaxEntries: cfg.CacheEntries,
-		Metrics:    predcache.NewMetrics(s.met.reg),
-	})
+	s.cache = predcache.New(cfg.CacheEntries, s.met.reg)
 	s.scratch.New = func() any { return new(rowScratch) }
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -115,9 +112,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry exposes the model registry (signal handlers trigger reloads
 // through it).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// MetricsRegistry exposes the metrics registry backing /metrics.
-func (s *Server) MetricsRegistry() *obs.Registry { return s.met.reg }
 
 // SetAddr records the bound listen address for reports.
 func (s *Server) SetAddr(addr string) { s.addr.Store(addr) }
@@ -149,18 +143,6 @@ func (s *Server) Reload() (int64, error) {
 		s.cache.Invalidate(gen)
 	}
 	return gen, err
-}
-
-// Report snapshots the daemon's lifetime into a ServeReport.
-func (s *Server) Report() *obs.ServeReport {
-	addr, _ := s.addr.Load().(string)
-	return obs.BuildServeReport(obs.ServeMeta{
-		Addr:       addr,
-		ModelsDir:  s.reg.Dir(),
-		Models:     s.reg.Names(),
-		Generation: s.reg.Generation(),
-		Uptime:     time.Since(s.started),
-	}, s.met.reg)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {

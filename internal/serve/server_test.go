@@ -262,7 +262,7 @@ func TestServerReportEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/v1/report: %d", w.Code)
 	}
-	rep, err := obs.ReadServeReport(w.Body)
+	rep, err := obs.ReadJSON[Report](w.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,12 +170,14 @@ import json
 gw = json.load(open("gw-report.json"))
 assert gw["version"] == 3 and len(gw["replicas"]) == 2, gw
 assert "hedges" not in gw and "hedge_wins" not in gw and "shed" not in gw, gw
+assert "metrics" not in gw, gw
 assert gw["requests"] >= 14, gw
 assert gw["ejects"] >= 1, gw
 healthy = [r for r in gw["replicas"] if r["healthy"]]
 assert len(healthy) == 1, gw["replicas"]
 sr = json.load(open("$srep"))
 assert sr["version"] == 1 and sr["generation"] == 2, sr
+assert "metrics" not in sr, sr
 print("gateway report: %d requests, %d retries, %d ejects; survivor drained at generation %d"
       % (gw["requests"], gw["retries"], gw["ejects"], sr["generation"]))
 EOF

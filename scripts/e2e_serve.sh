@@ -3,7 +3,7 @@
 # the predict CLI, start perfpredd against it, exercise every endpoint
 # over real HTTP, assert the daemon's predictions are bit-identical to
 # the offline scoring path, then drain it with SIGTERM and check the
-# final ServeReport. Needs only bash + curl + python3 (for JSON
+# final serve report. Needs only bash + curl + python3 (for JSON
 # assertions) and runs in a few seconds; CI runs it as the e2e-serve
 # job, and `make e2e` runs it locally.
 set -euo pipefail
@@ -148,7 +148,7 @@ assert r["generation"] == 2 and r["models"] == ["pd-lre", "pd-tree"], r
 print("reloaded: generation 2")
 '
 
-say "SIGTERM drains cleanly and writes the ServeReport"
+say "SIGTERM drains cleanly and writes the serve report"
 kill -TERM "$dpid"
 wait "$dpid"
 dpid=""
@@ -156,6 +156,8 @@ python3 - <<'EOF'
 import json
 r = json.load(open("serve-report.json"))
 assert r["version"] == 1
+# The report's counters are its only copy: no raw registry snapshot.
+assert "metrics" not in r, r
 assert r["models"] == ["pd-lre", "pd-tree"] and r["generation"] == 2
 # Every served row was scored by the batcher or answered by the cache
 # (the single row repeats batch row 0, so it is a hit).
