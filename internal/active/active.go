@@ -31,7 +31,6 @@ import (
 
 	"perfpred/internal/dataset"
 	"perfpred/internal/engine"
-	"perfpred/internal/faultinject"
 	"perfpred/internal/model"
 	"perfpred/internal/stat"
 )
@@ -131,8 +130,7 @@ type Result struct {
 
 // Run executes the active-learning loop over full, starting from the
 // already-labeled initial indices (the random seed sample). Each round
-// fires the active.acquire_round fault point (a forced fault fails the
-// round and aborts the loop), retrains the committee via cfg.TrainRound,
+// retrains the committee via cfg.TrainRound (an error aborts the loop),
 // scores the remaining pool with the configured strategy, and moves the
 // acquired batch into the labeled set. The loop ends after cfg.Rounds
 // rounds or when the pool runs dry, whichever comes first.
@@ -174,9 +172,6 @@ func Run(ctx context.Context, full *dataset.Dataset, initial []int, cfg Config) 
 	opts := engine.Options{Workers: cfg.workers(), Hook: cfg.Hook}
 
 	for round := 1; round <= cfg.Rounds && len(pool) > 0; round++ {
-		if _, err := faultinject.Active().Hit(ctx, faultinject.ActiveAcquireRound); err != nil {
-			return nil, fmt.Errorf("active: round %d: %w", round, err)
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

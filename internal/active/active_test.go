@@ -12,7 +12,6 @@ import (
 
 	"perfpred/internal/dataset"
 	"perfpred/internal/engine"
-	"perfpred/internal/faultinject"
 	"perfpred/internal/model"
 	"perfpred/internal/predcache"
 )
@@ -711,23 +710,30 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestRunFaultInjection: a forced fault at active.acquire_round fails
-// the round and aborts the loop with the round in the error chain.
-func TestRunFaultInjection(t *testing.T) {
-	boom := errors.New("injected")
-	restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
-		faultinject.ActiveAcquireRound: {Every: 2, Err: boom},
-	}))
-	defer restore()
+// TestRunTrainRoundError: a TrainRound that fails on round 2 aborts the
+// loop, and the error names the round and wraps the callback's error.
+func TestRunTrainRoundError(t *testing.T) {
+	boom := errors.New("training failed")
 	full := testSpace(t, 40, 41)
+	train := fixedCommittee(t, full)
+	calls := 0
 	_, err := Run(context.Background(), full, []int{0, 1}, Config{
-		Seed: 1, Rounds: 4, Batch: 2, TrainRound: fixedCommittee(t, full),
+		Seed: 1, Rounds: 4, Batch: 2,
+		TrainRound: func(ctx context.Context, labeled *dataset.Dataset, roundSeed int64) (*Committee, error) {
+			if calls++; calls == 2 {
+				return nil, boom
+			}
+			return train(ctx, labeled, roundSeed)
+		},
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("Run returned %v, want the injected fault", err)
+		t.Fatalf("Run returned %v, want the callback's error", err)
 	}
 	if !strings.Contains(err.Error(), "round 2") {
-		t.Fatalf("fault error %q does not name the failing round", err)
+		t.Fatalf("error %q does not name the failing round", err)
+	}
+	if calls != 2 {
+		t.Fatalf("TrainRound called %d times, want the loop to stop at round 2", calls)
 	}
 }
 

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"perfpred/internal/dataset"
-	"perfpred/internal/faultinject"
 	"perfpred/internal/model"
 )
 
@@ -96,16 +94,10 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	return UnmarshalPredictor(data)
 }
 
-// LoadPredictorFile reads and validates a predictor from a JSON file —
-// the registry-facing loader shared by the serving daemon and the
-// predict CLI, so both reject the same malformed artifacts. An
-// artifact-load fault-injection point sits in front of the read, so
-// chaos runs can make any artifact transiently unreadable and prove
-// that a reloading registry keeps its previous catalog.
+// LoadPredictorFile reads and validates a predictor from a JSON file.
+// serve.LoadModelFile wraps it for the serving daemon and the predict
+// CLI, so both reject the same malformed artifacts.
 func LoadPredictorFile(path string) (*Predictor, error) {
-	if _, ferr := faultinject.Active().Hit(context.Background(), faultinject.CoreArtifactLoad); ferr != nil {
-		return nil, fmt.Errorf("core: loading predictor %s: %w", path, ferr)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading predictor: %w", err)

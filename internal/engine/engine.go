@@ -33,8 +33,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"perfpred/internal/faultinject"
 )
 
 // EventKind classifies a pool event.
@@ -254,12 +252,7 @@ func Run(ctx context.Context, opts Options, tasks ...Task) error {
 	return nil
 }
 
-// execute runs one task with panic recovery and lifecycle events. Two
-// fault-injection hook points bracket the task body: a dispatch fault
-// fails the task before its body runs, a completion fault converts a
-// clean return into a failure — both flow through the pool's normal
-// first-error cancellation, so chaos runs exercise exactly the error
-// paths a genuinely failing task would.
+// execute runs one task with panic recovery and lifecycle events.
 func execute(ctx context.Context, hook Hook, t *Task, wait time.Duration) (err error) {
 	start := time.Now()
 	hook.Emit(Event{Kind: TaskStart, Label: t.Label, Model: t.Model, Fold: t.Fold, Wait: wait})
@@ -274,16 +267,7 @@ func execute(ctx context.Context, hook Hook, t *Task, wait time.Duration) (err e
 		}
 		hook.Emit(e)
 	}()
-	if _, ferr := faultinject.Active().Hit(ctx, faultinject.EngineTaskStart); ferr != nil {
-		return ferr
-	}
-	err = t.Run(ctx)
-	if err == nil {
-		if _, ferr := faultinject.Active().Hit(ctx, faultinject.EngineTaskDone); ferr != nil {
-			err = ferr
-		}
-	}
-	return err
+	return t.Run(ctx)
 }
 
 // workerStateKey is the context key carrying a worker's local store.

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"perfpred/internal/faultinject"
 )
 
 func TestRunExecutesAllTasks(t *testing.T) {
@@ -414,62 +412,4 @@ func TestWorkerLocalDistinctKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRunFaultInjectionHooks pins the engine's two fault hook points: a
-// forced task-start fault fails the task before its body runs, and a
-// task-done fault turns a successful body into a failure — while a task
-// that failed on its own keeps its original error.
-func TestRunFaultInjectionHooks(t *testing.T) {
-	errBoom := errors.New("injected")
-
-	t.Run("task start", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
-			faultinject.EngineTaskStart: {Every: 1, Err: errBoom},
-		}))
-		defer restore()
-		var ran atomic.Bool
-		err := Run(context.Background(), Options{Workers: 1}, Task{Fold: -1, Run: func(ctx context.Context) error {
-			ran.Store(true)
-			return nil
-		}})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("err = %v, want injected fault", err)
-		}
-		if ran.Load() {
-			t.Fatal("task body ran despite a start fault")
-		}
-	})
-
-	t.Run("task done", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
-			faultinject.EngineTaskDone: {Every: 1, Err: errBoom},
-		}))
-		defer restore()
-		var ran atomic.Bool
-		err := Run(context.Background(), Options{Workers: 1}, Task{Fold: -1, Run: func(ctx context.Context) error {
-			ran.Store(true)
-			return nil
-		}})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("err = %v, want injected fault", err)
-		}
-		if !ran.Load() {
-			t.Fatal("task body did not run")
-		}
-	})
-
-	t.Run("task error wins over done fault", func(t *testing.T) {
-		restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
-			faultinject.EngineTaskDone: {Every: 1, Err: errBoom},
-		}))
-		defer restore()
-		errOwn := errors.New("own failure")
-		err := Run(context.Background(), Options{Workers: 1}, Task{Fold: -1, Run: func(ctx context.Context) error {
-			return errOwn
-		}})
-		if !errors.Is(err, errOwn) || errors.Is(err, errBoom) {
-			t.Fatalf("err = %v, want the task's own error untouched by the done hook", err)
-		}
-	})
 }

@@ -1,10 +1,10 @@
 // Package faultinject is the fault-injection layer for the serving
 // stack's failure paths: injected latency, forced errors and
-// context-cancellation-shaped failures, fired at explicit hook points
-// compiled into internal/engine (task dispatch and completion),
-// internal/core (artifact load), internal/serve (admission, batch flush,
-// registry reload, cache lookup), internal/gateway (routing, health
-// probes) and internal/active (acquisition rounds).
+// context-cancellation-shaped failures, fired at six explicit hook
+// points compiled into internal/serve (admission, batch flush, registry
+// reload, artifact load, cache lookup) and internal/gateway (routing).
+// The chaos harness in internal/loadtest arms every one of them; no
+// training, simulation or library package imports this layer.
 //
 // The layer is compiled in always but costs nothing by default: the
 // process-global injector starts disabled, and a disabled Hit is a single
@@ -31,21 +31,10 @@ import (
 type Point uint8
 
 const (
-	// EngineTaskStart fires when an engine worker dequeues a task, before
-	// the task body runs: a forced error fails the task as if its body had
-	// returned it, which cancels the surrounding Run like any task error.
-	EngineTaskStart Point = iota
-	// EngineTaskDone fires after a task body returns nil: a forced error
-	// converts the completion into a failure (a late, post-work fault).
-	EngineTaskDone
-	// CoreArtifactLoad fires at the top of core.LoadPredictorFile: a
-	// forced error simulates an unreadable or torn predictor artifact, the
-	// failure mode registry reloads must survive without serving it.
-	CoreArtifactLoad
 	// ServeAdmit fires in Batcher.Predict before a request is enqueued:
 	// latency delays admission (driving queued-deadline expiry), a forced
 	// error rejects the request before it takes a queue slot.
-	ServeAdmit
+	ServeAdmit Point = iota
 	// ServeBatchFlush fires in the batch worker just before the coalesced
 	// kernel call: latency slows flushes (building queue pressure until
 	// the admission queue sheds), a forced error fails every request in
@@ -54,52 +43,38 @@ const (
 	// ServeReload fires at the top of Server.Reload: a forced error fails
 	// the reload, which must leave the previous catalog serving.
 	ServeReload
+	// ServeArtifactLoad fires at the top of serve.LoadModelFile: a forced
+	// error simulates an unreadable or torn predictor artifact, the
+	// failure mode registry reloads must survive without serving it.
+	ServeArtifactLoad
 	// ServeCacheLookup fires in the prediction-cache path before a
 	// request's rows are probed: latency delays the lookup (widening the
-	// window for eviction races and reload-during-fill), a forced error
-	// makes the request bypass the cache entirely — the fail-open path,
-	// which must stay bit-identical to cached serving.
+	// window for eviction races and reload-during-fill); a fired error,
+	// including the request's deadline expiring during the stall, fails
+	// the request.
 	ServeCacheLookup
 	// GatewayRoute fires in the gateway's predict handler before a
 	// replica is selected: latency delays routing, a forced error answers
 	// the request 503 without consuming any replica capacity.
 	GatewayRoute
-	// GatewayHealthProbe fires at the top of each active health probe: a
-	// forced error fails the probe as if the replica were unreachable,
-	// driving ejection without the replica ever misbehaving.
-	GatewayHealthProbe
-	// ActiveAcquireRound fires at the top of each active-learning
-	// acquisition round, before the committee is retrained: latency
-	// delays the round, a forced error fails it — the loop aborts with
-	// the round's error, which a chaos harness asserts leaves the
-	// already-labeled budget accounting intact.
-	ActiveAcquireRound
 	numPoints
 )
 
 // String names the hook point (used in stats and reports).
 func (p Point) String() string {
 	switch p {
-	case EngineTaskStart:
-		return "engine.task_start"
-	case EngineTaskDone:
-		return "engine.task_done"
-	case CoreArtifactLoad:
-		return "core.artifact_load"
 	case ServeAdmit:
 		return "serve.admit"
 	case ServeBatchFlush:
 		return "serve.batch_flush"
 	case ServeReload:
 		return "serve.reload"
+	case ServeArtifactLoad:
+		return "serve.artifact_load"
 	case ServeCacheLookup:
 		return "serve.cache_lookup"
 	case GatewayRoute:
 		return "gateway.route"
-	case GatewayHealthProbe:
-		return "gateway.health_probe"
-	case ActiveAcquireRound:
-		return "active.acquire_round"
 	default:
 		return fmt.Sprintf("Point(%d)", int(p))
 	}
@@ -198,12 +173,8 @@ func (in *Injector) Hit(ctx context.Context, p Point) (fired bool, err error) {
 }
 
 // sleep waits d, abandoning early with the context's error if ctx is
-// done first. A nil ctx sleeps unconditionally.
+// done first.
 func sleep(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -12,10 +12,10 @@ import (
 // TestEvery pins the cadence: an Every: 3 plan fires on calls 3, 6, 9,
 // 12 and nowhere else, and Stats counts every call and every fire.
 func TestEvery(t *testing.T) {
-	in := New(map[Point]Plan{CoreArtifactLoad: {Every: 3, Err: errors.New("boom")}})
+	in := New(map[Point]Plan{ServeArtifactLoad: {Every: 3, Err: errors.New("boom")}})
 	var fires []int
 	for i := 1; i <= 12; i++ {
-		fired, err := in.Hit(context.Background(), CoreArtifactLoad)
+		fired, err := in.Hit(context.Background(), ServeArtifactLoad)
 		if fired != (err != nil) {
 			t.Fatalf("call %d: fired=%v err=%v", i, fired, err)
 		}
@@ -26,7 +26,7 @@ func TestEvery(t *testing.T) {
 	if len(fires) != 4 || fires[0] != 3 || fires[1] != 6 || fires[2] != 9 || fires[3] != 12 {
 		t.Fatalf("Every=3 fired on calls %v, want [3 6 9 12]", fires)
 	}
-	st := in.Stats()[CoreArtifactLoad.String()]
+	st := in.Stats()[ServeArtifactLoad.String()]
 	if st.Calls != 12 || st.Fires != 4 {
 		t.Fatalf("stats = %+v, want 12 calls 4 fires", st)
 	}
@@ -98,7 +98,7 @@ func TestDisabledIsInertAndAllocationFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, p := range []Point{ServeAdmit, ServeBatchFlush, EngineTaskStart} {
+		for _, p := range []Point{ServeAdmit, ServeBatchFlush, ServeCacheLookup} {
 			if fired, _ := Active().Hit(ctx, p); fired {
 				t.Fatal("active default fired")
 			}
@@ -132,16 +132,12 @@ func TestActivateRestore(t *testing.T) {
 // is a breaking change this test makes deliberate.
 func TestPointNamesStable(t *testing.T) {
 	want := map[Point]string{
-		EngineTaskStart:    "engine.task_start",
-		EngineTaskDone:     "engine.task_done",
-		CoreArtifactLoad:   "core.artifact_load",
-		ServeAdmit:         "serve.admit",
-		ServeBatchFlush:    "serve.batch_flush",
-		ServeReload:        "serve.reload",
-		ServeCacheLookup:   "serve.cache_lookup",
-		GatewayRoute:       "gateway.route",
-		GatewayHealthProbe: "gateway.health_probe",
-		ActiveAcquireRound: "active.acquire_round",
+		ServeAdmit:        "serve.admit",
+		ServeBatchFlush:   "serve.batch_flush",
+		ServeReload:       "serve.reload",
+		ServeArtifactLoad: "serve.artifact_load",
+		ServeCacheLookup:  "serve.cache_lookup",
+		GatewayRoute:      "gateway.route",
 	}
 	if int(numPoints) != len(want) {
 		t.Fatalf("%d points declared, this test covers %d — update the name table", numPoints, len(want))

@@ -263,36 +263,16 @@ func (g *Gateway) probeLoop(rep *replica) {
 			return
 		case <-t.C:
 		}
-		g.probe(rep)
+		g.probeOnce(rep)
 	}
 }
 
-// probe runs one active health check and feeds the result into the
+// probeOnce runs one active health check — GET /healthz within
+// ProbeTimeout, healthy only on a 200 — and feeds the result into the
 // replica's state machine.
-func (g *Gateway) probe(rep *replica) {
+func (g *Gateway) probeOnce(rep *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	var err error
-	// Probe fault point: a forced error fails the probe as if the
-	// replica were unreachable, so chaos runs can eject a perfectly
-	// healthy replica and exercise readmission.
-	if fired, ferr := g.fi.Hit(ctx, faultinject.GatewayHealthProbe); fired {
-		g.met.faults.Inc()
-		err = ferr
-	}
-	if err == nil {
-		err = g.probeOnce(ctx, rep)
-	}
-	g.recordProbe(rep, err == nil)
-}
-
-func (g *Gateway) probeOnce(ctx context.Context, rep *replica) error {
 	res, err := g.send(ctx, rep, http.MethodGet, "/healthz", nil, "")
-	if err != nil {
-		return err
-	}
-	if res.status != http.StatusOK {
-		return fmt.Errorf("gateway: %s /healthz answered %d", rep.addr, res.status)
-	}
-	return nil
+	g.recordProbe(rep, err == nil && res.status == http.StatusOK)
 }

@@ -29,11 +29,11 @@ type metrics struct {
 	// and back.
 	ejects, readmits *obs.Counter
 	// probes counts active health probes sent; probeFails those that
-	// failed (transport error, non-200, or an injected
-	// gateway.health_probe fault). The report carries them per replica.
+	// failed (transport error or non-200). The report carries them per
+	// replica.
 	probes, probeFails *obs.Counter
-	// faults counts injected faults that fired on the gateway path
-	// (route, health probe): 0 outside chaos runs.
+	// faults counts injected faults that fired at the gateway.route
+	// point: 0 outside chaos runs.
 	faults *obs.Counter
 	// latency observes end-to-end predict seconds; upstream observes
 	// each attempt's upstream seconds (primary and retry alike).

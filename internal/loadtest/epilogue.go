@@ -22,8 +22,8 @@ const (
 	// training data) provably moves its predictions.
 	epilogueModel = "nns"
 	// epilogueAttempts bounds every retried step: faults stay armed
-	// through the epilogue, so probes, artifact loads and reloads all
-	// need a retry budget that outlasts the fault cadences.
+	// through the epilogue, so probes and reloads need a retry budget
+	// that outlasts the fault cadences.
 	epilogueAttempts = 40
 	epilogueBackoff  = 5 * time.Millisecond
 )
@@ -103,21 +103,15 @@ func (h *harness) retrain(hot int) ([]float64, string) {
 	if err := savePredictor(path, p); err != nil {
 		return nil, fmt.Sprintf("saving retrained artifact: %v", err)
 	}
-	// The artifact-load fault point fires on this path too, so retry.
-	wctx := engine.NewWorkerContext(context.Background())
-	for try := 0; try < epilogueAttempts; try++ {
-		loaded, err := core.LoadPredictorFile(path)
-		if err != nil {
-			time.Sleep(epilogueBackoff)
-			continue
-		}
-		out := make([]float64, hot)
-		if err := loaded.PredictRowsInto(wctx, out, h.fx.rows[:hot]); err != nil {
-			return nil, fmt.Sprintf("scoring new goldens: %v", err)
-		}
-		return out, ""
+	loaded, err := core.LoadPredictorFile(path)
+	if err != nil {
+		return nil, fmt.Sprintf("loading retrained artifact: %v", err)
 	}
-	return nil, fmt.Sprintf("retrained artifact never loaded in %d attempts", epilogueAttempts)
+	out := make([]float64, hot)
+	if err := loaded.PredictRowsInto(engine.NewWorkerContext(context.Background()), out, h.fx.rows[:hot]); err != nil {
+		return nil, fmt.Sprintf("scoring new goldens: %v", err)
+	}
+	return out, ""
 }
 
 // probeHot probes each hot row once through the front.

@@ -123,7 +123,8 @@ var (
 	errInjectedArtifact = errors.New("loadtest: injected artifact-read fault")
 )
 
-// chaosPlans are the fault plans a Faults run arms. Fixed Every
+// chaosPlans are the fault plans a Faults run arms: every faultinject
+// point, gateway.route only when a gateway fronts the tier. Fixed Every
 // cadences guarantee each fault class actually fires within a short
 // run: every 4th batch flush stalls past the request deadline (expiring
 // whatever is queued behind it), every 25th admission fails outright,
@@ -136,23 +137,20 @@ var (
 // The cache-lookup plan is latency-only: every 6th lookup stalls for a
 // few batch lifetimes, widening the window for evictions and reloads to
 // race rows already probed — the cache must absorb the stall without
-// changing a single bit. (Forced *errors* at that point take the
-// fail-open bypass and are pinned by the serve tests instead.)
-// A gateway-fronted tier additionally arms routing latency jitter, a
-// client-invisible front-tier fault. (Forced routing errors and
-// probe-driven ejection are pinned by the gateway unit tests; in chaos
-// runs real ejection comes from the kill/restart choreography, so the
-// affinity invariant stays sharp.)
+// changing a single bit. A gateway-fronted tier additionally arms
+// routing latency jitter, a client-invisible front-tier fault; real
+// ejection comes from the kill/restart choreography, so the affinity
+// invariant stays sharp.
 func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Point]faultinject.Plan {
 	// Artifact-read faults must start beyond the initial catalog loads
 	// (3 fixture models per daemon) so every daemon boots; with N
 	// replicas sharing one injector that floor scales to 3N.
 	plans := map[faultinject.Point]faultinject.Plan{
-		faultinject.ServeBatchFlush:  {Every: 4, Latency: requestTimeout + requestTimeout/2},
-		faultinject.ServeAdmit:       {Every: 25, Err: errInjectedAdmit},
-		faultinject.ServeReload:      {Every: 3, Err: errInjectedReload},
-		faultinject.CoreArtifactLoad: {Every: uint64(3*replicas) + 4, Err: errInjectedArtifact},
-		faultinject.ServeCacheLookup: {Every: 6, Latency: 3 * time.Millisecond},
+		faultinject.ServeBatchFlush:   {Every: 4, Latency: requestTimeout + requestTimeout/2},
+		faultinject.ServeAdmit:        {Every: 25, Err: errInjectedAdmit},
+		faultinject.ServeReload:       {Every: 3, Err: errInjectedReload},
+		faultinject.ServeArtifactLoad: {Every: uint64(3*replicas) + 4, Err: errInjectedArtifact},
+		faultinject.ServeCacheLookup:  {Every: 6, Latency: 3 * time.Millisecond},
 	}
 	if replicas >= 2 {
 		plans[faultinject.GatewayRoute] = faultinject.Plan{Every: 31, Latency: time.Millisecond}

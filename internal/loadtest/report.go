@@ -420,7 +420,7 @@ func checkGateway(cfg Config, outs []outcome, rep *Report, v *violations) {
 	// Kill choreography: the crash and rebind must both have happened,
 	// and the gateway must have seen them (eject on the crash, readmit
 	// after the rebind). Without a kill the clean topology must never
-	// eject anyone (chaos plans deliberately exclude probe faults).
+	// eject anyone (no fault point touches health probes).
 	if cfg.ReplicaKill {
 		if rep.ReplicaKills != 1 || rep.ReplicaRestarts != 1 {
 			v.addf("kill choreography incomplete: %d kills, %d restarts (want 1 and 1)",

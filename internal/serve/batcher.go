@@ -78,11 +78,9 @@ type Batcher struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	draining atomic.Bool
-	// fi is snapshotted from the process-global fault injector at
-	// construction: the production no-op makes every hook a single
-	// branch, so the hot path gains no allocations or locks. Chaos
-	// harnesses activate an injector before building the daemon to arm
-	// it.
+	// fi is the daemon's fault injector, snapshotted at construction:
+	// in production the no-op, whose every hook is a single branch. Chaos
+	// harnesses activate an injector before building the daemon.
 	fi *faultinject.Injector
 }
 

@@ -40,15 +40,13 @@ type rowScratch struct {
 // Hits return values the batcher produced for a float64-equal row under
 // the same artifact generation.
 func (s *Server) predictInto(ctx context.Context, ws *rowScratch, m *Model, gen int64, rows [][]float64, out []float64) error {
-	// Cache-lookup fault point: a forced error bypasses the cache for
-	// this request (the fail-open path — answers must not change);
-	// latency-only faults delay the probe, widening the window for
-	// eviction and reload races while the rows are in flight.
-	if fired, err := s.fi.Hit(ctx, faultinject.ServeCacheLookup); fired {
+	// Cache-lookup fault point: injected latency delays the probe,
+	// widening the window for eviction and reload races while the rows
+	// are in flight. A fired error (the request's deadline expiring
+	// during the stall included) is the request's error.
+	if fired, err := s.bat.fi.Hit(ctx, faultinject.ServeCacheLookup); fired {
 		s.met.faults.Inc()
 		if err != nil {
-			res, err := s.bat.Predict(ctx, m, rows)
-			copy(out, res)
 			return err
 		}
 	}

@@ -2,26 +2,23 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
 
 	"perfpred/internal/core"
-	"perfpred/internal/faultinject"
 )
 
 // TestCacheOnOffBitEquivalence is the property test behind the cache's
-// "invisible except in latency" claim: two in-process daemons over the
-// same artifacts — one serving through its cache, one whose every
-// request takes the cache's fail-open bypass straight to the batcher —
-// replay an identical seeded, 8-goroutine, duplicate-heavy, mixed-model
-// schedule, and every 200 must carry exactly equal float64 predictions
-// from both daemons AND equal the offline golden. Halfway through, one
-// artifact is retrained in place and both daemons reload: post-reload
-// answers must be the new model's bits, so any stale cache hit across
-// the generation boundary fails the golden comparison.
+// "invisible except in latency" claim: an in-process daemon serving
+// through its cache replays a seeded, 8-goroutine, duplicate-heavy,
+// mixed-model schedule, and every 200 must carry exactly the float64
+// predictions of the offline golden — the cache-off reference, scored
+// from freshly loaded artifacts. Halfway through, one artifact is
+// retrained in place and the daemon reloads: post-reload answers must
+// be the new model's bits, so any stale cache hit across the generation
+// boundary fails the golden comparison.
 func TestCacheOnOffBitEquivalence(t *testing.T) {
 	const (
 		seed       = int64(41)
@@ -35,26 +32,15 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	saveModel(t, dir, "lre", trainModel(t, core.LRE, d))
 	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
 
-	mk := func() *Server {
-		s, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, QueueDepth: 4096}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		return s
+	cached, err := New(Config{ModelsDir: dir, Batcher: BatcherConfig{Workers: 2, QueueDepth: 4096}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cached := mk()
-	// The bypass daemon snapshots an injector whose cache-lookup fault
-	// fires on every request.
-	restore := faultinject.Activate(faultinject.New(map[faultinject.Point]faultinject.Plan{
-		faultinject.ServeCacheLookup: {Every: 1, Err: errors.New("cache bypassed")},
-	}))
-	bypass := mk()
-	restore()
+	t.Cleanup(cached.Close)
 
 	models := []string{"lre", "nns"}
 	// goldens[phase][model][row index] — offline references computed from
-	// freshly loaded artifacts, independent of either daemon's registry.
+	// freshly loaded artifacts, independent of the daemon's registry.
 	golden := func() map[string][]float64 {
 		out := make(map[string][]float64)
 		for _, name := range models {
@@ -107,33 +93,22 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 						body = map[string]any{"model": model, "rows": rows}
 					}
 					wc := postPredict(t, cached.Handler(), body)
-					wp := postPredict(t, bypass.Handler(), body)
-					if wc.Code != http.StatusOK || wp.Code != http.StatusOK {
-						t.Errorf("phase %d g%d req %d: cached=%d bypass=%d (%s | %s)",
-							phase, g, i, wc.Code, wp.Code, wc.Body, wp.Body)
+					if wc.Code != http.StatusOK {
+						t.Errorf("phase %d g%d req %d: %d %s", phase, g, i, wc.Code, wc.Body)
 						return
 					}
-					var rc, rp PredictResponse
+					var rc PredictResponse
 					if err := json.Unmarshal(wc.Body.Bytes(), &rc); err != nil {
 						t.Errorf("cached body: %v", err)
 						return
 					}
-					if err := json.Unmarshal(wp.Body.Bytes(), &rp); err != nil {
-						t.Errorf("bypass body: %v", err)
-						return
-					}
-					if len(rc.Predictions) != len(idxs) || len(rp.Predictions) != len(idxs) {
-						t.Errorf("phase %d: lengths %d/%d, want %d", phase, len(rc.Predictions), len(rp.Predictions), len(idxs))
+					if len(rc.Predictions) != len(idxs) {
+						t.Errorf("phase %d: %d predictions, want %d", phase, len(rc.Predictions), len(idxs))
 						return
 					}
 					for j, idx := range idxs {
-						want := goldens[model][idx]
-						if rc.Predictions[j] != want {
+						if want := goldens[model][idx]; rc.Predictions[j] != want {
 							t.Errorf("phase %d %s row %d: cached %v != golden %v", phase, model, idx, rc.Predictions[j], want)
-							return
-						}
-						if rp.Predictions[j] != want {
-							t.Errorf("phase %d %s row %d: bypass %v != golden %v", phase, model, idx, rp.Predictions[j], want)
 							return
 						}
 					}
@@ -146,7 +121,7 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	runPhase(1, golden())
 
 	// Mid-run boundary: retrain one model with a different seed, swap the
-	// artifact, reload BOTH daemons, and replay against new goldens. The
+	// artifact, reload the daemon, and replay against new goldens. The
 	// retrain must actually move the predictions or the reload check
 	// proves nothing.
 	old := golden()["nns"][0]
@@ -156,9 +131,6 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 		t.Fatal("retrained nns predicts identically; reload phase has no teeth")
 	}
 	if _, err := cached.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bypass.Reload(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,10 +148,5 @@ func TestCacheOnOffBitEquivalence(t *testing.T) {
 	}
 	if inv := cs.Invalidations; inv < 1 {
 		t.Fatalf("invalidations = %d, want ≥ 1 after reload", inv)
-	}
-	// The bypass daemon's cache counters must not have moved at all, or
-	// its answers do not stand for the batcher alone.
-	if bs := bypass.Report().Cache; bs.Lookups != 0 || bs.Hits != 0 || bs.Misses != 0 {
-		t.Fatalf("bypass daemon cache counters %+v, want 0 lookups, hits and misses", bs)
 	}
 }

@@ -3,8 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"net/http"
 	"testing"
+	"time"
 
 	"perfpred/internal/core"
 	"perfpred/internal/dataset"
@@ -160,45 +161,41 @@ func TestCacheInvalidationOnReload(t *testing.T) {
 	}
 }
 
-// TestCacheFaultBypassFailOpen arms the serve.cache_lookup fault point
-// with an always-fire error and checks requests still succeed with
-// bit-identical answers — the cache fails open to the direct path.
-func TestCacheFaultBypassFailOpen(t *testing.T) {
+// TestCacheLookupStallPastDeadline arms the serve.cache_lookup fault
+// point with a stall on every second lookup that outlives the request
+// deadline: the stalled request answers 504 without probing the cache,
+// the fault counts once, and the cache's accounting still balances.
+func TestCacheLookupStallPastDeadline(t *testing.T) {
 	inj := faultinject.New(map[faultinject.Point]faultinject.Plan{
-		faultinject.ServeCacheLookup: {Every: 1, Err: errors.New("injected cache fault")},
+		faultinject.ServeCacheLookup: {Every: 2, Latency: time.Minute},
 	})
 	restore := faultinject.Activate(inj)
 	defer restore()
 
-	s, d, _ := newTestServer(t)
-	h := s.Handler()
-	m, _ := s.Registry().Get("nns")
-	want, err := m.Pred.Predict(d.Row(0))
+	d := synthDataset(t, 64, 6)
+	dir := t.TempDir()
+	saveModel(t, dir, "nns", trainModel(t, core.NNS, d))
+	s, err := New(Config{ModelsDir: dir, RequestTimeout: 50 * time.Millisecond, Batcher: BatcherConfig{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		w := postPredict(t, h, map[string]any{"model": "nns", "row": rowJSON(d, 0)})
-		if w.Code != 200 {
-			t.Fatalf("bypassed predict %d: %d %s", i, w.Code, w.Body)
-		}
-		var resp PredictResponse
-		mustDecode(t, w.Body.Bytes(), &resp)
-		if *resp.Prediction != want {
-			t.Fatalf("bypassed predict %d: %v != offline %v", i, *resp.Prediction, want)
+	defer s.Close()
+	h := s.Handler()
+	body := map[string]any{"model": "nns", "row": rowJSON(d, 0)}
+	for i, want := range []int{http.StatusOK, http.StatusGatewayTimeout, http.StatusOK} {
+		if w := postPredict(t, h, body); w.Code != want {
+			t.Fatalf("request %d: %d %s, want %d", i, w.Code, w.Body, want)
 		}
 	}
 	rep := s.Report()
-	// Every request bypassed: the cache saw no lookups, and each bypass
-	// counted as an injected serve fault.
-	if lookups := rep.Cache.Lookups; lookups != 0 {
-		t.Fatalf("lookups = %d, want 0 (all requests bypassed)", lookups)
+	if rep.FaultsInjected != 1 {
+		t.Fatalf("faults_injected = %d, want 1", rep.FaultsInjected)
 	}
-	if faults := rep.FaultsInjected; faults < 3 {
-		t.Fatalf("faults_injected = %d, want ≥ 3", faults)
+	if c := rep.Cache; c.Lookups != 2 || c.Hits+c.Misses != c.Lookups {
+		t.Fatalf("cache hits %d + misses %d vs lookups %d, want 2 balanced lookups", c.Hits, c.Misses, c.Lookups)
 	}
-	if st := inj.Stats()[faultinject.ServeCacheLookup.String()]; st.Fires < 3 {
-		t.Fatalf("cache_lookup fires = %d, want ≥ 3", st.Fires)
+	if st := inj.Stats()[faultinject.ServeCacheLookup.String()]; st.Fires != 1 {
+		t.Fatalf("cache_lookup fires = %d, want 1", st.Fires)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"perfpred/internal/core"
+	"perfpred/internal/faultinject"
 )
 
 // Model is one named predictor in the registry.
@@ -32,8 +34,12 @@ type Model struct {
 // LoadModelFile loads and validates one serialized predictor file as a
 // named model. It is the single loading path shared by the registry and
 // the predict CLI, so both reject the same malformed artifacts with the
-// same errors.
+// same errors, and the serve.artifact_load fault point in front of the
+// read lets chaos runs tear any reload.
 func LoadModelFile(path string) (*Model, error) {
+	if _, err := faultinject.Active().Hit(context.Background(), faultinject.ServeArtifactLoad); err != nil {
+		return nil, fmt.Errorf("serve: loading model %s: %w", path, err)
+	}
 	p, err := core.LoadPredictorFile(path)
 	if err != nil {
 		return nil, err

@@ -56,9 +56,6 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	addr    atomic.Value // string; bound listen address, set by the daemon
-	// fi is the fault injector active at construction (the no-op
-	// singleton in production — see Batcher).
-	fi *faultinject.Injector
 }
 
 // New loads the model directory and starts the batch workers. The
@@ -80,7 +77,6 @@ func New(cfg Config) (*Server, error) {
 		reg:     reg,
 		met:     newMetrics(),
 		started: time.Now(),
-		fi:      faultinject.Active(),
 	}
 	s.bat = newBatcher(cfg.Batcher, s.met, scoreModel)
 	s.cache = predcache.New(cfg.CacheEntries, s.met.reg)
@@ -122,13 +118,11 @@ func (s *Server) SetAddr(addr string) { s.addr.Store(addr) }
 func (s *Server) Close() { s.bat.Close() }
 
 // Reload atomically swaps in a fresh catalog from the model directory,
-// counting successful reloads. The reload fault point (plus artifact-
-// load faults inside the registry's per-file loader) lets chaos runs
-// fail reloads at will; either way a failed reload must leave the
-// previous catalog serving, which the registry guarantees by swapping
-// only a fully-built catalog.
+// counting successful reloads. A failed reload — a serve.reload or
+// serve.artifact_load fault included — leaves the previous catalog
+// serving: the registry swaps only a fully-built catalog.
 func (s *Server) Reload() (int64, error) {
-	if fired, err := s.fi.Hit(context.Background(), faultinject.ServeReload); fired {
+	if fired, err := s.bat.fi.Hit(context.Background(), faultinject.ServeReload); fired {
 		s.met.faults.Inc()
 		if err != nil {
 			return 0, err
