@@ -48,7 +48,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	verbose := flag.Bool("v", false, "log per-task progress (durations, folds, epochs)")
 	report := flag.String("report", "", "write a machine-readable JSON RunReport to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (Prometheus text /metrics, expvar JSON /debug/vars, pprof /debug/pprof), e.g. localhost:6060")
+	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (Prometheus text /metrics, expvar /debug/vars, pprof /debug/pprof), e.g. localhost:6060")
 	list := flag.Bool("list", false, "list available benchmarks and models")
 	flag.Parse()
 
@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
 	}
 
 	if *list {

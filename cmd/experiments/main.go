@@ -47,7 +47,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	verbose := flag.Bool("v", false, "log per-task progress (durations, folds, epochs)")
 	report := flag.String("report", "", "write a machine-readable JSON RunReport (execution statistics) to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (Prometheus text /metrics, expvar JSON /debug/vars, pprof /debug/pprof), e.g. localhost:6060")
+	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (Prometheus text /metrics, expvar /debug/vars, pprof /debug/pprof), e.g. localhost:6060")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -66,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
 	}
 	start := time.Now()
 

@@ -1,19 +1,10 @@
 package loadtest
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"path/filepath"
 	"time"
-
-	"perfpred/internal/core"
-	"perfpred/internal/engine"
-	"perfpred/internal/serve"
 )
 
 const (
@@ -87,31 +78,18 @@ func (h *harness) runEpilogue() {
 
 // retrain retrains the epilogue model on a different dataset and seed,
 // so even a deterministic trainer produces a different artifact, swaps
-// it in place, and scores the hot rows from the artifact actually on
-// disk. It returns those goldens, or the step that failed.
+// it in place, and returns the hot rows' goldens scored from the
+// artifact actually on disk, or the step that failed.
 func (h *harness) retrain(hot int) ([]float64, string) {
 	train, err := synthDataset(128, h.cfg.Seed+777)
 	if err != nil {
 		return nil, fmt.Sprintf("retrain dataset: %v", err)
 	}
-	p, err := core.Train(context.Background(), fixtureModels()[epilogueModel], train,
-		core.TrainConfig{Seed: h.cfg.Seed + 77, Workers: 2, EpochScale: 0.2})
+	golden, err := trainArtifact(h.fx.dir, epilogueModel, train, h.cfg.Seed+77, h.fx.rows[:hot])
 	if err != nil {
 		return nil, fmt.Sprintf("retraining %s: %v", epilogueModel, err)
 	}
-	path := filepath.Join(h.fx.dir, epilogueModel+".json")
-	if err := savePredictor(path, p); err != nil {
-		return nil, fmt.Sprintf("saving retrained artifact: %v", err)
-	}
-	loaded, err := core.LoadPredictorFile(path)
-	if err != nil {
-		return nil, fmt.Sprintf("loading retrained artifact: %v", err)
-	}
-	out := make([]float64, hot)
-	if err := loaded.PredictRowsInto(engine.NewWorkerContext(context.Background()), out, h.fx.rows[:hot]); err != nil {
-		return nil, fmt.Sprintf("scoring new goldens: %v", err)
-	}
-	return out, ""
+	return golden, ""
 }
 
 // probeHot probes each hot row once through the front.
@@ -123,42 +101,23 @@ func (h *harness) probeHot(e *epilogue, hot int) []float64 {
 	return got
 }
 
-// epilogueRequest posts one hot row until it draws a 200 (faults are
-// still armed, so shed / stalled / injected-error outcomes retry within
-// the attempt budget) and returns its single prediction, or NaN when it
+// epilogueRequest sends one hot row down runPredict, the path every
+// scheduled request takes, until it draws a 200 (faults are still
+// armed, so shed / stalled / injected-error outcomes retry within the
+// attempt budget) and returns its single prediction, or NaN when it
 // never drew one.
 func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) float64 {
-	body, err := json.Marshal(&serve.PredictRequest{
-		Model: epilogueModel,
-		Row:   serve.WireRow(h.fx.rows[idx]),
-	})
-	if err != nil {
-		return math.NaN()
-	}
+	ev := Event{Model: epilogueModel, RowIdxs: []int{idx}, Single: true}
 	for try := 0; try < epilogueAttempts; try++ {
-		resp, err := h.client.Post(h.top.baseURL+"/v1/predict", "application/json", bytes.NewReader(body))
-		if err != nil {
-			time.Sleep(epilogueBackoff)
-			continue
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
+		out := h.runPredict(ev)
+		if out.status == http.StatusTooManyRequests {
 			epi.Observed429s++
 		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			time.Sleep(epilogueBackoff)
-			continue
+		if out.status == http.StatusOK && len(out.preds) == 1 {
+			epi.Probes++
+			return out.preds[0]
 		}
-		var pr serve.PredictResponse
-		err = json.NewDecoder(resp.Body).Decode(&pr)
-		resp.Body.Close()
-		if err != nil || len(pr.Predictions) != 1 {
-			time.Sleep(epilogueBackoff)
-			continue
-		}
-		epi.Probes++
-		return pr.Predictions[0]
+		time.Sleep(epilogueBackoff)
 	}
 	return math.NaN()
 }

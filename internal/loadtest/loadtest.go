@@ -54,11 +54,9 @@ type Config struct {
 	// Seed derives the schedule and the fixture models. Same seed, same
 	// schedule; faults fire on fixed per-point cadences.
 	Seed int64
-	// Duration is the schedule horizon. Default 2s.
+	// Duration is the schedule horizon, which also sizes the schedule
+	// (~150 predict requests/s, minimum 200). Default 2s.
 	Duration time.Duration
-	// Requests is the number of predict requests to schedule. Default
-	// scales with Duration (~150/s, minimum 200).
-	Requests int
 	// Faults arms the chaos fault plans (stalled batch flushes past the
 	// request deadline, forced admission errors, failing reloads and
 	// artifact loads, stalled cache lookups). When false the same
@@ -86,13 +84,13 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 2 * time.Second
 	}
-	if c.Requests <= 0 {
-		c.Requests = int(c.Duration.Seconds() * 150)
-		if c.Requests < 200 {
-			c.Requests = 200
-		}
-	}
 	return c
+}
+
+// requests is the number of predict requests to schedule: ~150/s of
+// Duration, at least 200.
+func (c Config) requests() int {
+	return max(int(c.Duration.Seconds()*150), 200)
 }
 
 // clientWorkers bounds concurrent in-flight client requests. It exceeds
@@ -209,7 +207,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	sched := BuildSchedule(cfg.Seed, cfg.Requests, cfg.Duration, fx.models, len(fx.rows))
+	sched := BuildSchedule(cfg.Seed, cfg.requests(), cfg.Duration, fx.models, len(fx.rows))
 
 	// Arm faults before constructing the replicas and gateway: batcher,
 	// server and gateway snapshot the active injector at construction.

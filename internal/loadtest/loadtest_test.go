@@ -178,7 +178,7 @@ func TestSameSeedReproduces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full harness runs")
 	}
-	cfg := Config{Seed: 21, Duration: 700 * time.Millisecond, Requests: 150, Faults: true}
+	cfg := Config{Seed: 21, Duration: 700 * time.Millisecond, Faults: true}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -84,13 +84,13 @@ func synthDataset(n int, seed int64) (*dataset.Dataset, error) {
 // evalRowSet draws n raw evaluation rows (targets discarded — the
 // harness compares served predictions against offline scoring, not
 // against ground truth).
-func evalRowSet(n int, seed int64) ([][]dataset.Value, error) {
+func evalRowSet(n int, seed int64) [][]dataset.Value {
 	rows := make([][]dataset.Value, n)
 	r := rand.New(rand.NewSource(seed))
 	for i := range rows {
 		rows[i], _ = synthRow(r)
 	}
-	return rows, nil
+	return rows
 }
 
 // fixture is the trained-and-served world of one chaos run: the model
@@ -103,59 +103,56 @@ type fixture struct {
 	golden map[string][]float64
 }
 
-// buildFixture trains one model per family on a synthetic dataset,
-// saves the artifacts into dir, and computes golden predictions for the
-// evaluation rows by loading the artifacts back (the exact bytes the
-// registry serves) and scoring offline through PredictRowsInto. Golden
-// scoring happens before any fault injector is activated, so goldens
-// are never perturbed.
+// buildFixture trains one model per family on a synthetic dataset into
+// dir and scores the evaluation rows' goldens. Golden scoring happens
+// before any fault injector is activated, so goldens are never
+// perturbed.
 func buildFixture(dir string, seed int64, evalN int) (*fixture, error) {
 	train, err := synthDataset(128, seed)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := evalRowSet(evalN, seed+1)
-	if err != nil {
-		return nil, err
-	}
-	fx := &fixture{dir: dir, rows: rows, golden: map[string][]float64{}}
-	cfg := core.TrainConfig{Seed: seed, Workers: 2, EpochScale: 0.2}
-	wctx := engine.NewWorkerContext(context.Background())
-	for name, kind := range fixtureModels() {
-		p, err := core.Train(context.Background(), kind, train, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("loadtest: training %s: %w", name, err)
-		}
-		path := filepath.Join(dir, name+".json")
-		if err := savePredictor(path, p); err != nil {
+	fx := &fixture{dir: dir, rows: evalRowSet(evalN, seed+1), golden: map[string][]float64{}}
+	for name := range fixtureModels() {
+		if fx.golden[name], err = trainArtifact(dir, name, train, seed, fx.rows); err != nil {
 			return nil, err
 		}
-		// Reload from disk so goldens score the served artifact, not the
-		// in-memory predictor (the save/load round trip is exact for
-		// Go's JSON float encoding, but compare what is actually served).
-		loaded, err := core.LoadPredictorFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(rows))
-		if err := loaded.PredictRowsInto(wctx, out, rows); err != nil {
-			return nil, fmt.Errorf("loadtest: golden scoring %s: %w", name, err)
-		}
-		fx.golden[name] = out
 		fx.models = append(fx.models, name)
 	}
 	sort.Strings(fx.models)
 	return fx, nil
 }
 
-func savePredictor(path string, p *core.Predictor) error {
+// trainArtifact trains the fixture model name on train, saves its
+// artifact into dir (overwriting any served one), and returns the
+// golden predictions for rows, scored offline through PredictRowsInto
+// by the artifact reloaded from disk: goldens score the exact bytes the
+// registry serves, not the in-memory predictor.
+func trainArtifact(dir, name string, train *dataset.Dataset, seed int64, rows [][]dataset.Value) ([]float64, error) {
+	p, err := core.Train(context.Background(), fixtureModels()[name], train,
+		core.TrainConfig{Seed: seed, Workers: 2, EpochScale: 0.2})
+	if err != nil {
+		return nil, fmt.Errorf("loadtest: training %s: %w", name, err)
+	}
+	path := filepath.Join(dir, name+".json")
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := p.Save(f); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	loaded, err := core.LoadPredictorFile(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(rows))
+	if err := loaded.PredictRowsInto(engine.NewWorkerContext(context.Background()), out, rows); err != nil {
+		return nil, fmt.Errorf("loadtest: golden scoring %s: %w", name, err)
+	}
+	return out, nil
 }

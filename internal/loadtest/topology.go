@@ -1,6 +1,7 @@
 package loadtest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,17 +14,18 @@ import (
 	"perfpred/internal/serve"
 )
 
-// serveReplica is one in-process perfpredd replica of the tier. The
-// serve.Server (with its registry, batcher and prediction
-// cache) lives for the whole run; only the HTTP listener is killed and
-// rebound, which is exactly what a crashed-and-restarted process looks
-// like from the gateway's side of the wire while keeping the cache and
-// generation state a real warm restart would have to rebuild. (The
-// harness verifies bit-equivalence and generation bookkeeping, neither
-// of which a cold cache would change.)
-type serveReplica struct {
-	srv *serve.Server
-	// addr is the fixed host:port, stable across kill/restart: written
+// process is one in-process server of the tier, a perfpredd replica or
+// the gateway, on a listener that can be killed and rebound. The
+// server behind the handler (a replica's registry, batcher and
+// prediction cache) lives for the whole run; only the listener is
+// killed and rebound, which is exactly what a crashed-and-restarted
+// process looks like from the other side of the wire while keeping the
+// cache and generation state a real warm restart would have to rebuild.
+// (The harness verifies bit-equivalence and generation bookkeeping,
+// neither of which a cold cache would change.)
+type process struct {
+	handler http.Handler
+	// addr is the fixed host:port, stable across kill/rebind: written
 	// by the first bind only, so it is read without the lock.
 	addr string
 
@@ -33,62 +35,59 @@ type serveReplica struct {
 	serveErr chan error
 }
 
-// bind (re)binds the replica's listener on its fixed address and starts
+// bind (re)binds the process's listener on its fixed address and starts
 // serving. The first call binds an ephemeral port, which then sticks.
-func (sr *serveReplica) bind() error {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	addr := sr.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+func (p *process) bind() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ln, err := net.Listen("tcp", cmp.Or(p.addr, "127.0.0.1:0"))
 	if err != nil {
-		return fmt.Errorf("loadtest: binding replica %q: %w", addr, err)
+		return fmt.Errorf("loadtest: binding %q: %w", p.addr, err)
 	}
-	if sr.addr == "" {
-		sr.addr = ln.Addr().String()
-		sr.srv.SetAddr(sr.addr)
+	if p.addr == "" {
+		p.addr = ln.Addr().String()
 	}
-	sr.hs = &http.Server{Handler: sr.srv.Handler()}
-	sr.serveErr = make(chan error, 1)
-	sr.down = false
-	hs := sr.hs
-	ch := sr.serveErr
+	hs, ch := &http.Server{Handler: p.handler}, make(chan error, 1)
+	p.hs, p.serveErr, p.down = hs, ch, false
 	go func() { ch <- hs.Serve(ln) }()
 	return nil
 }
 
-// kill force-closes the replica's listener and every open connection —
-// a process crash as seen from the network. The serve.Server survives.
-func (sr *serveReplica) kill() {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.down || sr.hs == nil {
+// kill force-closes the listener and every open connection — a process
+// crash as seen from the network. The server behind it survives.
+func (p *process) kill() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down || p.hs == nil {
 		return
 	}
-	sr.down = true
-	sr.hs.Close() //nolint:errcheck // force-close is the point
-	<-sr.serveErr // reap the Serve goroutine
+	p.down = true
+	p.hs.Close() //nolint:errcheck // force-close is the point
+	<-p.serveErr // reap the Serve goroutine
 }
 
-// stop gracefully drains the replica's HTTP surface (end-of-run
+// stop gracefully drains the process's HTTP surface (end-of-run
 // teardown, not crash simulation).
-func (sr *serveReplica) stop(ctx context.Context) error {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.down || sr.hs == nil {
+func (p *process) stop(ctx context.Context) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down || p.hs == nil {
 		return nil
 	}
-	sr.down = true
-	if err := sr.hs.Shutdown(ctx); err != nil {
+	p.down = true
+	if err := p.hs.Shutdown(ctx); err != nil {
 		return err
 	}
-	err := <-sr.serveErr
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
+	if err := <-p.serveErr; !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
-	return err
+	return nil
+}
+
+// replica is one in-process perfpredd of the tier.
+type replica struct {
+	*process
+	srv *serve.Server
 }
 
 // topology is the serving tier of a run: N in-process replicas over one
@@ -96,11 +95,10 @@ func (sr *serveReplica) stop(ctx context.Context) error {
 // talked to directly, exactly as a bare perfpredd is), plus the
 // kill/restart choreography.
 type topology struct {
-	reps    []*serveReplica
+	reps    []replica
 	gw      *gateway.Gateway // nil at N=1
-	gwHS    *http.Server
-	gwErr   chan error
-	baseURL string // the front: the gateway, or the only replica
+	gwProc  *process         // nil at N=1
+	baseURL string           // the front: the gateway, or the only replica
 
 	// kills and restarts are written by the kill goroutine and read only
 	// after teardown has waited for it.
@@ -133,12 +131,13 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 		if err != nil {
 			return fail(fmt.Errorf("loadtest: starting replica %d: %w", i, err))
 		}
-		sr := &serveReplica{srv: srv}
-		top.reps = append(top.reps, sr)
-		if err := sr.bind(); err != nil {
+		r := replica{&process{handler: srv.Handler()}, srv}
+		top.reps = append(top.reps, r)
+		if err := r.bind(); err != nil {
 			return fail(err)
 		}
-		addrs[i] = sr.addr
+		srv.SetAddr(r.addr)
+		addrs[i] = r.addr
 	}
 	top.baseURL = "http://" + addrs[0]
 	if n < 2 {
@@ -159,16 +158,12 @@ func startTopology(cfg Config, dir string, n int) (*topology, error) {
 	if err != nil {
 		return fail(err)
 	}
-	top.gw = gw
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	top.gw, top.gwProc = gw, &process{handler: gw.Handler()}
+	if err := top.gwProc.bind(); err != nil {
 		return fail(err)
 	}
-	gw.SetAddr(ln.Addr().String())
-	top.baseURL = "http://" + ln.Addr().String()
-	top.gwHS = &http.Server{Handler: gw.Handler()}
-	top.gwErr = make(chan error, 1)
-	go func() { top.gwErr <- top.gwHS.Serve(ln) }()
+	gw.SetAddr(top.gwProc.addr)
+	top.baseURL = "http://" + top.gwProc.addr
 	return top, nil
 }
 
@@ -210,22 +205,15 @@ func (top *topology) teardown() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var first error
-	if top.gwHS != nil {
-		if err := top.gwHS.Shutdown(ctx); err != nil && first == nil {
-			first = err
-		}
-		if err := <-top.gwErr; err != nil && !errors.Is(err, http.ErrServerClosed) && first == nil {
-			first = err
-		}
-	}
 	if top.gw != nil {
+		first = top.gwProc.stop(ctx)
 		top.gw.Close()
 	}
-	for _, sr := range top.reps {
-		if err := sr.stop(ctx); err != nil && first == nil {
+	for _, r := range top.reps {
+		if err := r.stop(ctx); err != nil && first == nil {
 			first = err
 		}
-		sr.srv.Close()
+		r.srv.Close()
 	}
 	return first
 }

@@ -45,8 +45,8 @@ func FuzzReportRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMetricsSnapshotJSON guards the other JSON surface: the registry
-// snapshot that backs expvar and /metrics. Arbitrary snapshots must
+// FuzzMetricsSnapshotJSON guards the registry snapshot's JSON form (the
+// snapshot /metrics renders). Arbitrary snapshots must
 // decode without panicking, and decodable ones must re-encode.
 func FuzzMetricsSnapshotJSON(f *testing.F) {
 	reg := NewRegistry()

@@ -11,8 +11,8 @@
 // The pipeline is: engine.Hook → Recorder → RunReport. The Recorder is a
 // plain hook consumer (attach it with Recorder.Hook, tee it with
 // engine.Tee next to a progress renderer); the registry it maintains can
-// be published over HTTP with [StartMetricsServer] (Prometheus text on
-// /metrics, the expvar globals plus that registry as JSON on
+// be published over HTTP with [StartMetricsServer] (the registry in
+// Prometheus text on /metrics, the process's expvar globals on
 // /debug/vars, pprof). Each handler serves the registry it was built
 // over, so several servers in one process keep their metrics apart.
 //
@@ -229,9 +229,8 @@ func (h *Histogram) Snapshot() HistogramStats {
 
 // Registry is a named collection of metrics. Metric accessors are
 // get-or-create and safe for concurrent use, so instrumentation sites
-// never need registration ceremony. [MetricsHandler] serves its
-// snapshot as JSON on /debug/vars; WritePrometheus renders it for
-// /metrics.
+// never need registration ceremony. WritePrometheus renders its
+// snapshot for /metrics, which [MetricsHandler] serves.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -250,7 +250,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if snap.Counters["a"] != 3 || snap.Gauges["g"] != 1.5 || snap.Histograms["h"].Count != 1 {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	// The snapshot must survive JSON (it backs the expvar view).
+	// The snapshot must survive JSON.
 	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)

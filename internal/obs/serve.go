@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -17,15 +16,12 @@ import (
 
 // MetricsHandler returns an http.Handler serving the observability
 // surface: the registry in Prometheus text format on /metrics, the
-// process's expvar globals plus this registry as JSON (under
-// "perfpred") on /debug/vars, and pprof on /debug/pprof/. Each handler
-// serves its own registry, so several servers in one process never show
-// each other's metrics.
+// standard library's expvar handler (memstats, cmdline) on /debug/vars,
+// and pprof on /debug/pprof/. Each handler serves its own registry, so
+// several servers in one process never show each other's metrics.
 func MetricsHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		writeVars(w, reg)
-	})
+	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -36,24 +32,6 @@ func MetricsHandler(reg *Registry) http.Handler {
 		reg.WritePrometheus(w) //nolint:errcheck // the client went away
 	})
 	return mux
-}
-
-// writeVars writes the expvar JSON document: every published expvar
-// global, then reg's snapshot under "perfpred".
-func writeVars(w http.ResponseWriter, reg *Registry) {
-	snap, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		fmt.Fprintf(bw, "%q: %s,\n", kv.Key, kv.Value)
-	})
-	fmt.Fprintf(bw, "%q: %s\n}\n", "perfpred", snap)
-	bw.Flush() //nolint:errcheck // the client went away
 }
 
 // WritePrometheus renders a snapshot of the registry in the Prometheus

@@ -48,9 +48,12 @@ func TestMetricsServer(t *testing.T) {
 		t.Errorf("/metrics missing the counter:\n%s", m)
 	}
 
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"perfpred"`) {
-		t.Errorf("/debug/vars missing published registry:\n%.300s", vars)
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v", err)
+	}
+	if _, ok := vars["memstats"]; !ok {
+		t.Errorf("/debug/vars missing memstats: %d vars", len(vars))
 	}
 
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
@@ -59,8 +62,8 @@ func TestMetricsServer(t *testing.T) {
 }
 
 // TestMetricsHandlerServesOwnRegistry builds two handlers in one
-// process: each /debug/vars must show its own registry under "perfpred"
-// next to the expvar globals, whichever handler was built last.
+// process: each /metrics must show its own registry and none of the
+// other's, whichever handler was built last.
 func TestMetricsHandlerServesOwnRegistry(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("only.a").Add(1)
@@ -68,26 +71,12 @@ func TestMetricsHandlerServesOwnRegistry(t *testing.T) {
 	ha, hb := MetricsHandler(a), MetricsHandler(b)
 	for _, tc := range []struct {
 		h    http.Handler
-		want map[string]int64
-	}{{ha, map[string]int64{"only.a": 1}}, {hb, map[string]int64{"only.b": 2}}} {
+		want map[string]float64
+	}{{ha, map[string]float64{"perfpred_only_a": 1}}, {hb, map[string]float64{"perfpred_only_b": 2}}} {
 		rec := httptest.NewRecorder()
-		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-			t.Fatalf("Content-Type %q", ct)
-		}
-		var vars map[string]json.RawMessage
-		if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-			t.Fatalf("/debug/vars is not JSON: %v\n%.300s", err, rec.Body.String())
-		}
-		if _, ok := vars["memstats"]; !ok {
-			t.Errorf("/debug/vars missing the expvar globals:\n%.300s", rec.Body.String())
-		}
-		var snap MetricsSnapshot
-		if err := json.Unmarshal(vars["perfpred"], &snap); err != nil {
-			t.Fatalf("perfpred var: %v", err)
-		}
-		if !reflect.DeepEqual(snap.Counters, tc.want) {
-			t.Errorf("perfpred counters = %v, want %v", snap.Counters, tc.want)
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if got := checkExposition(t, rec.Body.String()); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("/metrics samples = %v, want %v", got, tc.want)
 		}
 	}
 }

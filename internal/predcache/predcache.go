@@ -1,4 +1,4 @@
-// Package predcache is a sharded, generation-aware, bounded LRU of
+// Package predcache is a generation-aware, bounded LRU of
 // predictions for the serving path: the paper's whole premise is that
 // surrogate predictions are cheap enough to query the entire design
 // space repeatedly, and real DSE drivers hammer the same design points
@@ -20,9 +20,10 @@
 // The cache is a plain get/put store: a miss is scored by the caller
 // and stored with [Cache.Put]. Concurrent misses of one row are each
 // scored (a row costs the kernel a microsecond or two), and their Puts
-// land on one entry. Shard-local mutexes bound contention; a hit takes
-// one shard lock, does one map probe plus a row compare, and allocates
-// nothing.
+// land on one entry. One mutex guards one map and one LRU list, so the
+// cache never holds more than its capacity and always evicts its least
+// recently used entry; a hit takes the lock, does one map probe plus a
+// row compare, and allocates nothing.
 //
 // A cache registers its own cache.* counters (lookups, hits, misses,
 // evictions, invalidations) in the obs registry it is built over, so
@@ -33,13 +34,9 @@ package predcache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"perfpred/internal/obs"
 )
-
-// shardCount is the number of lock shards.
-const shardCount = 16
 
 // Key identifies one cached prediction: a registry model name, the
 // registry catalog generation that model was resolved from, and the
@@ -60,21 +57,16 @@ type entry struct {
 	val float64
 }
 
-// shard is one lock-striped slice of the index: a map for probes and an
-// LRU list of *entry (front = most recent) for bounded memory.
-type shard struct {
-	mu  sync.Mutex
+// Cache is a bounded, generation-aware prediction cache.
+type Cache struct {
+	mu sync.Mutex
+	// m indexes the LRU list of *entry (front = most recent).
 	m   map[Key]*list.Element
 	lru *list.List
 	cap int
-}
-
-// Cache is a sharded, bounded, generation-aware prediction cache.
-type Cache struct {
-	shards [shardCount]shard
 	// floor is the highest keepGen passed to Invalidate; Put drops
 	// entries of older generations.
-	floor atomic.Int64
+	floor int64
 	// The cache.* counters. Each Get is one lookup and exactly one hit
 	// (answered from an entry, no kernel work) or miss (the caller
 	// scores it). Evictions are entries dropped for capacity (LRU) or
@@ -93,21 +85,16 @@ func New(maxEntries int, reg *obs.Registry) *Cache {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c := &Cache{
+	return &Cache{
+		m:             make(map[Key]*list.Element),
+		lru:           list.New(),
+		cap:           maxEntries,
 		lookups:       reg.Counter("cache.lookups"),
 		hits:          reg.Counter("cache.hits"),
 		misses:        reg.Counter("cache.misses"),
 		evictions:     reg.Counter("cache.evictions"),
 		invalidations: reg.Counter("cache.invalidations"),
 	}
-	for i := range c.shards {
-		c.shards[i] = shard{
-			m:   make(map[Key]*list.Element),
-			lru: list.New(),
-			cap: (maxEntries + shardCount - 1) / shardCount,
-		}
-	}
-	return c
 }
 
 // Stats is a snapshot of a cache's lifetime counters. A live snapshot
@@ -137,18 +124,17 @@ func (c *Cache) Stats() Stats {
 // produce. Anything else, a hash collision included, is a miss.
 func (c *Cache) Get(key Key, row []float64) (float64, bool) {
 	c.lookups.Inc()
-	sh := &c.shards[key.Hash%shardCount]
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.m[key]; ok {
 		if e := el.Value.(*entry); equalRows(e.row, row) {
-			sh.lru.MoveToFront(el)
+			c.lru.MoveToFront(el)
 			val := e.val
-			sh.mu.Unlock()
+			c.mu.Unlock()
 			c.hits.Inc()
 			return val, true
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	c.misses.Inc()
 	return 0, false
 }
@@ -160,30 +146,29 @@ func (c *Cache) Get(key Key, row []float64) (float64, bool) {
 // dropped, so a value scored before the reload never re-enters the
 // index.
 func (c *Cache) Put(key Key, row []float64, val float64) {
-	sh := &c.shards[key.Hash%shardCount]
-	evicted := 0
-	sh.mu.Lock()
-	if key.Gen < c.floor.Load() {
-		sh.mu.Unlock()
+	evicted := false
+	c.mu.Lock()
+	if key.Gen < c.floor {
+		c.mu.Unlock()
 		return
 	}
-	if el, ok := sh.m[key]; ok {
+	if el, ok := c.m[key]; ok {
 		e := el.Value.(*entry)
 		if !equalRows(e.row, row) {
 			e.row, e.val = append(e.row[:0], row...), val
-			evicted++
+			evicted = true
 		}
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 	} else {
-		sh.m[key] = sh.lru.PushFront(&entry{key: key, row: append([]float64(nil), row...), val: val})
-		for sh.lru.Len() > sh.cap {
-			sh.remove(sh.lru.Back())
-			evicted++
+		c.m[key] = c.lru.PushFront(&entry{key: key, row: append([]float64(nil), row...), val: val})
+		if c.lru.Len() > c.cap {
+			c.remove(c.lru.Back())
+			evicted = true
 		}
 	}
-	sh.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
+	c.mu.Unlock()
+	if evicted {
+		c.evictions.Inc()
 	}
 }
 
@@ -196,26 +181,16 @@ func (c *Cache) Put(key Key, row []float64, val float64) {
 // concurrent reloads may invalidate out of order, and a late call for
 // an older generation must not drop the live one.
 func (c *Cache) Invalidate(keepGen int64) int {
-	// Raise the floor before sweeping: a Put that reads the old floor
-	// holds its shard lock, so the sweep of that shard comes after it.
-	for {
-		f := c.floor.Load()
-		if f >= keepGen || c.floor.CompareAndSwap(f, keepGen) {
-			break
-		}
-	}
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for key, el := range sh.m {
-			if key.Gen < keepGen {
-				sh.remove(el)
-				n++
-			}
+	c.mu.Lock()
+	c.floor = max(c.floor, keepGen)
+	for key, el := range c.m {
+		if key.Gen < keepGen {
+			c.remove(el)
+			n++
 		}
-		sh.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if n > 0 {
 		c.invalidations.Add(int64(n))
 	}
@@ -224,19 +199,14 @@ func (c *Cache) Invalidate(keepGen int64) int {
 
 // Len reports the total indexed entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
-// remove unlinks an entry from the shard index. Callers hold sh.mu.
-func (sh *shard) remove(el *list.Element) {
-	delete(sh.m, sh.lru.Remove(el).(*entry).key)
+// remove unlinks an entry from the index. Callers hold c.mu.
+func (c *Cache) remove(el *list.Element) {
+	delete(c.m, c.lru.Remove(el).(*entry).key)
 }
 
 // equalRows is exact float64 equality. -0 and +0 compare equal (they

@@ -49,12 +49,13 @@ func TestLookupCopiesRow(t *testing.T) {
 	}
 }
 
+// TestLRUEviction pins cache-wide LRU order: a Put into a full cache
+// evicts the least recently used entry of the whole cache, whatever the
+// keys' hashes.
 func TestLRUEviction(t *testing.T) {
-	// Forge hashes that all land in shard 0, so eviction order is
-	// deterministic; each shard holds 3 entries.
-	c := New(3*shardCount, nil)
+	c := New(3, nil)
 	rows := [][]float64{{1}, {2}, {3}, {4}}
-	keyOf := func(i int) Key { return Key{Model: "m", Gen: 1, Hash: uint64(i) * shardCount} }
+	keyOf := func(i int) Key { return Key{Model: "m", Gen: 1, Hash: uint64(i)} }
 
 	for i, r := range rows[:3] {
 		c.Put(keyOf(i), r, float64(i))
@@ -66,7 +67,7 @@ func TestLRUEviction(t *testing.T) {
 	// Inserting a 4th entry evicts exactly one entry: row 1.
 	c.Put(keyOf(3), rows[3], 3)
 	if c.Len() != 3 {
-		t.Fatalf("Len after eviction: %d", c.Len())
+		t.Fatalf("Len after eviction: %d, want 3", c.Len())
 	}
 	if n := c.Stats().Evictions; n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
@@ -197,7 +198,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 
 // TestLookupHitZeroAlloc pins the hit path at zero allocations: the
 // whole point of the cache is to beat the batcher's per-request
-// allocations, so a hit must cost a shard lock and a compare, nothing
+// allocations, so a hit must cost a lock and a compare, nothing
 // else.
 func TestLookupHitZeroAlloc(t *testing.T) {
 	c := New(64, nil)
@@ -247,20 +248,26 @@ func TestHashRowProperties(t *testing.T) {
 	}
 }
 
-func TestNewRoundsShardsAndSplitsCapacity(t *testing.T) {
-	c := New(100, nil)
-	for i := range c.shards {
-		if c.shards[i].cap != (100+shardCount-1)/shardCount {
-			t.Fatalf("shard %d cap = %d, want ceil(100/%d)", i, c.shards[i].cap, shardCount)
+// TestNewBoundsOccupancy pins the capacity as a hard bound: New(100)
+// never holds more than 100 entries, whether the keys are real row
+// hashes or hashes forged to share their low bits.
+func TestNewBoundsOccupancy(t *testing.T) {
+	for name, hashOf := range map[string]func(i int, row []float64) uint64{
+		"row hash":   func(_ int, row []float64) uint64 { return HashRow(row) },
+		"low bits":   func(i int, _ []float64) uint64 { return uint64(i) << 8 },
+		"sequential": func(i int, _ []float64) uint64 { return uint64(i) },
+	} {
+		c := New(100, nil)
+		for i := 0; i < 1000; i++ {
+			row := []float64{float64(i)}
+			c.Put(Key{Model: "m", Gen: 1, Hash: hashOf(i, row)}, row, 0)
+			if n := c.Len(); n > 100 {
+				t.Fatalf("%s: Len = %d after %d Puts, want ≤ 100", name, n, i+1)
+			}
 		}
-	}
-	// Occupancy never exceeds the split capacity.
-	for i := 0; i < 1000; i++ {
-		row := []float64{float64(i)}
-		c.Put(key("m", 1, row), row, 0)
-	}
-	if n, limit := c.Len(), shardCount*c.shards[0].cap; n > limit {
-		t.Fatalf("Len = %d after 1000 Puts, want ≤ %d", n, limit)
+		if n, ev := c.Len(), c.Stats().Evictions; n != 100 || ev != 900 {
+			t.Fatalf("%s: Len = %d, evictions = %d after 1000 Puts, want 100, 900", name, n, ev)
+		}
 	}
 	defer func() {
 		if recover() == nil {

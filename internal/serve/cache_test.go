@@ -44,7 +44,7 @@ func trainModelSeed(t testing.TB, kind core.ModelKind, d *dataset.Dataset, seed 
 // the offline value.
 func TestCachedServingBitIdentical(t *testing.T) {
 	s, d, _ := newTestServer(t)
-	m, _ := s.Registry().Get("nns")
+	m, _, _ := s.Registry().Resolve("nns")
 	for i := 0; i < 8; i++ {
 		want, err := m.Pred.Predict(d.Row(i))
 		if err != nil {
@@ -76,7 +76,7 @@ func TestCachedServingBitIdentical(t *testing.T) {
 // position to match offline scoring — the partial-hit fill path.
 func TestCacheMixedHitMissBatch(t *testing.T) {
 	s, d, _ := newTestServer(t)
-	m, _ := s.Registry().Get("lre")
+	m, _, _ := s.Registry().Resolve("lre")
 	gen := s.reg.Generation()
 
 	// Warm row 0 into the cache.
@@ -205,7 +205,7 @@ func TestCacheLookupStallPastDeadline(t *testing.T) {
 // cheaper than scoring, so a hit must not pay the allocator.
 func TestCachedPredictHitZeroAlloc(t *testing.T) {
 	s, d, _ := newTestServer(t)
-	m, _ := s.Registry().Get("lre")
+	m, _, _ := s.Registry().Resolve("lre")
 	gen, ws, rows := s.reg.Generation(), &rowScratch{}, [][]dataset.Value{d.Row(0), d.Row(1)}
 	// Warm both rows to resolved entries.
 	if _, err := cachedPredict(s, ws, m, gen, rows...); err != nil {
@@ -235,7 +235,7 @@ func mustDecode(t testing.TB, b []byte, v any) {
 // latency win that justifies the cache.
 func BenchmarkCachedPredict(b *testing.B) {
 	s, d, _ := newTestServer(b)
-	m, _ := s.Registry().Get("nns")
+	m, _, _ := s.Registry().Resolve("nns")
 	gen, ws, row := s.reg.Generation(), &rowScratch{}, d.Row(0)
 	if _, err := cachedPredict(s, ws, m, gen, row); err != nil {
 		b.Fatal(err)
@@ -249,20 +249,46 @@ func BenchmarkCachedPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkUncachedPredict is the identical workload through the plain
-// micro-batcher, bypassing the cache — the baseline the cache must beat.
-func BenchmarkUncachedPredict(b *testing.B) {
-	s, d, _ := newTestServer(b)
-	m, _ := s.Registry().Get("nns")
+// uncachedPredict returns the identical workload through the plain
+// micro-batcher, bypassing the cache: encode one row, then
+// Batcher.Predict.
+func uncachedPredict(tb testing.TB) func() error {
+	s, d, _ := newTestServer(tb)
+	m, _, _ := s.Registry().Resolve("nns")
 	raw := [][]dataset.Value{d.Row(0)}
 	var buf dataset.RowBuffer
-	run := func() error {
+	return func() error {
 		rows, err := m.Pred.Encoder().EncodeRows(&buf, raw)
 		if err == nil {
 			_, err = s.bat.Predict(context.Background(), m, rows)
 		}
 		return err
 	}
+}
+
+// TestUncachedPredictAllocs pins the uncached single-row path at the 4
+// allocations per request BENCH_8.json records for
+// BenchmarkUncachedPredict. Under -race the path still runs but the
+// count is not asserted, as in TestScanEncodeZeroAlloc.
+func TestUncachedPredictAllocs(t *testing.T) {
+	run := uncachedPredict(t)
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := run(); err != nil {
+			panic(err)
+		}
+	})
+	if !raceEnabled && allocs != 4 {
+		t.Fatalf("uncached predict allocates %.1f/op, want 4", allocs)
+	}
+}
+
+// BenchmarkUncachedPredict is the identical workload through the plain
+// micro-batcher, bypassing the cache — the baseline the cache must beat.
+func BenchmarkUncachedPredict(b *testing.B) {
+	run := uncachedPredict(b)
 	if err := run(); err != nil {
 		b.Fatal(err)
 	}

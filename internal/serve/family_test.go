@@ -39,7 +39,7 @@ func TestServeAllKindsConcurrent(t *testing.T) {
 	// predictors so this isolates the serving path.
 	offline := make(map[string][]float64, len(names))
 	for _, name := range names {
-		m, ok := s.Registry().Get(name)
+		m, _, ok := s.Registry().Resolve(name)
 		if !ok {
 			t.Fatalf("model %q not served", name)
 		}

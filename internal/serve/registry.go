@@ -123,16 +123,10 @@ func (r *Registry) Reload() (int64, error) {
 	return gen, nil
 }
 
-// Get resolves a model by name against the current catalog.
-func (r *Registry) Get(name string) (*Model, bool) {
-	m, ok := r.cur.Load().models[name]
-	return m, ok
-}
-
-// Resolve resolves a model together with the generation of the catalog
-// it came from, in one atomic catalog load. The cache keys entries by
-// (model, generation); resolving them separately (Get then Generation)
-// could straddle a reload and pair an old model with a new generation —
+// Resolve resolves a model by name together with the generation of the
+// catalog it came from, in one atomic catalog load. The cache keys
+// entries by (model, generation); resolving them separately (the model,
+// then Generation) could straddle a reload and pair an old model with a new generation —
 // exactly the stale-value hazard the generation key exists to prevent.
 func (r *Registry) Resolve(name string) (*Model, int64, bool) {
 	c := r.cur.Load()

@@ -100,12 +100,12 @@ func TestRegistryLoadAndGet(t *testing.T) {
 	if r.Generation() != 1 {
 		t.Fatalf("generation = %d, want 1", r.Generation())
 	}
-	m, ok := r.Get("nns")
-	if !ok || m.Pred.Kind() != core.NNS || m.Name != "nns" {
-		t.Fatalf("Get(nns) = %+v, %v", m, ok)
+	m, gen, ok := r.Resolve("nns")
+	if !ok || m.Pred.Kind() != core.NNS || m.Name != "nns" || gen != 1 {
+		t.Fatalf("Resolve(nns) = %+v, %d, %v", m, gen, ok)
 	}
-	if _, ok := r.Get("absent"); ok {
-		t.Fatal("Get(absent) succeeded")
+	if _, _, ok := r.Resolve("absent"); ok {
+		t.Fatal("Resolve(absent) succeeded")
 	}
 }
 
@@ -124,7 +124,7 @@ func TestRegistryReloadAtomic(t *testing.T) {
 	if err != nil || gen != 2 {
 		t.Fatalf("Reload = %d, %v; want 2, nil", gen, err)
 	}
-	if _, ok := r.Get("b"); !ok {
+	if _, _, ok := r.Resolve("b"); !ok {
 		t.Fatal("reloaded model b missing")
 	}
 
@@ -138,7 +138,7 @@ func TestRegistryReloadAtomic(t *testing.T) {
 	if r.Generation() != 2 {
 		t.Fatalf("generation moved to %d after failed reload", r.Generation())
 	}
-	if _, ok := r.Get("a"); !ok {
+	if _, _, ok := r.Resolve("a"); !ok {
 		t.Fatal("old catalog lost after failed reload")
 	}
 }

@@ -10,7 +10,8 @@
 //     core.Predictor.Save into named, versioned models and swaps the
 //     whole catalog atomically on reload (SIGHUP or POST /admin/reload),
 //     so lookups never observe a half-loaded state and a failed reload
-//     keeps the previous catalog serving.
+//     keeps the previous catalog serving. [Registry.Resolve] is its one
+//     lookup: a model together with the generation of its catalog.
 //   - [Batcher]: a micro-batcher that funnels every scored row through a
 //     bounded admission queue. A free worker goroutine takes the next
 //     request plus whatever is already queued behind it (never waiting
@@ -21,11 +22,12 @@
 //     completely.
 //   - [Server]: the HTTP surface — POST /v1/predict (single row or
 //     batch), GET /v1/models, GET /v1/report, POST /admin/reload,
-//     GET /healthz — plus the obs metrics endpoints (/metrics in
-//     Prometheus text, /debug/vars expvar, /debug/pprof) over the
-//     serve.* metrics this package registers and the cache.* counters
-//     internal/predcache registers. [Server.Report] reads the same
-//     handles into a [Report], so /v1/report and /metrics agree.
+//     GET /healthz — plus the obs endpoints: /metrics serves, in
+//     Prometheus text, the serve.* metrics this package registers and
+//     the cache.* counters internal/predcache registers; /debug/vars is
+//     the standard expvar handler and /debug/pprof the profiler.
+//     [Server.Report] reads the same handles into a [Report], so
+//     /v1/report and /metrics agree.
 //
 // A /v1/predict request takes one path, with no per-cell allocation
 // unless a string cell needs unescaping:

@@ -73,7 +73,7 @@ func postPredict(t *testing.T, h http.Handler, body any) *httptest.ResponseRecor
 func TestServerPredictSingleAndBatch(t *testing.T) {
 	s, d, _ := newTestServer(t)
 	h := s.Handler()
-	m, _ := s.Registry().Get("nns")
+	m, _, _ := s.Registry().Resolve("nns")
 
 	// Single-row body, bit-identical to the offline scalar path.
 	want, err := m.Pred.Predict(d.Row(0))
@@ -232,7 +232,7 @@ func TestServerReloadEndpoint(t *testing.T) {
 	if rr.Generation != 2 || len(rr.Models) != 3 {
 		t.Fatalf("reload: %+v", rr)
 	}
-	if _, ok := s.Registry().Get("extra"); !ok {
+	if _, _, ok := s.Registry().Resolve("extra"); !ok {
 		t.Fatal("reloaded model not served")
 	}
 

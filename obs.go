@@ -67,8 +67,9 @@ func ReadRunReportFile(path string) (*RunReport, error) { return obs.ReadReportF
 type MetricsRegistry = obs.Registry
 
 // StartMetricsServer serves a recorder's registry over HTTP: Prometheus
-// text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof/. It
-// returns the bound address (useful with ":0") and a shutdown func.
+// text on /metrics, the process's expvar globals on /debug/vars, pprof
+// on /debug/pprof/. It returns the bound address (useful with ":0") and
+// a shutdown func.
 func StartMetricsServer(addr string, reg *MetricsRegistry) (net.Addr, func() error, error) {
 	return obs.StartMetricsServer(addr, reg)
 }
