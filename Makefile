@@ -51,9 +51,9 @@ bench-serve:
 
 # Active-learning acquisition benchmarks → BENCH_10.json: the chunked
 # pool-scoring hot path (which must report 0 allocs/op — the scratch is
-# worker-local and growth-only) and one end-to-end batch acquisition per
-# registered strategy over a 2048-point pool, at GOMAXPROCS=1 (the
-# strategies' allocation counts depend on the CPU count). No external
+# worker-local and growth-only) and one end-to-end expected-improvement
+# batch acquisition over a 2048-point pool, at GOMAXPROCS=1 (its
+# allocation count depends on the CPU count). No external
 # baseline; the committed snapshot is the regression reference bench-diff
 # judges by.
 bench-active:

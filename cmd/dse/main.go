@@ -6,14 +6,15 @@
 //
 // With -active the one-shot random sample becomes the seed of a
 // model-guided active-learning loop: the committee of requested models
-// retrains every round and the acquisition strategy picks which design
-// points to simulate next, at the same total budget accounting.
+// retrains every round and expected improvement under its posterior
+// picks which design points to simulate next, at the same total budget
+// accounting.
 //
 // Usage:
 //
 //	dse -bench mcf -frac 0.01
 //	dse -bench gcc -frac 0.03 -models LR-B,NN-E,NN-S -seed 7
-//	dse -bench mcf -frac 0.01 -active -rounds 4 -batch 12 -acquire committee
+//	dse -bench mcf -frac 0.01 -active -rounds 4 -batch 12
 package main
 
 import (
@@ -44,7 +45,6 @@ func main() {
 	activeRun := flag.Bool("active", false, "run the model-guided active-learning loop instead of one-shot sampling")
 	rounds := flag.Int("rounds", 4, "active: acquisition rounds after the initial sample")
 	batch := flag.Int("batch", 0, "active: design points acquired per round (0 = initial sample / rounds)")
-	acquire := flag.String("acquire", "committee", "active: acquisition strategy (see -list)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	verbose := flag.Bool("v", false, "log per-task progress (durations, folds, epochs)")
 	report := flag.String("report", "", "write a machine-readable JSON RunReport to this file")
@@ -78,7 +78,6 @@ func main() {
 			names = append(names, k.String())
 		}
 		fmt.Println("models:", strings.Join(names, ", "))
-		fmt.Println("acquisition strategies:", strings.Join(perfpred.AcquireStrategies(), ", "))
 		return
 	}
 
@@ -104,7 +103,7 @@ func main() {
 	var ares *perfpred.ActiveDSEResult
 	if *activeRun {
 		ares, err = perfpred.RunActiveDSE(ctx, full, *frac, kinds, cfg, perfpred.ActiveOptions{
-			Rounds: *rounds, Batch: *batch, Acquire: *acquire,
+			Rounds: *rounds, Batch: *batch,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -119,8 +118,8 @@ func main() {
 	finished := time.Now()
 
 	if ares != nil {
-		fmt.Printf("active: %s acquisition, %d initial + %d rounds\n",
-			ares.Strategy, ares.InitialSize, len(ares.Rounds))
+		fmt.Printf("active: expected-improvement acquisition, %d initial + %d rounds\n",
+			ares.InitialSize, len(ares.Rounds))
 		atw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(atw, "round\tlabeled\tacquired\tcommittee error (true MAPE)")
 		for _, r := range ares.Rounds {

@@ -10,6 +10,7 @@
 //	experiments -exp all
 //	experiments -exp figures2-6 -bench mcf -fracs 0.01,0.03,0.05
 //	experiments -exp table2 -seed 7
+//	experiments -exp active -seed 1
 //
 // Cost knobs: -tracelen and -stride shrink the simulated substrate;
 // -epochs scales neural training.
@@ -36,8 +37,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	exp := flag.String("exp", "all", "experiment: table1|figures2-6|figure7|figure8|table2|table3|calibration|importance|perapp|rolling|crossfamily|ablations|learning|all")
-	bench := flag.String("bench", "", "restrict figures2-6 to one benchmark")
+	exp := flag.String("exp", "all", "experiment: table1|figures2-6|figure7|figure8|table2|table3|calibration|importance|perapp|rolling|crossfamily|ablations|active|learning|all")
+	bench := flag.String("bench", "", "restrict figures2-6 and active to one benchmark")
 	fracsArg := flag.String("fracs", "0.01,0.02,0.03,0.04,0.05", "sampling fractions for the sampled-DSE studies")
 	seed := flag.Int64("seed", 1, "master seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -172,6 +173,18 @@ func main() {
 		fmt.Printf("Sampling ablation (gcc @ 2%%, NN-E): random %.2f%%, systematic %.2f%%\n",
 			smp.RandomTrue, smp.SystematicTrue)
 		return nil
+	})
+	run("active", func() error {
+		apps := []string{"applu", "equake", "gcc", "mesa", "mcf"}
+		if *bench != "" {
+			apps = []string{*bench}
+		}
+		seeds := []int64{*seed, *seed + 1, *seed + 2, *seed + 3, *seed + 4}
+		s, err := experiments.RunActiveStudy(ctx, apps, seeds, core.SampledModels(), cfg)
+		if err != nil {
+			return err
+		}
+		return s.WriteText(os.Stdout)
 	})
 	run("learning", func() error {
 		lc, err := experiments.RunLearningCurve(ctx, "mcf", core.NNE,

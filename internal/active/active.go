@@ -4,17 +4,17 @@
 // re-train. The paper's Sampled-DSE workflow (Figure 1a) draws its
 // 1–5 % training sample uniformly at random and trains once; this
 // package spends the same simulation budget adaptively, steering each
-// round's simulations to the design points the current surrogate
-// committee is least sure about (or, for best-design search, most
-// hopeful about).
+// round's simulations to the design points where the committee's
+// posterior expects the largest improvement on the best design found so
+// far.
 //
-// Acquisition policies live behind a small registry mirroring the model
-// registry's Family pattern — committee disagreement, greedy max-min
-// diversity, and expected improvement ship built in; a new policy is one
-// Register call. Pool scoring fans out on the internal/engine pool with
-// worker-local scratch (the chunk path allocates nothing steady-state),
-// and every stochastic choice derives from the config seed via
-// stat.DeriveSeed, so a run is bit-identical at any worker count.
+// Acquisition is expected improvement (EI) under the committee
+// posterior, the one acquisition that beat random sampling on its own
+// target on the simulated spaces (experiments -exp active). Pool
+// scoring fans out on the internal/engine pool with worker-local scratch
+// (the chunk path allocates nothing steady-state), and every stochastic
+// choice derives from the config seed via stat.DeriveSeed, so a run is
+// bit-identical at any worker count.
 //
 // The package deliberately does not import internal/core: core owns
 // model training and hands the loop a TrainRound callback, so the
@@ -77,8 +77,6 @@ type Config struct {
 	// > 0); the loop's total simulation budget is the initial sample
 	// plus Rounds×Batch, clipped to the pool.
 	Batch int
-	// Strategy names the registered acquisition policy ("" = committee).
-	Strategy string
 	// Workers bounds scoring fan-outs (0 = GOMAXPROCS).
 	Workers int
 	// Hook, if non-nil, observes engine events from the scoring fan-outs.
@@ -116,8 +114,6 @@ type RoundStats struct {
 
 // Result is one completed active-learning run.
 type Result struct {
-	// Strategy is the acquisition policy that ran.
-	Strategy string
 	// LabeledIdx are the labeled rows' indices into the full dataset the
 	// run was given: the initial sample first, then each round's
 	// acquisitions in acquisition order.
@@ -131,13 +127,13 @@ type Result struct {
 // Run executes the active-learning loop over full, starting from the
 // already-labeled initial indices (the random seed sample). Each round
 // retrains the committee via cfg.TrainRound (an error aborts the loop),
-// scores the remaining pool with the configured strategy, and moves the
+// scores the remaining pool by expected improvement, and moves the
 // acquired batch into the labeled set. The loop ends after cfg.Rounds
 // rounds or when the pool runs dry, whichever comes first.
 //
 // Determinism contract: round r derives roundSeed = DeriveSeed(cfg.Seed,
-// 9000+r); the committee trains from roundSeed (the callback's duty) and
-// the strategy acquires from DeriveSeed(roundSeed, 1). All pool indices
+// 9000+r) and the committee trains from roundSeed (the callback's duty);
+// acquisition itself draws nothing at random. All pool indices
 // are tracked in original order and every fan-out writes
 // index-addressed, so the labeled trajectory is bit-identical for any
 // worker count or schedule.
@@ -154,21 +150,13 @@ func Run(ctx context.Context, full *dataset.Dataset, initial []int, cfg Config) 
 	if cfg.TrainRound == nil {
 		return nil, errors.New("active: no TrainRound callback")
 	}
-	name := cfg.Strategy
-	if name == "" {
-		name = StrategyCommittee
-	}
-	strat, ok := LookupStrategy(name)
-	if !ok {
-		return nil, fmt.Errorf("active: unknown acquisition strategy %q (have %v)", name, Strategies())
-	}
 
 	labeled := append([]int(nil), initial...)
 	_, pool, err := full.Complement(labeled)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Strategy: name}
+	res := &Result{}
 	opts := engine.Options{Workers: cfg.workers(), Hook: cfg.Hook}
 
 	for round := 1; round <= cfg.Rounds && len(pool) > 0; round++ {
@@ -199,19 +187,18 @@ func Run(ctx context.Context, full *dataset.Dataset, initial []int, cfg Config) 
 			k = len(pool)
 		}
 		acqStart := time.Now()
-		picks, err := strat.Acquire(ctx, &Round{
+		picks, err := acquireEI(ctx, &Round{
 			Pool:    poolDS,
 			Labeled: labeledDS,
 			Members: com.Members,
-			Seed:    stat.DeriveSeed(roundSeed, 1),
 			Opts:    opts,
 		}, k)
 		if err != nil {
-			return nil, fmt.Errorf("active: round %d: %s acquisition: %w", round, name, err)
+			return nil, fmt.Errorf("active: round %d: acquisition: %w", round, err)
 		}
 		st.AcquireSeconds = time.Since(acqStart).Seconds()
 		if err := checkPicks(picks, k, len(pool)); err != nil {
-			return nil, fmt.Errorf("active: round %d: %s acquisition: %w", round, name, err)
+			return nil, fmt.Errorf("active: round %d: acquisition: %w", round, err)
 		}
 
 		// Move the batch pool → labeled: labeled grows in acquisition
@@ -237,7 +224,7 @@ func Run(ctx context.Context, full *dataset.Dataset, initial []int, cfg Config) 
 }
 
 // checkPicks validates one acquisition batch: exactly k picks, each a
-// distinct in-range pool index — a misbehaving strategy fails loudly
+// distinct in-range pool index — a misbehaving acquisition fails loudly
 // instead of corrupting the budget accounting.
 func checkPicks(picks []int, k, poolLen int) error {
 	if len(picks) != k {

@@ -13,7 +13,7 @@ import (
 	"perfpred/internal/dataset"
 	"perfpred/internal/engine"
 	"perfpred/internal/model"
-	"perfpred/internal/predcache"
+	"perfpred/internal/stat"
 )
 
 // testSpace builds a small synthetic design space with every field kind
@@ -146,41 +146,6 @@ func encodeAll(t *testing.T, enc *dataset.Encoder, d *dataset.Dataset) [][]float
 		}
 	}
 	return rows
-}
-
-func TestRegistryComplete(t *testing.T) {
-	want := []string{StrategyCommittee, StrategyDiversity, StrategyEI}
-	got := Strategies()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Strategies() = %v, want %v", got, want)
-	}
-	for _, name := range want {
-		s, ok := LookupStrategy(name)
-		if !ok {
-			t.Fatalf("LookupStrategy(%q) missing", name)
-		}
-		if s.Name != name || s.Description == "" || s.Acquire == nil {
-			t.Fatalf("strategy %q incompletely registered: %+v", name, s)
-		}
-	}
-	if _, ok := LookupStrategy("nope"); ok {
-		t.Fatal("LookupStrategy accepted an unregistered name")
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, s Strategy) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: Register did not panic", name)
-			}
-		}()
-		Register(s)
-	}
-	mustPanic("duplicate", Strategy{Name: StrategyCommittee, Acquire: acquireCommittee})
-	mustPanic("no name", Strategy{Acquire: acquireCommittee})
-	mustPanic("no func", Strategy{Name: "hollow"})
 }
 
 func TestTopK(t *testing.T) {
@@ -347,37 +312,6 @@ func TestScoreChunkZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAcquireCommittee pins the strategy to its definition: the k rows
-// with the largest committee variance, here proportional to the squared
-// encoded-row sum by construction.
-func TestAcquireCommittee(t *testing.T) {
-	pool := testSpace(t, 60, 5)
-	labeled := testSpace(t, 10, 6)
-	enc := lrEncoder(t, pool)
-	rows := encodeAll(t, enc, pool)
-	r := &Round{
-		Pool:    pool,
-		Labeled: labeled,
-		Members: []Member{stubMember("A", enc, 1, 0), stubMember("B", enc, -1, 0)},
-		Seed:    1,
-	}
-	picks, err := acquireCommittee(context.Background(), r, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := make([]float64, len(rows))
-	for i, row := range rows {
-		s := 0.0
-		for _, v := range row {
-			s += v
-		}
-		scores[i] = s * s // variance of {s, -s} around 0
-	}
-	if want := topK(scores, 5); !reflect.DeepEqual(picks, want) {
-		t.Fatalf("committee picks %v, want max-variance rows %v", picks, want)
-	}
-}
-
 // TestAcquireEI pins the degenerate zero-variance case: a single exact
 // member makes EI = max(best − μ, 0), so the picks are the lowest
 // predicted targets.
@@ -390,7 +324,6 @@ func TestAcquireEI(t *testing.T) {
 		Pool:    pool,
 		Labeled: labeled,
 		Members: []Member{stubMember("A", enc, 1, 0)},
-		Seed:    1,
 	}
 	picks, err := acquireEI(context.Background(), r, 4)
 	if err != nil {
@@ -433,72 +366,9 @@ func TestExpectedImprovement(t *testing.T) {
 	}
 }
 
-// TestAcquireDiversity checks the k-center property on an easy instance
-// and the canonical-hash dedup on a pool of duplicates.
-func TestAcquireDiversity(t *testing.T) {
-	pool := testSpace(t, 80, 13)
-	labeled := testSpace(t, 5, 14)
-	r := &Round{Pool: pool, Labeled: labeled, Seed: 1}
-	picks, err := acquireDiversity(context.Background(), r, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(picks) != 6 {
-		t.Fatalf("got %d picks, want 6", len(picks))
-	}
-	// No two picks may share a canonical encoded row while novel rows
-	// remain (the synthetic space has far more than 6 distinct configs).
-	enc, err := dataset.FitEncoder(pool, dataset.ForNN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	buf := make([]float64, enc.NumColumns())
-	for _, p := range picks {
-		if err := enc.EncodeRowInto(buf, pool.Row(p)); err != nil {
-			t.Fatal(err)
-		}
-		h := predcache.HashRow(buf)
-		if prev, dup := seen[h]; dup {
-			t.Fatalf("picks %d and %d are identical configurations", prev, p)
-		}
-		seen[h] = p
-	}
-}
-
-// TestAcquireDiversityDuplicatesOnly: when the pool holds fewer distinct
-// configurations than the batch, the strategy still fills the batch
-// (lowest-index duplicates) rather than shorting the budget accounting.
-func TestAcquireDiversityDuplicatesOnly(t *testing.T) {
-	small := testSpace(t, 3, 21)
-	d := dataset.New(small.Schema())
-	for rep := 0; rep < 4; rep++ {
-		for i := 0; i < small.Len(); i++ {
-			if err := d.Append(small.Row(i), small.Target(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	labeled := testSpace(t, 2, 22)
-	picks, err := acquireDiversity(context.Background(), &Round{Pool: d, Labeled: labeled, Seed: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(picks) != 5 {
-		t.Fatalf("got %d picks from a duplicate-heavy pool, want 5", len(picks))
-	}
-	seen := map[int]bool{}
-	for _, p := range picks {
-		if seen[p] {
-			t.Fatalf("pick %d repeated", p)
-		}
-		seen[p] = true
-	}
-}
-
-// TestAcquireDeterministicAcrossWorkers pins every strategy's batch to
-// be bit-identical at 1 and 8 workers, on a pool large enough to take
-// the parallel scoring and sweep paths.
+// TestAcquireDeterministicAcrossWorkers pins the EI batch to be
+// bit-identical at 1 and 8 workers, on a pool large enough to take the
+// parallel scoring path.
 func TestAcquireDeterministicAcrossWorkers(t *testing.T) {
 	pool := testSpace(t, 3*scoreParallelMin/2, 17)
 	labeled := testSpace(t, 30, 18)
@@ -508,27 +378,42 @@ func TestAcquireDeterministicAcrossWorkers(t *testing.T) {
 		stubMember("B", enc, -0.5, 1),
 		spreadMember("C", enc, 0.25, 0.5, 0.3),
 	}
-	for _, name := range Strategies() {
-		strat, _ := LookupStrategy(name)
-		var ref []int
-		for _, workers := range []int{1, 8} {
-			r := &Round{
-				Pool:    pool,
-				Labeled: labeled,
-				Members: members,
-				Seed:    42,
-				Opts:    engine.Options{Workers: workers},
-			}
-			picks, err := strat.Acquire(context.Background(), r, 9)
-			if err != nil {
-				t.Fatalf("%s at %d workers: %v", name, workers, err)
-			}
-			if ref == nil {
-				ref = picks
-			} else if !reflect.DeepEqual(picks, ref) {
-				t.Fatalf("%s: workers=8 picks %v != workers=1 picks %v", name, picks, ref)
-			}
+	var ref []int
+	for _, workers := range []int{1, 8} {
+		r := &Round{
+			Pool:    pool,
+			Labeled: labeled,
+			Members: members,
+			Opts:    engine.Options{Workers: workers},
 		}
+		picks, err := acquireEI(context.Background(), r, 9)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if ref == nil {
+			ref = picks
+		} else if !reflect.DeepEqual(picks, ref) {
+			t.Fatalf("workers=8 picks %v != workers=1 picks %v", picks, ref)
+		}
+	}
+}
+
+// TestAcquireEIAllocs pins one EI batch over BenchmarkAcquireEI's round
+// (a 2048-point pool scored with Workers: 4) at the 80 allocations
+// BENCH_10.json records for it. AllocsPerRun runs at GOMAXPROCS=1, the
+// CPU count the snapshot was taken at. Under -race the path still runs but the count is not
+// asserted: the race detector drops sync.Pool puts on purpose.
+func TestAcquireEIAllocs(t *testing.T) {
+	r := benchRound(t, 2048)
+	acquire := func() {
+		if _, err := acquireEI(context.Background(), r, 16); err != nil {
+			panic(err)
+		}
+	}
+	acquire()
+	allocs := testing.AllocsPerRun(20, acquire)
+	if !raceEnabled && allocs != 80 {
+		t.Fatalf("EI acquisition allocates %.1f/op, want 80", allocs)
 	}
 }
 
@@ -562,14 +447,33 @@ func TestRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != StrategyCommittee {
-		t.Fatalf("default strategy %q, want %q", res.Strategy, StrategyCommittee)
-	}
 	if want := len(initial) + 3*6; len(res.LabeledIdx) != want {
 		t.Fatalf("labeled %d points, want %d", len(res.LabeledIdx), want)
 	}
 	if !reflect.DeepEqual(res.LabeledIdx[:len(initial)], initial) {
 		t.Fatalf("labeled prefix %v, want the initial sample %v", res.LabeledIdx[:4], initial)
+	}
+	// Round 1 acquires acquireEI's batch under round 1's committee.
+	labeled, err := full.Subset(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, poolIdx, err := full.Complement(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := fixedCommittee(t, full)(context.Background(), labeled, stat.DeriveSeed(5, 9001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	picks, err := acquireEI(context.Background(), &Round{Pool: pool, Labeled: labeled, Members: com.Members}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range picks {
+		if got := res.LabeledIdx[len(initial)+i]; got != poolIdx[p] {
+			t.Fatalf("round 1 acquisition %d is row %d, want EI's pick %d", i, got, poolIdx[p])
+		}
 	}
 	if len(res.LabeledIdx)+len(res.PoolIdx) != full.Len() {
 		t.Fatalf("labeled %d + pool %d != space %d", len(res.LabeledIdx), len(res.PoolIdx), full.Len())
@@ -664,12 +568,6 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("%s: Run accepted", name)
 		}
 	}
-	cfg := base
-	cfg.Strategy = "nope"
-	_, err := Run(context.Background(), full, []int{0}, cfg)
-	if err == nil || !strings.Contains(err.Error(), StrategyCommittee) {
-		t.Fatalf("unknown strategy error should list registered names, got: %v", err)
-	}
 }
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
@@ -681,7 +579,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			Seed:       77,
 			Rounds:     3,
 			Batch:      5,
-			Strategy:   StrategyCommittee,
 			Workers:    workers,
 			TrainRound: fixedCommittee(t, full),
 		})

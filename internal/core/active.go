@@ -13,8 +13,7 @@ import (
 
 // ActiveOptions configures the active-learning extension of the sampled
 // DSE workflow: how many acquisition rounds follow the initial random
-// sample, how many points each round simulates, and which registered
-// acquisition strategy picks them.
+// sample, and how many points each round simulates.
 type ActiveOptions struct {
 	// Rounds is the number of acquisition rounds (0 = 4).
 	Rounds int
@@ -22,13 +21,7 @@ type ActiveOptions struct {
 	// initial sample size / Rounds, at least 1 — i.e. the default run
 	// doubles the initial budget adaptively).
 	Batch int
-	// Acquire names the acquisition strategy ("" = "committee"); see
-	// AcquireStrategies for the registered names.
-	Acquire string
 }
-
-// AcquireStrategies lists the registered acquisition strategy names.
-func AcquireStrategies() []string { return active.Strategies() }
 
 // ActiveRoundStats re-exports the loop's per-round record.
 type ActiveRoundStats = active.RoundStats
@@ -42,8 +35,6 @@ type ActiveDSEResult struct {
 	// InitialSize is the random seed sample's size; SampleSize is the
 	// total budget after all acquisition rounds.
 	InitialSize int
-	// Strategy is the acquisition policy that ran.
-	Strategy string
 	// Rounds holds one entry per executed acquisition round, carrying
 	// the committee's full-space error trajectory (the learning curve).
 	Rounds []ActiveRoundStats
@@ -53,11 +44,12 @@ type ActiveDSEResult struct {
 // draw the same initial random sample RunSampledDSE would draw for this
 // fraction and seed, then run the internal/active loop — each round
 // retrains the committee of requested kinds on everything labeled so
-// far, scores the unlabeled remainder with the configured acquisition
-// strategy, and "simulates" (labels) the next batch. After the final
-// round the requested kinds are trained and cross-validated on the full
-// labeled set exactly as RunSampledDSE does, so active and random runs
-// are comparable report-for-report at equal simulation budget.
+// far, scores the unlabeled remainder by expected improvement under the
+// committee posterior, and "simulates" (labels) the next batch. After
+// the final round the requested kinds are trained and cross-validated
+// on the full labeled set exactly as RunSampledDSE does, so active and
+// random runs are comparable report-for-report at equal simulation
+// budget.
 //
 // Each round's committee members are evaluated against the whole space
 // for the learning-curve trajectory in Rounds; that measurement is
@@ -90,7 +82,6 @@ func RunActiveDSE(ctx context.Context, full *dataset.Dataset, fraction float64, 
 		Seed:       cfg.Seed,
 		Rounds:     rounds,
 		Batch:      batch,
-		Strategy:   opts.Acquire,
 		Workers:    cfg.workers(),
 		Hook:       cfg.Hook,
 		TrainRound: trainCommittee(kinds, full, cfg),
@@ -120,7 +111,6 @@ func RunActiveDSE(ctx context.Context, full *dataset.Dataset, fraction float64, 
 			Complement:    complement,
 		},
 		InitialSize: sample.Len(),
-		Strategy:    ares.Strategy,
 		Rounds:      ares.Rounds,
 	}
 	sel, err := selectByEstimate(reports)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"perfpred/internal/tree"
@@ -14,13 +13,10 @@ func TestRunActiveDSEBasics(t *testing.T) {
 	kinds := []ModelKind{LRB, NNQ}
 	cfg := TrainConfig{Seed: 9, Workers: 4, EpochScale: 0.25}
 	res, err := RunActiveDSE(context.Background(), full, 0.05, kinds, cfg, ActiveOptions{
-		Rounds: 2, Batch: 5, Acquire: "committee",
+		Rounds: 2, Batch: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Strategy != "committee" {
-		t.Fatalf("Strategy = %q, want committee", res.Strategy)
 	}
 	if res.InitialSize != 20 {
 		t.Fatalf("InitialSize = %d, want 20 (5%% of 400)", res.InitialSize)
@@ -66,9 +62,6 @@ func TestRunActiveDSEDefaults(t *testing.T) {
 	}
 	// Defaults: 4 rounds, batch = initial/rounds — the run doubles the
 	// initial budget.
-	if res.Strategy != "committee" {
-		t.Fatalf("default Strategy = %q, want committee", res.Strategy)
-	}
 	if len(res.Rounds) != 4 {
 		t.Fatalf("default rounds = %d, want 4", len(res.Rounds))
 	}
@@ -86,32 +79,23 @@ func TestRunActiveDSEErrors(t *testing.T) {
 	if _, err := RunActiveDSE(context.Background(), full, 0.1, nil, cfg, ActiveOptions{}); err == nil {
 		t.Fatal("empty kind list accepted")
 	}
-	_, err := RunActiveDSE(context.Background(), full, 0.1, []ModelKind{LRB}, cfg, ActiveOptions{Acquire: "bogus"})
-	if err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unknown strategy error = %v, want it named", err)
-	}
 }
 
-// TestRunActiveDSEStrategies smoke-runs every registered acquisition
-// strategy through the full workflow, TREE-B included so the committee
-// exercises the per-tree Spreader path.
-func TestRunActiveDSEStrategies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains committees per strategy")
-	}
+// TestRunActiveDSETreeBCommittee smoke-runs the full workflow with
+// TREE-B in the committee, so EI's posterior takes the per-tree
+// Spreader path.
+func TestRunActiveDSETreeBCommittee(t *testing.T) {
 	full := synthSpace(t, 400, 59)
 	kinds := []ModelKind{LRB, tree.KindTreeB}
 	cfg := TrainConfig{Seed: 5, Workers: 4, EpochScale: 0.25}
-	for _, strat := range AcquireStrategies() {
-		res, err := RunActiveDSE(context.Background(), full, 0.05, kinds, cfg, ActiveOptions{
-			Rounds: 2, Batch: 4, Acquire: strat,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if res.Strategy != strat || res.SampleSize != res.InitialSize+8 {
-			t.Fatalf("%s: unexpected result shape: %+v", strat, res)
-		}
+	res, err := RunActiveDSE(context.Background(), full, 0.05, kinds, cfg, ActiveOptions{
+		Rounds: 2, Batch: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SampleSize != res.InitialSize+8 {
+		t.Fatalf("unexpected result shape: %+v", res)
 	}
 }
 
@@ -165,14 +149,12 @@ func TestActiveDSEDeterministicAcrossWorkers(t *testing.T) {
 // TestGoldenActiveLearningCurve is the equal-budget learning-curve
 // regression: 90 simulated points of the 900-point synthetic space,
 // spent either as one random draw (RunSampledDSE at 10 %) or as a 45-
-// point random seed plus 3 rounds × 15 model-guided acquisitions
-// (RunActiveDSE at 5 %). Every registered strategy must select a model
-// at least as good as the random baseline's, and the committee run —
-// the issue's acceptance metric — is pinned bit-exactly, captured from
-// the initial implementation like every other golden in this file.
+// point random seed plus 3 rounds × 15 expected-improvement acquisitions
+// (RunActiveDSE at 5 %). The EI run must select a model at least as good
+// as the random baseline's, and its trajectory is pinned bit-exactly.
 func TestGoldenActiveLearningCurve(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden run trains committees across three strategies")
+		t.Skip("golden run trains committees over three rounds")
 	}
 	full := synthSpace(t, 900, 77)
 	kinds := []ModelKind{LRB, NNQ, NNS}
@@ -187,45 +169,35 @@ func TestGoldenActiveLearningCurve(t *testing.T) {
 			rnd.SampleSize, rnd.Selected, rnd.SelectedTrueMAPE)
 	}
 
-	for _, strat := range AcquireStrategies() {
-		act, err := RunActiveDSE(context.Background(), full, 0.05, kinds, cfg, ActiveOptions{
-			Rounds: 3, Batch: 15, Acquire: strat,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if act.InitialSize != 45 || act.SampleSize != 90 {
-			t.Fatalf("%s: budget off: initial %d, final %d, want 45 and 90", strat, act.InitialSize, act.SampleSize)
-		}
-		if act.SelectedTrueMAPE > rnd.SelectedTrueMAPE {
-			t.Errorf("%s: selected true error %.17g worse than random %.17g at equal budget",
-				strat, act.SelectedTrueMAPE, rnd.SelectedTrueMAPE)
-		}
-	}
-
-	// The committee strategy's exact trajectory and outcome.
 	act, err := RunActiveDSE(context.Background(), full, 0.05, kinds, cfg, ActiveOptions{
-		Rounds: 3, Batch: 15, Acquire: "committee",
+		Rounds: 3, Batch: 15,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if act.Selected != NNQ {
-		t.Errorf("committee Selected = %v, want NN-Q", act.Selected)
+	if act.InitialSize != 45 || act.SampleSize != 90 {
+		t.Fatalf("budget off: initial %d, final %d, want 45 and 90", act.InitialSize, act.SampleSize)
 	}
-	if act.SelectedTrueMAPE != 6.9776392196561625 {
-		t.Errorf("committee SelectedTrueMAPE = %.17g, want 6.9776392196561625", act.SelectedTrueMAPE)
+	if act.SelectedTrueMAPE > rnd.SelectedTrueMAPE {
+		t.Errorf("selected true error %.17g worse than random %.17g at equal budget",
+			act.SelectedTrueMAPE, rnd.SelectedTrueMAPE)
+	}
+	if act.Selected != NNQ {
+		t.Errorf("Selected = %v, want NN-Q", act.Selected)
+	}
+	if act.SelectedTrueMAPE != 6.3217199738148215 {
+		t.Errorf("SelectedTrueMAPE = %.17g, want 6.3217199738148215", act.SelectedTrueMAPE)
 	}
 	wantCurve := []struct {
 		labeled int
 		nnqTrue float64
 	}{
-		{45, 8.637187405385683},
-		{60, 6.461671749163454},
-		{75, 7.516618563900152},
+		{45, 8.6371874053856832},
+		{60, 6.9306918897102445},
+		{75, 9.6634974735753438},
 	}
 	if len(act.Rounds) != len(wantCurve) {
-		t.Fatalf("committee ran %d rounds, want %d", len(act.Rounds), len(wantCurve))
+		t.Fatalf("ran %d rounds, want %d", len(act.Rounds), len(wantCurve))
 	}
 	for i, want := range wantCurve {
 		r := act.Rounds[i]
@@ -246,9 +218,9 @@ func TestGoldenActiveLearningCurve(t *testing.T) {
 		}
 	}
 	checkGoldenReports(t, "active", act.Reports, []goldenReport{
-		{LRB, 20.204290749726376, 23.190981081381565, 17.746506009370766, 9.0246613326632072},
-		{NNQ, 9.9191825044254962, 13.730254944725999, 6.9776392196561625, 5.6201413335412829},
-		{NNS, 15.910680573991367, 19.140523585903928, 9.9619443410481328, 8.1638398486037396},
+		{LRB, 17.137164072379203, 19.76199921962715, 19.91021833969215, 12.591377621694839},
+		{NNQ, 11.643372746897098, 13.168132476492936, 6.3217199738148215, 4.8606228891108572},
+		{NNS, 19.220922833360689, 22.825979268615868, 9.684105375559092, 7.3447584752333226},
 	})
 }
 
@@ -301,8 +273,7 @@ func TestBuildActiveDSEReport(t *testing.T) {
 	if rep.Active == nil {
 		t.Fatal("report lacks the active section")
 	}
-	if rep.Active.Strategy != res.Strategy ||
-		rep.Active.InitialSize != res.InitialSize ||
+	if rep.Active.InitialSize != res.InitialSize ||
 		rep.Active.FinalSize != res.SampleSize ||
 		rep.Active.PoolSize != res.Complement.Len() {
 		t.Fatalf("active section %+v does not match result (initial %d, final %d, pool %d)",

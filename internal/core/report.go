@@ -80,7 +80,6 @@ func BuildDSEReport(res *SampledDSEResult, meta ReportMeta, rec *obs.Recorder) *
 func BuildActiveDSEReport(res *ActiveDSEResult, meta ReportMeta, rec *obs.Recorder) *obs.RunReport {
 	rep := BuildDSEReport(&res.SampledDSEResult, meta, rec)
 	act := &obs.ActiveStats{
-		Strategy:    res.Strategy,
 		InitialSize: res.InitialSize,
 		FinalSize:   res.SampleSize,
 		PoolSize:    res.Complement.Len(),

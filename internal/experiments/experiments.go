@@ -375,15 +375,26 @@ func RunTable2(ctx context.Context, kinds []core.ModelKind, cfg Config) (*Table2
 	return t, nil
 }
 
-// WriteText renders Table 2 next to the paper's values.
+// WriteText renders Table 2: each model's error ± stddev per family,
+// then the best accuracy and method next to the paper's values.
 func (t *Table2) WriteText(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Table 2: best chronological accuracy per family")
-	fmt.Fprintln(tw, "family\taccuracy\tmethod\tpaper")
+	head := "family\t"
+	if len(t.Studies) > 0 {
+		for _, rep := range t.Studies[0].Reports {
+			head += rep.Kind.String() + "\t"
+		}
+	}
+	fmt.Fprintln(tw, head+"accuracy\tmethod\tpaper")
 	paper := PaperTable2()
 	for _, s := range t.Studies {
+		line := s.Family + "\t"
+		for _, rep := range s.Reports {
+			line += fmt.Sprintf("%.1f±%.1f\t", rep.TrueMAPE, rep.StdAPE)
+		}
 		p := paper[s.Family]
-		fmt.Fprintf(tw, "%s\t%.2f\t%v\t%.1f %s\n", s.Family, s.BestTrue, s.Best, p.Err, p.Method)
+		fmt.Fprintf(tw, "%s%.2f\t%v\t%.1f %s\n", line, s.BestTrue, s.Best, p.Err, p.Method)
 	}
 	return tw.Flush()
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"perfpred/internal/core"
@@ -277,6 +279,235 @@ func RunSamplingAblation(ctx context.Context, bench string, frac float64, kind c
 		Bench: bench, Fraction: frac, Kind: kind,
 		RandomTrue: randTrue, SystematicTrue: sysTrue,
 	}, nil
+}
+
+// The active-learning study's two arms: the paper's one-shot random
+// sample (RunSampledDSE) and expected-improvement acquisition
+// (RunActiveDSE).
+const (
+	RandomArm = "random"
+	EIArm     = "ei"
+)
+
+// activeStart is every active arm's random start, as a fraction of the
+// space; each acquisition round then simulates as many points again.
+const activeStart = 0.01
+
+// ActiveRun is one (application, seed, budget, arm) outcome of the
+// active-learning study.
+type ActiveRun struct {
+	App  string
+	Seed int64
+	// Budget is the sampling rate the arm's simulation budget matches.
+	Budget float64
+	Arm    string
+	// Points is the number of simulated design points the arm trained on.
+	Points int
+	// SelectedTrue is the true MAPE of the model the Select rule picked.
+	SelectedTrue float64
+	// Gap is that model's estimated error (the max-fold error Select
+	// ranks by) minus its true MAPE. An acquired sample is not i.i.d.,
+	// so the cross-validated estimate may be biased.
+	Gap float64
+	// Regret is the best labeled point's simulated cycles over the
+	// space's true optimum, minus one, in percent.
+	Regret float64
+}
+
+// ActiveStudy compares random sampling against model-guided acquisition
+// at equal simulation budget on the simulated design spaces.
+type ActiveStudy struct {
+	Apps    []string
+	Seeds   []int64
+	Budgets []float64
+	// Arms is RandomArm, then EIArm.
+	Arms []string
+	Runs []ActiveRun
+}
+
+// RunActiveStudy simulates each application's design space once, then
+// for every seed and budget (2 % and 5 % of the space) runs the random
+// arm (RunSampledDSE) and the EI arm (RunActiveDSE from a 1 % random
+// start plus 1 or 4 rounds of 1 % each) on the same number of points.
+func RunActiveStudy(ctx context.Context, apps []string, seeds []int64, kinds []core.ModelKind, cfg Config) (*ActiveStudy, error) {
+	if len(apps) == 0 || len(seeds) == 0 || len(kinds) == 0 {
+		return nil, errors.New("experiments: active study needs apps, seeds and model kinds")
+	}
+	study := &ActiveStudy{
+		Apps:    append([]string(nil), apps...),
+		Seeds:   append([]int64(nil), seeds...),
+		Budgets: []float64{0.02, 0.05},
+		Arms:    []string{RandomArm, EIArm},
+	}
+	for _, app := range apps {
+		_, cfgs, cycles, err := groundTruth(ctx, app, cfg)
+		if err != nil {
+			return nil, err
+		}
+		full, err := space.BuildDataset(cfgs, cycles)
+		if err != nil {
+			return nil, err
+		}
+		optimum, err := stat.Min(cycles)
+		if err != nil {
+			return nil, err
+		}
+		start := int(float64(full.Len())*activeStart + 0.5)
+		if start < 1 {
+			start = 1
+		}
+		for _, seed := range seeds {
+			tc := cfg.trainCfg()
+			tc.Seed = seed
+			for _, budget := range study.Budgets {
+				rounds := int(budget/activeStart+0.5) - 1
+				points := start * (1 + rounds)
+				for _, arm := range study.Arms {
+					var res *core.SampledDSEResult
+					if arm == RandomArm {
+						res, err = core.RunSampledDSE(ctx, full, float64(points)/float64(full.Len()), kinds, tc)
+					} else {
+						var ares *core.ActiveDSEResult
+						ares, err = core.RunActiveDSE(ctx, full, activeStart, kinds, tc, core.ActiveOptions{
+							Rounds: rounds, Batch: start,
+						})
+						if ares != nil {
+							res = &ares.SampledDSEResult
+						}
+					}
+					if err != nil {
+						return nil, fmt.Errorf("experiments: %s seed %d at %.0f%%, %s: %w", app, seed, 100*budget, arm, err)
+					}
+					if res.SampleSize != points {
+						return nil, fmt.Errorf("experiments: %s seed %d, %s simulated %d points, want %d", app, seed, arm, res.SampleSize, points)
+					}
+					run := ActiveRun{
+						App: app, Seed: seed, Budget: budget, Arm: arm,
+						Points: points, SelectedTrue: res.SelectedTrueMAPE,
+					}
+					for _, rep := range res.Reports {
+						if rep.Kind == res.Selected {
+							run.Gap = rep.Estimate.Max - rep.TrueMAPE
+						}
+					}
+					best := full.Target(res.SampleIndices[0])
+					for _, i := range res.SampleIndices {
+						best = math.Min(best, full.Target(i))
+					}
+					run.Regret = 100 * (best/optimum - 1)
+					study.Runs = append(study.Runs, run)
+				}
+			}
+		}
+	}
+	return study, nil
+}
+
+// ActiveSummary aggregates one (budget, arm) cell of the study over its
+// (application, seed) runs. The win counts pair each run with the random
+// arm's run at the same application, seed and budget: Wins counts runs
+// where the arm is strictly lower, Differ runs where the two differ.
+type ActiveSummary struct {
+	Budget float64
+	Arm    string
+	Runs   int
+	// SelectedTrue, Gap and Regret are means over the runs.
+	SelectedTrue, Gap, Regret float64
+	MAPEWins, MAPEDiffer      int
+	RegretWins, RegretDiffer  int
+}
+
+// Summary reduces the runs to one row per (budget, arm), in study order.
+func (s *ActiveStudy) Summary() []ActiveSummary {
+	type pair struct {
+		app    string
+		seed   int64
+		budget float64
+	}
+	random := map[pair]ActiveRun{}
+	for _, r := range s.Runs {
+		if r.Arm == RandomArm {
+			random[pair{r.App, r.Seed, r.Budget}] = r
+		}
+	}
+	var out []ActiveSummary
+	for _, budget := range s.Budgets {
+		for _, arm := range s.Arms {
+			sum := ActiveSummary{Budget: budget, Arm: arm}
+			for _, r := range s.Runs {
+				if r.Budget != budget || r.Arm != arm {
+					continue
+				}
+				sum.Runs++
+				sum.SelectedTrue += r.SelectedTrue
+				sum.Gap += r.Gap
+				sum.Regret += r.Regret
+				base := random[pair{r.App, r.Seed, r.Budget}]
+				sum.MAPEWins, sum.MAPEDiffer = tally(sum.MAPEWins, sum.MAPEDiffer, r.SelectedTrue, base.SelectedTrue)
+				sum.RegretWins, sum.RegretDiffer = tally(sum.RegretWins, sum.RegretDiffer, r.Regret, base.Regret)
+			}
+			if sum.Runs > 0 {
+				n := float64(sum.Runs)
+				sum.SelectedTrue /= n
+				sum.Gap /= n
+				sum.Regret /= n
+			}
+			out = append(out, sum)
+		}
+	}
+	return out
+}
+
+// tally counts one paired comparison where lower is better.
+func tally(wins, differ int, arm, random float64) (int, int) {
+	if arm != random {
+		differ++
+	}
+	if arm < random {
+		wins++
+	}
+	return wins, differ
+}
+
+// WriteText renders the study: the per-budget summary with paired win
+// counts, then each application's seed-mean selected MAPE and regret.
+func (s *ActiveStudy) WriteText(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "Active learning vs random sampling at equal budget - %v, seeds %v\n", s.Apps, s.Seeds)
+	fmt.Fprintln(tw, "budget\tarm\truns\tselected true%\test-true\tbest-labeled regret%\tMAPE wins/differ\tregret wins/differ")
+	for _, r := range s.Summary() {
+		wins := "-\t-"
+		if r.Arm != RandomArm {
+			wins = fmt.Sprintf("%d/%d\t%d/%d", r.MAPEWins, r.MAPEDiffer, r.RegretWins, r.RegretDiffer)
+		}
+		fmt.Fprintf(tw, "%.0f%%\t%s\t%d\t%.2f\t%+.2f\t%.2f\t%s\n",
+			100*r.Budget, r.Arm, r.Runs, r.SelectedTrue, r.Gap, r.Regret, wins)
+	}
+	fmt.Fprintln(tw)
+	head := "app\tbudget"
+	for _, arm := range s.Arms {
+		head += "\t" + arm + " MAPE%\t" + arm + " regret%"
+	}
+	fmt.Fprintln(tw, head)
+	for _, app := range s.Apps {
+		for _, budget := range s.Budgets {
+			line := fmt.Sprintf("%s\t%.0f%%", app, 100*budget)
+			for _, arm := range s.Arms {
+				var mape, regret float64
+				n := 0
+				for _, r := range s.Runs {
+					if r.App == app && r.Budget == budget && r.Arm == arm {
+						mape += r.SelectedTrue
+						regret += r.Regret
+						n++
+					}
+				}
+				line += fmt.Sprintf("\t%.2f\t%.2f", mape/float64(n), regret/float64(n))
+			}
+			fmt.Fprintln(tw, line)
+		}
+	}
+	return tw.Flush()
 }
 
 // CrossFamilyResult quantifies why the paper analyzes processor families

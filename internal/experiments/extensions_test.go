@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -170,5 +171,57 @@ func TestRunLearningCurve(t *testing.T) {
 	}
 	if _, err := RunLearningCurve(context.Background(), "applu", core.NNS, nil, cfg); err == nil {
 		t.Fatal("no fractions: want error")
+	}
+}
+
+func TestRunActiveStudy(t *testing.T) {
+	cfg := fastCfg()
+	cfg.SpaceStride = 8 // 576 points: a 6-point start, budgets of 12 and 30
+	s, err := RunActiveStudy(context.Background(), []string{"applu"}, []int64{3}, core.SampledModels(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Runs) != len(s.Budgets)*len(s.Arms) {
+		t.Fatalf("%d runs for %d budgets × %d arms", len(s.Runs), len(s.Budgets), len(s.Arms))
+	}
+	points := map[float64]int{}
+	for _, r := range s.Runs {
+		if p, ok := points[r.Budget]; ok && p != r.Points {
+			t.Fatalf("%s at %.0f%% simulated %d points, random %d", r.Arm, 100*r.Budget, r.Points, p)
+		}
+		points[r.Budget] = r.Points
+		for name, v := range map[string]float64{"selected": r.SelectedTrue, "gap": r.Gap, "regret": r.Regret} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%+v: non-finite %s", r, name)
+			}
+		}
+		if r.SelectedTrue <= 0 || r.Regret < 0 {
+			t.Fatalf("implausible run %+v", r)
+		}
+	}
+	if points[0.02] != 12 || points[0.05] != 30 {
+		t.Fatalf("budgets %v, want 12 and 30 points", points)
+	}
+	sum := s.Summary()
+	if len(sum) != len(s.Budgets)*2 {
+		t.Fatalf("%d summary rows, want one per budget for random and EI", len(sum))
+	}
+	for _, row := range sum {
+		if row.Runs != 1 || row.MAPEWins > row.MAPEDiffer || row.RegretWins > row.RegretDiffer {
+			t.Fatalf("summary row %+v", row)
+		}
+		if row.Arm == RandomArm && (row.MAPEDiffer != 0 || row.RegretDiffer != 0) {
+			t.Fatalf("random differs from itself: %+v", row)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "ei regret%") {
+		t.Fatalf("render missing the EI column:\n%s", buf.String())
+	}
+	if _, err := RunActiveStudy(context.Background(), nil, []int64{1}, core.SampledModels(), cfg); err == nil {
+		t.Fatal("no apps: want error")
 	}
 }

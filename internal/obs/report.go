@@ -58,13 +58,10 @@ type ActiveRound struct {
 	Committee []CommitteeError `json:"committee,omitempty"`
 }
 
-// ActiveStats summarizes an active-learning DSE run: the acquisition
-// strategy, the budget split (initial random sample vs. acquired), and
-// the per-round learning-curve trajectory.
+// ActiveStats summarizes an active-learning DSE run: the budget split
+// (initial random sample vs. acquired) and the per-round learning-curve
+// trajectory.
 type ActiveStats struct {
-	// Strategy names the acquisition policy ("committee", "diversity",
-	// "ei", or any future registered name).
-	Strategy string `json:"strategy"`
 	// InitialSize is the random seed sample, FinalSize the total labeled
 	// budget after all rounds, PoolSize the remaining unlabeled points.
 	InitialSize int `json:"initial_size"`
@@ -76,9 +73,6 @@ type ActiveStats struct {
 
 // Validate checks the section's structural invariants.
 func (a *ActiveStats) Validate() error {
-	if a.Strategy == "" {
-		return errors.New("obs: active stats have no strategy")
-	}
 	if a.InitialSize < 0 || a.FinalSize < a.InitialSize || a.PoolSize < 0 {
 		return errors.New("obs: active stats sizes inconsistent")
 	}

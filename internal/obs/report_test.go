@@ -110,7 +110,6 @@ func TestWriteJSONIsIndented(t *testing.T) {
 
 func sampleActive() *ActiveStats {
 	return &ActiveStats{
-		Strategy:    "committee",
 		InitialSize: 45,
 		FinalSize:   90,
 		PoolSize:    810,
@@ -158,7 +157,6 @@ func TestActiveStatsValidate(t *testing.T) {
 		t.Errorf("valid active stats rejected: %v", err)
 	}
 	cases := map[string]func(*ActiveStats){
-		"no strategy":     func(a *ActiveStats) { a.Strategy = "" },
 		"negative size":   func(a *ActiveStats) { a.InitialSize = -1 },
 		"shrinking run":   func(a *ActiveStats) { a.FinalSize = a.InitialSize - 1 },
 		"negative pool":   func(a *ActiveStats) { a.PoolSize = -1 },

@@ -211,7 +211,7 @@ func RunSampledDSE(ctx context.Context, full *Dataset, fraction float64, kinds [
 }
 
 // ActiveOptions configures the active-learning extension of sampled DSE
-// (acquisition rounds, batch size, strategy name).
+// (acquisition rounds and batch size).
 type ActiveOptions = core.ActiveOptions
 
 // ActiveDSEResult is one active-learning design-space exploration
@@ -221,15 +221,12 @@ type ActiveDSEResult = core.ActiveDSEResult
 // ActiveRoundStats records one acquisition round of an active run.
 type ActiveRoundStats = core.ActiveRoundStats
 
-// AcquireStrategies lists the registered acquisition strategy names
-// ("committee", "diversity", "ei", plus any registered extensions).
-func AcquireStrategies() []string { return core.AcquireStrategies() }
-
 // RunActiveDSE replaces the one-shot random sample of RunSampledDSE
 // with a model-guided active-learning loop: draw the same initial
 // random sample, then spend additional simulation budget in rounds,
 // each retraining the committee of requested kinds and acquiring the
-// pool points the configured strategy ranks highest. The final labeled
+// pool points with the highest expected improvement on the best design
+// under the committee posterior. The final labeled
 // set is trained, cross-validated and selected exactly as RunSampledDSE
 // does, so active and random runs compare report-for-report at equal
 // budget. Cancelling ctx aborts the run promptly.
