@@ -23,6 +23,7 @@ import (
 	"perfpred/internal/linreg"
 	"perfpred/internal/neural"
 	"perfpred/internal/space"
+	"perfpred/internal/specdata"
 	"perfpred/internal/stat"
 	"perfpred/internal/trace"
 )
@@ -133,9 +134,13 @@ func BenchmarkTable1DesignSpace(b *testing.B) {
 // method for all seven system families.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t2, err := experiments.RunTable2(context.Background(), core.FigureModels(), fullCfg())
-		if err != nil {
-			b.Fatal(err)
+		t2 := &experiments.Table2{}
+		for _, fam := range specdata.Families() {
+			s, err := experiments.RunChronoStudy(context.Background(), fam.Name, core.FigureModels(), fullCfg())
+			if err != nil {
+				b.Fatal(err)
+			}
+			t2.Studies = append(t2.Studies, s)
 		}
 		sum := 0.0
 		for _, s := range t2.Studies {
@@ -178,7 +183,7 @@ func BenchmarkSection41Calibration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range micro {
+		for _, row := range micro.Rows {
 			if row.Name == "mcf" {
 				b.ReportMetric(row.Range, "mcfRange")
 			}
@@ -365,7 +370,11 @@ func BenchmarkPredictDataset(b *testing.B) {
 func BenchmarkExtensionPerApp(b *testing.B) {
 	kinds := []core.ModelKind{core.LRE, core.LRB, core.NNQ}
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunPerAppChrono(context.Background(), "Pentium D", kinds, fullCfg())
+		rate, err := experiments.RunChronoStudy(context.Background(), "Pentium D", kinds, fullCfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := experiments.RunPerAppChrono(context.Background(), rate, fullCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,11 +436,7 @@ func BenchmarkAblationSamplingStrategy(b *testing.B) {
 // the pointer chaser (mcf).
 func BenchmarkAblationPrefetcher(b *testing.B) {
 	run := func(bench string) (base, pf float64) {
-		prof, err := trace.ProfileByName(bench)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr, err := trace.Generate(prof, prof.SimLen, 1)
+		tr, err := trace.GenerateBenchmark(bench, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

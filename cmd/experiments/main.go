@@ -2,8 +2,10 @@
 // evaluation section from scratch: synthetic workload + full design-space
 // simulation for the sampled-DSE studies (Figures 2–6, Table 3), synthetic
 // SPEC announcements + chronological prediction for Figures 7–8 and
-// Table 2, the §4.1 calibration statistics, and the §4.4 importance
-// analysis.
+// Table 2, the §4.1 calibration statistics with each benchmark's response
+// to the Table 1 dimensions, and the §4.4 importance analysis. Each
+// study runs once per invocation: Table 3 reuses the Figures 2–6 studies,
+// and Table 2 and -exp perapp reuse the Figure 7/8 family studies.
 //
 // Usage:
 //
@@ -26,19 +28,19 @@ import (
 	"strings"
 	"time"
 
+	"perfpred"
 	"perfpred/internal/core"
 	"perfpred/internal/experiments"
 	"perfpred/internal/obs"
 	"perfpred/internal/progress"
 	"perfpred/internal/space"
-	"perfpred/internal/trace"
+	"perfpred/internal/specdata"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	exp := flag.String("exp", "all", "experiment: table1|figures2-6|figure7|figure8|table2|table3|calibration|importance|perapp|rolling|crossfamily|ablations|active|learning|all")
-	bench := flag.String("bench", "", "restrict figures2-6 and active to one benchmark")
+	bench := flag.String("bench", "", "restrict figures2-6, table3 and active to one benchmark")
 	fracsArg := flag.String("fracs", "0.01,0.02,0.03,0.04,0.05", "sampling fractions for the sampled-DSE studies")
 	seed := flag.Int64("seed", 1, "master seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -49,9 +51,232 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-task progress (durations, folds, epochs)")
 	report := flag.String("report", "", "write a machine-readable JSON RunReport (execution statistics) to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (Prometheus text /metrics, expvar /debug/vars, pprof /debug/pprof), e.g. localhost:6060")
+
+	// The experiments read these once the flags are parsed.
+	var (
+		ctx   context.Context
+		cfg   experiments.Config
+		fracs []float64
+	)
+	// Each study runs once: Table 3 reads the Figures 2–6 studies and
+	// Table 2 and perapp read the Figure 7/8 family studies.
+	var sampled []*experiments.SampledStudy
+	sampledStudies := func() ([]*experiments.SampledStudy, error) {
+		if sampled != nil {
+			return sampled, nil
+		}
+		benches := perfpred.FiguredBenchmarks()
+		if *bench != "" {
+			benches = []string{*bench}
+		}
+		var studies []*experiments.SampledStudy
+		for _, b := range benches {
+			s, err := experiments.RunSampledStudy(ctx, b, fracs, core.SampledModels(), cfg)
+			if err != nil {
+				return nil, err
+			}
+			studies = append(studies, s)
+		}
+		sampled = studies
+		return studies, nil
+	}
+	chrono := map[string]*experiments.ChronoStudy{}
+	chronoStudy := func(family string) (*experiments.ChronoStudy, error) {
+		if s, ok := chrono[family]; ok {
+			return s, nil
+		}
+		s, err := experiments.RunChronoStudy(ctx, family, core.FigureModels(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		chrono[family] = s
+		return s, nil
+	}
+	printChrono := func(families ...string) error {
+		for _, fam := range families {
+			s, err := chronoStudy(fam)
+			if err != nil {
+				return err
+			}
+			if err := s.WriteText(os.Stdout); err != nil {
+				return err
+			}
+			fmt.Println()
+		}
+		return nil
+	}
+
+	// table lists every -exp name in the order -exp all runs them; the
+	// usage text and the unknown-name check read it too.
+	table := []struct {
+		name string
+		run  func() error
+	}{
+		{"table1", printTable1},
+		{"calibration", func() error {
+			micro, err := experiments.RunMicroCalibration(ctx, cfg)
+			if err != nil {
+				return err
+			}
+			if err := micro.WriteText(os.Stdout); err != nil {
+				return err
+			}
+			specRows, err := experiments.RunSpecCalibration(ctx, cfg)
+			if err != nil {
+				return err
+			}
+			return experiments.WriteCalibration(os.Stdout, "SPEC family statistics (§4.1)", specRows)
+		}},
+		{"figures2-6", func() error {
+			studies, err := sampledStudies()
+			if err != nil {
+				return err
+			}
+			for i, s := range studies {
+				fmt.Printf("Figure %d:\n", 2+i)
+				if err := s.WriteText(os.Stdout); err != nil {
+					return err
+				}
+				fmt.Println()
+			}
+			return nil
+		}},
+		{"table3", func() error {
+			studies, err := sampledStudies()
+			if err != nil {
+				return err
+			}
+			t3, err := experiments.ComputeTable3(studies)
+			if err != nil {
+				return err
+			}
+			if err := t3.WriteText(os.Stdout); err != nil {
+				return err
+			}
+			fmt.Println("paper Table 3 reference:")
+			paper := experiments.PaperTable3()
+			for _, k := range []string{"LR-B", "NN-E", "NN-S", "Select"} {
+				fmt.Printf("  %-6s %v\n", k, paper[k])
+			}
+			return nil
+		}},
+		{"figure7", func() error { return printChrono("Xeon", "Pentium 4", "Pentium D") }},
+		{"figure8", func() error { return printChrono("Opteron", "Opteron 2", "Opteron 4", "Opteron 8") }},
+		{"table2", func() error {
+			t2 := &experiments.Table2{}
+			for _, fam := range specdata.Families() {
+				s, err := chronoStudy(fam.Name)
+				if err != nil {
+					return err
+				}
+				t2.Studies = append(t2.Studies, s)
+			}
+			return t2.WriteText(os.Stdout)
+		}},
+		{"perapp", func() error {
+			rate, err := chronoStudy("Pentium D")
+			if err != nil {
+				return err
+			}
+			s, err := experiments.RunPerAppChrono(ctx, rate, cfg)
+			if err != nil {
+				return err
+			}
+			return s.WriteText(os.Stdout)
+		}},
+		{"rolling", func() error {
+			for _, fam := range []string{"Opteron 2", "Xeon"} {
+				s, err := experiments.RunRollingChrono(ctx, fam, core.FigureModels(), cfg)
+				if err != nil {
+					return err
+				}
+				if err := s.WriteText(os.Stdout); err != nil {
+					return err
+				}
+				fmt.Println()
+			}
+			return nil
+		}},
+		{"crossfamily", func() error {
+			r, err := experiments.RunCrossFamily(ctx, "Xeon", "Opteron", core.LRE, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("cross-family check (why the paper analyzes families separately):\n")
+			fmt.Printf("  LR-E trained on %s 2005: %.2f%% error within family (2006), %.2f%% on %s systems\n",
+				r.TrainFamily, r.WithinTrue, r.CrossTrue, r.TestFamily)
+			return nil
+		}},
+		{"ablations", func() error {
+			sel, err := experiments.RunSelectAblation(ctx, "mcf", 0.02, core.SampledModels(), cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("Select criterion ablation (mcf @ 2%%): max-fold pick %v → %.2f%%, mean-fold pick %v → %.2f%%, oracle %.2f%%\n",
+				sel.MaxPick, sel.MaxTrue, sel.MeanPick, sel.MeanTrue, sel.BestTrue)
+			smp, err := experiments.RunSamplingAblation(ctx, "gcc", 0.02, core.NNE, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("Sampling ablation (gcc @ 2%%, NN-E): random %.2f%%, systematic %.2f%%\n",
+				smp.RandomTrue, smp.SystematicTrue)
+			return nil
+		}},
+		{"active", func() error {
+			apps := perfpred.FiguredBenchmarks()
+			if *bench != "" {
+				apps = []string{*bench}
+			}
+			seeds := []int64{*seed, *seed + 1, *seed + 2, *seed + 3, *seed + 4}
+			s, err := experiments.RunActiveStudy(ctx, apps, seeds, core.SampledModels(), cfg)
+			if err != nil {
+				return err
+			}
+			return s.WriteText(os.Stdout)
+		}},
+		{"learning", func() error {
+			lc, err := experiments.RunLearningCurve(ctx, "mcf", core.NNE,
+				[]float64{0.005, 0.01, 0.02, 0.04, 0.08}, cfg)
+			if err != nil {
+				return err
+			}
+			return lc.WriteText(os.Stdout)
+		}},
+		{"importance", func() error {
+			for _, fam := range []string{"Opteron", "Pentium D"} {
+				rep, err := experiments.RunImportance(ctx, fam, cfg)
+				if err != nil {
+					return err
+				}
+				if err := rep.WriteText(os.Stdout); err != nil {
+					return err
+				}
+				fmt.Println()
+			}
+			return nil
+		}},
+	}
+	valid := ""
+	for _, e := range table {
+		valid += e.name + "|"
+	}
+	valid += "all"
+	exp := flag.String("exp", "all", "experiment: "+valid)
 	flag.Parse()
 
-	ctx := context.Background()
+	known := *exp == "all"
+	for _, e := range table {
+		known = known || *exp == e.name
+	}
+	if !known {
+		log.Fatalf("unknown -exp %q (valid: %s)", *exp, valid)
+	}
+	var err error
+	if fracs, err = parseFracs(*fracsArg); err != nil {
+		log.Fatal(err)
+	}
+
+	ctx = context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -71,7 +296,7 @@ func main() {
 	}
 	start := time.Now()
 
-	cfg := experiments.Config{
+	cfg = experiments.Config{
 		Seed:        *seed,
 		Workers:     *workers,
 		EpochScale:  *epochs,
@@ -79,134 +304,15 @@ func main() {
 		SpaceStride: *stride,
 		Hook:        hook,
 	}
-	fracs, err := parseFracs(*fracsArg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range table {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println()
 	}
-
-	run("table1", func() error { return printTable1() })
-	run("calibration", func() error { return runCalibration(ctx, cfg) })
-	run("figures2-6", func() error { _, err := runFigures(ctx, cfg, fracs, *bench, true); return err })
-	run("table3", func() error {
-		studies, err := runFigures(ctx, cfg, fracs, *bench, false)
-		if err != nil {
-			return err
-		}
-		t3, err := experiments.ComputeTable3(studies)
-		if err != nil {
-			return err
-		}
-		if err := t3.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println("paper Table 3 reference:")
-		paper := experiments.PaperTable3()
-		for _, k := range []string{"LR-B", "NN-E", "NN-S", "Select"} {
-			fmt.Printf("  %-6s %v\n", k, paper[k])
-		}
-		return nil
-	})
-	run("figure7", func() error {
-		return runChrono(ctx, cfg, []string{"Xeon", "Pentium 4", "Pentium D"})
-	})
-	run("figure8", func() error {
-		return runChrono(ctx, cfg, []string{"Opteron", "Opteron 2", "Opteron 4", "Opteron 8"})
-	})
-	run("table2", func() error {
-		t2, err := experiments.RunTable2(ctx, core.FigureModels(), cfg)
-		if err != nil {
-			return err
-		}
-		return t2.WriteText(os.Stdout)
-	})
-	run("perapp", func() error {
-		s, err := experiments.RunPerAppChrono(ctx, "Pentium D", core.FigureModels(), cfg)
-		if err != nil {
-			return err
-		}
-		return s.WriteText(os.Stdout)
-	})
-	run("rolling", func() error {
-		for _, fam := range []string{"Opteron 2", "Xeon"} {
-			s, err := experiments.RunRollingChrono(ctx, fam, core.FigureModels(), cfg)
-			if err != nil {
-				return err
-			}
-			if err := s.WriteText(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	})
-	run("crossfamily", func() error {
-		r, err := experiments.RunCrossFamily(ctx, "Xeon", "Opteron", core.LRE, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("cross-family check (why the paper analyzes families separately):\n")
-		fmt.Printf("  LR-E trained on %s 2005: %.2f%% error within family (2006), %.2f%% on %s systems\n",
-			r.TrainFamily, r.WithinTrue, r.CrossTrue, r.TestFamily)
-		return nil
-	})
-	run("ablations", func() error {
-		sel, err := experiments.RunSelectAblation(ctx, "mcf", 0.02, core.SampledModels(), cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Select criterion ablation (mcf @ 2%%): max-fold pick %v → %.2f%%, mean-fold pick %v → %.2f%%, oracle %.2f%%\n",
-			sel.MaxPick, sel.MaxTrue, sel.MeanPick, sel.MeanTrue, sel.BestTrue)
-		smp, err := experiments.RunSamplingAblation(ctx, "gcc", 0.02, core.NNE, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Sampling ablation (gcc @ 2%%, NN-E): random %.2f%%, systematic %.2f%%\n",
-			smp.RandomTrue, smp.SystematicTrue)
-		return nil
-	})
-	run("active", func() error {
-		apps := []string{"applu", "equake", "gcc", "mesa", "mcf"}
-		if *bench != "" {
-			apps = []string{*bench}
-		}
-		seeds := []int64{*seed, *seed + 1, *seed + 2, *seed + 3, *seed + 4}
-		s, err := experiments.RunActiveStudy(ctx, apps, seeds, core.SampledModels(), cfg)
-		if err != nil {
-			return err
-		}
-		return s.WriteText(os.Stdout)
-	})
-	run("learning", func() error {
-		lc, err := experiments.RunLearningCurve(ctx, "mcf", core.NNE,
-			[]float64{0.005, 0.01, 0.02, 0.04, 0.08}, cfg)
-		if err != nil {
-			return err
-		}
-		return lc.WriteText(os.Stdout)
-	})
-	run("importance", func() error {
-		for _, fam := range []string{"Opteron", "Pentium D"} {
-			rep, err := experiments.RunImportance(ctx, fam, cfg)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteText(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	})
 
 	if *report != "" {
 		// Experiment suites span many studies, so the report carries the
@@ -249,66 +355,6 @@ func printTable1() error {
 	fmt.Println("  branch predictor {perfect, bimodal, 2level, combination},")
 	fmt.Println("  width+FUs {4 / 4-2-2-4-2, 8 / 8-4-4-8-4}, wrong-path issue {no, yes},")
 	fmt.Println("  window {RUU 128/LSQ 64/ITLB 256KB/DTLB 512KB, RUU 256/LSQ 128/ITLB 1MB/DTLB 2MB}")
-	fmt.Println("benchmarks:", strings.Join(benchNames(), ", "))
-	return nil
-}
-
-func benchNames() []string {
-	var out []string
-	for _, p := range trace.Profiles() {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
-func runCalibration(ctx context.Context, cfg experiments.Config) error {
-	micro, err := experiments.RunMicroCalibration(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteCalibration(os.Stdout, "Simulation statistics (§4.1)", micro); err != nil {
-		return err
-	}
-	specRows, err := experiments.RunSpecCalibration(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	return experiments.WriteCalibration(os.Stdout, "SPEC family statistics (§4.1)", specRows)
-}
-
-func runFigures(ctx context.Context, cfg experiments.Config, fracs []float64, bench string, print bool) ([]*experiments.SampledStudy, error) {
-	benches := []string{"applu", "equake", "gcc", "mesa", "mcf"}
-	if bench != "" {
-		benches = []string{bench}
-	}
-	var studies []*experiments.SampledStudy
-	for i, b := range benches {
-		s, err := experiments.RunSampledStudy(ctx, b, fracs, core.SampledModels(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		studies = append(studies, s)
-		if print {
-			fmt.Printf("Figure %d:\n", 2+i)
-			if err := s.WriteText(os.Stdout); err != nil {
-				return nil, err
-			}
-			fmt.Println()
-		}
-	}
-	return studies, nil
-}
-
-func runChrono(ctx context.Context, cfg experiments.Config, families []string) error {
-	for _, fam := range families {
-		s, err := experiments.RunChronoStudy(ctx, fam, core.FigureModels(), cfg)
-		if err != nil {
-			return err
-		}
-		if err := s.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
+	fmt.Println("benchmarks:", strings.Join(perfpred.Benchmarks(), ", "))
 	return nil
 }

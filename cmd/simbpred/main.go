@@ -27,29 +27,9 @@ func main() {
 	entries := flag.Int("entries", 2048, "predictor table entries (power of two)")
 	flag.Parse()
 
-	var tr *trace.Trace
-	var err error
-	if *tracePath != "" {
-		f, err2 := os.Open(*tracePath)
-		if err2 != nil {
-			log.Fatal(err2)
-		}
-		defer f.Close()
-		if tr, err = trace.ReadTrace(f); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		prof, err2 := trace.ProfileByName(*bench)
-		if err2 != nil {
-			log.Fatal(err2)
-		}
-		n := *traceLen
-		if n == 0 {
-			n = prof.SimLen
-		}
-		if tr, err = trace.Generate(prof, n, *seed); err != nil {
-			log.Fatal(err)
-		}
+	tr, err := trace.LoadOrGenerate(*tracePath, *bench, *traceLen, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var pcs []uint64

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 
@@ -37,7 +36,7 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable the next-line L1D prefetcher")
 	flag.Parse()
 
-	tr, err := loadTrace(*tracePath, *bench, *traceLen, *seed)
+	tr, err := trace.LoadOrGenerate(*tracePath, *bench, *traceLen, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,25 +93,6 @@ func main() {
 		fmt.Printf("   prefetches: %d", st.Prefetches)
 	}
 	fmt.Println()
-}
-
-func loadTrace(path, bench string, traceLen int, seed int64) (*trace.Trace, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadTrace(f)
-	}
-	prof, err := trace.ProfileByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	if traceLen == 0 {
-		traceLen = prof.SimLen
-	}
-	return trace.Generate(prof, traceLen, seed)
 }
 
 func parseCache(spec string, latency int) (mem.CacheConfig, error) {

@@ -109,14 +109,7 @@ func max64(a, b uint64) uint64 {
 }
 
 func simpointStudy(bench string, traceLen, interval int, seed int64) {
-	prof, err := trace.ProfileByName(bench)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if traceLen == 0 {
-		traceLen = prof.SimLen
-	}
-	tr, err := trace.Generate(prof, traceLen, seed)
+	tr, err := trace.GenerateBenchmark(bench, traceLen, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +118,7 @@ func simpointStudy(bench string, traceLen, interval int, seed int64) {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d instructions → %d simulation points (interval %d)\n",
-		bench, traceLen, len(points), interval)
+		bench, tr.Len(), len(points), interval)
 
 	cfg := perfpred.MicroDesignSpace()[0].CPUConfig()
 	full, err := cpu.Simulate(cfg, tr)

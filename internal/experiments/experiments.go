@@ -1,9 +1,18 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation section. Each Run* function regenerates one artifact from
-// scratch — workload generation, full design-space simulation or SPEC data
-// synthesis, model training, cross-validation and scoring — and returns a
-// structured result with a text renderer. The cmd/experiments binary and
-// the repository's benchmark harness are thin wrappers over this package.
+// scratch — workload generation, design-space simulation through
+// space.SweepBenchmark or SPEC data synthesis, model training,
+// cross-validation and scoring — and returns a structured result with a
+// text renderer. Aggregates are built from studies the caller already
+// holds: ComputeTable3 from the Figures 2–6 studies, a Table2 from the
+// Figure 7/8 family studies, and RunPerAppChrono from its family's rate
+// study, so cmd/experiments computes each study once per invocation.
+// RunMicroCalibration adds to the §4.1 range and variance each
+// benchmark's response to the ten free Table 1 dimensions: distinct cycle
+// counts, mean cycles by dimension value, inert dimensions, and the
+// fastest and slowest points' cycle breakdowns. The cmd/experiments
+// binary and the repository's benchmark harness are thin wrappers over
+// this package.
 package experiments
 
 import (
@@ -12,8 +21,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
+	"perfpred/internal/bpred"
 	"perfpred/internal/core"
 	"perfpred/internal/cpu"
 	"perfpred/internal/engine"
@@ -55,38 +67,8 @@ func (c Config) trainCfg() core.TrainConfig {
 	return core.TrainConfig{Seed: c.seed(), Workers: c.Workers, EpochScale: c.EpochScale, Hook: c.Hook}
 }
 
-// groundTruth simulates the (possibly subsampled) design space for a
-// benchmark and returns it as a dataset.
-func groundTruth(ctx context.Context, bench string, cfg Config) (*trace.Trace, []space.MicroConfig, []float64, error) {
-	prof, err := trace.ProfileByName(bench)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n := cfg.TraceLen
-	if n == 0 {
-		n = prof.SimLen
-	}
-	tr, err := trace.Generate(prof, n, cfg.seed())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	eval, err := cpu.NewEvaluator(tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfgs := space.Enumerate()
-	if cfg.SpaceStride > 1 {
-		var sub []space.MicroConfig
-		for i := 0; i < len(cfgs); i += cfg.SpaceStride {
-			sub = append(sub, cfgs[i])
-		}
-		cfgs = sub
-	}
-	cycles, err := space.Sweep(ctx, eval, cfgs, engine.Options{Workers: cfg.Workers, Hook: cfg.Hook})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return tr, cfgs, cycles, nil
+func (c Config) engineOpts() engine.Options {
+	return engine.Options{Workers: c.Workers, Hook: c.Hook}
 }
 
 // SampledCell is one (sampling rate × model) measurement of a Figures 2–6
@@ -124,7 +106,7 @@ func RunSampledStudy(ctx context.Context, bench string, fractions []float64, kin
 	if len(kinds) == 0 {
 		return nil, errors.New("experiments: no model kinds")
 	}
-	_, cfgs, cycles, err := groundTruth(ctx, bench, cfg)
+	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +320,8 @@ func (c *ChronoStudy) WriteText(w io.Writer) error {
 }
 
 // Table2 reproduces the paper's Table 2: the best accuracy and winning
-// method per family.
+// method per family, built from each family's chronological study in
+// specdata.Families order.
 type Table2 struct {
 	Studies []*ChronoStudy
 }
@@ -360,19 +343,6 @@ func PaperTable2() map[string]struct {
 		"Opteron 4": {3.2, "LR-B/LR-S"},
 		"Opteron 8": {3.5, "LR-B/LR-S"},
 	}
-}
-
-// RunTable2 runs the chronological study for every family.
-func RunTable2(ctx context.Context, kinds []core.ModelKind, cfg Config) (*Table2, error) {
-	t := &Table2{}
-	for _, fam := range specdata.Families() {
-		s, err := RunChronoStudy(ctx, fam.Name, kinds, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: family %s: %w", fam.Name, err)
-		}
-		t.Studies = append(t.Studies, s)
-	}
-	return t, nil
 }
 
 // WriteText renders Table 2: each model's error ± stddev per family,
@@ -424,13 +394,87 @@ func PaperMicroStats() map[string]PaperMicroStat {
 	}
 }
 
+// MicroCalibration is the §4.1 simulation statistics of the figured
+// benchmarks, with how each benchmark's cycles respond to the Table 1
+// dimensions over the same simulated space.
+type MicroCalibration struct {
+	Rows      []CalibrationRow
+	Responses []SpaceResponse
+}
+
+// SpaceResponse is how one benchmark's simulated cycles respond to the
+// ten free Table 1 dimensions.
+type SpaceResponse struct {
+	Name string
+	// Distinct is the number of distinct cycle counts over the points.
+	Distinct int
+	Dims     []DimResponse
+	// Inert names the dimensions that never move cycles: at least two
+	// points agree on the other nine dimensions, and every set of points
+	// that does has a single cycle count.
+	Inert []string
+	// Fastest and Slowest are the extreme points with their breakdowns.
+	Fastest, Slowest Extreme
+}
+
+// DimResponse is the mean cycle count at each value of one dimension.
+type DimResponse struct {
+	Name   string
+	Values []string
+	Means  []float64
+	// Spread is the largest mean over the smallest, minus one, in percent.
+	Spread float64
+}
+
+// Extreme is one design point and its simulated cycle breakdown.
+type Extreme struct {
+	Config space.MicroConfig
+	Result *cpu.Result
+}
+
+// dimension is one of the ten free Table 1 dimensions that enumerate the
+// space. Linked parameters move with theirs (L2 associativity with the L2
+// size, the FU mix with the width, LSQ and TLBs with the window) and the
+// L1 associativities never vary, so no other schema field moves alone.
+type dimension struct {
+	name  string
+	value func(space.MicroConfig) int
+	label func(int) string
+}
+
+func withUnit(unit string) func(int) string {
+	return func(v int) string { return strconv.Itoa(v) + unit }
+}
+
+var dimensions = [...]dimension{
+	{"l1d_size", func(c space.MicroConfig) int { return c.L1DSizeKB }, withUnit("KB")},
+	{"l1d_line", func(c space.MicroConfig) int { return c.L1DLineB }, withUnit("B")},
+	{"l1i_size", func(c space.MicroConfig) int { return c.L1ISizeKB }, withUnit("KB")},
+	{"l1i_line", func(c space.MicroConfig) int { return c.L1ILineB }, withUnit("B")},
+	{"l2", func(c space.MicroConfig) int { return c.L2SizeKB }, withUnit("KB")},
+	{"l3", func(c space.MicroConfig) int { return c.L3SizeMB }, withUnit("MB")},
+	{"bpred", func(c space.MicroConfig) int { return int(c.BPred) }, func(v int) string { return bpred.Kind(v).String() }},
+	{"width", func(c space.MicroConfig) int { return c.Width }, strconv.Itoa},
+	{"window", func(c space.MicroConfig) int { return c.RUU }, strconv.Itoa},
+	{"issue_wrong", func(c space.MicroConfig) int {
+		if c.IssueWrong {
+			return 1
+		}
+		return 0
+	}, func(v int) string { return strconv.FormatBool(v == 1) }},
+}
+
+// dimKey is a point's value in each dimension.
+type dimKey [len(dimensions)]int
+
 // RunMicroCalibration reproduces the §4.1 simulation statistics (range and
-// variance of cycles across the design space) for the figured benchmarks.
-func RunMicroCalibration(ctx context.Context, cfg Config) ([]CalibrationRow, error) {
+// variance of cycles across the design space) for the figured benchmarks,
+// and measures each one's response to the Table 1 dimensions.
+func RunMicroCalibration(ctx context.Context, cfg Config) (*MicroCalibration, error) {
 	paper := PaperMicroStats()
-	var rows []CalibrationRow
+	m := &MicroCalibration{}
 	for _, prof := range trace.FiguredProfiles() {
-		_, _, cycles, err := groundTruth(ctx, prof.Name, cfg)
+		tr, cfgs, cycles, err := space.SweepBenchmark(ctx, prof.Name, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -439,13 +483,123 @@ func RunMicroCalibration(ctx context.Context, cfg Config) ([]CalibrationRow, err
 			return nil, err
 		}
 		p := paper[prof.Name]
-		rows = append(rows, CalibrationRow{
+		m.Rows = append(m.Rows, CalibrationRow{
 			Name: prof.Name, Points: len(cycles),
 			Range: rng, NormVar: stat.NormalizedVariance(cycles),
 			PaperRange: p.Range, PaperVar: p.NormVar,
 		})
+		r := respond(prof.Name, cfgs, cycles)
+		for _, e := range []*Extreme{&r.Fastest, &r.Slowest} {
+			if e.Result, err = cpu.Simulate(e.Config.CPUConfig(), tr); err != nil {
+				return nil, err
+			}
+		}
+		m.Responses = append(m.Responses, r)
 	}
-	return rows, nil
+	return m, nil
+}
+
+// respond measures the distinct cycle counts, the per-dimension means, the
+// inert dimensions and the fastest and slowest configurations of a
+// simulated space; the extremes' Results are left for the caller.
+func respond(name string, cfgs []space.MicroConfig, cycles []float64) SpaceResponse {
+	r := SpaceResponse{Name: name}
+	distinct := map[float64]bool{}
+	fastest, slowest := 0, 0
+	keys := make([]dimKey, len(cfgs))
+	for i, c := range cycles {
+		distinct[c] = true
+		if c < cycles[fastest] {
+			fastest = i
+		}
+		if c > cycles[slowest] {
+			slowest = i
+		}
+		for d, dim := range dimensions {
+			keys[i][d] = dim.value(cfgs[i])
+		}
+	}
+	r.Distinct = len(distinct)
+	for d, dim := range dimensions {
+		sum, n := map[int]float64{}, map[int]int{}
+		for i, k := range keys {
+			sum[k[d]] += cycles[i]
+			n[k[d]]++
+		}
+		values := make([]int, 0, len(n))
+		for v := range n {
+			values = append(values, v)
+		}
+		sort.Ints(values)
+		dr := DimResponse{Name: dim.name}
+		for _, v := range values {
+			dr.Values = append(dr.Values, dim.label(v))
+			dr.Means = append(dr.Means, sum[v]/float64(n[v]))
+		}
+		lo, _ := stat.Min(dr.Means)
+		hi, _ := stat.Max(dr.Means)
+		dr.Spread = 100 * (hi/lo - 1)
+		r.Dims = append(r.Dims, dr)
+		if inert(keys, cycles, d) {
+			r.Inert = append(r.Inert, dim.name)
+		}
+	}
+	r.Fastest.Config, r.Slowest.Config = cfgs[fastest], cfgs[slowest]
+	return r
+}
+
+// inert reports whether dimension d never moves cycles: some two points
+// agree on every other dimension, and all points that agree on every
+// other dimension have one cycle count.
+func inert(keys []dimKey, cycles []float64, d int) bool {
+	first := map[dimKey]float64{}
+	paired := false
+	for i, k := range keys {
+		k[d] = 0
+		c, ok := first[k]
+		if !ok {
+			first[k] = cycles[i]
+			continue
+		}
+		if c != cycles[i] {
+			return false
+		}
+		paired = true
+	}
+	return paired
+}
+
+// WriteText renders the §4.1 statistics, then each benchmark's distinct
+// cycle counts and inert dimensions, its mean cycles at each value of
+// each dimension, and its fastest and slowest points.
+func (m *MicroCalibration) WriteText(w io.Writer) error {
+	if err := WriteCalibration(w, "Simulation statistics (§4.1)", m.Rows); err != nil {
+		return err
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	for i, r := range m.Responses {
+		fmt.Fprintf(tw, "%s: %d distinct cycle counts of %d points, inert dimensions [%s]; mean cycles by dimension value:\n",
+			r.Name, r.Distinct, m.Rows[i].Points, strings.Join(r.Inert, " "))
+		for _, d := range r.Dims {
+			line := fmt.Sprintf("  %s\tspread %.1f%%", d.Name, d.Spread)
+			for i, v := range d.Values {
+				line += fmt.Sprintf("\t%s=%.0f", v, d.Means[i])
+			}
+			fmt.Fprintln(tw, line)
+		}
+		for i, e := range []Extreme{r.Fastest, r.Slowest} {
+			res := e.Result
+			line := fmt.Sprintf("  %s: %.0f cyc (CPI %.2f)", [...]string{"fastest", "slowest"}[i], res.Cycles, res.Cycles/float64(res.Instructions))
+			for _, dim := range dimensions {
+				line += " " + dim.name + "=" + dim.label(dim.value(e.Config))
+			}
+			fmt.Fprintln(tw, line)
+			fmt.Fprintf(tw, "    base=%.0f branch=%.0f fetch=%.0f mem=%.0f tlb=%.0f bmiss=%d/%d\n",
+				res.BaseCycles, res.BranchCycles, res.FetchCycles, res.MemCycles, res.TLBCycles,
+				res.BranchMisses, res.Branches)
+		}
+	}
+	return tw.Flush()
 }
 
 // RunSpecCalibration reproduces the §4.1 SPEC family statistics.
@@ -548,14 +702,4 @@ func (r *ImportanceReport) WriteText(w io.Writer) error {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n", i+1, nf, ns, lf, ls)
 	}
 	return tw.Flush()
-}
-
-// SortedKindNames is a helper for stable iteration over report maps.
-func SortedKindNames(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"perfpred/internal/core"
+	"perfpred/internal/space"
+	"perfpred/internal/specdata"
 )
 
 // fastCfg keeps substrate and training costs small for unit testing.
@@ -196,9 +199,13 @@ func TestChronologicalShape(t *testing.T) {
 
 func TestRunTable2(t *testing.T) {
 	kinds := []core.ModelKind{core.LRE, core.LRB}
-	t2, err := RunTable2(context.Background(), kinds, fastCfg())
-	if err != nil {
-		t.Fatal(err)
+	t2 := &Table2{}
+	for _, fam := range specdata.Families() {
+		s, err := RunChronoStudy(context.Background(), fam.Name, kinds, fastCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2.Studies = append(t2.Studies, s)
 	}
 	if len(t2.Studies) != 7 {
 		t.Fatalf("%d families", len(t2.Studies))
@@ -220,10 +227,10 @@ func TestRunCalibrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(micro) != 5 {
-		t.Fatalf("%d micro rows", len(micro))
+	if len(micro.Rows) != 5 || len(micro.Responses) != 5 {
+		t.Fatalf("%d micro rows, %d responses", len(micro.Rows), len(micro.Responses))
 	}
-	for _, r := range micro {
+	for _, r := range micro.Rows {
 		if r.Range <= 1 || r.PaperRange == 0 {
 			t.Fatalf("row %+v degenerate", r)
 		}
@@ -235,12 +242,26 @@ func TestRunCalibrations(t *testing.T) {
 	if len(spec) != 7 {
 		t.Fatalf("%d spec rows", len(spec))
 	}
+	for i, r := range micro.Responses {
+		points := micro.Rows[i].Points
+		if r.Distinct < 2 || r.Distinct > points || len(r.Dims) != len(dimensions) {
+			t.Fatalf("response %s: %d distinct of %d points, %d dims", r.Name, r.Distinct, points, len(r.Dims))
+		}
+		if r.Fastest.Result.Cycles > r.Slowest.Result.Cycles {
+			t.Fatalf("response %s: fastest %.0f > slowest %.0f cycles", r.Name, r.Fastest.Result.Cycles, r.Slowest.Result.Cycles)
+		}
+	}
 	var buf bytes.Buffer
-	if err := WriteCalibration(&buf, "test", append(micro, spec...)); err != nil {
+	if err := micro.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "mcf") || !strings.Contains(buf.String(), "Xeon") {
-		t.Fatal("calibration render incomplete")
+	if err := WriteCalibration(&buf, "test", spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mcf", "Xeon", "l1i_size", "fastest", "slowest"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("calibration render missing %q", want)
+		}
 	}
 }
 
@@ -270,5 +291,65 @@ func TestRunImportance(t *testing.T) {
 	}
 	if _, err := RunImportance(context.Background(), "Itanium", cfg); err == nil {
 		t.Fatal("unknown family: want error")
+	}
+}
+
+// TestRespondInert checks the sensitivity and inert logic on the full
+// Table 1 space with synthetic cycle counts.
+func TestRespondInert(t *testing.T) {
+	cfgs := space.Enumerate()
+	cycles := make([]float64, len(cfgs))
+	for i, c := range cfgs {
+		cycles[i] = float64(c.L2SizeKB + c.Width)
+	}
+	r := respond("synthetic", cfgs, cycles)
+	if r.Distinct != 4 {
+		t.Fatalf("%d distinct cycle counts, want 4", r.Distinct)
+	}
+	if f, s := r.Fastest.Config, r.Slowest.Config; f.L2SizeKB != 256 || f.Width != 4 || s.L2SizeKB != 1024 || s.Width != 8 {
+		t.Fatalf("fastest %+v, slowest %+v", f, s)
+	}
+	// l2 moves l2_assoc with it and width moves the FU mix, but grouping
+	// is by dimension, so only the two that move cycles are not inert.
+	want := "l1d_size,l1d_line,l1i_size,l1i_line,l3,bpred,window,issue_wrong"
+	if got := strings.Join(r.Inert, ","); got != want {
+		t.Fatalf("inert %s, want %s", got, want)
+	}
+	var names []string
+	for _, d := range r.Dims {
+		names = append(names, d.Name)
+		if d.Name == "l2" && (strings.Join(d.Values, ",") != "256KB,1024KB" || d.Means[0] != 262 || d.Means[1] != 1030) {
+			t.Fatalf("l2 response %+v", d)
+		}
+		if d.Name == "width" && math.Abs(d.Spread-100*(648.0/644-1)) > 1e-9 {
+			t.Fatalf("width spread %v", d.Spread)
+		}
+	}
+	if got := strings.Join(names, ","); got != "l1d_size,l1d_line,l1i_size,l1i_line,l2,l3,bpred,width,window,issue_wrong" {
+		t.Fatalf("dimensions %s", got)
+	}
+
+	// One group that differs only in l1i_size and has two cycle counts is
+	// enough to make l1i_size sensitive.
+	for i, c := range cfgs {
+		cycles[i] = 1
+		base := cfgs[0]
+		base.L1ISizeKB = 64
+		if c == base {
+			cycles[i] = 2
+		}
+	}
+	r = respond("one group", cfgs, cycles)
+	for _, name := range r.Inert {
+		if name == "l1i_size" {
+			t.Fatalf("l1i_size reported inert with one sensitive group: %v", r.Inert)
+		}
+	}
+
+	// Two points that differ in every dimension form no group, so no
+	// dimension can be called inert.
+	r = respond("sparse", []space.MicroConfig{cfgs[0], cfgs[len(cfgs)-1]}, []float64{1, 1})
+	if len(r.Inert) != 0 {
+		t.Fatalf("inert %v without any group", r.Inert)
 	}
 }

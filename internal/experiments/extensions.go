@@ -41,9 +41,11 @@ type PerAppStudy struct {
 }
 
 // RunPerAppChrono predicts each of the twelve CINT2000 application
-// runtimes chronologically (2005 → 2006) for one family.
-func RunPerAppChrono(ctx context.Context, family string, kinds []core.ModelKind, cfg Config) (*PerAppStudy, error) {
-	fam, err := specdata.FamilyByName(family)
+// runtimes chronologically (2005 → 2006) for the family of a rate study,
+// with the rate study's models, and reports the rate study's best error
+// beside them.
+func RunPerAppChrono(ctx context.Context, rate *ChronoStudy, cfg Config) (*PerAppStudy, error) {
+	fam, err := specdata.FamilyByName(rate.Family)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +53,11 @@ func RunPerAppChrono(ctx context.Context, family string, kinds []core.ModelKind,
 	if err != nil {
 		return nil, err
 	}
-	study := &PerAppStudy{Family: family}
+	kinds := make([]core.ModelKind, len(rate.Reports))
+	for i, rep := range rate.Reports {
+		kinds[i] = rep.Kind
+	}
+	study := &PerAppStudy{Family: rate.Family, RateBest: rate.BestTrue}
 	for _, app := range specdata.IntApps() {
 		train, err := specdata.BuildAppDataset(recs, app, 2005)
 		if err != nil {
@@ -63,18 +69,12 @@ func RunPerAppChrono(ctx context.Context, family string, kinds []core.ModelKind,
 		}
 		res, err := core.RunChronological(ctx, train, future, kinds, cfg.trainCfg())
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", family, app, err)
+			return nil, fmt.Errorf("experiments: %s/%s: %w", rate.Family, app, err)
 		}
 		r := PerAppResult{App: app, Best: res.Best, BestTrue: res.BestTrueMAPE}
 		r.LRTrue, r.NNTrue = bestByFamily(res.Reports)
 		study.Results = append(study.Results, r)
 	}
-	// Reference: the published rate experiment.
-	rate, err := RunChronoStudy(ctx, family, kinds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	study.RateBest = rate.BestTrue
 	return study, nil
 }
 
@@ -186,7 +186,7 @@ type SelectAblation struct {
 // RunSelectAblation runs one sampled-DSE experiment and applies both
 // selection criteria to the same reports.
 func RunSelectAblation(ctx context.Context, bench string, frac float64, kinds []core.ModelKind, cfg Config) (*SelectAblation, error) {
-	_, cfgs, cycles, err := groundTruth(ctx, bench, cfg)
+	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ type SamplingAblation struct {
 // RunSamplingAblation trains the same model kind on a random sample and on
 // a same-size systematic sample of the space and compares true errors.
 func RunSamplingAblation(ctx context.Context, bench string, frac float64, kind core.ModelKind, cfg Config) (*SamplingAblation, error) {
-	_, cfgs, cycles, err := groundTruth(ctx, bench, cfg)
+	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +340,7 @@ func RunActiveStudy(ctx context.Context, apps []string, seeds []int64, kinds []c
 		Arms:    []string{RandomArm, EIArm},
 	}
 	for _, app := range apps {
-		_, cfgs, cycles, err := groundTruth(ctx, app, cfg)
+		_, cfgs, cycles, err := space.SweepBenchmark(ctx, app, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +589,7 @@ func RunLearningCurve(ctx context.Context, bench string, kind core.ModelKind, fr
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("experiments: no fractions")
 	}
-	_, cfgs, cycles, err := groundTruth(ctx, bench, cfg)
+	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,11 @@ import (
 func TestRunPerAppChrono(t *testing.T) {
 	cfg := fastCfg()
 	kinds := []core.ModelKind{core.LRE, core.NNS}
-	s, err := RunPerAppChrono(context.Background(), "Pentium D", kinds, cfg)
+	rate, err := RunChronoStudy(context.Background(), "Pentium D", kinds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RunPerAppChrono(context.Background(), rate, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestRunPerAppChrono(t *testing.T) {
 	if !strings.Contains(buf.String(), "twolf") {
 		t.Fatal("render missing an application")
 	}
-	if _, err := RunPerAppChrono(context.Background(), "Itanium", kinds, cfg); err == nil {
+	if _, err := RunPerAppChrono(context.Background(), &ChronoStudy{Family: "Itanium", Reports: rate.Reports}, cfg); err == nil {
 		t.Fatal("unknown family: want error")
 	}
 }
@@ -49,7 +53,11 @@ func TestRunPerAppChrono(t *testing.T) {
 func TestPerAppAccuracyComparableToRate(t *testing.T) {
 	cfg := fastCfg()
 	cfg.EpochScale = 0.4
-	s, err := RunPerAppChrono(context.Background(), "Pentium D", []core.ModelKind{core.LRE, core.LRB}, cfg)
+	rate, err := RunChronoStudy(context.Background(), "Pentium D", []core.ModelKind{core.LRE, core.LRB}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RunPerAppChrono(context.Background(), rate, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"perfpred/internal/cpu"
 	"perfpred/internal/engine"
+	"perfpred/internal/trace"
 )
 
 // sweepBatch is how many configurations one sweep task simulates; small
@@ -47,4 +48,32 @@ func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts en
 		return nil, err
 	}
 	return cycles, nil
+}
+
+// SweepBenchmark generates the named benchmark's trace (traceLen 0 means
+// its recommended length) and sweeps it over every stride-th
+// configuration of Enumerate (stride ≤ 1 means all of them). It returns
+// the trace, the swept configurations and their cycles, index-aligned.
+func SweepBenchmark(ctx context.Context, bench string, traceLen int, seed int64, stride int, opts engine.Options) (*trace.Trace, []MicroConfig, []float64, error) {
+	tr, err := trace.GenerateBenchmark(bench, traceLen, seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	eval, err := cpu.NewEvaluator(tr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cfgs := Enumerate()
+	if stride > 1 {
+		var sub []MicroConfig
+		for i := 0; i < len(cfgs); i += stride {
+			sub = append(sub, cfgs[i])
+		}
+		cfgs = sub
+	}
+	cycles, err := Sweep(ctx, eval, cfgs, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tr, cfgs, cycles, nil
 }

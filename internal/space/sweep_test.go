@@ -12,11 +12,7 @@ import (
 
 func sweepTrace(t *testing.T, name string, n int) *cpu.Evaluator {
 	t.Helper()
-	p, err := trace.ProfileByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(p, n, 1)
+	tr, err := trace.GenerateBenchmark(name, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +55,29 @@ func TestSweepAllPositive(t *testing.T) {
 	}
 }
 
+func TestSweepBenchmark(t *testing.T) {
+	tr, cfgs, cycles, err := SweepBenchmark(context.Background(), "mesa", 8000, 1, 48, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Enumerate()
+	if tr.Len() != 8000 || len(cfgs) != len(all)/48 || len(cycles) != len(cfgs) {
+		t.Fatalf("trace %d, %d configs, %d cycles", tr.Len(), len(cfgs), len(cycles))
+	}
+	want, err := Sweep(context.Background(), sweepTrace(t, "mesa", 8000), cfgs, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cfgs {
+		if c != all[48*i] || cycles[i] != want[i] {
+			t.Fatalf("point %d: config %+v cycles %v, want %+v and %v", i, c, cycles[i], all[48*i], want[i])
+		}
+	}
+	if _, _, _, err := SweepBenchmark(context.Background(), "doom3", 8000, 1, 48, engine.Options{}); err == nil {
+		t.Fatal("unknown benchmark: want error")
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	if _, err := Sweep(context.Background(), nil, Enumerate()[:1], engine.Options{}); err == nil {
 		t.Fatal("nil evaluator: want error")
@@ -78,22 +97,12 @@ func TestWorkloadCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sweep is slow")
 	}
-	all := Enumerate()
-	// A stride coprime to every enumeration dimension covers the space.
-	var cfgs []MicroConfig
-	for i := 0; i < len(all); i += 11 {
-		cfgs = append(cfgs, all[i])
-	}
 	ranges := map[string]float64{}
 	for _, name := range []string{"applu", "equake", "gcc", "mesa", "mcf"} {
-		// Each profile's recommended length guarantees every reuse loop
-		// completes multiple passes.
-		p, err := trace.ProfileByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sweepTrace(t, name, p.SimLen)
-		cycles, err := Sweep(context.Background(), e, cfgs, engine.Options{})
+		// Each profile's recommended length (trace length 0) guarantees
+		// every reuse loop completes multiple passes, and a stride coprime
+		// to every enumeration dimension covers the space.
+		_, _, cycles, err := SweepBenchmark(context.Background(), name, 0, 1, 11, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

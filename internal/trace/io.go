@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Binary trace format (the analog of SimpleScalar's EIO traces): a small
@@ -140,4 +141,18 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 	}
 	return &Trace{Name: prof.Name, Instrs: instrs, profile: prof}, nil
+}
+
+// LoadOrGenerate reads the trace file at path, or, when path is empty, generates the
+// named benchmark's trace as GenerateBenchmark does.
+func LoadOrGenerate(path, bench string, n int, seed int64) (*Trace, error) {
+	if path == "" {
+		return GenerateBenchmark(bench, n, seed)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadTrace(f)
 }

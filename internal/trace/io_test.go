@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,5 +71,33 @@ func TestWriteToRequiresProfile(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := bare.WriteTo(&buf); err == nil {
 		t.Fatal("profile-less trace: want error")
+	}
+}
+
+func TestLoadOrGenerate(t *testing.T) {
+	tr, err := LoadOrGenerate("", "gcc", 5_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gcc.pptr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadOrGenerate(path, "ignored", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name != "gcc" || back.Len() != 5_000 || back.Instrs[4_999] != tr.Instrs[4_999] {
+		t.Fatalf("loaded %s/%d, want the written gcc trace", back.Name, back.Len())
+	}
+	if _, err := LoadOrGenerate(filepath.Join(t.TempDir(), "missing"), "gcc", 0, 1); err == nil {
+		t.Fatal("missing file: want error")
 	}
 }

@@ -258,3 +258,16 @@ func ProfileByName(name string) (*Profile, error) {
 	}
 	return nil, fmt.Errorf("trace: unknown benchmark %q", name)
 }
+
+// GenerateBenchmark generates n instructions of the named benchmark's
+// trace; n == 0 means the profile's recommended SimLen.
+func GenerateBenchmark(name string, n int, seed int64) (*Trace, error) {
+	p, err := ProfileByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		n = p.SimLen
+	}
+	return Generate(p, n, seed)
+}

@@ -39,6 +39,26 @@ func TestProfileByName(t *testing.T) {
 	}
 }
 
+func TestGenerateBenchmark(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	tr, err := GenerateBenchmark("gcc", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != p.SimLen || tr.Profile() != p {
+		t.Fatalf("length 0: %d instructions of %s, want SimLen %d of gcc", tr.Len(), tr.Profile().Name, p.SimLen)
+	}
+	if tr, err = GenerateBenchmark("gcc", 1000, 1); err != nil || tr.Len() != 1000 {
+		t.Fatalf("length 1000: %v", err)
+	}
+	if _, err := GenerateBenchmark("gcc", -1, 1); err == nil {
+		t.Fatal("negative length: want error")
+	}
+	if _, err := GenerateBenchmark("doom3", 1000, 1); err == nil {
+		t.Fatal("unknown benchmark: want error")
+	}
+}
+
 func TestValidateRejectsBadProfiles(t *testing.T) {
 	base := func() *Profile {
 		p := *profiles[0]

@@ -63,41 +63,21 @@ type SimOptions struct {
 	Hook Hook
 }
 
+func (o SimOptions) seed() int64 {
+	if o.Seed == 0 {
+		return 1
+	}
+	return o.Seed
+}
+
 // SimulateDesignSpace runs the named benchmark's synthetic trace through
 // every configuration of the Table 1 design space (or a systematic
 // subsample) on the cycle-approximate simulator and returns the resulting
 // (configuration → cycles) dataset — the ground truth of the sampled-DSE
 // experiments. Cancelling ctx aborts the sweep between configurations.
 func SimulateDesignSpace(ctx context.Context, benchmark string, opts SimOptions) (*Dataset, error) {
-	prof, err := trace.ProfileByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	n := opts.TraceLen
-	if n == 0 {
-		n = prof.SimLen
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	tr, err := trace.Generate(prof, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	eval, err := cpu.NewEvaluator(tr)
-	if err != nil {
-		return nil, err
-	}
-	cfgs := space.Enumerate()
-	if opts.Stride > 1 {
-		var sub []space.MicroConfig
-		for i := 0; i < len(cfgs); i += opts.Stride {
-			sub = append(sub, cfgs[i])
-		}
-		cfgs = sub
-	}
-	cycles, err := space.Sweep(ctx, eval, cfgs, engine.Options{Workers: opts.Workers, Hook: opts.Hook})
+	_, cfgs, cycles, err := space.SweepBenchmark(ctx, benchmark, opts.TraceLen, opts.seed(), opts.Stride,
+		engine.Options{Workers: opts.Workers, Hook: opts.Hook})
 	if err != nil {
 		return nil, err
 	}
@@ -111,19 +91,7 @@ type SimResult = cpu.Result
 // configuration and returns the detailed result (cycle breakdown, miss
 // counts).
 func SimulateConfig(benchmark string, cfg MicroConfig, opts SimOptions) (*SimResult, error) {
-	prof, err := trace.ProfileByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	n := opts.TraceLen
-	if n == 0 {
-		n = prof.SimLen
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	tr, err := trace.Generate(prof, n, seed)
+	tr, err := trace.GenerateBenchmark(benchmark, opts.TraceLen, opts.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -137,20 +105,11 @@ type SimPoint = simpoint.Point
 // k-means) on the named benchmark's trace and returns the representative
 // intervals and their weights.
 func SelectSimPoints(benchmark string, traceLen, intervalLen int, seed int64) ([]SimPoint, error) {
-	prof, err := trace.ProfileByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	if traceLen == 0 {
-		traceLen = prof.SimLen
-	}
 	if intervalLen <= 0 {
 		return nil, fmt.Errorf("perfpred: interval length %d must be positive", intervalLen)
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	tr, err := trace.Generate(prof, traceLen, seed)
+	seed = SimOptions{Seed: seed}.seed()
+	tr, err := trace.GenerateBenchmark(benchmark, traceLen, seed)
 	if err != nil {
 		return nil, err
 	}
