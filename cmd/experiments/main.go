@@ -5,7 +5,9 @@
 // Table 2, the §4.1 calibration statistics with each benchmark's response
 // to the Table 1 dimensions, and the §4.4 importance analysis. Each
 // study runs once per invocation: Table 3 reuses the Figures 2–6 studies,
-// and Table 2 and -exp perapp reuse the Figure 7/8 family studies.
+// and Table 2 and -exp perapp reuse the Figure 7/8 family studies. Each
+// benchmark's design space is simulated once too, however many
+// experiments read it.
 //
 // Usage:
 //
@@ -276,7 +278,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ctx = context.Background()
+	ctx = experiments.WithSweepMemo(context.Background())
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)

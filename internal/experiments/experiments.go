@@ -7,6 +7,8 @@
 // holds: ComputeTable3 from the Figures 2–6 studies, a Table2 from the
 // Figure 7/8 family studies, and RunPerAppChrono from its family's rate
 // study, so cmd/experiments computes each study once per invocation.
+// Under a WithSweepMemo context the experiments also share their
+// simulated spaces, so an invocation sweeps each benchmark once.
 // RunMicroCalibration adds to the §4.1 range and variance each
 // benchmark's response to the ten free Table 1 dimensions: distinct cycle
 // counts, mean cycles by dimension value, inert dimensions, and the
@@ -106,7 +108,7 @@ func RunSampledStudy(ctx context.Context, bench string, fractions []float64, kin
 	if len(kinds) == 0 {
 		return nil, errors.New("experiments: no model kinds")
 	}
-	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+	_, cfgs, cycles, err := sweep(ctx, bench, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +476,7 @@ func RunMicroCalibration(ctx context.Context, cfg Config) (*MicroCalibration, er
 	paper := PaperMicroStats()
 	m := &MicroCalibration{}
 	for _, prof := range trace.FiguredProfiles() {
-		tr, cfgs, cycles, err := space.SweepBenchmark(ctx, prof.Name, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+		tr, cfgs, cycles, err := sweep(ctx, prof.Name, cfg)
 		if err != nil {
 			return nil, err
 		}

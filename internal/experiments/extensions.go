@@ -186,7 +186,7 @@ type SelectAblation struct {
 // RunSelectAblation runs one sampled-DSE experiment and applies both
 // selection criteria to the same reports.
 func RunSelectAblation(ctx context.Context, bench string, frac float64, kinds []core.ModelKind, cfg Config) (*SelectAblation, error) {
-	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+	_, cfgs, cycles, err := sweep(ctx, bench, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ type SamplingAblation struct {
 // RunSamplingAblation trains the same model kind on a random sample and on
 // a same-size systematic sample of the space and compares true errors.
 func RunSamplingAblation(ctx context.Context, bench string, frac float64, kind core.ModelKind, cfg Config) (*SamplingAblation, error) {
-	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+	_, cfgs, cycles, err := sweep(ctx, bench, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +340,7 @@ func RunActiveStudy(ctx context.Context, apps []string, seeds []int64, kinds []c
 		Arms:    []string{RandomArm, EIArm},
 	}
 	for _, app := range apps {
-		_, cfgs, cycles, err := space.SweepBenchmark(ctx, app, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+		_, cfgs, cycles, err := sweep(ctx, app, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +589,7 @@ func RunLearningCurve(ctx context.Context, bench string, kind core.ModelKind, fr
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("experiments: no fractions")
 	}
-	_, cfgs, cycles, err := space.SweepBenchmark(ctx, bench, cfg.TraceLen, cfg.seed(), cfg.SpaceStride, cfg.engineOpts())
+	_, cfgs, cycles, err := sweep(ctx, bench, cfg)
 	if err != nil {
 		return nil, err
 	}

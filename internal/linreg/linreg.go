@@ -114,6 +114,11 @@ func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, erro
 	if len(y) != n {
 		return nil, errors.New("linreg: y length mismatch")
 	}
+	for _, row := range x {
+		if len(row) != p {
+			return nil, errors.New("linreg: ragged design matrix")
+		}
+	}
 	if names == nil {
 		names = make([]string, p)
 		for j := range names {
@@ -134,22 +139,19 @@ func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, erro
 		m.tss += d * d
 	}
 
+	ws := newLSQ(n, 1+p)
 	var selected []int
-	var err error
 	switch opts.Method {
 	case Enter:
 		selected = seqInts(p)
 	case Forward:
-		selected, err = selectForward(x, y, opts, false)
+		selected = ws.selectForward(x, y, opts, false)
 	case Stepwise:
-		selected, err = selectForward(x, y, opts, true)
+		selected = ws.selectForward(x, y, opts, true)
 	case Backward:
-		selected, err = selectBackward(x, y, opts)
+		selected = ws.selectBackward(x, y, opts)
 	default:
 		return nil, fmt.Errorf("linreg: unknown method %v", opts.Method)
-	}
-	if err != nil {
-		return nil, err
 	}
 	if len(selected) == 0 {
 		// No predictor clears the threshold: intercept-only model.
@@ -161,10 +163,7 @@ func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, erro
 	sort.Ints(selected)
 	m.selected = selected
 
-	res, err := fitSubset(x, y, selected)
-	if err != nil {
-		return nil, err
-	}
+	res := ws.solve(ws.factor(ws.load(x, selected), y))
 	m.intercept = res.beta[0]
 	m.coef = make([]float64, p)
 	for si, j := range selected {
@@ -182,8 +181,9 @@ func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, erro
 		sigma2 = math.NaN()
 	}
 	sy := stat.SampleStdDev(y)
+	m.coeffs = make([]Coefficient, 0, len(selected))
+	col := make([]float64, n)
 	for si, j := range selected {
-		col := make([]float64, n)
 		for i := range x {
 			col[i] = x[i][j]
 		}
@@ -221,28 +221,10 @@ func seqInts(p int) []int {
 	return s
 }
 
-// fitSubset solves least squares on [1 | x[:,subset]].
-func fitSubset(x [][]float64, y []float64, subset []int) (*lsqResult, error) {
-	n := len(x)
-	design := make([][]float64, n)
-	for i := range x {
-		row := make([]float64, 1+len(subset))
-		row[0] = 1
-		for sj, j := range subset {
-			row[sj+1] = x[i][j]
-		}
-		design[i] = row
-	}
-	return solveLS(design, y)
-}
-
-// rssOf returns the residual sum of squares of the subset model.
-func rssOf(x [][]float64, y []float64, subset []int) (float64, error) {
-	res, err := fitSubset(x, y, subset)
-	if err != nil {
-		return 0, err
-	}
-	return res.rss, nil
+// rssOf returns the residual sum of squares of the subset model, factored
+// on the fit's workspace without forming coefficients.
+func (w *lsq) rssOf(x [][]float64, y []float64, subset []int) float64 {
+	return w.factor(w.load(x, subset), y)
 }
 
 // partialFPValue returns the p-value of the partial F test comparing the
@@ -275,15 +257,14 @@ func partialFPValue(rssReduced, rssFull float64, n, pFull int) float64 {
 
 // selectForward implements Forward selection; with stepwise=true it runs a
 // Backward removal sweep after every addition (Stepwise).
-func selectForward(x [][]float64, y []float64, opts Options, stepwise bool) ([]int, error) {
+func (w *lsq) selectForward(x [][]float64, y []float64, opts Options, stepwise bool) []int {
 	n := len(x)
 	p := len(x[0])
 	inModel := make([]bool, p)
-	var current []int
-	rssCur, err := rssOf(x, y, nil)
-	if err != nil {
-		return nil, err
-	}
+	current := make([]int, 0, p)
+	cand := make([]int, 0, p)
+	reduced := make([]int, 0, p)
+	rssCur := w.rssOf(x, y, nil)
 	for len(current) < p {
 		if n-(len(current)+1)-1 <= 0 {
 			break // no residual degrees of freedom left for a test
@@ -293,11 +274,8 @@ func selectForward(x [][]float64, y []float64, opts Options, stepwise bool) ([]i
 			if inModel[j] {
 				continue
 			}
-			cand := append(append([]int(nil), current...), j)
-			rss, err := rssOf(x, y, cand)
-			if err != nil {
-				return nil, err
-			}
+			cand = append(append(cand[:0], current...), j)
+			rss := w.rssOf(x, y, cand)
 			pv := partialFPValue(rssCur, rss, n, len(cand))
 			if math.IsNaN(pv) {
 				continue
@@ -313,41 +291,29 @@ func selectForward(x [][]float64, y []float64, opts Options, stepwise bool) ([]i
 		current = append(current, bestJ)
 		rssCur = bestRSS
 		if stepwise {
-			var err error
-			current, rssCur, err = removeSweep(x, y, current, opts)
-			if err != nil {
-				return nil, err
-			}
-			for j := range inModel {
-				inModel[j] = false
-			}
+			current, rssCur = w.removeSweep(x, y, current, reduced, opts)
+			clear(inModel)
 			for _, j := range current {
 				inModel[j] = true
 			}
 		}
 	}
-	return current, nil
+	return current
 }
 
 // removeSweep repeatedly drops the least significant predictor whose
-// F-to-remove p-value exceeds PRemove. Returns the surviving set and RSS.
-func removeSweep(x [][]float64, y []float64, current []int, opts Options) ([]int, float64, error) {
+// F-to-remove p-value exceeds PRemove, editing current in place. reduced
+// is scratch of capacity len(current) for the candidate subsets. Returns
+// the surviving set and its RSS.
+func (w *lsq) removeSweep(x [][]float64, y []float64, current, reduced []int, opts Options) ([]int, float64) {
 	n := len(x)
-	rssCur, err := rssOf(x, y, current)
-	if err != nil {
-		return nil, 0, err
-	}
+	rssCur := w.rssOf(x, y, current)
 	for len(current) > 0 {
 		worstI, worstP := -1, -1.0
 		var worstRSS float64
 		for i := range current {
-			reduced := make([]int, 0, len(current)-1)
-			reduced = append(reduced, current[:i]...)
-			reduced = append(reduced, current[i+1:]...)
-			rssRed, err := rssOf(x, y, reduced)
-			if err != nil {
-				return nil, 0, err
-			}
+			reduced = append(append(reduced[:0], current[:i]...), current[i+1:]...)
+			rssRed := w.rssOf(x, y, reduced)
 			pv := partialFPValue(rssRed, rssCur, n, len(current))
 			if math.IsNaN(pv) {
 				// Degenerate d.f.: treat the predictor as removable so the
@@ -364,15 +330,14 @@ func removeSweep(x [][]float64, y []float64, current []int, opts Options) ([]int
 		current = append(current[:worstI], current[worstI+1:]...)
 		rssCur = worstRSS
 	}
-	return current, rssCur, nil
+	return current, rssCur
 }
 
 // selectBackward implements Backward elimination from the full model.
-func selectBackward(x [][]float64, y []float64, opts Options) ([]int, error) {
+func (w *lsq) selectBackward(x [][]float64, y []float64, opts Options) []int {
 	p := len(x[0])
-	current := seqInts(p)
-	out, _, err := removeSweep(x, y, current, opts)
-	return out, err
+	out, _ := w.removeSweep(x, y, seqInts(p), make([]int, 0, p), opts)
+	return out
 }
 
 // Predict returns the model's prediction for one encoded input row.

@@ -220,6 +220,9 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit([][]float64{{1}, {2}}, []float64{1, 2}, nil, Options{}); err == nil {
 		t.Fatal("n<3: want error")
 	}
+	if _, err := Fit([][]float64{{1, 2}, {1}, {3, 4}}, []float64{1, 2, 3}, nil, Options{}); err == nil {
+		t.Fatal("ragged: want error")
+	}
 	x, y := synth(11, 10, 0.1)
 	if _, err := Fit(x, y, []string{"only-one"}, Options{}); err == nil {
 		t.Fatal("names mismatch: want error")

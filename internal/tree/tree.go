@@ -15,7 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"time"
 
 	"perfpred/internal/engine"
@@ -116,6 +117,7 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 				start := time.Now()
 				treeSeed := stat.DeriveSeed(cfg.Seed, 1000+t)
 				r := stat.NewRand(treeSeed)
+				b := newBuilder(x, y, cfg)
 				bag := make([]int, n)
 				inBag := make([]bool, n)
 				for i := range bag {
@@ -123,10 +125,9 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 					bag[i] = j
 					inBag[j] = true
 				}
-				b := &builder{x: x, y: y, maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf}
 				b.build(bag, 0)
-				trees[t] = b.nodes
-				perTreeImp[t] = oobImportance(b.nodes, x, y, inBag, treeSeed)
+				trees[t] = slices.Clone(b.nodes)
+				perTreeImp[t] = oobImportance(b.nodes, x, y, inBag, b.right[:0], r, treeSeed)
 				if cfg.Hook != nil {
 					cfg.Hook.Emit(engine.Event{
 						Kind: engine.KernelTime, Label: fmt.Sprintf("cart tree %d", t),
@@ -175,11 +176,13 @@ func normalizeImportance(imp []float64) {
 // rows: the increase in OOB SSE when one feature's OOB values are
 // shuffled. Negative increases (noise) clamp to zero. The permutation of
 // feature j draws from the derived stream (treeSeed, 1+j), so it is
-// independent of how the tree was grown and of every other feature.
-func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, treeSeed int64) []float64 {
+// independent of how the tree was grown and of every other feature; r,
+// the tree's own generator, is reseeded onto that stream rather than a
+// generator allocated per feature. oob is empty scratch of capacity
+// len(inBag) that collects the out-of-bag row indices.
+func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, oob []int, r *rand.Rand, treeSeed int64) []float64 {
 	p := len(x[0])
 	imp := make([]float64, p)
-	var oob []int
 	for i, in := range inBag {
 		if !in {
 			oob = append(oob, i)
@@ -196,7 +199,7 @@ func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, treeS
 	buf := make([]float64, p)
 	vals := make([]float64, len(oob))
 	for j := 0; j < p; j++ {
-		r := stat.NewRand(stat.DeriveSeed(treeSeed, 1+j))
+		r.Seed(stat.DeriveSeed(treeSeed, 1+j))
 		for k, i := range oob {
 			vals[k] = x[i][j]
 		}
@@ -215,17 +218,39 @@ func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, treeS
 	return imp
 }
 
-// builder grows one tree into a flat node array.
+// builder grows one tree into a flat node array. Its scratch is sized
+// once per tree: order holds the feature-sorted copy of a node's rows and
+// right the right-hand rows while build partitions a node in place; nodes
+// starts with the capacity of the largest tree the depth and row count
+// allow, so growing the tree never reallocates.
 type builder struct {
 	x        [][]float64
 	y        []float64
 	maxDepth int
 	minLeaf  int
 	nodes    []node
+	order    []int
+	right    []int
+}
+
+func newBuilder(x [][]float64, y []float64, cfg Config) *builder {
+	n := len(x)
+	maxNodes := 2*n - 1 // a leaf holds at least one row
+	if d := cfg.MaxDepth; d < 30 {
+		maxNodes = min(maxNodes, 1<<(d+1)-1)
+	}
+	return &builder{
+		x: x, y: y, maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf,
+		nodes: make([]node, 0, maxNodes),
+		order: make([]int, n),
+		right: make([]int, n),
+	}
 }
 
 // build appends the subtree over idx (bootstrap indices, may repeat) and
-// returns its root's flat index.
+// returns its root's flat index. The split partitions idx stably in place
+// — left rows first, each side in its original order — so the children
+// sum their targets in the same order a copied partition would.
 func (b *builder) build(idx []int, depth int) int32 {
 	sum, sum2 := 0.0, 0.0
 	for _, i := range idx {
@@ -243,16 +268,18 @@ func (b *builder) build(idx []int, depth int) int32 {
 	if !ok {
 		return id
 	}
-	var left, right []int
+	nl, right := 0, b.right[:0]
 	for _, i := range idx {
 		if b.x[i][feat] <= thr {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	l := b.build(left, depth+1)
-	r := b.build(right, depth+1)
+	copy(idx[nl:], right)
+	l := b.build(idx[:nl], depth+1)
+	r := b.build(idx[nl:], depth+1)
 	b.nodes[id] = node{Feature: feat, Threshold: thr, Left: l, Right: r, Value: mean}
 	return id
 }
@@ -265,18 +292,23 @@ func (b *builder) build(idx []int, depth int) int32 {
 func (b *builder) bestSplit(idx []int, sum, sum2 float64) (feat int, thr float64, ok bool) {
 	n := len(idx)
 	parentSSE := sum2 - sum*sum/float64(n)
-	order := make([]int, n)
+	order := b.order[:n]
 	bestGain := 0.0
 	for j := 0; j < len(b.x[0]); j++ {
 		copy(order, idx)
 		// Secondary sort key: the sample index, so equal feature values
-		// order identically on every platform and run.
-		sort.Slice(order, func(a, c int) bool {
-			va, vc := b.x[order[a]][j], b.x[order[c]][j]
-			if va != vc {
-				return va < vc
+		// order identically on every platform and run. The (value, index)
+		// order is total, so the sorted sequence is unique whatever
+		// algorithm produces it.
+		slices.SortFunc(order, func(a, c int) int {
+			va, vc := b.x[a][j], b.x[c][j]
+			switch {
+			case va < vc:
+				return -1
+			case va > vc:
+				return 1
 			}
-			return order[a] < order[c]
+			return a - c
 		})
 		sumL, sum2L := 0.0, 0.0
 		for k := 0; k < n-1; k++ {
