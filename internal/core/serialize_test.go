@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
+
+	"perfpred/internal/dataset"
 )
 
 // TestPredictorSaveLoadRoundTrip covers every registered kind — any
@@ -196,5 +200,64 @@ func TestPredictorDecodeErrorStrings(t *testing.T) {
 				t.Errorf("error = %q\nwant    %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+// TestRankDeficientLinearFitRoundTrips saves an LR-E fit whose design has
+// an aliased column: the aliased coefficient's standard error and p-value
+// are undefined, travel as JSON null, and load back as NaN, so the loaded
+// model predicts bit for bit like the original and saves the same bytes.
+func TestRankDeficientLinearFitRoundTrips(t *testing.T) {
+	s, err := dataset.NewSchema("cycles",
+		dataset.Field{Name: "size", Kind: dataset.Numeric},
+		dataset.Field{Name: "size_again", Kind: dataset.Numeric},
+		dataset.Field{Name: "width", Kind: dataset.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dataset.New(s)
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 120; i++ {
+		size, width := 16+float64(r.Intn(5))*16, float64(2+r.Intn(4)*2)
+		y := 10000/width + 2000*math.Exp(-size/32) + r.Float64()
+		if err := d.Append([]dataset.Value{dataset.Num(size), dataset.Num(size), dataset.Num(width)}, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := Train(context.Background(), LRE, d, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	if !bytes.Contains(saved.Bytes(), []byte(`"StdErr":null,"P":null`)) {
+		t.Fatalf("no undefined standard error in the saved fit: %s", saved.Bytes())
+	}
+	back, err := LoadPredictor(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for i := 0; i < d.Len(); i++ {
+		want, err := p.Predict(d.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Predict(d.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d: loaded model predicts %v, original %v", i, got, want)
+		}
+	}
+	var resaved bytes.Buffer
+	if err := back.Save(&resaved); err != nil {
+		t.Fatalf("save after load: %v", err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Fatalf("re-saved artifact differs:\n%s\n%s", resaved.Bytes(), saved.Bytes())
 	}
 }

@@ -157,7 +157,7 @@ type Evaluator struct {
 	l1d    memo[l1dKey, *l1Pass]
 	itlb   memo[mem.TLBConfig, *tlbPass]
 	dtlb   memo[mem.TLBConfig, *tlbPass]
-	stacks memo[mem.HierarchyConfig, *memMetrics] // keyed with the TLBs zeroed
+	stacks memo[mem.HierarchyConfig, *memMetrics] // keyed by StackKey
 	preds  memo[predictorKey, *branchMetrics]
 }
 
@@ -183,12 +183,18 @@ func NewEvaluator(tr *trace.Trace) (*Evaluator, error) {
 	return e, nil
 }
 
+// StackKey is the cache stack a hierarchy runs on: the hierarchy with
+// its TLBs zeroed. Configurations whose hierarchies share a key share one
+// Evaluator stack pass, the costliest stage of a simulation.
+func StackKey(cfg mem.HierarchyConfig) mem.HierarchyConfig {
+	cfg.ITLB, cfg.DTLB = mem.TLBConfig{}, mem.TLBConfig{}
+	return cfg
+}
+
 // memPass assembles the memory metrics of a hierarchy from its cache
 // stack and its two TLBs.
 func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (memMetrics, error) {
-	stack := cfg
-	stack.ITLB, stack.DTLB = mem.TLBConfig{}, mem.TLBConfig{}
-	sm, err := e.stacks.get(stack, func() (*memMetrics, error) { return e.stackPass(cfg) })
+	sm, err := e.stacks.get(StackKey(cfg), func() (*memMetrics, error) { return e.stackPass(cfg) })
 	if err != nil {
 		return memMetrics{}, err
 	}

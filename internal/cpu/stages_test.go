@@ -3,6 +3,10 @@ package cpu_test
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"perfpred/internal/bpred"
@@ -73,18 +77,68 @@ func TestEvaluatorMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSweepSimulatesEachStageOnce sweeps the full space in enumeration
+// order, a stride-7 sample and a shuffle of the space, each on a fresh
+// evaluator: every stage must run once per key, the sweep must run one
+// task per distinct cache stack, and every configuration's cycles must
+// equal the in-order sweep's.
 func TestSweepSimulatesEachStageOnce(t *testing.T) {
-	e := newEvaluator(t, "gcc", 5000)
-	if _, err := space.Sweep(context.Background(), e, space.Enumerate(), engine.Options{Workers: 8}); err != nil {
+	all := space.Enumerate()
+	ref, err := space.Sweep(context.Background(), newEvaluator(t, "gcc", 5000), all, engine.Options{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{
-		"l1i": 6, "l1d": 6, "itlb": 2, "dtlb": 2, "stack": 144,
-		"pred": len(bpred.Kinds()),
+	index := make(map[space.MicroConfig]int, len(all))
+	for i, m := range all {
+		index[m] = i
 	}
-	for stage, c := range e.StageCounts() {
-		if c.Entries != want[stage] || c.Runs != c.Entries {
-			t.Errorf("%s: %d entries computed %d times, want %d computed once each", stage, c.Entries, c.Runs, want[stage])
-		}
+	var strided []space.MicroConfig
+	for i := 0; i < len(all); i += 7 {
+		strided = append(strided, all[i])
+	}
+	shuffled := slices.Clone(all)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, tc := range []struct {
+		name    string
+		cfgs    []space.MicroConfig
+		workers int
+	}{
+		{"enumeration/workers=2", all, 2},
+		{"enumeration/workers=8", all, 8},
+		{"stride7", strided, 2},
+		{"shuffled", shuffled, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tasks atomic.Int64
+			hook := func(ev engine.Event) {
+				if ev.Kind == engine.TaskDone && strings.HasPrefix(ev.Label, "sweep[") {
+					tasks.Add(1)
+				}
+			}
+			e := newEvaluator(t, "gcc", 5000)
+			cycles, err := space.Sweep(context.Background(), e, tc.cfgs, engine.Options{Workers: tc.workers, Hook: hook})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range tc.cfgs {
+				if want := ref[index[m]]; math.Float64bits(cycles[i]) != math.Float64bits(want) {
+					t.Fatalf("config %d (%+v): %v cycles, in-order sweep %v", i, m, cycles[i], want)
+				}
+			}
+			want := map[string]int{
+				"l1i": 6, "l1d": 6, "itlb": 2, "dtlb": 2, "stack": 144,
+				"pred": len(bpred.Kinds()),
+			}
+			for stage, c := range e.StageCounts() {
+				if c.Entries != want[stage] || c.Runs != c.Entries {
+					t.Errorf("%s: %d entries computed %d times, want %d computed once each", stage, c.Entries, c.Runs, want[stage])
+				}
+			}
+			if got := tasks.Load(); got != int64(want["stack"]) {
+				t.Errorf("%d sweep tasks, want one per cache stack (%d)", got, want["stack"])
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package linreg
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 type modelState struct {
@@ -18,7 +19,50 @@ type modelState struct {
 	RSS       float64       `json:"rss"`
 	TSS       float64       `json:"tss"`
 	N         int           `json:"n"`
-	Inv       [][]float64   `json:"inv,omitempty"`
+	Inv       [][]float64   `json:"inv,omitempty"` // full-rank fits only, so never NaN
+}
+
+// coefState is a Coefficient on the wire. A rank-deficient or saturated
+// fit leaves StdErr and P undefined (NaN), which JSON cannot hold.
+type coefState struct {
+	Name          string
+	Beta, StdBeta float64
+	StdErr, P     nanFloat
+}
+
+// MarshalJSON encodes the coefficient with undefined StdErr and P as null.
+func (c Coefficient) MarshalJSON() ([]byte, error) {
+	return json.Marshal(coefState{c.Name, c.Beta, c.StdBeta, nanFloat(c.StdErr), nanFloat(c.P)})
+}
+
+// UnmarshalJSON decodes a coefficient, reading a null StdErr or P as NaN.
+func (c *Coefficient) UnmarshalJSON(data []byte) error {
+	var st coefState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	*c = Coefficient{st.Name, st.Beta, st.StdBeta, float64(st.StdErr), float64(st.P)}
+	return nil
+}
+
+// nanFloat is a float64 that encodes NaN as JSON null and decodes null as
+// NaN. Every other value encodes exactly as a float64 does, so a model
+// without NaNs saves the same bytes either way.
+type nanFloat float64
+
+func (f nanFloat) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(f)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *nanFloat) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*f = nanFloat(math.NaN())
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(f))
 }
 
 const modelVersion = 1

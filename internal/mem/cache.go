@@ -26,14 +26,16 @@ type CacheConfig struct {
 // Enabled reports whether the level exists.
 func (c CacheConfig) Enabled() bool { return c.SizeKB > 0 }
 
-// Validate checks the geometry: positive power-of-two size/line/assoc and
-// at least one set.
+// Validate checks the geometry: a power-of-two line of at least 2 bytes,
+// positive associativity and latency, and a power-of-two set count.
 func (c CacheConfig) Validate() error {
 	if !c.Enabled() {
 		return nil
 	}
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("mem: line size %dB must be a positive power of two", c.LineBytes)
+	// A line of at least 2 bytes keeps every tag below 2^63, so tag+1
+	// never wraps to the invalid marker.
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("mem: line size %dB must be a power of two of at least 2", c.LineBytes)
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("mem: associativity %d must be positive", c.Assoc)
@@ -56,11 +58,14 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. Every set
+// is a run of assoc entries in one flat array, most recently used first;
+// an entry holds its line's tag plus one, and 0 marks an invalid way.
+// Valid ways always form a prefix of their set, as fills enter at the MRU
+// end and only Reset invalidates.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]uint64 // tags per way, LRU order: index 0 = MRU
-	valid    [][]bool
+	lines    []uint64 // nsets×assoc entries, set s at [s*assoc, (s+1)*assoc)
 	setMask  uint64
 	lineBits uint
 	accesses uint64
@@ -77,16 +82,10 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	lines := cfg.SizeKB * 1024 / cfg.LineBytes
-	nsets := lines / cfg.Assoc
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]uint64, nsets),
-		valid:   make([][]bool, nsets),
-		setMask: uint64(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]uint64, cfg.Assoc)
-		c.valid[i] = make([]bool, cfg.Assoc)
+		lines:   make([]uint64, lines),
+		setMask: uint64(lines/cfg.Assoc - 1),
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
@@ -101,51 +100,36 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	tag := addr >> c.lineBits
-	set := tag & c.setMask
-	ways := c.sets[set]
-	valid := c.valid[set]
-	for w := range ways {
-		if valid[w] && ways[w] == tag {
-			// Move to MRU position.
-			copy(ways[1:w+1], ways[:w])
-			copy(valid[1:w+1], valid[:w])
-			ways[0] = tag
-			valid[0] = true
-			return true
-		}
+	if c.touch(addr) {
+		return true
 	}
 	c.misses++
-	// Fill: evict LRU (last way), insert at MRU.
-	copy(ways[1:], ways[:len(ways)-1])
-	copy(valid[1:], valid[:len(valid)-1])
-	ways[0] = tag
-	valid[0] = true
 	return false
 }
 
 // Install fills addr's line without recording an access or miss — the
 // prefetch path, whose traffic must not perturb demand statistics. It
 // reports whether the line was already present.
-func (c *Cache) Install(addr uint64) bool {
+func (c *Cache) Install(addr uint64) bool { return c.touch(addr) }
+
+// touch makes addr's line the MRU way of its set, filling it over the LRU
+// way when absent, and reports whether it was present.
+func (c *Cache) touch(addr uint64) bool {
 	tag := addr >> c.lineBits
-	set := tag & c.setMask
-	ways := c.sets[set]
-	valid := c.valid[set]
-	for w := range ways {
-		if valid[w] && ways[w] == tag {
-			copy(ways[1:w+1], ways[:w])
-			copy(valid[1:w+1], valid[:w])
-			ways[0] = tag
-			valid[0] = true
-			return true
-		}
+	base := int(tag&c.setMask) * c.cfg.Assoc
+	ways := c.lines[base : base+c.cfg.Assoc]
+	key := tag + 1
+	w := 0
+	for w < len(ways) && ways[w] != key {
+		w++
 	}
-	copy(ways[1:], ways[:len(ways)-1])
-	copy(valid[1:], valid[:len(valid)-1])
-	ways[0] = tag
-	valid[0] = true
-	return false
+	hit := w < len(ways)
+	if !hit {
+		w = len(ways) - 1 // evict the LRU way
+	}
+	copy(ways[1:w+1], ways[:w])
+	ways[0] = key
+	return hit
 }
 
 // Accesses returns the number of lookups performed.
@@ -164,10 +148,6 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		for w := range c.valid[i] {
-			c.valid[i][w] = false
-		}
-	}
+	clear(c.lines)
 	c.accesses, c.misses = 0, 0
 }

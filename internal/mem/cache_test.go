@@ -22,6 +22,7 @@ func TestCacheConfigValidate(t *testing.T) {
 	}
 	cases := []CacheConfig{
 		{SizeKB: 16, LineBytes: 48, Assoc: 4, LatencyCycles: 1},   // non-pow2 line
+		{SizeKB: 1, LineBytes: 1, Assoc: 4, LatencyCycles: 1},     // 1-byte line
 		{SizeKB: 16, LineBytes: 32, Assoc: 0, LatencyCycles: 1},   // zero assoc
 		{SizeKB: 16, LineBytes: 32, Assoc: 4, LatencyCycles: 0},   // zero latency
 		{SizeKB: 16, LineBytes: 32, Assoc: 3, LatencyCycles: 1},   // 512 lines %3 != 0... actually 512/3 no
@@ -184,5 +185,115 @@ func TestCacheInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is the naive reference LRU: one most-recently-used-first list
+// of line tags per set, grown on fill and cut at the associativity.
+type refCache struct {
+	sets             [][]uint64
+	lineBits         uint
+	assoc            int
+	accesses, misses uint64
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	r := &refCache{sets: make([][]uint64, cfg.SizeKB*1024/cfg.LineBytes/cfg.Assoc), assoc: cfg.Assoc}
+	for b := cfg.LineBytes; b > 1; b >>= 1 {
+		r.lineBits++
+	}
+	return r
+}
+
+func (r *refCache) install(addr uint64) bool {
+	tag := addr >> r.lineBits
+	s := tag % uint64(len(r.sets))
+	set := r.sets[s]
+	hit := false
+	for w, t := range set {
+		if t == tag {
+			set = append(set[:w], set[w+1:]...)
+			hit = true
+			break
+		}
+	}
+	set = append([]uint64{tag}, set...)
+	if len(set) > r.assoc {
+		set = set[:r.assoc]
+	}
+	r.sets[s] = set
+	return hit
+}
+
+func (r *refCache) access(addr uint64) bool {
+	r.accesses++
+	hit := r.install(addr)
+	if !hit {
+		r.misses++
+	}
+	return hit
+}
+
+func (r *refCache) reset() {
+	for s := range r.sets {
+		r.sets[s] = nil
+	}
+	r.accesses, r.misses = 0, 0
+}
+
+// TestCacheMatchesReferenceLRU drives Cache and the reference with the
+// same random stream of accesses, installs and resets over direct-mapped,
+// 4-way, 8-way and fully associative geometries, and checks every
+// outcome and counter step by step. The addresses span a few times each
+// cache's capacity, so hits, evictions and refills all occur.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{SizeKB: 1, LineBytes: 32, Assoc: 1, LatencyCycles: 1},
+		{SizeKB: 2, LineBytes: 64, Assoc: 4, LatencyCycles: 1},
+		{SizeKB: 4, LineBytes: 32, Assoc: 8, LatencyCycles: 1},
+		{SizeKB: 1, LineBytes: 64, Assoc: 16, LatencyCycles: 1}, // one set
+	} {
+		c, err := NewCache(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefCache(cfg)
+		r := rand.New(rand.NewSource(int64(cfg.Assoc)))
+		span := 4 * cfg.SizeKB * 1024
+		for step := 0; step < 50000; step++ {
+			addr := uint64(r.Intn(span))
+			switch op := r.Intn(1000); {
+			case op == 0:
+				c.Reset()
+				ref.reset()
+			case op < 200:
+				if got, want := c.Install(addr), ref.install(addr); got != want {
+					t.Fatalf("%+v step %d: Install(%#x) = %v, reference %v", cfg, step, addr, got, want)
+				}
+			default:
+				if got, want := c.Access(addr), ref.access(addr); got != want {
+					t.Fatalf("%+v step %d: Access(%#x) = %v, reference %v", cfg, step, addr, got, want)
+				}
+			}
+			if c.Accesses() != ref.accesses || c.Misses() != ref.misses {
+				t.Fatalf("%+v step %d: %d accesses %d misses, reference %d and %d",
+					cfg, step, c.Accesses(), c.Misses(), ref.accesses, ref.misses)
+			}
+		}
+	}
+}
+
+// TestNewCacheAllocs pins the flat layout: the 8 MB, 256 B-line, 8-way L3
+// of Table 1 has 4096 sets, and building it takes the Cache and its one
+// line array, not a slice per set.
+func TestNewCacheAllocs(t *testing.T) {
+	cfg := CacheConfig{SizeKB: 8192, LineBytes: 256, Assoc: 8, LatencyCycles: 40}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewCache(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("NewCache made %.0f allocations, want at most 2", allocs)
 	}
 }

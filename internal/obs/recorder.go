@@ -156,7 +156,7 @@ func (r *Recorder) Elapsed() time.Duration {
 
 // phaseOf extracts the pipeline phase from a task label: the prefix up to
 // the first space or '[' ("estimate NN-E fold 3" → "estimate",
-// "sweep[0:16)" → "sweep").
+// "sweep[3:4)", the sweep of the fourth cache stack, → "sweep").
 func phaseOf(label string) string {
 	if i := strings.IndexAny(label, " ["); i > 0 {
 		return label[:i]

@@ -3,25 +3,26 @@ package space
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"perfpred/internal/cpu"
 	"perfpred/internal/engine"
+	"perfpred/internal/mem"
 	"perfpred/internal/trace"
 )
 
-// sweepBatch is how many configurations one sweep task simulates; small
-// enough to load-balance across heterogeneous configurations, large enough
-// to amortize scheduling.
-const sweepBatch = 16
-
-// Sweep simulates every configuration against the evaluator's trace as a
-// chunked parallel map on the engine pool, using up to opts.Workers
-// goroutines (0 means GOMAXPROCS), and returns the cycle count per
-// configuration, index-aligned with cfgs. An opts.Hook observes the sweep's
-// task events ("sweep[lo:hi)" labels) alongside any model-training events
-// sharing the hook. The result is deterministic regardless of worker
-// count: the evaluator memoizes substrate passes and the pipeline combine
-// step is pure. Cancelling ctx aborts the sweep between configurations.
+// Sweep simulates every configuration against the evaluator's trace and
+// returns the cycle count per configuration, index-aligned with cfgs in
+// whatever order they come. It groups the configurations by cache stack
+// (cpu.StackKey), in order of first appearance, and runs one engine task
+// per group on up to opts.Workers goroutines (0 means GOMAXPROCS): a
+// stack pass dominates a simulation, so each task computes its own and no
+// worker waits on another's. An opts.Hook observes the sweep's task
+// events ("sweep[g:g+1)" labels, g counting stacks) alongside any
+// model-training events sharing the hook. The result is deterministic
+// regardless of worker count: the evaluator memoizes substrate passes and
+// the pipeline combine step is pure. Cancelling ctx aborts the sweep
+// between configurations.
 func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts engine.Options) ([]float64, error) {
 	if eval == nil {
 		return nil, errors.New("space: nil evaluator")
@@ -29,10 +30,36 @@ func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts en
 	if len(cfgs) == 0 {
 		return nil, errors.New("space: no configurations to sweep")
 	}
+	// order lists the configuration indices group by group; group g is
+	// order[start[g]:start[g+1]].
+	groupOf := map[mem.HierarchyConfig]int{}
+	group := make([]int, len(cfgs))
+	start := []int{0}
+	for i := range cfgs {
+		key := cpu.StackKey(cfgs[i].CPUConfig().Mem)
+		g, ok := groupOf[key]
+		if !ok {
+			g = len(groupOf)
+			groupOf[key] = g
+			start = append(start, 0)
+		}
+		group[i] = g
+		start[g+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	order := make([]int, len(cfgs))
+	next := slices.Clone(start)
+	for i, g := range group {
+		order[next[g]] = i
+		next[g]++
+	}
+
 	cycles := make([]float64, len(cfgs))
-	err := engine.Map(ctx, opts, len(cfgs), sweepBatch, "sweep",
-		func(ctx context.Context, lo, hi int) error {
-			for i := lo; i < hi; i++ {
+	err := engine.Map(ctx, opts, len(groupOf), 1, "sweep",
+		func(ctx context.Context, g, _ int) error {
+			for _, i := range order[start[g]:start[g+1]] {
 				if err := ctx.Err(); err != nil {
 					return err
 				}

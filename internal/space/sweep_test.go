@@ -140,3 +140,28 @@ func TestWorkloadCalibration(t *testing.T) {
 		t.Errorf("gcc range %.2f should exceed equake %.2f", ranges["gcc"], ranges["equake"])
 	}
 }
+
+// TestSweepAllocs bounds what one full-space sweep allocates at a 5k
+// trace on a fresh evaluator: about 6.5k objects, most of them the 4608
+// per-configuration Results, so a per-cache-set allocation (over 100k)
+// cannot come back unnoticed.
+func TestSweepAllocs(t *testing.T) {
+	const runs, bound = 2, 7000
+	cfgs := Enumerate()
+	for _, workers := range []int{1, 2} {
+		evals := make([]*cpu.Evaluator, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range evals {
+			evals[i] = sweepTrace(t, "gcc", 5000)
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			eval := evals[0]
+			evals = evals[1:]
+			if _, err := Sweep(context.Background(), eval, cfgs, engine.Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("workers=%d: a full-space sweep made %.0f allocations, want at most %d", workers, allocs, bound)
+		}
+	}
+}
