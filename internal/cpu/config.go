@@ -10,9 +10,9 @@
 // only on the predictor, so an Evaluator memoizes those expensive substrate
 // simulations and full design-space sweeps reuse them across the thousands
 // of core configurations that share them. The memory pass is itself
-// staged: each L1 and each TLB runs over the trace once, and the levels
-// beyond the L1s run per cache stack over the recorded L1-miss stream
-// (trace reduction, as in Mattson et al. 1970).
+// staged level by level: each L1 and each TLB runs over the trace once,
+// each L2 over the recorded, merged L1-miss stream, and each L3 over the
+// L2's recorded misses (trace reduction, as in Mattson et al. 1970).
 package cpu
 
 import (

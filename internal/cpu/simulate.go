@@ -89,6 +89,25 @@ type l1Pass struct {
 	events                       []l1Event
 }
 
+// l2Miss is one demand access the L2 missed, in program order: what the
+// L3 step replays.
+type l2Miss struct {
+	addr uint64
+	kind missKind
+}
+
+// l2Pass is one L2's behaviour on the merged L1 event stream: per demand
+// kind, how many events reached it and how many of those missed. The L2
+// is non-inclusive, so its hits and misses do not depend on the L3 behind
+// it, and every L3 option of an L2 key shares this pass.
+type l2Pass struct {
+	reached, missed [prefetchFill]uint64 // indexed by fetchMiss, loadMiss, storeMiss
+	// misses is the demand-miss stream, kept only by a pass computed
+	// without a Scratch; a Scratch pass leaves it in the Scratch.
+	misses []l2Miss
+	kept   bool
+}
+
 // tlbPass is one TLB's page-walk cost over its address stream.
 type tlbPass struct {
 	cycles float64
@@ -143,12 +162,14 @@ func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
 // Evaluator simulates many configurations against one trace. It
 // simulates each substrate fact once and shares it between the
 // configurations that need it: one pass per L1I geometry, per L1D
-// geometry and prefetcher, per ITLB and per DTLB over the full trace;
-// one pass per cache stack (the hierarchy without its TLBs) over the
-// merged, much shorter L1-miss stream; and one pass per branch predictor.
-// Every memory metric is a sum of small integers, exact in float64, so
-// the staged sums equal a direct walk of the whole hierarchy bit for bit.
-// It is safe for concurrent use.
+// geometry and prefetcher, per ITLB, per DTLB and per branch predictor
+// over the full trace; one L2 pass per L2Key over the merged, much
+// shorter L1-miss stream; and one L3 step per cache stack (stackKey) over
+// the still shorter L2-miss stream, when the stack has an L3. Every
+// beyond-hit latency is a constant per level, so each memory metric is a
+// count times a latency, an integer exact in float64, and the staged sums
+// equal a direct walk of the whole hierarchy bit for bit. It is safe for
+// concurrent use.
 type Evaluator struct {
 	tr *trace.Trace
 	tm traceMetrics
@@ -157,8 +178,48 @@ type Evaluator struct {
 	l1d    memo[l1dKey, *l1Pass]
 	itlb   memo[mem.TLBConfig, *tlbPass]
 	dtlb   memo[mem.TLBConfig, *tlbPass]
-	stacks memo[mem.HierarchyConfig, *memMetrics] // keyed by StackKey
+	l2     memo[mem.HierarchyConfig, *l2Pass]     // keyed by L2Key
+	stacks memo[mem.HierarchyConfig, *memMetrics] // keyed by stackKey
 	preds  memo[predictorKey, *branchMetrics]
+}
+
+// Scratch is one goroutine's reusable state for the levels behind the
+// L1s: a cache array per geometry, reset for each pass it serves, and the
+// demand-miss stream of the last L2 pass it ran. A Scratch must not be
+// used by two goroutines at once; the zero value is ready to use.
+type Scratch struct {
+	caches []*mem.Cache
+	key    mem.HierarchyConfig // L2Key of the pass whose stream misses holds
+	pass   *l2Pass             // nil until an L2 pass has run on the Scratch
+	misses []l2Miss
+}
+
+// cache returns a cleared cache of c's geometry, reusing one of the
+// Scratch's arrays when it has one. A nil Scratch allocates a new cache.
+// The cache stays valid until the next call.
+func (s *Scratch) cache(c mem.CacheConfig) (*mem.Cache, error) {
+	if s == nil {
+		return mem.NewCache(c)
+	}
+	for _, k := range s.caches {
+		if geometry(k.Config()) == geometry(c) {
+			k.Reset()
+			return k, nil
+		}
+	}
+	k, err := mem.NewCache(c)
+	if err != nil {
+		return nil, err
+	}
+	s.caches = append(s.caches, k)
+	return k, nil
+}
+
+// geometry is c without its hit latency, which no pass's hits and misses
+// depend on.
+func geometry(c mem.CacheConfig) mem.CacheConfig {
+	c.LatencyCycles = 0
+	return c
 }
 
 // NewEvaluator prepares an evaluator for the trace.
@@ -183,18 +244,77 @@ func NewEvaluator(tr *trace.Trace) (*Evaluator, error) {
 	return e, nil
 }
 
-// StackKey is the cache stack a hierarchy runs on: the hierarchy with
+// stackKey is the cache stack a hierarchy runs on: the hierarchy with
 // its TLBs zeroed. Configurations whose hierarchies share a key share one
-// Evaluator stack pass, the costliest stage of a simulation.
-func StackKey(cfg mem.HierarchyConfig) mem.HierarchyConfig {
+// L3 step and its memory metrics.
+func stackKey(cfg mem.HierarchyConfig) mem.HierarchyConfig {
 	cfg.ITLB, cfg.DTLB = mem.TLBConfig{}, mem.TLBConfig{}
 	return cfg
 }
 
+// L2Key is the L2 pass a hierarchy runs on: the geometry of its L1I, L1D
+// and L2 and its prefetcher. Configurations whose hierarchies share a key
+// share one Evaluator L2 pass, whatever their L3, TLBs and latencies.
+func L2Key(cfg mem.HierarchyConfig) mem.HierarchyConfig {
+	return mem.HierarchyConfig{
+		L1I: geometry(cfg.L1I), L1D: geometry(cfg.L1D), L2: geometry(cfg.L2),
+		NextLinePrefetch: cfg.NextLinePrefetch,
+	}
+}
+
+// TracePasses returns one function per distinct full-trace pass the valid
+// configurations among cfgs need (L1I, L1D with its prefetcher, ITLB,
+// DTLB and branch predictor), in order of first appearance. Each runs its
+// pass through the evaluator's memo, so once they have all run, simulating
+// cfgs computes only the L2 passes and L3 steps.
+func (e *Evaluator) TracePasses(cfgs []Config) []func() error {
+	type passKey struct {
+		stage    string
+		cache    mem.CacheConfig
+		prefetch bool
+		tlb      mem.TLBConfig
+		pred     predictorKey
+	}
+	seen := map[passKey]bool{}
+	fresh := func(k passKey) bool {
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+		return true
+	}
+	var passes []func() error
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		if cfg.Validate() != nil {
+			continue // Simulate reports the error
+		}
+		// Each closure captures small copies of its key alone.
+		l1i, l1d, prefetch := cfg.Mem.L1I, cfg.Mem.L1D, cfg.Mem.NextLinePrefetch
+		itlb, dtlb, pred := cfg.Mem.ITLB, cfg.Mem.DTLB, predictorKey{cfg.BPred, cfg.BPredEntries}
+		if fresh(passKey{stage: "l1i", cache: geometry(l1i)}) {
+			passes = append(passes, func() error { _, err := e.l1iPass(l1i); return err })
+		}
+		if fresh(passKey{stage: "l1d", cache: geometry(l1d), prefetch: prefetch}) {
+			passes = append(passes, func() error { _, err := e.l1dPass(l1d, prefetch); return err })
+		}
+		if fresh(passKey{stage: "itlb", tlb: itlb}) {
+			passes = append(passes, func() error { _, err := e.tlbPass(&e.itlb, itlb, false); return err })
+		}
+		if fresh(passKey{stage: "dtlb", tlb: dtlb}) {
+			passes = append(passes, func() error { _, err := e.tlbPass(&e.dtlb, dtlb, true); return err })
+		}
+		if fresh(passKey{stage: "pred", pred: pred}) {
+			passes = append(passes, func() error { _, err := e.predPass(pred.kind, pred.entries); return err })
+		}
+	}
+	return passes
+}
+
 // memPass assembles the memory metrics of a hierarchy from its cache
-// stack and its two TLBs.
-func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (memMetrics, error) {
-	sm, err := e.stacks.get(StackKey(cfg), func() (*memMetrics, error) { return e.stackPass(cfg) })
+// stack and its two TLBs, computing a missing stack on s.
+func (e *Evaluator) memPass(cfg mem.HierarchyConfig, s *Scratch) (memMetrics, error) {
+	sm, err := e.stacks.get(stackKey(cfg), func() (*memMetrics, error) { return e.stackPass(cfg, s) })
 	if err != nil {
 		return memMetrics{}, err
 	}
@@ -212,10 +332,15 @@ func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (memMetrics, error) {
 	return m, nil
 }
 
-// stackPass merges the L1I and L1D event streams in program order and
-// runs the L2, L3 and memory over the merged stream. The TLBs never touch
-// the caches, so every TLB variant of a cache stack shares this pass.
-func (e *Evaluator) stackPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
+// stackPass computes a cache stack's metrics from its L2 pass and, when
+// the stack has an L3, an L3 step that replays the L2's demand misses
+// through it. The TLBs never touch the caches, so every TLB variant of a
+// cache stack shares this pass.
+func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics, error) {
+	p, misses, err := e.l2Pass(cfg, s)
+	if err != nil {
+		return nil, err
+	}
 	ip, err := e.l1iPass(cfg.L1I)
 	if err != nil {
 		return nil, err
@@ -224,11 +349,108 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := mem.NewBacking(cfg)
+	m := &memMetrics{}
+	m.stats.L1IAccesses, m.stats.L1IMisses = ip.accesses, ip.misses
+	m.stats.L1DAccesses, m.stats.L1DMisses = dp.accesses, dp.misses
+	m.stats.Prefetches = dp.prefetches
+	for k := range p.reached {
+		m.stats.L2Accesses += p.reached[k]
+		m.stats.L2Misses += p.missed[k]
+	}
+	// toMem counts, per demand kind, the accesses that went to memory.
+	toMem := p.missed
+	var l3Lat int64
+	if cfg.L3.Enabled() {
+		l3, err := s.cache(cfg.L3)
+		if err != nil {
+			return nil, err
+		}
+		toMem = [prefetchFill]uint64{}
+		for _, ms := range misses {
+			if !l3.Access(ms.addr) {
+				toMem[ms.kind]++
+			}
+		}
+		m.stats.L3Accesses, m.stats.L3Misses = l3.Accesses(), l3.Misses()
+		m.stats.MemAccesses = m.stats.L3Misses
+		l3Lat = int64(cfg.L3.LatencyCycles)
+	} else {
+		m.stats.MemAccesses = m.stats.L2Misses
+	}
+	// An access that reached the L2 costs the L2 latency, one that missed
+	// it also the L3's, and one that went to memory also the memory trip.
+	l2Lat, memLat := int64(cfg.L2.LatencyCycles), int64(cfg.MemLatencyCyc+cfg.MemLatencyBusy)
+	var chip, toMemLat [prefetchFill]float64
+	for k := range toMem {
+		reached, missed, went := int64(p.reached[k]), int64(p.missed[k]), int64(toMem[k])
+		chip[k] = float64((reached-went)*l2Lat + (missed-went)*l3Lat)
+		toMemLat[k] = float64(went * (l2Lat + l3Lat + memLat))
+	}
+	m.instCacheExtra = chip[fetchMiss] + toMemLat[fetchMiss]
+	m.loadChipExtra, m.loadMemExtra = chip[loadMiss], toMemLat[loadMiss]
+	m.storeChipExtra, m.storeMemExtra = chip[storeMiss], toMemLat[storeMiss]
+	return m, nil
+}
+
+// l2Pass returns cfg's L2 pass and, when cfg has an L3, the pass's
+// demand-miss stream. It takes the stream from s when s ran the pass last,
+// and otherwise runs the pass through the memo: on s, which then holds the
+// stream, or with s nil on fresh arrays, keeping the stream in the memo.
+// A pass another goroutine ran on its own Scratch left no stream behind,
+// so a stack that needs one walks the L2 again, outside the memo.
+func (e *Evaluator) l2Pass(cfg mem.HierarchyConfig, s *Scratch) (*l2Pass, []l2Miss, error) {
+	key := L2Key(cfg)
+	if s != nil && s.pass != nil && s.key == key {
+		return s.pass, s.misses, nil
+	}
+	p, err := e.l2.get(key, func() (*l2Pass, error) {
+		if s != nil {
+			return e.walkL2(cfg, s)
+		}
+		var own Scratch
+		p, err := e.walkL2(cfg, &own)
+		if err == nil {
+			p.misses, p.kept = own.misses, true
+		}
+		return p, err
+	})
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case p.kept:
+		return p, p.misses, nil
+	case !cfg.L3.Enabled():
+		return p, nil, nil
+	case s != nil && s.pass == p:
+		return p, s.misses, nil
+	}
+	if s == nil {
+		s = new(Scratch)
+	}
+	if _, err := e.walkL2(cfg, s); err != nil {
+		return nil, nil, err
+	}
+	return p, s.misses, nil
+}
+
+// walkL2 merges the L1I and L1D event streams in program order, runs the
+// L2 over the merged stream on s's arrays and leaves its demand misses in
+// s, replacing the stream s held.
+func (e *Evaluator) walkL2(cfg mem.HierarchyConfig, s *Scratch) (*l2Pass, error) {
+	ip, err := e.l1iPass(cfg.L1I)
 	if err != nil {
 		return nil, err
 	}
-	m := &memMetrics{}
+	dp, err := e.l1dPass(cfg.L1D, cfg.NextLinePrefetch)
+	if err != nil {
+		return nil, err
+	}
+	l2, err := s.cache(cfg.L2)
+	if err != nil {
+		return nil, err
+	}
+	s.pass, s.misses = nil, s.misses[:0]
+	p := &l2Pass{}
 	iev, dev := ip.events, dp.events
 	for len(iev) > 0 || len(dev) > 0 {
 		var ev l1Event
@@ -239,35 +461,22 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
 			ev, dev = dev[0], dev[1:]
 		}
 		if ev.kind == prefetchFill {
-			b.Prefetch(ev.addr)
+			l2.Install(ev.addr)
 			continue
 		}
-		lat, toMem := b.Access(ev.addr)
-		switch {
-		case ev.kind == fetchMiss:
-			m.instCacheExtra += float64(lat)
-		case ev.kind == loadMiss && toMem:
-			m.loadMemExtra += float64(lat)
-		case ev.kind == loadMiss:
-			m.loadChipExtra += float64(lat)
-		case toMem:
-			m.storeMemExtra += float64(lat)
-		default:
-			m.storeChipExtra += float64(lat)
+		p.reached[ev.kind]++
+		if !l2.Access(ev.addr) {
+			p.missed[ev.kind]++
+			s.misses = append(s.misses, l2Miss{addr: ev.addr, kind: ev.kind})
 		}
 	}
-	m.stats = b.Stats()
-	m.stats.L1IAccesses, m.stats.L1IMisses = ip.accesses, ip.misses
-	m.stats.L1DAccesses, m.stats.L1DMisses = dp.accesses, dp.misses
-	m.stats.Prefetches = dp.prefetches
-	return m, nil
+	s.key, s.pass = L2Key(cfg), p
+	return p, nil
 }
 
 // l1iPass runs (or reuses) the L1I over every fetch, recording its misses.
 func (e *Evaluator) l1iPass(c mem.CacheConfig) (*l1Pass, error) {
-	geom := c
-	geom.LatencyCycles = 0
-	return e.l1i.get(geom, func() (*l1Pass, error) {
+	return e.l1i.get(geometry(c), func() (*l1Pass, error) {
 		cache, err := mem.NewCache(c)
 		if err != nil {
 			return nil, err
@@ -287,9 +496,7 @@ func (e *Evaluator) l1iPass(c mem.CacheConfig) (*l1Pass, error) {
 // its misses and, with the next-line prefetcher on, each prefetch fill
 // right after the demand miss that issued it.
 func (e *Evaluator) l1dPass(c mem.CacheConfig, prefetch bool) (*l1Pass, error) {
-	geom := c
-	geom.LatencyCycles = 0
-	return e.l1d.get(l1dKey{geom, prefetch}, func() (*l1Pass, error) {
+	return e.l1d.get(l1dKey{geometry(c), prefetch}, func() (*l1Pass, error) {
 		cache, err := mem.NewCache(c)
 		if err != nil {
 			return nil, err
@@ -367,20 +574,26 @@ func (e *Evaluator) predPass(kind bpred.Kind, entries int) (*branchMetrics, erro
 }
 
 // Simulate evaluates one configuration.
-func (e *Evaluator) Simulate(cfg Config) (*Result, error) {
+func (e *Evaluator) Simulate(cfg Config) (Result, error) {
+	return e.SimulateOn(cfg, nil)
+}
+
+// SimulateOn evaluates one configuration like Simulate, running a missing
+// L2 pass or L3 step on s's reusable arrays. Simulating the configurations
+// of one L2Key back to back on one Scratch walks their L2 once.
+func (e *Evaluator) SimulateOn(cfg Config, s *Scratch) (Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	mm, err := e.memPass(cfg.Mem)
+	mm, err := e.memPass(cfg.Mem, s)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	bm, err := e.predPass(cfg.BPred, cfg.BPredEntries)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	res := combine(cfg, &e.tm, e.tr.Profile(), &mm, bm)
-	return res, nil
+	return combine(cfg, &e.tm, e.tr.Profile(), &mm, bm), nil
 }
 
 // Simulate runs one configuration against one trace without caching.
@@ -389,12 +602,16 @@ func Simulate(cfg Config, tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Simulate(cfg)
+	res, err := e.Simulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // combine merges substrate metrics with the core configuration through an
 // interval-style pipeline model.
-func combine(cfg Config, tm *traceMetrics, prof *trace.Profile, mm *memMetrics, bm *branchMetrics) *Result {
+func combine(cfg Config, tm *traceMetrics, prof *trace.Profile, mm *memMetrics, bm *branchMetrics) Result {
 	n := float64(tm.n)
 
 	// --- Dispatch-limited base time -----------------------------------
@@ -466,7 +683,7 @@ func combine(cfg Config, tm *traceMetrics, prof *trace.Profile, mm *memMetrics, 
 	tlb := mm.tlbCycles * 0.9
 
 	cycles := base + branch + fetch + memStall + tlb
-	return &Result{
+	return Result{
 		Instructions: tm.n,
 		Cycles:       cycles,
 		IPC:          n / cycles,

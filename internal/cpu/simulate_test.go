@@ -235,6 +235,10 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		if i%4 < 2 {
 			c.BPred = bpred.TwoLevel
 		}
+		if i%8 < 4 {
+			c.Mem.L3 = mem.CacheConfig{SizeKB: 8192, LineBytes: 256, Assoc: 8}
+			DefaultLatencies(&c)
+		}
 		cfgs[i] = c
 	}
 	results := make([]float64, len(cfgs))
@@ -351,24 +355,24 @@ func oracleMem(cfg mem.HierarchyConfig, tr *trace.Trace) (*memMetrics, error) {
 
 // oracleSimulate simulates cfg on e's trace with the direct memory walk;
 // only the branch pass comes from e.
-func oracleSimulate(e *Evaluator, cfg Config) (*Result, error) {
+func oracleSimulate(e *Evaluator, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	mm, err := oracleMem(cfg.Mem, e.tr)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	bm, err := e.predPass(cfg.BPred, cfg.BPredEntries)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	return combine(cfg, &e.tm, e.tr.Profile(), mm, bm), nil
 }
 
 // simulateBoth runs cfg through the staged evaluator e and the oracle,
 // failing the test unless the two results are identical.
-func simulateBoth(t *testing.T, e *Evaluator, cfg Config) *Result {
+func simulateBoth(t *testing.T, e *Evaluator, cfg Config) Result {
 	t.Helper()
 	got, err := e.Simulate(cfg)
 	if err != nil {
@@ -378,8 +382,8 @@ func simulateBoth(t *testing.T, e *Evaluator, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
-		t.Fatalf("staged result differs from the direct walk:\n got %+v\nwant %+v", *got, *want)
+	if got != want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
+		t.Fatalf("staged result differs from the direct walk:\n got %+v\nwant %+v", got, want)
 	}
 	return got
 }
@@ -427,8 +431,8 @@ func TestEvaluatorKeysSeparateLatencies(t *testing.T) {
 		}
 		other := base
 		other.Mem.L1I.LatencyCycles, other.Mem.L1D.LatencyCycles = 3, 3
-		if rb, ro := simulateBoth(t, e, base), simulateBoth(t, e, other); *rb != *ro {
-			t.Fatalf("the L1 hit latency changed the result: %+v vs %+v", *rb, *ro)
+		if rb, ro := simulateBoth(t, e, base), simulateBoth(t, e, other); rb != ro {
+			t.Fatalf("the L1 hit latency changed the result: %+v vs %+v", rb, ro)
 		}
 	})
 }
@@ -451,5 +455,67 @@ func TestEvaluatorSharesCacheStackAcrossTLBs(t *testing.T) {
 	}
 	if rs.TLBCycles == rl.TLBCycles {
 		t.Fatalf("different TLBs gave the same TLB cycles %v", rs.TLBCycles)
+	}
+}
+
+func TestEvaluatorSharesL2AcrossL3s(t *testing.T) {
+	tr := genTrace(t, "mcf", 30000)
+	noL3 := baseConfig()
+	withL3 := baseConfig()
+	withL3.Mem.L3 = mem.CacheConfig{SizeKB: 8192, LineBytes: 256, Assoc: 8}
+	DefaultLatencies(&withL3)
+	// Each case simulates noL3 then withL3, each on its Scratch (nil for
+	// the lazy Simulate path). On one Scratch the second config replays
+	// the first one's L2 misses; across Scratches the stream is gone, so
+	// the second config walks the L2 again outside the memo.
+	one := new(Scratch)
+	for _, tc := range []struct {
+		name       string
+		first, sec *Scratch
+		kept       bool
+	}{
+		{"lazy", nil, nil, true},
+		{"one scratch", one, one, false},
+		{"two scratches", new(Scratch), new(Scratch), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEvaluator(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res [2]Result
+			for i, run := range []struct {
+				cfg Config
+				s   *Scratch
+			}{{noL3, tc.first}, {withL3, tc.sec}} {
+				got, err := e.SimulateOn(run.cfg, run.s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracleSimulate(e, run.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
+					t.Fatalf("%+v:\n staged %+v\n direct %+v", run.cfg.Mem, got, want)
+				}
+				res[i] = got
+			}
+			if n, runs := len(e.l2.entries), e.l2.runs.Load(); n != 1 || runs != 1 {
+				t.Fatalf("configs differing only in their L3 made %d L2 entries computed %d times, want 1 once", n, runs)
+			}
+			if n := len(e.stacks.entries); n != 2 {
+				t.Fatalf("%d cache-stack entries, want 2", n)
+			}
+			for _, ent := range e.l2.entries {
+				if ent.val.kept != tc.kept {
+					t.Fatalf("L2 pass kept its miss stream: %v, want %v", ent.val.kept, tc.kept)
+				}
+			}
+			if res[0].MemStats.L2Misses != res[1].MemStats.L2Misses || res[1].MemStats.L3Accesses != res[1].MemStats.L2Misses {
+				t.Fatalf("L2 misses %d and %d, L3 accesses %d: want all equal",
+					res[0].MemStats.L2Misses, res[1].MemStats.L2Misses, res[1].MemStats.L3Accesses)
+			}
+		})
 	}
 }

@@ -113,7 +113,8 @@ func SimulateSlice(cfg Config, tr *trace.Trace, start, n, warmup int) (*Result, 
 	}
 	tm.branches = bm.branches
 
-	return combine(cfg, &tm, tr.Profile(), mm, bm), nil
+	res := combine(cfg, &tm, tr.Profile(), mm, bm)
+	return &res, nil
 }
 
 // subtractStats returns after − before, counter-wise.

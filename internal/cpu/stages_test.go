@@ -68,8 +68,8 @@ func TestEvaluatorMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if *got != *want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
-						t.Fatalf("%+v:\n staged %+v\n direct %+v", cfg.Mem, *got, *want)
+					if got != want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
+						t.Fatalf("%+v:\n staged %+v\n direct %+v", cfg.Mem, got, want)
 					}
 				}
 			}
@@ -80,8 +80,9 @@ func TestEvaluatorMatchesOracle(t *testing.T) {
 // TestSweepSimulatesEachStageOnce sweeps the full space in enumeration
 // order, a stride-7 sample and a shuffle of the space, each on a fresh
 // evaluator: every stage must run once per key, the sweep must run one
-// task per distinct cache stack, and every configuration's cycles must
-// equal the in-order sweep's.
+// task per full-trace pass and then one per distinct L2 pass, every
+// full-trace-pass task must finish before the first L2-group task starts,
+// and every configuration's cycles must equal the in-order sweep's.
 func TestSweepSimulatesEachStageOnce(t *testing.T) {
 	all := space.Enumerate()
 	ref, err := space.Sweep(context.Background(), newEvaluator(t, "gcc", 5000), all, engine.Options{Workers: 1})
@@ -100,6 +101,11 @@ func TestSweepSimulatesEachStageOnce(t *testing.T) {
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
+	want := map[string]int{
+		"l1i": 6, "l1d": 6, "itlb": 2, "dtlb": 2, "l2": 72, "stack": 144,
+		"pred": len(bpred.Kinds()),
+	}
+	tracePasses := want["l1i"] + want["l1d"] + want["itlb"] + want["dtlb"] + want["pred"]
 	for _, tc := range []struct {
 		name    string
 		cfgs    []space.MicroConfig
@@ -111,10 +117,17 @@ func TestSweepSimulatesEachStageOnce(t *testing.T) {
 		{"shuffled", shuffled, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var tasks atomic.Int64
+			var traceTasks, groupTasks, early atomic.Int64
 			hook := func(ev engine.Event) {
-				if ev.Kind == engine.TaskDone && strings.HasPrefix(ev.Label, "sweep[") {
-					tasks.Add(1)
+				switch {
+				case ev.Kind == engine.TaskDone && strings.HasPrefix(ev.Label, "sweep trace["):
+					traceTasks.Add(1)
+				case ev.Kind == engine.TaskStart && strings.HasPrefix(ev.Label, "sweep["):
+					if traceTasks.Load() != int64(tracePasses) {
+						early.Add(1)
+					}
+				case ev.Kind == engine.TaskDone && strings.HasPrefix(ev.Label, "sweep["):
+					groupTasks.Add(1)
 				}
 			}
 			e := newEvaluator(t, "gcc", 5000)
@@ -127,17 +140,19 @@ func TestSweepSimulatesEachStageOnce(t *testing.T) {
 					t.Fatalf("config %d (%+v): %v cycles, in-order sweep %v", i, m, cycles[i], want)
 				}
 			}
-			want := map[string]int{
-				"l1i": 6, "l1d": 6, "itlb": 2, "dtlb": 2, "stack": 144,
-				"pred": len(bpred.Kinds()),
-			}
 			for stage, c := range e.StageCounts() {
 				if c.Entries != want[stage] || c.Runs != c.Entries {
 					t.Errorf("%s: %d entries computed %d times, want %d computed once each", stage, c.Entries, c.Runs, want[stage])
 				}
 			}
-			if got := tasks.Load(); got != int64(want["stack"]) {
-				t.Errorf("%d sweep tasks, want one per cache stack (%d)", got, want["stack"])
+			if got := traceTasks.Load(); got != int64(tracePasses) {
+				t.Errorf("%d full-trace-pass tasks, want one per pass (%d)", got, tracePasses)
+			}
+			if got := groupTasks.Load(); got != int64(want["l2"]) {
+				t.Errorf("%d sweep group tasks, want one per L2 pass (%d)", got, want["l2"])
+			}
+			if n := early.Load(); n > 0 {
+				t.Errorf("%d group tasks started before every full-trace pass finished", n)
 			}
 		})
 	}

@@ -58,81 +58,13 @@ type AccessStats struct {
 	Prefetches uint64
 }
 
-// Backing is the unified part of a hierarchy behind the split L1s: the
-// L2, the optional L3 and main memory. A Hierarchy charges its L1 misses
-// here; a trace-reduction pass replays a recorded L1-miss stream through
-// a Backing alone.
-type Backing struct {
-	cfg HierarchyConfig
-	l2  *Cache
-	l3  *Cache // nil when disabled
-}
-
-// NewBacking instantiates cfg's L2 and optional L3. The L1s and TLBs in
-// cfg are ignored.
-func NewBacking(cfg HierarchyConfig) (*Backing, error) {
-	b := &Backing{cfg: cfg}
-	var err error
-	if b.l2, err = NewCache(cfg.L2); err != nil {
-		return nil, err
-	}
-	if cfg.L3.Enabled() {
-		if b.l3, err = NewCache(cfg.L3); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// Access charges the L2 → L3 → memory chain for an L1 miss at addr,
-// returning the latency beyond the L1 and whether the access went all the
-// way to memory.
-func (b *Backing) Access(addr uint64) (lat int, toMem bool) {
-	lat = b.cfg.L2.LatencyCycles
-	if b.l2.Access(addr) {
-		return lat, false
-	}
-	if b.l3 != nil {
-		lat += b.cfg.L3.LatencyCycles
-		if b.l3.Access(addr) {
-			return lat, false
-		}
-	}
-	return lat + b.cfg.MemLatencyCyc + b.cfg.MemLatencyBusy, true
-}
-
-// Prefetch installs addr's line into the L2 without counting an access:
-// the fill a next-line prefetch makes when the L1D did not hold the line.
-func (b *Backing) Prefetch(addr uint64) { b.l2.Install(addr) }
-
-// Stats returns the L2, L3 and memory counters; the L1, TLB and prefetch
-// fields are zero.
-func (b *Backing) Stats() AccessStats {
-	s := AccessStats{L2Accesses: b.l2.Accesses(), L2Misses: b.l2.Misses()}
-	if b.l3 != nil {
-		s.L3Accesses = b.l3.Accesses()
-		s.L3Misses = b.l3.Misses()
-		s.MemAccesses = s.L3Misses
-	} else {
-		s.MemAccesses = s.L2Misses
-	}
-	return s
-}
-
-// Reset clears the levels and their counters.
-func (b *Backing) Reset() {
-	b.l2.Reset()
-	if b.l3 != nil {
-		b.l3.Reset()
-	}
-}
-
 // Hierarchy simulates the configured cache/TLB stack.
 type Hierarchy struct {
 	cfg        HierarchyConfig
 	l1i        *Cache
 	l1d        *Cache
-	back       *Backing
+	l2         *Cache
+	l3         *Cache // nil when disabled
 	itlb       *TLB
 	dtlb       *TLB
 	prefetches uint64
@@ -151,8 +83,13 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if h.l1d, err = NewCache(cfg.L1D); err != nil {
 		return nil, err
 	}
-	if h.back, err = NewBacking(cfg); err != nil {
+	if h.l2, err = NewCache(cfg.L2); err != nil {
 		return nil, err
+	}
+	if cfg.L3.Enabled() {
+		if h.l3, err = NewCache(cfg.L3); err != nil {
+			return nil, err
+		}
 	}
 	if h.itlb, err = NewTLB(cfg.ITLB); err != nil {
 		return nil, err
@@ -166,6 +103,23 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
+// backAccess charges the L2 → L3 → memory chain for an L1 miss at addr,
+// returning the latency beyond the L1 and whether the access went all the
+// way to memory.
+func (h *Hierarchy) backAccess(addr uint64) (lat int, toMem bool) {
+	lat = h.cfg.L2.LatencyCycles
+	if h.l2.Access(addr) {
+		return lat, false
+	}
+	if h.l3 != nil {
+		lat += h.cfg.L3.LatencyCycles
+		if h.l3.Access(addr) {
+			return lat, false
+		}
+	}
+	return lat + h.cfg.MemLatencyCyc + h.cfg.MemLatencyBusy, true
+}
+
 // AccessInstParts performs an instruction fetch at addr and returns the
 // TLB page-walk penalty and the cache-path latency separately, plus
 // whether the fetch went all the way to memory. The CPU model overlaps
@@ -176,7 +130,7 @@ func (h *Hierarchy) AccessInstParts(addr uint64) (tlbCyc, cacheCyc int, toMem bo
 	tlbCyc = h.itlb.Access(addr)
 	cacheCyc = h.cfg.L1I.LatencyCycles
 	if !h.l1i.Access(addr) {
-		extra, mem := h.back.Access(addr)
+		extra, mem := h.backAccess(addr)
 		cacheCyc += extra
 		toMem = mem
 	}
@@ -189,7 +143,7 @@ func (h *Hierarchy) AccessDataParts(addr uint64) (tlbCyc, cacheCyc int, toMem bo
 	tlbCyc = h.dtlb.Access(addr)
 	cacheCyc = h.cfg.L1D.LatencyCycles
 	if !h.l1d.Access(addr) {
-		extra, mem := h.back.Access(addr)
+		extra, mem := h.backAccess(addr)
 		cacheCyc += extra
 		toMem = mem
 		if h.cfg.NextLinePrefetch {
@@ -197,7 +151,7 @@ func (h *Hierarchy) AccessDataParts(addr uint64) (tlbCyc, cacheCyc int, toMem bo
 			// following line (its latency overlaps the demand fill).
 			next := addr + uint64(h.cfg.L1D.LineBytes)
 			if !h.l1d.Install(next) {
-				h.back.Prefetch(next)
+				h.l2.Install(next)
 				h.prefetches++
 			}
 		}
@@ -220,7 +174,11 @@ func (h *Hierarchy) AccessData(addr uint64) int {
 
 // Stats snapshots all counters.
 func (h *Hierarchy) Stats() AccessStats {
-	s := h.back.Stats()
+	s := AccessStats{L2Accesses: h.l2.Accesses(), L2Misses: h.l2.Misses(), MemAccesses: h.l2.Misses()}
+	if h.l3 != nil {
+		s.L3Accesses, s.L3Misses = h.l3.Accesses(), h.l3.Misses()
+		s.MemAccesses = s.L3Misses
+	}
 	s.L1IAccesses, s.L1IMisses = h.l1i.Accesses(), h.l1i.Misses()
 	s.L1DAccesses, s.L1DMisses = h.l1d.Accesses(), h.l1d.Misses()
 	s.ITLBMisses, s.DTLBMisses = h.itlb.Misses(), h.dtlb.Misses()
@@ -232,7 +190,10 @@ func (h *Hierarchy) Stats() AccessStats {
 func (h *Hierarchy) Reset() {
 	h.l1i.Reset()
 	h.l1d.Reset()
-	h.back.Reset()
+	h.l2.Reset()
+	if h.l3 != nil {
+		h.l3.Reset()
+	}
 	h.itlb.Reset()
 	h.dtlb.Reset()
 	h.prefetches = 0

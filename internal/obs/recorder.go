@@ -155,8 +155,9 @@ func (r *Recorder) Elapsed() time.Duration {
 }
 
 // phaseOf extracts the pipeline phase from a task label: the prefix up to
-// the first space or '[' ("estimate NN-E fold 3" → "estimate",
-// "sweep[3:4)", the sweep of the fourth cache stack, → "sweep").
+// the first space or '[' ("estimate NN-E fold 3" → "estimate"; both
+// "sweep trace[0:1)", a full-trace pass, and "sweep[3:4)", the fourth L2
+// group, → "sweep").
 func phaseOf(label string) string {
 	if i := strings.IndexAny(label, " ["); i > 0 {
 		return label[:i]

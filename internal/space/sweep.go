@@ -13,16 +13,19 @@ import (
 
 // Sweep simulates every configuration against the evaluator's trace and
 // returns the cycle count per configuration, index-aligned with cfgs in
-// whatever order they come. It groups the configurations by cache stack
-// (cpu.StackKey), in order of first appearance, and runs one engine task
-// per group on up to opts.Workers goroutines (0 means GOMAXPROCS): a
-// stack pass dominates a simulation, so each task computes its own and no
-// worker waits on another's. An opts.Hook observes the sweep's task
-// events ("sweep[g:g+1)" labels, g counting stacks) alongside any
-// model-training events sharing the hook. The result is deterministic
-// regardless of worker count: the evaluator memoizes substrate passes and
-// the pipeline combine step is pure. Cancelling ctx aborts the sweep
-// between configurations.
+// whatever order they come. It runs in two phases of engine tasks on up
+// to opts.Workers goroutines (0 means GOMAXPROCS). The first runs each
+// distinct full-trace pass (L1I, L1D, ITLB, DTLB and branch predictor)
+// as its own task, labelled "sweep trace[p:p+1)". The second groups the
+// configurations by L2 pass (cpu.L2Key), in order of first appearance,
+// and runs one "sweep[g:g+1)" task per group: the task walks its L2 once
+// on its worker's reused arrays, replays the L2's misses through each L3
+// option of the group and simulates the group's configurations. No
+// worker then waits on another's pass. An opts.Hook observes both phases'
+// task events alongside any model-training events sharing the hook. The
+// result is deterministic regardless of worker count: the evaluator
+// memoizes substrate passes and the pipeline combine step is pure.
+// Cancelling ctx aborts the sweep between configurations.
 func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts engine.Options) ([]float64, error) {
 	if eval == nil {
 		return nil, errors.New("space: nil evaluator")
@@ -30,13 +33,24 @@ func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts en
 	if len(cfgs) == 0 {
 		return nil, errors.New("space: no configurations to sweep")
 	}
+	sims := make([]cpu.Config, len(cfgs))
+	for i := range cfgs {
+		sims[i] = cfgs[i].CPUConfig()
+	}
+	passes := eval.TracePasses(sims)
+	err := engine.Map(ctx, opts, len(passes), 1, "sweep trace",
+		func(_ context.Context, p, _ int) error { return passes[p]() })
+	if err != nil {
+		return nil, err
+	}
+
 	// order lists the configuration indices group by group; group g is
 	// order[start[g]:start[g+1]].
 	groupOf := map[mem.HierarchyConfig]int{}
 	group := make([]int, len(cfgs))
 	start := []int{0}
-	for i := range cfgs {
-		key := cpu.StackKey(cfgs[i].CPUConfig().Mem)
+	for i := range sims {
+		key := cpu.L2Key(sims[i].Mem)
 		g, ok := groupOf[key]
 		if !ok {
 			g = len(groupOf)
@@ -57,13 +71,14 @@ func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts en
 	}
 
 	cycles := make([]float64, len(cfgs))
-	err := engine.Map(ctx, opts, len(groupOf), 1, "sweep",
+	err = engine.Map(ctx, opts, len(groupOf), 1, "sweep",
 		func(ctx context.Context, g, _ int) error {
+			s := engine.WorkerLocal(ctx, scratchKey{}, func() any { return new(cpu.Scratch) }).(*cpu.Scratch)
 			for _, i := range order[start[g]:start[g+1]] {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				res, err := eval.Simulate(cfgs[i].CPUConfig())
+				res, err := eval.SimulateOn(sims[i], s)
 				if err != nil {
 					return err
 				}
@@ -76,6 +91,10 @@ func Sweep(ctx context.Context, eval *cpu.Evaluator, cfgs []MicroConfig, opts en
 	}
 	return cycles, nil
 }
+
+// scratchKey keys each sweep worker's cpu.Scratch in its engine-local
+// store.
+type scratchKey struct{}
 
 // SweepBenchmark generates the named benchmark's trace (traceLen 0 means
 // its recommended length) and sweeps it over every stride-th

@@ -142,11 +142,12 @@ func TestWorkloadCalibration(t *testing.T) {
 }
 
 // TestSweepAllocs bounds what one full-space sweep allocates at a 5k
-// trace on a fresh evaluator: about 6.5k objects, most of them the 4608
-// per-configuration Results, so a per-cache-set allocation (over 100k)
-// cannot come back unnoticed.
+// trace on a fresh evaluator: about 1.35k objects, mostly the memo
+// entries, the L1 passes' growing event streams and the two phases'
+// engine tasks. A Result per configuration (4608 more) or fresh L2 and L3
+// arrays per stack pass (about 430 more) cannot come back unnoticed.
 func TestSweepAllocs(t *testing.T) {
-	const runs, bound = 2, 7000
+	const runs, bound = 2, 1460
 	cfgs := Enumerate()
 	for _, workers := range []int{1, 2} {
 		evals := make([]*cpu.Evaluator, runs+1) // AllocsPerRun calls once more to warm up
