@@ -22,9 +22,12 @@
 //     in its handler goroutine. The first healthy replica is the
 //     primary; a transport failure (a killed replica) strikes it and
 //     retries on the next healthy replica in order, so a replica crash
-//     mid-request loses nothing. Every call to a replica goes through
-//     one helper, which never strikes a replica for a failure the
-//     caller caused by leaving or running out of time.
+//     mid-request loses nothing. Ranking is allocation-free: an
+//     insertion sort into a stack buffer. Every call to a replica goes
+//     through one helper, which never strikes a replica for a failure
+//     the caller caused by leaving or running out of time. Each attempt
+//     is one RoundTrip on the pre-parsed replica URL, with no
+//     http.Client, so a replica's 3xx is relayed, not followed.
 //   - One shed point: each replica's admission queue. Its 429s (with
 //     the replica's Retry-After) pass through to the client untouched;
 //     the gateway adds no cap of its own.
@@ -122,7 +125,7 @@ type Gateway struct {
 	cfg      Config
 	reps     []*replica
 	met      *metrics
-	client   *http.Client
+	tr       http.RoundTripper // every upstream request's one round trip
 	mux      *http.ServeMux
 	started  time.Time
 	addr     atomic.Value // string; bound listen address
@@ -165,14 +168,13 @@ func New(cfg Config) (*Gateway, error) {
 		stop:    make(chan struct{}),
 		fi:      faultinject.Active(),
 	}
-	tr := cfg.Transport
-	if tr == nil {
-		tr = &http.Transport{
+	g.tr = cfg.Transport
+	if g.tr == nil {
+		g.tr = &http.Transport{
 			MaxIdleConns:        maxIdleConns,
 			MaxIdleConnsPerHost: maxIdleConnsPerReplica,
 		}
 	}
-	g.client = &http.Client{Transport: tr}
 	for i, addr := range cfg.Replicas {
 		g.reps = append(g.reps, newReplica(i, addr))
 	}
@@ -231,24 +233,20 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no healthy replicas"
 	}
-	writeJSON(w, status, map[string]any{
+	serve.WriteJSON(w, status, map[string]any{
 		"status": state, "healthy": healthy, "replicas": len(g.reps),
 	})
 }
 
 func (g *Gateway) handleReport(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, g.Report())
+	serve.WriteJSON(w, http.StatusOK, g.Report())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	serve.EncodeJSON(w, v) //nolint:errcheck // best-effort: client may have gone
-}
-
+// writeError answers status with the serving tier's JSON error
+// envelope, the package's "gateway: " prefix stripped from the message.
 func writeError(w http.ResponseWriter, status int, err error) {
 	msg := strings.TrimPrefix(err.Error(), "gateway: ")
-	writeJSON(w, status, map[string]string{"error": msg})
+	serve.WriteJSON(w, status, serve.ErrorResponse{Error: msg})
 }
 
 // probeLoop actively health-checks one replica every ProbeInterval,
@@ -273,6 +271,6 @@ func (g *Gateway) probeLoop(rep *replica) {
 func (g *Gateway) probeOnce(rep *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	res, err := g.send(ctx, rep, http.MethodGet, "/healthz", nil, "")
+	res, err := g.send(ctx, rep, http.MethodGet, "/healthz", nil, nil)
 	g.recordProbe(rep, err == nil && res.status == http.StatusOK)
 }

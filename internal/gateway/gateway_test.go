@@ -186,8 +186,9 @@ func TestRendezvousStability(t *testing.T) {
 	}
 	const keys = 2048
 	owners := map[string]int{}
+	var b1, b2, b3 [stackReplicas]*replica
 	for k := uint64(0); k < keys; k++ {
-		o1, o2 := full.order(k), full.order(k)
+		o1, o2 := full.order(k, &b1), full.order(k, &b2)
 		for i := range o1 {
 			if o1[i] != o2[i] {
 				t.Fatalf("order not deterministic for key %d", k)
@@ -196,7 +197,7 @@ func TestRendezvousStability(t *testing.T) {
 		owner := o1[0]
 		owners[owner.addr]++
 		for j := range addrs {
-			got := without[j].order(k)[0].addr
+			got := without[j].order(k, &b3)[0].addr
 			if addrs[j] == owner.addr {
 				// The key's owner left: it must fall back to exactly its
 				// second choice in the full ordering.

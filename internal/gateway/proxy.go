@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
 	"perfpred/internal/faultinject"
@@ -30,6 +32,15 @@ const (
 const (
 	RoutePrimary = "primary"
 	RouteRetry   = "retry"
+)
+
+// Header values shared by every request or response that carries them;
+// each has len == cap == 1, so a later Header.Add copies it instead of
+// writing through.
+var (
+	routePrimary    = []string{RoutePrimary}
+	routeRetry      = []string{RouteRetry}
+	jsonContentType = []string{"application/json"}
 )
 
 // reply is one replica's complete HTTP response, whatever its status.
@@ -87,11 +98,12 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	contentType := r.Header.Get("Content-Type")
-	if contentType == "" {
-		contentType = "application/json"
+	contentType := jsonContentType
+	if ct := r.Header["Content-Type"]; len(ct) > 0 && ct[0] != "" {
+		contentType = ct[:1:1]
 	}
-	g.dispatch(ctx, w, g.order(key), body, contentType)
+	var buf [stackReplicas]*replica
+	g.dispatch(ctx, w, g.order(key, &buf), body, contentType)
 }
 
 // dispatch walks order synchronously and answers w. The first healthy
@@ -99,14 +111,14 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // healthy replica; the first HTTP response, whatever its status, is
 // relayed — a replica's 429 included, since its admission queue is the
 // tier's only shed point.
-func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*replica, body []byte, contentType string) {
-	route := RoutePrimary
+func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*replica, body []byte, contentType []string) {
+	route := routePrimary
 	var lastErr error
 	for _, rep := range order {
 		if !rep.isHealthy() {
 			continue
 		}
-		if route == RouteRetry {
+		if lastErr != nil {
 			g.met.retries.Inc()
 		}
 		rep.requests.Add(1)
@@ -114,7 +126,7 @@ func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*
 		res, err := g.call(ctx, rep, http.MethodPost, "/v1/predict", body, contentType)
 		g.met.upstream.Observe(time.Since(start).Seconds())
 		if err == nil {
-			w.Header().Set(HeaderRoute, route)
+			w.Header()[HeaderRoute] = route
 			relay(w, rep, res)
 			return
 		}
@@ -126,7 +138,7 @@ func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*
 			return
 		}
 		lastErr = err
-		route = RouteRetry
+		route = routeRetry
 	}
 	g.met.errors.Inc()
 	if lastErr == nil {
@@ -139,32 +151,62 @@ func (g *Gateway) dispatch(ctx context.Context, w http.ResponseWriter, order []*
 // send makes one request to rep and reads the whole response body, so a
 // connection torn mid-body surfaces as an error, never as a truncated
 // relay. It touches no health state; probes use it directly.
-func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, body []byte, contentType string) (*reply, error) {
-	req, err := http.NewRequestWithContext(ctx, method, rep.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+//
+// The request is one RoundTrip on the configured transport, as a
+// reverse proxy makes it: no http.Client, so a replica's 3xx is relayed,
+// not followed. contentType, when set, is the request's Content-Type
+// value slice, shared and never written.
+func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, body []byte, contentType []string) (reply, error) {
+	o := &outbound{url: rep.url}
+	o.url.Path = path
+	req := &http.Request{Method: method, URL: &o.url, Header: http.Header{}}
+	if contentType != nil {
+		req.Header["Content-Type"] = contentType
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if len(body) > 0 {
+		o.body.Reset(body)
+		req.Body = &o.body
+		req.ContentLength = int64(len(body))
+		// The transport replays the body through GetBody when a reused
+		// keep-alive connection turns out to be dead.
+		req.GetBody = func() (io.ReadCloser, error) {
+			p := new(payload)
+			p.Reset(body)
+			return p, nil
+		}
 	}
-	resp, err := g.client.Do(req)
+	resp, err := g.tr.RoundTrip(req.WithContext(ctx))
 	if err != nil {
-		return nil, err
+		// Worded as http.Client words it, so 502 and reload messages
+		// name the method and the URL.
+		return reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: o.url.String(), Err: err}
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
-	return &reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
+	return reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
 }
+
+// outbound is one upstream request's URL and body, allocated together.
+type outbound struct {
+	url  url.URL
+	body payload
+}
+
+// payload is an upstream request body over bytes the gateway holds for
+// the whole call.
+type payload struct{ bytes.Reader }
+
+func (*payload) Close() error { return nil }
 
 // call is send on the request path, and the one place a request feeds
 // rep's health machine: any HTTP response resets its failure streak,
 // and a transport failure strikes it — unless ctx was already done,
 // because an abandoned client or an expired deadline says nothing about
 // the replica. Every predict, proxy and reload call goes through here.
-func (g *Gateway) call(ctx context.Context, rep *replica, method, path string, body []byte, contentType string) (*reply, error) {
+func (g *Gateway) call(ctx context.Context, rep *replica, method, path string, body []byte, contentType []string) (reply, error) {
 	res, err := g.send(ctx, rep, method, path, body, contentType)
 	switch {
 	case err == nil:
@@ -177,15 +219,16 @@ func (g *Gateway) call(ctx context.Context, rep *replica, method, path string, b
 
 // relay writes a replica's response to the client byte-for-byte,
 // preserving the headers that carry contract (content type, replica
-// Retry-After backpressure).
-func relay(w http.ResponseWriter, rep *replica, res *reply) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+// Retry-After backpressure). It reuses the reply's own value slices,
+// which the transport parses with len == cap == 1.
+func relay(w http.ResponseWriter, rep *replica, res reply) {
+	h := w.Header()
+	for _, k := range [...]string{"Content-Type", "Retry-After"} {
+		if v := res.header[k]; len(v) > 0 && v[0] != "" {
+			h[k] = v[:1:1]
+		}
 	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set(HeaderReplica, rep.addr)
+	h[HeaderReplica] = rep.addrHeader
 	w.WriteHeader(res.status)
 	w.Write(res.body) //nolint:errcheck // best-effort: client may have gone
 }
@@ -196,11 +239,12 @@ func (g *Gateway) proxyAny(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 	lastErr := errors.New("no healthy replicas")
-	for _, rep := range g.spreadOrder() {
+	var buf [stackReplicas]*replica
+	for _, rep := range g.spreadOrder(&buf) {
 		if !rep.isHealthy() {
 			continue
 		}
-		res, err := g.call(ctx, rep, http.MethodGet, r.URL.Path, nil, "")
+		res, err := g.call(ctx, rep, http.MethodGet, r.URL.Path, nil, nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -251,12 +295,12 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !fan.OK {
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, fan)
+	serve.WriteJSON(w, status, fan)
 }
 
 func (g *Gateway) reloadOne(ctx context.Context, rep *replica) ReloadResult {
 	out := ReloadResult{Addr: rep.addr}
-	res, err := g.call(ctx, rep, http.MethodPost, "/admin/reload", nil, "")
+	res, err := g.call(ctx, rep, http.MethodPost, "/admin/reload", nil, nil)
 	if err != nil {
 		out.Error = err.Error()
 		return out

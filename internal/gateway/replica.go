@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"net/url"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,13 @@ import (
 type replica struct {
 	idx  int
 	addr string
-	base string // "http://" + addr
+	// url is the replica's scheme and host; a request copies it and
+	// sets the path.
+	url url.URL
+	// addrHeader is the HeaderReplica value, shared by every response
+	// this replica answers; len == cap == 1, so a later Header.Add
+	// copies it instead of writing through.
+	addrHeader []string
 	// id is the replica's fixed rendezvous identity; routing scores are
 	// Combine(id, requestKey), so a replica's share of the keyspace is
 	// stable across gateway restarts with the same address set.
@@ -43,10 +50,11 @@ type replica struct {
 
 func newReplica(idx int, addr string) *replica {
 	r := &replica{
-		idx:  idx,
-		addr: addr,
-		base: "http://" + addr,
-		id:   predcache.HashString(addr),
+		idx:        idx,
+		addr:       addr,
+		url:        url.URL{Scheme: "http", Host: addr},
+		addrHeader: []string{addr},
+		id:         predcache.HashString(addr),
 	}
 	r.healthy.Store(true)
 	return r

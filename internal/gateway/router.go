@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"sort"
 	"strconv"
 
 	"perfpred/internal/predcache"
@@ -70,9 +69,13 @@ func projectCell(c []byte) float64 {
 	return float64(predcache.HashString(string(c)))
 }
 
+// stackReplicas is how many replicas order and spreadOrder rank into a
+// caller's stack buffer; a larger tier spills to the heap.
+const stackReplicas = 8
+
 // order ranks every replica by rendezvous (highest-random-weight) score
-// for key, best first. Each replica's score is a deterministic hash of
-// (replica identity, key), so:
+// for key, best first, into buf. Each replica's score is a
+// deterministic hash of (replica identity, key), so:
 //
 //   - a given key always prefers the same replica while the replica set
 //     is stable — that replica's cache holds the key's predictions;
@@ -81,35 +84,33 @@ func projectCell(c []byte) float64 {
 //     home untouched — the property plain mod-N hashing lacks;
 //   - the ranking doubles as the retry order: position k+1 is exactly
 //     where the key's cache entries migrate while position k is down.
-func (g *Gateway) order(key uint64) []*replica {
-	type scored struct {
-		rep   *replica
-		score uint64
-	}
-	ranked := make([]scored, len(g.reps))
-	for i, rep := range g.reps {
-		ranked[i] = scored{rep, predcache.Combine(rep.id, key)}
-	}
-	sort.Slice(ranked, func(a, b int) bool {
-		if ranked[a].score != ranked[b].score {
-			return ranked[a].score > ranked[b].score
+//
+// The order is total: score descending, then idx ascending. An
+// insertion sort over at most stackReplicas entries allocates nothing.
+func (g *Gateway) order(key uint64, buf *[stackReplicas]*replica) []*replica {
+	out := buf[:0]
+	var sbuf [stackReplicas]uint64
+	scores := sbuf[:0]
+	for _, rep := range g.reps {
+		s := predcache.Combine(rep.id, key)
+		out = append(out, rep)
+		scores = append(scores, s)
+		j := len(out) - 1
+		for ; j > 0 && (scores[j-1] < s || scores[j-1] == s && out[j-1].idx > rep.idx); j-- {
+			out[j], scores[j] = out[j-1], scores[j-1]
 		}
-		return ranked[a].rep.idx < ranked[b].rep.idx // total order tiebreak
-	})
-	out := make([]*replica, len(ranked))
-	for i, s := range ranked {
-		out[i] = s.rep
+		out[j], scores[j] = rep, s
 	}
 	return out
 }
 
 // spreadOrder is the non-affine ranking for read-only proxying:
-// round-robin rotation of the replica list, so no replica takes all of
-// it.
-func (g *Gateway) spreadOrder() []*replica {
+// round-robin rotation of the replica list into buf, so no replica takes
+// all of it.
+func (g *Gateway) spreadOrder(buf *[stackReplicas]*replica) []*replica {
 	start := int(g.rr.Add(1)-1) % len(g.reps)
-	out := make([]*replica, 0, len(g.reps))
-	for i := 0; i < len(g.reps); i++ {
+	out := buf[:0]
+	for i := range g.reps {
 		out = append(out, g.reps[(start+i)%len(g.reps)])
 	}
 	return out

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -186,7 +188,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.met.errors.Inc()
 		WriteError(w, http.StatusInternalServerError, err)
 	} else {
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 	s.scratch.Put(ws)
 }
@@ -217,11 +219,11 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	for i, m := range models {
 		resp.Models[i] = infoFor(m)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Report())
+	WriteJSON(w, http.StatusOK, s.Report())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
@@ -231,13 +233,48 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 			fmt.Errorf("serve: reload failed, previous catalog still serving: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, ReloadResponse{Generation: gen, Models: s.reg.Names()})
+	WriteJSON(w, http.StatusOK, ReloadResponse{Generation: gen, Models: s.reg.Names()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// jsonWriter is a pooled response encoder: enc writes v into buf in the
+// wire encoding, so a response costs one Write and no encoder set-up.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledJSON caps the buffer a jsonWriter may take back to the pool,
+// so one large response does not pin its size in the daemon for good.
+// The encoder's indent buffer grows with buf, so the cap bounds it too.
+const maxPooledJSON = 64 << 10
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// jsonContentType is the Content-Type value of every JSON response;
+// len == cap == 1, so a later Header.Add copies it instead of writing
+// through.
+var jsonContentType = []string{"application/json"}
+
+// WriteJSON answers status with v in the wire encoding: the bytes
+// EncodeJSON writes, in one Write. When v cannot be encoded the body is
+// empty, as with an encoder writing to w directly.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	err := jw.enc.Encode(v)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	EncodeJSON(w, v) //nolint:errcheck // best-effort: client may have gone
+	if err == nil {
+		w.Write(jw.buf.Bytes()) //nolint:errcheck // best-effort: client may have gone
+	}
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
 
 // WriteError answers status with the JSON error envelope, the package's
@@ -246,5 +283,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // replica's.
 func WriteError(w http.ResponseWriter, status int, err error) {
 	msg := strings.TrimPrefix(err.Error(), "serve: ")
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	WriteJSON(w, status, ErrorResponse{Error: msg})
 }
