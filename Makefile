@@ -28,15 +28,12 @@ bench-vet:
 	cd bench && $(GO) vet ./...
 
 # Model kernel benchmarks (neural, tree and LR-B fits) → BENCH_6.json: the
-# committed perf snapshot. Joined against BENCH_baseline.json (pre-PR-3
-# kernels, same machine) so the speedup column tracks the neural-kernel
-# work across PRs; the tree and linreg benches have no baseline and carry
-# raw numbers.
+# committed perf snapshot of the kernels, raw numbers only.
 # Staged through a file (not a pipe) so benchjson's compilation does not
 # run concurrently with — and perturb — the measurement.
 bench:
 	$(GO) test -run xxx -bench 'Train|PredictAll|FitBackward' -benchmem -count=2 ./internal/neural ./internal/tree ./internal/linreg > bench.out.tmp
-	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_6.json < bench.out.tmp
+	$(GO) run ./cmd/benchjson -o BENCH_6.json < bench.out.tmp
 	@rm -f bench.out.tmp
 
 # Serving benchmarks → BENCH_8.json: cached (hot-row, 0 allocs) vs

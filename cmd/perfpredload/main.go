@@ -81,6 +81,10 @@ func main() {
 			rep.ReplicaKills, rep.ReplicaRestarts, gw.Retries,
 			gw.Ejects, gw.Readmits, gw.FaultsInjected, rep.AffinityKeys, rep.AffinityMaxSpread)
 	}
+	if rep.HeapFirstPeakMiB > 0 {
+		fmt.Printf("  heap  %d samples  peak HeapInuse first quarter %.1f MiB  last quarter %.1f MiB\n",
+			rep.HeapSamples, rep.HeapFirstPeakMiB, rep.HeapLastPeakMiB)
+	}
 	if !rep.OK() {
 		fmt.Printf("FAIL: %d invariant violations (reproduce with -seed %d):\n", len(rep.Violations), rep.Seed)
 		for _, v := range rep.Violations {

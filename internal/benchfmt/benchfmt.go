@@ -21,9 +21,6 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Baseline join (present only when a baseline is given and names match).
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
 }
 
 // Snapshot is the whole JSON document.
@@ -135,7 +132,7 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		a := acc[name]
 		snap.Benchmarks[name] = Result{
 			Runs:        a.runs,
-			NsPerOp:     Round3(a.ns / float64(a.runs)),
+			NsPerOp:     round3(a.ns / float64(a.runs)),
 			BytesPerOp:  a.bytes,
 			AllocsPerOp: a.allocs,
 		}
@@ -143,8 +140,8 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Round3 rounds to three decimal places, matching the committed
+// round3 rounds to three decimal places, matching the committed
 // snapshots.
-func Round3(x float64) float64 {
+func round3(x float64) float64 {
 	return float64(int64(x*1000+0.5)) / 1000
 }

@@ -81,8 +81,6 @@ type Predictor interface {
 	// Observe predicts the branch at pc, updates internal state with the
 	// actual outcome, and reports whether the prediction was wrong.
 	Observe(pc uint64, taken bool) (mispredicted bool)
-	// Kind returns the predictor's kind.
-	Kind() Kind
 }
 
 // New creates a predictor of the given kind with the given table size
@@ -114,7 +112,6 @@ func New(kind Kind, entries int) (Predictor, error) {
 type perfect struct{}
 
 func (perfect) Observe(uint64, bool) bool { return false }
-func (perfect) Kind() Kind                { return Perfect }
 
 // counterTaken reports a 2-bit counter's prediction.
 func counterTaken(c uint8) bool { return c >= 2 }
@@ -153,8 +150,6 @@ func (b *bimodal) Observe(pc uint64, taken bool) bool {
 	return pred != taken
 }
 
-func (b *bimodal) Kind() Kind { return Bimodal }
-
 type twoLevel struct {
 	table   []uint8
 	mask    uint64
@@ -184,8 +179,6 @@ func (t *twoLevel) Observe(pc uint64, taken bool) bool {
 	}
 	return pred != taken
 }
-
-func (t *twoLevel) Kind() Kind { return TwoLevel }
 
 type combination struct {
 	bim     *bimodal
@@ -217,8 +210,6 @@ func (c *combination) Observe(pc uint64, taken bool) bool {
 	}
 	return pred != taken
 }
-
-func (c *combination) Kind() Kind { return Combination }
 
 // MispredictRate runs the predictor over a branch stream and returns the
 // fraction mispredicted.

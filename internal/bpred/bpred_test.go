@@ -36,7 +36,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("unknown kind: want error")
 	}
 	p, err := New(Perfect, 0) // table size irrelevant for the oracle
-	if err != nil || p.Kind() != Perfect {
+	if _, ok := p.(perfect); err != nil || !ok {
 		t.Fatalf("perfect: %v %v", p, err)
 	}
 }

@@ -94,7 +94,8 @@ type Model struct {
 	tss       float64
 	n         int
 	// inv is (XᵀX)⁻¹ in the fitted subset's basis ([1 | selected...]),
-	// available for full-rank fits; prediction intervals use it.
+	// set for full-rank fits. It is serialized so artifacts keep their
+	// bytes, but nothing reads it.
 	inv [][]float64
 }
 
@@ -349,52 +350,7 @@ func (m *Model) Predict(x []float64) float64 {
 	return yhat
 }
 
-// PredictAll returns predictions for a batch of rows.
-func (m *Model) PredictAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
-// Intercept returns the fitted intercept β₀.
-func (m *Model) Intercept() float64 { return m.intercept }
-
 // NumInputs returns the width of the input rows the model expects —
 // registry loaders use it to cross-check a deserialized model against
 // its encoder.
 func (m *Model) NumInputs() int { return len(m.coef) }
-
-// Coefficients returns the fitted coefficient table (selected predictors
-// only), in design-column order.
-func (m *Model) Coefficients() []Coefficient {
-	return append([]Coefficient(nil), m.coeffs...)
-}
-
-// SelectedNames returns the names of the predictors retained by the
-// selection method.
-func (m *Model) SelectedNames() []string {
-	out := make([]string, len(m.selected))
-	for i, j := range m.selected {
-		out[i] = m.names[j]
-	}
-	return out
-}
-
-// NumSelected returns how many predictors the model retained.
-func (m *Model) NumSelected() int { return len(m.selected) }
-
-// RSS returns the residual sum of squares on the training data.
-func (m *Model) RSS() float64 { return m.rss }
-
-// R2 returns the coefficient of determination on the training data.
-func (m *Model) R2() float64 {
-	if m.tss == 0 {
-		return 0
-	}
-	return 1 - m.rss/m.tss
-}
-
-// Method returns the selection method used.
-func (m *Model) Method() Method { return m.opts.Method }

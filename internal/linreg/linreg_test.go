@@ -19,24 +19,41 @@ func synth(seed int64, n int, noise float64) (x [][]float64, y []float64) {
 	return x, y
 }
 
+// selectedNames lists the predictors the selection method kept.
+func selectedNames(m *Model) []string {
+	out := make([]string, len(m.selected))
+	for i, j := range m.selected {
+		out[i] = m.names[j]
+	}
+	return out
+}
+
+// r2 is the fit's coefficient of determination on its training data.
+func r2(m *Model) float64 {
+	if m.tss == 0 {
+		return 0
+	}
+	return 1 - m.rss/m.tss
+}
+
 func TestFitEnterRecoversCoefficients(t *testing.T) {
 	x, y := synth(1, 200, 0.01)
 	m, err := Fit(x, y, nil, Options{Method: Enter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Intercept()-4) > 0.05 {
-		t.Fatalf("intercept = %v", m.Intercept())
+	if math.Abs(m.intercept-4) > 0.05 {
+		t.Fatalf("intercept = %v", m.intercept)
 	}
 	coefByName := map[string]float64{}
-	for _, c := range m.Coefficients() {
+	for _, c := range m.coeffs {
 		coefByName[c.Name] = c.Beta
 	}
 	if math.Abs(coefByName["x0"]-3) > 0.05 || math.Abs(coefByName["x1"]+2) > 0.05 {
 		t.Fatalf("coefficients = %v", coefByName)
 	}
-	if m.NumSelected() != 4 {
-		t.Fatalf("Enter must keep all predictors, kept %d", m.NumSelected())
+	if len(m.selected) != 4 {
+		t.Fatalf("Enter must keep all predictors, kept %d", len(m.selected))
 	}
 }
 
@@ -47,14 +64,14 @@ func TestBackwardDropsNoisePredictors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := map[string]bool{}
-	for _, n := range m.SelectedNames() {
+	for _, n := range selectedNames(m) {
 		sel[n] = true
 	}
 	if !sel["a"] || !sel["b"] {
-		t.Fatalf("backward dropped a real predictor: %v", m.SelectedNames())
+		t.Fatalf("backward dropped a real predictor: %v", selectedNames(m))
 	}
 	if sel["junk1"] && sel["junk2"] {
-		t.Fatalf("backward kept both junk predictors: %v", m.SelectedNames())
+		t.Fatalf("backward kept both junk predictors: %v", selectedNames(m))
 	}
 }
 
@@ -65,11 +82,11 @@ func TestForwardFindsRealPredictors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := map[string]bool{}
-	for _, n := range m.SelectedNames() {
+	for _, n := range selectedNames(m) {
 		sel[n] = true
 	}
 	if !sel["a"] || !sel["b"] {
-		t.Fatalf("forward missed a real predictor: %v", m.SelectedNames())
+		t.Fatalf("forward missed a real predictor: %v", selectedNames(m))
 	}
 }
 
@@ -84,8 +101,8 @@ func TestStepwiseMatchesForwardOnCleanData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On clean data stepwise should keep at least the forward picks' quality.
-	if ms.R2() < mf.R2()-1e-6 {
-		t.Fatalf("stepwise R2 %v < forward R2 %v", ms.R2(), mf.R2())
+	if r2(ms) < r2(mf)-1e-6 {
+		t.Fatalf("stepwise R2 %v < forward R2 %v", r2(ms), r2(mf))
 	}
 }
 
@@ -100,9 +117,10 @@ func TestPredictMatchesManualComputation(t *testing.T) {
 	if got := m.Predict(probe); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("Predict = %v, want %v", got, want)
 	}
-	batch := m.PredictAll([][]float64{probe, probe})
-	if len(batch) != 2 || batch[0] != batch[1] {
-		t.Fatal("PredictAll inconsistent")
+	batch := make([]float64, 2)
+	familyModel{m}.PredictAllInto(batch, [][]float64{probe, probe}, nil)
+	if batch[0] != m.Predict(probe) || batch[1] != batch[0] {
+		t.Fatal("PredictAllInto inconsistent")
 	}
 }
 
@@ -112,8 +130,8 @@ func TestR2PerfectAndNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.R2() < 1-1e-9 {
-		t.Fatalf("noise-free R2 = %v", m.R2())
+	if r2(m) < 1-1e-9 {
+		t.Fatalf("noise-free R2 = %v", r2(m))
 	}
 }
 
@@ -131,8 +149,8 @@ func TestInterceptOnlyWhenNothingSignificant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSelected() != 0 {
-		t.Fatalf("selected %v for a constant target", m.SelectedNames())
+	if len(m.selected) != 0 {
+		t.Fatalf("selected %v for a constant target", selectedNames(m))
 	}
 	if math.Abs(m.Predict([]float64{0.3, 0.4})-10) > 1e-9 {
 		t.Fatal("intercept-only model should predict the mean")
@@ -154,7 +172,7 @@ func TestStandardizedBetasRankImportance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var big, small float64
-	for _, c := range m.Coefficients() {
+	for _, c := range m.coeffs {
 		switch c.Name {
 		case "big":
 			big = math.Abs(c.StdBeta)
@@ -173,7 +191,7 @@ func TestCoefficientPValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range m.Coefficients() {
+	for _, c := range m.coeffs {
 		switch c.Name {
 		case "a", "b":
 			if !(c.P < 1e-6) {

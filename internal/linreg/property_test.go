@@ -80,11 +80,11 @@ func TestOLSResidualOrthogonality(t *testing.T) {
 			}
 		}
 		// R² of a full fit lies in [0, 1] and RSS is non-negative.
-		if r2 := m.R2(); r2 < -1e-9 || r2 > 1+1e-9 {
-			t.Errorf("trial %d: R² = %v", trial, r2)
+		if v := r2(m); v < -1e-9 || v > 1+1e-9 {
+			t.Errorf("trial %d: R² = %v", trial, v)
 		}
-		if m.RSS() < 0 {
-			t.Errorf("trial %d: RSS = %v", trial, m.RSS())
+		if m.rss < 0 {
+			t.Errorf("trial %d: RSS = %v", trial, m.rss)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestSelectionSubsetInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, method, err)
 			}
-			sel := m.SelectedNames()
+			sel := selectedNames(m)
 			seen := make(map[string]bool, len(sel))
 			for _, nm := range sel {
 				if !candidates[nm] {
@@ -120,14 +120,11 @@ func TestSelectionSubsetInvariants(t *testing.T) {
 				}
 				seen[nm] = true
 			}
-			if m.NumSelected() != len(sel) {
-				t.Errorf("trial %d %v: NumSelected %d != len(SelectedNames) %d", trial, method, m.NumSelected(), len(sel))
+			if len(m.selected) > p {
+				t.Errorf("trial %d %v: selected %d of %d predictors", trial, method, len(m.selected), p)
 			}
-			if m.NumSelected() > p {
-				t.Errorf("trial %d %v: selected %d of %d predictors", trial, method, m.NumSelected(), p)
-			}
-			if method == Enter && m.NumSelected() != p {
-				t.Errorf("trial %d: Enter selected %d of %d predictors", trial, m.NumSelected(), p)
+			if method == Enter && len(m.selected) != p {
+				t.Errorf("trial %d: Enter selected %d of %d predictors", trial, len(m.selected), p)
 			}
 			for i := range x {
 				if yh := m.Predict(x[i]); math.IsNaN(yh) || math.IsInf(yh, 0) {
@@ -157,8 +154,8 @@ func TestStepwiseNeverBeatsEnterOnRSS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, method, err)
 			}
-			if m.RSS() < full.RSS()-1e-6*(full.RSS()+1) {
-				t.Errorf("trial %d %v: submodel RSS %v below full-model RSS %v", trial, method, m.RSS(), full.RSS())
+			if m.rss < full.rss-1e-6*(full.rss+1) {
+				t.Errorf("trial %d %v: submodel RSS %v below full-model RSS %v", trial, method, m.rss, full.rss)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package linreg
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestModelSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Method() != method || back.NumSelected() != m.NumSelected() {
+		if back.opts.Method != method || len(back.selected) != len(m.selected) {
 			t.Fatalf("%v: meta mismatch", method)
 		}
 		for i := 0; i < 20; i++ {
@@ -28,10 +29,20 @@ func TestModelSerializeRoundTrip(t *testing.T) {
 				t.Fatalf("%v: predictions diverge at %d", method, i)
 			}
 		}
-		if back.R2() != m.R2() || back.Intercept() != m.Intercept() {
+		if back.rss != m.rss || back.tss != m.tss || back.intercept != m.intercept {
 			t.Fatalf("%v: summary stats differ", method)
 		}
-		ca, cb := m.Coefficients(), back.Coefficients()
+		// inv has no reader, but it is part of the artifact and must
+		// survive a round trip.
+		if m.inv == nil || len(back.inv) != len(m.inv) {
+			t.Fatalf("%v: (XᵀX)⁻¹ lost in the round trip", method)
+		}
+		for i := range m.inv {
+			if !slices.Equal(back.inv[i], m.inv[i]) {
+				t.Fatalf("%v: (XᵀX)⁻¹ row %d differs after the round trip", method, i)
+			}
+		}
+		ca, cb := m.coeffs, back.coeffs
 		if len(ca) != len(cb) {
 			t.Fatalf("%v: coefficient tables differ", method)
 		}

@@ -36,7 +36,7 @@ func (e *evidence) catalogKey(i int) string {
 // malformed-payload classes answered exactly, one shed, one client
 // timeout, and an epilogue that reloaded every replica and moved the
 // hot rows to the retrained artifact's goldens. Replica 0 did all the
-// serving.
+// serving, and the heap held flat at 64 MiB over eight samples.
 func cleanEvidence(n int) *evidence {
 	fx := &fixture{models: []string{"m"}, golden: map[string][]float64{"m": {1, 2, 3}}}
 	front := ""
@@ -63,7 +63,7 @@ func cleanEvidence(n int) *evidence {
 			EpilogueStats: EpilogueStats{Probes: 4, ReloadAttempts: n, ReloadsOK: n},
 			old:           []float64{1, 2}, new: []float64{5, 6},
 			pre: []float64{1, 2}, post: []float64{5, 6},
-		}},
+		}, heap: make([]uint64, minHeapSamples)},
 		rep: &Report{},
 	}
 	for i := 0; i < n; i++ {
@@ -74,6 +74,9 @@ func cleanEvidence(n int) *evidence {
 	}
 	for i := 0; i < n; i++ {
 		e.led.catalogs[e.catalogKey(i)] = []catalog{{1, fx.models}, {2, fx.models}}
+	}
+	for i := range e.led.heap {
+		e.led.heap[i] = 64 << 20
 	}
 	r0 := e.rep.Replicas[0]
 	r0.Requests, r0.Predictions, r0.Shed = 5, 1, 1
@@ -118,6 +121,7 @@ func TestCheckCatchesEveryViolationClass(t *testing.T) {
 			e.rep.Replicas[len(e.rep.Replicas)-1].FaultsInjected = 1
 		}, "faults disabled but 1 faults fired"},
 		{"stale hit across the epilogue's generation boundary", false, func(e *evidence) { e.led.epi.post[1] = e.led.epi.old[1] }, "crossed the generation boundary"},
+		{"heap growing through the replay", false, func(e *evidence) { e.led.heap[len(e.led.heap)-1] *= 2 }, "last-quarter peak HeapInuse 128.0 MiB exceeds first-quarter peak 64.0 MiB"},
 		{"affinity spread above its allowance", true, func(e *evidence) {
 			o := e.outs[1]
 			o.ev.Seq, o.replica = 7, replicaAddr(1)

@@ -24,7 +24,10 @@
 //     duplicate-heavy class, and after the run a generation-boundary
 //     epilogue — retrain one model, swap its artifact, reload every
 //     replica, re-probe the hot rows against the new artifact's goldens
-//     — proves no cache hit crosses a reload.
+//     — proves no cache hit crosses a reload;
+//   - the process heap stays bounded: over a replay long enough to
+//     judge, the last quarter's peak HeapInuse stays within
+//     heapGrowthBound of the first quarter's.
 //
 // Everything stochastic — request times, burst placement, payload
 // classes — derives from Config.Seed, and faults fire on fixed
@@ -41,6 +44,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -176,7 +181,7 @@ type harness struct {
 	sched  *Schedule
 	outs   []outcome
 
-	mu  sync.Mutex // guards led.catalogs and led.acks; led.epi is the main goroutine's
+	mu  sync.Mutex // guards led.catalogs, led.acks and led.heap; led.epi is the main goroutine's
 	led ledger
 }
 
@@ -242,6 +247,7 @@ func Run(cfg Config) (*Report, error) {
 		len(sched.Events), cfg.Duration, top.baseURL, n, cfg.ReplicaKill)
 	pollDone := make(chan struct{})
 	go h.pollCatalog(pollDone)
+	go h.sampleHeap(pollDone)
 	h.replay()
 	close(pollDone)
 
@@ -453,8 +459,35 @@ func (h *harness) pollCatalog(done <-chan struct{}) {
 		for i, m := range mr.Models {
 			c.models[i] = m.Name
 		}
+		// An observation equal to the replica's last one adds no
+		// evidence; dropping it keeps the ledger from growing with the
+		// length of the run.
 		h.mu.Lock()
-		h.led.catalogs[replica] = append(h.led.catalogs[replica], c)
+		seq := h.led.catalogs[replica]
+		if n := len(seq); n == 0 || seq[n-1].gen != c.gen || !slices.Equal(seq[n-1].models, c.models) {
+			h.led.catalogs[replica] = append(seq, c)
+		}
 		h.mu.Unlock()
+	}
+}
+
+// sampleHeap records runtime.MemStats.HeapInuse into the ledger when the
+// replay starts and then once a second until done closes. The whole tier
+// runs in this process, so the samples cover every replica, the gateway
+// and the harness itself.
+func (h *harness) sampleHeap(done <-chan struct{}) {
+	t := time.NewTicker(time.Second)
+	defer t.Stop()
+	var ms runtime.MemStats
+	for {
+		runtime.ReadMemStats(&ms)
+		h.mu.Lock()
+		h.led.heap = append(h.led.heap, ms.HeapInuse)
+		h.mu.Unlock()
+		select {
+		case <-done:
+			return
+		case <-t.C:
+		}
 	}
 }

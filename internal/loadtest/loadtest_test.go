@@ -107,6 +107,10 @@ func TestCleanRunNoFaults(t *testing.T) {
 	if sr.Cache.Hits == 0 {
 		t.Error("clean run recorded no cache hits")
 	}
+	// Too short a replay to judge the heap, but it is still sampled.
+	if rep.HeapSamples == 0 || rep.HeapFirstPeakMiB != 0 {
+		t.Errorf("heap: %d samples, first-quarter peak %v MiB; want samples and no verdict", rep.HeapSamples, rep.HeapFirstPeakMiB)
+	}
 }
 
 // TestScheduleDeterministic pins the reproducibility contract: the same

@@ -15,7 +15,7 @@ import (
 )
 
 // ReportVersion is the chaos report schema version.
-const ReportVersion = 3
+const ReportVersion = 4
 
 // ReloadStats summarizes the run's reload events.
 type ReloadStats struct {
@@ -80,6 +80,14 @@ type Report struct {
 	AffinityKeys      int `json:"affinity_keys,omitempty"`
 	AffinityMaxSpread int `json:"affinity_max_spread,omitempty"`
 
+	// HeapSamples counts the replay's HeapInuse samples (one a second).
+	// HeapFirstPeakMiB and HeapLastPeakMiB are the peaks of the first
+	// and last quarter of them; both are zero when the replay was too
+	// short to judge (fewer than minHeapSamples samples).
+	HeapSamples      int     `json:"heap_samples"`
+	HeapFirstPeakMiB float64 `json:"heap_first_quarter_peak_mib,omitempty"`
+	HeapLastPeakMiB  float64 `json:"heap_last_quarter_peak_mib,omitempty"`
+
 	// Epilogue records the run's generation-boundary epilogue.
 	Epilogue *EpilogueStats `json:"generation_epilogue,omitempty"`
 
@@ -121,7 +129,7 @@ func (v *violations) addf(format string, args ...any) {
 // reports.
 type ledger struct {
 	// catalogs are the poller's /v1/models observations per answering
-	// replica, in observation order.
+	// replica, in observation order, each differing from the one before.
 	catalogs map[string][]catalog
 	// acks counts the reloads each replica (by address) acknowledged,
 	// epilogue reloads included.
@@ -129,6 +137,8 @@ type ledger struct {
 	// epi is the generation-boundary epilogue's evidence (nil when the
 	// run had none).
 	epi *epilogue
+	// heap is the replay's HeapInuse samples in bytes, oldest first.
+	heap []uint64
 }
 
 // catalog is one observed /v1/models answer.
@@ -277,6 +287,7 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 	if rep.Gateway != nil {
 		checkGateway(cfg, outs, rep, &v)
 	}
+	checkHeap(led.heap, rep, &v)
 
 	if v.dropped > 0 {
 		v.list = append(v.list, fmt.Sprintf("... and %d more violations", v.dropped))
@@ -284,6 +295,36 @@ func check(cfg Config, fx *fixture, outs []outcome, led *ledger, rep *Report) {
 	rep.Violations = v.list
 	if rep.Violations == nil {
 		rep.Violations = []string{}
+	}
+}
+
+// heapGrowthBound is how far the last quarter's peak HeapInuse may
+// exceed the first quarter's, as a fraction of the first. It sits above
+// the largest growth measured on a healthy tier (see CHANGES.md for the
+// runs), so only a heap that keeps growing through the replay trips it.
+const heapGrowthBound = 0.5
+
+// minHeapSamples is the fewest samples checkHeap judges: at one a
+// second, replays shorter than this have quarters of one sample.
+const minHeapSamples = 8
+
+// checkHeap bounds the heap over the replay: the peak HeapInuse of the
+// last quarter of samples may exceed that of the first quarter by at
+// most heapGrowthBound. A peak, not a mean, so that where a sample lands
+// in the GC cycle matters less.
+func checkHeap(heap []uint64, rep *Report, v *violations) {
+	rep.HeapSamples = len(heap)
+	if len(heap) < minHeapSamples {
+		return
+	}
+	q := len(heap) / 4
+	first, last := slices.Max(heap[:q]), slices.Max(heap[len(heap)-q:])
+	const mib = 1 << 20
+	rep.HeapFirstPeakMiB = float64(first) / mib
+	rep.HeapLastPeakMiB = float64(last) / mib
+	if float64(last) > (1+heapGrowthBound)*float64(first) {
+		v.addf("heap grew: last-quarter peak HeapInuse %.1f MiB exceeds first-quarter peak %.1f MiB by more than %.0f%%",
+			rep.HeapLastPeakMiB, rep.HeapFirstPeakMiB, 100*heapGrowthBound)
 	}
 }
 

@@ -138,14 +138,6 @@ func (c *Cache) Accesses() uint64 { return c.accesses }
 // Misses returns the number of lookups that missed.
 func (c *Cache) Misses() uint64 { return c.misses }
 
-// MissRate returns misses/accesses (0 before any access).
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	clear(c.lines)

@@ -100,9 +100,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // backAccess charges the L2 → L3 → memory chain for an L1 miss at addr,
 // returning the latency beyond the L1 and whether the access went all the
 // way to memory.
@@ -184,17 +181,4 @@ func (h *Hierarchy) Stats() AccessStats {
 	s.ITLBMisses, s.DTLBMisses = h.itlb.Misses(), h.dtlb.Misses()
 	s.Prefetches = h.prefetches
 	return s
-}
-
-// Reset clears all levels and counters.
-func (h *Hierarchy) Reset() {
-	h.l1i.Reset()
-	h.l1d.Reset()
-	h.l2.Reset()
-	if h.l3 != nil {
-		h.l3.Reset()
-	}
-	h.itlb.Reset()
-	h.dtlb.Reset()
-	h.prefetches = 0
 }

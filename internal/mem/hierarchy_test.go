@@ -56,12 +56,8 @@ func TestTLBHitMiss(t *testing.T) {
 	if got := tlb.Access(0x10000 + 100); got != 0 {
 		t.Fatalf("same-page access penalty = %d, want 0", got)
 	}
-	if tlb.Misses() != 1 || tlb.Accesses() != 2 {
-		t.Fatalf("stats %d/%d", tlb.Misses(), tlb.Accesses())
-	}
-	tlb.Reset()
-	if tlb.Accesses() != 0 {
-		t.Fatal("reset failed")
+	if tlb.Misses() != 1 || tlb.cache.Accesses() != 2 {
+		t.Fatalf("stats %d/%d", tlb.Misses(), tlb.cache.Accesses())
 	}
 }
 
@@ -156,23 +152,6 @@ func TestHierarchyInstVsDataSeparate(t *testing.T) {
 	// Both cold-missed into the shared L2.
 	if st.L2Accesses != 2 {
 		t.Fatalf("L2 accesses = %d, want 2 (unified)", st.L2Accesses)
-	}
-}
-
-func TestHierarchyReset(t *testing.T) {
-	h, err := NewHierarchy(testHierCfg(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		h.AccessData(uint64(r.Intn(1 << 20)))
-		h.AccessInst(uint64(r.Intn(1 << 16)))
-	}
-	h.Reset()
-	st := h.Stats()
-	if st.L1DAccesses != 0 || st.L2Accesses != 0 || st.L3Accesses != 0 || st.ITLBMisses != 0 {
-		t.Fatalf("reset left stats %+v", st)
 	}
 }
 

@@ -70,12 +70,3 @@ func (t *TLB) Access(addr uint64) int {
 
 // Misses returns the number of translations that missed.
 func (t *TLB) Misses() uint64 { return t.cache.Misses() }
-
-// Accesses returns the number of translations performed.
-func (t *TLB) Accesses() uint64 { return t.cache.Accesses() }
-
-// MissRate returns the TLB miss rate.
-func (t *TLB) MissRate() float64 { return t.cache.MissRate() }
-
-// Reset clears contents and statistics.
-func (t *TLB) Reset() { t.cache.Reset() }

@@ -55,8 +55,8 @@ func checkSampleGradients(t *testing.T, n *Network, x, target []float64) {
 			checked++
 		}
 	}
-	if checked+frozen != before.NumWeights() {
-		t.Fatalf("checked %d+%d of %d weights", checked, frozen, before.NumWeights())
+	if checked+frozen != numWeights(before) {
+		t.Fatalf("checked %d+%d of %d weights", checked, frozen, numWeights(before))
 	}
 }
 

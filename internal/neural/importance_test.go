@@ -72,7 +72,7 @@ func TestImportanceFrozenInputIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Network().FreezeInput(2); err != nil {
+	if err := m.net.FreezeInput(2); err != nil {
 		t.Fatal(err)
 	}
 	imp, err := m.Importance(x)

@@ -106,19 +106,10 @@ type Model struct {
 	valMSE float64
 }
 
-// Predict returns the model's prediction for one encoded input row.
-func (m *Model) Predict(x []float64) float64 { return m.net.Predict1(x) }
-
 // NumInputs returns the width of the input rows the model expects —
 // registry loaders use it to cross-check a deserialized model against
 // its encoder.
 func (m *Model) NumInputs() int { return m.net.NumInputs() }
-
-// PredictAll returns predictions for a batch of rows via the batched
-// forward kernel (one scratch for the whole batch, no per-row allocation).
-func (m *Model) PredictAll(x [][]float64) []float64 {
-	return m.PredictAllInto(make([]float64, len(x)), x, nil)
-}
 
 // PredictAllInto is the allocation-free batch predictor: it writes the
 // prediction for each row of x into dst (which must have len(x) elements)
@@ -145,27 +136,6 @@ func (m *Model) PredictAllInto(dst []float64, x [][]float64, s *Scratch) []float
 	}
 	return dst
 }
-
-// PredictWith returns the prediction for one encoded row, reusing s for
-// the forward pass (nil s falls back to Predict). It is the hot-path
-// variant batch scorers use with a worker-local scratch.
-func (m *Model) PredictWith(x []float64, s *Scratch) float64 {
-	if s == nil {
-		return m.Predict(x)
-	}
-	s.ensureForward(m.net)
-	return m.net.predict1Scratch(x, s)
-}
-
-// Method returns the training method that produced the model.
-func (m *Model) Method() Method { return m.method }
-
-// Network exposes the underlying network (read-only use intended).
-func (m *Model) Network() *Network { return m.net }
-
-// ValidationMSE returns the held-out MSE observed during topology search
-// (NaN for methods that did not need a validation split).
-func (m *Model) ValidationMSE() float64 { return m.valMSE }
 
 // Train fits a neural network to x (rows of [0,1]-scaled features) and
 // scalar targets y (also [0,1]-scaled) using the configured method.

@@ -36,12 +36,12 @@ func TestTrainAllMethodsFitSmoothSurface(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if model.Method() != m {
+		if model.method != m {
 			t.Fatalf("%v: method mismatch", m)
 		}
 		mse := 0.0
 		for i := range xt {
-			d := model.Predict(xt[i]) - yt[i]
+			d := model.net.Predict1(xt[i]) - yt[i]
 			mse += d * d
 		}
 		mse /= float64(len(xt))
@@ -63,7 +63,7 @@ func TestTrainDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		probe := []float64{0.3, 0.6, 0.9}
-		if m1.Predict(probe) != m2.Predict(probe) {
+		if m1.net.Predict1(probe) != m2.net.Predict1(probe) {
 			t.Errorf("%v not deterministic", m)
 		}
 	}
@@ -82,7 +82,7 @@ func TestTrainMultipleDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := []float64{0.2, 0.5, 0.8}
-	if m1.Predict(probe) != m4.Predict(probe) {
+	if m1.net.Predict1(probe) != m4.net.Predict1(probe) {
 		t.Fatal("worker count changed the trained model")
 	}
 }
@@ -119,8 +119,8 @@ func TestSingleHasSmallerHiddenLayerThanQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := ms.Network().HiddenSizes()[0]
-	hq := mq.Network().HiddenSizes()[0]
+	hs := ms.net.sizes[1]
+	hq := mq.net.sizes[1]
 	if hs > hq {
 		t.Fatalf("NN-S hidden %d should be <= NN-Q hidden %d (paper §3.2)", hs, hq)
 	}
@@ -142,7 +142,7 @@ func TestPruneShrinksNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := len(x[0]) // trainPrune starts with p hidden units
-	if got := model.Network().HiddenSizes()[0]; got > start {
+	if got := model.net.sizes[1]; got > start {
 		t.Fatalf("prune grew the network: %d > %d", got, start)
 	}
 }
@@ -165,7 +165,7 @@ func TestExhaustivePruneBeatsSingleOnComplexSurface(t *testing.T) {
 	mse := func(m *Model) float64 {
 		s := 0.0
 		for i := range xt {
-			e := m.Predict(xt[i]) - yt[i]
+			e := m.net.Predict1(xt[i]) - yt[i]
 			s += e * e
 		}
 		return s / float64(len(xt))
@@ -189,14 +189,14 @@ func TestValidationMSEReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(mm.ValidationMSE()) || mm.ValidationMSE() < 0 {
-		t.Fatalf("Multiple should report a validation MSE, got %v", mm.ValidationMSE())
+	if math.IsNaN(mm.valMSE) || mm.valMSE < 0 {
+		t.Fatalf("Multiple should report a validation MSE, got %v", mm.valMSE)
 	}
 	msingle, err := Train(context.Background(), x, y, trainCfg(Single))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(msingle.ValidationMSE()) {
+	if !math.IsNaN(msingle.valMSE) {
 		t.Fatal("Single trains on all data; validation MSE should be NaN")
 	}
 }
@@ -222,13 +222,13 @@ func TestPredictAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := m.PredictAll(x[:5])
+	batch := predictAll(m, x[:5])
 	if len(batch) != 5 {
 		t.Fatalf("len = %d", len(batch))
 	}
 	for i := range batch {
-		if batch[i] != m.Predict(x[i]) {
-			t.Fatal("PredictAll disagrees with Predict")
+		if batch[i] != m.net.Predict1(x[i]) {
+			t.Fatal("PredictAllInto disagrees with Predict1")
 		}
 	}
 }

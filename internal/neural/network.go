@@ -127,9 +127,6 @@ type layer struct {
 	act Activation
 }
 
-// stride is the flat row width: fan-in plus the fused bias.
-func (l *layer) stride() int { return l.in + 1 }
-
 // row returns unit i's weight row (aliasing the flat slice).
 func (l *layer) row(i int) []float64 {
 	s := l.in + 1
@@ -187,20 +184,6 @@ func (n *Network) NumInputs() int { return n.sizes[0] }
 
 // NumOutputs returns the output dimensionality.
 func (n *Network) NumOutputs() int { return n.sizes[len(n.sizes)-1] }
-
-// HiddenSizes returns the hidden layer unit counts.
-func (n *Network) HiddenSizes() []int {
-	return append([]int(nil), n.sizes[1:len(n.sizes)-1]...)
-}
-
-// NumWeights returns the total number of trainable parameters.
-func (n *Network) NumWeights() int {
-	c := 0
-	for li := range n.layers {
-		c += len(n.layers[li].w)
-	}
-	return c
-}
 
 // Scratch holds the reusable buffers of the batched kernels: per-layer
 // activations, backpropagated deltas and momentum velocities. A zero

@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// numWeights counts a network's trainable parameters.
+func numWeights(n *Network) int {
+	c := 0
+	for li := range n.layers {
+		c += len(n.layers[li].w)
+	}
+	return c
+}
+
+// predictAll scores x through the batch kernel.
+func predictAll(m *Model, x [][]float64) []float64 {
+	return m.PredictAllInto(make([]float64, len(x)), x, nil)
+}
+
 func TestActivations(t *testing.T) {
 	if got := Sigmoid.apply(0); got != 0.5 {
 		t.Fatalf("sigmoid(0) = %v", got)
@@ -51,13 +65,13 @@ func TestNewNetworkValidation(t *testing.T) {
 	if n.NumInputs() != 4 || n.NumOutputs() != 2 {
 		t.Fatal("dims wrong")
 	}
-	hs := n.HiddenSizes()
+	hs := n.sizes[1 : len(n.sizes)-1]
 	if len(hs) != 1 || hs[0] != 5 {
 		t.Fatalf("hidden = %v", hs)
 	}
 	// weights: 5*(4+1) + 2*(5+1) = 37
-	if n.NumWeights() != 37 {
-		t.Fatalf("NumWeights = %d", n.NumWeights())
+	if numWeights(n) != 37 {
+		t.Fatalf("NumWeights = %d", numWeights(n))
 	}
 }
 
@@ -125,7 +139,7 @@ func TestRemoveHidden(t *testing.T) {
 	if err := n.RemoveHidden(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if hs := n.HiddenSizes(); hs[0] != 3 {
+	if hs := n.sizes[1 : len(n.sizes)-1]; hs[0] != 3 {
 		t.Fatalf("hidden after removal = %v", hs)
 	}
 	// Forward still works with consistent shapes.

@@ -348,8 +348,8 @@ func TestTrainBitIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("serial and 8-worker models differ:\n%s\nvs\n%s", sj, wj)
 			}
 
-			rn := refFromNetwork(serial.Network())
-			got := serial.PredictAll(probe)
+			rn := refFromNetwork(serial.net)
+			got := predictAll(serial, probe)
 			for i := range probe {
 				want := rn.refForwardActs(probe[i])[len(rn.sizes)-1][0]
 				if got[i] != want {
@@ -371,15 +371,15 @@ func TestPredictAllMatchesPerSample(t *testing.T) {
 	}
 	space, _ := benchData(41, 5, 14)
 	s := NewScratch()
-	s.ensureForward(m.Network())
+	s.ensureForward(m.net)
 	for cut := 0; cut <= len(space); cut++ {
 		sub := space[:cut]
-		got := m.PredictAll(sub)
+		got := predictAll(m, sub)
 		if len(got) != cut {
 			t.Fatalf("cut %d: got %d predictions", cut, len(got))
 		}
 		for i := range sub {
-			want := m.Network().predict1Scratch(sub[i], s)
+			want := m.net.predict1Scratch(sub[i], s)
 			if got[i] != want {
 				t.Fatalf("cut %d row %d: batch %.17g vs scalar %.17g", cut, i, got[i], want)
 			}

@@ -22,16 +22,16 @@ func TestModelSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Method() != method {
-			t.Fatalf("%v: method became %v", method, back.Method())
+		if back.method != method {
+			t.Fatalf("%v: method became %v", method, back.method)
 		}
 		for i := 0; i < 30; i++ {
-			if back.Predict(x[i]) != m.Predict(x[i]) {
+			if back.net.Predict1(x[i]) != m.net.Predict1(x[i]) {
 				t.Fatalf("%v: prediction diverges at %d", method, i)
 			}
 		}
 		// NaN validation MSE must survive the trip (Single has none).
-		if math.IsNaN(m.ValidationMSE()) != math.IsNaN(back.ValidationMSE()) {
+		if math.IsNaN(m.valMSE) != math.IsNaN(back.valMSE) {
 			t.Fatalf("%v: valMSE NaN-ness lost", method)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSerializePreservesFrozenInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Network().FreezeInput(1); err != nil {
+	if err := m.net.FreezeInput(1); err != nil {
 		t.Fatal(err)
 	}
 	data, err := json.Marshal(m)
@@ -54,7 +54,7 @@ func TestSerializePreservesFrozenInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Network().InputFrozen(1) || back.Network().InputFrozen(0) {
+	if !back.net.InputFrozen(1) || back.net.InputFrozen(0) {
 		t.Fatal("frozen-input mask lost")
 	}
 }

@@ -197,13 +197,6 @@ func (c *Cache) Invalidate(keepGen int64) int {
 	return n
 }
 
-// Len reports the total indexed entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // remove unlinks an entry from the index. Callers hold c.mu.
 func (c *Cache) remove(el *list.Element) {
 	delete(c.m, c.lru.Remove(el).(*entry).key)

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// entries is the number of rows the cache indexes.
+func entries(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
 func key(model string, gen int64, row []float64) Key {
 	return Key{Model: model, Gen: gen, Hash: HashRow(row)}
 }
@@ -29,9 +36,9 @@ func TestLookupMissFillHit(t *testing.T) {
 	// A Put of an equal row only refreshes the entry: one entry, no
 	// eviction, and the stored value stands.
 	c.Put(k, []float64{1, 2.5, 0, 1}, 99)
-	if val, ok := c.Get(k, row); !ok || val != 42.5 || c.Len() != 1 || c.Stats().Evictions != 0 {
+	if val, ok := c.Get(k, row); !ok || val != 42.5 || entries(c) != 1 || c.Stats().Evictions != 0 {
 		t.Fatalf("after equal Put: %v %v len=%d evictions=%d, want a hit on 42.5, 1 entry, 0 evictions",
-			val, ok, c.Len(), c.Stats().Evictions)
+			val, ok, entries(c), c.Stats().Evictions)
 	}
 }
 
@@ -66,8 +73,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Inserting a 4th entry evicts exactly one entry: row 1.
 	c.Put(keyOf(3), rows[3], 3)
-	if c.Len() != 3 {
-		t.Fatalf("Len after eviction: %d, want 3", c.Len())
+	if entries(c) != 3 {
+		t.Fatalf("Len after eviction: %d, want 3", entries(c))
 	}
 	if n := c.Stats().Evictions; n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
@@ -128,8 +135,8 @@ func TestFillAfterInvalidate(t *testing.T) {
 		t.Fatalf("Invalidate dropped %d, want 0", n)
 	}
 	c.Put(k, row, 9.5)
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
+	if entries(c) != 0 {
+		t.Fatalf("Len = %d, want 0", entries(c))
 	}
 	if val, ok := c.Get(k, row); ok {
 		t.Fatalf("Get after invalidated Put hit %v", val)
@@ -150,8 +157,8 @@ func TestHashCollisionNeverServesWrongValue(t *testing.T) {
 	}
 	// Storing rowB displaces the collider.
 	c.Put(k, rowB, 222)
-	if n := c.Stats().Evictions; n != 1 || c.Len() != 1 {
-		t.Fatalf("evictions = %d, Len = %d, want 1, 1 (displaced collider)", n, c.Len())
+	if n := c.Stats().Evictions; n != 1 || entries(c) != 1 {
+		t.Fatalf("evictions = %d, Len = %d, want 1, 1 (displaced collider)", n, entries(c))
 	}
 	if val, ok := c.Get(k, rowB); !ok || val != 222 {
 		t.Fatalf("rowB after Put: %v %v, want a hit on 222", val, ok)
@@ -185,8 +192,8 @@ func TestConcurrentSingleflight(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after racing one row, want 1", c.Len())
+	if entries(c) != 1 {
+		t.Fatalf("Len = %d after racing one row, want 1", entries(c))
 	}
 	if val, ok := c.Get(k, row); !ok || val != 77 {
 		t.Fatalf("final Get: %v %v, want a hit on 77", val, ok)
@@ -261,11 +268,11 @@ func TestNewBoundsOccupancy(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			row := []float64{float64(i)}
 			c.Put(Key{Model: "m", Gen: 1, Hash: hashOf(i, row)}, row, 0)
-			if n := c.Len(); n > 100 {
+			if n := entries(c); n > 100 {
 				t.Fatalf("%s: Len = %d after %d Puts, want ≤ 100", name, n, i+1)
 			}
 		}
-		if n, ev := c.Len(), c.Stats().Evictions; n != 100 || ev != 900 {
+		if n, ev := entries(c), c.Stats().Evictions; n != 100 || ev != 900 {
 			t.Fatalf("%s: Len = %d, evictions = %d after 1000 Puts, want 100, 900", name, n, ev)
 		}
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // Reporter renders progress lines from a metrics stream. Create one with
-// New, attach Reporter.Hook() wherever an engine.Hook is accepted, and
-// (optionally) share its Recorder with a RunReport builder.
+// New, passing the Recorder a RunReport builder also reads, and attach
+// Reporter.Hook() wherever an engine.Hook is accepted.
 type Reporter struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -36,10 +36,6 @@ func New(w io.Writer, epochs bool, rec *obs.Recorder) *Reporter {
 	}
 	return &Reporter{w: w, epochs: epochs, rec: rec}
 }
-
-// Recorder exposes the reporter's backing recorder, e.g. to build a
-// RunReport from the run the reporter narrated.
-func (p *Reporter) Recorder() *obs.Recorder { return p.rec }
 
 // Hook returns the engine hook driving this reporter. Events feed the
 // recorder first and the renderer second, so each line's aggregate
@@ -70,11 +66,4 @@ func (p *Reporter) render(e engine.Event) {
 		fmt.Fprintf(p.w, "  .. %-40s epoch %d/%d\n", e.Label, e.Epoch, e.Epochs)
 		p.mu.Unlock()
 	}
-}
-
-// Hook returns a standalone engine hook that writes one line per
-// completed task (label, outcome, duration, running totals) to w — the
-// one-call form of New for callers that don't need the Recorder.
-func Hook(w io.Writer, epochs bool) engine.Hook {
-	return New(w, epochs, nil).Hook()
 }

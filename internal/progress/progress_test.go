@@ -35,7 +35,7 @@ func TestReporterRendersFromRecorder(t *testing.T) {
 	if !strings.Contains(out, "[1 failed]") || !strings.Contains(out, "diverged") {
 		t.Errorf("failure line missing count or error:\n%s", out)
 	}
-	exec := p.Recorder().Execution()
+	exec := p.rec.Execution()
 	if exec.TasksStarted != 2 || exec.TasksDone != 1 || exec.TasksFailed != 1 || exec.EpochEvents != 1 {
 		t.Errorf("recorder aggregates = %+v", exec)
 	}
@@ -57,7 +57,7 @@ func TestReporterSharesRecorder(t *testing.T) {
 	rec := obs.NewRecorder()
 	var buf bytes.Buffer
 	p := New(&buf, false, rec)
-	if p.Recorder() != rec {
+	if p.rec != rec {
 		t.Fatal("reporter did not adopt the caller's recorder")
 	}
 	err := engine.Run(context.Background(), engine.Options{Workers: 2, Hook: p.Hook()},

@@ -72,16 +72,6 @@ func (f *Family) Years() []int {
 	return out
 }
 
-// TotalRecords returns the total announcement count across all years,
-// matching the paper's per-family record counts.
-func (f *Family) TotalRecords() int {
-	n := 0
-	for _, y := range f.years {
-		n += y.count
-	}
-	return n
-}
-
 // PaperStats returns the paper's published records/range/variance for the
 // family (§4.1), used by the calibration tests.
 func (f *Family) PaperStats() (records int, rng, variance float64) {

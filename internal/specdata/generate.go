@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"perfpred/internal/dataset"
 	"perfpred/internal/stat"
@@ -244,22 +243,6 @@ func BuildAppDataset(records []Record, app string, years ...int) (*dataset.Datas
 	return d, nil
 }
 
-// RatingFromTimes recomputes a SPEC-style rating from per-application
-// runtimes: the geometric mean of ref/time ratios.
-func RatingFromTimes(times map[string]float64) (float64, error) {
-	refs := RefTimes()
-	apps := IntApps()
-	ratios := make([]float64, 0, len(apps))
-	for _, app := range apps {
-		tm, ok := times[app]
-		if !ok || tm <= 0 {
-			return 0, fmt.Errorf("specdata: missing or invalid time for %s", app)
-		}
-		ratios = append(ratios, refs[app]/tm)
-	}
-	return stat.GeoMean(ratios)
-}
-
 // FamilyStatistics summarizes generated records the way the paper's §4.1
 // does: count, range (best/worst rate) and mean-normalized variance.
 func FamilyStatistics(records []Record) (count int, rng, variance float64, err error) {
@@ -275,14 +258,4 @@ func FamilyStatistics(records []Record) (count int, rng, variance float64, err e
 		return 0, 0, 0, err
 	}
 	return len(records), rng, stat.NormalizedVariance(rates), nil
-}
-
-// SortByYear orders records by (year, rate) for stable presentation.
-func SortByYear(records []Record) {
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].Year != records[j].Year {
-			return records[i].Year < records[j].Year
-		}
-		return records[i].Rate < records[j].Rate
-	})
 }

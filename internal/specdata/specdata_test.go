@@ -18,6 +18,15 @@ func TestSchemaHas32Fields(t *testing.T) {
 	}
 }
 
+// totalRecords is the family's announcement count over all years.
+func totalRecords(f *Family) int {
+	n := 0
+	for _, y := range f.years {
+		n += y.count
+	}
+	return n
+}
+
 func TestFamiliesComplete(t *testing.T) {
 	fams := Families()
 	if len(fams) != 7 {
@@ -28,7 +37,7 @@ func TestFamiliesComplete(t *testing.T) {
 		"Opteron": 138, "Opteron 2": 152, "Opteron 4": 158, "Opteron 8": 58,
 	}
 	for _, f := range fams {
-		if got := f.TotalRecords(); got != want[f.Name] {
+		if got := totalRecords(f); got != want[f.Name] {
 			t.Errorf("%s: %d records, paper says %d", f.Name, got, want[f.Name])
 		}
 	}
@@ -64,8 +73,8 @@ func TestGenerateCountsAndSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != f.TotalRecords() {
-			t.Errorf("%s: generated %d, want %d", f.Name, len(recs), f.TotalRecords())
+		if len(recs) != totalRecords(f) {
+			t.Errorf("%s: generated %d, want %d", f.Name, len(recs), totalRecords(f))
 		}
 		d := dataset.New(s)
 		for _, rec := range recs {
@@ -143,27 +152,15 @@ func TestRatingMatchesAppTimes(t *testing.T) {
 		if len(rec.AppTimes) != 12 {
 			t.Fatalf("%d app times", len(rec.AppTimes))
 		}
-		rating, err := RatingFromTimes(rec.AppTimes)
-		if err != nil {
-			t.Fatal(err)
+		// The rating is the geometric mean of the ref/time ratios.
+		refs, logSum := RefTimes(), 0.0
+		for _, app := range IntApps() {
+			logSum += math.Log(refs[app] / rec.AppTimes[app])
 		}
+		rating := math.Exp(logSum / float64(len(rec.AppTimes)))
 		if math.Abs(rating-rec.Rate)/rec.Rate > 1e-9 {
 			t.Fatalf("rating %v != rate %v", rating, rec.Rate)
 		}
-	}
-}
-
-func TestRatingFromTimesErrors(t *testing.T) {
-	if _, err := RatingFromTimes(map[string]float64{"gzip": 100}); err == nil {
-		t.Fatal("missing apps: want error")
-	}
-	times := map[string]float64{}
-	for _, a := range IntApps() {
-		times[a] = 100
-	}
-	times["mcf"] = -1
-	if _, err := RatingFromTimes(times); err == nil {
-		t.Fatal("negative time: want error")
 	}
 }
 
@@ -275,20 +272,6 @@ func TestMultiprocessorScaling(t *testing.T) {
 	}
 	if means[8] >= 8*means[1] {
 		t.Fatalf("8-way scaling should be sublinear: %v vs %v", means[8], 8*means[1])
-	}
-}
-
-func TestSortByYear(t *testing.T) {
-	f, _ := FamilyByName("Xeon")
-	recs, _ := Generate(f, 1)
-	SortByYear(recs)
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Year < recs[i-1].Year {
-			t.Fatal("not sorted by year")
-		}
-		if recs[i].Year == recs[i-1].Year && recs[i].Rate < recs[i-1].Rate {
-			t.Fatal("not sorted by rate within year")
-		}
 	}
 }
 

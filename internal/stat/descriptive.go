@@ -1,6 +1,6 @@
 // Package stat provides the statistical machinery the predictive-modeling
 // framework is built on: descriptive statistics, special functions
-// (log-gamma, regularized incomplete beta and gamma), the Normal, Student-t
+// (log-gamma, regularized incomplete beta), the Normal, Student-t
 // and F distributions used by the regression variable-selection tests, and
 // deterministic random-stream derivation used to keep every experiment
 // reproducible regardless of parallelism.
@@ -9,7 +9,6 @@ package stat
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by descriptive statistics that are undefined on an
@@ -73,23 +72,6 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // SampleStdDev returns the sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
-// GeoMean returns the geometric mean of xs. All elements must be positive;
-// a non-positive element yields an error. SPEC ratings are geometric means
-// of per-application performance ratios, so this is the rating kernel.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stat: geometric mean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
 // Min returns the minimum of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -149,31 +131,6 @@ func NormalizedVariance(xs []float64) float64 {
 	return Variance(norm)
 }
 
-// MAPE returns the mean absolute percentage error 100*|yhat-y|/y averaged
-// over all pairs, the paper's error metric (Section 4.2). Records with a
-// true value of zero are skipped; if every record is skipped MAPE returns
-// an error.
-func MAPE(yhat, y []float64) (float64, error) {
-	if len(yhat) != len(y) {
-		return 0, errors.New("stat: MAPE length mismatch")
-	}
-	if len(y) == 0 {
-		return 0, ErrEmpty
-	}
-	s, n := 0.0, 0
-	for i := range y {
-		if y[i] == 0 {
-			continue
-		}
-		s += 100 * math.Abs(yhat[i]-y[i]) / math.Abs(y[i])
-		n++
-	}
-	if n == 0 {
-		return 0, errors.New("stat: MAPE undefined, all true values zero")
-	}
-	return s / float64(n), nil
-}
-
 // APEs returns the individual absolute percentage errors 100*|yhat-y|/y.
 // Pairs with y == 0 produce a NaN-free 0 contribution and are reported as 0.
 func APEs(yhat, y []float64) []float64 {
@@ -186,77 +143,4 @@ func APEs(yhat, y []float64) []float64 {
 		out[i] = 100 * math.Abs(yhat[i]-y[i]) / math.Abs(y[i])
 	}
 	return out
-}
-
-// RMSE returns the root mean squared error between yhat and y.
-func RMSE(yhat, y []float64) (float64, error) {
-	if len(yhat) != len(y) {
-		return 0, errors.New("stat: RMSE length mismatch")
-	}
-	if len(y) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for i := range y {
-		d := yhat[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y))), nil
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2], nil
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stat: quantile out of [0,1]")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
-// Correlation returns the Pearson correlation coefficient between x and y.
-func Correlation(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, errors.New("stat: correlation length mismatch")
-	}
-	if len(x) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stat: correlation undefined for constant input")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

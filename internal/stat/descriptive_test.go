@@ -54,28 +54,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 4, 1e-12) {
-		t.Fatalf("GeoMean = %v, want 4", got)
-	}
-}
-
-func TestGeoMeanErrors(t *testing.T) {
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("GeoMean(nil): want error")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Fatal("GeoMean(negative): want error")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("GeoMean(zero): want error")
-	}
-}
-
 func TestMinMaxRange(t *testing.T) {
 	xs := []float64{3, 1, 4, 1.5, 9}
 	lo, err := Min(xs)
@@ -112,34 +90,9 @@ func TestNormalizedVarianceScaleFree(t *testing.T) {
 }
 
 func TestMAPE(t *testing.T) {
-	got, err := MAPE([]float64{110, 90}, []float64{100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mape([]float64{110, 90}, []float64{100, 100})
 	if !almostEq(got, 10, 1e-12) {
 		t.Fatalf("MAPE = %v, want 10", got)
-	}
-}
-
-func TestMAPESkipsZeroTruth(t *testing.T) {
-	got, err := MAPE([]float64{110, 5}, []float64{100, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 10, 1e-12) {
-		t.Fatalf("MAPE = %v, want 10 (zero-truth record skipped)", got)
-	}
-}
-
-func TestMAPEErrors(t *testing.T) {
-	if _, err := MAPE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch: want error")
-	}
-	if _, err := MAPE(nil, nil); err == nil {
-		t.Fatal("empty: want error")
-	}
-	if _, err := MAPE([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("all-zero truth: want error")
 	}
 }
 
@@ -153,84 +106,12 @@ func TestAPEs(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	got, err := RMSE([]float64{3, 0}, []float64{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE = %v", got)
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Fatal("empty RMSE: want error")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	m, err := Median([]float64{5, 1, 3})
-	if err != nil || m != 3 {
-		t.Fatalf("odd Median = %v, %v", m, err)
-	}
-	m, err = Median([]float64{4, 1, 3, 2})
-	if err != nil || m != 2.5 {
-		t.Fatalf("even Median = %v, %v", m, err)
-	}
-	if _, err := Median(nil); err == nil {
-		t.Fatal("Median(nil): want error")
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if _, err := Median(xs); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("Median mutated input: %v", xs)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	q, err := Quantile(xs, 0.5)
-	if err != nil || q != 3 {
-		t.Fatalf("Quantile(0.5) = %v, %v", q, err)
-	}
-	q, err = Quantile(xs, 0.25)
-	if err != nil || q != 2 {
-		t.Fatalf("Quantile(0.25) = %v, %v", q, err)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("Quantile(1.5): want error")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{2, 4, 6, 8}
-	c, err := Correlation(x, y)
-	if err != nil || !almostEq(c, 1, 1e-12) {
-		t.Fatalf("Correlation = %v, %v", c, err)
-	}
-	yn := []float64{8, 6, 4, 2}
-	c, err = Correlation(x, yn)
-	if err != nil || !almostEq(c, -1, 1e-12) {
-		t.Fatalf("anti Correlation = %v, %v", c, err)
-	}
-	if _, err := Correlation(x, []float64{1, 1, 1, 1}); err == nil {
-		t.Fatal("constant input: want error")
-	}
-}
-
 // Property: MAPE of a prediction scaled by (1+e) is |e|*100 for positive truth.
 func TestMAPEScaleProperty(t *testing.T) {
 	f := func(base uint8, e int8) bool {
 		y := float64(base)/8 + 1 // in [1, ~33]
 		scale := 1 + float64(e)/300
-		got, err := MAPE([]float64{y * scale}, []float64{y})
-		if err != nil {
-			return false
-		}
+		got := mape([]float64{y * scale}, []float64{y})
 		return almostEq(got, math.Abs(float64(e)/300)*100, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -249,23 +130,6 @@ func TestVarianceProperties(t *testing.T) {
 		}
 		scaled := []float64{2 * xs[0], 2 * xs[1], 2 * xs[2]}
 		return almostEq(4*Variance(xs), Variance(scaled), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: geometric mean lies between min and max for positive samples.
-func TestGeoMeanBoundedProperty(t *testing.T) {
-	f := func(a, b, c uint8) bool {
-		xs := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		g, err := GeoMean(xs)
-		if err != nil {
-			return false
-		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
-		return g >= lo-1e-12 && g <= hi+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -62,18 +62,6 @@ func FSurvival(f, d1, d2 float64) (float64, error) {
 	return 1 - c, nil
 }
 
-// ChiSquareCDF returns the CDF of the chi-squared distribution with df
-// degrees of freedom evaluated at x.
-func ChiSquareCDF(x, df float64) (float64, error) {
-	if df <= 0 {
-		return 0, errors.New("stat: ChiSquareCDF requires df > 0")
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return RegIncGammaLower(df/2, x/2)
-}
-
 // TTestPValue returns the two-sided p-value for a t statistic with df
 // degrees of freedom. Regression coefficient significance uses this.
 func TTestPValue(t, df float64) (float64, error) {
@@ -82,57 +70,4 @@ func TTestPValue(t, df float64) (float64, error) {
 		return 0, err
 	}
 	return 2 * (1 - c), nil
-}
-
-// StudentTQuantile returns the p-quantile of Student's t distribution with
-// df degrees of freedom (the critical value used by prediction intervals).
-// It inverts the CDF by bisection.
-func StudentTQuantile(p, df float64) (float64, error) {
-	if df <= 0 {
-		return 0, errors.New("stat: StudentTQuantile requires df > 0")
-	}
-	if p <= 0 || p >= 1 {
-		return 0, errors.New("stat: StudentTQuantile requires p in (0,1)")
-	}
-	if p == 0.5 {
-		return 0, nil
-	}
-	// Bracket the quantile, then bisect.
-	lo, hi := -1.0, 1.0
-	for i := 0; i < 200; i++ {
-		c, err := StudentTCDF(hi, df)
-		if err != nil {
-			return 0, err
-		}
-		if c >= p {
-			break
-		}
-		hi *= 2
-	}
-	for i := 0; i < 200; i++ {
-		c, err := StudentTCDF(lo, df)
-		if err != nil {
-			return 0, err
-		}
-		if c <= p {
-			break
-		}
-		lo *= 2
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		c, err := StudentTCDF(mid, df)
-		if err != nil {
-			return 0, err
-		}
-		if c < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-10*math.Max(1, math.Abs(mid)) {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
 }

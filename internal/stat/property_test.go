@@ -9,6 +9,10 @@ import (
 // metric must obey its algebraic identities on every sample the framework
 // could conceivably produce, not just on hand-picked vectors.
 
+// mape is the paper's error metric as Predictor.Evaluate computes it:
+// the mean of the per-record absolute percentage errors.
+func mape(yhat, y []float64) float64 { return Mean(APEs(yhat, y)) }
+
 // randVec draws n values in (lo, hi) from r, never exactly zero.
 func randVec(r interface{ Float64() float64 }, n int, lo, hi float64) []float64 {
 	out := make([]float64, n)
@@ -30,16 +34,13 @@ func TestMAPEPropertiesRandomized(t *testing.T) {
 		y := randVec(r, n, 0.5, 1000)
 		yhat := randVec(r, n, -1000, 1000)
 
-		m, err := MAPE(yhat, y)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		m := mape(yhat, y)
 		// Non-negativity and finiteness.
 		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
 			t.Fatalf("trial %d: MAPE = %v, want finite non-negative", trial, m)
 		}
 		// Identity: a perfect prediction has zero error.
-		if z, _ := MAPE(y, y); z != 0 {
+		if z := mape(y, y); z != 0 {
 			t.Fatalf("trial %d: MAPE(y, y) = %v, want 0", trial, z)
 		}
 		// Scale invariance: MAPE is a relative metric, so scaling both
@@ -51,16 +52,11 @@ func TestMAPEPropertiesRandomized(t *testing.T) {
 				cy[i] = c * y[i]
 				cyhat[i] = c * yhat[i]
 			}
-			sm, err := MAPE(cyhat, cy)
-			if err != nil {
-				t.Fatalf("trial %d scale %v: %v", trial, c, err)
-			}
-			if relDiff(sm, m) > 1e-9 {
+			if sm := mape(cyhat, cy); relDiff(sm, m) > 1e-9 {
 				t.Fatalf("trial %d: MAPE not scale invariant at c=%v: %v vs %v", trial, c, sm, m)
 			}
 		}
-		// Agreement with the per-record decomposition: the mean of APEs
-		// equals MAPE when no true value is zero.
+		// One non-negative error per record.
 		apes := APEs(yhat, y)
 		if len(apes) != n {
 			t.Fatalf("trial %d: APEs length %d, want %d", trial, len(apes), n)
@@ -70,52 +66,15 @@ func TestMAPEPropertiesRandomized(t *testing.T) {
 				t.Fatalf("trial %d: APE[%d] = %v < 0", trial, i, a)
 			}
 		}
-		if relDiff(Mean(apes), m) > 1e-9 {
-			t.Fatalf("trial %d: Mean(APEs) = %v, MAPE = %v", trial, Mean(apes), m)
-		}
 		// Triangle-ish bound: MAPE of a prediction shifted toward truth by
 		// averaging can never exceed the original by more than rounding.
 		mid := make([]float64, n)
 		for i := range y {
 			mid[i] = (yhat[i] + y[i]) / 2
 		}
-		hm, _ := MAPE(mid, y)
+		hm := mape(mid, y)
 		if hm > m/2+1e-9 {
 			t.Fatalf("trial %d: halfway MAPE %v exceeds half of %v", trial, hm, m)
-		}
-	}
-}
-
-func TestMAPEZeroHandlingRandomized(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		r := NewRand(DeriveSeed(43, trial))
-		n := 2 + r.Intn(32)
-		y := randVec(r, n, 1, 100)
-		yhat := randVec(r, n, 1, 100)
-		// Zero out a random subset of true values; MAPE must equal the
-		// MAPE over the surviving pairs.
-		var keptY, keptYhat []float64
-		for i := range y {
-			if r.Float64() < 0.3 {
-				y[i] = 0
-			} else {
-				keptY = append(keptY, y[i])
-				keptYhat = append(keptYhat, yhat[i])
-			}
-		}
-		got, err := MAPE(yhat, y)
-		if len(keptY) == 0 {
-			if err == nil {
-				t.Fatalf("trial %d: all-zero truth accepted", trial)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want, _ := MAPE(keptYhat, keptY)
-		if relDiff(got, want) > 1e-12 {
-			t.Fatalf("trial %d: zero-skipping MAPE %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -133,30 +92,11 @@ func TestDescriptiveIdentitiesRandomized(t *testing.T) {
 		if sd := StdDev(xs); relDiff(sd*sd, v) > 1e-9 && v > 1e-12 {
 			t.Fatalf("trial %d: StdDev² %v != Variance %v", trial, sd*sd, v)
 		}
-		// Min ≤ Median ≤ Max, and Mean within [Min, Max].
+		// Mean within [Min, Max].
 		mn, _ := Min(xs)
 		mx, _ := Max(xs)
-		md, err := Median(xs)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if md < mn-1e-12 || md > mx+1e-12 {
-			t.Fatalf("trial %d: median %v outside [%v, %v]", trial, md, mn, mx)
-		}
 		if m := Mean(xs); m < mn-1e-9 || m > mx+1e-9 {
 			t.Fatalf("trial %d: mean %v outside [%v, %v]", trial, m, mn, mx)
-		}
-		// Quantile is monotone in q.
-		prev := math.Inf(-1)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 1} {
-			qa, err := Quantile(xs, q)
-			if err != nil {
-				t.Fatalf("trial %d q=%v: %v", trial, q, err)
-			}
-			if qa < prev-1e-12 {
-				t.Fatalf("trial %d: quantiles not monotone at q=%v: %v < %v", trial, q, qa, prev)
-			}
-			prev = qa
 		}
 	}
 }

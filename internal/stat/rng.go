@@ -38,14 +38,3 @@ func NewSubRand(seed int64, i int) *rand.Rand {
 func Perm(seed int64, n int) []int {
 	return NewRand(seed).Perm(n)
 }
-
-// SampleWithoutReplacement returns k distinct indices drawn from [0, n)
-// using the given PRNG, in random order. It panics if k > n because the
-// request is unsatisfiable and always a programming error.
-func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
-	if k > n {
-		panic("stat: sample size exceeds population")
-	}
-	p := r.Perm(n)
-	return p[:k]
-}

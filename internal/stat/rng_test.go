@@ -57,30 +57,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRand(7)
-	s := SampleWithoutReplacement(r, 50, 10)
-	if len(s) != 10 {
-		t.Fatalf("len = %d", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("bad sample element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleWithoutReplacementPanicsOnOversample(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for k > n")
-		}
-	}()
-	SampleWithoutReplacement(NewRand(1), 3, 4)
-}
-
 func TestSplitMix64KnownSequence(t *testing.T) {
 	// Reference values for SplitMix64 seeded with 0 (from the public-domain
 	// reference implementation by Sebastiano Vigna).

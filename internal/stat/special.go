@@ -121,62 +121,3 @@ func betaCF(a, b, x float64) (float64, error) {
 	}
 	return 0, errors.New("stat: incomplete beta continued fraction did not converge")
 }
-
-// RegIncGammaLower returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a), the chi-squared CDF kernel.
-func RegIncGammaLower(a, x float64) (float64, error) {
-	if a <= 0 {
-		return 0, errors.New("stat: RegIncGammaLower requires a > 0")
-	}
-	if x < 0 {
-		return 0, errors.New("stat: RegIncGammaLower requires x >= 0")
-	}
-	if x == 0 {
-		return 0, nil
-	}
-	if x < a+1 {
-		// Series representation converges quickly here.
-		ap := a
-		sum := 1 / a
-		del := sum
-		for n := 0; n < 500; n++ {
-			ap++
-			del *= x / ap
-			sum += del
-			if math.Abs(del) < math.Abs(sum)*1e-15 {
-				return sum * math.Exp(-x+a*math.Log(x)-LnGamma(a)), nil
-			}
-		}
-		return 0, errors.New("stat: incomplete gamma series did not converge")
-	}
-	// Continued fraction for the upper tail, then complement.
-	const fpmin = 1e-300
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			q := math.Exp(-x+a*math.Log(x)-LnGamma(a)) * h
-			return 1 - q, nil
-		}
-	}
-	return 0, errors.New("stat: incomplete gamma continued fraction did not converge")
-}
-
-// Erf returns the error function. Delegates to the stdlib; declared here so
-// downstream packages depend only on stat for special functions.
-func Erf(x float64) float64 { return math.Erf(x) }

@@ -93,43 +93,3 @@ func TestRegIncBetaErrors(t *testing.T) {
 		t.Fatal("x>1: want error")
 	}
 }
-
-func TestRegIncGammaLowerKnown(t *testing.T) {
-	// P(1, x) = 1 - e^-x.
-	for _, x := range []float64{0.1, 1, 2, 5} {
-		v, err := RegIncGammaLower(1, x)
-		want := 1 - math.Exp(-x)
-		if err != nil || math.Abs(v-want) > 1e-12 {
-			t.Errorf("P(1,%v) = %v, want %v", x, v, want)
-		}
-	}
-	v, err := RegIncGammaLower(3, 0)
-	if err != nil || v != 0 {
-		t.Fatalf("P(3,0) = %v, %v", v, err)
-	}
-}
-
-func TestRegIncGammaLowerMonotoneProperty(t *testing.T) {
-	f := func(ai, xi uint8) bool {
-		a := 0.5 + float64(ai%30)/3
-		x := float64(xi) / 8
-		v1, err1 := RegIncGammaLower(a, x)
-		v2, err2 := RegIncGammaLower(a, x+0.5)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return v2 >= v1-1e-12 && v1 >= -1e-12 && v2 <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegIncGammaLowerErrors(t *testing.T) {
-	if _, err := RegIncGammaLower(0, 1); err == nil {
-		t.Fatal("a=0: want error")
-	}
-	if _, err := RegIncGammaLower(1, -1); err == nil {
-		t.Fatal("x<0: want error")
-	}
-}

@@ -8,10 +8,17 @@ import "fmt"
 // the rest are plausible companions built from the same machinery.
 //
 // Calibration targets from §4.1 (range = slowest/fastest cycles across the
-// 4608-point space; variance of mean-normalized cycles):
+// 4608-point space; the paper's "variance", which is in the units of
+// std/mean of the cycles: as a variance of mean-normalized cycles, the
+// applu, equake and mesa values would exceed the (r−1)²/(4r) bound their
+// ranges allow):
 //
 //	applu  1.62 / 0.16    equake 1.73 / 0.19   gcc 5.27 / 0.33
 //	mesa   2.22 / 0.19    mcf    6.38 / 0.71
+//
+// At seed 1 the profiles give std/mean applu 0.089, equake 0.14, gcc 0.35,
+// mesa 0.18 and mcf 0.48: gcc and mesa match, and applu, mcf and equake
+// spread less than the paper's (EXPERIMENTS.md §4.1).
 //
 // Loop placement against the Table 1 hierarchy (64 B blocks):
 //

@@ -68,11 +68,6 @@ func (c Class) String() string {
 	}
 }
 
-// Classes lists every instruction class.
-func Classes() []Class {
-	return []Class{IntALU, IntMult, FPALU, FPMult, Load, Store, Branch}
-}
-
 // Instr is one dynamic instruction.
 type Instr struct {
 	Class Class
@@ -103,16 +98,6 @@ func (t *Trace) Profile() *Profile { return t.profile }
 
 // Len returns the number of dynamic instructions.
 func (t *Trace) Len() int { return len(t.Instrs) }
-
-// Slice returns a sub-trace covering instructions [start, start+n),
-// sharing the parent's instruction storage and profile. SimPoint
-// simulation points are simulated as slices of the full trace.
-func (t *Trace) Slice(start, n int) (*Trace, error) {
-	if start < 0 || n <= 0 || start+n > len(t.Instrs) {
-		return nil, fmt.Errorf("trace: slice [%d, %d) out of range [0, %d)", start, start+n, len(t.Instrs))
-	}
-	return &Trace{Name: t.Name, Instrs: t.Instrs[start : start+n], profile: t.profile}, nil
-}
 
 // Mix returns the empirical class fractions of the trace.
 func (t *Trace) Mix() map[Class]float64 {
@@ -169,17 +154,6 @@ type Loop struct {
 	// permutation (pointer chasing — defeats spatial prefetching across
 	// blocks); otherwise blocks are visited in address order (streaming).
 	Chase bool
-}
-
-// FootprintBytes returns the loop's working-set size as seen by a cache
-// with the given line size.
-func (l Loop) FootprintBytes(lineBytes int) int {
-	if l.SpacingB < lineBytes {
-		// Blocks share lines when spacing < line size.
-		lines := (l.Blocks*l.SpacingB + lineBytes - 1) / lineBytes
-		return lines * lineBytes
-	}
-	return l.Blocks * lineBytes
 }
 
 // Profile statistically describes one benchmark.

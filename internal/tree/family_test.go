@@ -35,7 +35,7 @@ func TestFamilyEpochScaleSizesEnsemble(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scale %v: %v", tc.scale, err)
 		}
-		got := m.(familyModel).NumTrees()
+		got := len(m.(familyModel).trees)
 		if got != tc.want {
 			t.Errorf("scale %v: %d trees, want %d", tc.scale, got, tc.want)
 		}

@@ -407,9 +407,6 @@ func (m *Model) PredictSpreadInto(mean, spread []float64, x [][]float64) {
 // NumInputs returns the input width the model expects.
 func (m *Model) NumInputs() int { return m.numInputs }
 
-// NumTrees returns the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // Importance returns the fit-time out-of-bag permutation importance per
 // input column. The probe matrix is unused: unlike sensitivity analysis,
 // permutation importance needs the training targets, so it is computed

@@ -175,7 +175,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumInputs() != m.NumInputs() || back.NumTrees() != m.NumTrees() {
+	if back.NumInputs() != m.NumInputs() || len(back.trees) != len(m.trees) {
 		t.Fatal("shape changed across persistence")
 	}
 	for _, row := range x {
