@@ -61,7 +61,7 @@ func main() {
 	rec := perfpred.NewRecorder()
 	hook := rec.Hook()
 	if *verbose {
-		hook = progress.New(os.Stderr, false, rec).Hook()
+		hook = progress.New(os.Stderr, rec).Hook()
 	}
 	if *metricsAddr != "" {
 		addr, _, err := perfpred.StartMetricsServer(*metricsAddr, rec.Registry())

@@ -287,7 +287,7 @@ func main() {
 	rec := obs.NewRecorder()
 	hook := rec.Hook()
 	if *verbose {
-		hook = progress.New(os.Stderr, false, rec).Hook()
+		hook = progress.New(os.Stderr, rec).Hook()
 	}
 	if *metricsAddr != "" {
 		addr, _, err := obs.StartMetricsServer(*metricsAddr, rec.Registry())

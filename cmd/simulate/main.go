@@ -1,12 +1,11 @@
-// Command simulate runs the cycle-approximate processor model directly:
-// one configuration with a full breakdown, or a SimPoint study that
-// compares sampled simulation against the full trace.
+// Command simulate runs the cycle-approximate processor model directly on
+// one configuration over the whole trace and prints its cycle breakdown
+// and miss counts.
 //
 // Usage:
 //
 //	simulate -bench mcf
 //	simulate -bench gcc -width 8 -l1d 64 -l2 1024 -l3 -bpred combination
-//	simulate -bench mesa -simpoint -interval 20000
 package main
 
 import (
@@ -17,8 +16,6 @@ import (
 	"perfpred"
 	"perfpred/internal/bpred"
 	"perfpred/internal/cpu"
-	"perfpred/internal/simpoint"
-	"perfpred/internal/trace"
 )
 
 func main() {
@@ -37,14 +34,7 @@ func main() {
 	width := flag.Int("width", 4, "pipeline width (4 or 8)")
 	issueWrong := flag.Bool("issuewrong", false, "wrong-path issue")
 	big := flag.Bool("bigwindow", false, "large window (RUU 256/LSQ 128/big TLBs)")
-	runSimpoint := flag.Bool("simpoint", false, "run a SimPoint study instead of one config")
-	interval := flag.Int("interval", 20000, "SimPoint interval length")
 	flag.Parse()
-
-	if *runSimpoint {
-		simpointStudy(*bench, *traceLen, *interval, *seed)
-		return
-	}
 
 	kind, err := bpred.ParseKind(*bp)
 	if err != nil {
@@ -106,49 +96,4 @@ func max64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-func simpointStudy(bench string, traceLen, interval int, seed int64) {
-	tr, err := trace.GenerateBenchmark(bench, traceLen, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	points, err := simpoint.Select(tr, simpoint.Options{IntervalLen: interval, Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: %d instructions → %d simulation points (interval %d)\n",
-		bench, tr.Len(), len(points), interval)
-
-	cfg := perfpred.MicroDesignSpace()[0].CPUConfig()
-	full, err := cpu.Simulate(cfg, tr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cycles := make([]float64, len(points))
-	simulated := 0
-	for i, p := range points {
-		res, err := cpu.SimulateSlice(cfg, tr, p.Start, p.Len, 2*p.Len)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cycles[i] = res.Cycles
-		simulated += p.Len
-		fmt.Printf("  point %d: start %d weight %.3f cluster %d → CPI %.3f\n",
-			i, p.Start, p.Weight, p.Cluster, res.Cycles/float64(p.Len))
-	}
-	est, err := simpoint.WeightedCycles(points, cycles, tr.Len())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("full simulation : %.0f cycles (CPI %.3f)\n", full.Cycles, full.Cycles/float64(tr.Len()))
-	fmt.Printf("simpoint est.   : %.0f cycles (%.1f%% error) simulating %.1f%% of the trace\n",
-		est, 100*abs(est-full.Cycles)/full.Cycles, 100*float64(simulated)/float64(tr.Len()))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,13 +2,15 @@ package perfpred
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestDesignLayoutListsEveryDirectory checks that the DESIGN.md §5 tree
-// names every directory under cmd/ and internal/.
+// names every directory under cmd/ and internal/, and that every
+// directory it names there exists.
 func TestDesignLayoutListsEveryDirectory(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -33,6 +35,11 @@ func TestDesignLayoutListsEveryDirectory(t *testing.T) {
 		for _, e := range entries {
 			if e.IsDir() && !regexp.MustCompile(`(?m)^    `+regexp.QuoteMeta(e.Name())+`/`).MatchString(sub.tree) {
 				t.Errorf("DESIGN.md §5 tree is missing %s/%s/", sub.dir, e.Name())
+			}
+		}
+		for _, m := range regexp.MustCompile(`(?m)^    (\S+)/`).FindAllStringSubmatch(sub.tree, -1) {
+			if fi, err := os.Stat(filepath.Join(sub.dir, m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("DESIGN.md §5 tree names %s/%s/, which does not exist", sub.dir, m[1])
 			}
 		}
 	}

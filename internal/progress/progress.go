@@ -19,22 +19,17 @@ import (
 // New, passing the Recorder a RunReport builder also reads, and attach
 // Reporter.Hook() wherever an engine.Hook is accepted.
 type Reporter struct {
-	mu     sync.Mutex
-	w      io.Writer
-	epochs bool
-	rec    *obs.Recorder
+	mu  sync.Mutex
+	w   io.Writer
+	rec *obs.Recorder
 }
 
-// New returns a Reporter writing to w. When epochs is true it also
-// reports neural epoch progress (roughly eight lines per training run) —
-// chatty, but useful to watch a slow NN-E prune move. rec is the
-// recorder whose metrics the lines quote; pass nil to create a private
-// one. The reporter serializes writes and is safe for concurrent use.
-func New(w io.Writer, epochs bool, rec *obs.Recorder) *Reporter {
-	if rec == nil {
-		rec = obs.NewRecorder()
-	}
-	return &Reporter{w: w, epochs: epochs, rec: rec}
+// New returns a Reporter writing one line per finished or failed task to
+// w. rec is the recorder whose metrics the lines quote; it also counts
+// neural epoch events, which are never printed. The reporter serializes
+// writes and is safe for concurrent use.
+func New(w io.Writer, rec *obs.Recorder) *Reporter {
+	return &Reporter{w: w, rec: rec}
 }
 
 // Hook returns the engine hook driving this reporter. Events feed the
@@ -57,13 +52,6 @@ func (p *Reporter) render(e engine.Event) {
 		failed := reg.Counter(obs.MetricTasksFailed).Value()
 		p.mu.Lock()
 		fmt.Fprintf(p.w, "FAIL %-40s %8.2fs  [%d failed]: %v\n", e.Label, e.Elapsed.Seconds(), failed, e.Err)
-		p.mu.Unlock()
-	case engine.EpochProgress:
-		if !p.epochs || e.Epochs == 0 {
-			return
-		}
-		p.mu.Lock()
-		fmt.Fprintf(p.w, "  .. %-40s epoch %d/%d\n", e.Label, e.Epoch, e.Epochs)
 		p.mu.Unlock()
 	}
 }

@@ -81,8 +81,9 @@ type Instr struct {
 	// recent producer this instruction waits on; 0 means no tracked
 	// dependence.
 	Dep int32
-	// BB identifies the static basic block, for SimPoint-style
-	// basic-block-vector analysis.
+	// BB identifies the static basic block. Nothing reads it but the
+	// binary trace format (io.go), which stores it, so dropping it is a
+	// format version bump.
 	BB int32
 }
 

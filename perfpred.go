@@ -20,9 +20,12 @@
 //     the best model before any test data exists;
 //   - the complete evaluation substrate: a trace-driven cycle-approximate
 //     out-of-order CPU simulator with the paper's 4608-point Table 1
-//     design space and calibrated SPEC2000 workload models, a SimPoint
-//     implementation, and a synthetic SPEC announcement database with the
-//     paper's seven system families.
+//     design space and calibrated SPEC2000 workload models, and a
+//     synthetic SPEC announcement database with the paper's seven system
+//     families. The simulator's staged evaluator shares each cache,
+//     TLB and predictor pass across every configuration that needs it,
+//     so the whole space simulates exactly in about a second at the
+//     recommended trace lengths, and no SimPoint sampling is needed.
 //
 // # Quick start
 //

@@ -139,23 +139,3 @@ func TestPublicSimulateConfig(t *testing.T) {
 		t.Fatalf("result %+v degenerate", res)
 	}
 }
-
-func TestPublicSelectSimPoints(t *testing.T) {
-	pts, err := SelectSimPoints("gcc", 80_000, 4_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("no simulation points")
-	}
-	w := 0.0
-	for _, p := range pts {
-		w += p.Weight
-	}
-	if math.Abs(w-1) > 1e-9 {
-		t.Fatalf("weights sum %v", w)
-	}
-	if _, err := SelectSimPoints("gcc", 1000, 0, 1); err == nil {
-		t.Fatal("bad interval: want error")
-	}
-}

@@ -2,11 +2,9 @@ package perfpred
 
 import (
 	"context"
-	"fmt"
 
 	"perfpred/internal/cpu"
 	"perfpred/internal/engine"
-	"perfpred/internal/simpoint"
 	"perfpred/internal/space"
 	"perfpred/internal/trace"
 )
@@ -96,22 +94,4 @@ func SimulateConfig(benchmark string, cfg MicroConfig, opts SimOptions) (*SimRes
 		return nil, err
 	}
 	return cpu.Simulate(cfg.CPUConfig(), tr)
-}
-
-// SimPoint is one selected representative simulation interval.
-type SimPoint = simpoint.Point
-
-// SelectSimPoints runs the SimPoint methodology (basic-block vectors +
-// k-means) on the named benchmark's trace and returns the representative
-// intervals and their weights.
-func SelectSimPoints(benchmark string, traceLen, intervalLen int, seed int64) ([]SimPoint, error) {
-	if intervalLen <= 0 {
-		return nil, fmt.Errorf("perfpred: interval length %d must be positive", intervalLen)
-	}
-	seed = SimOptions{Seed: seed}.seed()
-	tr, err := trace.GenerateBenchmark(benchmark, traceLen, seed)
-	if err != nil {
-		return nil, err
-	}
-	return simpoint.Select(tr, simpoint.Options{IntervalLen: intervalLen, Seed: seed})
 }
