@@ -98,12 +98,13 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 // serve.LoadModelFile wraps it for the serving daemon and the predict
 // CLI, so both reject the same malformed artifacts.
 func LoadPredictorFile(path string) (*Predictor, error) {
-	f, err := os.Open(path)
+	// ReadFile sizes its buffer from the file's length, where LoadPredictor's
+	// io.ReadAll would regrow it by doubling on every reload.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading predictor: %w", err)
 	}
-	defer f.Close()
-	p, err := LoadPredictor(f)
+	p, err := UnmarshalPredictor(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading predictor %s: %w", path, err)
 	}

@@ -70,7 +70,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.met.latency.Observe(time.Since(start).Seconds())
 	}()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes), r.ContentLength, serve.MaxRequestBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
@@ -182,11 +182,33 @@ func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, b
 		return reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: o.url.String(), Err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, resp.ContentLength, maxSizedReply)
 	if err != nil {
 		return reply{}, err
 	}
 	return reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
+}
+
+// maxSizedReply bounds the buffer a reply's declared Content-Length may
+// size before any byte of it arrives; a longer reply is read as one of
+// unknown length.
+const maxSizedReply = 1 << 20
+
+// readBody reads all of r, whose declared length is n. When n is known
+// and at most limit, it reads exactly n bytes into one buffer of that
+// size, where io.ReadAll would start at 512 bytes and regrow; otherwise
+// it falls back to io.ReadAll. A body that ends before n bytes is an
+// error. The read that completes a declared length reaches the body's
+// EOF, so the transport still returns the connection to its idle pool.
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n <= 0 || n > limit {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // outbound is one upstream request's URL and body, allocated together.

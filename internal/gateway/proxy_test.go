@@ -2,9 +2,14 @@ package gateway
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -88,6 +93,7 @@ func TestGatewayPredictAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength = body.Size()
 	w := &discardWriter{h: http.Header{}}
 	run := func() {
 		body.Seek(0, io.SeekStart) //nolint:errcheck
@@ -190,5 +196,83 @@ func TestTransportErrorWording(t *testing.T) {
 `
 	if rec.Code != http.StatusBadGateway || rec.Body.String() != want {
 		t.Fatalf("answered %d %q, want 502 %q", rec.Code, rec.Body, want)
+	}
+}
+
+// TestSequentialPredictsReuseOneConnection pins keep-alive reuse under
+// the sized body reads: a reply read to exactly its Content-Length still
+// reaches the body's end, so sequential predicts through one replica
+// dial exactly one upstream connection.
+func TestSequentialPredictsReuseOneConnection(t *testing.T) {
+	const reply = `{"model":"m","predictions":[1]}`
+	var dials atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		fmt.Fprint(w, reply)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	g, err := New(Config{Replicas: []string{strings.TrimPrefix(srv.URL, "http://")}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i := range 20 {
+		rec := doPredict(t, g, predictBody("m", float64(i)))
+		if rec.Code != http.StatusOK || rec.Body.String() != reply {
+			t.Fatalf("predict %d answered %d %q, want 200 %q", i, rec.Code, rec.Body, reply)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("20 sequential predicts dialed %d upstream connections, want 1", n)
+	}
+}
+
+// TestTornBodiesAreErrors pins the sized reads' failure mode: a body
+// that ends before its declared Content-Length is an error on either
+// side, never a truncated relay. A torn client body answers 400 without
+// a replica call; a torn replica reply is a transport failure, so the
+// one-replica gateway answers 502.
+func TestTornBodiesAreErrors(t *testing.T) {
+	const tornReply = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"model\":"
+	var predicts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		predicts.Add(1)
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		buf.WriteString(tornReply) //nolint:errcheck
+		buf.Flush()                //nolint:errcheck
+	}))
+	defer srv.Close()
+	g, err := New(Config{Replicas: []string{strings.TrimPrefix(srv.URL, "http://")}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	body := predictBody("m", 1, 2)
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body))
+	req.ContentLength = int64(len(body)) + 10
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || predicts.Load() != 0 {
+		t.Fatalf("torn request answered %d %q after %d replica calls, want 400 and none", rec.Code, rec.Body, predicts.Load())
+	}
+
+	rec = doPredict(t, g, body)
+	if rec.Code != http.StatusBadGateway || predicts.Load() != 1 {
+		t.Fatalf("torn reply answered %d %q after %d replica calls, want 502 after 1", rec.Code, rec.Body, predicts.Load())
 	}
 }

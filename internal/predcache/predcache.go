@@ -22,8 +22,11 @@
 // scored (a row costs the kernel a microsecond or two), and their Puts
 // land on one entry. One mutex guards one map and one LRU list, so the
 // cache never holds more than its capacity and always evicts its least
-// recently used entry; a hit takes the lock, does one map probe plus a
-// row compare, and allocates nothing.
+// recently used entry. A hit takes the lock, does one map probe plus a
+// row compare, and allocates nothing. Once the cache is full, neither
+// does a Put: the evicted tail entry is overwritten in place and moved
+// to the front, its row buffer kept when the new row has the same
+// width.
 //
 // A cache registers its own cache.* counters (lookups, hits, misses,
 // evictions, invalidations) in the obs registry it is built over, so
@@ -159,12 +162,26 @@ func (c *Cache) Put(key Key, row []float64, val float64) {
 			evicted = true
 		}
 		c.lru.MoveToFront(el)
-	} else {
+	} else if c.lru.Len() < c.cap {
 		c.m[key] = c.lru.PushFront(&entry{key: key, row: append([]float64(nil), row...), val: val})
-		if c.lru.Len() > c.cap {
-			c.remove(c.lru.Back())
-			evicted = true
+	} else {
+		// Full: the least recently used entry becomes the new one, so an
+		// eviction frees nothing and the insert allocates nothing. Its row
+		// buffer is reused only at equal width: models of different widths
+		// share the cache, and a buffer kept for a narrower row would hold
+		// the widest capacity any entry ever had.
+		el := c.lru.Back()
+		e := el.Value.(*entry)
+		delete(c.m, e.key)
+		if len(e.row) == len(row) {
+			copy(e.row, row)
+		} else {
+			e.row = append([]float64(nil), row...)
 		}
+		e.key, e.val = key, val
+		c.lru.MoveToFront(el)
+		c.m[key] = el
+		evicted = true
 	}
 	c.mu.Unlock()
 	if evicted {
@@ -186,7 +203,8 @@ func (c *Cache) Invalidate(keepGen int64) int {
 	c.floor = max(c.floor, keepGen)
 	for key, el := range c.m {
 		if key.Gen < keepGen {
-			c.remove(el)
+			delete(c.m, key)
+			c.lru.Remove(el)
 			n++
 		}
 	}
@@ -195,11 +213,6 @@ func (c *Cache) Invalidate(keepGen int64) int {
 		c.invalidations.Add(int64(n))
 	}
 	return n
-}
-
-// remove unlinks an entry from the index. Callers hold c.mu.
-func (c *Cache) remove(el *list.Element) {
-	delete(c.m, c.lru.Remove(el).(*entry).key)
 }
 
 // equalRows is exact float64 equality. -0 and +0 compare equal (they

@@ -3,6 +3,8 @@ package predcache
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -282,4 +284,155 @@ func TestNewBoundsOccupancy(t *testing.T) {
 		}
 	}()
 	New(0, nil)
+}
+
+// refCache is a naive LRU over a slice (front = most recent) with the
+// same contract as Cache: the oracle TestCacheMatchesReferenceLRU holds
+// the list-and-map implementation to.
+type refCache struct {
+	cap     int
+	floor   int64
+	entries []entry
+	stats   Stats
+}
+
+func (r *refCache) find(key Key) int {
+	return slices.IndexFunc(r.entries, func(e entry) bool { return e.key == key })
+}
+
+// touch moves entry i to the front.
+func (r *refCache) touch(i int) {
+	e := r.entries[i]
+	copy(r.entries[1:i+1], r.entries[:i])
+	r.entries[0] = e
+}
+
+func (r *refCache) get(key Key, row []float64) (float64, bool) {
+	r.stats.Lookups++
+	if i := r.find(key); i >= 0 && slices.Equal(r.entries[i].row, row) {
+		r.touch(i)
+		r.stats.Hits++
+		return r.entries[0].val, true
+	}
+	r.stats.Misses++
+	return 0, false
+}
+
+func (r *refCache) put(key Key, row []float64, val float64) {
+	if key.Gen < r.floor {
+		return
+	}
+	if i := r.find(key); i >= 0 {
+		if !slices.Equal(r.entries[i].row, row) {
+			r.entries[i].row, r.entries[i].val = slices.Clone(row), val
+			r.stats.Evictions++
+		}
+		r.touch(i)
+		return
+	}
+	r.entries = slices.Insert(r.entries, 0, entry{key: key, row: slices.Clone(row), val: val})
+	if len(r.entries) > r.cap {
+		r.entries = r.entries[:r.cap]
+		r.stats.Evictions++
+	}
+}
+
+func (r *refCache) invalidate(keepGen int64) int {
+	r.floor = max(r.floor, keepGen)
+	n := len(r.entries)
+	r.entries = slices.DeleteFunc(r.entries, func(e entry) bool { return e.key.Gen < keepGen })
+	n -= len(r.entries)
+	r.stats.Invalidations += int64(n)
+	return n
+}
+
+// TestCacheMatchesReferenceLRU drives the cache and a naive reference
+// LRU with the same seeded sequences of Get, Put and Invalidate and
+// requires every answer, the entry count and all five counters to agree
+// after every step. The sequences mix row widths (so recycled entries
+// change width), forge hash collisions (few hashes shared by many rows,
+// so equal keys carry different rows) and include Invalidate calls that
+// arrive late, below the current floor.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 32} {
+		c, ref := New(capacity, nil), &refCache{cap: capacity}
+		r := rand.New(rand.NewSource(int64(capacity)))
+		pool := make([][]float64, 40)
+		for i := range pool {
+			pool[i] = make([]float64, 1+r.Intn(4))
+			for j := range pool[i] {
+				pool[i][j] = float64(r.Intn(3))
+			}
+		}
+		models := []string{"lre", "nns"}
+		for step := 0; step < 20000; step++ {
+			i := r.Intn(len(pool))
+			row := pool[i]
+			hash := HashRow(row)
+			if r.Intn(2) == 0 {
+				hash = uint64(i % 5) // forged: many rows per hash
+			}
+			key := Key{Model: models[r.Intn(len(models))], Gen: ref.floor + int64(r.Intn(3)) - 1, Hash: hash}
+			switch op := r.Intn(100); {
+			case op == 0:
+				keep := ref.floor + int64(r.Intn(3)) - 1
+				if got, want := c.Invalidate(keep), ref.invalidate(keep); got != want {
+					t.Fatalf("cap %d step %d: Invalidate(%d) dropped %d, reference %d", capacity, step, keep, got, want)
+				}
+			case op < 50:
+				val := float64(r.Intn(1000))
+				c.Put(key, row, val)
+				ref.put(key, row, val)
+			default:
+				val, ok := c.Get(key, row)
+				if wval, wok := ref.get(key, row); val != wval || ok != wok {
+					t.Fatalf("cap %d step %d: Get(%+v, %v) = %v %v, reference %v %v", capacity, step, key, row, val, ok, wval, wok)
+				}
+			}
+			if n := entries(c); n != len(ref.entries) || c.lru.Len() != n {
+				t.Fatalf("cap %d step %d: %d indexed, %d listed, reference %d", capacity, step, n, c.lru.Len(), len(ref.entries))
+			}
+			if st := c.Stats(); st != ref.stats {
+				t.Fatalf("cap %d step %d: counters %+v, reference %+v", capacity, step, st, ref.stats)
+			}
+		}
+	}
+}
+
+// TestPutAtCapacityZeroAlloc pins the miss path of a full cache at zero
+// allocations: storing a new row of the evicted entry's width reuses
+// that entry, its list element and its row buffer.
+func TestPutAtCapacityZeroAlloc(t *testing.T) {
+	c := New(64, nil)
+	row := []float64{1, 2, 3, 4, 5, 6}
+	next := 0.0
+	put := func() {
+		row[0] = next
+		next++
+		c.Put(Key{Model: "m", Gen: 1, Hash: HashRow(row)}, row, next)
+	}
+	for range 64 {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("Put into a full cache allocates %.1f/op, want 0", allocs)
+	}
+	if n, ev := entries(c), c.Stats().Evictions; n != 64 || ev == 0 {
+		t.Fatalf("%d entries, %d evictions; want 64 and some", n, ev)
+	}
+}
+
+// TestRecycledRowExactWidth pins the width guard on recycling: when the
+// evicted entry's row is wider or narrower than the new one, the entry
+// gets an exact copy, so no buffer keeps the capacity of a wider row it
+// once held.
+func TestRecycledRowExactWidth(t *testing.T) {
+	c := New(1, nil)
+	for i, row := range [][]float64{{1, 2, 3, 4, 5, 6}, {7, 8}, {9, 10}, {1, 2, 3}} {
+		c.Put(Key{Model: "m", Gen: 1, Hash: uint64(i)}, row, float64(i))
+		e := c.lru.Front().Value.(*entry)
+		if !slices.Equal(e.row, row) || cap(e.row) != len(row) {
+			t.Fatalf("Put %d: entry row %v (cap %d), want %v at cap %d", i, e.row, cap(e.row), row, len(row))
+		}
+	}
 }

@@ -54,7 +54,8 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 type scoreFunc func(ctx context.Context, m *Model, rows [][]float64, out []float64) error
 
 // request is one admitted prediction (single row or a whole batch body —
-// either way it occupies one queue slot).
+// either way it occupies one queue slot). The caller owns it, so a
+// request reused across Predict calls costs no allocation.
 type request struct {
 	ctx       context.Context
 	m         *Model
@@ -102,15 +103,17 @@ func newBatcher(cfg BatcherConfig, met *metrics, score scoreFunc) *Batcher {
 	return b
 }
 
-// Predict admits rows, encoded by m's encoder, and blocks until the
-// batch worker delivers the predictions, the request's context expires,
-// or the request is shed. Admission is non-blocking: a full queue
-// returns ErrOverloaded immediately. The returned slice is owned by the
-// caller. After an error the request may still be queued, and its worker
-// will read rows, so the caller must not reuse them.
-func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]float64) ([]float64, error) {
+// Predict admits rows, encoded by m's encoder, as req and blocks until
+// the batch worker writes their predictions into out (len(out) ==
+// len(rows)), the request's context expires, or the request is shed.
+// Admission is non-blocking: a full queue returns ErrOverloaded
+// immediately. req, rows and out are the caller's; Predict makes req's
+// done channel the first time only. After an error the request may still
+// be queued, and its worker will read rows and write out and req, so the
+// caller must not reuse any of them.
+func (b *Batcher) Predict(ctx context.Context, req *request, m *Model, rows [][]float64, out []float64) error {
 	if b.draining.Load() {
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	// Admission fault point: injected latency stalls the caller here (so
 	// its deadline can expire before the request ever takes a queue
@@ -118,36 +121,34 @@ func (b *Batcher) Predict(ctx context.Context, m *Model, rows [][]float64) ([]fl
 	if fired, err := b.fi.Hit(ctx, faultinject.ServeAdmit); fired {
 		b.met.faults.Inc()
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	req := &request{
-		ctx:       ctx,
-		m:         m,
-		rows:      rows,
-		out:       make([]float64, len(rows)),
-		done:      make(chan error, 1),
-		submitted: time.Now(),
+	if req.done == nil {
+		req.done = make(chan error, 1)
 	}
+	req.ctx, req.m, req.rows, req.out, req.submitted = ctx, m, rows, out, time.Now()
 	select {
 	case b.queue <- req:
 	default:
 		b.met.shed.Inc()
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	select {
 	case err := <-req.done:
-		if err != nil {
-			return nil, err
+		if err == nil {
+			// The worker is done with req: drop its references so a
+			// pooled request pins no context or model.
+			*req = request{done: req.done}
 		}
-		return req.out, nil
+		return err
 	case <-ctx.Done():
 		// The worker may still score the request; done is buffered so it
 		// never blocks on an abandoned request.
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -228,8 +229,12 @@ gather:
 		}
 		ws.group = group
 		b.scoreGroup(wctx, ws, m, group)
+		clear(group)
 		remaining = keep
 	}
+	// A request lives in its caller's scratch: a pointer left here would
+	// keep that whole scratch from the GC after the caller dropped it.
+	clear(batch)
 }
 
 // scoreGroup flattens one model's requests into a single kernel call and
@@ -287,6 +292,8 @@ func (b *Batcher) scoreGroup(wctx context.Context, ws *workerScratch, m *Model, 
 		off += len(req.rows)
 		b.finish(req, err)
 	}
+	clear(live)
+	clear(rows)
 }
 
 // finish records the outcome and releases the waiting caller.

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +16,16 @@ import (
 	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 )
+
+// predict runs rows through b as a one-shot caller would: a fresh
+// request and output slice per call.
+func predict(ctx context.Context, b *Batcher, m *Model, rows [][]float64) ([]float64, error) {
+	out := make([]float64, len(rows))
+	if err := b.Predict(ctx, new(request), m, rows, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // goldenPredictions scores every row sequentially through the scalar
 // Predict path — the reference the batcher must match bit-for-bit.
@@ -80,7 +94,7 @@ func TestBatcherGoldenEquivalence(t *testing.T) {
 					ctx, cancel = context.WithTimeout(ctx, 30*time.Second)
 					defer cancel()
 				}
-				out, err := b.Predict(ctx, m, rows[i:i+1])
+				out, err := predict(ctx, b, m, rows[i:i+1])
 				if err != nil {
 					errs <- err
 					return
@@ -92,7 +106,7 @@ func TestBatcherGoldenEquivalence(t *testing.T) {
 			}
 			// One whole-space batch body per goroutine, interleaved with
 			// everyone else's single-row traffic.
-			out, err := b.Predict(context.Background(), m, rows)
+			out, err := predict(context.Background(), b, m, rows)
 			if err != nil {
 				errs <- err
 				return
@@ -139,7 +153,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 	results := make(chan res, 3)
 	submit := func() {
 		go func() {
-			out, err := b.Predict(context.Background(), m, row)
+			out, err := predict(context.Background(), b, m, row)
 			results <- res{out, err}
 		}()
 	}
@@ -160,7 +174,7 @@ func TestBatcherShedsUnderLoad(t *testing.T) {
 		}
 	}
 	// …and the queue being full, the next is shed synchronously.
-	if _, err := b.Predict(context.Background(), m, row); !errors.Is(err, ErrOverloaded) {
+	if _, err := predict(context.Background(), b, m, row); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded Predict err = %v, want ErrOverloaded", err)
 	}
 	if got := met.shed.Value(); got != 1 {
@@ -201,7 +215,7 @@ func TestBatcherDrain(t *testing.T) {
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			out, err := b.Predict(context.Background(), m, row)
+			out, err := predict(context.Background(), b, m, row)
 			if err == nil && out[0] != 7 {
 				err = errors.New("wrong prediction")
 			}
@@ -236,7 +250,7 @@ func TestBatcherDrain(t *testing.T) {
 			t.Fatalf("request %d never answered", i)
 		}
 	}
-	if _, err := b.Predict(context.Background(), m, row); !errors.Is(err, ErrDraining) {
+	if _, err := predict(context.Background(), b, m, row); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-Close Predict err = %v, want ErrDraining", err)
 	}
 }
@@ -267,12 +281,12 @@ func TestBatcherExpiredDeadline(t *testing.T) {
 	row := [][]float64{{1}}
 
 	// Occupy the worker, then queue a request with a tiny deadline.
-	go b.Predict(context.Background(), m, row) //nolint:errcheck // released below
+	go predict(context.Background(), b, m, row) //nolint:errcheck // released below
 	<-entered
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := b.Predict(ctx, m, row)
+	_, err := predict(ctx, b, m, row)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired request err = %v after %v, want DeadlineExceeded", err, time.Since(start))
 	}
@@ -373,7 +387,7 @@ func submit(t *testing.T, h *heldBatcher, models map[string]*Model, encoded map[
 		rows[i] = encoded[name][j]
 	}
 	go func() {
-		out, err := h.Predict(context.Background(), models[name], rows)
+		out, err := predict(context.Background(), h.Batcher, models[name], rows)
 		s.out = out
 		s.done <- err
 	}()
@@ -500,5 +514,97 @@ func TestBatcherFlushErrorFailsWholeGroup(t *testing.T) {
 	}
 	if st := inj.Stats()["serve.batch_flush"]; st.Fires != 1 || met.faults.Value() != 1 {
 		t.Fatalf("flush fires %d, serve.faults %d, want 1 each", st.Fires, met.faults.Value())
+	}
+}
+
+// TestBatcherAbandonedScratchNotPooled pins the rule that makes a
+// request's scratch safe to reuse: a predict whose context ends while
+// its batcher request is queued, or while the worker scores it, answers
+// 504 and keeps its rowScratch out of the pool, because the worker still
+// holds the request and writes into that scratch after the handler has
+// returned.
+func TestBatcherAbandonedScratchNotPooled(t *testing.T) {
+	d := synthDataset(t, 64, 6)
+	dir := t.TempDir()
+	saveModel(t, dir, "lre", trainModel(t, core.LRE, d))
+	body, err := json.Marshal(map[string]any{"model": "lre", "row": rowJSON(d, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, queued := range []bool{true, false} {
+		s, err := New(Config{ModelsDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		entered, release := make(chan struct{}, 1), make(chan struct{})
+		s.bat.Close()
+		s.bat = newBatcher(BatcherConfig{MaxBatch: 1, Workers: 1}, s.met,
+			func(_ context.Context, _ *Model, _ [][]float64, out []float64) error {
+				entered <- struct{}{}
+				<-release
+				for i := range out {
+					out[i] = 42
+				}
+				return nil
+			})
+		var made []*rowScratch
+		s.scratch.New = func() any {
+			ws := new(rowScratch)
+			made = append(made, ws)
+			return ws
+		}
+		m, _, _ := s.Registry().Resolve("lre")
+		if queued {
+			// Park the worker on another request, so the predict queues.
+			go predict(context.Background(), s.bat, m, [][]float64{{1}}) //nolint:errcheck // released below
+			<-entered
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		answered := make(chan int)
+		go func() {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)).WithContext(ctx))
+			answered <- w.Code
+		}()
+		if queued {
+			deadline := time.Now().Add(5 * time.Second)
+			for len(s.bat.queue) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the predict never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		} else {
+			<-entered
+		}
+		cancel()
+		if code := <-answered; code != http.StatusGatewayTimeout {
+			t.Fatalf("queued=%v: abandoned predict answered %d, want 504", queued, code)
+		}
+		close(release)
+
+		ws := made[0]
+		var want error
+		if queued {
+			want = context.Canceled
+		}
+		select {
+		case err := <-ws.req.done:
+			if err != want {
+				t.Fatalf("queued=%v: worker answered the abandoned request %v, want %v", queued, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("queued=%v: the worker never answered the abandoned request", queued)
+		}
+		if !queued && ws.missOut[0] != 42 {
+			t.Fatalf("the worker's prediction %v did not land in the abandoned scratch", ws.missOut[0])
+		}
+		for range 4 {
+			if s.scratch.Get() == any(ws) {
+				t.Fatalf("queued=%v: the abandoned scratch went back to the pool", queued)
+			}
+		}
 	}
 }

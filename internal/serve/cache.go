@@ -15,9 +15,10 @@ const DefaultCacheEntries = 2048
 
 // rowScratch is one /v1/predict request's pooled working set: the body,
 // the resolved cell values, the encoded rows — both the cache keys and
-// the batcher's payload — the predictions, and the list of cache misses.
-// A request whose scoring failed may have left a batch queued that still
-// reads its rows, so its scratch goes to the GC, not back to the pool.
+// the batcher's payload — the predictions, the list of cache misses and
+// the batcher request that scores them. A request whose scoring failed
+// may have left a batch queued that still reads its rows and writes its
+// miss predictions, so its scratch goes to the GC, not back to the pool.
 type rowScratch struct {
 	body     bytes.Buffer
 	vals     []dataset.Value   // flat cell values, viewed row by row as rows
@@ -27,6 +28,8 @@ type rowScratch struct {
 	hashes   []uint64    // row hashes, parallel to the request's rows
 	missIdx  []int       // row positions the cache missed
 	missRows [][]float64 // rows for the batcher, parallel to missIdx
+	missOut  []float64   // the batcher's predictions, parallel to missIdx
+	req      request     // the batcher's queue entry for the misses
 }
 
 // predictInto scores rows, encoded by m's encoder, for m resolved at
@@ -65,8 +68,11 @@ func (s *Server) predictInto(ctx context.Context, ws *rowScratch, m *Model, gen 
 	if len(missIdx) == 0 {
 		return nil
 	}
-	res, err := s.bat.Predict(ctx, m, missRows)
-	if err != nil {
+	if cap(ws.missOut) < len(missIdx) {
+		ws.missOut = make([]float64, len(missIdx))
+	}
+	res := ws.missOut[:len(missIdx)]
+	if err := s.bat.Predict(ctx, &ws.req, m, missRows, res); err != nil {
 		return err
 	}
 	for j, i := range missIdx {

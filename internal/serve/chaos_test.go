@@ -89,7 +89,7 @@ func TestBatcherSoakUnderInjectedFlushLatency(t *testing.T) {
 					idxs[j] = r.Intn(d.Len())
 					rows[j] = encoded[name][idxs[j]]
 				}
-				out, err := b.Predict(context.Background(), models[name], rows)
+				out, err := predict(context.Background(), b, models[name], rows)
 				if err != nil {
 					errs <- err
 					return
