@@ -3,7 +3,7 @@
 // reports misprediction rates side by side.
 //
 //	simbpred -bench gcc
-//	simbpred -trace saved.pptr -entries 4096
+//	simbpred -bench mcf -entries 4096
 package main
 
 import (
@@ -21,13 +21,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simbpred: ")
 	bench := flag.String("bench", "gcc", "benchmark workload")
-	tracePath := flag.String("trace", "", "replay a saved trace file instead of generating one")
 	traceLen := flag.Int("tracelen", 0, "trace length (0 = recommendation)")
 	seed := flag.Int64("seed", 1, "trace seed")
 	entries := flag.Int("entries", 2048, "predictor table entries (power of two)")
 	flag.Parse()
 
-	tr, err := trace.LoadOrGenerate(*tracePath, *bench, *traceLen, *seed)
+	tr, err := trace.GenerateBenchmark(*bench, *traceLen, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,6 @@
 //
 //	simcache -bench mcf
 //	simcache -bench gcc -l1d 64:64:4 -l2 1024:128:8 -l3 8192:256:8
-//	simcache -trace saved.pptr -prefetch
 //
 // Cache specs are size-KB:line-B:assoc.
 package main
@@ -24,7 +23,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simcache: ")
 	bench := flag.String("bench", "mcf", "benchmark workload")
-	tracePath := flag.String("trace", "", "replay a saved trace file instead of generating one")
 	traceLen := flag.Int("tracelen", 0, "trace length (0 = recommendation)")
 	seed := flag.Int64("seed", 1, "trace seed")
 	l1d := flag.String("l1d", "32:64:4", "L1D as sizeKB:lineB:assoc")
@@ -36,7 +34,7 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable the next-line L1D prefetcher")
 	flag.Parse()
 
-	tr, err := trace.LoadOrGenerate(*tracePath, *bench, *traceLen, *seed)
+	tr, err := trace.GenerateBenchmark(*bench, *traceLen, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

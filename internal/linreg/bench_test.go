@@ -57,12 +57,11 @@ func TestCandidateSolveZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("candidate solve allocates %v objects, want 0", allocs)
 	}
-	opts := Options{Method: Backward}.withDefaults()
 	full := seqInts(p)
 	current := make([]int, 0, p)
 	reduced := make([]int, 0, p)
 	if allocs := testing.AllocsPerRun(5, func() {
-		w.removeSweep(x, y, append(current[:0], full...), reduced, opts)
+		w.removeSweep(x, y, append(current[:0], full...), reduced)
 	}); allocs != 0 {
 		t.Fatalf("backward sweep allocates %v objects, want 0", allocs)
 	}

@@ -16,10 +16,10 @@ const (
 	// Enter (LR-E) uses every predictor.
 	Enter Method = iota
 	// Forward (LR-F) starts empty and adds the most significant predictor
-	// while its F-to-enter p-value is below PEnter.
+	// while its F-to-enter p-value is below pEnter.
 	Forward
 	// Backward (LR-B) starts full and removes the least significant
-	// predictor while its F-to-remove p-value is above PRemove. The paper
+	// predictor while its F-to-remove p-value is above pRemove. The paper
 	// found this the best LR method for the sampled design space.
 	Backward
 	// Stepwise (LR-S) alternates Forward additions with Backward removals.
@@ -48,23 +48,16 @@ func Methods() []Method { return []Method{Enter, Stepwise, Backward, Forward} }
 // Options configures a fit.
 type Options struct {
 	Method Method
-	// PEnter is the p-value threshold to admit a predictor (Forward,
-	// Stepwise). Zero means the SPSS default 0.05.
-	PEnter float64
-	// PRemove is the p-value threshold to drop a predictor (Backward,
-	// Stepwise). Zero means the SPSS default 0.10.
-	PRemove float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.PEnter == 0 {
-		o.PEnter = 0.05
-	}
-	if o.PRemove == 0 {
-		o.PRemove = 0.10
-	}
-	return o
-}
+// The selection thresholds are SPSS's defaults, which Clementine uses: a
+// predictor enters (Forward, Stepwise) while its F-to-enter p-value is at
+// most pEnter and leaves (Backward, Stepwise) while its F-to-remove p-value
+// is at least pRemove.
+const (
+	pEnter  = 0.05
+	pRemove = 0.10
+)
 
 // Coefficient describes one fitted predictor.
 type Coefficient struct {
@@ -103,7 +96,6 @@ type Model struct {
 // method. names labels the columns of x (used in coefficient reports);
 // pass nil to auto-name columns.
 func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, error) {
-	opts = opts.withDefaults()
 	n := len(x)
 	if n == 0 {
 		return nil, errors.New("linreg: no observations")
@@ -146,11 +138,11 @@ func Fit(x [][]float64, y []float64, names []string, opts Options) (*Model, erro
 	case Enter:
 		selected = seqInts(p)
 	case Forward:
-		selected = ws.selectForward(x, y, opts, false)
+		selected = ws.selectForward(x, y, false)
 	case Stepwise:
-		selected = ws.selectForward(x, y, opts, true)
+		selected = ws.selectForward(x, y, true)
 	case Backward:
-		selected = ws.selectBackward(x, y, opts)
+		selected = ws.selectBackward(x, y)
 	default:
 		return nil, fmt.Errorf("linreg: unknown method %v", opts.Method)
 	}
@@ -258,7 +250,7 @@ func partialFPValue(rssReduced, rssFull float64, n, pFull int) float64 {
 
 // selectForward implements Forward selection; with stepwise=true it runs a
 // Backward removal sweep after every addition (Stepwise).
-func (w *lsq) selectForward(x [][]float64, y []float64, opts Options, stepwise bool) []int {
+func (w *lsq) selectForward(x [][]float64, y []float64, stepwise bool) []int {
 	n := len(x)
 	p := len(x[0])
 	inModel := make([]bool, p)
@@ -285,14 +277,14 @@ func (w *lsq) selectForward(x [][]float64, y []float64, opts Options, stepwise b
 				bestJ, bestP, bestRSS = j, pv, rss
 			}
 		}
-		if bestJ < 0 || bestP > opts.PEnter {
+		if bestJ < 0 || bestP > pEnter {
 			break
 		}
 		inModel[bestJ] = true
 		current = append(current, bestJ)
 		rssCur = bestRSS
 		if stepwise {
-			current, rssCur = w.removeSweep(x, y, current, reduced, opts)
+			current, rssCur = w.removeSweep(x, y, current, reduced)
 			clear(inModel)
 			for _, j := range current {
 				inModel[j] = true
@@ -303,10 +295,10 @@ func (w *lsq) selectForward(x [][]float64, y []float64, opts Options, stepwise b
 }
 
 // removeSweep repeatedly drops the least significant predictor whose
-// F-to-remove p-value exceeds PRemove, editing current in place. reduced
+// F-to-remove p-value exceeds pRemove, editing current in place. reduced
 // is scratch of capacity len(current) for the candidate subsets. Returns
 // the surviving set and its RSS.
-func (w *lsq) removeSweep(x [][]float64, y []float64, current, reduced []int, opts Options) ([]int, float64) {
+func (w *lsq) removeSweep(x [][]float64, y []float64, current, reduced []int) ([]int, float64) {
 	n := len(x)
 	rssCur := w.rssOf(x, y, current)
 	for len(current) > 0 {
@@ -325,7 +317,7 @@ func (w *lsq) removeSweep(x [][]float64, y []float64, current, reduced []int, op
 				worstI, worstP, worstRSS = i, pv, rssRed
 			}
 		}
-		if worstI < 0 || worstP < opts.PRemove {
+		if worstI < 0 || worstP < pRemove {
 			break
 		}
 		current = append(current[:worstI], current[worstI+1:]...)
@@ -335,9 +327,9 @@ func (w *lsq) removeSweep(x [][]float64, y []float64, current, reduced []int, op
 }
 
 // selectBackward implements Backward elimination from the full model.
-func (w *lsq) selectBackward(x [][]float64, y []float64, opts Options) []int {
+func (w *lsq) selectBackward(x [][]float64, y []float64) []int {
 	p := len(x[0])
-	out, _ := w.removeSweep(x, y, seqInts(p), make([]int, 0, p), opts)
+	out, _ := w.removeSweep(x, y, seqInts(p), make([]int, 0, p))
 	return out
 }
 

@@ -9,8 +9,8 @@ import (
 type modelState struct {
 	Version   int           `json:"version"`
 	Method    Method        `json:"method"`
-	PEnter    float64       `json:"p_enter"`
-	PRemove   float64       `json:"p_remove"`
+	PEnter    float64       `json:"p_enter"`  // always pEnter; not read back
+	PRemove   float64       `json:"p_remove"` // always pRemove; not read back
 	Names     []string      `json:"names"`
 	Selected  []int         `json:"selected"`
 	Intercept float64       `json:"intercept"`
@@ -73,8 +73,8 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal(modelState{
 		Version:   modelVersion,
 		Method:    m.opts.Method,
-		PEnter:    m.opts.PEnter,
-		PRemove:   m.opts.PRemove,
+		PEnter:    pEnter,
+		PRemove:   pRemove,
 		Names:     m.names,
 		Selected:  m.selected,
 		Intercept: m.intercept,
@@ -105,7 +105,7 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		}
 	}
 	return &Model{
-		opts:      Options{Method: st.Method, PEnter: st.PEnter, PRemove: st.PRemove},
+		opts:      Options{Method: st.Method},
 		names:     st.Names,
 		selected:  st.Selected,
 		intercept: st.Intercept,

@@ -26,7 +26,7 @@ import (
 
 // Class is an instruction category matching the SimpleScalar functional
 // unit classes of Table 1 (ialu, imult, memport, fpalu, fpmult).
-type Class int
+type Class uint8
 
 const (
 	// IntALU is a simple integer operation.
@@ -68,23 +68,20 @@ func (c Class) String() string {
 	}
 }
 
-// Instr is one dynamic instruction.
+// Instr is one dynamic instruction. The fields are ordered widest first so
+// that an instruction packs into 24 bytes.
 type Instr struct {
-	Class Class
 	// PC is the instruction address (4-byte instructions).
 	PC uint64
 	// Addr is the effective address of a Load/Store.
 	Addr uint64
-	// Taken is the outcome of a Branch.
-	Taken bool
 	// Dep is the distance (in dynamic instructions) back to the most
 	// recent producer this instruction waits on; 0 means no tracked
 	// dependence.
-	Dep int32
-	// BB identifies the static basic block. Nothing reads it but the
-	// binary trace format (io.go), which stores it, so dropping it is a
-	// format version bump.
-	BB int32
+	Dep   int32
+	Class Class
+	// Taken is the outcome of a Branch.
+	Taken bool
 }
 
 // Trace is a generated instruction stream.
@@ -199,7 +196,9 @@ type Profile struct {
 	MLPCap float64
 
 	// Phases is the number of distinct execution phases the trace cycles
-	// through (SimPoint-style phase behaviour).
+	// through. Each phase runs its own slice of the basic blocks, so the
+	// code working set the instruction cache, ITLB and branch predictors
+	// see moves from phase to phase.
 	Phases int
 
 	// SimLen is the recommended dynamic instruction count for design-space
@@ -415,8 +414,8 @@ func Generate(p *Profile, n int, seed int64) (*Trace, error) {
 	branchCount := make([]uint64, p.BranchSites)
 	for len(instrs) < n {
 		phase := (len(instrs) / phaseLen) % p.Phases
-		// Each phase concentrates on a contiguous slice of blocks/sites and
-		// shifts its hot region, producing clusterable BBV structure.
+		// Each phase concentrates on a contiguous slice of blocks/sites,
+		// moving the hot code region from phase to phase.
 		phaseBlockLo := (nBlocks * phase) / p.Phases
 		phaseBlockHi := (nBlocks * (phase + 1)) / p.Phases
 		if block < phaseBlockLo || block >= phaseBlockHi {
@@ -439,7 +438,7 @@ func Generate(p *Profile, n int, seed int64) (*Trace, error) {
 			}
 			s.last = taken
 			branchCount[block]++
-			ins = Instr{Class: Branch, PC: pc, Taken: taken, BB: int32(block)}
+			ins = Instr{Class: Branch, PC: pc, Taken: taken}
 			// Next block: taken branches jump within the phase's blocks,
 			// fall-through goes to the "next" block of the phase.
 			if taken {
@@ -460,7 +459,7 @@ func Generate(p *Profile, n int, seed int64) (*Trace, error) {
 					break
 				}
 			}
-			ins = Instr{Class: cls, PC: pc, BB: int32(block)}
+			ins = Instr{Class: cls, PC: pc}
 			if cls == Load || cls == Store {
 				u := r.Float64()
 				li := -1

@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -175,6 +179,7 @@ func TestGenerateInstructionFields(t *testing.T) {
 	}
 	codeLo := uint64(codeBase)
 	codeHi := codeLo + uint64(p.CodeKB)*1024 + 4096
+	branchPCs := map[uint64]bool{}
 	for i, ins := range tr.Instrs {
 		if ins.PC < codeLo || ins.PC > codeHi {
 			t.Fatalf("instr %d: PC %#x outside code region", i, ins.PC)
@@ -191,6 +196,7 @@ func TestGenerateInstructionFields(t *testing.T) {
 			if ins.Addr != 0 {
 				t.Fatalf("instr %d: branch with data address", i)
 			}
+			branchPCs[ins.PC] = true
 		default:
 			if ins.Addr != 0 {
 				t.Fatalf("instr %d: non-memory op with address", i)
@@ -199,9 +205,10 @@ func TestGenerateInstructionFields(t *testing.T) {
 		if ins.Dep < 0 || int(ins.Dep) > i {
 			t.Fatalf("instr %d: dep distance %d invalid", i, ins.Dep)
 		}
-		if ins.BB < 0 || int(ins.BB) >= p.BranchSites {
-			t.Fatalf("instr %d: BB %d out of range", i, ins.BB)
-		}
+	}
+	// Each basic block ends in its own branch site, one per static block.
+	if len(branchPCs) > p.BranchSites {
+		t.Fatalf("%d distinct branch PCs, more than the %d branch sites", len(branchPCs), p.BranchSites)
 	}
 }
 
@@ -228,25 +235,29 @@ func TestPhasesShiftBasicBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every basic block ends in one branch at its own PC, so a phase's set
+	// of branch PCs is its set of blocks.
 	quarter := tr.Len() / 4
-	bbsIn := func(lo, hi int) map[int32]bool {
-		s := map[int32]bool{}
+	branchPCsIn := func(lo, hi int) map[uint64]bool {
+		s := map[uint64]bool{}
 		for _, ins := range tr.Instrs[lo:hi] {
-			s[ins.BB] = true
+			if ins.Class == Branch {
+				s[ins.PC] = true
+			}
 		}
 		return s
 	}
-	first := bbsIn(0, quarter)
-	second := bbsIn(quarter, 2*quarter)
+	first := branchPCsIn(0, quarter)
+	second := branchPCsIn(quarter, 2*quarter)
 	overlap := 0
-	for bb := range second {
-		if first[bb] {
+	for pc := range second {
+		if first[pc] {
 			overlap++
 		}
 	}
 	// Phases concentrate on disjoint block slices: low overlap expected.
-	if overlap > len(second)/4 {
-		t.Fatalf("phase BB overlap %d of %d too high", overlap, len(second))
+	if len(second) == 0 || overlap > len(second)/4 {
+		t.Fatalf("phase branch-PC overlap %d of %d too high", overlap, len(second))
 	}
 }
 
@@ -318,5 +329,62 @@ func TestGammaBetaSamplers(t *testing.T) {
 	}
 	if geomSample(r, 0) != 0 {
 		t.Fatal("geomSample(0) should be 0")
+	}
+}
+
+// TestInstrSize pins the packed record: a trace holds one Instr per dynamic
+// instruction, so each byte here costs a byte per instruction.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 24 {
+		t.Fatalf("Instr is %d bytes, want 24", got)
+	}
+}
+
+// recordDigest hashes every instruction's (Class, PC, Addr, Taken, Dep) in
+// a fixed little-endian encoding, independent of Instr's memory layout.
+func recordDigest(tr *Trace) string {
+	h := sha256.New()
+	var rec [22]byte
+	for _, ins := range tr.Instrs {
+		rec[0] = byte(ins.Class)
+		binary.LittleEndian.PutUint64(rec[1:9], ins.PC)
+		binary.LittleEndian.PutUint64(rec[9:17], ins.Addr)
+		rec[17] = 0
+		if ins.Taken {
+			rec[17] = 1
+		}
+		binary.LittleEndian.PutUint32(rec[18:22], uint32(ins.Dep))
+		h.Write(rec[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenRecordDigests pins the generator's output record by record,
+// not only through the cycle counts the simulator derives from it.
+func TestGoldenRecordDigests(t *testing.T) {
+	for _, c := range []struct{ bench, want string }{
+		{"gcc", "26bf388dc24ae6235816f37f4ee5575ebafbc09a7a00cd87836d67c1cf2bba4b"},
+		{"mcf", "50ff5818eccfd2a8c53233f6c74037a14ebb63ff35f894fc1f0d21cce90f7950"},
+	} {
+		tr, err := GenerateBenchmark(c.bench, 50_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recordDigest(tr); got != c.want {
+			t.Errorf("%s: record digest %s, want %s", c.bench, got, c.want)
+		}
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	p, err := ProfileByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(p, p.SimLen, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

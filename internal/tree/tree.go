@@ -23,14 +23,17 @@ import (
 	"perfpred/internal/stat"
 )
 
+// Every tree grows to at most maxDepth levels and keeps at least minLeaf
+// rows in each leaf.
+const (
+	maxDepth = 8
+	minLeaf  = 2
+)
+
 // Config configures Fit.
 type Config struct {
 	// Trees is the ensemble size (0 = 64).
 	Trees int
-	// MaxDepth bounds tree depth (0 = 8).
-	MaxDepth int
-	// MinLeaf is the minimum samples per leaf (0 = 2).
-	MinLeaf int
 	// Seed drives every stochastic choice (bootstraps, permutations).
 	Seed int64
 	// Workers bounds tree-level parallelism (0 = 1).
@@ -43,12 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Trees <= 0 {
 		c.Trees = 64
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 8
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 2
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -117,7 +114,7 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 				start := time.Now()
 				treeSeed := stat.DeriveSeed(cfg.Seed, 1000+t)
 				r := stat.NewRand(treeSeed)
-				b := newBuilder(x, y, cfg)
+				b := newBuilder(x, y)
 				bag := make([]int, n)
 				inBag := make([]bool, n)
 				for i := range bag {
@@ -224,23 +221,19 @@ func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, oob [
 // starts with the capacity of the largest tree the depth and row count
 // allow, so growing the tree never reallocates.
 type builder struct {
-	x        [][]float64
-	y        []float64
-	maxDepth int
-	minLeaf  int
-	nodes    []node
-	order    []int
-	right    []int
+	x     [][]float64
+	y     []float64
+	nodes []node
+	order []int
+	right []int
 }
 
-func newBuilder(x [][]float64, y []float64, cfg Config) *builder {
+func newBuilder(x [][]float64, y []float64) *builder {
 	n := len(x)
-	maxNodes := 2*n - 1 // a leaf holds at least one row
-	if d := cfg.MaxDepth; d < 30 {
-		maxNodes = min(maxNodes, 1<<(d+1)-1)
-	}
+	// A leaf holds at least one row, and the depth bound caps the node count.
+	maxNodes := min(2*n-1, 1<<(maxDepth+1)-1)
 	return &builder{
-		x: x, y: y, maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf,
+		x: x, y: y,
 		nodes: make([]node, 0, maxNodes),
 		order: make([]int, n),
 		right: make([]int, n),
@@ -261,7 +254,7 @@ func (b *builder) build(idx []int, depth int) int32 {
 	sse := sum2 - sum*sum/float64(len(idx))
 	id := int32(len(b.nodes))
 	b.nodes = append(b.nodes, node{Feature: -1, Value: mean})
-	if depth >= b.maxDepth || len(idx) < 2*b.minLeaf || sse <= 0 {
+	if depth >= maxDepth || len(idx) < 2*minLeaf || sse <= 0 {
 		return id
 	}
 	feat, thr, ok := b.bestSplit(idx, sum, sum2)
@@ -321,7 +314,7 @@ func (b *builder) bestSplit(idx []int, sum, sum2 float64) (feat int, thr float64
 			}
 			nl := k + 1
 			nr := n - nl
-			if nl < b.minLeaf || nr < b.minLeaf {
+			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
 			sumR := sum - sumL
