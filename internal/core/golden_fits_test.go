@@ -26,8 +26,8 @@ type goldenFit struct {
 // LR methods (LR-F, LR-S), which the sampled-DSE and chronological goldens
 // above do not cover. The values were captured from the fits that sorted
 // with sort.Slice, copied each partition and candidate design, and drew
-// each OOB permutation from a fresh RNG, so the per-fit scratch those
-// kernels now run on is held to the numbers of the code it replaced.
+// each OOB permutation from a fresh RNG, so the scratch those kernels
+// now run on is held to the numbers of the code it replaced.
 func TestGoldenTreeAndSelectionFits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden run trains three models")

@@ -324,15 +324,16 @@ func scale(raw, lo, hi float64) float64 {
 }
 
 // Transform encodes a whole dataset into a design matrix X and a target
-// vector Y (target scaled iff the mode scales targets).
+// vector Y (target scaled iff the mode scales targets). Every row of X is
+// a capped view into one flat backing array, as EncodeRows builds it, so
+// a Transform makes three allocations whatever the row count.
 func (e *Encoder) Transform(d *Dataset) (x [][]float64, y []float64, err error) {
-	x = make([][]float64, d.Len())
+	var buf RowBuffer
+	if x, err = e.EncodeRows(&buf, d.Rows(0, d.Len())); err != nil {
+		return nil, nil, err
+	}
 	y = make([]float64, d.Len())
-	for i := 0; i < d.Len(); i++ {
-		x[i], err = e.EncodeRow(d.Row(i))
-		if err != nil {
-			return nil, nil, err
-		}
+	for i := range y {
 		y[i] = e.ScaleTarget(d.Target(i))
 	}
 	return x, y, nil

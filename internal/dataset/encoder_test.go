@@ -245,6 +245,33 @@ func TestTransformShapes(t *testing.T) {
 	}
 }
 
+// TestTransformAllocs pins Transform's flat encoding: the matrix, its
+// backing array and the target vector are its only allocations, so the
+// count is the same at 10 rows and at 1,000.
+func TestTransformAllocs(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		d := New(encSchema(t))
+		for i := 0; i < n; i++ {
+			row := []Value{Num(float64(1000 + i)), FlagVal(i%2 == 0), Cat([]string{"bimodal", "2level", "comb"}[i%3]), Cat("scsi"), Num(12)}
+			if err := d.Append(row, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := FitEncoder(d, ForNN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := e.Transform(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("n=%d: Transform allocates %v/op, want 3", n, allocs)
+		}
+	}
+}
+
 func TestSourceField(t *testing.T) {
 	d := encData(t)
 	e, err := FitEncoder(d, ForNN)

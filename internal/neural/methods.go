@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"perfpred/internal/engine"
-	"perfpred/internal/stat"
 )
 
 // Method selects the Clementine training strategy.
@@ -85,6 +84,15 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// sgdLabel formats an SGD run's progress label. Only hook events read
+// it, so without a hook the label stays empty and costs nothing.
+func (c Config) sgdLabel(format string, a ...any) string {
+	if c.Hook == nil {
+		return ""
+	}
+	return fmt.Sprintf(format, a...)
 }
 
 func (c Config) epochs(base int) int {
@@ -164,8 +172,7 @@ func Train(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model,
 	}
 
 	// Clementine-style half split for topology decisions (paper §3.3).
-	r := stat.NewRand(cfg.Seed)
-	perm := r.Perm(len(x))
+	perm := scratchFrom(ctx).reseed(cfg.Seed).Perm(len(x))
 	h := len(x) / 2
 	xtr, ytr := gather(x, y, perm[:h])
 	xval, yval := gather(x, y, perm[h:])
@@ -198,8 +205,9 @@ func gather(x [][]float64, y []float64, idx []int) ([][]float64, []float64) {
 	return xs, ys
 }
 
-// finalPolish retrains net on the full dataset from its current weights.
-func finalPolish(ctx context.Context, net *Network, x [][]float64, y []float64, cfg Config, epochs int, seed int64) error {
+// finalPolish retrains net on the full dataset from its current weights,
+// shuffling with stream i of the fit's seed.
+func finalPolish(ctx context.Context, net *Network, x [][]float64, y []float64, cfg Config, epochs, stream int) error {
 	_, err := net.trainSGD(ctx, x, y, sgdOptions{
 		epochs:   cfg.epochs(epochs),
 		lr:       0.25,
@@ -208,15 +216,16 @@ func finalPolish(ctx context.Context, net *Network, x [][]float64, y []float64, 
 		patience: 60,
 		minDelta: 1e-7,
 		hook:     cfg.Hook,
-		label:    cfg.Method.String() + " polish",
-	}, stat.NewRand(seed))
+		label:    cfg.sgdLabel("%v polish", cfg.Method),
+	}, scratchFrom(ctx).subRand(cfg.Seed, stream))
 	return err
 }
 
 func trainQuick(ctx context.Context, x [][]float64, y []float64, xtr [][]float64, ytr []float64, xval [][]float64, yval []float64, cfg Config) (*Model, error) {
 	p := len(x[0])
 	h := max(3, (p+1)/2)
-	net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, stat.NewSubRand(cfg.Seed, 1))
+	s := scratchFrom(ctx)
+	net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -229,12 +238,12 @@ func trainQuick(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 		minDelta: 1e-7,
 		hook:     cfg.Hook,
 		label:    "NN-Q",
-	}, stat.NewSubRand(cfg.Seed, 2))
+	}, s.subRand(cfg.Seed, 2))
 	if err != nil {
 		return nil, err
 	}
-	val := net.mseOn(xval, yval, scratchFrom(ctx))
-	if err := finalPolish(ctx, net, x, y, cfg, 200, stat.DeriveSeed(cfg.Seed, 3)); err != nil {
+	val := net.mseOn(xval, yval, s)
+	if err := finalPolish(ctx, net, x, y, cfg, 200, 3); err != nil {
 		return nil, err
 	}
 	return &Model{net: net, method: Quick, valMSE: val}, nil
@@ -243,7 +252,8 @@ func trainQuick(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 func trainSingle(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, error) {
 	p := len(x[0])
 	h := max(2, (p+2)/4)
-	net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, stat.NewSubRand(cfg.Seed, 4))
+	s := scratchFrom(ctx)
+	net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, 4))
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +266,7 @@ func trainSingle(ctx context.Context, x [][]float64, y []float64, cfg Config) (*
 		minDelta: 1e-7,
 		hook:     cfg.Hook,
 		label:    "NN-S",
-	}, stat.NewSubRand(cfg.Seed, 5))
+	}, s.subRand(cfg.Seed, 5))
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +281,7 @@ func trainDynamic(ctx context.Context, x [][]float64, y []float64, xtr [][]float
 	var best *Network
 	h := 2
 	for step := 0; h <= 2*p && step < 12; step++ {
-		net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, stat.NewSubRand(cfg.Seed, 10+step))
+		net, err := NewNetwork([]int{p, h, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, 10+step))
 		if err != nil {
 			return nil, err
 		}
@@ -283,8 +293,8 @@ func trainDynamic(ctx context.Context, x [][]float64, y []float64, xtr [][]float
 			patience: 30,
 			minDelta: 1e-7,
 			hook:     cfg.Hook,
-			label:    fmt.Sprintf("NN-D grow %d", step),
-		}, stat.NewSubRand(cfg.Seed, 30+step))
+			label:    cfg.sgdLabel("NN-D grow %d", step),
+		}, s.subRand(cfg.Seed, 30+step))
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +310,7 @@ func trainDynamic(ctx context.Context, x [][]float64, y []float64, xtr [][]float
 	if best == nil {
 		return nil, errors.New("neural: dynamic growth failed to produce a network")
 	}
-	if err := finalPolish(ctx, best, x, y, cfg, 200, stat.DeriveSeed(cfg.Seed, 50)); err != nil {
+	if err := finalPolish(ctx, best, x, y, cfg, 200, 50); err != nil {
 		return nil, err
 	}
 	return &Model{net: best, method: Dynamic, valMSE: bestVal}, nil
@@ -328,7 +338,8 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 			Model: "NN-M",
 			Fold:  -1,
 			Run: func(ctx context.Context) error {
-				net, err := NewNetwork(topos[i], Sigmoid, Sigmoid, stat.NewSubRand(cfg.Seed, 100+i))
+				s := scratchFrom(ctx)
+				net, err := NewNetwork(topos[i], Sigmoid, Sigmoid, s.subRand(cfg.Seed, 100+i))
 				if err != nil {
 					return err
 				}
@@ -340,12 +351,12 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 					patience: 40,
 					minDelta: 1e-7,
 					hook:     cfg.Hook,
-					label:    fmt.Sprintf("NN-M topo %d", i),
-				}, stat.NewSubRand(cfg.Seed, 200+i))
+					label:    cfg.sgdLabel("NN-M topo %d", i),
+				}, s.subRand(cfg.Seed, 200+i))
 				if err != nil {
 					return err
 				}
-				results[i] = result{net: net, val: net.mseOn(xval, yval, scratchFrom(ctx))}
+				results[i] = result{net: net, val: net.mseOn(xval, yval, s)}
 				return nil
 			},
 		}
@@ -364,7 +375,7 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 	if best == nil {
 		return nil, errors.New("neural: multiple-topology search produced no network")
 	}
-	if err := finalPolish(ctx, best, x, y, cfg, 200, stat.DeriveSeed(cfg.Seed, 300)); err != nil {
+	if err := finalPolish(ctx, best, x, y, cfg, 200, 300); err != nil {
 		return nil, err
 	}
 	return &Model{net: best, method: Multiple, valMSE: bestVal}, nil
@@ -406,7 +417,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 			Run: func(ctx context.Context) error {
 				s := scratchFrom(ctx)
 				seedBase := 1000 * (ri + 1)
-				net, err := NewNetwork([]int{p, startH, 1}, Sigmoid, Sigmoid, stat.NewSubRand(cfg.Seed, seedBase))
+				net, err := NewNetwork([]int{p, startH, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, seedBase))
 				if err != nil {
 					return err
 				}
@@ -418,17 +429,21 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 					patience: 50,
 					minDelta: 1e-7,
 					hook:     cfg.Hook,
-					label:    fmt.Sprintf("%v restart %d", method, ri),
-				}, stat.NewSubRand(cfg.Seed, seedBase+1))
+					label:    cfg.sgdLabel("%v restart %d", method, ri),
+				}, s.subRand(cfg.Seed, seedBase+1))
 				if err != nil {
 					return err
 				}
 				val := net.mseOn(xval, yval, s)
 
 				// Alternate hidden-unit and input pruning while the held-out
-				// error stays within tolerance.
+				// error stays within tolerance. Each candidate is a copy of
+				// net in the spare network; an accepted one swaps places
+				// with net, so the old net becomes the next spare.
+				var spare *Network
 				for prune := 0; prune < maxPrunes; prune++ {
-					cand := net.Clone()
+					spare = net.cloneInto(spare)
+					cand := spare
 					pruned := false
 					if cand.sizes[1] > 2 {
 						sal := cand.hiddenSaliency(0)
@@ -456,14 +471,14 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 						patience: 25,
 						minDelta: 1e-7,
 						hook:     cfg.Hook,
-						label:    fmt.Sprintf("%v restart %d prune %d", method, ri, prune),
-					}, stat.NewSubRand(cfg.Seed, seedBase+10+prune))
+						label:    cfg.sgdLabel("%v restart %d prune %d", method, ri, prune),
+					}, s.subRand(cfg.Seed, seedBase+10+prune))
 					if err != nil {
 						return err
 					}
 					cval := cand.mseOn(xval, yval, s)
 					if cval <= val*tol {
-						net, val = cand, math.Min(cval, val)
+						net, spare, val = cand, net, math.Min(cval, val)
 						continue
 					}
 					break
@@ -471,7 +486,8 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 				// Exhaustive mode also prunes weak inputs after the unit sweep.
 				if exhaustive {
 					for prune := 0; prune < p/2; prune++ {
-						cand := net.Clone()
+						spare = net.cloneInto(spare)
+						cand := spare
 						sal := cand.inputSaliency()
 						victim, ok := weakestUnfrozen(cand, sal)
 						if !ok {
@@ -488,14 +504,14 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 							patience: 25,
 							minDelta: 1e-7,
 							hook:     cfg.Hook,
-							label:    fmt.Sprintf("%v restart %d input-prune %d", method, ri, prune),
-						}, stat.NewSubRand(cfg.Seed, seedBase+500+prune))
+							label:    cfg.sgdLabel("%v restart %d input-prune %d", method, ri, prune),
+						}, s.subRand(cfg.Seed, seedBase+500+prune))
 						if err != nil {
 							return err
 						}
 						cval := cand.mseOn(xval, yval, s)
 						if cval <= val*tol {
-							net, val = cand, math.Min(cval, val)
+							net, spare, val = cand, net, math.Min(cval, val)
 							continue
 						}
 						break
@@ -525,7 +541,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 	if exhaustive {
 		polish = 300
 	}
-	if err := finalPolish(ctx, best, x, y, cfg, polish, stat.DeriveSeed(cfg.Seed, 9999)); err != nil {
+	if err := finalPolish(ctx, best, x, y, cfg, polish, 9999); err != nil {
 		return nil, err
 	}
 	return &Model{net: best, method: method, valMSE: bestVal}, nil

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"perfpred/internal/stat"
 )
 
 // Activation selects a unit's transfer function. The paper (§3.2) lists
@@ -197,6 +199,23 @@ type Scratch struct {
 	deltas [][]float64 // deltas[li]: error terms of weight layer li
 	vel    [][]float64 // vel[li]: momentum velocity, same shape as layer li's w
 	batch  [][]float64 // batch[li]: batchWidth stacked activation rows of layer li
+	perm   []int       // the SGD shuffle order
+	// rng is the trainers' generator, reseeded for every random stream
+	// (weight init, split, shuffles) once the previous one is finished.
+	rng *rand.Rand
+}
+
+// reseed puts the scratch's generator at the start of seed's stream and
+// returns it: the draws are those of stat.NewRand(seed).
+func (s *Scratch) reseed(seed int64) *rand.Rand {
+	s.rng = stat.Reseed(s.rng, seed)
+	return s.rng
+}
+
+// subRand reseeds the generator onto stream i of seed, the stream
+// stat.NewSubRand(seed, i) draws.
+func (s *Scratch) subRand(seed int64, i int) *rand.Rand {
+	return s.reseed(stat.DeriveSeed(seed, i))
 }
 
 // NewScratch returns an empty scratch; equivalent to new(Scratch).
@@ -407,19 +426,28 @@ func (n *Network) Predict1(x []float64) float64 {
 }
 
 // Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	cp := &Network{
-		sizes:       append([]int(nil), n.sizes...),
-		frozenInput: append([]bool(nil), n.frozenInput...),
-		nFrozen:     n.nFrozen,
+func (n *Network) Clone() *Network { return n.cloneInto(nil) }
+
+// cloneInto makes dst a deep copy of n, reusing dst's slices where they
+// are large enough, and returns it; a nil dst gets a new network. The
+// pruning trainers copy the network into one spare per prune step, so a
+// candidate costs no allocation.
+func (n *Network) cloneInto(dst *Network) *Network {
+	if dst == nil {
+		dst = new(Network)
 	}
-	cp.layers = make([]layer, len(n.layers))
-	for li := range n.layers {
-		l := n.layers[li]
-		l.w = append([]float64(nil), l.w...)
-		cp.layers[li] = l
+	dst.sizes = append(dst.sizes[:0], n.sizes...)
+	dst.frozenInput = append(dst.frozenInput[:0], n.frozenInput...)
+	dst.nFrozen = n.nFrozen
+	if cap(dst.layers) < len(n.layers) {
+		dst.layers = make([]layer, len(n.layers))
 	}
-	return cp
+	dst.layers = dst.layers[:len(n.layers)]
+	for li, l := range n.layers {
+		l.w = append(dst.layers[li].w[:0], l.w...)
+		dst.layers[li] = l
+	}
+	return dst
 }
 
 // FreezeInput zeroes the first-layer weights from input j and pins them so

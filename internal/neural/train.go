@@ -20,7 +20,8 @@ type sgdOptions struct {
 	// MSE improvement of at least minDelta (0 disables early stopping).
 	patience int
 	minDelta float64
-	// hook, if non-nil, observes epoch-granularity progress under label.
+	// hook, if non-nil, observes epoch-granularity progress under label;
+	// only its events read the label.
 	hook  engine.Hook
 	label string
 }
@@ -75,7 +76,10 @@ func (n *Network) trainSGD(ctx context.Context, x [][]float64, y []float64, opts
 	s := scratchFrom(ctx)
 	s.ensureBackward(n)
 
-	perm := make([]int, len(x))
+	if cap(s.perm) < len(x) {
+		s.perm = make([]int, len(x))
+	}
+	perm := s.perm[:len(x)]
 	for i := range perm {
 		perm[i] = i
 	}

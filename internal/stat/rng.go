@@ -28,6 +28,19 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// Reseed puts r in exactly the state NewRand(seed) starts in and returns
+// it; a nil r gets a new generator. A worker that draws many short streams
+// reseeds one generator instead of allocating a 4.9 KB source per stream,
+// and every draw is the same. Reseed a generator only once its previous
+// stream is finished.
+func Reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return NewRand(seed)
+	}
+	r.Seed(seed)
+	return r
+}
+
 // NewSubRand returns a deterministic PRNG for stream i of the master seed.
 func NewSubRand(seed int64, i int) *rand.Rand {
 	return NewRand(DeriveSeed(seed, i))

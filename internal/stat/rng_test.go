@@ -46,6 +46,35 @@ func TestNewSubRandReproducible(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNewRand: a generator that has drawn from another
+// stream, Read bytes included, continues exactly like a fresh one once
+// reseeded.
+func TestReseedMatchesNewRand(t *testing.T) {
+	used := Reseed(nil, 5)
+	used.Perm(300)
+	used.Read(make([]byte, 3))
+	for _, seed := range []int64{1, DeriveSeed(7, 2), -4} {
+		r := Reseed(used, seed)
+		if r != used {
+			t.Fatal("Reseed allocated a new generator")
+		}
+		fresh := NewRand(seed)
+		a, b := make([]byte, 5), make([]byte, 5)
+		r.Read(a)
+		fresh.Read(b)
+		if string(a) != string(b) || r.Int63() != fresh.Int63() || r.NormFloat64() != fresh.NormFloat64() {
+			t.Fatalf("seed %d: reseeded stream diverges from a fresh one", seed)
+		}
+		ra, fa := r.Perm(50), fresh.Perm(50)
+		for i := range ra {
+			if ra[i] != fa[i] {
+				t.Fatalf("seed %d: reseeded Perm diverges at %d", seed, i)
+			}
+		}
+		used.Intn(9)
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	p := Perm(5, 100)
 	seen := make([]bool, 100)

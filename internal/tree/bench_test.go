@@ -52,11 +52,14 @@ func BenchmarkTreePredictAll(b *testing.B) {
 	b.SetBytes(int64(len(x) * 8))
 }
 
-// TestFitAllocsPerTree pins the builder's per-fit scratch: a tree owns one
-// sort buffer, one partition buffer and one node array for its whole
-// growth, and its OOB importance reseeds the tree's generator instead of
-// allocating one per feature, so a fit allocates a handful of objects per
-// tree (13.3 measured on 64 trees), not some per node, sort and feature.
+// TestFitAllocsPerTree pins the worker-owned tree scratch: each engine
+// worker of a fit's pool grows all its trees in one builder, bootstrap,
+// generator and set of OOB buffers, reseeding the generator for every
+// stream, so a tree allocates only its task label and closure, its
+// exact-size node slice and its importance row: 4.4 objects per tree
+// measured on 64 trees (about 5 under the race detector, which drops some
+// of the label formatter's pooled buffers), against 13.3 when each tree
+// owned its scratch. The bound is the measured value plus one.
 func TestFitAllocsPerTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grows three 64-tree ensembles")
@@ -68,7 +71,7 @@ func TestFitAllocsPerTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perTree := allocs / trees; perTree > 16 {
-		t.Fatalf("Fit allocates %.1f objects per tree, want <= 16", perTree)
+	if perTree := allocs / trees; perTree > 5.4 {
+		t.Fatalf("Fit allocates %.2f objects per tree, want <= 5.4", perTree)
 	}
 }

@@ -112,19 +112,8 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 					return err
 				}
 				start := time.Now()
-				treeSeed := stat.DeriveSeed(cfg.Seed, 1000+t)
-				r := stat.NewRand(treeSeed)
-				b := newBuilder(x, y)
-				bag := make([]int, n)
-				inBag := make([]bool, n)
-				for i := range bag {
-					j := r.Intn(n)
-					bag[i] = j
-					inBag[j] = true
-				}
-				b.build(bag, 0)
-				trees[t] = slices.Clone(b.nodes)
-				perTreeImp[t] = oobImportance(b.nodes, x, y, inBag, b.right[:0], r, treeSeed)
+				s := scratchFrom(ctx, x, y)
+				trees[t], perTreeImp[t] = s.grow(stat.DeriveSeed(cfg.Seed, 1000+t))
 				if cfg.Hook != nil {
 					cfg.Hook.Emit(engine.Event{
 						Kind: engine.KernelTime, Label: fmt.Sprintf("cart tree %d", t),
@@ -169,18 +158,77 @@ func normalizeImportance(imp []float64) {
 	}
 }
 
-// oobImportance measures permutation importance on the tree's out-of-bag
-// rows: the increase in OOB SSE when one feature's OOB values are
-// shuffled. Negative increases (noise) clamp to zero. The permutation of
-// feature j draws from the derived stream (treeSeed, 1+j), so it is
-// independent of how the tree was grown and of every other feature; r,
-// the tree's own generator, is reseeded onto that stream rather than a
-// generator allocated per feature. oob is empty scratch of capacity
-// len(inBag) that collects the out-of-bag row indices.
-func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, oob []int, r *rand.Rand, treeSeed int64) []float64 {
+// scratchKey identifies the tree scratch's slot in an engine worker's
+// local store.
+type scratchKey struct{}
+
+// scratch is one engine worker's state for growing trees: the builder's
+// buffers, the generator, the bootstrap and the OOB buffers. Fit runs its
+// trees on its own pool, so a worker's scratch serves the trees of one
+// fit, and every tree it grows resets what it reads: the node array is
+// truncated, inBag cleared and the generator reseeded. A tree keeps only
+// its exact-size node slice and its importance row.
+type scratch struct {
+	b     builder
+	r     *rand.Rand
+	bag   []int
+	inBag []bool
+	buf   []float64 // one OOB row with a feature permuted
+	vals  []float64 // one feature's permuted OOB values
+}
+
+// scratchFrom returns the current worker's tree scratch, sized for x and
+// y. Outside a pool each call gets a fresh scratch.
+func scratchFrom(ctx context.Context, x [][]float64, y []float64) *scratch {
+	s := engine.WorkerLocal(ctx, scratchKey{}, func() any { return new(scratch) }).(*scratch)
+	n, p := len(x), len(x[0])
+	if len(s.bag) != n {
+		// A leaf holds at least one row, and the depth bound caps the
+		// node count, so growing a tree never reallocates nodes.
+		s.b.nodes = make([]node, 0, min(2*n-1, 1<<(maxDepth+1)-1))
+		s.b.order = make([]int, n)
+		s.b.right = make([]int, n)
+		s.bag = make([]int, n)
+		s.inBag = make([]bool, n)
+		s.vals = make([]float64, n)
+	}
+	if len(s.buf) != p {
+		s.buf = make([]float64, p)
+	}
+	s.b.x, s.b.y = x, y
+	return s
+}
+
+// grow fits one tree on the bootstrap drawn from treeSeed and returns its
+// nodes and raw OOB permutation importance.
+func (s *scratch) grow(treeSeed int64) ([]node, []float64) {
+	s.r = stat.Reseed(s.r, treeSeed)
+	n := len(s.bag)
+	clear(s.inBag)
+	for i := range s.bag {
+		j := s.r.Intn(n)
+		s.bag[i] = j
+		s.inBag[j] = true
+	}
+	s.b.nodes = s.b.nodes[:0]
+	s.b.build(s.bag, 0)
+	return slices.Clone(s.b.nodes), s.oobImportance(treeSeed)
+}
+
+// oobImportance measures permutation importance on the tree just grown,
+// over its out-of-bag rows: the increase in OOB SSE when one feature's
+// OOB values are shuffled. Negative increases (noise) clamp to zero. The
+// permutation of feature j draws from the derived stream (treeSeed, 1+j),
+// so it is independent of how the tree was grown and of every other
+// feature; the generator is reseeded onto that stream once the bootstrap
+// is drawn. The builder's partition buffer, idle once the tree is grown,
+// collects the out-of-bag row indices.
+func (s *scratch) oobImportance(treeSeed int64) []float64 {
+	x, y, nodes := s.b.x, s.b.y, s.b.nodes
 	p := len(x[0])
 	imp := make([]float64, p)
-	for i, in := range inBag {
+	oob := s.b.right[:0]
+	for i, in := range s.inBag {
 		if !in {
 			oob = append(oob, i)
 		}
@@ -193,14 +241,13 @@ func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, oob [
 		d := predictTree(nodes, x[i]) - y[i]
 		base += d * d
 	}
-	buf := make([]float64, p)
-	vals := make([]float64, len(oob))
+	buf, vals := s.buf, s.vals[:len(oob)]
 	for j := 0; j < p; j++ {
-		r.Seed(stat.DeriveSeed(treeSeed, 1+j))
+		s.r.Seed(stat.DeriveSeed(treeSeed, 1+j))
 		for k, i := range oob {
 			vals[k] = x[i][j]
 		}
-		r.Shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
+		s.r.Shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
 		sse := 0.0
 		for k, i := range oob {
 			copy(buf, x[i])
@@ -215,29 +262,16 @@ func oobImportance(nodes []node, x [][]float64, y []float64, inBag []bool, oob [
 	return imp
 }
 
-// builder grows one tree into a flat node array. Its scratch is sized
-// once per tree: order holds the feature-sorted copy of a node's rows and
-// right the right-hand rows while build partitions a node in place; nodes
-// starts with the capacity of the largest tree the depth and row count
-// allow, so growing the tree never reallocates.
+// builder grows one tree into a flat node array: order holds the
+// feature-sorted copy of a node's rows and right the right-hand rows
+// while build partitions a node in place. Its buffers belong to the
+// worker's scratch, which sizes them for the training set.
 type builder struct {
 	x     [][]float64
 	y     []float64
 	nodes []node
 	order []int
 	right []int
-}
-
-func newBuilder(x [][]float64, y []float64) *builder {
-	n := len(x)
-	// A leaf holds at least one row, and the depth bound caps the node count.
-	maxNodes := min(2*n-1, 1<<(maxDepth+1)-1)
-	return &builder{
-		x: x, y: y,
-		nodes: make([]node, 0, maxNodes),
-		order: make([]int, n),
-		right: make([]int, n),
-	}
 }
 
 // build appends the subtree over idx (bootstrap indices, may repeat) and

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
+	"perfpred/internal/engine"
 	"perfpred/internal/stat"
 )
 
@@ -92,6 +94,52 @@ func TestDeterminism(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("seeds 7 and 8 grew identical ensembles")
+	}
+}
+
+// TestScratchReuseInvisible: one worker's scratch grows trees for A
+// (n = 200), then B (n = 137, another width), then A again, and every
+// tree and importance row equals one grown on a fresh scratch. A fit on
+// one worker, which reuses its scratch for every tree, marshals the same
+// model before and after a fit of another size.
+func TestScratchReuseInvisible(t *testing.T) {
+	xa, ya := synthGrid(200, 4)
+	xb, yb := benchData(137, 6)
+	sets := []struct {
+		x [][]float64
+		y []float64
+	}{{xa, ya}, {xb, yb}, {xa, ya}}
+	wctx := engine.NewWorkerContext(context.Background())
+	var fits [][]byte
+	for k, d := range sets {
+		for tr := 0; tr < 8; tr++ {
+			seed := stat.DeriveSeed(5, tr)
+			gotNodes, gotImp := scratchFrom(wctx, d.x, d.y).grow(seed)
+			wantNodes, wantImp := scratchFrom(context.Background(), d.x, d.y).grow(seed)
+			if !slices.Equal(gotNodes, wantNodes) || !slices.Equal(gotImp, wantImp) {
+				t.Fatalf("set %d tree %d: reused scratch grew a different tree than a fresh one", k, tr)
+			}
+		}
+		m, err := Fit(context.Background(), d.x, d.y, Config{Trees: 8, Seed: 5, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits = append(fits, data)
+	}
+	fresh, err := Fit(context.Background(), xb, yb, Config{Trees: 8, Seed: 5, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshB, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fits[0]) != string(fits[2]) || string(fits[1]) != string(freshB) {
+		t.Fatal("a fit after one of another size marshals a different model")
 	}
 }
 
