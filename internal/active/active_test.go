@@ -399,10 +399,13 @@ func TestAcquireDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestAcquireEIAllocs pins one EI batch over BenchmarkAcquireEI's round
-// (a 2048-point pool scored with Workers: 4) at the 80 allocations
-// BENCH_10.json records for it. AllocsPerRun runs at GOMAXPROCS=1, the
-// CPU count the snapshot was taken at. Under -race the path still runs but the count is not
-// asserted: the race detector drops sync.Pool puts on purpose.
+// (a 2048-point pool scored with Workers: 4) at exactly 49 allocations.
+// BENCH_10.json still records the 80 the batch made while its scoring
+// chunks carried labels no hook read; benchdiff fails only on an increase,
+// so this test is the exact pin. AllocsPerRun runs at GOMAXPROCS=1, the
+// CPU count the snapshot was taken at. Under -race the path still runs but
+// the count is not asserted: the race detector drops sync.Pool puts on
+// purpose.
 func TestAcquireEIAllocs(t *testing.T) {
 	r := benchRound(t, 2048)
 	acquire := func() {
@@ -412,8 +415,8 @@ func TestAcquireEIAllocs(t *testing.T) {
 	}
 	acquire()
 	allocs := testing.AllocsPerRun(20, acquire)
-	if !raceEnabled && allocs != 80 {
-		t.Fatalf("EI acquisition allocates %.1f/op, want 80", allocs)
+	if !raceEnabled && allocs != 49 {
+		t.Fatalf("EI acquisition allocates %.1f/op, want 49", allocs)
 	}
 }
 

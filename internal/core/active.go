@@ -143,7 +143,7 @@ func trainCommittee(kinds []ModelKind, evalSpace *dataset.Dataset, cfg TrainConf
 			kindCfg.Seed = stat.DeriveSeed(roundSeed, 100+int(kind))
 			kindCfg.Workers = 1 // the committee graph saturates the pool by itself
 			tasks[i] = engine.Task{
-				Label: fmt.Sprintf("committee %v", kind),
+				Label: cfg.Hook.Label("committee %v", kind),
 				Model: kind.String(),
 				Fold:  -1,
 				Run: func(ctx context.Context) error {

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math/rand"
 
 	"perfpred/internal/dataset"
 	"perfpred/internal/engine"
@@ -32,11 +32,12 @@ const estimateFolds = 5
 // Seed-derivation contract (frozen so scheduling changes can never perturb
 // the paper's reproduced numbers): the fold's split RNG is seeded with
 // DeriveSeed(cfg.Seed, 7000+fold) and the fold's training seed with
-// DeriveSeed(foldSeed, 1). Fold tasks always train with Workers=1 — the
-// pool that schedules them owns the global worker budget.
+// DeriveSeed(foldSeed, 1). The split draws from the worker's fold
+// generator, reseeded onto that stream. Fold tasks always train with
+// Workers=1 — the pool that schedules them owns the global worker budget.
 func estimateFoldTask(kind ModelKind, train *dataset.Dataset, cfg TrainConfig, fold int, out []float64) engine.Task {
 	return engine.Task{
-		Label: fmt.Sprintf("estimate %v fold %d", kind, fold),
+		Label: cfg.Hook.Label("estimate %v fold %d", kind, fold),
 		Model: kind.String(),
 		Fold:  fold,
 		Run: func(ctx context.Context) error {
@@ -44,7 +45,9 @@ func estimateFoldTask(kind ModelKind, train *dataset.Dataset, cfg TrainConfig, f
 				return errors.New("core: need at least 4 records to estimate error")
 			}
 			foldSeed := stat.DeriveSeed(cfg.Seed, 7000+fold)
-			half, rest, err := train.SplitHalf(stat.NewRand(foldSeed))
+			fr := foldRandFrom(ctx)
+			fr.r = stat.Reseed(fr.r, foldSeed)
+			half, rest, err := train.SplitHalf(fr.r)
 			if err != nil {
 				return err
 			}
@@ -63,6 +66,21 @@ func estimateFoldTask(kind ModelKind, train *dataset.Dataset, cfg TrainConfig, f
 			return nil
 		},
 	}
+}
+
+// foldRandKey identifies the fold generator's slot in an engine worker's
+// local store.
+type foldRandKey struct{}
+
+// foldRand is one worker's generator for fold splits. A fold draws its
+// whole split before it trains, so the next fold on the worker may
+// reseed it.
+type foldRand struct{ r *rand.Rand }
+
+// foldRandFrom returns the current worker's fold generator holder.
+// Outside a pool each call gets a fresh one.
+func foldRandFrom(ctx context.Context) *foldRand {
+	return engine.WorkerLocal(ctx, foldRandKey{}, func() any { return new(foldRand) }).(*foldRand)
 }
 
 // foldEstimate aggregates per-fold MAPEs into an ErrorEstimate.

@@ -225,6 +225,7 @@ func (p *Predictor) PredictDataset(ctx context.Context, d *dataset.Dataset) ([]f
 		return nil, errors.New("core: nil dataset")
 	}
 	out := make([]float64, d.Len())
+	label := p.hook.Label("predict %v", p.kind)
 	score := func(ctx context.Context, lo, hi int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -238,7 +239,7 @@ func (p *Predictor) PredictDataset(ctx context.Context, d *dataset.Dataset) ([]f
 		p.scoreEncoded(ps, out[lo:hi], rows)
 		if p.hook != nil {
 			p.hook.Emit(engine.Event{
-				Kind: engine.KernelTime, Label: "predict " + p.kind.String(),
+				Kind: engine.KernelTime, Label: label,
 				Model: p.kind.String(), Fold: -1,
 				Samples: int64(hi - lo), Elapsed: time.Since(start),
 			})
@@ -251,7 +252,7 @@ func (p *Predictor) PredictDataset(ctx context.Context, d *dataset.Dataset) ([]f
 		}
 		return out, nil
 	}
-	err := engine.Map(ctx, engine.Options{Hook: p.hook}, d.Len(), predictChunk, "predict "+p.kind.String(), score)
+	err := engine.Map(ctx, engine.Options{Hook: p.hook}, d.Len(), predictChunk, label, score)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +261,9 @@ func (p *Predictor) PredictDataset(ctx context.Context, d *dataset.Dataset) ([]f
 
 // Evaluate returns the mean and standard deviation of the absolute
 // percentage errors of the predictor on a dataset — the paper's error
-// metric (mean) and its Figure 7/8 error bars (standard deviation).
+// metric (mean) and its Figure 7/8 error bars (standard deviation). Each
+// prediction is overwritten by its APE, so the errors need no slice of
+// their own.
 func (p *Predictor) Evaluate(ctx context.Context, d *dataset.Dataset) (meanAPE, stdAPE float64, err error) {
 	if d == nil || d.Len() == 0 {
 		return 0, 0, errors.New("core: empty evaluation dataset")
@@ -269,6 +272,8 @@ func (p *Predictor) Evaluate(ctx context.Context, d *dataset.Dataset) (meanAPE, 
 	if err != nil {
 		return 0, 0, err
 	}
-	apes := stat.APEs(yhat, d.Targets())
-	return stat.Mean(apes), stat.StdDev(apes), nil
+	for i, y := range yhat {
+		yhat[i] = stat.APE(y, d.Target(i))
+	}
+	return stat.Mean(yhat), stat.StdDev(yhat), nil
 }

@@ -188,7 +188,7 @@ func evaluateKinds(ctx context.Context, kinds []ModelKind, train, eval *dataset.
 			}
 		}
 		tasks = append(tasks, engine.Task{
-			Label: fmt.Sprintf("train %v", kind),
+			Label: cfg.Hook.Label("train %v", kind),
 			Model: kind.String(),
 			Fold:  -1,
 			Run: func(ctx context.Context) error {

@@ -68,7 +68,24 @@ func FitEncoder(train *Dataset, mode Mode) (*Encoder, error) {
 		omitted: map[string]string{},
 		scaleY:  mode == ForNN,
 	}
-	for fi, f := range e.schema.Fields {
+	// A categorical field's categories decide how many columns it yields,
+	// so they are found first and the column slice is sized once, for
+	// every field kept.
+	fields := e.schema.Fields
+	cats := make([][]string, len(fields))
+	width := 0
+	for fi, f := range fields {
+		if f.Kind == Categorical {
+			cats[fi] = categoriesOf(train, fi)
+			if mode == ForNN {
+				width += len(cats[fi])
+				continue
+			}
+		}
+		width++
+	}
+	e.cols = make([]column, 0, width)
+	for fi, f := range fields {
 		switch f.Kind {
 		case Numeric:
 			lo, hi := numericRangeOf(train, fi, nil)
@@ -84,8 +101,7 @@ func FitEncoder(train *Dataset, mode Mode) (*Encoder, error) {
 			}
 			e.cols = append(e.cols, column{field: fi, name: f.Name, min: 0, max: 1})
 		case Categorical:
-			cats := categoriesOf(train, fi)
-			if len(cats) < 2 {
+			if len(cats[fi]) < 2 {
 				e.omitted[f.Name] = "constant in training data"
 				continue
 			}
@@ -102,7 +118,7 @@ func FitEncoder(train *Dataset, mode Mode) (*Encoder, error) {
 				e.cols = append(e.cols, column{field: fi, name: f.Name, min: lo, max: hi})
 				continue
 			}
-			for _, c := range cats {
+			for _, c := range cats[fi] {
 				e.cols = append(e.cols, column{
 					field:    fi,
 					name:     f.Name + "=" + c,
@@ -117,9 +133,9 @@ func FitEncoder(train *Dataset, mode Mode) (*Encoder, error) {
 	if len(e.cols) == 0 {
 		return nil, errors.New("dataset: no usable input fields after preparation")
 	}
-	ys := train.Targets()
-	e.yMin, e.yMax = ys[0], ys[0]
-	for _, y := range ys {
+	e.yMin, e.yMax = train.Target(0), train.Target(0)
+	for i := 1; i < train.Len(); i++ {
+		y := train.Target(i)
 		if y < e.yMin {
 			e.yMin = y
 		}

@@ -112,6 +112,18 @@ func (h Hook) Emit(e Event) {
 	}
 }
 
+// Label formats a task or kernel label for h's events. Only hook events
+// read labels, so without a hook Label returns "" and builds nothing.
+// Arguments are boxed before the call, which allocates for integers of
+// 256 and up, so Map, whose chunk bounds reach those, checks its hook
+// before it formats instead.
+func (h Hook) Label(format string, a ...any) string {
+	if h == nil {
+		return ""
+	}
+	return fmt.Sprintf(format, a...)
+}
+
 // Tee fans one event stream out to several hooks, in argument order. Nil
 // hooks are skipped; Tee of zero or one non-nil hook avoids the extra
 // indirection entirely, so it is free to call unconditionally.
@@ -137,7 +149,9 @@ func Tee(hooks ...Hook) Hook {
 
 // Task is one unit of work for the pool.
 type Task struct {
-	// Label names the task for instrumentation.
+	// Label names the task in its hook events. Only a hook reads it, so
+	// callers build it with the pool's Hook.Label, which leaves it empty
+	// when no hook observes the pool.
 	Label string
 	// Model optionally carries the model kind's label.
 	Model string
@@ -324,9 +338,10 @@ func WorkerLocal(ctx context.Context, key any, create func() any) any {
 }
 
 // Map partitions the index range [0, n) into chunks of at most chunk
-// indices and runs fn(ctx, lo, hi) for each chunk on the pool. Chunks carry
-// labels "label[lo:hi)". Writes must be index-addressed so the result is
-// independent of scheduling.
+// indices and runs fn(ctx, lo, hi) for each chunk on the pool. When
+// opts.Hook is set, chunks carry labels "label[lo:hi)"; without one they
+// carry none. Writes must be index-addressed so the result is independent
+// of scheduling.
 func Map(ctx context.Context, opts Options, n, chunk int, label string, fn func(ctx context.Context, lo, hi int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -341,11 +356,13 @@ func Map(ctx context.Context, opts Options, n, chunk int, label string, fn func(
 			hi = n
 		}
 		lo, hi := lo, hi
-		tasks = append(tasks, Task{
-			Label: fmt.Sprintf("%s[%d:%d)", label, lo, hi),
-			Fold:  -1,
-			Run:   func(ctx context.Context) error { return fn(ctx, lo, hi) },
-		})
+		t := Task{Fold: -1, Run: func(ctx context.Context) error { return fn(ctx, lo, hi) }}
+		// Bounds of 256 and up are boxed before any call, so the hook is
+		// checked here, not inside Hook.Label.
+		if opts.Hook != nil {
+			t.Label = fmt.Sprintf("%s[%d:%d)", label, lo, hi)
+		}
+		tasks = append(tasks, t)
 	}
 	return Run(ctx, opts, tasks...)
 }

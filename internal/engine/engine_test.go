@@ -239,6 +239,15 @@ func TestMapPropagatesError(t *testing.T) {
 	}
 }
 
+func TestHookLabel(t *testing.T) {
+	if got := Hook(nil).Label("cart tree %d", 3); got != "" {
+		t.Fatalf("nil hook label = %q, want empty", got)
+	}
+	if got := Hook(func(Event) {}).Label("cart tree %d", 3); got != "cart tree 3" {
+		t.Fatalf("hook label = %q, want %q", got, "cart tree 3")
+	}
+}
+
 func TestEventKindStrings(t *testing.T) {
 	for k, want := range map[EventKind]string{
 		TaskStart: "start", TaskDone: "done", TaskFailed: "failed", EpochProgress: "epoch",

@@ -43,11 +43,13 @@ func TestGoldenMethodArtifacts(t *testing.T) {
 
 // TestExhaustivePruneFitAllocs pins the allocations of an NN-E fit on one
 // worker: the worker's scratch carries the generator every stream
-// reseeds and the SGD shuffle order, and each restart copies its network
-// into one spare per prune step instead of cloning a new one. 116 objects
-// measured (252 with a generator per stream and a clone per prune step);
-// the bound is that plus 10 %, which the race detector's dropped pool
-// buffers stay within.
+// reseeds, the SGD shuffle order and the prune steps' saliency scores,
+// each restart copies its network into one spare per prune step instead
+// of cloning a new one, and without a hook no task label is built. 100
+// objects measured, with or without the race detector (116 with a label
+// per restart and a saliency slice per prune step, 252 with a generator
+// per stream and a clone per prune step too); the bound is that plus
+// 10 %.
 func TestExhaustivePruneFitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains NN-E three times")
@@ -59,7 +61,7 @@ func TestExhaustivePruneFitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 127 {
-		t.Fatalf("NN-E fit allocates %.0f objects, want <= 127", allocs)
+	if allocs > 110 {
+		t.Fatalf("NN-E fit allocates %.0f objects, want <= 110", allocs)
 	}
 }

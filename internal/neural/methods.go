@@ -86,15 +86,6 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sgdLabel formats an SGD run's progress label. Only hook events read
-// it, so without a hook the label stays empty and costs nothing.
-func (c Config) sgdLabel(format string, a ...any) string {
-	if c.Hook == nil {
-		return ""
-	}
-	return fmt.Sprintf(format, a...)
-}
-
 func (c Config) epochs(base int) int {
 	s := c.EpochScale
 	if s <= 0 {
@@ -216,7 +207,7 @@ func finalPolish(ctx context.Context, net *Network, x [][]float64, y []float64, 
 		patience: 60,
 		minDelta: 1e-7,
 		hook:     cfg.Hook,
-		label:    cfg.sgdLabel("%v polish", cfg.Method),
+		label:    cfg.Hook.Label("%v polish", cfg.Method),
 	}, scratchFrom(ctx).subRand(cfg.Seed, stream))
 	return err
 }
@@ -293,7 +284,7 @@ func trainDynamic(ctx context.Context, x [][]float64, y []float64, xtr [][]float
 			patience: 30,
 			minDelta: 1e-7,
 			hook:     cfg.Hook,
-			label:    cfg.sgdLabel("NN-D grow %d", step),
+			label:    cfg.Hook.Label("NN-D grow %d", step),
 		}, s.subRand(cfg.Seed, 30+step))
 		if err != nil {
 			return nil, err
@@ -333,8 +324,9 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 	tasks := make([]engine.Task, len(topos))
 	for i := range topos {
 		i := i
+		label := cfg.Hook.Label("NN-M topo %d", i)
 		tasks[i] = engine.Task{
-			Label: fmt.Sprintf("NN-M topo %d", i),
+			Label: label,
 			Model: "NN-M",
 			Fold:  -1,
 			Run: func(ctx context.Context) error {
@@ -351,7 +343,7 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 					patience: 40,
 					minDelta: 1e-7,
 					hook:     cfg.Hook,
-					label:    cfg.sgdLabel("NN-M topo %d", i),
+					label:    label,
 				}, s.subRand(cfg.Seed, 200+i))
 				if err != nil {
 					return err
@@ -410,8 +402,9 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 	tasks := make([]engine.Task, restarts)
 	for ri := 0; ri < restarts; ri++ {
 		ri := ri
+		label := cfg.Hook.Label("%v restart %d", method, ri)
 		tasks[ri] = engine.Task{
-			Label: fmt.Sprintf("%v restart %d", method, ri),
+			Label: label,
 			Model: method.String(),
 			Fold:  -1,
 			Run: func(ctx context.Context) error {
@@ -429,7 +422,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 					patience: 50,
 					minDelta: 1e-7,
 					hook:     cfg.Hook,
-					label:    cfg.sgdLabel("%v restart %d", method, ri),
+					label:    label,
 				}, s.subRand(cfg.Seed, seedBase+1))
 				if err != nil {
 					return err
@@ -446,16 +439,16 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 					cand := spare
 					pruned := false
 					if cand.sizes[1] > 2 {
-						sal := cand.hiddenSaliency(0)
-						victim := argmin(sal)
+						s.sal = cand.hiddenSaliency(0, s.sal)
+						victim := argmin(s.sal)
 						if err := cand.RemoveHidden(0, victim); err == nil {
 							pruned = true
 						}
 					}
 					if !pruned {
 						// Fall back to input pruning.
-						sal := cand.inputSaliency()
-						victim, ok := weakestUnfrozen(cand, sal)
+						s.sal = cand.inputSaliency(s.sal)
+						victim, ok := weakestUnfrozen(cand, s.sal)
 						if !ok {
 							break
 						}
@@ -471,7 +464,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 						patience: 25,
 						minDelta: 1e-7,
 						hook:     cfg.Hook,
-						label:    cfg.sgdLabel("%v restart %d prune %d", method, ri, prune),
+						label:    cfg.Hook.Label("%v restart %d prune %d", method, ri, prune),
 					}, s.subRand(cfg.Seed, seedBase+10+prune))
 					if err != nil {
 						return err
@@ -488,8 +481,8 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 					for prune := 0; prune < p/2; prune++ {
 						spare = net.cloneInto(spare)
 						cand := spare
-						sal := cand.inputSaliency()
-						victim, ok := weakestUnfrozen(cand, sal)
+						s.sal = cand.inputSaliency(s.sal)
+						victim, ok := weakestUnfrozen(cand, s.sal)
 						if !ok {
 							break
 						}
@@ -504,7 +497,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 							patience: 25,
 							minDelta: 1e-7,
 							hook:     cfg.Hook,
-							label:    cfg.sgdLabel("%v restart %d input-prune %d", method, ri, prune),
+							label:    cfg.Hook.Label("%v restart %d input-prune %d", method, ri, prune),
 						}, s.subRand(cfg.Seed, seedBase+500+prune))
 						if err != nil {
 							return err

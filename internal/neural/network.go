@@ -200,6 +200,7 @@ type Scratch struct {
 	vel    [][]float64 // vel[li]: momentum velocity, same shape as layer li's w
 	batch  [][]float64 // batch[li]: batchWidth stacked activation rows of layer li
 	perm   []int       // the SGD shuffle order
+	sal    []float64   // a prune step's saliency scores
 	// rng is the trainers' generator, reseeded for every random stream
 	// (weight init, split, shuffles) once the previous one is finished.
 	rng *rand.Rand
@@ -513,11 +514,13 @@ func (n *Network) RemoveHidden(h, idx int) error {
 	return nil
 }
 
-// hiddenSaliency returns, for each unit of hidden layer h, the sum of
+// hiddenSaliency scores each unit of hidden layer h by the sum of its
 // absolute outgoing weights — the magnitude criterion used by the pruning
-// trainers to pick removal victims.
-func (n *Network) hiddenSaliency(h int) []float64 {
-	out := make([]float64, n.sizes[h+1])
+// trainers to pick removal victims — into buf, grown if short, and
+// returns the scores.
+func (n *Network) hiddenSaliency(h int, buf []float64) []float64 {
+	out := grow(buf, n.sizes[h+1])
+	clear(out)
 	next := &n.layers[h+1]
 	stride := next.in + 1
 	for i := 0; i < next.out; i++ {
@@ -529,10 +532,11 @@ func (n *Network) hiddenSaliency(h int) []float64 {
 	return out
 }
 
-// inputSaliency returns, for each input, the sum of absolute first-layer
-// weights.
-func (n *Network) inputSaliency() []float64 {
-	out := make([]float64, n.sizes[0])
+// inputSaliency scores each input by the sum of its absolute first-layer
+// weights into buf, grown if short, and returns the scores.
+func (n *Network) inputSaliency(buf []float64) []float64 {
+	out := grow(buf, n.sizes[0])
+	clear(out)
 	l := &n.layers[0]
 	stride := l.in + 1
 	for i := 0; i < l.out; i++ {

@@ -3,6 +3,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,9 +179,13 @@ func TestHiddenSaliency(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	n, _ := NewNetwork([]int{1, 3, 1}, Sigmoid, Linear, r)
 	copy(n.layers[1].row(0), []float64{0.1, -5, 2, 0})
-	sal := n.hiddenSaliency(0)
+	sal := n.hiddenSaliency(0, nil)
 	if !(sal[1] > sal[2] && sal[2] > sal[0]) {
 		t.Fatalf("saliency = %v", sal)
+	}
+	// A reused buffer holding stale scores yields the same scores.
+	if again := n.hiddenSaliency(0, []float64{7, 7, 7, 7}); !slices.Equal(again, sal) {
+		t.Fatalf("saliency into a used buffer = %v, want %v", again, sal)
 	}
 }
 
@@ -189,9 +194,12 @@ func TestInputSaliency(t *testing.T) {
 	n, _ := NewNetwork([]int{2, 2, 1}, Sigmoid, Linear, r)
 	copy(n.layers[0].row(0), []float64{3, 0.1, 0})
 	copy(n.layers[0].row(1), []float64{-2, 0.2, 0})
-	sal := n.inputSaliency()
+	sal := n.inputSaliency(nil)
 	if !(sal[0] > sal[1]) {
 		t.Fatalf("input saliency = %v", sal)
+	}
+	if again := n.inputSaliency([]float64{7, 7, 7}); !slices.Equal(again, sal) {
+		t.Fatalf("input saliency into a used buffer = %v, want %v", again, sal)
 	}
 }
 

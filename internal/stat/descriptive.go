@@ -131,16 +131,11 @@ func NormalizedVariance(xs []float64) float64 {
 	return Variance(norm)
 }
 
-// APEs returns the individual absolute percentage errors 100*|yhat-y|/y.
-// Pairs with y == 0 produce a NaN-free 0 contribution and are reported as 0.
-func APEs(yhat, y []float64) []float64 {
-	out := make([]float64, len(y))
-	for i := range y {
-		if y[i] == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = 100 * math.Abs(yhat[i]-y[i]) / math.Abs(y[i])
+// APE returns one prediction's absolute percentage error 100*|yhat-y|/|y|.
+// A y of 0 reports a NaN-free 0.
+func APE(yhat, y float64) float64 {
+	if y == 0 {
+		return 0
 	}
-	return out
+	return 100 * math.Abs(yhat-y) / math.Abs(y)
 }

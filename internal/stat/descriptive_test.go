@@ -96,12 +96,12 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestAPEs(t *testing.T) {
-	got := APEs([]float64{110, 5, 80}, []float64{100, 0, 100})
+func TestAPE(t *testing.T) {
+	yhat, y := []float64{110, 5, 80}, []float64{100, 0, 100}
 	want := []float64{10, 0, 20}
 	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Fatalf("APEs[%d] = %v, want %v", i, got[i], want[i])
+		if got := APE(yhat[i], y[i]); !almostEq(got, want[i], 1e-12) {
+			t.Fatalf("APE(%v, %v) = %v, want %v", yhat[i], y[i], got, want[i])
 		}
 	}
 }

@@ -9,9 +9,18 @@ import (
 // metric must obey its algebraic identities on every sample the framework
 // could conceivably produce, not just on hand-picked vectors.
 
+// apes returns the per-record absolute percentage errors.
+func apes(yhat, y []float64) []float64 {
+	out := make([]float64, len(y))
+	for i := range y {
+		out[i] = APE(yhat[i], y[i])
+	}
+	return out
+}
+
 // mape is the paper's error metric as Predictor.Evaluate computes it:
 // the mean of the per-record absolute percentage errors.
-func mape(yhat, y []float64) float64 { return Mean(APEs(yhat, y)) }
+func mape(yhat, y []float64) float64 { return Mean(apes(yhat, y)) }
 
 // randVec draws n values in (lo, hi) from r, never exactly zero.
 func randVec(r interface{ Float64() float64 }, n int, lo, hi float64) []float64 {
@@ -57,11 +66,7 @@ func TestMAPEPropertiesRandomized(t *testing.T) {
 			}
 		}
 		// One non-negative error per record.
-		apes := APEs(yhat, y)
-		if len(apes) != n {
-			t.Fatalf("trial %d: APEs length %d, want %d", trial, len(apes), n)
-		}
-		for i, a := range apes {
+		for i, a := range apes(yhat, y) {
 			if a < 0 {
 				t.Fatalf("trial %d: APE[%d] = %v < 0", trial, i, a)
 			}

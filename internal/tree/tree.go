@@ -13,7 +13,6 @@ package tree
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -98,13 +97,15 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 		return nil, errors.New("tree: need at least 4 records")
 	}
 
+	// Tree t writes its raw importance into row t of one matrix.
 	trees := make([][]node, cfg.Trees)
-	perTreeImp := make([][]float64, cfg.Trees)
+	perTreeImp := make([]float64, cfg.Trees*p)
 	tasks := make([]engine.Task, cfg.Trees)
 	for t := 0; t < cfg.Trees; t++ {
 		t := t
+		label := cfg.Hook.Label("cart tree %d", t)
 		tasks[t] = engine.Task{
-			Label: fmt.Sprintf("cart tree %d", t),
+			Label: label,
 			Model: "TREE-B",
 			Fold:  -1,
 			Run: func(ctx context.Context) error {
@@ -113,10 +114,10 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 				}
 				start := time.Now()
 				s := scratchFrom(ctx, x, y)
-				trees[t], perTreeImp[t] = s.grow(stat.DeriveSeed(cfg.Seed, 1000+t))
+				trees[t] = s.grow(stat.DeriveSeed(cfg.Seed, 1000+t), perTreeImp[t*p:(t+1)*p])
 				if cfg.Hook != nil {
 					cfg.Hook.Emit(engine.Event{
-						Kind: engine.KernelTime, Label: fmt.Sprintf("cart tree %d", t),
+						Kind: engine.KernelTime, Label: label,
 						Model: "TREE-B", Fold: -1,
 						Samples: int64(n), Elapsed: time.Since(start),
 					})
@@ -132,8 +133,8 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 	// Cross-tree aggregation in tree order, after the pool drains, so the
 	// summation order never depends on scheduling.
 	imp := make([]float64, p)
-	for _, ti := range perTreeImp {
-		for j, v := range ti {
+	for t := 0; t < cfg.Trees; t++ {
+		for j, v := range perTreeImp[t*p : (t+1)*p] {
 			imp[j] += v
 		}
 	}
@@ -167,7 +168,8 @@ type scratchKey struct{}
 // trees on its own pool, so a worker's scratch serves the trees of one
 // fit, and every tree it grows resets what it reads: the node array is
 // truncated, inBag cleared and the generator reseeded. A tree keeps only
-// its exact-size node slice and its importance row.
+// its exact-size node slice; its importance is a row of the fit's
+// trees × p matrix.
 type scratch struct {
 	b     builder
 	r     *rand.Rand
@@ -199,9 +201,10 @@ func scratchFrom(ctx context.Context, x [][]float64, y []float64) *scratch {
 	return s
 }
 
-// grow fits one tree on the bootstrap drawn from treeSeed and returns its
-// nodes and raw OOB permutation importance.
-func (s *scratch) grow(treeSeed int64) ([]node, []float64) {
+// grow fits one tree on the bootstrap drawn from treeSeed, writes its raw
+// OOB permutation importance into imp (len p, zeroed) and returns its
+// nodes.
+func (s *scratch) grow(treeSeed int64, imp []float64) []node {
 	s.r = stat.Reseed(s.r, treeSeed)
 	n := len(s.bag)
 	clear(s.inBag)
@@ -212,7 +215,8 @@ func (s *scratch) grow(treeSeed int64) ([]node, []float64) {
 	}
 	s.b.nodes = s.b.nodes[:0]
 	s.b.build(s.bag, 0)
-	return slices.Clone(s.b.nodes), s.oobImportance(treeSeed)
+	s.oobImportance(treeSeed, imp)
+	return slices.Clone(s.b.nodes)
 }
 
 // oobImportance measures permutation importance on the tree just grown,
@@ -222,11 +226,11 @@ func (s *scratch) grow(treeSeed int64) ([]node, []float64) {
 // so it is independent of how the tree was grown and of every other
 // feature; the generator is reseeded onto that stream once the bootstrap
 // is drawn. The builder's partition buffer, idle once the tree is grown,
-// collects the out-of-bag row indices.
-func (s *scratch) oobImportance(treeSeed int64) []float64 {
+// collects the out-of-bag row indices. Increases are written into imp,
+// which arrives zeroed.
+func (s *scratch) oobImportance(treeSeed int64, imp []float64) {
 	x, y, nodes := s.b.x, s.b.y, s.b.nodes
 	p := len(x[0])
-	imp := make([]float64, p)
 	oob := s.b.right[:0]
 	for i, in := range s.inBag {
 		if !in {
@@ -234,7 +238,7 @@ func (s *scratch) oobImportance(treeSeed int64) []float64 {
 		}
 	}
 	if len(oob) < 2 {
-		return imp
+		return
 	}
 	base := 0.0
 	for _, i := range oob {
@@ -259,7 +263,6 @@ func (s *scratch) oobImportance(treeSeed int64) []float64 {
 			imp[j] = inc
 		}
 	}
-	return imp
 }
 
 // builder grows one tree into a flat node array: order holds the

@@ -114,8 +114,9 @@ func TestScratchReuseInvisible(t *testing.T) {
 	for k, d := range sets {
 		for tr := 0; tr < 8; tr++ {
 			seed := stat.DeriveSeed(5, tr)
-			gotNodes, gotImp := scratchFrom(wctx, d.x, d.y).grow(seed)
-			wantNodes, wantImp := scratchFrom(context.Background(), d.x, d.y).grow(seed)
+			gotImp, wantImp := make([]float64, len(d.x[0])), make([]float64, len(d.x[0]))
+			gotNodes := scratchFrom(wctx, d.x, d.y).grow(seed, gotImp)
+			wantNodes := scratchFrom(context.Background(), d.x, d.y).grow(seed, wantImp)
 			if !slices.Equal(gotNodes, wantNodes) || !slices.Equal(gotImp, wantImp) {
 				t.Fatalf("set %d tree %d: reused scratch grew a different tree than a fresh one", k, tr)
 			}
