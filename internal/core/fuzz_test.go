@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 
 	"perfpred/internal/dataset"
+	"perfpred/internal/tree"
 )
 
 // FuzzUnmarshalPredictor checks the predictor decoder never panics and
@@ -16,7 +18,7 @@ func FuzzUnmarshalPredictor(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, kind := range []ModelKind{LRE, NNS} {
+	for _, kind := range []ModelKind{LRE, NNS, tree.KindTreeB} {
 		p, err := Train(context.Background(), kind, train, TrainConfig{Seed: 1, EpochScale: 0.2, Workers: 1})
 		if err != nil {
 			f.Fatal(err)
@@ -32,6 +34,11 @@ func FuzzUnmarshalPredictor(f *testing.F) {
 			bad[30] ^= 0x5a
 		}
 		f.Add(bad)
+		if kind == tree.KindTreeB {
+			// A root whose left child index overflows a node's uint16 and
+			// would wrap to node 1, a valid child.
+			f.Add(bytes.Replace(data, []byte(`"l":1,`), []byte(`"l":65537,`), 1))
+		}
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))

@@ -45,11 +45,12 @@ func TestGoldenMethodArtifacts(t *testing.T) {
 // worker: the worker's scratch carries the generator every stream
 // reseeds, the SGD shuffle order and the prune steps' saliency scores,
 // each restart copies its network into one spare per prune step instead
-// of cloning a new one, and without a hook no task label is built. 100
-// objects measured, with or without the race detector (116 with a label
-// per restart and a saliency slice per prune step, 252 with a generator
-// per stream and a clone per prune step too); the bound is that plus
-// 10 %.
+// of cloning a new one, without a hook no task label is built, and the
+// restarts copy one prune schedule instead of sharing six heap-moved
+// variables. 94 objects measured, with or without the race detector (100
+// with the schedule on the heap, 116 with a label per restart and a
+// saliency slice per prune step, 252 with a generator per stream and a
+// clone per prune step too); the bound is that plus 10 %.
 func TestExhaustivePruneFitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains NN-E three times")
@@ -61,7 +62,7 @@ func TestExhaustivePruneFitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 110 {
-		t.Fatalf("NN-E fit allocates %.0f objects, want <= 110", allocs)
+	if allocs > 103 {
+		t.Fatalf("NN-E fit allocates %.0f objects, want <= 103", allocs)
 	}
 }

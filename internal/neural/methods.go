@@ -373,49 +373,53 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 	return &Model{net: best, method: Multiple, valMSE: bestVal}, nil
 }
 
-// trainPrune implements NN-P, and NN-E when exhaustive is true.
+// pruneSchedule is NN-P's or NN-E's search budget on p inputs.
+type pruneSchedule struct {
+	method                     Method
+	restarts, startH           int
+	trainEpochs, retrainEpochs int
+	maxPrunes, polish          int
+	tol                        float64 // accept a prune if val MSE stays within tol × the best
+}
+
+func newPruneSchedule(p int, exhaustive bool) pruneSchedule {
+	if exhaustive {
+		return pruneSchedule{method: ExhaustivePrune, restarts: 3, startH: p + max(2, p/2),
+			trainEpochs: 450, retrainEpochs: 150, maxPrunes: p, polish: 300, tol: 1.01}
+	}
+	return pruneSchedule{method: Prune, restarts: 1, startH: p,
+		trainEpochs: 250, retrainEpochs: 80, maxPrunes: max(1, p/2), polish: 150, tol: 1.05}
+}
+
+// trainPrune implements NN-P, and NN-E when exhaustive is true. The
+// schedule is assigned once, so the restart closures copy it and it
+// stays on the stack.
 func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64, ytr []float64, xval [][]float64, yval []float64, cfg Config, exhaustive bool) (*Model, error) {
 	p := len(x[0])
-	restarts := 1
-	startH := p
-	trainEpochs, retrainEpochs := 250, 80
-	tol := 1.05 // accept a prune if val MSE stays within 5%
-	maxPrunes := max(1, p/2)
-	if exhaustive {
-		restarts = 3
-		startH = p + max(2, p/2)
-		trainEpochs, retrainEpochs = 450, 150
-		tol = 1.01
-		maxPrunes = p
-	}
-
-	method := Prune
-	if exhaustive {
-		method = ExhaustivePrune
-	}
+	sc := newPruneSchedule(p, exhaustive)
 
 	type result struct {
 		net *Network
 		val float64
 	}
-	results := make([]result, restarts)
-	tasks := make([]engine.Task, restarts)
-	for ri := 0; ri < restarts; ri++ {
+	results := make([]result, sc.restarts)
+	tasks := make([]engine.Task, sc.restarts)
+	for ri := 0; ri < sc.restarts; ri++ {
 		ri := ri
-		label := cfg.Hook.Label("%v restart %d", method, ri)
+		label := cfg.Hook.Label("%v restart %d", sc.method, ri)
 		tasks[ri] = engine.Task{
 			Label: label,
-			Model: method.String(),
+			Model: sc.method.String(),
 			Fold:  -1,
 			Run: func(ctx context.Context) error {
 				s := scratchFrom(ctx)
 				seedBase := 1000 * (ri + 1)
-				net, err := NewNetwork([]int{p, startH, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, seedBase))
+				net, err := NewNetwork([]int{p, sc.startH, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, seedBase))
 				if err != nil {
 					return err
 				}
 				_, err = net.trainSGD(ctx, xtr, ytr, sgdOptions{
-					epochs:   cfg.epochs(trainEpochs),
+					epochs:   cfg.epochs(sc.trainEpochs),
 					lr:       0.35,
 					lrFinal:  0.03,
 					momentum: 0.9,
@@ -434,7 +438,7 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 				// net in the spare network; an accepted one swaps places
 				// with net, so the old net becomes the next spare.
 				var spare *Network
-				for prune := 0; prune < maxPrunes; prune++ {
+				for prune := 0; prune < sc.maxPrunes; prune++ {
 					spare = net.cloneInto(spare)
 					cand := spare
 					pruned := false
@@ -457,20 +461,20 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 						}
 					}
 					_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
-						epochs:   cfg.epochs(retrainEpochs),
+						epochs:   cfg.epochs(sc.retrainEpochs),
 						lr:       0.2,
 						lrFinal:  0.03,
 						momentum: 0.9,
 						patience: 25,
 						minDelta: 1e-7,
 						hook:     cfg.Hook,
-						label:    cfg.Hook.Label("%v restart %d prune %d", method, ri, prune),
+						label:    cfg.Hook.Label("%v restart %d prune %d", sc.method, ri, prune),
 					}, s.subRand(cfg.Seed, seedBase+10+prune))
 					if err != nil {
 						return err
 					}
 					cval := cand.mseOn(xval, yval, s)
-					if cval <= val*tol {
+					if cval <= val*sc.tol {
 						net, spare, val = cand, net, math.Min(cval, val)
 						continue
 					}
@@ -490,20 +494,20 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 							break
 						}
 						_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
-							epochs:   cfg.epochs(retrainEpochs),
+							epochs:   cfg.epochs(sc.retrainEpochs),
 							lr:       0.15,
 							lrFinal:  0.03,
 							momentum: 0.9,
 							patience: 25,
 							minDelta: 1e-7,
 							hook:     cfg.Hook,
-							label:    cfg.Hook.Label("%v restart %d input-prune %d", method, ri, prune),
+							label:    cfg.Hook.Label("%v restart %d input-prune %d", sc.method, ri, prune),
 						}, s.subRand(cfg.Seed, seedBase+500+prune))
 						if err != nil {
 							return err
 						}
 						cval := cand.mseOn(xval, yval, s)
-						if cval <= val*tol {
+						if cval <= val*sc.tol {
 							net, spare, val = cand, net, math.Min(cval, val)
 							continue
 						}
@@ -530,14 +534,10 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 	if best == nil {
 		return nil, errors.New("neural: pruning search produced no network")
 	}
-	polish := 150
-	if exhaustive {
-		polish = 300
-	}
-	if err := finalPolish(ctx, best, x, y, cfg, polish, 9999); err != nil {
+	if err := finalPolish(ctx, best, x, y, cfg, sc.polish, 9999); err != nil {
 		return nil, err
 	}
-	return &Model{net: best, method: method, valMSE: bestVal}, nil
+	return &Model{net: best, method: sc.method, valMSE: bestVal}, nil
 }
 
 func weakestUnfrozen(n *Network, sal []float64) (int, bool) {

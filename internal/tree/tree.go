@@ -23,11 +23,15 @@ import (
 )
 
 // Every tree grows to at most maxDepth levels and keeps at least minLeaf
-// rows in each leaf.
+// rows in each leaf, so it has at most maxNodes nodes.
 const (
 	maxDepth = 8
 	minLeaf  = 2
+	maxNodes = 1<<(maxDepth+1) - 1
 )
+
+// A child index must fit node's uint16 Left and Right.
+const _ uint16 = maxNodes - 1
 
 // Config configures Fit.
 type Config struct {
@@ -52,13 +56,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one flat-array tree node. Internal nodes route row r left when
-// r[Feature] <= Threshold; leaves (Feature == -1) predict Value.
+// node is one flat-array tree node, 24 bytes. Internal nodes route row r
+// left when r[Feature] <= Threshold; leaves (Feature == -1) predict
+// Value. The JSON names are the artifact's; wireNode writes them in the
+// artifact's order.
 type node struct {
-	Feature   int     `json:"f"`
+	Feature   int32   `json:"f"`
+	Left      uint16  `json:"l,omitempty"`
+	Right     uint16  `json:"r,omitempty"`
 	Threshold float64 `json:"t,omitempty"`
-	Left      int32   `json:"l,omitempty"`
-	Right     int32   `json:"r,omitempty"`
 	Value     float64 `json:"v"`
 }
 
@@ -87,6 +93,9 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 	p := len(x[0])
 	if p == 0 {
 		return nil, errors.New("tree: zero-width inputs")
+	}
+	if p > math.MaxInt32 {
+		return nil, errors.New("tree: input width overflows a node's feature index")
 	}
 	for _, row := range x {
 		if len(row) != p {
@@ -187,7 +196,7 @@ func scratchFrom(ctx context.Context, x [][]float64, y []float64) *scratch {
 	if len(s.bag) != n {
 		// A leaf holds at least one row, and the depth bound caps the
 		// node count, so growing a tree never reallocates nodes.
-		s.b.nodes = make([]node, 0, min(2*n-1, 1<<(maxDepth+1)-1))
+		s.b.nodes = make([]node, 0, min(2*n-1, maxNodes))
 		s.b.order = make([]int, n)
 		s.b.right = make([]int, n)
 		s.bag = make([]int, n)
@@ -281,7 +290,7 @@ type builder struct {
 // returns its root's flat index. The split partitions idx stably in place
 // — left rows first, each side in its original order — so the children
 // sum their targets in the same order a copied partition would.
-func (b *builder) build(idx []int, depth int) int32 {
+func (b *builder) build(idx []int, depth int) uint16 {
 	sum, sum2 := 0.0, 0.0
 	for _, i := range idx {
 		sum += b.y[i]
@@ -289,7 +298,7 @@ func (b *builder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(len(idx))
 	sse := sum2 - sum*sum/float64(len(idx))
-	id := int32(len(b.nodes))
+	id := uint16(len(b.nodes))
 	b.nodes = append(b.nodes, node{Feature: -1, Value: mean})
 	if depth >= maxDepth || len(idx) < 2*minLeaf || sse <= 0 {
 		return id
@@ -310,7 +319,7 @@ func (b *builder) build(idx []int, depth int) int32 {
 	copy(idx[nl:], right)
 	l := b.build(idx[:nl], depth+1)
 	r := b.build(idx[nl:], depth+1)
-	b.nodes[id] = node{Feature: feat, Threshold: thr, Left: l, Right: r, Value: mean}
+	b.nodes[id] = node{Feature: int32(feat), Left: l, Right: r, Threshold: thr, Value: mean}
 	return id
 }
 
@@ -371,7 +380,7 @@ func (b *builder) bestSplit(idx []int, sum, sum2 float64) (feat int, thr float64
 
 // predictTree walks one tree for one row.
 func predictTree(nodes []node, row []float64) float64 {
-	i := int32(0)
+	i := uint16(0)
 	for {
 		nd := &nodes[i]
 		if nd.Feature < 0 {

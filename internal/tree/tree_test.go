@@ -3,9 +3,11 @@ package tree
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"perfpred/internal/engine"
 	"perfpred/internal/stat"
@@ -246,14 +248,16 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 // TestUnmarshalRejectsCorruptArtifacts: every structural invariant the
 // loader promises — version, width, tree presence, importance length,
-// feature range, and strictly-forward children (walk termination).
+// feature range, and strictly-forward children (walk termination) — and
+// that a feature or child index too wide for its node field fails to
+// decode instead of wrapping.
 func TestUnmarshalRejectsCorruptArtifacts(t *testing.T) {
-	leaf := node{Feature: -1, Value: 1}
-	valid := modelState{
+	leaf := looseNode{Feature: -1, Value: 1}
+	valid := modelState[looseNode]{
 		Version:    modelVersion,
 		NumInputs:  2,
 		Importance: []float64{1, 0},
-		Trees: [][]node{{
+		Trees: [][]looseNode{{
 			{Feature: 0, Threshold: 0.5, Left: 1, Right: 2},
 			leaf, leaf,
 		}},
@@ -261,22 +265,46 @@ func TestUnmarshalRejectsCorruptArtifacts(t *testing.T) {
 	if _, err := UnmarshalModel(mustJSON(t, valid)); err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
-	for name, corrupt := range map[string]func(st *modelState){
-		"bad version":       func(st *modelState) { st.Version = 9 },
-		"zero width":        func(st *modelState) { st.NumInputs = 0 },
-		"no trees":          func(st *modelState) { st.Trees = nil },
-		"empty tree":        func(st *modelState) { st.Trees = [][]node{{}} },
-		"importance length": func(st *modelState) { st.Importance = []float64{1} },
-		"feature range":     func(st *modelState) { st.Trees[0][0].Feature = 2 },
-		"backward child":    func(st *modelState) { st.Trees[0][0].Left = 0 },
-		"child overflow":    func(st *modelState) { st.Trees[0][0].Right = 9 },
+	for name, tc := range map[string]struct {
+		corrupt  func(st *modelState[looseNode])
+		overflow bool // must fail in decoding, not in validation
+	}{
+		"bad version":       {corrupt: func(st *modelState[looseNode]) { st.Version = 9 }},
+		"zero width":        {corrupt: func(st *modelState[looseNode]) { st.NumInputs = 0 }},
+		"no trees":          {corrupt: func(st *modelState[looseNode]) { st.Trees = nil }},
+		"empty tree":        {corrupt: func(st *modelState[looseNode]) { st.Trees = [][]looseNode{{}} }},
+		"importance length": {corrupt: func(st *modelState[looseNode]) { st.Importance = []float64{1} }},
+		"feature range":     {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Feature = 2 }},
+		"backward child":    {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 0 }},
+		"child overflow":    {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Right = 9 }},
+		"left beyond uint16": {
+			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 65536 }, overflow: true,
+		},
+		"left wraps to a valid child": {
+			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 65537 }, overflow: true,
+		},
+		"right beyond uint16": {
+			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Right = 70000 }, overflow: true,
+		},
+		"negative child": {
+			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = -1 }, overflow: true,
+		},
+		"feature beyond int32": {
+			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Feature = math.MaxInt32 + 1 }, overflow: true,
+		},
 	} {
 		st := valid
 		st.Importance = append([]float64(nil), valid.Importance...)
-		st.Trees = [][]node{append([]node(nil), valid.Trees[0]...)}
-		corrupt(&st)
-		if _, err := UnmarshalModel(mustJSON(t, st)); err == nil {
+		st.Trees = [][]looseNode{append([]looseNode(nil), valid.Trees[0]...)}
+		tc.corrupt(&st)
+		_, err := UnmarshalModel(mustJSON(t, st))
+		if err == nil {
 			t.Errorf("%s: corrupted artifact accepted", name)
+			continue
+		}
+		var typeErr *json.UnmarshalTypeError
+		if tc.overflow && !errors.As(err, &typeErr) {
+			t.Errorf("%s: rejected by %v, want a decoding overflow", name, err)
 		}
 	}
 	if _, err := UnmarshalModel([]byte("{not json")); err == nil {
@@ -284,13 +312,85 @@ func TestUnmarshalRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, st modelState) []byte {
+// looseNode writes a node's artifact fields with room for values a node
+// cannot hold.
+type looseNode struct {
+	Feature   int64   `json:"f"`
+	Threshold float64 `json:"t,omitempty"`
+	Left      int     `json:"l,omitempty"`
+	Right     int     `json:"r,omitempty"`
+	Value     float64 `json:"v"`
+}
+
+func mustJSON(t *testing.T, st modelState[looseNode]) []byte {
 	t.Helper()
 	data, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestNodeSize pins the packed node: a loaded model holds one node per
+// tree node of every replica's ensembles, so each byte here costs a byte
+// per node.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 24 {
+		t.Fatalf("node is %d bytes, want 24", got)
+	}
+}
+
+// TestLoadedModelLayout: a loaded model keeps all its trees in one
+// exact-size node array, each tree a view of it with no spare capacity,
+// and scores every row bit-identically to the model that was saved.
+func TestLoadedModelLayout(t *testing.T) {
+	x, _ := synthGrid(120, 4)
+	m := fitQuick(t, Config{Trees: 16, Seed: 4})
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalModel(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, capSum := 0, 0
+	for i, tr := range back.trees {
+		if cap(tr) != len(tr) {
+			t.Fatalf("tree %d: cap %d, len %d", i, cap(tr), len(tr))
+		}
+		if !slices.Equal(tr, m.trees[i]) {
+			t.Fatalf("tree %d: loaded nodes differ from the fitted ones", i)
+		}
+		// Each tree starts where the one before it ends.
+		if i > 0 {
+			prev := back.trees[i-1]
+			end := unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(node{}))
+			if end != unsafe.Pointer(&tr[0]) {
+				t.Fatalf("tree %d does not follow tree %d in one array", i, i-1)
+			}
+		}
+		total += len(m.trees[i])
+		capSum += cap(tr)
+	}
+	if capSum != total {
+		t.Fatalf("loaded trees hold %d node slots for %d nodes", capSum, total)
+	}
+	want, got := make([]float64, len(x)), make([]float64, len(x))
+	m.PredictAllInto(want, x)
+	back.PredictAllInto(got, x)
+	wantMean, wantSpread := make([]float64, len(x)), make([]float64, len(x))
+	gotMean, gotSpread := make([]float64, len(x)), make([]float64, len(x))
+	m.PredictSpreadInto(wantMean, wantSpread, x)
+	back.PredictSpreadInto(gotMean, gotSpread, x)
+	for i, row := range x {
+		if math.Float64bits(back.Predict(row)) != math.Float64bits(m.Predict(row)) ||
+			math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+			math.Float64bits(gotMean[i]) != math.Float64bits(wantMean[i]) ||
+			math.Float64bits(gotSpread[i]) != math.Float64bits(wantSpread[i]) {
+			t.Fatalf("row %d: the loaded model scores differently from the fitted one", i)
+		}
+	}
 }
 
 // TestImportanceFiniteGuard: a model whose stored scores are corrupted
