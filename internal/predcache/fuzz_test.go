@@ -1,6 +1,7 @@
 package predcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -88,6 +89,59 @@ func FuzzRowKey(f *testing.F) {
 		default:
 			if HashRow(mut) == h {
 				t.Fatalf("cell %d bit %d flip left hash unchanged (%v -> %v)", i, b, row[i], mut[i])
+			}
+		}
+	})
+}
+
+// FuzzCacheMatchesReference holds the slab cache to refCache, the naive
+// slice LRU, over op sequences decoded from the fuzz input, checking
+// every answer, the counters and the slab's links after every op. The
+// first byte sets the capacity (up to three chunks); each op then takes
+// three bytes: the op (Get, Put or an Invalidate, late ones included),
+// the row (widths 1 to 24, so the stride widens and slots change width)
+// and the key (forged hashes shared by many rows, two models, the
+// generations around the floor). An index-linked list hides its link
+// bugs from hand-written sequences; this is where they show.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 0, 1, 9, 1, 7, 9, 0, 0, 2, 2, 5, 40, 4, 0, 6})
+	f.Add(bytes.Repeat([]byte{64, 1, 17, 2, 1, 200, 3, 5, 36, 137, 0, 1, 1}, 40))
+	f.Add(bytes.Repeat([]byte{130, 2, 77, 10, 3, 150, 1, 1, 99, 35, 8, 3, 64}, 60))
+	widths := []int{1, 2, 3, 21, 24}
+	models := []string{"lre", "nns"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := 1 + int(data[0])%(3*chunkSlots)
+		c, ref := New(capacity, nil), &refCache{cap: capacity}
+		for step, op := 0, data[1:]; len(op) >= 3; step, op = step+1, op[3:] {
+			row := make([]float64, widths[int(op[1])%len(widths)])
+			for j := range row {
+				row[j] = float64((int(op[1])/len(widths) + j) % 4)
+			}
+			hash := HashRow(row)
+			if op[2]&1 == 1 {
+				hash = uint64(op[2]>>1) % 4 // forged: many rows per hash
+			}
+			key := Key{Model: models[op[2]>>7], Gen: ref.floor + int64(op[2]>>3)%3 - 1, Hash: hash}
+			switch op[0] % 8 {
+			case 0:
+				keep := ref.floor + int64(op[0]>>3)%3 - 1
+				if got, want := c.Invalidate(keep), ref.invalidate(keep); got != want {
+					t.Fatalf("step %d: Invalidate(%d) dropped %d, reference %d", step, keep, got, want)
+				}
+			case 1, 2, 3:
+				c.Put(key, row, float64(op[0]))
+				ref.put(key, row, float64(op[0]))
+			default:
+				val, ok := c.Get(key, row)
+				if wval, wok := ref.get(key, row); val != wval || ok != wok {
+					t.Fatalf("step %d: Get(%+v, %v) = %v %v, reference %v %v", step, key, row, val, ok, wval, wok)
+				}
+			}
+			if err := matchesRef(c, ref); err != nil {
+				t.Fatalf("capacity %d step %d: %v", capacity, step, err)
 			}
 		}
 	})

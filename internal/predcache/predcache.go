@@ -23,10 +23,10 @@
 // land on one entry. One mutex guards one map and one LRU list, so the
 // cache never holds more than its capacity and always evicts its least
 // recently used entry. A hit takes the lock, does one map probe plus a
-// row compare, and allocates nothing. Once the cache is full, neither
-// does a Put: the evicted tail entry is overwritten in place and moved
-// to the front, its row buffer kept when the new row has the same
-// width.
+// row compare, and allocates nothing. Once the stride, the widest row
+// width stored so far, has reached the widest model's rows and the
+// chunks of slots exist, no Put allocates either, whatever widths its
+// rows mix: it reuses a slot Invalidate freed or the LRU tail's.
 //
 // A cache registers its own cache.* counters (lookups, hits, misses,
 // evictions, invalidations) in the obs registry it is built over, so
@@ -35,7 +35,8 @@
 package predcache
 
 import (
-	"container/list"
+	"math"
+	"slices"
 	"sync"
 
 	"perfpred/internal/obs"
@@ -53,20 +54,31 @@ type Key struct {
 	Hash  uint64
 }
 
-// entry is one cached prediction and the row it was scored from.
-type entry struct {
-	key Key
-	row []float64
-	val float64
+// chunkSlots is the number of slots the cache allocates at a time, never
+// by doubling, so a cache holds at most one chunk of slots it does not use.
+const chunkSlots = 64
+
+const none = -1 // Cache.root's index, which ends the LRU and free lists
+
+// slot is one cached prediction and its links in the LRU list (next also
+// links the free list); width is the length of its row.
+type slot struct {
+	key               Key
+	val               float64
+	prev, next, width int32
 }
 
 // Cache is a bounded, generation-aware prediction cache.
 type Cache struct {
 	mu sync.Mutex
-	// m indexes the LRU list of *entry (front = most recent).
-	m   map[Key]*list.Element
-	lru *list.List
-	cap int
+	// m indexes the slots. The LRU list is circular through root (next
+	// is the most recent slot); free lists the slots Invalidate dropped.
+	m           map[Key]int32
+	chunks      []*[chunkSlots]slot
+	rows        [][]float64 // chunk k's rows, slot j's at rows[k][j*stride:]
+	root        slot
+	stride, cap int
+	used, free  int32 // used counts the slots ever handed out
 	// floor is the highest keepGen passed to Invalidate; Put drops
 	// entries of older generations.
 	floor int64
@@ -82,15 +94,16 @@ type Cache struct {
 // that registers its cache.* counters in reg; a nil reg keeps them in a
 // private registry, readable only through Stats.
 func New(maxEntries int, reg *obs.Registry) *Cache {
-	if maxEntries <= 0 {
-		panic("predcache: maxEntries must be positive")
+	if maxEntries <= 0 || maxEntries > math.MaxInt32 {
+		panic("predcache: maxEntries must be positive and fit in an int32")
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Cache{
-		m:             make(map[Key]*list.Element),
-		lru:           list.New(),
+		m:             make(map[Key]int32),
+		root:          slot{prev: none, next: none},
+		free:          none,
 		cap:           maxEntries,
 		lookups:       reg.Counter("cache.lookups"),
 		hits:          reg.Counter("cache.hits"),
@@ -124,18 +137,18 @@ func (c *Cache) Stats() Stats {
 
 // Get returns the value stored for key when the entry's row is
 // float64-equal to row — bit-identical to what scoring the row would
-// produce. Anything else, a hash collision included, is a miss.
+// produce. Anything else, a hash collision included, is a miss; -0 and
+// +0 compare equal, and a row with a NaN cell never hits.
 func (c *Cache) Get(key Key, row []float64) (float64, bool) {
 	c.lookups.Inc()
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		if e := el.Value.(*entry); equalRows(e.row, row) {
-			c.lru.MoveToFront(el)
-			val := e.val
-			c.mu.Unlock()
-			c.hits.Inc()
-			return val, true
-		}
+	if i, ok := c.m[key]; ok && slices.Equal(c.row(i), row) {
+		c.unlink(i)
+		c.pushFront(i)
+		val := c.slot(i).val
+		c.mu.Unlock()
+		c.hits.Inc()
+		return val, true
 	}
 	c.mu.Unlock()
 	c.misses.Inc()
@@ -155,34 +168,35 @@ func (c *Cache) Put(key Key, row []float64, val float64) {
 		c.mu.Unlock()
 		return
 	}
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*entry)
-		if !equalRows(e.row, row) {
-			e.row, e.val = append(e.row[:0], row...), val
-			evicted = true
+	if len(row) > c.stride {
+		c.widen(len(row))
+	}
+	i, ok := c.m[key]
+	switch {
+	case ok:
+		evicted = !slices.Equal(c.row(i), row)
+		c.unlink(i)
+	case c.free != none:
+		i, c.free = c.free, c.slot(c.free).next
+	case int(c.used) < c.cap:
+		i, c.used = c.used, c.used+1
+		if i%chunkSlots == 0 {
+			c.chunks = append(c.chunks, new([chunkSlots]slot))
+			c.rows = append(c.rows, make([]float64, chunkSlots*c.stride))
 		}
-		c.lru.MoveToFront(el)
-	} else if c.lru.Len() < c.cap {
-		c.m[key] = c.lru.PushFront(&entry{key: key, row: append([]float64(nil), row...), val: val})
-	} else {
-		// Full: the least recently used entry becomes the new one, so an
-		// eviction frees nothing and the insert allocates nothing. Its row
-		// buffer is reused only at equal width: models of different widths
-		// share the cache, and a buffer kept for a narrower row would hold
-		// the widest capacity any entry ever had.
-		el := c.lru.Back()
-		e := el.Value.(*entry)
-		delete(c.m, e.key)
-		if len(e.row) == len(row) {
-			copy(e.row, row)
-		} else {
-			e.row = append([]float64(nil), row...)
-		}
-		e.key, e.val = key, val
-		c.lru.MoveToFront(el)
-		c.m[key] = el
+	default: // full: the LRU tail's slot takes the new entry
+		i = c.root.prev
+		delete(c.m, c.slot(i).key)
+		c.unlink(i)
 		evicted = true
 	}
+	if !ok || evicted {
+		s := c.slot(i)
+		s.key, s.val, s.width = key, val, int32(len(row))
+		copy(c.row(i), row)
+		c.m[key] = i
+	}
+	c.pushFront(i)
 	c.mu.Unlock()
 	if evicted {
 		c.evictions.Inc()
@@ -193,18 +207,19 @@ func (c *Cache) Put(key Key, row []float64, val float64) {
 // refuses later Puts of such generations, and returns how many entries
 // were dropped. The serving daemon calls it after each successful
 // reload; since generation is part of the key, stale entries were
-// already unreachable — invalidation reclaims their memory promptly
-// instead of waiting for LRU pressure. Newer generations are kept:
-// concurrent reloads may invalidate out of order, and a late call for
-// an older generation must not drop the live one.
+// already unreachable — invalidation frees their slots promptly for the
+// new generation instead of waiting for LRU pressure. Newer generations
+// are kept: concurrent reloads may invalidate out of order, and a late
+// call for an older generation must not drop the live one.
 func (c *Cache) Invalidate(keepGen int64) int {
 	n := 0
 	c.mu.Lock()
 	c.floor = max(c.floor, keepGen)
-	for key, el := range c.m {
+	for key, i := range c.m {
 		if key.Gen < keepGen {
 			delete(c.m, key)
-			c.lru.Remove(el)
+			c.unlink(i)
+			c.slot(i).next, c.free = c.free, i
 			n++
 		}
 	}
@@ -215,18 +230,43 @@ func (c *Cache) Invalidate(keepGen int64) int {
 	return n
 }
 
-// equalRows is exact float64 equality. -0 and +0 compare equal (they
-// encode the same design point); NaN never matches anything, which
-// degrades a (structurally impossible for validated requests) NaN row
-// to a permanent miss rather than a wrong answer.
-func equalRows(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// slot returns slot i, or root for none.
+func (c *Cache) slot(i int32) *slot {
+	if i == none {
+		return &c.root
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return &c.chunks[i/chunkSlots][i%chunkSlots]
+}
+
+// row returns slot i's row, at the slot's own width.
+func (c *Cache) row(i int32) []float64 {
+	off := int(i%chunkSlots) * c.stride
+	return c.rows[i/chunkSlots][off : off+int(c.slot(i).width)]
+}
+
+// unlink takes slot i out of the LRU list.
+func (c *Cache) unlink(i int32) {
+	s := c.slot(i)
+	c.slot(s.prev).next = s.next
+	c.slot(s.next).prev = s.prev
+}
+
+// pushFront makes slot i the most recently used.
+func (c *Cache) pushFront(i int32) {
+	s := c.slot(i)
+	s.prev, s.next = none, c.root.next
+	c.slot(s.next).prev = i
+	c.root.next = i
+}
+
+// widen re-lays every chunk's rows at a wider stride w, carrying each
+// slot's row over: once per new widest row width in the cache's life.
+func (c *Cache) widen(w int) {
+	for k, old := range c.rows {
+		c.rows[k] = make([]float64, chunkSlots*w)
+		for j := range chunkSlots {
+			copy(c.rows[k][j*w:], old[j*c.stride:(j+1)*c.stride])
 		}
 	}
-	return true
+	c.stride = w
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -287,17 +288,24 @@ func TestNewBoundsOccupancy(t *testing.T) {
 }
 
 // refCache is a naive LRU over a slice (front = most recent) with the
-// same contract as Cache: the oracle TestCacheMatchesReferenceLRU holds
-// the list-and-map implementation to.
+// same contract as Cache: the oracle TestCacheMatchesReferenceLRU and
+// FuzzCacheMatchesReference hold the slab implementation to.
 type refCache struct {
 	cap     int
 	floor   int64
-	entries []entry
+	entries []refEntry
 	stats   Stats
 }
 
+// refEntry is one of refCache's entries.
+type refEntry struct {
+	key Key
+	row []float64
+	val float64
+}
+
 func (r *refCache) find(key Key) int {
-	return slices.IndexFunc(r.entries, func(e entry) bool { return e.key == key })
+	return slices.IndexFunc(r.entries, func(e refEntry) bool { return e.key == key })
 }
 
 // touch moves entry i to the front.
@@ -330,7 +338,7 @@ func (r *refCache) put(key Key, row []float64, val float64) {
 		r.touch(i)
 		return
 	}
-	r.entries = slices.Insert(r.entries, 0, entry{key: key, row: slices.Clone(row), val: val})
+	r.entries = slices.Insert(r.entries, 0, refEntry{key: key, row: slices.Clone(row), val: val})
 	if len(r.entries) > r.cap {
 		r.entries = r.entries[:r.cap]
 		r.stats.Evictions++
@@ -340,7 +348,7 @@ func (r *refCache) put(key Key, row []float64, val float64) {
 func (r *refCache) invalidate(keepGen int64) int {
 	r.floor = max(r.floor, keepGen)
 	n := len(r.entries)
-	r.entries = slices.DeleteFunc(r.entries, func(e entry) bool { return e.key.Gen < keepGen })
+	r.entries = slices.DeleteFunc(r.entries, func(e refEntry) bool { return e.key.Gen < keepGen })
 	n -= len(r.entries)
 	r.stats.Invalidations += int64(n)
 	return n
@@ -389,11 +397,8 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 					t.Fatalf("cap %d step %d: Get(%+v, %v) = %v %v, reference %v %v", capacity, step, key, row, val, ok, wval, wok)
 				}
 			}
-			if n := entries(c); n != len(ref.entries) || c.lru.Len() != n {
-				t.Fatalf("cap %d step %d: %d indexed, %d listed, reference %d", capacity, step, n, c.lru.Len(), len(ref.entries))
-			}
-			if st := c.Stats(); st != ref.stats {
-				t.Fatalf("cap %d step %d: counters %+v, reference %+v", capacity, step, st, ref.stats)
+			if err := matchesRef(c, ref); err != nil {
+				t.Fatalf("cap %d step %d: %v", capacity, step, err)
 			}
 		}
 	}
@@ -422,17 +427,181 @@ func TestPutAtCapacityZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecycledRowExactWidth pins the width guard on recycling: when the
-// evicted entry's row is wider or narrower than the new one, the entry
-// gets an exact copy, so no buffer keeps the capacity of a wider row it
-// once held.
+// TestRecycledRowExactWidth pins the stride rule: a row comes back at
+// its own width whatever the cache's stride, and widening the stride
+// carries every stored row over bit for bit.
 func TestRecycledRowExactWidth(t *testing.T) {
-	c := New(1, nil)
-	for i, row := range [][]float64{{1, 2, 3, 4, 5, 6}, {7, 8}, {9, 10}, {1, 2, 3}} {
-		c.Put(Key{Model: "m", Gen: 1, Hash: uint64(i)}, row, float64(i))
-		e := c.lru.Front().Value.(*entry)
-		if !slices.Equal(e.row, row) || cap(e.row) != len(row) {
-			t.Fatalf("Put %d: entry row %v (cap %d), want %v at cap %d", i, e.row, cap(e.row), row, len(row))
+	c := New(100, nil)
+	widths := []int{2, 6, 1, 3, 6, 9, 4, 24, 21, 24}
+	var stored [][]float64
+	for i, w := range widths {
+		row := make([]float64, w)
+		for j := range row {
+			row[j] = math.Float64frombits(uint64(i)<<32 | uint64(j)) // distinct bits per cell
 		}
+		c.Put(Key{Model: "m", Gen: 1, Hash: uint64(i)}, row, float64(i))
+		stored = append(stored, row)
+		if want := slices.Max(widths[:i+1]); c.stride != want {
+			t.Fatalf("Put %d: stride %d, want the widest row so far, %d", i, c.stride, want)
+		}
+		for k, want := range stored {
+			got := c.row(c.m[Key{Model: "m", Gen: 1, Hash: uint64(k)}])
+			if len(got) != len(want) || !slices.EqualFunc(got, want, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Fatalf("after Put %d: row %d reads %v, want %v", i, k, got, want)
+			}
+		}
+	}
+}
+
+// matchesRef holds c to ref: the entry count, the five counters, the
+// slab's links and the LRU order. Walking the list from either end must
+// visit every indexed entry exactly once, each under the key it is
+// indexed by; the free list plus the listed slots must account for
+// every slot ever handed out; and head to tail, the entries must be
+// ref's, in ref's order, with its rows and values.
+func matchesRef(c *Cache, ref *refCache) error {
+	if st := c.Stats(); st != ref.stats {
+		return fmt.Errorf("counters %+v, reference %+v", st, ref.stats)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.m)
+	if n != len(ref.entries) {
+		return fmt.Errorf("%d indexed, reference %d", n, len(ref.entries))
+	}
+	for k, i := range c.m {
+		if c.slot(i).key != k {
+			return fmt.Errorf("key %+v indexes slot %d, which holds %+v", k, i, c.slot(i).key)
+		}
+	}
+	walk := func(from int32, step func(*slot) int32) (int, error) {
+		seen := 0
+		for i := from; i != none; i = step(c.slot(i)) {
+			if seen++; seen > n {
+				return seen, fmt.Errorf("list from slot %d runs past %d entries", from, n)
+			}
+			if j, ok := c.m[c.slot(i).key]; !ok || j != i {
+				return seen, fmt.Errorf("listed slot %d is not indexed", i)
+			}
+		}
+		return seen, nil
+	}
+	fwd, err := walk(c.root.next, func(s *slot) int32 { return s.next })
+	if err != nil {
+		return err
+	}
+	back, err := walk(c.root.prev, func(s *slot) int32 { return s.prev })
+	if err != nil {
+		return err
+	}
+	free := 0
+	for i := c.free; i != none && free <= int(c.used); i = c.slot(i).next {
+		free++
+	}
+	if fwd != n || back != n || free+n != int(c.used) {
+		return fmt.Errorf("%d indexed, %d listed head to tail, %d tail to head, %d free of %d handed out",
+			n, fwd, back, free, c.used)
+	}
+	i := c.root.next
+	for k, e := range ref.entries {
+		if s := c.slot(i); s.key != e.key || !slices.Equal(c.row(i), e.row) || s.val != e.val {
+			return fmt.Errorf("LRU position %d holds %+v: %v = %v, reference %+v: %v = %v",
+				k, s.key, c.row(i), s.val, e.key, e.row, e.val)
+		}
+		i = c.slot(i).next
+	}
+	return nil
+}
+
+// TestPutMixedWidthsZeroAlloc pins the fixed stride: once the cache is
+// full and its stride has reached the widest row, a Put allocates
+// nothing even when every row it stores has another width than the one
+// it evicts (LR-B rows are 21 cells, NN-S and TREE-B rows 24). The odd
+// capacity, across two chunks, makes each evicted row the other width.
+func TestPutMixedWidthsZeroAlloc(t *testing.T) {
+	const capacity = 65
+	c := New(capacity, nil)
+	narrow, wide := make([]float64, 21), make([]float64, 24)
+	next := 0
+	put := func() {
+		row := narrow
+		if next%2 == 1 {
+			row = wide
+		}
+		row[0] = float64(next)
+		next++
+		c.Put(Key{Model: "m", Gen: 1, Hash: HashRow(row)}, row, float64(next))
+	}
+	for range capacity {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("a mixed-width Put into a full cache allocates %.1f/op, want 0", allocs)
+	}
+	if n, ev := entries(c), c.Stats().Evictions; n != capacity || ev == 0 {
+		t.Fatalf("%d entries, %d evictions; want %d and some", n, ev, capacity)
+	}
+}
+
+// TestRefillAfterInvalidateZeroAlloc pins the reload path: Invalidate
+// frees its slots, and the new generation refills them to capacity
+// without an allocation.
+func TestRefillAfterInvalidateZeroAlloc(t *testing.T) {
+	const capacity = 200
+	c := New(capacity, nil)
+	row := make([]float64, 24)
+	fill := func(gen int64) {
+		for i := range capacity {
+			row[0] = float64(i)
+			c.Put(Key{Model: "m", Gen: gen, Hash: HashRow(row)}, row, float64(i))
+		}
+	}
+	gen := int64(1)
+	fill(gen)
+	allocs := testing.AllocsPerRun(20, func() {
+		gen++
+		if n := c.Invalidate(gen); n != capacity {
+			panic(fmt.Sprintf("Invalidate dropped %d, want %d", n, capacity))
+		}
+		fill(gen)
+	})
+	if allocs != 0 {
+		t.Fatalf("invalidating and refilling %d entries allocates %.1f times, want 0", capacity, allocs)
+	}
+	if n, ev := entries(c), c.Stats().Evictions; n != capacity || ev != 0 {
+		t.Fatalf("%d entries, %d evictions after the refills; want %d and 0", n, ev, capacity)
+	}
+}
+
+// TestCacheBytesPerEntry pins what an entry costs resident: the heap a
+// full 2048-entry cache holds, after a churn of mixed 21- and 24-wide
+// rows, divided by its entries. A slot, its row at the stride and its
+// map entry measured 334 B per entry; the list-and-map cache it
+// replaced, with an entry object, a list element and an exact-width
+// row per entry, measured 374 B.
+func TestCacheBytesPerEntry(t *testing.T) {
+	const n = 2048
+	narrow, wide := make([]float64, 21), make([]float64, 24)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(n, nil)
+	for i := range 4 * n {
+		row := narrow
+		if i%2 == 1 {
+			row = wide
+		}
+		row[0] = float64(i)
+		c.Put(Key{Model: "m", Gen: 1, Hash: HashRow(row)}, row, float64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(c)
+	t.Logf("%.0f B per entry", perEntry)
+	if entries(c) != n || perEntry > 355 {
+		t.Fatalf("%d entries hold %.0f B each, want %d at <= 355", entries(c), perEntry, n)
 	}
 }

@@ -1,11 +1,14 @@
 package tree
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -253,7 +256,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 // decode instead of wrapping.
 func TestUnmarshalRejectsCorruptArtifacts(t *testing.T) {
 	leaf := looseNode{Feature: -1, Value: 1}
-	valid := modelState[looseNode]{
+	valid := modelState[[][]looseNode]{
 		Version:    modelVersion,
 		NumInputs:  2,
 		Importance: []float64{1, 0},
@@ -266,31 +269,31 @@ func TestUnmarshalRejectsCorruptArtifacts(t *testing.T) {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
 	for name, tc := range map[string]struct {
-		corrupt  func(st *modelState[looseNode])
+		corrupt  func(st *modelState[[][]looseNode])
 		overflow bool // must fail in decoding, not in validation
 	}{
-		"bad version":       {corrupt: func(st *modelState[looseNode]) { st.Version = 9 }},
-		"zero width":        {corrupt: func(st *modelState[looseNode]) { st.NumInputs = 0 }},
-		"no trees":          {corrupt: func(st *modelState[looseNode]) { st.Trees = nil }},
-		"empty tree":        {corrupt: func(st *modelState[looseNode]) { st.Trees = [][]looseNode{{}} }},
-		"importance length": {corrupt: func(st *modelState[looseNode]) { st.Importance = []float64{1} }},
-		"feature range":     {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Feature = 2 }},
-		"backward child":    {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 0 }},
-		"child overflow":    {corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Right = 9 }},
+		"bad version":       {corrupt: func(st *modelState[[][]looseNode]) { st.Version = 9 }},
+		"zero width":        {corrupt: func(st *modelState[[][]looseNode]) { st.NumInputs = 0 }},
+		"no trees":          {corrupt: func(st *modelState[[][]looseNode]) { st.Trees = nil }},
+		"empty tree":        {corrupt: func(st *modelState[[][]looseNode]) { st.Trees = [][]looseNode{{}} }},
+		"importance length": {corrupt: func(st *modelState[[][]looseNode]) { st.Importance = []float64{1} }},
+		"feature range":     {corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Feature = 2 }},
+		"backward child":    {corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Left = 0 }},
+		"child overflow":    {corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Right = 9 }},
 		"left beyond uint16": {
-			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 65536 }, overflow: true,
+			corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Left = 65536 }, overflow: true,
 		},
 		"left wraps to a valid child": {
-			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = 65537 }, overflow: true,
+			corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Left = 65537 }, overflow: true,
 		},
 		"right beyond uint16": {
-			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Right = 70000 }, overflow: true,
+			corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Right = 70000 }, overflow: true,
 		},
 		"negative child": {
-			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Left = -1 }, overflow: true,
+			corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Left = -1 }, overflow: true,
 		},
 		"feature beyond int32": {
-			corrupt: func(st *modelState[looseNode]) { st.Trees[0][0].Feature = math.MaxInt32 + 1 }, overflow: true,
+			corrupt: func(st *modelState[[][]looseNode]) { st.Trees[0][0].Feature = math.MaxInt32 + 1 }, overflow: true,
 		},
 	} {
 		st := valid
@@ -322,7 +325,7 @@ type looseNode struct {
 	Value     float64 `json:"v"`
 }
 
-func mustJSON(t *testing.T, st modelState[looseNode]) []byte {
+func mustJSON(t *testing.T, st modelState[[][]looseNode]) []byte {
 	t.Helper()
 	data, err := json.Marshal(st)
 	if err != nil {
@@ -390,6 +393,86 @@ func TestLoadedModelLayout(t *testing.T) {
 			math.Float64bits(gotSpread[i]) != math.Float64bits(wantSpread[i]) {
 			t.Fatalf("row %d: the loaded model scores differently from the fitted one", i)
 		}
+	}
+}
+
+// TestUnmarshalAllocsPerLoad pins what loading a TREE-B artifact
+// allocates against what the model keeps: the trees stream through one
+// reused buffer into one node array sized up front, so a load allocates
+// at most 1.5 times its nodes' bytes. When encoding/json grew each
+// tree's slice by doubling before the pack, a load of this 64-tree
+// artifact allocated 3.6 times what it kept. Saving the loaded model
+// must give back the artifact byte for byte.
+func TestUnmarshalAllocsPerLoad(t *testing.T) {
+	x, y := benchData(138, 24)
+	m, err := Fit(context.Background(), x, y, Config{Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loads = 10
+	var back *Model
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range loads {
+		if back, err = UnmarshalModel(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kept := 0
+	for _, tr := range back.trees {
+		kept += len(tr) * int(unsafe.Sizeof(node{}))
+	}
+	perLoad := float64(after.TotalAlloc-before.TotalAlloc) / loads
+	t.Logf("%d trees: %.0f B allocated per load, %d B of nodes kept (%.2fx)", len(back.trees), perLoad, kept, perLoad/float64(kept))
+	if perLoad > 1.5*float64(kept) {
+		t.Fatalf("a load allocates %.0f B to keep %d B of nodes, want at most 1.5x", perLoad, kept)
+	}
+	again, err := back.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("saving the loaded model does not reproduce the artifact")
+	}
+}
+
+// TestLoadRepacksMiscountedArtifact: the node array is sized by the
+// count of '{' in the trees array, which a field MarshalJSON never writes
+// can throw off. Such an artifact still loads the same trees, and the
+// model keeps only its nodes' bytes, not the 10,000 extra slots the
+// count asked for.
+func TestLoadRepacksMiscountedArtifact(t *testing.T) {
+	m := fitQuick(t, Config{Trees: 4, Seed: 3})
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := bytes.Replace(data, []byte(`"v":`), []byte(`"x":"`+strings.Repeat("{", 10000)+`","v":`), 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	back, err := UnmarshalModel(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	nodes := 0
+	for i, tr := range back.trees {
+		if !slices.Equal(tr, m.trees[i]) {
+			t.Fatalf("tree %d: loaded nodes differ from the fitted ones", i)
+		}
+		nodes += len(tr) * int(unsafe.Sizeof(node{}))
+	}
+	runtime.KeepAlive(back)
+	if kept > int64(nodes)+16<<10 {
+		t.Fatalf("the loaded model keeps %d B for %d B of nodes", kept, nodes)
 	}
 }
 
