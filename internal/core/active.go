@@ -146,7 +146,7 @@ func trainCommittee(kinds []ModelKind, evalSpace *dataset.Dataset, cfg TrainConf
 				Label: cfg.Hook.Label("committee %v", kind),
 				Model: kind.String(),
 				Fold:  -1,
-				Run: func(ctx context.Context) error {
+				Run: func(ctx context.Context, _ int) error {
 					p, err := Train(ctx, kind, labeled, kindCfg)
 					if err != nil {
 						return fmt.Errorf("training committee %v: %w", kind, err)

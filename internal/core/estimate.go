@@ -40,7 +40,7 @@ func estimateFoldTask(kind ModelKind, train *dataset.Dataset, cfg TrainConfig, f
 		Label: cfg.Hook.Label("estimate %v fold %d", kind, fold),
 		Model: kind.String(),
 		Fold:  fold,
-		Run: func(ctx context.Context) error {
+		Run: func(ctx context.Context, _ int) error {
 			if train == nil || train.Len() < 4 {
 				return errors.New("core: need at least 4 records to estimate error")
 			}

@@ -178,8 +178,8 @@ func evaluateKinds(ctx context.Context, kinds []ModelKind, train, eval *dataset.
 			for fold := 0; fold < estimateFolds; fold++ {
 				task := estimateFoldTask(kind, train, kindCfg, fold, perFold[i])
 				run := task.Run
-				task.Run = func(ctx context.Context) error {
-					if err := run(ctx); err != nil {
+				task.Run = func(ctx context.Context, pos int) error {
+					if err := run(ctx, pos); err != nil {
 						return fmt.Errorf("estimating %v: %w", kind, err)
 					}
 					return nil
@@ -191,7 +191,7 @@ func evaluateKinds(ctx context.Context, kinds []ModelKind, train, eval *dataset.
 			Label: cfg.Hook.Label("train %v", kind),
 			Model: kind.String(),
 			Fold:  -1,
-			Run: func(ctx context.Context) error {
+			Run: func(ctx context.Context, _ int) error {
 				p, err := Train(ctx, kind, train, kindCfg)
 				if err != nil {
 					return fmt.Errorf("training %v: %w", kind, err)

@@ -16,9 +16,11 @@
 //   - Panic safety: a panicking task is converted into a *PanicError
 //     carrying the recovered value and stack, and cancels the run like any
 //     other error.
-//   - Determinism: tasks must derive all randomness from seeds carried in
-//     their closures (see perfpred's stat.DeriveSeed contract), never from
-//     scheduling order, so results are identical for any worker count.
+//   - Determinism: tasks must derive all randomness from seeds fixed at
+//     submission — carried in their closures or derived from the task's
+//     index in its Run call (see perfpred's stat.DeriveSeed contract) —
+//     never from scheduling order, so results are identical for any
+//     worker count.
 //   - Observability: an optional [Hook] receives a structured [Event] at
 //     every task start, finish and failure (and, from cooperating task
 //     bodies, epoch-granularity progress), enabling -v style progress
@@ -157,10 +159,12 @@ type Task struct {
 	Model string
 	// Fold is the cross-validation fold index, or -1 when not applicable.
 	Fold int
-	// Run does the work. It must honor ctx cancellation in long loops and
-	// must confine all writes to memory owned by the task (index-addressed
-	// slots are the usual pattern).
-	Run func(ctx context.Context) error
+	// Run does the work; i is the task's position in its Run call, so
+	// tasks that differ only by index can share one func. It must honor
+	// ctx cancellation in long loops and must confine all writes to
+	// memory owned by the task (index-addressed slots are the usual
+	// pattern).
+	Run func(ctx context.Context, i int) error
 }
 
 // PanicError wraps a panic recovered from a task.
@@ -238,7 +242,7 @@ func Run(ctx context.Context, opts Options, tasks ...Task) error {
 					errs[i] = err
 					continue
 				}
-				errs[i] = execute(wctx, opts.Hook, &tasks[i], time.Since(enqueued))
+				errs[i] = execute(wctx, opts.Hook, &tasks[i], i, time.Since(enqueued))
 				if errs[i] != nil {
 					cancel(errs[i])
 				}
@@ -266,8 +270,8 @@ func Run(ctx context.Context, opts Options, tasks ...Task) error {
 	return nil
 }
 
-// execute runs one task with panic recovery and lifecycle events.
-func execute(ctx context.Context, hook Hook, t *Task, wait time.Duration) (err error) {
+// execute runs task i with panic recovery and lifecycle events.
+func execute(ctx context.Context, hook Hook, t *Task, i int, wait time.Duration) (err error) {
 	start := time.Now()
 	hook.Emit(Event{Kind: TaskStart, Label: t.Label, Model: t.Model, Fold: t.Fold, Wait: wait})
 	defer func() {
@@ -281,7 +285,7 @@ func execute(ctx context.Context, hook Hook, t *Task, wait time.Duration) (err e
 		}
 		hook.Emit(e)
 	}()
-	return t.Run(ctx)
+	return t.Run(ctx, i)
 }
 
 // workerStateKey is the context key carrying a worker's local store.
@@ -338,10 +342,11 @@ func WorkerLocal(ctx context.Context, key any, create func() any) any {
 }
 
 // Map partitions the index range [0, n) into chunks of at most chunk
-// indices and runs fn(ctx, lo, hi) for each chunk on the pool. When
-// opts.Hook is set, chunks carry labels "label[lo:hi)"; without one they
-// carry none. Writes must be index-addressed so the result is independent
-// of scheduling.
+// indices and runs fn(ctx, lo, hi) for each chunk on the pool. Every
+// chunk's task shares one Run func, which derives its bounds from the
+// task index. When opts.Hook is set, chunks carry labels "label[lo:hi)";
+// without one they carry none. Writes must be index-addressed so the
+// result is independent of scheduling.
 func Map(ctx context.Context, opts Options, n, chunk int, label string, fn func(ctx context.Context, lo, hi int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -349,20 +354,19 @@ func Map(ctx context.Context, opts Options, n, chunk int, label string, fn func(
 	if chunk <= 0 {
 		chunk = 1
 	}
-	tasks := make([]Task, 0, (n+chunk-1)/chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		t := Task{Fold: -1, Run: func(ctx context.Context) error { return fn(ctx, lo, hi) }}
+	run := func(ctx context.Context, i int) error {
+		lo := i * chunk
+		return fn(ctx, lo, min(lo+chunk, n))
+	}
+	tasks := make([]Task, (n+chunk-1)/chunk)
+	for i := range tasks {
+		tasks[i] = Task{Fold: -1, Run: run}
 		// Bounds of 256 and up are boxed before any call, so the hook is
 		// checked here, not inside Hook.Label.
 		if opts.Hook != nil {
-			t.Label = fmt.Sprintf("%s[%d:%d)", label, lo, hi)
+			lo := i * chunk
+			tasks[i].Label = fmt.Sprintf("%s[%d:%d)", label, lo, min(lo+chunk, n))
 		}
-		tasks = append(tasks, t)
 	}
 	return Run(ctx, opts, tasks...)
 }

@@ -15,7 +15,7 @@ func TestRunExecutesAllTasks(t *testing.T) {
 	tasks := make([]Task, len(done))
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Label: fmt.Sprintf("t%d", i), Fold: -1, Run: func(ctx context.Context) error {
+		tasks[i] = Task{Label: fmt.Sprintf("t%d", i), Fold: -1, Run: func(ctx context.Context, _ int) error {
 			done[i].Store(true)
 			return nil
 		}}
@@ -35,7 +35,7 @@ func TestRunBoundedConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	tasks := make([]Task, 24)
 	for i := range tasks {
-		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context) error {
+		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context, _ int) error {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -62,7 +62,7 @@ func TestRunFirstErrorCancelsRest(t *testing.T) {
 	tasks := make([]Task, 50)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context) error {
+		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context, _ int) error {
 			ran.Add(1)
 			if i == 0 {
 				return boom
@@ -93,8 +93,8 @@ func TestRunReturnsFirstErrorInSubmissionOrder(t *testing.T) {
 	var gate sync.WaitGroup
 	gate.Add(2)
 	tasks := []Task{
-		{Fold: -1, Run: func(ctx context.Context) error { gate.Done(); gate.Wait(); return errA }},
-		{Fold: -1, Run: func(ctx context.Context) error { gate.Done(); gate.Wait(); return errB }},
+		{Fold: -1, Run: func(ctx context.Context, _ int) error { gate.Done(); gate.Wait(); return errA }},
+		{Fold: -1, Run: func(ctx context.Context, _ int) error { gate.Done(); gate.Wait(); return errB }},
 	}
 	err := Run(context.Background(), Options{Workers: 2}, tasks...)
 	if !errors.Is(err, errA) {
@@ -104,8 +104,8 @@ func TestRunReturnsFirstErrorInSubmissionOrder(t *testing.T) {
 
 func TestRunPanicRecovery(t *testing.T) {
 	tasks := []Task{
-		{Label: "ok", Fold: -1, Run: func(ctx context.Context) error { return nil }},
-		{Label: "bad", Fold: -1, Run: func(ctx context.Context) error { panic("kaboom") }},
+		{Label: "ok", Fold: -1, Run: func(ctx context.Context, _ int) error { return nil }},
+		{Label: "bad", Fold: -1, Run: func(ctx context.Context, _ int) error { panic("kaboom") }},
 	}
 	err := Run(context.Background(), Options{Workers: 2}, tasks...)
 	var pe *PanicError
@@ -126,7 +126,7 @@ func TestRunParentCancellation(t *testing.T) {
 	var once sync.Once
 	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context) error {
+		tasks[i] = Task{Fold: -1, Run: func(ctx context.Context, _ int) error {
 			once.Do(func() { close(started) })
 			<-ctx.Done()
 			return ctx.Err()
@@ -146,7 +146,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := Run(ctx, Options{}, Task{Fold: -1, Run: func(ctx context.Context) error { ran = true; return nil }})
+	err := Run(ctx, Options{}, Task{Fold: -1, Run: func(ctx context.Context, _ int) error { ran = true; return nil }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -173,8 +173,8 @@ func TestRunHookEvents(t *testing.T) {
 	})
 	boom := errors.New("boom")
 	tasks := []Task{
-		{Label: "good", Model: "LR-B", Fold: 2, Run: func(ctx context.Context) error { return nil }},
-		{Label: "bad", Fold: -1, Run: func(ctx context.Context) error { return boom }},
+		{Label: "good", Model: "LR-B", Fold: 2, Run: func(ctx context.Context, _ int) error { return nil }},
+		{Label: "bad", Fold: -1, Run: func(ctx context.Context, _ int) error { return boom }},
 	}
 	_ = Run(context.Background(), Options{Workers: 1, Hook: hook}, tasks...)
 
@@ -193,6 +193,33 @@ func TestRunHookEvents(t *testing.T) {
 		}
 		if e.Kind == TaskFailed && !errors.Is(e.Err, boom) {
 			t.Fatalf("TaskFailed.Err = %v", e.Err)
+		}
+	}
+}
+
+// TestRunPassesTaskIndex: every task receives its position in the Run
+// call, whatever the worker count, so tasks that differ only by index
+// can share one Run func.
+func TestRunPassesTaskIndex(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		const n = 40
+		var got [n]atomic.Int64
+		var calls [n]atomic.Int64
+		tasks := make([]Task, n)
+		for k := range tasks {
+			tasks[k] = Task{Fold: -1, Run: func(ctx context.Context, i int) error {
+				got[k].Store(int64(i))
+				calls[i].Add(1)
+				return nil
+			}}
+		}
+		if err := Run(context.Background(), Options{Workers: workers}, tasks...); err != nil {
+			t.Fatal(err)
+		}
+		for k := range tasks {
+			if g, c := got[k].Load(), calls[k].Load(); g != int64(k) || c != 1 {
+				t.Fatalf("workers=%d: task %d got index %d, index %d ran %d times", workers, k, g, k, c)
+			}
 		}
 	}
 }
@@ -236,6 +263,23 @@ func TestMapPropagatesError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestMapAllocsIndependentOfChunks: Map shares one Run func across its
+// chunks, so splitting a range into four times the chunks allocates
+// nothing more.
+func TestMapAllocsIndependentOfChunks(t *testing.T) {
+	noop := func(ctx context.Context, lo, hi int) error { return nil }
+	allocs := func(chunks int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := Map(context.Background(), Options{Workers: 1}, 1024, 1024/chunks, "noop", noop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, four := allocs(8), allocs(32); four != one {
+		t.Fatalf("Map over 32 chunks allocates %.1f objects, over 8 chunks %.1f", four, one)
 	}
 }
 
@@ -295,11 +339,11 @@ func TestEventQueueWait(t *testing.T) {
 	// One worker and a slow first task: the second task's queue wait must
 	// reflect the time it sat behind the first.
 	tasks := []Task{
-		{Label: "slow", Fold: -1, Run: func(context.Context) error {
+		{Label: "slow", Fold: -1, Run: func(context.Context, int) error {
 			time.Sleep(20 * time.Millisecond)
 			return nil
 		}},
-		{Label: "queued", Fold: -1, Run: func(context.Context) error { return nil }},
+		{Label: "queued", Fold: -1, Run: func(context.Context, int) error { return nil }},
 	}
 	if err := Run(context.Background(), Options{Workers: 1, Hook: hook}, tasks...); err != nil {
 		t.Fatal(err)
@@ -331,7 +375,7 @@ func TestWorkerLocalReusedWithinWorker(t *testing.T) {
 		tasks[i] = Task{
 			Label: "local",
 			Fold:  -1,
-			Run: func(ctx context.Context) error {
+			Run: func(ctx context.Context, _ int) error {
 				v := WorkerLocal(ctx, "slot", func() any { return new(int) }).(*int)
 				mu.Lock()
 				seen[v]++
@@ -368,7 +412,7 @@ func TestWorkerLocalDistinctAcrossWorkers(t *testing.T) {
 		tasks[i] = Task{
 			Label: "local",
 			Fold:  -1,
-			Run: func(ctx context.Context) error {
+			Run: func(ctx context.Context, _ int) error {
 				v := WorkerLocal(ctx, "slot", func() any { return new(int) }).(*int)
 				mu.Lock()
 				seen[v] = true
@@ -406,7 +450,7 @@ func TestWorkerLocalDistinctKeys(t *testing.T) {
 	err := Run(context.Background(), Options{Workers: 1}, Task{
 		Label: "keys",
 		Fold:  -1,
-		Run: func(ctx context.Context) error {
+		Run: func(ctx context.Context, _ int) error {
 			a := WorkerLocal(ctx, "a", func() any { return new(int) }).(*int)
 			b := WorkerLocal(ctx, "b", func() any { return new(int) }).(*int)
 			if a == b {

@@ -320,38 +320,33 @@ func trainMultiple(ctx context.Context, x [][]float64, y []float64, xtr [][]floa
 		net *Network
 		val float64
 	}
+	// Topology i is task i; every task shares one Run func.
 	results := make([]result, len(topos))
 	tasks := make([]engine.Task, len(topos))
-	for i := range topos {
-		i := i
-		label := cfg.Hook.Label("NN-M topo %d", i)
-		tasks[i] = engine.Task{
-			Label: label,
-			Model: "NN-M",
-			Fold:  -1,
-			Run: func(ctx context.Context) error {
-				s := scratchFrom(ctx)
-				net, err := NewNetwork(topos[i], Sigmoid, Sigmoid, s.subRand(cfg.Seed, 100+i))
-				if err != nil {
-					return err
-				}
-				_, err = net.trainSGD(ctx, xtr, ytr, sgdOptions{
-					epochs:   cfg.epochs(250),
-					lr:       0.35,
-					lrFinal:  0.04,
-					momentum: 0.9,
-					patience: 40,
-					minDelta: 1e-7,
-					hook:     cfg.Hook,
-					label:    label,
-				}, s.subRand(cfg.Seed, 200+i))
-				if err != nil {
-					return err
-				}
-				results[i] = result{net: net, val: net.mseOn(xval, yval, s)}
-				return nil
-			},
+	run := func(ctx context.Context, i int) error {
+		s := scratchFrom(ctx)
+		net, err := NewNetwork(topos[i], Sigmoid, Sigmoid, s.subRand(cfg.Seed, 100+i))
+		if err != nil {
+			return err
 		}
+		_, err = net.trainSGD(ctx, xtr, ytr, sgdOptions{
+			epochs:   cfg.epochs(250),
+			lr:       0.35,
+			lrFinal:  0.04,
+			momentum: 0.9,
+			patience: 40,
+			minDelta: 1e-7,
+			hook:     cfg.Hook,
+			label:    tasks[i].Label,
+		}, s.subRand(cfg.Seed, 200+i))
+		if err != nil {
+			return err
+		}
+		results[i] = result{net: net, val: net.mseOn(xval, yval, s)}
+		return nil
+	}
+	for i := range tasks {
+		tasks[i] = engine.Task{Label: cfg.Hook.Label("NN-M topo %d", i), Model: "NN-M", Fold: -1, Run: run}
 	}
 	if err := engine.Run(ctx, engine.Options{Workers: cfg.workers(), Hook: cfg.Hook}, tasks...); err != nil {
 		return nil, err
@@ -392,7 +387,7 @@ func newPruneSchedule(p int, exhaustive bool) pruneSchedule {
 }
 
 // trainPrune implements NN-P, and NN-E when exhaustive is true. The
-// schedule is assigned once, so the restart closures copy it and it
+// schedule is assigned once, so the shared restart func copies it and it
 // stays on the stack.
 func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64, ytr []float64, xval [][]float64, yval []float64, cfg Config, exhaustive bool) (*Model, error) {
 	p := len(x[0])
@@ -402,122 +397,117 @@ func trainPrune(ctx context.Context, x [][]float64, y []float64, xtr [][]float64
 		net *Network
 		val float64
 	}
+	// Restart ri is task ri; every task shares one Run func.
 	results := make([]result, sc.restarts)
 	tasks := make([]engine.Task, sc.restarts)
-	for ri := 0; ri < sc.restarts; ri++ {
-		ri := ri
-		label := cfg.Hook.Label("%v restart %d", sc.method, ri)
-		tasks[ri] = engine.Task{
-			Label: label,
-			Model: sc.method.String(),
-			Fold:  -1,
-			Run: func(ctx context.Context) error {
-				s := scratchFrom(ctx)
-				seedBase := 1000 * (ri + 1)
-				net, err := NewNetwork([]int{p, sc.startH, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, seedBase))
-				if err != nil {
-					return err
-				}
-				_, err = net.trainSGD(ctx, xtr, ytr, sgdOptions{
-					epochs:   cfg.epochs(sc.trainEpochs),
-					lr:       0.35,
-					lrFinal:  0.03,
-					momentum: 0.9,
-					patience: 50,
-					minDelta: 1e-7,
-					hook:     cfg.Hook,
-					label:    label,
-				}, s.subRand(cfg.Seed, seedBase+1))
-				if err != nil {
-					return err
-				}
-				val := net.mseOn(xval, yval, s)
+	run := func(ctx context.Context, ri int) error {
+		s := scratchFrom(ctx)
+		seedBase := 1000 * (ri + 1)
+		net, err := NewNetwork([]int{p, sc.startH, 1}, Sigmoid, Sigmoid, s.subRand(cfg.Seed, seedBase))
+		if err != nil {
+			return err
+		}
+		_, err = net.trainSGD(ctx, xtr, ytr, sgdOptions{
+			epochs:   cfg.epochs(sc.trainEpochs),
+			lr:       0.35,
+			lrFinal:  0.03,
+			momentum: 0.9,
+			patience: 50,
+			minDelta: 1e-7,
+			hook:     cfg.Hook,
+			label:    tasks[ri].Label,
+		}, s.subRand(cfg.Seed, seedBase+1))
+		if err != nil {
+			return err
+		}
+		val := net.mseOn(xval, yval, s)
 
-				// Alternate hidden-unit and input pruning while the held-out
-				// error stays within tolerance. Each candidate is a copy of
-				// net in the spare network; an accepted one swaps places
-				// with net, so the old net becomes the next spare.
-				var spare *Network
-				for prune := 0; prune < sc.maxPrunes; prune++ {
-					spare = net.cloneInto(spare)
-					cand := spare
-					pruned := false
-					if cand.sizes[1] > 2 {
-						s.sal = cand.hiddenSaliency(0, s.sal)
-						victim := argmin(s.sal)
-						if err := cand.RemoveHidden(0, victim); err == nil {
-							pruned = true
-						}
-					}
-					if !pruned {
-						// Fall back to input pruning.
-						s.sal = cand.inputSaliency(s.sal)
-						victim, ok := weakestUnfrozen(cand, s.sal)
-						if !ok {
-							break
-						}
-						if err := cand.FreezeInput(victim); err != nil {
-							break
-						}
-					}
-					_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
-						epochs:   cfg.epochs(sc.retrainEpochs),
-						lr:       0.2,
-						lrFinal:  0.03,
-						momentum: 0.9,
-						patience: 25,
-						minDelta: 1e-7,
-						hook:     cfg.Hook,
-						label:    cfg.Hook.Label("%v restart %d prune %d", sc.method, ri, prune),
-					}, s.subRand(cfg.Seed, seedBase+10+prune))
-					if err != nil {
-						return err
-					}
-					cval := cand.mseOn(xval, yval, s)
-					if cval <= val*sc.tol {
-						net, spare, val = cand, net, math.Min(cval, val)
-						continue
-					}
+		// Alternate hidden-unit and input pruning while the held-out
+		// error stays within tolerance. Each candidate is a copy of
+		// net in the spare network; an accepted one swaps places
+		// with net, so the old net becomes the next spare.
+		var spare *Network
+		for prune := 0; prune < sc.maxPrunes; prune++ {
+			spare = net.cloneInto(spare)
+			cand := spare
+			pruned := false
+			if cand.sizes[1] > 2 {
+				s.sal = cand.hiddenSaliency(0, s.sal)
+				victim := argmin(s.sal)
+				if err := cand.RemoveHidden(0, victim); err == nil {
+					pruned = true
+				}
+			}
+			if !pruned {
+				// Fall back to input pruning.
+				s.sal = cand.inputSaliency(s.sal)
+				victim, ok := weakestUnfrozen(cand, s.sal)
+				if !ok {
 					break
 				}
-				// Exhaustive mode also prunes weak inputs after the unit sweep.
-				if exhaustive {
-					for prune := 0; prune < p/2; prune++ {
-						spare = net.cloneInto(spare)
-						cand := spare
-						s.sal = cand.inputSaliency(s.sal)
-						victim, ok := weakestUnfrozen(cand, s.sal)
-						if !ok {
-							break
-						}
-						if err := cand.FreezeInput(victim); err != nil {
-							break
-						}
-						_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
-							epochs:   cfg.epochs(sc.retrainEpochs),
-							lr:       0.15,
-							lrFinal:  0.03,
-							momentum: 0.9,
-							patience: 25,
-							minDelta: 1e-7,
-							hook:     cfg.Hook,
-							label:    cfg.Hook.Label("%v restart %d input-prune %d", sc.method, ri, prune),
-						}, s.subRand(cfg.Seed, seedBase+500+prune))
-						if err != nil {
-							return err
-						}
-						cval := cand.mseOn(xval, yval, s)
-						if cval <= val*sc.tol {
-							net, spare, val = cand, net, math.Min(cval, val)
-							continue
-						}
-						break
-					}
+				if err := cand.FreezeInput(victim); err != nil {
+					break
 				}
-				results[ri] = result{net: net, val: val}
-				return nil
-			},
+			}
+			_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
+				epochs:   cfg.epochs(sc.retrainEpochs),
+				lr:       0.2,
+				lrFinal:  0.03,
+				momentum: 0.9,
+				patience: 25,
+				minDelta: 1e-7,
+				hook:     cfg.Hook,
+				label:    cfg.Hook.Label("%v restart %d prune %d", sc.method, ri, prune),
+			}, s.subRand(cfg.Seed, seedBase+10+prune))
+			if err != nil {
+				return err
+			}
+			cval := cand.mseOn(xval, yval, s)
+			if cval <= val*sc.tol {
+				net, spare, val = cand, net, math.Min(cval, val)
+				continue
+			}
+			break
 		}
+		// Exhaustive mode also prunes weak inputs after the unit sweep.
+		if exhaustive {
+			for prune := 0; prune < p/2; prune++ {
+				spare = net.cloneInto(spare)
+				cand := spare
+				s.sal = cand.inputSaliency(s.sal)
+				victim, ok := weakestUnfrozen(cand, s.sal)
+				if !ok {
+					break
+				}
+				if err := cand.FreezeInput(victim); err != nil {
+					break
+				}
+				_, err := cand.trainSGD(ctx, xtr, ytr, sgdOptions{
+					epochs:   cfg.epochs(sc.retrainEpochs),
+					lr:       0.15,
+					lrFinal:  0.03,
+					momentum: 0.9,
+					patience: 25,
+					minDelta: 1e-7,
+					hook:     cfg.Hook,
+					label:    cfg.Hook.Label("%v restart %d input-prune %d", sc.method, ri, prune),
+				}, s.subRand(cfg.Seed, seedBase+500+prune))
+				if err != nil {
+					return err
+				}
+				cval := cand.mseOn(xval, yval, s)
+				if cval <= val*sc.tol {
+					net, spare, val = cand, net, math.Min(cval, val)
+					continue
+				}
+				break
+			}
+		}
+		results[ri] = result{net: net, val: val}
+		return nil
+	}
+	for ri := range tasks {
+		tasks[ri] = engine.Task{Label: cfg.Hook.Label("%v restart %d", sc.method, ri), Model: sc.method.String(), Fold: -1, Run: run}
 	}
 	if err := engine.Run(ctx, engine.Options{Workers: cfg.workers(), Hook: cfg.Hook}, tasks...); err != nil {
 		return nil, err

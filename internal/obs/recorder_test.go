@@ -104,14 +104,14 @@ func syntheticRun(t *testing.T, workers int) *Recorder {
 				Label: fmt.Sprintf("estimate %s fold %d", m, fold),
 				Model: m,
 				Fold:  fold,
-				Run:   func(context.Context) error { return nil },
+				Run:   func(context.Context, int) error { return nil },
 			})
 		}
 		tasks = append(tasks, engine.Task{
 			Label: "train " + m,
 			Model: m,
 			Fold:  -1,
-			Run: func(ctx context.Context) error {
+			Run: func(ctx context.Context, _ int) error {
 				// Cooperating task body: emit deterministic epoch events.
 				for epoch := 0; epoch < 3; epoch++ {
 					rec.Hook().Emit(engine.Event{Kind: engine.EpochProgress, Label: m, Fold: -1, Epoch: epoch, Epochs: 3})

@@ -64,8 +64,8 @@ func TestReporterSharesRecorder(t *testing.T) {
 		t.Fatal("reporter did not adopt the caller's recorder")
 	}
 	err := engine.Run(context.Background(), engine.Options{Workers: 2, Hook: p.Hook()},
-		engine.Task{Label: "estimate LR-B", Model: "LR-B", Fold: 0, Run: func(context.Context) error { return nil }},
-		engine.Task{Label: "estimate LR-B", Model: "LR-B", Fold: 1, Run: func(context.Context) error { return nil }},
+		engine.Task{Label: "estimate LR-B", Model: "LR-B", Fold: 0, Run: func(context.Context, int) error { return nil }},
+		engine.Task{Label: "estimate LR-B", Model: "LR-B", Fold: 1, Run: func(context.Context, int) error { return nil }},
 	)
 	if err != nil {
 		t.Fatal(err)

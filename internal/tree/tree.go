@@ -4,10 +4,17 @@
 // feature importance comes from out-of-bag permutation: how much each
 // tree's OOB error degrades when one feature's OOB values are shuffled.
 //
+// A tree sorts each feature's bootstrap rows once, by (value, row
+// index), and every split stably partitions those orders, so a node
+// scans its rows in sorted order without sorting them again. The
+// sequences are the ones a per-node sort would produce, so the splits
+// are too.
+//
 // Like every family in the registry, fits are bit-identical for a fixed
 // seed regardless of worker count: each tree derives a private RNG stream
-// from (seed, tree index), trees train as independent engine tasks, and
-// all cross-tree aggregation happens in tree order after the pool drains.
+// from (seed, tree index), trees train as independent engine tasks that
+// read their tree index from the engine, and all cross-tree aggregation
+// happens in tree order after the pool drains.
 package tree
 
 import (
@@ -97,6 +104,9 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 	if p > math.MaxInt32 {
 		return nil, errors.New("tree: input width overflows a node's feature index")
 	}
+	if n > math.MaxInt32 {
+		return nil, errors.New("tree: record count overflows a row index")
+	}
 	for _, row := range x {
 		if len(row) != p {
 			return nil, errors.New("tree: ragged input matrix")
@@ -106,34 +116,29 @@ func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, e
 		return nil, errors.New("tree: need at least 4 records")
 	}
 
-	// Tree t writes its raw importance into row t of one matrix.
+	// Tree t is task t, and every task shares one Run func, which writes
+	// the tree's raw importance into row t of one matrix.
 	trees := make([][]node, cfg.Trees)
 	perTreeImp := make([]float64, cfg.Trees*p)
 	tasks := make([]engine.Task, cfg.Trees)
-	for t := 0; t < cfg.Trees; t++ {
-		t := t
-		label := cfg.Hook.Label("cart tree %d", t)
-		tasks[t] = engine.Task{
-			Label: label,
-			Model: "TREE-B",
-			Fold:  -1,
-			Run: func(ctx context.Context) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				start := time.Now()
-				s := scratchFrom(ctx, x, y)
-				trees[t] = s.grow(stat.DeriveSeed(cfg.Seed, 1000+t), perTreeImp[t*p:(t+1)*p])
-				if cfg.Hook != nil {
-					cfg.Hook.Emit(engine.Event{
-						Kind: engine.KernelTime, Label: label,
-						Model: "TREE-B", Fold: -1,
-						Samples: int64(n), Elapsed: time.Since(start),
-					})
-				}
-				return nil
-			},
+	run := func(ctx context.Context, t int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		start := time.Now()
+		s := scratchFrom(ctx, x, y)
+		trees[t] = s.grow(stat.DeriveSeed(cfg.Seed, 1000+t), perTreeImp[t*p:(t+1)*p])
+		if cfg.Hook != nil {
+			cfg.Hook.Emit(engine.Event{
+				Kind: engine.KernelTime, Label: tasks[t].Label,
+				Model: "TREE-B", Fold: -1,
+				Samples: int64(n), Elapsed: time.Since(start),
+			})
+		}
+		return nil
+	}
+	for t := range tasks {
+		tasks[t] = engine.Task{Label: cfg.Hook.Label("cart tree %d", t), Model: "TREE-B", Fold: -1, Run: run}
 	}
 	if err := engine.Run(ctx, engine.Options{Workers: cfg.Workers, Hook: cfg.Hook}, tasks...); err != nil {
 		return nil, err
@@ -173,16 +178,16 @@ func normalizeImportance(imp []float64) {
 type scratchKey struct{}
 
 // scratch is one engine worker's state for growing trees: the builder's
-// buffers, the generator, the bootstrap and the OOB buffers. Fit runs its
-// trees on its own pool, so a worker's scratch serves the trees of one
-// fit, and every tree it grows resets what it reads: the node array is
-// truncated, inBag cleared and the generator reseeded. A tree keeps only
-// its exact-size node slice; its importance is a row of the fit's
-// trees × p matrix.
+// buffers (the bootstrap and its per-feature orders among them), the
+// generator and the OOB buffers. Fit runs its trees on its own pool, so
+// a worker's scratch serves the trees of one fit, and every tree it
+// grows resets what it reads: the bootstrap is redrawn and presorted,
+// the node array truncated, inBag cleared and the generator reseeded. A
+// tree keeps only its exact-size node slice; its importance is a row of
+// the fit's trees × p matrix.
 type scratch struct {
 	b     builder
 	r     *rand.Rand
-	bag   []int
 	inBag []bool
 	buf   []float64 // one OOB row with a feature permuted
 	vals  []float64 // one feature's permuted OOB values
@@ -193,15 +198,17 @@ type scratch struct {
 func scratchFrom(ctx context.Context, x [][]float64, y []float64) *scratch {
 	s := engine.WorkerLocal(ctx, scratchKey{}, func() any { return new(scratch) }).(*scratch)
 	n, p := len(x), len(x[0])
-	if len(s.bag) != n {
+	if len(s.b.idx) != n {
 		// A leaf holds at least one row, and the depth bound caps the
 		// node count, so growing a tree never reallocates nodes.
 		s.b.nodes = make([]node, 0, min(2*n-1, maxNodes))
-		s.b.order = make([]int, n)
-		s.b.right = make([]int, n)
-		s.bag = make([]int, n)
+		s.b.idx = make([]int32, n)
+		s.b.right = make([]int32, n)
 		s.inBag = make([]bool, n)
 		s.vals = make([]float64, n)
+	}
+	if len(s.b.order) != p*n {
+		s.b.order = make([]int32, p*n)
 	}
 	if len(s.buf) != p {
 		s.buf = make([]float64, p)
@@ -215,15 +222,16 @@ func scratchFrom(ctx context.Context, x [][]float64, y []float64) *scratch {
 // nodes.
 func (s *scratch) grow(treeSeed int64, imp []float64) []node {
 	s.r = stat.Reseed(s.r, treeSeed)
-	n := len(s.bag)
+	n := len(s.b.idx)
 	clear(s.inBag)
-	for i := range s.bag {
+	for i := range s.b.idx {
 		j := s.r.Intn(n)
-		s.bag[i] = j
+		s.b.idx[i] = int32(j)
 		s.inBag[j] = true
 	}
+	s.b.presort()
 	s.b.nodes = s.b.nodes[:0]
-	s.b.build(s.bag, 0)
+	s.b.build(0, n, 0)
 	s.oobImportance(treeSeed, imp)
 	return slices.Clone(s.b.nodes)
 }
@@ -243,7 +251,7 @@ func (s *scratch) oobImportance(treeSeed int64, imp []float64) {
 	oob := s.b.right[:0]
 	for i, in := range s.inBag {
 		if !in {
-			oob = append(oob, i)
+			oob = append(oob, int32(i))
 		}
 	}
 	if len(oob) < 2 {
@@ -274,23 +282,52 @@ func (s *scratch) oobImportance(treeSeed int64, imp []float64) {
 	}
 }
 
-// builder grows one tree into a flat node array: order holds the
-// feature-sorted copy of a node's rows and right the right-hand rows
-// while build partitions a node in place. Its buffers belong to the
-// worker's scratch, which sizes them for the training set.
+// builder grows one tree into a flat node array. idx holds the
+// bootstrap's row indices (they may repeat) and order, a p × n matrix,
+// the same rows once per feature: row j lists them in (x[r][j], r)
+// order. Every split stably partitions idx and each feature's order by
+// the same predicate, so a node's rows are one segment [lo, hi) of idx
+// and of every feature's order, and that segment stays sorted. right
+// holds the right-hand rows while a segment is partitioned. The buffers
+// belong to the worker's scratch, which sizes them for the training set.
 type builder struct {
 	x     [][]float64
 	y     []float64
 	nodes []node
-	order []int
-	right []int
+	idx   []int32
+	order []int32
+	right []int32
 }
 
-// build appends the subtree over idx (bootstrap indices, may repeat) and
-// returns its root's flat index. The split partitions idx stably in place
-// — left rows first, each side in its original order — so the children
-// sum their targets in the same order a copied partition would.
-func (b *builder) build(idx []int, depth int) uint16 {
+// presort fills order from idx: feature j's row is the bootstrap sorted
+// by (x[r][j], r). That order is total up to duplicate rows, which are
+// interchangeable, so it is unique whatever algorithm produces it, and
+// partitioning it stably leaves each node the sequence a per-node sort
+// of its rows would produce.
+func (b *builder) presort() {
+	n := len(b.idx)
+	for j := range len(b.x[0]) {
+		ord := b.order[j*n : (j+1)*n]
+		copy(ord, b.idx)
+		slices.SortFunc(ord, func(a, c int32) int {
+			va, vc := b.x[a][j], b.x[c][j]
+			switch {
+			case va < vc:
+				return -1
+			case va > vc:
+				return 1
+			}
+			return int(a) - int(c)
+		})
+	}
+}
+
+// build appends the subtree over the segment [lo, hi) and returns its
+// root's flat index. The split partitions idx stably in place — left
+// rows first, each side in its original order — so the children sum
+// their targets in the same order a copied partition would.
+func (b *builder) build(lo, hi, depth int) uint16 {
+	idx := b.idx[lo:hi]
 	sum, sum2 := 0.0, 0.0
 	for _, i := range idx {
 		sum += b.y[i]
@@ -303,52 +340,53 @@ func (b *builder) build(idx []int, depth int) uint16 {
 	if depth >= maxDepth || len(idx) < 2*minLeaf || sse <= 0 {
 		return id
 	}
-	feat, thr, ok := b.bestSplit(idx, sum, sum2)
+	feat, thr, ok := b.bestSplit(lo, hi, sum, sum2)
 	if !ok {
 		return id
 	}
-	nl, right := 0, b.right[:0]
-	for _, i := range idx {
-		if b.x[i][feat] <= thr {
-			idx[nl] = i
-			nl++
-		} else {
-			right = append(right, i)
+	nl := b.partition(idx, feat, thr)
+	n := len(b.idx)
+	for j := range len(b.x[0]) {
+		// The split feature's own segment is sorted by the value the
+		// predicate tests, so its left rows already lead.
+		if j != feat {
+			b.partition(b.order[j*n+lo:j*n+hi], feat, thr)
 		}
 	}
-	copy(idx[nl:], right)
-	l := b.build(idx[:nl], depth+1)
-	r := b.build(idx[nl:], depth+1)
+	l := b.build(lo, lo+nl, depth+1)
+	r := b.build(lo+nl, hi, depth+1)
 	b.nodes[id] = node{Feature: int32(feat), Left: l, Right: r, Threshold: thr, Value: mean}
 	return id
 }
 
+// partition stably moves the rows of seg with x[r][feat] <= thr ahead of
+// the rest and returns their count.
+func (b *builder) partition(seg []int32, feat int, thr float64) int {
+	nl, right := 0, b.right[:0]
+	for _, r := range seg {
+		if b.x[r][feat] <= thr {
+			seg[nl] = r
+			nl++
+		} else {
+			right = append(right, r)
+		}
+	}
+	copy(seg[nl:], right)
+	return nl
+}
+
 // bestSplit finds the (feature, threshold) pair with the largest SSE
-// reduction. Features are scanned in ascending index order and each
+// reduction over the node's segment [lo, hi), scanning each feature's
+// presorted rows. Features are scanned in ascending index order and each
 // feature's thresholds in ascending value order, and a candidate must
 // strictly beat the incumbent, so ties deterministically resolve to the
 // lowest feature and lowest threshold.
-func (b *builder) bestSplit(idx []int, sum, sum2 float64) (feat int, thr float64, ok bool) {
-	n := len(idx)
+func (b *builder) bestSplit(lo, hi int, sum, sum2 float64) (feat int, thr float64, ok bool) {
+	n := hi - lo
 	parentSSE := sum2 - sum*sum/float64(n)
-	order := b.order[:n]
 	bestGain := 0.0
 	for j := 0; j < len(b.x[0]); j++ {
-		copy(order, idx)
-		// Secondary sort key: the sample index, so equal feature values
-		// order identically on every platform and run. The (value, index)
-		// order is total, so the sorted sequence is unique whatever
-		// algorithm produces it.
-		slices.SortFunc(order, func(a, c int) int {
-			va, vc := b.x[a][j], b.x[c][j]
-			switch {
-			case va < vc:
-				return -1
-			case va > vc:
-				return 1
-			}
-			return a - c
-		})
+		order := b.order[j*len(b.idx)+lo : j*len(b.idx)+hi]
 		sumL, sum2L := 0.0, 0.0
 		for k := 0; k < n-1; k++ {
 			yi := b.y[order[k]]
