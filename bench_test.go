@@ -431,39 +431,6 @@ func BenchmarkAblationSamplingStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefetcher measures the next-line-prefetcher extension:
-// it should speed up the streaming FP workload (applu) and do little for
-// the pointer chaser (mcf).
-func BenchmarkAblationPrefetcher(b *testing.B) {
-	run := func(bench string) (base, pf float64) {
-		tr, err := trace.GenerateBenchmark(bench, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eval, err := cpu.NewEvaluator(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := space.Enumerate()[0].CPUConfig()
-		r1, err := eval.Simulate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Mem.NextLinePrefetch = true
-		r2, err := eval.Simulate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r1.Cycles, r2.Cycles
-	}
-	for i := 0; i < b.N; i++ {
-		aBase, aPF := run("applu")
-		mBase, mPF := run("mcf")
-		b.ReportMetric(100*(aBase-aPF)/aBase, "applu%gain")
-		b.ReportMetric(100*(mBase-mPF)/mBase, "mcf%gain")
-	}
-}
-
 // BenchmarkExtensionCrossFamily quantifies the paper's rationale for
 // per-family analysis: cross-family error dwarfs within-family error.
 func BenchmarkExtensionCrossFamily(b *testing.B) {

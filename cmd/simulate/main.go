@@ -1,11 +1,15 @@
-// Command simulate runs the cycle-approximate processor model directly on
-// one configuration over the whole trace and prints its cycle breakdown
-// and miss counts.
+// Command simulate is the repository's one simulator front end, the
+// stand-in for SimpleScalar's sim-outorder: it runs the cycle-approximate
+// processor model on one configuration over the whole trace and prints
+// its cycle breakdown, its branch mispredictions and every memory level's
+// access and miss counts. `-bpred` selects the predictor, so running each
+// predictor in turn gives per-predictor mispredict counts.
 //
 // Usage:
 //
 //	simulate -bench mcf
 //	simulate -bench gcc -width 8 -l1d 64 -l2 1024 -l3 -bpred combination
+//	simulate -bench gcc -bpred bimodal
 package main
 
 import (
@@ -72,7 +76,7 @@ func main() {
 	fmt.Printf("  breakdown    : base %.0f | branch %.0f | fetch %.0f | mem %.0f | tlb %.0f\n",
 		res.BaseCycles, res.BranchCycles, res.FetchCycles, res.MemCycles, res.TLBCycles)
 	fmt.Printf("  branches     : %d (%d mispredicted, %.2f%%)\n",
-		res.Branches, res.BranchMisses, 100*float64(res.BranchMisses)/float64(max64(res.Branches, 1)))
+		res.Branches, res.BranchMisses, 100*float64(res.BranchMisses)/float64(max(res.Branches, 1)))
 	st := res.MemStats
 	fmt.Printf("  L1I          : %d accesses, %d misses (%.2f%%)\n", st.L1IAccesses, st.L1IMisses, pct(st.L1IMisses, st.L1IAccesses))
 	fmt.Printf("  L1D          : %d accesses, %d misses (%.2f%%)\n", st.L1DAccesses, st.L1DMisses, pct(st.L1DMisses, st.L1DAccesses))
@@ -89,11 +93,4 @@ func pct(miss, total uint64) float64 {
 		return 0
 	}
 	return 100 * float64(miss) / float64(total)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -210,21 +210,3 @@ func (c *combination) Observe(pc uint64, taken bool) bool {
 	}
 	return pred != taken
 }
-
-// MispredictRate runs the predictor over a branch stream and returns the
-// fraction mispredicted.
-func MispredictRate(p Predictor, pcs []uint64, outcomes []bool) (float64, error) {
-	if len(pcs) != len(outcomes) {
-		return 0, errors.New("bpred: pcs/outcomes length mismatch")
-	}
-	if len(pcs) == 0 {
-		return 0, errors.New("bpred: empty branch stream")
-	}
-	miss := 0
-	for i := range pcs {
-		if p.Observe(pcs[i], outcomes[i]) {
-			miss++
-		}
-	}
-	return float64(miss) / float64(len(pcs)), nil
-}

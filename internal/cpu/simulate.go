@@ -70,9 +70,7 @@ const (
 	fetchMiss missKind = iota
 	loadMiss
 	storeMiss
-	// prefetchFill is a next-line prefetch whose line the L1D did not
-	// already hold: it installs into the L2 without counting an access.
-	prefetchFill
+	numMissKinds
 )
 
 // l1Event is one access an L1 pass sends on to the L2.
@@ -82,28 +80,28 @@ type l1Event struct {
 	kind missKind
 }
 
-// l1Pass is one L1 cache's behaviour on the trace: its demand counters
-// and, in program order, every event it sends on to the L2.
+// l1Pass is one L1 cache's behaviour on the trace: its counters and, in
+// program order, every miss it sends on to the L2.
 type l1Pass struct {
-	accesses, misses, prefetches uint64
-	events                       []l1Event
+	accesses, misses uint64
+	events           []l1Event
 }
 
-// l2Miss is one demand access the L2 missed, in program order: what the
-// L3 step replays.
+// l2Miss is one access the L2 missed, in program order: what the L3
+// step replays.
 type l2Miss struct {
 	addr uint64
 	kind missKind
 }
 
-// l2Pass is one L2's behaviour on the merged L1 event stream: per demand
+// l2Pass is one L2's behaviour on the merged L1 event stream: per miss
 // kind, how many events reached it and how many of those missed. The L2
 // is non-inclusive, so its hits and misses do not depend on the L3 behind
 // it, and every L3 option of an L2 key shares this pass.
 type l2Pass struct {
-	reached, missed [prefetchFill]uint64 // indexed by fetchMiss, loadMiss, storeMiss
-	// misses is the demand-miss stream, kept only by a pass computed
-	// without a Scratch; a Scratch pass leaves it in the Scratch.
+	reached, missed [numMissKinds]uint64 // indexed by fetchMiss, loadMiss, storeMiss
+	// misses is the miss stream, kept only by a pass computed without a
+	// Scratch; a Scratch pass leaves it in the Scratch.
 	misses []l2Miss
 	kept   bool
 }
@@ -112,12 +110,6 @@ type l2Pass struct {
 type tlbPass struct {
 	cycles float64
 	misses uint64
-}
-
-// l1dKey identifies an L1D pass: the cache geometry and the prefetcher.
-type l1dKey struct {
-	geom     mem.CacheConfig
-	prefetch bool
 }
 
 // predictorKey identifies a branch-predictor pass.
@@ -162,9 +154,9 @@ func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
 // Evaluator simulates many configurations against one trace. It
 // simulates each substrate fact once and shares it between the
 // configurations that need it: one pass per L1I geometry, per L1D
-// geometry and prefetcher, per ITLB, per DTLB and per branch predictor
-// over the full trace; one L2 pass per L2Key over the merged, much
-// shorter L1-miss stream; and one L3 step per cache stack (stackKey) over
+// geometry, per ITLB, per DTLB and per branch predictor over the full
+// trace; one L2 pass per L2Key over the merged, much shorter L1-miss
+// stream; and one L3 step per cache stack (stackKey) over
 // the still shorter L2-miss stream, when the stack has an L3. Every
 // beyond-hit latency is a constant per level, so each memory metric is a
 // count times a latency, an integer exact in float64, and the staged sums
@@ -175,7 +167,7 @@ type Evaluator struct {
 	tm traceMetrics
 
 	l1i    memo[mem.CacheConfig, *l1Pass] // keyed by geometry: the hit latency cancels
-	l1d    memo[l1dKey, *l1Pass]
+	l1d    memo[mem.CacheConfig, *l1Pass] // keyed by geometry, as l1i
 	itlb   memo[mem.TLBConfig, *tlbPass]
 	dtlb   memo[mem.TLBConfig, *tlbPass]
 	l2     memo[mem.HierarchyConfig, *l2Pass]     // keyed by L2Key
@@ -185,8 +177,8 @@ type Evaluator struct {
 
 // Scratch is one goroutine's reusable state for the levels behind the
 // L1s: a cache array per geometry, reset for each pass it serves, and the
-// demand-miss stream of the last L2 pass it ran. A Scratch must not be
-// used by two goroutines at once; the zero value is ready to use.
+// miss stream of the last L2 pass it ran. A Scratch must not be used by
+// two goroutines at once; the zero value is ready to use.
 type Scratch struct {
 	caches []*mem.Cache
 	key    mem.HierarchyConfig // L2Key of the pass whose stream misses holds
@@ -253,27 +245,23 @@ func stackKey(cfg mem.HierarchyConfig) mem.HierarchyConfig {
 }
 
 // L2Key is the L2 pass a hierarchy runs on: the geometry of its L1I, L1D
-// and L2 and its prefetcher. Configurations whose hierarchies share a key
-// share one Evaluator L2 pass, whatever their L3, TLBs and latencies.
+// and L2. Configurations whose hierarchies share a key share one
+// Evaluator L2 pass, whatever their L3, TLBs and latencies.
 func L2Key(cfg mem.HierarchyConfig) mem.HierarchyConfig {
-	return mem.HierarchyConfig{
-		L1I: geometry(cfg.L1I), L1D: geometry(cfg.L1D), L2: geometry(cfg.L2),
-		NextLinePrefetch: cfg.NextLinePrefetch,
-	}
+	return mem.HierarchyConfig{L1I: geometry(cfg.L1I), L1D: geometry(cfg.L1D), L2: geometry(cfg.L2)}
 }
 
 // TracePasses returns one function per distinct full-trace pass the valid
-// configurations among cfgs need (L1I, L1D with its prefetcher, ITLB,
-// DTLB and branch predictor), in order of first appearance. Each runs its
-// pass through the evaluator's memo, so once they have all run, simulating
-// cfgs computes only the L2 passes and L3 steps.
+// configurations among cfgs need (L1I, L1D, ITLB, DTLB and branch
+// predictor), in order of first appearance. Each runs its pass through
+// the evaluator's memo, so once they have all run, simulating cfgs
+// computes only the L2 passes and L3 steps.
 func (e *Evaluator) TracePasses(cfgs []Config) []func() error {
 	type passKey struct {
-		stage    string
-		cache    mem.CacheConfig
-		prefetch bool
-		tlb      mem.TLBConfig
-		pred     predictorKey
+		stage string
+		cache mem.CacheConfig
+		tlb   mem.TLBConfig
+		pred  predictorKey
 	}
 	seen := map[passKey]bool{}
 	fresh := func(k passKey) bool {
@@ -290,13 +278,13 @@ func (e *Evaluator) TracePasses(cfgs []Config) []func() error {
 			continue // Simulate reports the error
 		}
 		// Each closure captures small copies of its key alone.
-		l1i, l1d, prefetch := cfg.Mem.L1I, cfg.Mem.L1D, cfg.Mem.NextLinePrefetch
+		l1i, l1d := cfg.Mem.L1I, cfg.Mem.L1D
 		itlb, dtlb, pred := cfg.Mem.ITLB, cfg.Mem.DTLB, predictorKey{cfg.BPred, cfg.BPredEntries}
 		if fresh(passKey{stage: "l1i", cache: geometry(l1i)}) {
 			passes = append(passes, func() error { _, err := e.l1iPass(l1i); return err })
 		}
-		if fresh(passKey{stage: "l1d", cache: geometry(l1d), prefetch: prefetch}) {
-			passes = append(passes, func() error { _, err := e.l1dPass(l1d, prefetch); return err })
+		if fresh(passKey{stage: "l1d", cache: geometry(l1d)}) {
+			passes = append(passes, func() error { _, err := e.l1dPass(l1d); return err })
 		}
 		if fresh(passKey{stage: "itlb", tlb: itlb}) {
 			passes = append(passes, func() error { _, err := e.tlbPass(&e.itlb, itlb, false); return err })
@@ -333,9 +321,9 @@ func (e *Evaluator) memPass(cfg mem.HierarchyConfig, s *Scratch) (memMetrics, er
 }
 
 // stackPass computes a cache stack's metrics from its L2 pass and, when
-// the stack has an L3, an L3 step that replays the L2's demand misses
-// through it. The TLBs never touch the caches, so every TLB variant of a
-// cache stack shares this pass.
+// the stack has an L3, an L3 step that replays the L2's misses through
+// it. The TLBs never touch the caches, so every TLB variant of a cache
+// stack shares this pass.
 func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics, error) {
 	p, misses, err := e.l2Pass(cfg, s)
 	if err != nil {
@@ -345,19 +333,18 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics,
 	if err != nil {
 		return nil, err
 	}
-	dp, err := e.l1dPass(cfg.L1D, cfg.NextLinePrefetch)
+	dp, err := e.l1dPass(cfg.L1D)
 	if err != nil {
 		return nil, err
 	}
 	m := &memMetrics{}
 	m.stats.L1IAccesses, m.stats.L1IMisses = ip.accesses, ip.misses
 	m.stats.L1DAccesses, m.stats.L1DMisses = dp.accesses, dp.misses
-	m.stats.Prefetches = dp.prefetches
 	for k := range p.reached {
 		m.stats.L2Accesses += p.reached[k]
 		m.stats.L2Misses += p.missed[k]
 	}
-	// toMem counts, per demand kind, the accesses that went to memory.
+	// toMem counts, per miss kind, the accesses that went to memory.
 	toMem := p.missed
 	var l3Lat int64
 	if cfg.L3.Enabled() {
@@ -365,7 +352,7 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics,
 		if err != nil {
 			return nil, err
 		}
-		toMem = [prefetchFill]uint64{}
+		toMem = [numMissKinds]uint64{}
 		for _, ms := range misses {
 			if !l3.Access(ms.addr) {
 				toMem[ms.kind]++
@@ -380,7 +367,7 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics,
 	// An access that reached the L2 costs the L2 latency, one that missed
 	// it also the L3's, and one that went to memory also the memory trip.
 	l2Lat, memLat := int64(cfg.L2.LatencyCycles), int64(cfg.MemLatencyCyc+cfg.MemLatencyBusy)
-	var chip, toMemLat [prefetchFill]float64
+	var chip, toMemLat [numMissKinds]float64
 	for k := range toMem {
 		reached, missed, went := int64(p.reached[k]), int64(p.missed[k]), int64(toMem[k])
 		chip[k] = float64((reached-went)*l2Lat + (missed-went)*l3Lat)
@@ -392,9 +379,9 @@ func (e *Evaluator) stackPass(cfg mem.HierarchyConfig, s *Scratch) (*memMetrics,
 	return m, nil
 }
 
-// l2Pass returns cfg's L2 pass and, when cfg has an L3, the pass's
-// demand-miss stream. It takes the stream from s when s ran the pass last,
-// and otherwise runs the pass through the memo: on s, which then holds the
+// l2Pass returns cfg's L2 pass and, when cfg has an L3, the pass's miss
+// stream. It takes the stream from s when s ran the pass last, and
+// otherwise runs the pass through the memo: on s, which then holds the
 // stream, or with s nil on fresh arrays, keeping the stream in the memo.
 // A pass another goroutine ran on its own Scratch left no stream behind,
 // so a stack that needs one walks the L2 again, outside the memo.
@@ -434,14 +421,14 @@ func (e *Evaluator) l2Pass(cfg mem.HierarchyConfig, s *Scratch) (*l2Pass, []l2Mi
 }
 
 // walkL2 merges the L1I and L1D event streams in program order, runs the
-// L2 over the merged stream on s's arrays and leaves its demand misses in
-// s, replacing the stream s held.
+// L2 over the merged stream on s's arrays and leaves its misses in s,
+// replacing the stream s held.
 func (e *Evaluator) walkL2(cfg mem.HierarchyConfig, s *Scratch) (*l2Pass, error) {
 	ip, err := e.l1iPass(cfg.L1I)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := e.l1dPass(cfg.L1D, cfg.NextLinePrefetch)
+	dp, err := e.l1dPass(cfg.L1D)
 	if err != nil {
 		return nil, err
 	}
@@ -459,10 +446,6 @@ func (e *Evaluator) walkL2(cfg mem.HierarchyConfig, s *Scratch) (*l2Pass, error)
 			ev, iev = iev[0], iev[1:]
 		} else {
 			ev, dev = dev[0], dev[1:]
-		}
-		if ev.kind == prefetchFill {
-			l2.Install(ev.addr)
-			continue
 		}
 		p.reached[ev.kind]++
 		if !l2.Access(ev.addr) {
@@ -493,10 +476,9 @@ func (e *Evaluator) l1iPass(c mem.CacheConfig) (*l1Pass, error) {
 }
 
 // l1dPass runs (or reuses) the L1D over every load and store, recording
-// its misses and, with the next-line prefetcher on, each prefetch fill
-// right after the demand miss that issued it.
-func (e *Evaluator) l1dPass(c mem.CacheConfig, prefetch bool) (*l1Pass, error) {
-	return e.l1d.get(l1dKey{geometry(c), prefetch}, func() (*l1Pass, error) {
+// its misses.
+func (e *Evaluator) l1dPass(c mem.CacheConfig) (*l1Pass, error) {
+	return e.l1d.get(geometry(c), func() (*l1Pass, error) {
 		cache, err := mem.NewCache(c)
 		if err != nil {
 			return nil, err
@@ -512,13 +494,8 @@ func (e *Evaluator) l1dPass(c mem.CacheConfig, prefetch bool) (*l1Pass, error) {
 			default:
 				continue
 			}
-			if cache.Access(ins.Addr) {
-				continue
-			}
-			p.events = append(p.events, l1Event{addr: ins.Addr, idx: uint32(i), kind: kind})
-			if next := ins.Addr + uint64(c.LineBytes); prefetch && !cache.Install(next) {
-				p.events = append(p.events, l1Event{addr: next, idx: uint32(i), kind: prefetchFill})
-				p.prefetches++
+			if !cache.Access(ins.Addr) {
+				p.events = append(p.events, l1Event{addr: ins.Addr, idx: uint32(i), kind: kind})
 			}
 		}
 		p.accesses, p.misses = cache.Accesses(), cache.Misses()

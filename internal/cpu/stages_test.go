@@ -57,20 +57,17 @@ func TestEvaluatorMatchesOracle(t *testing.T) {
 	for _, bench := range []string{"gcc", "mcf"} {
 		t.Run(bench, func(t *testing.T) {
 			e := newEvaluator(t, bench, 60000)
-			for _, prefetch := range []bool{false, true} {
-				for _, cfg := range cfgs {
-					cfg.Mem.NextLinePrefetch = prefetch
-					got, err := e.Simulate(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := cpu.OracleSimulate(e, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
-						t.Fatalf("%+v:\n staged %+v\n direct %+v", cfg.Mem, got, want)
-					}
+			for _, cfg := range cfgs {
+				got, err := e.Simulate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := cpu.OracleSimulate(e, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) {
+					t.Fatalf("%+v:\n staged %+v\n direct %+v", cfg.Mem, got, want)
 				}
 			}
 		})

@@ -1,8 +1,10 @@
 // Package mem implements the memory-hierarchy substrate of the
 // microprocessor study: set-associative LRU caches (the L1 instruction and
 // data caches, the unified L2 and the optional L3 of paper Table 1),
-// instruction and data TLBs, and a Hierarchy that chains them with
-// per-level latencies the way SimpleScalar's sim-outorder does.
+// instruction and data TLBs, and the HierarchyConfig and AccessStats that
+// describe one design point's stack and its counters. The cpu package's
+// Evaluator chains the levels with per-level latencies the way
+// SimpleScalar's sim-outorder does.
 package mem
 
 import (
@@ -96,25 +98,11 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// Access looks up addr, updating LRU state and filling on miss.
-// It reports whether the access hit.
+// Access looks up addr, making its line the MRU way of its set and
+// filling it over the LRU way on a miss. It reports whether the access
+// hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	if c.touch(addr) {
-		return true
-	}
-	c.misses++
-	return false
-}
-
-// Install fills addr's line without recording an access or miss — the
-// prefetch path, whose traffic must not perturb demand statistics. It
-// reports whether the line was already present.
-func (c *Cache) Install(addr uint64) bool { return c.touch(addr) }
-
-// touch makes addr's line the MRU way of its set, filling it over the LRU
-// way when absent, and reports whether it was present.
-func (c *Cache) touch(addr uint64) bool {
 	tag := addr >> c.lineBits
 	base := int(tag&c.setMask) * c.cfg.Assoc
 	ways := c.lines[base : base+c.cfg.Assoc]
@@ -125,6 +113,7 @@ func (c *Cache) touch(addr uint64) bool {
 	}
 	hit := w < len(ways)
 	if !hit {
+		c.misses++
 		w = len(ways) - 1 // evict the LRU way
 	}
 	copy(ways[1:w+1], ways[:w])

@@ -198,7 +198,8 @@ func newRefCache(cfg CacheConfig) *refCache {
 	return r
 }
 
-func (r *refCache) install(addr uint64) bool {
+func (r *refCache) access(addr uint64) bool {
+	r.accesses++
 	tag := addr >> r.lineBits
 	s := tag % uint64(len(r.sets))
 	set := r.sets[s]
@@ -215,12 +216,6 @@ func (r *refCache) install(addr uint64) bool {
 		set = set[:r.assoc]
 	}
 	r.sets[s] = set
-	return hit
-}
-
-func (r *refCache) access(addr uint64) bool {
-	r.accesses++
-	hit := r.install(addr)
 	if !hit {
 		r.misses++
 	}
@@ -235,9 +230,9 @@ func (r *refCache) reset() {
 }
 
 // TestCacheMatchesReferenceLRU drives Cache and the reference with the
-// same random stream of accesses, installs and resets over direct-mapped,
-// 4-way, 8-way and fully associative geometries, and checks every
-// outcome and counter step by step. The addresses span a few times each
+// same random stream of accesses and resets over direct-mapped, 4-way,
+// 8-way and fully associative geometries, and checks every outcome and
+// counter step by step. The addresses span a few times each
 // cache's capacity, so hits, evictions and refills all occur.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, cfg := range []CacheConfig{
@@ -255,18 +250,11 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 		span := 4 * cfg.SizeKB * 1024
 		for step := 0; step < 50000; step++ {
 			addr := uint64(r.Intn(span))
-			switch op := r.Intn(1000); {
-			case op == 0:
+			if r.Intn(1000) == 0 {
 				c.Reset()
 				ref.reset()
-			case op < 200:
-				if got, want := c.Install(addr), ref.install(addr); got != want {
-					t.Fatalf("%+v step %d: Install(%#x) = %v, reference %v", cfg, step, addr, got, want)
-				}
-			default:
-				if got, want := c.Access(addr), ref.access(addr); got != want {
-					t.Fatalf("%+v step %d: Access(%#x) = %v, reference %v", cfg, step, addr, got, want)
-				}
+			} else if got, want := c.Access(addr), ref.access(addr); got != want {
+				t.Fatalf("%+v step %d: Access(%#x) = %v, reference %v", cfg, step, addr, got, want)
 			}
 			if c.Accesses() != ref.accesses || c.Misses() != ref.misses {
 				t.Fatalf("%+v step %d: %d accesses %d misses, reference %d and %d",

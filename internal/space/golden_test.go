@@ -32,8 +32,7 @@ func cyclesDigest(cycles []float64) string {
 // into fixed chunks, and hold every later cache layout and sweep schedule
 // to that code's numbers. The sweep runs at 1 and 4 workers and once over
 // a seeded shuffle of the configurations, scattered back to enumeration
-// order. Enumerate never enables the prefetcher, so Cache.Install is
-// covered by the mem package's property test instead.
+// order.
 func TestGoldenSweepCycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweeps two full spaces")
